@@ -210,6 +210,31 @@ class MetricsRegistry:
         return {name: self._instruments[name].snapshot()
                 for name in self.names()}
 
+    def absorb(self, snap: dict) -> None:
+        """Merge another registry's :meth:`snapshot` into this one:
+        counters add, gauges keep the maximum, histograms add bucket by
+        bucket (live runs merge one snapshot per worker process)."""
+        for name, s in snap.items():
+            kind = s.get("type")
+            if kind == "counter":
+                self.counter(name).inc(s["value"])
+            elif kind == "gauge":
+                g = self.gauge(name)
+                g.set(max(g.value, s["value"]))
+            elif kind == "histogram":
+                h = self.histogram(name,
+                                   edges=[b["le"] for b in s["buckets"]])
+                for i, b in enumerate(s["buckets"]):
+                    h.counts[i] += b["count"]
+                h.counts[-1] += s["overflow"]
+                h.count += s["count"]
+                h.total += s["total"]
+                for attr, pick in (("min", min), ("max", max)):
+                    v = s[attr]
+                    if v is not None:
+                        cur = getattr(h, attr)
+                        setattr(h, attr, v if cur is None else pick(cur, v))
+
 
 __all__ = ["Counter", "Gauge", "Histogram", "Instrument", "LATENCY_EDGES",
            "METRICS", "MetricsRegistry", "SIZE_EDGES"]

@@ -14,13 +14,21 @@ connected by length-prefixed sockets:
   faults); protocol code cannot tell the two apart;
 * :mod:`~repro.runtime.spool` — the write-ahead state spool a worker keeps
   in fault mode, and the exact work-conservation accounting over it;
-* :mod:`~repro.runtime.worker` — the per-process entry point
-  (``python -m repro.runtime.worker``);
-* :mod:`~repro.runtime.supervisor` — spawns/monitors N workers, routes
-  messages, detects deaths (and injects ``SIGKILL`` faults), merges
-  traces/metrics and assembles the same
+* :mod:`~repro.runtime.mesh` — the p2p data plane: direct
+  worker<->worker framed connections;
+* :mod:`~repro.runtime.worker` — the worker process: one
+  :class:`~repro.runtime.worker.Reactor` (selector, epoch filter, job
+  loop, commit-before-flush) behind ``python -m repro.runtime.worker``
+  and, for serve lanes, ``python -m repro.serve.jobhost``;
+* :mod:`~repro.runtime.fleet` — the owner side: one
+  :class:`~repro.runtime.fleet.Fleet` (listener, ``hello``
+  identification, star relay, reaping) and the one ``assemble()`` that
+  turns worker reports into the
   :class:`~repro.experiments.runner.ExperimentResult`/:class:`~repro.sim.stats.RunStats`
-  pair a simulated run yields.
+  pair a simulated run yields;
+* :mod:`~repro.runtime.supervisor` — the one-shot run on top of a fleet:
+  start barrier, membership registry, kill/join/leave/partition schedule,
+  failure detection, trace merge.
 
 Entry point: ``python -m repro.experiments live`` (see
 :mod:`repro.experiments.live`).

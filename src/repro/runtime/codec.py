@@ -33,6 +33,7 @@ from typing import Any, Iterator
 import numpy as np
 
 from ..apps.synthetic import SyntheticWork
+from ..bnb.interval import tree_leaves
 from ..bnb.work import BnBWork
 from ..sim.errors import SimRuntimeError
 from ..sim.messages import Message, sized
@@ -108,11 +109,31 @@ def from_wire(obj: Any) -> Any:
                                states=np.array(body["s"], dtype=np.uint64),
                                depths=np.array(body["d"], dtype=np.int32))
             if tag == "__bnb":
-                return BnBWork(body["n"], [(a, b) for a, b in body["i"]])
+                return _bnb_from_wire(body["n"], body["i"])
             if tag == "__syn":
                 return SyntheticWork(body)
         raise WireError(f"unknown wire tag in {sorted(obj)!r}")
     return obj
+
+
+def _bnb_from_wire(n_jobs: int, intervals: list) -> BnBWork:
+    """Rebuild B&B work keeping the sender's interval order.
+
+    ``BnBWork.merge`` appends what it receives, so a pool that absorbed a
+    transfer is legitimately not ascending and the validating constructor
+    would refuse it.  The wire is still outside input: range and overlap
+    are checked here, on a sorted copy.
+    """
+    work = BnBWork(n_jobs)
+    limit = tree_leaves(n_jobs)
+    last_end = 0
+    for a, b in sorted(map(tuple, intervals)):
+        if not (last_end <= a < b <= limit):
+            raise WireError(f"bad or overlapping B&B interval [{a}, {b}) "
+                            f"for n_jobs={n_jobs}")
+        last_end = b
+    work.intervals.extend([a, b] for a, b in intervals)
+    return work
 
 
 # -- message <-> frame object ------------------------------------------------

@@ -6,18 +6,20 @@ Protocol code (``core/worker.py``, ``core/oclb.py``, ``core/termination.py``,
 (clock + timers), ``transmit`` (transport), ``network.handler_cost``,
 ``stats``, ``metrics``, ``debug``, ``seed``, and the fault trio
 (``faults`` / ``is_crashed`` / ``peer_logged``).  This module implements
-that exact surface over a monotonic wall clock, a timer heap and one
-framed socket to the supervisor, so a :class:`~repro.core.oclb.
-OverlayWorker` built by :func:`repro.experiments.runner.worker_factory`
-runs on a real process unchanged:
+that exact surface over a monotonic wall clock, a timer heap and the
+process's data plane — the owner connection in star mode, the peer mesh
+in p2p mode — so a :class:`~repro.core.oclb.OverlayWorker` built by
+:func:`repro.experiments.runner.worker_factory` runs on a real process
+unchanged:
 
-* a simulated send becomes a frame on the supervisor socket (the
-  supervisor routes it to the destination worker);
+* a simulated send becomes a queued frame: toward the owner's relay
+  (which forwards it by destination pid) or, with a mesh, straight onto
+  the destination worker's connection; the reactor flushes it;
 * a simulated timer becomes a heap entry the worker's selector loop fires
   when its wall deadline passes;
 * ``handler_cost`` is 0 — handling takes whatever it really takes;
 * ``is_crashed`` consults the death announcements the supervisor
-  broadcasts (its EOF/SIGCHLD watch is the failure detector), and
+  broadcasts (its EOF/child-exit watch is the failure detector), and
   ``peer_logged`` reads the on-disk spool the dead worker left behind —
   the *actual* stable receive log the simulator only models
   (:meth:`repro.sim.engine.Simulator.peer_logged`).
@@ -185,7 +187,7 @@ class LiveEnv:
     # -- transport -------------------------------------------------------------
 
     def transmit(self, msg: Message) -> None:
-        """A protocol send: frame it toward the supervisor's router."""
+        """A protocol send: queue its frame on the data plane."""
         if not (0 <= msg.dst < self.n):
             raise SimRuntimeError(f"message to unknown process {msg.dst}")
         st = self.stats.per_process[self.pid]

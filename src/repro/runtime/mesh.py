@@ -249,11 +249,18 @@ class PeerMesh:
                 done = conn.flush() and done
         return done
 
-    def links_wire(self) -> dict:
-        """JSON-able per-destination (frames, bytes) counters."""
-        return {str(dst): [self.link_frames[dst],
-                           self.link_bytes.get(dst, 0)]
-                for dst in sorted(self.link_frames)}
+    def links_wire(self, since: Optional[dict] = None) -> dict:
+        """JSON-able per-destination (frames, bytes) counters - or, given
+        an earlier reading, their growth since (links that stayed silent
+        are left out): the mesh outlives jobs on a warm fleet."""
+        since = since or {}
+        out = {}
+        for dst in sorted(self.link_frames):
+            f0, b0 = since.get(str(dst), (0, 0))
+            if self.link_frames[dst] > f0:
+                out[str(dst)] = [self.link_frames[dst] - f0,
+                                 self.link_bytes.get(dst, 0) - b0]
+        return out
 
     def close(self) -> None:
         for conn in self.conns:

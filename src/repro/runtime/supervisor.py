@@ -1,42 +1,40 @@
 """Live-run supervisor: spawn N workers, detect deaths, collect results.
 
-One supervisor process per live run.  It owns the listener socket, spawns
-``python -m repro.runtime.worker`` once per pid, and then acts as:
+One supervisor process per live run.  Underneath it is a
+:class:`~repro.runtime.fleet.Fleet` — listener, ``hello`` identification,
+one connection per worker, the star relay, reaping — the same coordinator
+a serve lane drives.  What this module adds is what is specific to a
+one-shot run:
 
-* **router** (star mode, the default) — workers hold a single connection
-  each; the supervisor relays ``msg`` frames by destination pid.
-  Relaying preserves arrival order per connection, so the per-(src, dst)
-  FIFO property the tree termination argument relies on holds exactly as
-  it does on the simulator (and on the paper's TCP testbed).
-* **control plane** (``p2p=True``) — protocol traffic flows over direct
-  worker<->worker connections (:mod:`repro.runtime.mesh`); the
-  supervisor only spawns, runs the membership :class:`Registry` (each
-  ``hello`` registers a worker's own data-plane endpoint, ``go`` hands
-  every member its peers' addresses), injects faults, schedules elastic
-  membership — mid-run **joins** (spawn a new worker, assign its overlay
-  position, announce it) and graceful **leaves** (order a worker out; it
-  drains its pool to its parent and reports ``left``) — and collects the
-  final reports.
+* **start** — ``go`` is released only after all n workers said ``hello``,
+  so nobody computes before the fleet is routable.  In p2p mode
+  (``p2p=True``: protocol traffic flows over direct worker<->worker
+  connections, :mod:`repro.runtime.mesh`, and the supervisor is control
+  plane only) the membership :class:`Registry` records each worker's
+  data-plane endpoint and ``go`` hands every member its peers' addresses.
+* **fault schedule** — a planned kill delivers a real ``SIGKILL`` to the
+  victim's OS process, after a wall delay or once the victim's spool
+  shows it has processed a minimum number of units (deterministic enough
+  for CI); planned partitions drop crossing ``msg`` frames at the star
+  relay (p2p workers apply the same windows sender-side); mid-run
+  **joins** (spawn a worker, assign its overlay position, announce it)
+  and graceful **leaves** (order a worker out; it drains its pool to its
+  parent and reports ``left``) keep p2p membership elastic.
 * **failure detector** — a worker EOF (or child exit) before its ``done``
   report is a death; the supervisor broadcasts ``dead`` announcements and
   the workers' repair machinery splices the overlay around the corpse.
-  Fault injection is real: a planned kill delivers ``SIGKILL`` to the
-  victim's OS process, either after a wall delay or once the victim's
-  spool shows it has processed a minimum number of units (deterministic
-  enough for CI).
-* **collector** — ``done``/``left`` reports carry each worker's
-  :class:`~repro.sim.stats.ProcessStats`, metrics snapshot and (fault
-  mode) receive log; the supervisor assembles the same
+* **collector** — ``done``/``left`` reports go through
+  :func:`~repro.runtime.fleet.assemble` into the same
   ``(ExperimentResult, RunStats)`` pair the simulator's
-  :func:`~repro.experiments.runner.run_instrumented` returns, merges
-  per-worker NDJSON trace shards into one schema-1 trace, and — in fault
-  mode — evaluates the exact four-place work-conservation identity over
-  the survivors' reports and the dead workers' spools
+  :func:`~repro.experiments.runner.run_instrumented` returns; per-worker
+  NDJSON trace shards are merged into one schema-1 trace, and — in fault
+  mode — the exact four-place work-conservation identity is evaluated
+  over the survivors' reports and the dead workers' spools
   (:func:`repro.runtime.spool.conserved_units_live`).
 
-SIGINT/SIGTERM drain the fleet (broadcast abort-shutdown, grace period,
-escalate to SIGTERM/SIGKILL) and release every socket; the ``finally``
-teardown runs on all exits, so no code path leaks children or FDs.
+SIGINT/SIGTERM drain the fleet (abort-shutdown broadcast, SIGTERM, grace
+period, SIGKILL) and release every socket; the ``finally`` teardown runs
+on all exits, so no code path leaks children or FDs.
 """
 
 from __future__ import annotations
@@ -46,12 +44,10 @@ import os
 import shutil
 import signal
 import subprocess
-import sys
 import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
-from selectors import EVENT_READ, EVENT_WRITE, DefaultSelector
 from typing import Optional
 
 from ..experiments.runner import ExperimentResult, RunConfig
@@ -61,15 +57,11 @@ from ..sim.errors import SimConfigError, SimRuntimeError
 from ..sim.rng import RngStream
 from ..sim.stats import RunStats
 from ..sim.trace import CRASH, PARTITION
-from .codec import stats_from_wire
+from .fleet import Fleet, Member, assemble, spawn_worker
 from .spool import conserved_units_live, read_spool, spool_path
-from .transport import (FramedConnection, open_listener, unlink_quietly)
 
 #: Supervisor loop tick: bounds kill-trigger and watchdog latency.
 _TICK_S = 0.05
-#: Wall grace between an abort broadcast and SIGTERM, and between SIGTERM
-#: and SIGKILL, during teardown.
-_GRACE_S = 2.0
 
 #: Protocols whose overlay supports elastic membership (grafted leaves).
 _TREE_PROTOCOLS = ("TD", "TR", "BTD", "BTR")
@@ -315,17 +307,16 @@ class LiveResult:
     links: dict = field(default_factory=dict)
 
 
-class _Worker:
-    __slots__ = ("pid", "popen", "conn", "done", "bye", "dead", "closed",
-                 "kill_at", "kill_units", "killed_at", "joiner",
-                 "announced", "left", "leave_at", "leave_sent")
+class _Worker(Member):
+    """A fleet member plus its place in this run's fault schedule."""
+
+    __slots__ = ("done", "dead", "closed", "kill_at", "kill_units",
+                 "killed_at", "joiner", "announced", "left", "leave_at",
+                 "leave_sent")
 
     def __init__(self, pid: int, popen: subprocess.Popen) -> None:
-        self.pid = pid
-        self.popen = popen
-        self.conn: Optional[FramedConnection] = None
+        super().__init__(pid, popen)
         self.done = False
-        self.bye = False
         self.dead = False          # died mid-run (crash semantics)
         self.closed = False        # orderly post-shutdown close
         self.kill_at: Optional[float] = None
@@ -338,8 +329,8 @@ class _Worker:
         self.leave_sent = False
 
 
-def _worker_json(cfg: LiveConfig, pid: int, endpoint: dict, run_dir: str,
-                 join_parent: Optional[int] = None) -> str:
+def _worker_doc(cfg: LiveConfig, pid: int, endpoint: dict, run_dir: str,
+                join_parent: Optional[int] = None) -> dict:
     run: dict = {"protocol": cfg.protocol, "n": cfg.n, "dmax": cfg.dmax,
                  "sharing": cfg.sharing, "quantum": cfg.quantum,
                  "seed": cfg.seed}
@@ -362,25 +353,15 @@ def _worker_json(cfg: LiveConfig, pid: int, endpoint: dict, run_dir: str,
                             if cfg.peer_port_base else 0)
         if join_parent is not None:
             doc["join"] = {"parent": join_parent}
-    return json.dumps(doc)
+    return doc
 
 
 def _spawn_one(cfg: LiveConfig, pid: int, endpoint: dict, run_dir: str,
                join_parent: Optional[int] = None) -> _Worker:
-    import repro
-    env = os.environ.copy()
-    src_dir = os.path.dirname(os.path.dirname(
-        os.path.abspath(repro.__file__)))
-    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-    log = open(os.path.join(run_dir, f"worker_{pid}.log"), "wb")
-    try:
-        popen = subprocess.Popen(
-            [sys.executable, "-m", "repro.runtime.worker",
-             _worker_json(cfg, pid, endpoint, run_dir, join_parent)],
-            stdout=log, stderr=subprocess.STDOUT, env=env)
-    finally:
-        log.close()   # the child holds its own descriptor now
-    w = _Worker(pid, popen)
+    w = _Worker(pid, spawn_worker(
+        "repro.runtime.worker",
+        _worker_doc(cfg, pid, endpoint, run_dir, join_parent),
+        os.path.join(run_dir, f"worker_{pid}.log")))
     w.joiner = join_parent is not None
     for k in cfg.kills:
         if k["pid"] == pid:
@@ -402,64 +383,93 @@ def run_live(cfg: LiveConfig) -> LiveResult:
     t_start = time.monotonic()
     run_dir = cfg.run_dir or tempfile.mkdtemp(prefix="repro-live-")
     os.makedirs(run_dir, exist_ok=True)
-    unix_path = (os.path.join(run_dir, "supervisor.sock")
-                 if cfg.transport == "unix" else None)
-    listener, endpoint = open_listener(cfg.transport, host=cfg.host,
-                                       port=cfg.port, path=unix_path)
-    listener.setblocking(False)
-
-    interrupted: list[int] = []
+    run = _LiveRun(cfg, run_dir)
     restore: list[tuple] = []
-    if threading.current_thread() is threading.main_thread():
-        def _on_signal(signum, _frame):
-            interrupted.append(signum)
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            restore.append((signum, signal.signal(signum, _on_signal)))
+    try:
+        if threading.current_thread() is threading.main_thread():
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                restore.append((signum, signal.signal(
+                    signum, lambda s, _frame: run.interrupted.append(s))))
+        run.fleet.members = _spawn(cfg, run.fleet.endpoint, run_dir)
+        run.loop()
+    except LiveAborted:
+        run.fleet.broadcast({"t": "shutdown", "abort": True})
+        raise
+    finally:
+        run.fleet.close()   # flushes, reaps, releases every socket
+        for signum, handler in restore:
+            signal.signal(signum, handler)
+    out = run.result(time.monotonic() - t_start)
+    if cfg.run_dir is None and not cfg.trace:
+        # the default tempdir's artefacts (logs, spools) are all absorbed
+        # into the result by now; on a clean run nothing points back into
+        # it, so it is removed instead of leaking one dir per run.  Any
+        # failure raises before this line — the logs survive for
+        # debugging — and an explicit cfg.run_dir is the user's to keep.
+        # Traced runs keep theirs too: result.trace_path lives inside.
+        shutil.rmtree(run_dir, ignore_errors=True)
+    return out
 
-    workers = _spawn(cfg, endpoint, run_dir)
-    registry = Registry(cfg)
-    by_conn: dict = {}
-    sel = DefaultSelector()
-    sel.register(listener, EVENT_READ, "listener")
-    deadline = time.monotonic() + cfg.timeout_s
-    t_go: Optional[float] = None
-    t_go_epoch: Optional[float] = None
-    reports: dict[int, dict] = {}
-    hellos = 0
-    shutdown_sent = False
-    # elastic membership schedule: one join in flight at a time so the
-    # announced graft sequence is totally ordered
-    join_queue = sorted(cfg.joins, key=lambda j: j["after_s"])
-    join_pending: Optional[int] = None   # pid spawned, hello not yet seen
-    # per-link relay accounting (star mode; p2p sums worker reports)
-    star_links: dict[tuple[int, int], list] = {}
-    # precomputed partition windows; dropped[i] counts frames rule i ate
-    part_windows = tuple((frozenset(p["side"]), p["start_s"], p["end_s"])
-                         for p in cfg.partitions)
-    part_dropped = [0] * len(part_windows)
 
-    def partition_cut(src: int, dst: int) -> bool:
-        """Does an active partition window sever the (src, dst) link?"""
-        if t_go is None or not part_windows:
-            return False
-        t = time.monotonic() - t_go
-        for i, (side, t0, t1) in enumerate(part_windows):
-            if t0 <= t < t1 and (src in side) != (dst in side):
-                part_dropped[i] += 1
-                return True
-        return False
+class _LiveRun:
+    """The state of one :func:`run_live` call: what is specific to a
+    one-shot run on top of its :class:`~repro.runtime.fleet.Fleet` — the
+    membership registry, the kill/join/leave/partition schedule, failure
+    detection and the collected reports."""
 
-    def broadcast(frame: dict, skip: int = -1) -> None:
-        for w in workers:
-            if (w.conn is not None and not w.dead and not w.closed
-                    and not w.left and w.pid != skip):
-                w.conn.send_frame(frame)
+    def __init__(self, cfg: LiveConfig, run_dir: str) -> None:
+        self.cfg = cfg
+        self.run_dir = run_dir
+        self.fleet = Fleet(run_dir, cfg.transport, cfg.host, cfg.port)
+        self.fleet.on_hello = self.on_hello
+        self.fleet.on_frame = self.on_frame
+        self.fleet.on_eof = self.gone
+        self.fleet.on_relay = self.on_relay
+        self.registry = Registry(cfg)
+        self.interrupted: list[int] = []   # signals received
+        self.reports: dict[int, dict] = {}
+        self.hellos = 0
+        self.t_go: Optional[float] = None
+        self.t_go_epoch: Optional[float] = None
+        self.shutdown_sent = False
+        # elastic membership schedule: one join in flight at a time so the
+        # announced graft sequence is totally ordered
+        self.join_queue = sorted(cfg.joins, key=lambda j: j["after_s"])
+        self.join_pending: Optional[int] = None   # spawned, no hello yet
+        # per-link relay accounting (star mode; p2p workers report theirs)
+        self.star_links: dict[tuple[int, int], list] = {}
+        self.part_windows = tuple(
+            (frozenset(p["side"]), p["start_s"], p["end_s"])
+            for p in cfg.partitions)
+        self.part_dropped = 0
 
-    def go_frame(elapsed: float = 0.0) -> dict:
+    def elapsed(self) -> float:
+        """Wall seconds since ``go``."""
+        return time.monotonic() - self.t_go
+
+    # -- fleet hooks ---------------------------------------------------------
+
+    def on_relay(self, frame: dict) -> bool:
+        """Star relay filter: a frame crossing an active partition cut
+        dies at the router; every other one is counted on its link."""
+        src, dst = frame.get("src"), frame["dst"]
+        if self.part_windows and self.t_go is not None:
+            t = self.elapsed()
+            for side, t0, t1 in self.part_windows:
+                if t0 <= t < t1 and (src in side) != (dst in side):
+                    self.part_dropped += 1
+                    return False
+        link = self.star_links.setdefault((src, dst), [0, 0])
+        link[0] += 1
+        link[1] += frame.get("b", 0)
+        return True
+
+    def go_frame(self, elapsed: float = 0.0) -> dict:
         """The start frame: membership snapshot + shifted fault schedule.
 
         A mid-run joiner's partition windows are expressed relative to
         *its* go instant, so the fleet-wide wall windows line up."""
+        cfg, registry = self.cfg, self.registry
         if not cfg.p2p:
             return {"t": "go"}
         return {
@@ -473,313 +483,184 @@ def run_live(cfg: LiveConfig) -> LiveResult:
                            for p in cfg.partitions],
         }
 
-    def drop_conn(w: _Worker) -> None:
-        if w.conn is not None:
-            try:
-                sel.unregister(w.conn.sock)
-            except KeyError:
-                pass
-            w.conn.close()
-
-    def handle_frames(w: _Worker) -> None:
-        for frame in w.conn.receive():
-            t = frame.get("t")
-            if t == "msg":
-                if partition_cut(frame["src"], frame["dst"]):
-                    continue   # severed link: the frame dies at the router
-                link = star_links.setdefault((frame["src"], frame["dst"]),
-                                             [0, 0])
-                link[0] += 1
-                link[1] += frame.get("b", 0)
-                dst = workers[frame["dst"]]
-                if (dst.conn is not None and not dst.dead
-                        and not dst.closed):
-                    dst.conn.send_frame(frame)
-            elif t == "done":
-                w.done = True
-                reports[w.pid] = frame
-            elif t == "left":
-                w.left = True
-                w.done = True   # a leaver is finished for shutdown purposes
-                reports[w.pid] = frame
-                registry.mark_left(w.pid)
-                broadcast({"t": "left", "pid": w.pid}, skip=w.pid)
-            elif t == "bye":
-                w.bye = True
-                rep = reports.setdefault(w.pid, {})
-                for fld in ("recv_log", "crash_dropped"):
-                    if fld in frame:
-                        rep[fld] = frame[fld]
-
-    def on_death(w: _Worker) -> None:
-        nonlocal join_pending
-        if w.dead:
-            return
-        w.dead = True
-        if join_pending == w.pid:
-            join_pending = None   # joiner died pre-hello: unblock the queue
-        drop_conn(w)
-        registry.mark_dead(w.pid)
-        if w.killed_at is None and not cfg.fault_tolerance:
-            raise LiveRuntimeError(
-                f"worker {w.pid} died unexpectedly "
-                f"(exit {w.popen.poll()}); see {run_dir}/worker_{w.pid}.log")
-        if not w.joiner or w.announced:
-            broadcast({"t": "dead", "pid": w.pid})
-        # a joiner that died before its hello was never announced:
-        # nobody grafted it, so nobody needs the news
-
-    def absorb_hello(conn: FramedConnection, frame: dict) -> None:
-        nonlocal hellos, join_pending
-        hp = frame["pid"]
-        w = workers[hp]
-        if w.conn is not None or (cfg.p2p and registry.registered(hp)):
-            # duplicate hello: keep the first registration, drop this one
-            try:
-                sel.unregister(conn.sock)
-            except KeyError:
-                pass
-            conn.close()
-            return
-        if cfg.p2p:
-            registry.register(hp, frame.get("peer"))
-        w.conn = conn
-        sel.modify(conn.sock, EVENT_READ, w)
+    def on_hello(self, w: _Worker) -> None:
+        if self.cfg.p2p:
+            self.registry.register(w.pid, w.peer)
         if not w.joiner:
-            hellos += 1
+            self.hellos += 1
             return
         # a joiner checked in: announce it to the fleet *before* its own
         # go — members buffer any data-plane frames from a pid they have
         # not been introduced to, so either order is safe, but this one
         # minimises buffering
-        parent = registry.graft_parent[hp]
         w.announced = True
-        broadcast({"t": "join", "pid": hp, "parent": parent,
-                   "endpoint": registry.endpoints.get(hp)}, skip=hp)
-        elapsed = time.monotonic() - t_go if t_go is not None else 0.0
-        w.conn.send_frame(go_frame(elapsed))
-        join_pending = None
+        self.fleet.broadcast(
+            {"t": "join", "pid": w.pid, "endpoint": w.peer,
+             "parent": self.registry.graft_parent[w.pid]}, skip=w.pid)
+        w.conn.send_frame(self.go_frame(self.elapsed()))
+        self.join_pending = None
 
-    try:
+    def on_frame(self, w: _Worker, frame: dict) -> None:
+        t = frame.get("t")
+        if t == "done":
+            w.done = True
+            self.reports[w.pid] = frame
+        elif t == "left":
+            w.left = True
+            w.done = True   # a leaver is finished for shutdown purposes
+            self.reports[w.pid] = frame
+            self.registry.mark_left(w.pid)
+            self.fleet.broadcast({"t": "left", "pid": w.pid}, skip=w.pid)
+        elif t == "bye":
+            rep = self.reports.setdefault(w.pid, {})
+            for fld in ("recv_log", "crash_dropped"):
+                if fld in frame:
+                    rep[fld] = frame[fld]
+
+    def gone(self, w: _Worker) -> None:
+        """``w``'s connection hit EOF or its process exited: an orderly
+        close if it had left or was told to shut down, else a death."""
+        if w.dead or w.closed:
+            return
+        self.fleet.drop(w)
+        if w.left or (self.shutdown_sent and w.done):
+            w.closed = True
+            return
+        w.dead = True
+        if self.join_pending == w.pid:
+            self.join_pending = None   # died pre-hello: unblock the queue
+        self.registry.mark_dead(w.pid)
+        if w.killed_at is None and not self.cfg.fault_tolerance:
+            raise LiveRuntimeError(
+                f"worker {w.pid} died unexpectedly "
+                f"(exit {w.popen.poll()}); "
+                f"see {self.run_dir}/worker_{w.pid}.log")
+        if not w.joiner or w.announced:
+            self.fleet.broadcast({"t": "dead", "pid": w.pid})
+        # a joiner that died before its hello was never announced:
+        # nobody grafted it, so nobody needs the news
+
+    # -- the run -------------------------------------------------------------
+
+    def inject(self) -> None:
+        """Planned faults and membership changes that have come due."""
+        cfg, fleet, now = self.cfg, self.fleet, self.elapsed()
+        for w in fleet.members:
+            # kills land only before the victim reports done
+            if (w.killed_at is not None or w.dead or w.done
+                    or (w.kill_at is None and w.kill_units is None)):
+                continue
+            due = w.kill_at is not None and now >= w.kill_at
+            if not due and w.kill_units is not None:
+                doc = read_spool(spool_path(self.run_dir, w.pid))
+                due = doc is not None and doc["processed"] >= w.kill_units
+            if due:
+                w.killed_at = now
+                w.popen.kill()
+        # one join at a time: the graft sequence must be totally ordered
+        if (self.join_queue and self.join_pending is None
+                and not self.shutdown_sent
+                and now >= self.join_queue[0]["after_s"]):
+            jpid = self.join_queue.pop(0)["pid"]
+            parent = self.registry.assign_parent(jpid)
+            self.registry.add_join(jpid, parent)
+            fleet.members.append(_spawn_one(
+                cfg, jpid, fleet.endpoint, self.run_dir, join_parent=parent))
+            self.join_pending = jpid
+        for w in fleet.members:
+            if (w.leave_at is not None and not w.leave_sent and not w.dead
+                    and not w.done and w.conn is not None
+                    and now >= w.leave_at):
+                w.leave_sent = True
+                w.conn.send_frame({"t": "leave"})
+
+    def collect_exited(self) -> None:
+        for w in self.fleet.members:
+            if not w.dead and not w.closed and w.popen.poll() is not None:
+                if w.conn is not None:
+                    self.fleet.drain(w)   # what it flushed before exiting
+                self.gone(w)
+
+    def loop(self) -> None:
+        """Handshake, run, collect: returns once every surviving worker
+        has reported, been told to shut down, and exited."""
+        cfg, fleet = self.cfg, self.fleet
+        deadline = time.monotonic() + cfg.timeout_s
         while True:
-            if interrupted:
-                raise LiveAborted(signal.Signals(interrupted[0]).name)
+            if self.interrupted:
+                raise LiveAborted(signal.Signals(self.interrupted[0]).name)
             if time.monotonic() > deadline:
                 raise LiveRuntimeError(
                     f"live run exceeded timeout_s={cfg.timeout_s}; "
-                    f"worker logs in {run_dir}")
+                    f"worker logs in {self.run_dir}")
+            fleet.pump(_TICK_S)
 
-            for w in workers:
-                if w.conn is not None and not w.dead and not w.closed:
-                    flags = EVENT_READ | (EVENT_WRITE if w.conn.wants_write
-                                          else 0)
-                    sel.modify(w.conn.sock, flags, w)
-            for key, mask in sel.select(timeout=_TICK_S):
-                if key.data == "listener":
-                    try:
-                        sock, _addr = listener.accept()
-                    except OSError:
-                        continue
-                    conn = FramedConnection(sock)
-                    by_conn[sock] = conn
-                    sel.register(sock, EVENT_READ, conn)
-                    continue
-                if isinstance(key.data, FramedConnection):
-                    # pre-hello connection: wait for its pid
-                    conn = key.data
-                    for frame in conn.receive():
-                        if frame.get("t") == "hello":
-                            absorb_hello(conn, frame)
-                            if conn.closed:
-                                break
-                    if not conn.closed and conn.eof:
-                        sel.unregister(conn.sock)
-                        conn.close()
-                    continue
-                w = key.data
-                if w.dead or w.closed:
-                    continue   # stale event from earlier in this batch
-                if mask & EVENT_WRITE:
-                    w.conn.flush()
-                handle_frames(w)
-                if w.conn.eof:
-                    if w.left or (shutdown_sent and w.done):
-                        w.closed = True   # orderly exit, not a death
-                        drop_conn(w)
-                    else:
-                        on_death(w)
+            if self.t_go is None and self.hellos == cfg.n:
+                self.t_go = time.monotonic()
+                self.t_go_epoch = time.time()
+                deadline = self.t_go + cfg.timeout_s
+                fleet.broadcast(self.go_frame())
+            if self.t_go is not None:
+                self.inject()
 
-            if t_go is None and hellos == cfg.n:
-                t_go = time.monotonic()
-                t_go_epoch = time.time()
-                deadline = t_go + cfg.timeout_s
-                broadcast(go_frame())
+            self.collect_exited()
 
-            # planned fault injection (only before the victim reports done)
-            if t_go is not None:
-                for w in workers:
-                    if (w.killed_at is not None or w.dead or w.done
-                            or (w.kill_at is None and w.kill_units is None)):
-                        continue
-                    due = (w.kill_at is not None
-                           and time.monotonic() - t_go >= w.kill_at)
-                    if not due and w.kill_units is not None:
-                        doc = read_spool(spool_path(run_dir, w.pid))
-                        due = (doc is not None
-                               and doc["processed"] >= w.kill_units)
-                    if due:
-                        w.killed_at = time.monotonic() - t_go
-                        try:
-                            os.kill(w.popen.pid, signal.SIGKILL)
-                        except OSError:
-                            pass
-
-                # elastic membership: spawn the next due join (one at a
-                # time: the graft sequence must be totally ordered), order
-                # due leaves out
-                if (join_queue and join_pending is None
-                        and not shutdown_sent
-                        and time.monotonic() - t_go
-                        >= join_queue[0]["after_s"]):
-                    spec = join_queue.pop(0)
-                    jpid = spec["pid"]
-                    parent = registry.assign_parent(jpid)
-                    registry.add_join(jpid, parent)
-                    w = _spawn_one(cfg, jpid, endpoint, run_dir,
-                                   join_parent=parent)
-                    workers.append(w)
-                    join_pending = jpid
-                for w in workers:
-                    if (w.leave_at is None or w.leave_sent or w.dead
-                            or w.done or w.conn is None):
-                        continue
-                    if time.monotonic() - t_go >= w.leave_at:
-                        w.leave_sent = True
-                        w.conn.send_frame({"t": "leave"})
-
-            for w in workers:
-                if (not w.dead and not w.closed
-                        and w.popen.poll() is not None):
-                    # child exited; drain whatever it flushed before dying
-                    if w.conn is not None:
-                        handle_frames(w)
-                    if w.left or (shutdown_sent and w.done):
-                        w.closed = True
-                        drop_conn(w)
-                    else:
-                        on_death(w)
-
-            alive = [w for w in workers if not w.dead]
+            alive = [w for w in fleet.members if not w.dead]
             if not alive:
                 raise LiveRuntimeError(
-                    f"all {cfg.n} workers died; logs in {run_dir}")
-            if (not shutdown_sent and t_go is not None
-                    and join_pending is None
+                    f"all {cfg.n} workers died; logs in {self.run_dir}")
+            if (not self.shutdown_sent and self.t_go is not None
+                    and self.join_pending is None
                     and all(w.done for w in alive)):
-                shutdown_sent = True
-                broadcast({"t": "shutdown"})
-            if shutdown_sent and all(w.popen.poll() is not None
-                                     for w in alive):
-                for w in alive:   # catch final frames still buffered
-                    if not w.closed and w.conn is not None:
-                        handle_frames(w)
-                        drop_conn(w)
-                break
-    except LiveAborted:
-        broadcast({"t": "shutdown", "abort": True})
+                self.shutdown_sent = True
+                fleet.broadcast({"t": "shutdown"})
+            if self.shutdown_sent and all(w.popen.poll() is not None
+                                          for w in alive):
+                self.collect_exited()   # final frames still buffered
+                return
+
+    def result(self, wall_s: float) -> LiveResult:
+        cfg, run_dir, reports = self.cfg, self.run_dir, self.reports
+        workers = self.fleet.members
         for w in workers:
-            if w.conn is not None:
-                w.conn.flush()
-        _reap(workers)
-        raise
-    finally:
-        _reap(workers)
+            code = w.popen.returncode
+            if w.killed_at is None and code != 0:
+                raise LiveRuntimeError(
+                    f"worker {w.pid} exited with {code}; "
+                    f"see {run_dir}/worker_{w.pid}.log")
+            if not w.dead and w.pid not in reports:
+                raise LiveRuntimeError(
+                    f"worker {w.pid} never reported done")
+        t_go_epoch = (self.t_go_epoch if self.t_go_epoch is not None
+                      else time.time())
+        spools = {}
         for w in workers:
-            if w.conn is not None:
-                w.conn.close()
-        for sock, conn in by_conn.items():
-            conn.close()
-        sel.close()
-        listener.close()
-        unlink_quietly(unix_path)
-        if cfg.p2p and cfg.transport == "unix":
-            for w in workers:
-                unlink_quietly(os.path.join(run_dir, f"peer_{w.pid}.sock"))
-        for signum, handler in restore:
-            signal.signal(signum, handler)
-
-    killed = tuple(sorted(w.pid for w in workers if w.killed_at is not None))
-    for w in workers:
-        code = w.popen.returncode
-        if w.killed_at is None and code != 0:
-            raise LiveRuntimeError(
-                f"worker {w.pid} exited with {code}; "
-                f"see {run_dir}/worker_{w.pid}.log")
-        if not w.dead and w.pid not in reports:
-            raise LiveRuntimeError(f"worker {w.pid} never reported done")
-
-    out = _assemble(cfg, run_dir, workers, reports, killed,
-                    t_go_epoch if t_go_epoch is not None else time.time(),
-                    time.monotonic() - t_start, sum(part_dropped),
-                    star_links)
-    if cfg.run_dir is None and not cfg.trace:
-        # the default tempdir's artefacts (logs, spools) are all absorbed
-        # into the result by now; on a clean run nothing points back into
-        # it, so it is removed instead of leaking one dir per run.  Any
-        # failure raises before this line — the logs survive for
-        # debugging — and an explicit cfg.run_dir is the user's to keep.
-        # Traced runs keep theirs too: result.trace_path lives inside.
-        shutil.rmtree(run_dir, ignore_errors=True)
-    return out
+            if w.dead:
+                doc = read_spool(spool_path(run_dir, w.pid))
+                if doc is not None:
+                    spools[w.pid] = doc
+        result, stats, metrics, links = assemble(
+            cfg.protocol, cfg.n, cfg.slots, reports, t_go=t_go_epoch,
+            crashed={w.pid: w.killed_at for w in workers if w.dead},
+            spools=spools, relay_links=self.star_links,
+            relay_drops=self.part_dropped, wall_s=wall_s)
+        conserved = None
+        if cfg.fault_tolerance:
+            from .worker import build_app
+            app, _label = build_app(cfg.app)
+            conserved = conserved_units_live(app, reports, spools)
+        return LiveResult(
+            result=result, stats=stats, metrics=metrics,
+            conserved=conserved, run_dir=run_dir, reports=reports,
+            spools=spools, wall_s=wall_s, links=links,
+            killed=tuple(sorted(w.pid for w in workers
+                                if w.killed_at is not None)),
+            trace_path=_merge_traces(cfg, run_dir, workers, t_go_epoch),
+            joined=tuple(sorted(w.pid for w in workers if w.joiner)),
+            left=tuple(sorted(w.pid for w in workers if w.left)))
 
 
-def _reap(workers: list[_Worker]) -> None:
-    """Terminate-then-kill every still-running child; always reap."""
-    for sig, grace in ((signal.SIGTERM, _GRACE_S), (signal.SIGKILL, None)):
-        alive = [w for w in workers if w.popen.poll() is None]
-        if not alive:
-            return
-        for w in alive:
-            try:
-                w.popen.send_signal(sig)
-            except OSError:
-                pass
-        end = time.monotonic() + (grace or _GRACE_S)
-        for w in alive:
-            try:
-                w.popen.wait(timeout=max(0.0, end - time.monotonic()))
-            except subprocess.TimeoutExpired:
-                pass
-    for w in workers:   # pragma: no cover - SIGKILL cannot be survived
-        if w.popen.poll() is None:
-            w.popen.wait()
-
-
-# -- result assembly ---------------------------------------------------------
-
-def _absorb_snapshot(reg: MetricsRegistry, snap: dict) -> None:
-    """Merge one worker's metrics snapshot into the run registry."""
-    for name, s in snap.items():
-        kind = s.get("type")
-        if kind == "counter":
-            reg.counter(name).inc(s["value"])
-        elif kind == "gauge":
-            g = reg.gauge(name)
-            g.set(max(g.value, s["value"]))
-        elif kind == "histogram":
-            edges = [b["le"] for b in s["buckets"]]
-            h = reg.histogram(name, edges=edges)
-            for i, b in enumerate(s["buckets"]):
-                h.counts[i] += b["count"]
-            h.counts[-1] += s["overflow"]
-            h.count += s["count"]
-            h.total += s["total"]
-            for attr, pick in (("min", min), ("max", max)):
-                v = s[attr]
-                if v is not None:
-                    cur = getattr(h, attr)
-                    setattr(h, attr, v if cur is None else pick(cur, v))
-
+# -- trace merge -------------------------------------------------------------
 
 def _read_shard_samples(path: str) -> tuple[dict, list]:
     """Leniently read one worker's trace shard.
@@ -808,7 +689,7 @@ def _read_shard_samples(path: str) -> tuple[dict, list]:
 
 
 def _merge_traces(cfg: LiveConfig, run_dir: str, workers: list[_Worker],
-                  reports: dict, t_go_epoch: float) -> Optional[str]:
+                  t_go_epoch: float) -> Optional[str]:
     if not cfg.trace:
         return None
     t0s: dict[int, float] = {}
@@ -845,102 +726,6 @@ def _merge_traces(cfg: LiveConfig, run_dir: str, workers: list[_Worker],
         for t, pid, kind, v in merged:
             tw.record(t, pid, kind, v)
     return out
-
-
-def _assemble(cfg: LiveConfig, run_dir: str, workers: list[_Worker],
-              reports: dict, killed: tuple[int, ...], t_go_epoch: float,
-              wall_s: float, part_dropped: int = 0,
-              star_links: Optional[dict] = None) -> LiveResult:
-    spools = {}
-    for w in workers:
-        if w.dead:
-            doc = read_spool(spool_path(run_dir, w.pid))
-            if doc is not None:
-                spools[w.pid] = doc
-
-    stats = RunStats.create(cfg.slots)
-    t0s = {pid: float(rep.get("t0", t_go_epoch))
-           for pid, rep in reports.items() if "t0" in rep}
-    base = min(t0s.values(), default=t_go_epoch)
-    makespan = 0.0
-    work_done = 0.0
-    optimum = None
-    for pid, rep in reports.items():
-        if "stats" not in rep:
-            continue
-        ps = stats_from_wire(rep["stats"], pid)
-        off = t0s.get(pid, t_go_epoch) - base
-        if ps.finish_time > 0.0:
-            ps.finish_time += off
-        makespan = max(makespan, ps.finish_time)
-        work_done = max(work_done, rep.get("work_done", 0.0) + off)
-        stats.per_process[pid] = ps
-        opt = rep.get("optimum")
-        if opt is not None and (optimum is None or opt < optimum):
-            optimum = opt
-    for w in workers:
-        if not w.dead:
-            continue
-        ps = stats.per_process[w.pid]
-        ps.crashes = 1
-        if w.killed_at is not None:
-            ps.crash_time = w.killed_at + (t_go_epoch - base)
-        doc = spools.get(w.pid)
-        if doc is not None:
-            # the dead worker's processed units count, exactly as the
-            # simulator's stats keep counting up to the crash instant
-            ps.work_units = doc["processed"]
-    stats.makespan = makespan if makespan > 0.0 else wall_s
-    stats.work_done_time = work_done
-    stats.seal()
-
-    # per-link traffic: the star supervisor counted while relaying; p2p
-    # workers counted at their own mesh and reported
-    links: dict[tuple[int, int], tuple[int, int]] = {}
-    if cfg.p2p:
-        for pid, rep in reports.items():
-            for dst, counts in rep.get("links", {}).items():
-                links[(pid, int(dst))] = (int(counts[0]), int(counts[1]))
-        part_dropped = sum(rep.get("part_drops", 0)
-                           for rep in reports.values())
-    elif star_links:
-        links = {k: tuple(v) for k, v in star_links.items()}
-
-    metrics = MetricsRegistry()
-    for rep in reports.values():
-        if "metrics" in rep:
-            _absorb_snapshot(metrics, rep["metrics"])
-    metrics.gauge("engine.makespan_s").set(stats.makespan)
-    if killed:
-        metrics.counter("engine.crashes").inc(len(killed))
-    if part_dropped:
-        metrics.counter("live.partition_drops").inc(part_dropped)
-
-    conserved = None
-    if cfg.fault_tolerance:
-        from .worker import build_app
-        app, _label = build_app(cfg.app)
-        conserved = conserved_units_live(app, reports, spools)
-
-    lost, dup, rexmit, crashes, repairs = stats.fault_totals()
-    result = ExperimentResult(
-        protocol=cfg.protocol, n=cfg.n, makespan=stats.makespan,
-        work_done_time=stats.work_done_time,
-        total_units=stats.total_work_units, total_msgs=stats.total_msgs,
-        total_steals=stats.total_steals, msgs_by_pid=stats.msgs_by_pid(),
-        optimum=optimum, events=0, msgs_lost=lost + part_dropped,
-        msgs_duplicated=dup, retransmits=rexmit, crashes=crashes,
-        repairs=repairs, breaker_opens=stats.total_breaker_opens())
-
-    trace_path = _merge_traces(cfg, run_dir, workers, reports, t_go_epoch)
-    return LiveResult(result=result, stats=stats, metrics=metrics,
-                      conserved=conserved, killed=killed, run_dir=run_dir,
-                      trace_path=trace_path, reports=reports, spools=spools,
-                      wall_s=wall_s,
-                      joined=tuple(sorted(w.pid for w in workers
-                                          if w.joiner)),
-                      left=tuple(sorted(w.pid for w in workers if w.left)),
-                      links=links)
 
 
 __all__ = ["LiveAborted", "LiveConfig", "LiveResult", "LiveRuntimeError",

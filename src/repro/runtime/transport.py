@@ -103,6 +103,31 @@ class FramedConnection:
         return f"<FramedConnection {state} out={len(self.outbuf)}B>"
 
 
+class InterestTable:
+    """The selector bookkeeping of a reactor that re-arms its sockets
+    every turn (read, plus write while a backlog waits): the registered
+    mask of each descriptor is remembered, so an unchanged one costs a
+    dict lookup instead of a syscall.  The reactor brings ``self.sel``
+    and an empty ``self._interest``."""
+
+    def set_interest(self, sock, flags: int, data) -> None:
+        fd = sock.fileno()
+        if fd < 0:
+            return   # closed under us
+        if fd not in self._interest:
+            self.sel.register(sock, flags, data)
+            self._interest[fd] = flags
+        elif self._interest[fd] != flags:
+            self.sel.modify(sock, flags, data)
+            self._interest[fd] = flags
+
+    def forget_sock(self, sock) -> None:
+        fd = sock.fileno()
+        if fd in self._interest:
+            self.sel.unregister(sock)
+            del self._interest[fd]
+
+
 def open_listener(transport: str = "tcp", host: str = "127.0.0.1",
                   port: int = 0, path: Optional[str] = None,
                   backlog: int = 64) -> tuple[socket.socket, dict]:
@@ -167,5 +192,5 @@ def unlink_quietly(path: Optional[str]) -> None:
             pass
 
 
-__all__ = ["BIND_RETRIES", "FramedConnection", "connect_endpoint",
-           "open_listener", "unlink_quietly"]
+__all__ = ["BIND_RETRIES", "FramedConnection", "InterestTable",
+           "connect_endpoint", "open_listener", "unlink_quietly"]

@@ -1,67 +1,82 @@
-"""Live worker entry point: ``python -m repro.runtime.worker '<json>'``.
+"""Live worker process: ``python -m repro.runtime.worker '<json>'``.
 
-One OS process = one protocol worker.  The supervisor passes the full
-configuration as a single JSON argument; the worker connects back,
-handshakes (``hello`` / ``go``), builds its protocol object through the
-same :func:`repro.experiments.runner.worker_factory` the simulator uses,
-and then runs a selector reactor until the supervisor says ``shutdown``:
+One OS process = one protocol worker, driven by one :class:`Reactor`.
+The owner (the one-shot supervisor or a serve lane) passes the process
+configuration as a single JSON argument; ``main`` dials the owner and
+hands the connected socket to the reactor, which says ``hello`` and waits
+for its start frame:
 
-1. wait on the sockets until the next timer deadline (or a short idle tick);
-2. absorb inbound frames — routed protocol messages into
-   ``proc._arrive``, ``dead``/``left`` announcements into the failure
-   detector, ``join`` announcements into the overlay graft;
-3. fire due timers (compute quanta, retransmits, termination waves ride
-   here);
-4. **fault mode:** commit the write-ahead spool — *before* step 5, so no
-   byte ever leaves this process without the state that explains it
-   already being on disk (see :mod:`repro.runtime.spool`);
-5. flush the outbound buffers;
-6. once the protocol reports termination, send the ``done`` report (and
-   keep answering late messages until ``shutdown`` arrives).
+* ``go`` (one-shot run): the configuration *is* the job.  The reactor
+  runs it with the fault / trace / join / leave paths the configuration
+  switches on, reports ``done`` (or ``left``), and exits on ``shutdown``.
+* ``init`` (serve lane): the reactor then takes ``job`` after ``job``,
+  each stamped with an **epoch** that rides every protocol frame of the
+  job (:attr:`repro.runtime.env.LiveEnv.frame_tag`).  A frame from a
+  finished epoch is dropped on receipt, one from an epoch ahead of ours
+  (a faster sibling started first) waits for its job.  A job that raises
+  while building or running is reported as ``job_error`` and the process
+  returns to idle; ``abort`` unwinds the current job and is acknowledged
+  with ``aborted``.
 
-Two data-plane modes:
+Either way a job is the same loop (:meth:`Reactor.run_job`), one turn of
+which is:
 
-* **star** (default): every protocol frame rides the supervisor
-  connection; the supervisor relays by destination pid.
-* **p2p** (``"p2p": true``): the worker opens its own listener *before*
-  ``hello`` and advertises the endpoint; protocol frames then flow over
-  direct worker<->worker connections (:mod:`repro.runtime.mesh`) and the
-  supervisor connection carries control only — ``go``, ``dead``,
-  ``join``/``left`` membership news, ``leave`` orders, ``shutdown``, and
-  the final reports.  A worker spawned mid-run (``"join": {...}``) boots
-  with the full graft history, announces itself to its overlay parent
-  (ATTACH/ADOPT — the same exchange a post-crash splice uses), and a
-  worker ordered to ``leave`` drains its pool to its parent and departs
-  once every transfer it initiated is acknowledged.
+1. wait on the sockets until the next timer deadline (or an idle tick);
+2. absorb inbound frames - protocol messages into ``proc._arrive``
+   through the epoch filter, everything else onto the control queue;
+3. act on the control queue (``dead``/``left``/``join`` membership news,
+   ``leave``, ``abort``, ``job_end``, ``shutdown``);
+4. fire due timers (compute quanta, retransmits, termination waves);
+5. report ``done`` once the protocol has terminated;
+6. :meth:`Reactor.flush` - the only place bytes leave the process, and
+   in fault mode always *after* committing the write-ahead spool, so no
+   byte is on the wire without the state that explains it on disk (see
+   :mod:`repro.runtime.spool`).
 
-The worker ignores SIGINT (the supervisor coordinates interactive aborts)
-and treats SIGTERM or supervisor EOF as an orderly exit, so no run leaves
-orphans behind.
+Two data planes: **star** (default) - protocol frames ride the owner
+connection and the owner relays them by destination pid; **p2p** - the
+reactor opens its own listener before ``hello``, advertises it, and
+protocol frames flow over direct worker<->worker connections
+(:mod:`repro.runtime.mesh`) that outlive jobs; the owner connection then
+carries control only.
+
+The process ignores SIGINT (the owner coordinates interactive aborts) and
+treats SIGTERM or owner EOF as an orderly exit, so no run leaves orphans.
 """
 
 from __future__ import annotations
 
+import collections
 import json
 import os
 import signal
 import sys
 import time
+import traceback
 from selectors import EVENT_READ, EVENT_WRITE, DefaultSelector
+
+from typing import Optional
 
 from ..apps.base import Application
 from ..core.config import OCLBConfig
 from ..experiments.runner import RunConfig, worker_factory
 from ..obs.export import TraceWriter
 from ..obs.registry import MetricsRegistry
-from .codec import message_from_frame, stats_to_wire
+from .codec import message_from_frame, stats_to_wire, to_wire
 from .env import LiveEnv
 from .mesh import PeerMesh, open_peer_listener
 from .spool import build_spool_doc, spool_path, write_spool
-from .transport import FramedConnection, connect_endpoint
+from .transport import FramedConnection, InterestTable, connect_endpoint
 
 #: Selector timeout when no timer is pending (keeps the watchdog and
-#: supervisor-EOF checks responsive).
+#: owner-EOF checks responsive).
 IDLE_TICK_S = 0.25
+
+#: Ceiling on flushing a last report into a slow socket before exiting.
+DRAIN_S = 5.0
+
+#: Protocol frames parked for a job that has not started here yet.
+MAX_EARLY_FRAMES = 10_000
 
 #: Live-scale OCLB pacing: wall milliseconds, not the simulator's virtual
 #: defaults — loopback RTTs are tens of microseconds, but real scheduling
@@ -113,289 +128,337 @@ def build_run_config(cfg: dict) -> RunConfig:
                      breaker_threshold=run.get("breaker_threshold", 4))
 
 
-class _Exit(Exception):
-    """Internal: unwind the reactor (code carried to sys.exit)."""
+class Exit(Exception):
+    """Unwind the reactor (code carried to ``sys.exit``)."""
 
     def __init__(self, code: int) -> None:
         self.code = code
 
 
-def _run(cfg: dict) -> int:
-    pid = cfg["pid"]
-    fault_mode = bool(cfg.get("fault_mode"))
-    run_dir = cfg.get("run_dir")
-    p2p = bool(cfg.get("p2p"))
-    slots = int(cfg.get("slots", cfg["run"]["n"]))
-    join = cfg.get("join")          # {"parent": p} for a mid-run joiner
-    deadline = time.monotonic() + float(cfg.get("timeout_s", 120.0))
+class Reactor(InterestTable):
+    """Selector, owner connection, optional mesh and the job loop of one
+    worker process (see module docstring).
 
-    sel = DefaultSelector()
-    interest: dict[int, int] = {}   # fd -> registered event mask
+    ``conn`` is already connected: only :func:`main` dials, so tests can
+    drive reactors in-process over ``socket.socketpair()``.
+    """
 
-    def set_interest(sock, flags, data) -> None:
-        fd = sock.fileno()
-        if fd < 0:
-            return
-        if fd not in interest:
-            sel.register(sock, flags, data)
-            interest[fd] = flags
-        elif interest[fd] != flags:
-            sel.modify(sock, flags, data)
-            interest[fd] = flags
+    def __init__(self, cfg: dict, conn: FramedConnection) -> None:
+        self.cfg = cfg
+        self.pid = int(cfg["pid"])
+        self.conn = conn
+        self.sel = DefaultSelector()
+        self._interest: dict[int, int] = {}   # fd -> registered event mask
+        #: control frames received but not yet acted on.  Owners send them
+        #: back to back (``init`` then ``job``, ``job_end`` then the next
+        #: ``job``), so consumers pop what they handle and leave the rest.
+        self.ctrl: collections.deque[dict] = collections.deque()
+        #: protocol frames that arrived before their job started here
+        self.early: list[dict] = []
+        self.epoch: Optional[int] = None   # running job's frame tag
+        self.seen_epoch = -1               # newest epoch a job frame named
+        self.env: Optional[LiveEnv] = None   # set while a job runs
+        self.proc = None
+        self.spool: Optional[str] = None   # fault mode: the job's spool
+        self.mesh: Optional[PeerMesh] = None
+        self.peer_endpoint: Optional[dict] = None
+        if cfg.get("p2p"):
+            # the listener must accept before anyone can learn our address:
+            # it is open ahead of the hello that advertises it
+            listener, self.peer_endpoint = open_peer_listener(
+                cfg.get("transport", "tcp"), cfg.get("host", "127.0.0.1"),
+                int(cfg.get("peer_port", 0)), cfg.get("run_dir"), self.pid)
+            self.mesh = PeerMesh(
+                self.pid, listener,
+                on_conn=lambda c: self.set_interest(c.sock, EVENT_READ, c),
+                on_drop=lambda c: self.forget_sock(c.sock))
+            self.set_interest(listener, EVENT_READ, "accept")
 
-    def forget_sock(sock) -> None:
-        fd = sock.fileno()
-        if fd in interest:
-            sel.unregister(sock)
-            del interest[fd]
+    # -- the turn ------------------------------------------------------------
 
-    mesh = None
-    peer_endpoint = None
-    if p2p:
-        # the listener must accept before anyone can learn our address:
-        # open it ahead of the hello that advertises it
-        peer_listener, peer_endpoint = open_peer_listener(
-            cfg.get("transport", "tcp"), cfg.get("host", "127.0.0.1"),
-            int(cfg.get("peer_port", 0)), run_dir, pid)
-        mesh = PeerMesh(
-            pid, peer_listener,
-            on_conn=lambda c: set_interest(c.sock, EVENT_READ, c),
-            on_drop=lambda c: forget_sock(c.sock))
-
-    sock = connect_endpoint(cfg["endpoint"])
-    conn = FramedConnection(sock)
-    hello = {"t": "hello", "pid": pid, "ospid": os.getpid()}
-    if peer_endpoint is not None:
-        hello["peer"] = peer_endpoint
-    conn.send_frame(hello)
-    conn.flush()
-
-    # blocking handshake: wait for "go".  A peer that handshook earlier
-    # may already be running and sending us protocol frames — on the
-    # supervisor stream they ride ahead of "go", so buffer them; on the
-    # p2p mesh the membership buffer holds them (no member is known yet).
-    set_interest(conn.sock, EVENT_READ, "ctrl")
-    if mesh is not None:
-        set_interest(mesh.listener, EVENT_READ, "accept")
-    started = False
-    go: dict = {}
-    early: list[dict] = []
-    while not started:
-        if time.monotonic() > deadline:
-            return 3
-        for key, _mask in sel.select(timeout=0.5):
-            if key.data == "ctrl":
-                for frame in conn.receive():
-                    t = frame.get("t")
-                    if t == "go":
-                        started = True
-                        go = frame
-                    elif t == "shutdown":
-                        return 0
-                    else:
-                        early.append(frame)
-            elif key.data == "accept":
+    def pump(self, timeout: float) -> None:
+        """Input half of a turn: wait, then drain every socket.  Protocol
+        frames go through :meth:`deliver`, control frames onto
+        :attr:`ctrl`.  EVENT_WRITE only wakes the loop - the bytes leave
+        in :meth:`flush`, after the commit."""
+        conn, mesh = self.conn, self.mesh
+        self.set_interest(conn.sock, EVENT_READ
+                          | (EVENT_WRITE if conn.wants_write else 0), "ctrl")
+        if mesh is not None:
+            for c in mesh.open_conns():
+                self.set_interest(c.sock, EVENT_READ
+                                  | (EVENT_WRITE if c.wants_write else 0), c)
+        for key, _mask in self.sel.select(timeout=timeout):
+            if key.data == "accept":
                 mesh.accept()
-            elif isinstance(key.data, FramedConnection):
-                mesh.service(key.data)   # pre-go: everything buffers
+            elif key.data != "ctrl":
+                for frame in mesh.service(key.data):
+                    self.deliver(frame)
                 if key.data.eof:
                     mesh.forget(key.data)
+        for frame in conn.receive():
+            if frame.get("t") == "msg":
+                self.deliver(frame)
+            else:
+                self.ctrl.append(frame)
         if conn.eof:
-            return 1
-    t0_epoch = time.time()
+            raise Exit(1)   # owner vanished: don't linger
 
-    app, app_label = build_app(cfg["app"])
-    rcfg = build_run_config(cfg)
-    grafts = tuple((int(a), int(b)) for a, b in go.get("grafts", ()))
-    proc = worker_factory(rcfg, app, grafts=grafts)(pid)
-    metrics = MetricsRegistry()
-    env = LiveEnv(pid, slots, conn, mesh=mesh, seed=rcfg.seed,
-                  fault_mode=fault_mode, run_dir=run_dir, metrics=metrics,
-                  debug=bool(cfg.get("debug")))
-    env.attach(proc)
+    def deliver(self, frame: dict) -> None:
+        """A protocol frame in: to the protocol if it belongs to the job
+        running now; parked if its job has not started here yet (the
+        frame raced our start frame, or a faster sibling is an epoch
+        ahead); dropped if its epoch is over."""
+        tag = frame.get("j")
+        if self.env is not None and tag == self.epoch:
+            self.env.deliver(message_from_frame(frame))
+        elif ((tag is None or (isinstance(tag, int)
+                               and tag > self.seen_epoch))
+              and len(self.early) < MAX_EARLY_FRAMES):
+            self.early.append(frame)
 
-    replay: list[dict] = []
-    if mesh is not None:
-        mesh.partitions = tuple(
-            (frozenset(int(q) for q in side), float(t0), float(t1))
-            for side, t0, t1 in go.get("partitions", ()))
-        for peer, ep in go.get("peers", {}).items():
-            if int(peer) != pid:
-                replay.extend(mesh.add_member(int(peer), ep))
-        mesh.arm()
+    def flush(self) -> bool:
+        """Output half of a turn, and the only place bytes leave the
+        process.  Write-ahead: state hits the disk before the bytes it
+        explains hit the wire.  True once every buffer drained."""
+        if self.spool is not None:
+            write_spool(self.spool, build_spool_doc(self.proc))
+        done = self.conn.flush()
+        if self.mesh is not None:
+            done = self.mesh.flush_all() and done
+        return done
 
-    tracer = None
-    if cfg.get("trace") and run_dir:
-        tracer = TraceWriter(os.path.join(run_dir, f"trace_{pid}.ndjson"),
-                            meta={"pid": pid, "t0_epoch": t0_epoch,
-                                  "protocol": rcfg.protocol, "n": rcfg.n,
-                                  "app": app_label, "live": True})
-        proc.tracer = tracer
+    def drain(self) -> None:
+        """Flush until the buffers are empty (a last report must not die
+        in ours), within :data:`DRAIN_S`."""
+        until = time.monotonic() + DRAIN_S
+        while not self.flush() and time.monotonic() < until:
+            time.sleep(0.005)
 
-    my_spool = spool_path(run_dir, pid) if (fault_mode and run_dir) else None
+    # -- lifecycle -----------------------------------------------------------
 
-    def commit_spool() -> None:
-        if my_spool is not None:
-            write_spool(my_spool, build_spool_doc(proc))
+    def run(self) -> int:
+        """hello, start frame, job(s); returns the process exit code."""
+        try:
+            hello = {"t": "hello", "pid": self.pid, "ospid": os.getpid()}
+            if self.peer_endpoint is not None:
+                hello["peer"] = self.peer_endpoint
+            self.conn.send_frame(hello)
+            start = self.await_frame(
+                ("go", "init"), float(self.cfg.get("timeout_s", 60.0)))
+            if self.mesh is not None:
+                self.mesh.partitions = tuple(
+                    (frozenset(int(q) for q in side), float(t0), float(t1))
+                    for side, t0, t1 in start.get("partitions", ()))
+                for peer, ep in start.get("peers", {}).items():
+                    if int(peer) != self.pid:
+                        for frame in self.mesh.add_member(int(peer), ep):
+                            self.deliver(frame)
+                self.mesh.arm()
+            if start["t"] == "go":
+                self.run_job(self.cfg, start)   # leaves through Exit
+            while True:
+                job = self.await_frame(("job",))
+                try:
+                    self.run_job(job, {})
+                except Exit:
+                    raise
+                except (Exception, SystemExit):
+                    # a poisoned spec (SystemExit: unknown app kind) or an
+                    # application that blows up mid-run costs the job,
+                    # not the process
+                    tb = traceback.format_exc()
+                    self.conn.send_frame({
+                        "t": "job_error", "job": job.get("id"),
+                        "epoch": job.get("epoch"),
+                        "error": tb.strip().splitlines()[-1],
+                        "traceback": tb})
+                    self.drain()
+        except Exit as ex:
+            return ex.code
+        finally:
+            self.conn.close()
+            if self.mesh is not None:
+                self.mesh.close()
+            self.sel.close()
 
-    def final_report(kind: str) -> dict:
-        rep = {"t": kind, "pid": pid}
-        if fault_mode:
-            ch = proc._reliable
-            rep["recv_log"] = ({str(s): sorted(q)
-                                for s, q in ch._seen.items()}
-                               if ch is not None else {})
-            from .codec import to_wire
-            rep["crash_dropped"] = [to_wire(p) for p in proc.crash_dropped]
-        return rep
+    def await_frame(self, kinds: tuple,
+                    timeout_s: Optional[float] = None) -> dict:
+        """Idle until the owner sends a frame of one of ``kinds``.
 
-    def results_report(kind: str) -> dict:
-        ps = env.stats.per_process[pid]
-        rep = final_report(kind)
-        rep.update({
-            "t0": t0_epoch,
-            "stats": stats_to_wire(ps),
-            "work_done": env.stats.work_done_time,
-            "optimum": (app.shared_value(proc.shared)
-                        if proc.shared is not None else None),
-            "metrics": metrics.snapshot(),
-        })
-        if mesh is not None:
-            rep["links"] = mesh.links_wire()
-            rep["part_drops"] = mesh.part_drops
-        return rep
-
-    def deliver_peer_frames(frames: list[dict]) -> None:
-        for frame in frames:
-            env.deliver(message_from_frame(frame))
-
-    def handle_gone(gone: int, left: bool) -> None:
-        # drain whatever the departed peer flushed before going: those
-        # frames physically arrived, so the protocol sees them first —
-        # exactly the order the star router's relay guarantees
-        if mesh is not None:
-            deliver_peer_frames(mesh.drop_peer(gone))
-        if left:
-            env.mark_left(gone)
-        else:
-            env.mark_dead(gone)
-
-    commit_spool()   # a kill before the first quantum must find a spool
-    proc.start()
-    for d in go.get("dead", ()):
-        env.mark_dead(int(d))
-    for lv in go.get("left", ()):
-        env.mark_left(int(lv))
-    for frame in early:   # frames that raced our handshake
-        if frame.get("t") == "msg":
-            env.deliver(message_from_frame(frame))
-        elif frame.get("t") == "dead":
-            env.mark_dead(frame["pid"])
-        elif frame.get("t") == "left":
-            env.mark_left(frame["pid"])
-    deliver_peer_frames(replay)
-    if join is not None:
-        # announce ourselves to the overlay parent the registry assigned
-        # (ATTACH -> ADOPT; idempotent if the parent died while we booted)
-        proc.join_overlay()
-
-    done_sent = False
-    left_sent = False
-    try:
+        Other control frames stay queued, in order, for the job that
+        follows (a ``dead`` announced before ``go`` must reach the
+        protocol) - except ``shutdown``, which ends the process, and an
+        ``abort`` that raced our own ``job_error``/``aborted`` reply,
+        which is acknowledged again so the owner's barrier always closes.
+        """
+        deadline = (None if timeout_s is None
+                    else time.monotonic() + timeout_s)
+        kept = 0   # ctrl[:kept] was looked at and left for the job
         while True:
-            if time.monotonic() > deadline:
-                raise _Exit(3)
-            nxt = env.queue.next_deadline()
-            timeout = (IDLE_TICK_S if nxt is None
-                       else min(IDLE_TICK_S, max(0.0, nxt - env.now)))
-            set_interest(conn.sock, EVENT_READ
-                         | (EVENT_WRITE if conn.wants_write else 0), "ctrl")
-            if mesh is not None:
-                for c in mesh.open_conns():
-                    set_interest(c.sock, EVENT_READ
-                                 | (EVENT_WRITE if c.wants_write else 0), c)
-
-            for key, mask in sel.select(timeout=timeout):
-                if key.data == "accept":
-                    mesh.accept()
-                    continue
-                if isinstance(key.data, FramedConnection):
-                    c = key.data
-                    # EVENT_WRITE only wakes the loop: the flush itself
-                    # waits for the post-commit flush_all below, so no
-                    # frame ever leaves ahead of the spool that explains it
-                    deliver_peer_frames(mesh.service(c))
-                    if c.eof:
-                        mesh.forget(c)
-                    continue
-                # key.data == "ctrl": fall through to the shared drain below
-            for frame in conn.receive():
+            while kept < len(self.ctrl):
+                frame = self.ctrl[kept]
                 t = frame.get("t")
-                if t == "msg":
-                    env.deliver(message_from_frame(frame))
-                elif t == "dead":
-                    handle_gone(int(frame["pid"]), left=False)
-                elif t == "left":
-                    handle_gone(int(frame["pid"]), left=True)
-                elif t == "join":
-                    jp = int(frame["pid"])
-                    # graft first, then replay the joiner's early frames:
-                    # its ATTACH must find the overlay already extended
-                    proc.peer_joined(jp, int(frame["parent"]))
-                    if mesh is not None:
-                        deliver_peer_frames(
-                            mesh.add_member(jp, frame.get("endpoint")))
-                elif t == "leave":
-                    proc.begin_leave()
-                elif t == "shutdown":
-                    if fault_mode and not frame.get("abort"):
-                        conn.send_frame(final_report("bye"))
-                    commit_spool()
-                    flush_until = time.monotonic() + 5.0
-                    while (not conn.flush()
-                           and time.monotonic() < flush_until):
-                        time.sleep(0.005)
-                    raise _Exit(0)
-            if conn.eof:
-                raise _Exit(1)   # supervisor vanished: don't linger
+                if t in kinds:
+                    del self.ctrl[kept]
+                    return frame
+                if t == "shutdown":
+                    self.drain()
+                    raise Exit(0)
+                if t == "abort":
+                    del self.ctrl[kept]
+                    self.conn.send_frame({"t": "aborted",
+                                          "epoch": frame.get("epoch")})
+                else:
+                    kept += 1
+            if deadline is not None and time.monotonic() > deadline:
+                raise Exit(3)
+            self.flush()
+            self.pump(IDLE_TICK_S)
 
-            env.queue.fire_due()
+    # -- one job -------------------------------------------------------------
 
-            if proc.terminated and not done_sent and not left_sent:
-                done_sent = True
-                conn.send_frame(results_report("done"))
+    def run_job(self, job: dict, start: dict) -> None:
+        """Build and run one job to its end: ``job_end`` or an ``abort``
+        of its epoch return, ``shutdown`` and a completed leave exit the
+        process.  ``job`` names the work (``app``, ``run``, ``timeout_s``
+        and, when served, ``id`` and ``epoch``); the process configuration
+        switches the fault / trace / join paths on; ``start`` is the
+        frame's membership snapshot (``grafts``, ``dead``, ``left``)."""
+        cfg, pid, conn, mesh = self.cfg, self.pid, self.conn, self.mesh
+        epoch = job.get("epoch")
+        if epoch is not None:
+            self.seen_epoch = max(self.seen_epoch, epoch)
+        fault_mode = bool(cfg.get("fault_mode"))
+        run_dir = cfg.get("run_dir")
+        # a wedged application is the owner's to time out (it aborts or
+        # reaps us); doubling its limit makes this the last resort only
+        deadline = time.monotonic() + 2.0 * float(job.get("timeout_s", 120.0))
 
-            if (proc.leaving and not left_sent and not done_sent
-                    and proc.leave_tick()):
-                # pool drained, every transfer acked: report and depart
-                left_sent = True
-                env.stats.per_process[pid].finish_time = env.now
-                conn.send_frame(results_report("left"))
-                commit_spool()
-                flush_until = time.monotonic() + 5.0
-                while time.monotonic() < flush_until:
-                    ok = conn.flush()
-                    if mesh is not None:
-                        ok = mesh.flush_all() and ok
-                    if ok:
-                        break
-                    time.sleep(0.005)
-                raise _Exit(0)
+        app, app_label = build_app(job["app"])
+        rcfg = build_run_config(job)
+        grafts = tuple((int(a), int(b)) for a, b in start.get("grafts", ()))
+        proc = worker_factory(rcfg, app, grafts=grafts)(pid)
+        metrics = MetricsRegistry()
+        env = LiveEnv(pid, int(cfg.get("slots", rcfg.n)), conn, mesh=mesh,
+                      seed=rcfg.seed, fault_mode=fault_mode, run_dir=run_dir,
+                      metrics=metrics, debug=bool(cfg.get("debug")))
+        env.frame_tag = epoch
+        env.attach(proc)
+        t0_epoch = time.time()
+        # the mesh outlives jobs: a job's traffic is the counters' growth
+        links0 = mesh.links_wire() if mesh is not None else {}
 
-            # write-ahead: state hits the disk before the bytes it
-            # explains hit the wire
-            commit_spool()
-            conn.flush()
+        def report(kind: str) -> dict:
+            rep = {"t": kind, "pid": pid, "t0": t0_epoch,
+                   "stats": stats_to_wire(env.stats.per_process[pid]),
+                   "work_done": env.stats.work_done_time,
+                   "optimum": (app.shared_value(proc.shared)
+                               if proc.shared is not None else None),
+                   "metrics": metrics.snapshot()}
+            if epoch is not None:
+                rep.update(job=job.get("id"), epoch=epoch)
+            if fault_mode:
+                rep.update(self._receipts())
             if mesh is not None:
-                mesh.flush_all()
-    except _Exit as ex:
-        return ex.code
-    finally:
-        if tracer is not None:
-            tracer.close()
-        conn.close()
-        if mesh is not None:
-            mesh.close()
+                rep["links"] = mesh.links_wire(links0)
+                rep["part_drops"] = mesh.part_drops
+            return rep
+
+        tracer = None
+        if cfg.get("trace") and run_dir:
+            tracer = proc.tracer = TraceWriter(
+                os.path.join(run_dir, f"trace_{pid}.ndjson"),
+                meta={"pid": pid, "t0_epoch": t0_epoch,
+                      "protocol": rcfg.protocol, "n": rcfg.n,
+                      "app": app_label, "live": True})
+        self.env, self.proc, self.epoch = env, proc, epoch
+        if fault_mode and run_dir:
+            self.spool = spool_path(run_dir, pid)
+        try:
+            self.flush()   # a kill before the first quantum finds a spool
+            proc.start()
+            for d in start.get("dead", ()):
+                env.mark_dead(int(d))
+            for lv in start.get("left", ()):
+                env.mark_left(int(lv))
+            early, self.early = self.early, []
+            for frame in early:
+                if frame.get("j") == epoch:
+                    env.deliver(message_from_frame(frame))
+            if cfg.get("join") is not None:
+                # announce ourselves to the overlay parent the registry
+                # assigned (ATTACH -> ADOPT; idempotent if it died since)
+                proc.join_overlay()
+
+            reported = False
+            while True:
+                if time.monotonic() > deadline:
+                    raise Exit(4)
+                nxt = env.queue.next_deadline()
+                self.pump(IDLE_TICK_S if nxt is None
+                          else min(IDLE_TICK_S, max(0.0, nxt - env.now)))
+                while self.ctrl:
+                    frame = self.ctrl.popleft()
+                    t = frame.get("t")
+                    if t in ("dead", "left"):
+                        gone = int(frame["pid"])
+                        # first whatever the departed peer flushed before
+                        # going: those frames physically arrived - the
+                        # order the star relay guarantees
+                        if mesh is not None:
+                            for late in mesh.drop_peer(gone):
+                                self.deliver(late)
+                        (env.mark_left if t == "left"
+                         else env.mark_dead)(gone)
+                    elif t == "join":
+                        jp = int(frame["pid"])
+                        # graft first, then the joiner's early frames: its
+                        # ATTACH must find the overlay already extended
+                        proc.peer_joined(jp, int(frame["parent"]))
+                        if mesh is not None:
+                            for late in mesh.add_member(
+                                    jp, frame.get("endpoint")):
+                                self.deliver(late)
+                    elif t == "leave":
+                        proc.begin_leave()
+                    elif t == "shutdown":
+                        if fault_mode and not frame.get("abort"):
+                            conn.send_frame({"t": "bye", "pid": pid,
+                                             **self._receipts()})
+                        self.drain()
+                        raise Exit(0)
+                    elif frame.get("epoch") == epoch:
+                        if t == "abort":
+                            conn.send_frame({"t": "aborted", "epoch": epoch})
+                            self.drain()
+                            return
+                        if t == "job_end":
+                            return   # a queued next job stays in ctrl
+                env.queue.fire_due()
+
+                if proc.terminated and not reported:
+                    reported = True
+                    conn.send_frame(report("done"))
+                if proc.leaving and not reported and proc.leave_tick():
+                    # pool drained, every transfer acked: report, depart
+                    env.stats.per_process[pid].finish_time = env.now
+                    conn.send_frame(report("left"))
+                    self.drain()
+                    raise Exit(0)
+                self.flush()
+        finally:
+            self.env = self.proc = self.spool = self.epoch = None
+            if tracer is not None:
+                tracer.close()
+
+    def _receipts(self) -> dict:
+        """Fault mode: the conservation inputs only a survivor can give."""
+        ch = self.proc._reliable
+        return {"recv_log": ({str(s): sorted(q) for s, q in ch._seen.items()}
+                             if ch is not None else {}),
+                "crash_dropped": [to_wire(p)
+                                  for p in self.proc.crash_dropped]}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -406,7 +469,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))
-    return _run(json.loads(argv[0]))
+    cfg = json.loads(argv[0])
+    conn = FramedConnection(connect_endpoint(cfg["endpoint"]))
+    return Reactor(cfg, conn).run()
 
 
 if __name__ == "__main__":

@@ -1,19 +1,21 @@
 """Lanes: warm worker fleets that execute the daemon's job stream.
 
 A **lane** is the unit of concurrency *and* of failure containment (the
-bulkhead): it owns ``n`` persistent :mod:`~repro.serve.jobhost`
-processes, runs **at most one job at a time** on them, and is recycled —
-killed and respawned — as a whole when something it contains goes wrong.
-The daemon starts ``lanes`` of them against one shared job queue, so the
-service executes up to ``lanes`` jobs concurrently, and a poisoned spec,
-worker crash or timeout in one lane never perturbs the jobs running in
-the others.
+bulkhead): it owns ``n`` persistent worker processes
+(``python -m repro.serve.jobhost``), runs **at most one job at a time** on
+them, and is recycled — killed and respawned — as a whole when something
+it contains goes wrong.  The daemon starts ``lanes`` of them against one
+shared job queue, so the service executes up to ``lanes`` jobs
+concurrently, and a poisoned spec, worker crash or timeout in one lane
+never perturbs the jobs running in the others.
 
-Per job the lane broadcasts a ``job`` frame (spec + run config + a fresh
-**epoch**), relays ``msg`` frames between its hosts (star mode — the
-same per-connection FIFO relay the one-shot supervisor does; in p2p mode
-the hosts exchange protocol traffic directly over their shared mesh),
-collects one ``done`` report per host, and assembles the same
+Underneath, a lane is a :class:`~repro.runtime.fleet.Fleet` — the same
+listener, ``hello`` identification, star relay and reaper a one-shot
+``run_live`` drives (docs/runtime.md) — fed ``job`` after ``job`` where
+the one-shot run sends a single ``go``.  Per job the lane broadcasts a
+``job`` frame (spec + run config + a fresh **epoch**), collects one
+``done`` report per host, and turns them through the shared
+:func:`~repro.runtime.fleet.assemble` into the same
 :class:`~repro.obs.report.RunReport` a one-shot live run produces.
 
 Failure paths, in order of severity:
@@ -29,32 +31,25 @@ Failure paths, in order of severity:
   survivors' meshes still route toward the corpse, and serve jobs run
   without the reliable channel that would recover those frames).
 
-A **recycle** reuses the one-shot supervisor's reaper (SIGTERM, grace,
-SIGKILL), then respawns and re-handshakes the lane's hosts while other
-lanes keep serving; the daemon's rolling restart is exactly one recycle
-per lane, serialised, between jobs — which is why it loses nothing.
+A **recycle** stops the fleet (shutdown, SIGTERM, grace, SIGKILL), then
+respawns and re-handshakes the lane's hosts on the surviving listener
+while other lanes keep serving; the daemon's rolling restart is exactly
+one recycle per lane, serialised, between jobs — which is why it loses
+nothing.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import subprocess
-import sys
 import threading
 import time
 import traceback
-from selectors import EVENT_READ, EVENT_WRITE, DefaultSelector
 from typing import Optional
 
-from ..experiments.runner import ExperimentResult, RunConfig
-from ..obs.registry import MetricsRegistry
+from ..experiments.runner import RunConfig
 from ..obs.report import build_report
-from ..runtime.codec import stats_from_wire
-from ..runtime.supervisor import _absorb_snapshot, _reap
-from ..runtime.transport import FramedConnection, open_listener, unlink_quietly
+from ..runtime.fleet import Fleet, Member, assemble, spawn_worker
 from ..sim.errors import SimRuntimeError
-from ..sim.stats import RunStats
 from .protocol import spec_label
 
 #: Abort-ack grace: hosts unwind at quantum granularity, so acks are
@@ -69,18 +64,14 @@ class LaneError(SimRuntimeError):
     """A lane could not (re)build its worker fleet."""
 
 
-class _Host:
-    """One persistent jobhost process, lane-side."""
+class _Host(Member):
+    """One persistent worker process, lane-side."""
 
-    __slots__ = ("pid", "popen", "conn", "state", "ospid", "peer")
+    __slots__ = ("state",)
 
     def __init__(self, pid: int, popen) -> None:
-        self.pid = pid
-        self.popen = popen
-        self.conn: Optional[FramedConnection] = None
+        super().__init__(pid, popen)
         self.state = "boot"      # boot|idle|running|done|errored|aborted
-        self.ospid: Optional[int] = None
-        self.peer: Optional[dict] = None     # p2p data-plane endpoint
 
 
 class Lane:
@@ -103,12 +94,8 @@ class Lane:
         self.restarts = 0            # completed recycles
         self.jobs_run = 0
         self.current_job = None
+        self._fleet: Optional[Fleet] = None
         self._hosts: list[_Host] = []
-        self._pending: list[FramedConnection] = []   # accepted, no hello yet
-        self._sel = DefaultSelector()
-        self._interest: dict[int, int] = {}
-        self._listener = None
-        self._endpoint = None
         self._stop = False
         self._recycle_req: Optional[threading.Event] = None
         self._thread: Optional[threading.Thread] = None
@@ -147,30 +134,15 @@ class Lane:
                 "workers": [{"pid": h.pid, "ospid": h.ospid}
                             for h in self._hosts]}
 
-    # -- selector plumbing ---------------------------------------------------
-
-    def _set_interest(self, sock, flags, data) -> None:
-        fd = sock.fileno()
-        if fd < 0:
-            return
-        if fd not in self._interest:
-            self._sel.register(sock, flags, data)
-            self._interest[fd] = flags
-        elif self._interest[fd] != flags:
-            self._sel.modify(sock, flags, data)
-            self._interest[fd] = flags
-
-    def _forget_sock(self, sock) -> None:
-        fd = sock.fileno()
-        if fd in self._interest:
-            self._sel.unregister(sock)
-            del self._interest[fd]
-
     # -- thread main ---------------------------------------------------------
 
     def _main(self) -> None:
         try:
-            self._open_listener()
+            os.makedirs(self.dir, exist_ok=True)
+            self._fleet = Fleet(self.dir, self.scfg.transport,
+                                self.scfg.host)
+            self._fleet.on_frame = self._on_frame
+            self._fleet.on_eof = self._fleet.drop
             self._boot()
         except Exception:
             self.state = "failed"
@@ -231,43 +203,18 @@ class Lane:
 
     # -- fleet lifecycle -----------------------------------------------------
 
-    def _open_listener(self) -> None:
-        os.makedirs(self.dir, exist_ok=True)
-        if self.scfg.transport == "unix":
-            self._listener, self._endpoint = open_listener(
-                "unix", path=os.path.join(self.dir, "ctrl.sock"))
-        else:
-            self._listener, self._endpoint = open_listener(
-                "tcp", host=self.scfg.host, port=0)
-        self._listener.setblocking(False)
-        self._set_interest(self._listener, EVENT_READ, "accept")
-
-    def _host_json(self, pid: int) -> str:
-        return json.dumps({
-            "pid": pid, "slots": self.n, "endpoint": self._endpoint,
-            "run_dir": self.dir, "p2p": bool(self.scfg.p2p),
-            "transport": self.scfg.transport, "host": self.scfg.host})
-
-    def _spawn_host(self, pid: int) -> _Host:
-        import repro
-        env = os.environ.copy()
-        src_dir = os.path.dirname(os.path.dirname(
-            os.path.abspath(repro.__file__)))
-        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-        # append mode: one log per slot across recycles keeps the history
-        log = open(os.path.join(self.dir, f"host_{pid}.log"), "ab")
-        try:
-            popen = subprocess.Popen(
-                [sys.executable, "-m", "repro.serve.jobhost",
-                 self._host_json(pid)],
-                stdout=log, stderr=subprocess.STDOUT, env=env)
-        finally:
-            log.close()
-        return _Host(pid, popen)
-
     def _boot(self) -> None:
-        self._hosts = [self._spawn_host(pid) for pid in range(self.n)]
-        deadline = time.monotonic() + self.scfg.boot_timeout_s
+        fleet, scfg = self._fleet, self.scfg
+        # one log per slot, appended across recycles, keeps the history
+        self._hosts = fleet.members = [
+            _Host(pid, spawn_worker(
+                "repro.serve.jobhost",
+                {"pid": pid, "slots": self.n, "endpoint": fleet.endpoint,
+                 "run_dir": self.dir, "p2p": bool(scfg.p2p),
+                 "transport": scfg.transport, "host": scfg.host},
+                os.path.join(self.dir, f"host_{pid}.log")))
+            for pid in range(self.n)]
+        deadline = time.monotonic() + scfg.boot_timeout_s
         while any(h.conn is None for h in self._hosts):
             if time.monotonic() > deadline:
                 raise LaneError(
@@ -278,142 +225,43 @@ class Lane:
                 raise LaneError(
                     f"lane {self.lane_id}: a host died during boot "
                     f"(logs in {self.dir})")
-            self._pump(0.2)
+            fleet.pump(0.2)
         init = {"t": "init"}
-        if self.scfg.p2p:
+        if scfg.p2p:
             init["peers"] = {str(h.pid): h.peer for h in self._hosts}
-        for h in self._hosts:
-            h.conn.send_frame(init)
-            h.state = "idle"
-        self._flush()
+        self._broadcast(init, "idle")
         self.state = "idle"
 
     def _recycle(self) -> None:
         """Kill and rebuild the whole fleet (listener survives)."""
-        for h in self._hosts:
-            if h.conn is not None and not h.conn.closed:
-                try:
-                    h.conn.send_frame({"t": "shutdown"})
-                    h.conn.flush()
-                except OSError:
-                    pass
-        _reap(self._hosts)
-        self._drop_conns()
-        if self.scfg.transport == "unix":
-            for pid in range(self.n):   # stale p2p data-plane sockets
-                unlink_quietly(os.path.join(self.dir, f"peer_{pid}.sock"))
+        self._fleet.stop()
         self._boot()
         self.restarts += 1
 
-    def _drop_conns(self) -> None:
-        for h in self._hosts:
-            if h.conn is not None:
-                self._forget_sock(h.conn.sock)
-                h.conn.close()
-                h.conn = None
-        for c in self._pending:
-            self._forget_sock(c.sock)
-            c.close()
-        self._pending.clear()
-
     def _teardown(self) -> None:
+        if self._fleet is not None:
+            self._fleet.close()
+
+    def _broadcast(self, frame: dict, state: str) -> None:
         for h in self._hosts:
-            if h.conn is not None and not h.conn.closed:
-                try:
-                    h.conn.send_frame({"t": "shutdown"})
-                    h.conn.flush()
-                except OSError:
-                    pass
-        if self._hosts:
-            _reap(self._hosts)
-        self._drop_conns()
-        if self._listener is not None:
-            self._forget_sock(self._listener)
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-            if self.scfg.transport == "unix":
-                unlink_quietly(os.path.join(self.dir, "ctrl.sock"))
+            h.state = state
+        self._fleet.broadcast(frame)
+        self._fleet.flush()
 
-    # -- reactor -------------------------------------------------------------
-
-    def _pump(self, timeout: float) -> None:
-        """One lane reactor turn: accept, identify, route, collect."""
-        for h in self._hosts:
-            if h.conn is not None and not h.conn.closed:
-                self._set_interest(
-                    h.conn.sock,
-                    EVENT_READ | (EVENT_WRITE if h.conn.wants_write else 0),
-                    h)
-        for key, _mask in self._sel.select(timeout=timeout):
-            if key.data == "accept":
-                self._accept()
-        for c in list(self._pending):
-            self._identify(c)
-        for h in self._hosts:
-            if h.conn is None or h.conn.closed:
-                continue
-            for frame in h.conn.receive():
-                self._handle(h, frame)
-            if h.conn.eof:
-                self._forget_sock(h.conn.sock)
-                h.conn.close()
-        self._flush()
-
-    def _accept(self) -> None:
-        while True:
-            try:
-                sock, _addr = self._listener.accept()
-            except (BlockingIOError, InterruptedError, OSError):
-                return
-            sock.setblocking(False)
-            self._pending.append(FramedConnection(sock))
-
-    def _identify(self, conn: FramedConnection) -> None:
-        frames = conn.receive()
-        for i, frame in enumerate(frames):
-            if frame.get("t") == "hello":
-                pid = int(frame["pid"])
-                if not (0 <= pid < self.n):
-                    break
-                host = self._hosts[pid]
-                host.conn = conn
-                host.ospid = frame.get("ospid")
-                host.peer = frame.get("peer")
-                self._pending.remove(conn)
-                for extra in frames[i + 1:]:   # rode in behind the hello
-                    self._handle(host, extra)
-                return
-        if conn.eof:
-            self._forget_sock(conn.sock)
-            conn.close()
-            self._pending.remove(conn)
-
-    def _handle(self, host: _Host, frame: dict) -> None:
+    def _on_frame(self, host: _Host, frame: dict) -> None:
+        """A host's word on the current job (anything stamped with
+        another epoch is a straggler of a job already settled)."""
+        if frame.get("epoch") != self.epoch:
+            return
         t = frame.get("t")
-        if t == "msg":
-            dst = frame.get("dst")
-            if isinstance(dst, int) and 0 <= dst < self.n:
-                peer = self._hosts[dst]
-                if peer.conn is not None and not peer.conn.closed:
-                    peer.conn.send_frame(frame)
-        elif t == "done":
-            if frame.get("epoch") == self.epoch:
-                host.state = "done"
-                self._reports[host.pid] = frame
+        if t == "done":
+            host.state = "done"
+            self._reports[host.pid] = frame
         elif t == "job_error":
-            if frame.get("epoch") == self.epoch:
-                host.state = "errored"
-                self._errors[host.pid] = frame
+            host.state = "errored"
+            self._errors[host.pid] = frame
         elif t == "aborted":
-            if frame.get("epoch") == self.epoch:
-                host.state = "aborted"
-
-    def _flush(self) -> None:
-        for h in self._hosts:
-            if h.conn is not None and not h.conn.closed:
-                h.conn.flush()
+            host.state = "aborted"
 
     # -- one job -------------------------------------------------------------
 
@@ -431,14 +279,11 @@ class Lane:
         run["n"] = self.n
         frame = {"t": "job", "id": job.id, "epoch": self.epoch,
                  "app": job.app, "run": run, "timeout_s": job.timeout_s}
-        for h in self._hosts:
-            h.state = "running"
-            h.conn.send_frame(frame)
-        self._flush()
+        self._broadcast(frame, "running")
 
         deadline = time.monotonic() + job.timeout_s
         while True:
-            self._pump(_TICK_S)
+            self._fleet.pump(_TICK_S)
             dead = [h for h in self._hosts if h.popen.poll() is not None]
             if dead:
                 h = dead[0]
@@ -459,11 +304,8 @@ class Lane:
                     job, f"job {job.id} timed out after {job.timeout_s}s",
                     "", recycle=False)
                 return
-        for h in self._hosts:
-            h.conn.send_frame({"t": "job_end", "epoch": self.epoch})
-            h.state = "idle"
-        self._flush()
-        outcome = self._assemble(job, run, self._reports)
+        self._broadcast({"t": "job_end", "epoch": self.epoch}, "idle")
+        outcome = self._outcome(job, run)
         self.jobs_run += 1
         self.source.job_finished(job, outcome)
 
@@ -480,10 +322,10 @@ class Lane:
                    and h.popen.poll() is None]
         for h in targets:
             h.conn.send_frame({"t": "abort", "epoch": self.epoch})
-        self._flush()
+        self._fleet.flush()
         grace = time.monotonic() + ABORT_GRACE_S
         while time.monotonic() < grace:
-            self._pump(_TICK_S)
+            self._fleet.pump(_TICK_S)
             if all(h.state in ("aborted", "errored", "idle")
                    or h.popen.poll() is not None for h in self._hosts):
                 break
@@ -508,56 +350,14 @@ class Lane:
         except OSError:
             return ""
 
-    # -- result assembly (the one-shot supervisor's, minus fault paths) ------
-
-    def _assemble(self, job, run: dict, reports: dict[int, dict]) -> dict:
-        n = self.n
-        stats = RunStats.create(n)
-        t0s = {pid: float(rep["t0"]) for pid, rep in reports.items()}
-        base = min(t0s.values())
-        makespan = 0.0
-        work_done = 0.0
-        optimum = None
-        for pid, rep in reports.items():
-            ps = stats_from_wire(rep["stats"], pid)
-            off = t0s[pid] - base
-            if ps.finish_time > 0.0:
-                ps.finish_time += off
-            makespan = max(makespan, ps.finish_time)
-            work_done = max(work_done, rep.get("work_done", 0.0) + off)
-            stats.per_process[pid] = ps
-            opt = rep.get("optimum")
-            if opt is not None and (optimum is None or opt < optimum):
-                optimum = opt
-        stats.makespan = makespan
-        stats.work_done_time = work_done
-        stats.seal()
-
-        metrics = MetricsRegistry()
-        for rep in reports.values():
-            _absorb_snapshot(metrics, rep.get("metrics", {}))
-        metrics.gauge("engine.makespan_s").set(stats.makespan)
-
-        links: dict[tuple[int, int], tuple[int, int]] = {}
-        if self.scfg.p2p:
-            for pid, rep in reports.items():
-                for dst, counts in rep.get("links", {}).items():
-                    links[(pid, int(dst))] = (int(counts[0]),
-                                              int(counts[1]))
-
-        lost, dup, rexmit, crashes, repairs = stats.fault_totals()
-        result = ExperimentResult(
-            protocol=run["protocol"], n=n, makespan=stats.makespan,
-            work_done_time=stats.work_done_time,
-            total_units=stats.total_work_units, total_msgs=stats.total_msgs,
-            total_steals=stats.total_steals, msgs_by_pid=stats.msgs_by_pid(),
-            optimum=optimum, events=0, msgs_lost=lost, msgs_duplicated=dup,
-            retransmits=rexmit, crashes=crashes, repairs=repairs,
-            breaker_opens=stats.total_breaker_opens())
-
-        rcfg = RunConfig(protocol=run["protocol"], n=n, dmax=run["dmax"],
-                         sharing=run["sharing"], quantum=run["quantum"],
-                         seed=run["seed"])
+    def _outcome(self, job, run: dict) -> dict:
+        """The finished job's result document and full run report."""
+        result, stats, metrics, links = assemble(
+            run["protocol"], self.n, self.n, self._reports,
+            t_go=job.t_start)
+        rcfg = RunConfig(protocol=run["protocol"], n=self.n,
+                         dmax=run["dmax"], sharing=run["sharing"],
+                         quantum=run["quantum"], seed=run["seed"])
         report = build_report(
             rcfg, result, stats, metrics=metrics, app=spec_label(job.app),
             unit_cost=0.0,
@@ -570,7 +370,7 @@ class Lane:
                 "total_units": result.total_units,
                 "total_msgs": result.total_msgs,
                 "total_steals": result.total_steals,
-                "optimum": optimum,
+                "optimum": result.optimum,
                 "report": report.to_json()}
 
 

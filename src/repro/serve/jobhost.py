@@ -1,344 +1,17 @@
-"""Persistent worker: ``python -m repro.serve.jobhost '<json>'``.
+"""Persistent worker entry point: ``python -m repro.serve.jobhost '<json>'``.
 
-Where :mod:`repro.runtime.worker` lives for exactly one run, a job host
-is spawned **once** per lane slot and then executes an unbounded stream
-of jobs: connect, ``hello``, wait for the lane's ``init`` (the p2p peer
-table), then alternate between an *idle* wait and a *job* reactor.  Each
-``job`` frame carries the app spec, the run overrides and an **epoch** —
-a lane-wide counter that stamps every protocol frame of the job (the
-``"j"`` tag :attr:`repro.runtime.env.LiveEnv.frame_tag` injects).  A
-frame whose epoch is not the current one is a straggler from a previous
-job on the same warm connections and is dropped on receipt; the idle
-state likewise discards protocol frames.  That filter is what makes the
-multiplexing safe: termination detection guarantees a finishing job is
-globally quiet *except* for droppable wave/ack chatter, and the tag makes
-sure none of that chatter leaks into the next job's state.
-
-Per job the host builds a fresh application, protocol worker and
-:class:`~repro.runtime.env.LiveEnv` (fresh timer queue, fresh stats) via
-the exact factories the one-shot worker uses, so a served run and a
-spawned run execute identical protocol code.  The p2p mesh, by contrast,
-is **shared across jobs** — that is the point of serving warm: peer
-connections are dialled once and reused, and the ``done`` report carries
-per-job *deltas* of the mesh's link counters.
-
-Failure containment (the lane's bulkhead relies on these):
-
-* an exception while building or executing a job — including the
-  ``SystemExit`` an unknown app kind raises — is caught and reported as
-  ``job_error`` with the traceback; the host itself survives and returns
-  to idle (poisoned specs must not cost a process);
-* an ``abort`` order (the lane saw a sibling fail) unwinds the current
-  job and acks with ``aborted``;
-* lane EOF or ``shutdown`` exits the process; a hard per-job deadline
-  (double the lane's own timeout) is the last-resort backstop against a
-  wedged application — the lane notices the EOF and recycles.
+A serve lane's worker process.  It is the same
+:class:`repro.runtime.worker.Reactor` a one-shot live run spawns — same
+connect, ``hello``, job loop, epoch filter and flush — and what makes it
+persistent is only what its owner sends: a lane answers ``hello`` with
+``init`` and then ``job`` after ``job``, where the one-shot supervisor
+sends a single ``go``.  The module exists so that a lane's processes are
+recognisable by name (``ps``, logs, the e2e trace's per-role accounting).
 """
 
-from __future__ import annotations
-
-import collections
-import json
-import os
-import signal
 import sys
-import time
-import traceback
-from selectors import EVENT_READ, EVENT_WRITE, DefaultSelector
 
-from ..experiments.runner import worker_factory
-from ..obs.registry import MetricsRegistry
-from ..runtime.codec import message_from_frame, stats_to_wire
-from ..runtime.env import LiveEnv
-from ..runtime.mesh import PeerMesh, open_peer_listener
-from ..runtime.transport import FramedConnection, connect_endpoint
-from ..runtime.worker import IDLE_TICK_S, build_app, build_run_config
-
-#: Hello -> init handshake ceiling (covers sibling interpreter starts).
-INIT_TIMEOUT_S = 60.0
-
-
-class _Exit(Exception):
-    """Unwind the host (code carried to sys.exit)."""
-
-    def __init__(self, code: int) -> None:
-        self.code = code
-
-
-class JobHost:
-    """Reactor state of one persistent worker process."""
-
-    def __init__(self, cfg: dict) -> None:
-        self.cfg = cfg
-        self.pid = int(cfg["pid"])
-        self.slots = int(cfg["slots"])
-        self.sel = DefaultSelector()
-        self._interest: dict[int, int] = {}
-        self.conn: FramedConnection = None      # lane control connection
-        self.mesh: PeerMesh = None
-        self.epoch = -1                          # current job epoch (-1 idle)
-        self._env: LiveEnv = None
-        self._seen_epoch = -1                    # newest job frame handled
-        #: control frames received but not yet consumed.  The lane sends
-        #: control back-to-back (``init`` then ``job``, ``job_end`` then
-        #: the next ``job``), so one socket drain can surface several —
-        #: consumers must pop exactly what they handle and leave the rest.
-        self._ctrl: collections.deque[dict] = collections.deque()
-        #: protocol frames from an epoch *ahead* of us — a faster sibling
-        #: started the job before our own ``job`` frame arrived; replayed
-        #: at job start (stragglers from completed epochs are dropped)
-        self._early: list[dict] = []
-
-    # -- selector plumbing (same shape as the one-shot worker) ---------------
-
-    def _set_interest(self, sock, flags, data) -> None:
-        fd = sock.fileno()
-        if fd < 0:
-            return
-        if fd not in self._interest:
-            self.sel.register(sock, flags, data)
-            self._interest[fd] = flags
-        elif self._interest[fd] != flags:
-            self.sel.modify(sock, flags, data)
-            self._interest[fd] = flags
-
-    def _forget_sock(self, sock) -> None:
-        fd = sock.fileno()
-        if fd in self._interest:
-            self.sel.unregister(sock)
-            del self._interest[fd]
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def run(self) -> int:
-        try:
-            self._connect()
-            while True:
-                job = self._await_job()
-                self._run_job(job)
-        except _Exit as ex:
-            return ex.code
-        finally:
-            if self.conn is not None:
-                self.conn.close()
-            if self.mesh is not None:
-                self.mesh.close()
-
-    def _connect(self) -> None:
-        cfg = self.cfg
-        peer_endpoint = None
-        if cfg.get("p2p"):
-            listener, peer_endpoint = open_peer_listener(
-                cfg.get("transport", "tcp"), cfg.get("host", "127.0.0.1"), 0,
-                cfg.get("run_dir"), self.pid)
-            self.mesh = PeerMesh(
-                self.pid, listener,
-                on_conn=lambda c: self._set_interest(c.sock, EVENT_READ, c),
-                on_drop=lambda c: self._forget_sock(c.sock))
-            self._set_interest(listener, EVENT_READ, "accept")
-        self.conn = FramedConnection(connect_endpoint(cfg["endpoint"]))
-        hello = {"t": "hello", "pid": self.pid, "ospid": os.getpid()}
-        if peer_endpoint is not None:
-            hello["peer"] = peer_endpoint
-        self.conn.send_frame(hello)
-        self.conn.flush()
-        self._set_interest(self.conn.sock, EVENT_READ, "ctrl")
-
-        deadline = time.monotonic() + INIT_TIMEOUT_S
-        init = None
-        while init is None:
-            if time.monotonic() > deadline:
-                raise _Exit(3)
-            self._pump(0.5)
-            while self._ctrl and init is None:
-                frame = self._ctrl.popleft()
-                t = frame.get("t")
-                if t == "init":
-                    init = frame   # frames behind it stay queued
-                elif t == "shutdown":
-                    raise _Exit(0)
-                # anything else is pre-init noise
-        if self.mesh is not None:
-            for peer, ep in init.get("peers", {}).items():
-                if int(peer) != self.pid:
-                    self.mesh.add_member(int(peer), ep)
-
-    def _pump(self, timeout: float) -> None:
-        """One reactor turn: select, drain everything, flush everything.
-
-        Control frames land on the :attr:`_ctrl` queue; protocol frames
-        are delivered (or stashed/dropped) through :meth:`_deliver`.
-        """
-        self._set_interest(
-            self.conn.sock,
-            EVENT_READ | (EVENT_WRITE if self.conn.wants_write else 0),
-            "ctrl")
-        if self.mesh is not None:
-            for c in self.mesh.open_conns():
-                self._set_interest(
-                    c.sock,
-                    EVENT_READ | (EVENT_WRITE if c.wants_write else 0), c)
-        for key, _mask in self.sel.select(timeout=timeout):
-            if key.data == "accept":
-                self.mesh.accept()
-            elif isinstance(key.data, FramedConnection):
-                c = key.data
-                for frame in self.mesh.service(c):
-                    self._deliver(frame)
-                if c.eof:
-                    self.mesh.forget(c)
-        for frame in self.conn.receive():
-            if frame.get("t") == "msg":
-                self._deliver(frame)
-            else:
-                self._ctrl.append(frame)
-        if self.conn.eof:
-            raise _Exit(1)       # lane vanished: don't linger
-        self.conn.flush()
-        if self.mesh is not None:
-            self.mesh.flush_all()
-
-    def _deliver(self, frame: dict) -> None:
-        """Protocol frame in: deliver only if it belongs to the current
-        job's epoch.  Frames tagged ahead of every epoch we have handled
-        are a race (sibling started first) and wait in ``_early``; frames
-        from completed epochs are stragglers and are dropped."""
-        tag = frame.get("j")
-        if not isinstance(tag, int):
-            return
-        if self.epoch >= 0 and tag == self.epoch:
-            self._env.deliver(message_from_frame(frame))
-        elif tag > self._seen_epoch and len(self._early) < 10_000:
-            self._early.append(frame)
-
-    def _await_job(self) -> dict:
-        self.epoch = -1
-        self._env = None
-        while True:
-            if not self._ctrl:
-                self._pump(IDLE_TICK_S)
-            while self._ctrl:
-                frame = self._ctrl.popleft()
-                t = frame.get("t")
-                if t == "job":
-                    return frame
-                if t == "shutdown":
-                    self._flush_hard(2.0)
-                    raise _Exit(0)
-                if t == "abort":
-                    # an abort that raced our own job_error/aborted reply:
-                    # ack again so the lane's barrier always closes
-                    self.conn.send_frame({"t": "aborted",
-                                          "epoch": frame.get("epoch")})
-
-    # -- one job -------------------------------------------------------------
-
-    def _run_job(self, job: dict) -> None:
-        epoch = int(job["epoch"])
-        job_id = job["id"]
-        self._seen_epoch = max(self._seen_epoch, epoch)
-        try:
-            app, app_label = build_app(job["app"])
-            rcfg = build_run_config({"run": job["run"]})
-            proc = worker_factory(rcfg, app)(self.pid)
-            metrics = MetricsRegistry()
-            env = LiveEnv(self.pid, self.slots, self.conn, mesh=self.mesh,
-                          seed=rcfg.seed, metrics=metrics)
-            env.frame_tag = epoch
-            env.attach(proc)
-        except (Exception, SystemExit):
-            self._report_error(job_id, epoch, traceback.format_exc())
-            return
-        self.epoch = epoch
-        self._env = env
-        t0_epoch = time.time()
-        # per-job mesh traffic = counter deltas across the shared mesh
-        lf0 = dict(self.mesh.link_frames) if self.mesh is not None else {}
-        lb0 = dict(self.mesh.link_bytes) if self.mesh is not None else {}
-        deadline = time.monotonic() + 2.0 * float(job.get("timeout_s", 120.0))
-        done_sent = False
-        try:
-            proc.start()
-            early, self._early = self._early, []
-            for frame in early:
-                if frame.get("j") == epoch:
-                    env.deliver(message_from_frame(frame))
-            while True:
-                if time.monotonic() > deadline:
-                    raise _Exit(4)   # wedged: lane recycles us via EOF
-                nxt = env.queue.next_deadline()
-                timeout = (IDLE_TICK_S if nxt is None
-                           else min(IDLE_TICK_S, max(0.0, nxt - env.now)))
-                self._pump(timeout)
-                while self._ctrl:
-                    frame = self._ctrl.popleft()
-                    t = frame.get("t")
-                    if t == "abort" and frame.get("epoch") == epoch:
-                        self.conn.send_frame({"t": "aborted",
-                                              "epoch": epoch})
-                        self._flush_hard(2.0)
-                        return
-                    if t == "job_end" and frame.get("epoch") == epoch:
-                        return   # a queued next job stays in _ctrl
-                    if t == "shutdown":
-                        self._flush_hard(2.0)
-                        raise _Exit(0)
-                env.queue.fire_due()
-                if proc.terminated and not done_sent:
-                    done_sent = True
-                    ps = env.stats.per_process[self.pid]
-                    rep = {"t": "done", "job": job_id, "epoch": epoch,
-                           "t0": t0_epoch, "stats": stats_to_wire(ps),
-                           "work_done": env.stats.work_done_time,
-                           "optimum": (app.shared_value(proc.shared)
-                                       if proc.shared is not None else None),
-                           "metrics": metrics.snapshot()}
-                    if self.mesh is not None:
-                        rep["links"] = {
-                            str(d): [n - lf0.get(d, 0),
-                                     self.mesh.link_bytes.get(d, 0)
-                                     - lb0.get(d, 0)]
-                            for d, n in self.mesh.link_frames.items()
-                            if n - lf0.get(d, 0)}
-                    self.conn.send_frame(rep)
-        except _Exit:
-            raise
-        except Exception:
-            # mid-run poison (an app whose process()/merge() blows up):
-            # same containment as a build failure
-            self._report_error(job_id, epoch, traceback.format_exc())
-        finally:
-            self.epoch = -1
-            self._env = None
-
-    def _report_error(self, job_id, epoch: int, tb: str) -> None:
-        self.conn.send_frame({"t": "job_error", "job": job_id,
-                              "epoch": epoch,
-                              "error": tb.strip().splitlines()[-1],
-                              "traceback": tb})
-        self._flush_hard(2.0)
-
-    def _flush_hard(self, budget_s: float) -> None:
-        until = time.monotonic() + budget_s
-        while time.monotonic() < until:
-            ok = self.conn.flush()
-            if self.mesh is not None:
-                ok = self.mesh.flush_all() and ok
-            if ok:
-                return
-            time.sleep(0.005)
-
-
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
-        print("usage: python -m repro.serve.jobhost '<json config>'",
-              file=sys.stderr)
-        return 2
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))
-    return JobHost(json.loads(argv[0])).run()
-
+from ..runtime.worker import main
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -118,6 +118,40 @@ def test_registry_snapshot_sorted_and_catalogue_help():
     assert reg.get("steal.requests").help == METRICS["steal.requests"][1]
 
 
+def test_absorb_merges_worker_snapshots():
+    """Counters add, gauges keep the maximum, histograms add bucket by
+    bucket and widen min/max — how a live run folds one snapshot per
+    worker process into the run's registry."""
+    def worker(requests, makespan, latencies):
+        reg = MetricsRegistry()
+        reg.counter("steal.requests").inc(requests)
+        reg.gauge("engine.makespan_s").set(makespan)
+        h = reg.histogram("lat", edges=[1.0, 4.0])
+        for v in latencies:
+            h.observe(v)
+        return reg.snapshot()
+
+    run = MetricsRegistry()
+    run.absorb(worker(3, 0.5, [0.5, 9.0]))
+    run.absorb(worker(4, 0.25, [2.0, 3.0, 0.1]))
+    run.absorb({})                              # a worker with nothing
+    assert run.counter("steal.requests").value == 7
+    assert run.gauge("engine.makespan_s").value == 0.5
+    h = run.get("lat")
+    assert h.edges == [1.0, 4.0]
+    assert h.counts == [2, 2, 1] and h.overflow == 1
+    assert h.count == 5 and h.total == pytest.approx(14.6)
+    assert (h.min, h.max) == (0.1, 9.0)
+    # an empty histogram leaves min/max alone
+    run.absorb({"lat": Histogram("lat", edges=[1.0, 4.0]).snapshot()})
+    assert (h.min, h.max, h.count) == (0.1, 9.0, 5)
+    # and the merge is what one registry observing everything would hold
+    one = MetricsRegistry()
+    for v in (0.5, 9.0, 2.0, 3.0, 0.1):
+        one.histogram("lat", edges=[1.0, 4.0]).observe(v)
+    assert run.get("lat").snapshot() == one.get("lat").snapshot()
+
+
 def test_catalogue_kinds_are_known():
     assert set(k for k, _ in METRICS.values()) <= {"counter", "gauge",
                                                    "histogram"}

@@ -78,6 +78,30 @@ def test_bnb_work_roundtrip():
     assert back.as_tuples() == work.as_tuples()
 
 
+def test_bnb_work_roundtrip_keeps_a_merged_pools_order():
+    """``merge`` appends what it received, so a pool that absorbed a
+    transfer is not ascending — and must still cross the wire, in the
+    order ``split`` will hand its intervals out."""
+    hi = BnBWork.full_tree(6)
+    taken = hi.split(.5)
+    lo = hi.split(.5)
+    taken.merge(lo)
+    assert taken.as_tuples() == [(360, 720), (240, 360)]
+    assert roundtrip(taken).as_tuples() == taken.as_tuples()
+
+
+@pytest.mark.parametrize("intervals", [
+    [[0, 10], [5, 20]],          # overlapping
+    [[360, 720], [240, 400]],    # overlapping, out of order
+    [[0, 721]],                  # past the last leaf of 6!
+    [[-1, 4]],
+    [[5, 5]],                    # empty
+])
+def test_bnb_decode_still_rejects_bad_intervals(intervals):
+    with pytest.raises(WireError):
+        from_wire({"__bnb": {"n": 6, "i": intervals}})
+
+
 def test_unencodable_object_raises():
     with pytest.raises(WireError):
         to_wire(object())

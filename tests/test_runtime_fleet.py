@@ -1,0 +1,119 @@
+"""Hello identification is unchecked outside input — for both fleet owners.
+
+A fleet's listener is a loopback (or run-directory) socket any local
+process can dial.  Whatever such a stranger says while a job is running —
+garbage, a ``hello`` for a pid that does not exist, a second ``hello`` for
+a pid that is already registered — the owner closes and forgets that
+connection, the first registration stands, and the job finishes with the
+right answer.  One scenario, run against the one-shot supervisor and
+against a serve lane: underneath both are the same
+:class:`repro.runtime.fleet.Fleet`.
+"""
+
+import os
+import shutil
+import socket
+import threading
+import time
+
+import pytest
+
+from repro.runtime.codec import pack_frame
+from repro.runtime.supervisor import LiveConfig, run_live
+from repro.serve.client import ServeClient
+from repro.serve.daemon import ServeConfig, ServeDaemon
+from repro.uts.params import PRESETS
+from repro.uts.sequential import count_tree
+
+PRESET = "bin_small"      # long enough for the strangers to arrive mid-job
+
+BAD_HELLOS = {
+    "not a frame stream": b"\x00\x00\x00\x00",
+    "first frame is not a hello": pack_frame({"t": "done", "pid": 0}),
+    "pid is not an integer": pack_frame({"t": "hello", "pid": "0"}),
+    "pid is a boolean": pack_frame({"t": "hello", "pid": True}),
+    "pid out of range": pack_frame({"t": "hello", "pid": 99}),
+    "pid negative": pack_frame({"t": "hello", "pid": -1}),
+    "duplicate of a registered pid": pack_frame({"t": "hello", "pid": 0}),
+}
+
+
+def _wait_for(cond, what: str, timeout: float = 60.0) -> None:
+    end = time.monotonic() + timeout
+    while not cond():
+        assert time.monotonic() < end, f"timed out waiting for {what}"
+        time.sleep(0.01)
+
+
+def _strangers(sock_path: str) -> dict:
+    """Dial the fleet once per bad hello; returns, per case, whether the
+    owner hung up on it (EOF) within a few seconds."""
+    hung_up = {}
+    for case, payload in BAD_HELLOS.items():
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as s:
+            s.settimeout(10.0)
+            s.connect(sock_path)
+            s.sendall(payload)
+            try:
+                hung_up[case] = s.recv(4096) == b""
+            except OSError:      # timeout: still open; reset: closed on us
+                hung_up[case] = False
+    return hung_up
+
+
+def _run_one_shot(tmp_path) -> tuple:
+    run_dir = str(tmp_path / "run")
+    cfg = LiveConfig(protocol="BTD", n=2, seed=3, transport="unix",
+                     app={"kind": "uts", "preset": PRESET},
+                     fault_tolerance=True, run_dir=run_dir, timeout_s=90.0)
+    hung_up = {}
+
+    def stranger():
+        # worker 0's first spool commit follows its go: by then every
+        # pid is registered and the job is running
+        _wait_for(lambda: os.path.exists(
+            os.path.join(run_dir, "spool_0.json")), "the job to start")
+        hung_up.update(_strangers(os.path.join(run_dir, "fleet.sock")))
+
+    thread = threading.Thread(target=stranger, daemon=True)
+    thread.start()
+    live = run_live(cfg)
+    thread.join(timeout=30.0)
+    assert not thread.is_alive()
+    assert live.conserved == live.result.total_units
+    return live.result.total_units, hung_up
+
+
+def _run_served(tmp_path) -> tuple:
+    d = ServeDaemon(ServeConfig(lanes=1, n=2, transport="unix",
+                                run_dir=str(tmp_path / "serve"),
+                                job_timeout_s=90.0))
+    d.start()
+    try:
+        lane = d._lanes[0]
+        _wait_for(lambda: lane.state == "idle", "the lane to boot")
+        before = [(h.ospid, h.conn) for h in lane._hosts]
+        with ServeClient(d.address) as c:
+            job = c.submit({"kind": "uts", "preset": PRESET})
+            _wait_for(lambda: c.status(job["job_id"])["state"] != "queued",
+                      "the job to start")
+            hung_up = _strangers(os.path.join(lane.dir, "fleet.sock"))
+            st = c.wait(job["job_id"], timeout=90.0)
+        assert st["state"] == "done", st
+        # nobody was replaced, nobody is still parked
+        assert [(h.ospid, h.conn) for h in lane._hosts] == before
+        assert lane._fleet.strays == []
+        assert lane.restarts == 0
+        return st["total_units"], hung_up
+    finally:
+        d.stop()
+        shutil.rmtree(d.run_dir, ignore_errors=True)
+
+
+@pytest.mark.parametrize("owner", [_run_one_shot, _run_served],
+                         ids=["run_live", "lane"])
+def test_bad_hellos_are_shown_the_door_and_the_job_completes(owner,
+                                                              tmp_path):
+    total_units, hung_up = owner(tmp_path)
+    assert total_units == count_tree(PRESETS[PRESET].params).nodes
+    assert hung_up == {case: True for case in BAD_HELLOS}

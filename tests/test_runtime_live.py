@@ -84,6 +84,19 @@ def test_live_bnb_matches_simulated_optimum():
     # incumbent value must not
 
 
+@pytest.mark.parametrize("p2p", [False, True])
+def test_live_bnb_survives_merged_pools_on_the_wire(p2p):
+    """At 10x10 a pool that absorbed a transfer gets split again, so
+    non-ascending interval lists cross the wire — which used to kill the
+    receiving worker in ``from_wire``."""
+    spec = {"kind": "bnb", "index": 1, "jobs": 10, "machines": 10}
+    live = run_live(LiveConfig(protocol="BTD", n=2, app=spec, seed=1,
+                               p2p=p2p, timeout_s=90.0))
+    app, _ = build_app(spec)
+    optimum, _perm, _nodes = app.engine.solve()
+    assert live.result.optimum == optimum
+
+
 def test_live_stats_and_metrics_flow_through():
     live = run_live(LiveConfig(protocol="BTD", n=2, app=UTS_TINY, seed=12,
                                timeout_s=60.0))

@@ -124,6 +124,40 @@ def test_concurrent_jobs_on_warm_lanes(client):
     assert rep["ok"] and rep["report"]["meta"]["serve"] is True
 
 
+def test_served_and_one_shot_reports_cannot_drift(client):
+    """A served job and a one-shot ``run_live`` of the same spec and seed
+    go through the same reactor, the same fleet and the one
+    ``assemble()``: the two run reports have the same shape section by
+    section, and both count exactly the sequential tree."""
+    from repro.obs.report import build_report
+    from repro.runtime.supervisor import LiveConfig, run_live
+
+    sub = client.submit(UTS_TINY, run={"seed": 17})
+    assert client.wait(sub["job_id"], timeout=90.0)["state"] == "done"
+    served = client.report(sub["job_id"])["report"]
+
+    cfg = LiveConfig(protocol="BTD", n=2, app=UTS_TINY, seed=17,
+                     timeout_s=60.0)
+    live = run_live(cfg)
+    one_shot = build_report(cfg.run_config(), live.result, live.stats,
+                            metrics=live.metrics, app="uts/bin_tiny",
+                            links=live.links).to_json()
+
+    assert served["totals"]["work_units"] == TINY_NODES
+    assert one_shot["totals"]["work_units"] == TINY_NODES
+
+    def shape(report):
+        # meta is the owners' to fill; the star relay's per-link counters
+        # are run_live's hook, a star lane has no links table
+        return {name: (sorted(sec) if isinstance(sec, dict)
+                       else sorted(sec[0]) if isinstance(sec, list) and sec
+                       else type(sec).__name__)
+                for name, sec in report.items()
+                if name not in ("meta", "links")}
+    assert shape(served) == shape(one_shot)
+    assert set(served) == set(one_shot)
+
+
 def test_poison_spec_dead_letters_and_lane_survives(client):
     resp = client.submit(POISON_SPEC)
     assert resp["ok"], "poison must pass admission (fails at build time)"
