@@ -154,6 +154,12 @@ class ReliableChannel:
         self._pending: dict[int, _Transfer] = {}
         self._seen: dict[int, set[int]] = {}   # src -> delivered seqs
         self._pending_work = 0
+        #: bumped whenever the state a stable log must hold before the next
+        #: byte leaves has changed: a new pending transfer, a new receipt,
+        #: a dead peer's transfers settled (acks only shrink ``_pending``
+        #: and do not count).  The live runtime commits its write-ahead
+        #: spool when this moves; the simulator never reads it.
+        self.revision = 0
         self._breakers: dict[int, _Breaker] = {}
         # observability: the channel is built in start(), so host.sim and
         # its (optional) metrics registry are already attached
@@ -180,6 +186,7 @@ class ReliableChannel:
         self._next_seq += 1
         xf = _Transfer(seq, dst, kind, payload, body_bytes)
         self._pending[seq] = xf
+        self.revision += 1
         if kind == _WORK:
             self._pending_work += 1
         br = self._breakers.get(dst)
@@ -225,6 +232,7 @@ class ReliableChannel:
         if seq in seen:
             return False
         seen.add(seq)
+        self.revision += 1
         host = self.host
         host.sim.note_reliable_delivery(host.pid, src, seq)
         return True
@@ -420,6 +428,7 @@ class ReliableChannel:
         the on-disk spool the dead process left behind).
         """
         host = self.host
+        self.revision += 1
         br = self._breakers.get(pid)
         if br is not None and br.state != B_CLOSED:
             # the suspicion resolved into a death: close the books (the

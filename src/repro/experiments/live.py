@@ -265,6 +265,15 @@ def live_main(argv: Optional[list] = None) -> int:
 
     failures = []
     if args.expect_conserved:
+        # a run that ended before a planned edge landed conserves
+        # vacuously: it proves nothing about the fault it was meant to take
+        for what, plan, landed in (("kill", args.kill, live.killed),
+                                   ("join", args.join, live.joined),
+                                   ("leave", args.leave, live.left)):
+            for edge in plan:
+                if edge["pid"] not in landed:
+                    failures.append(f"planned {what} of pid {edge['pid']} "
+                                    f"never happened (the run ended first)")
         if live.conserved is None:
             failures.append("--expect-conserved needs --fault-tolerance")
         elif args.app != "uts":

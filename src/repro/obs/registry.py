@@ -151,6 +151,12 @@ METRICS = {
     "reliable.retransmits": ("counter", "reliable-channel retransmissions"),
     "reliable.retransmit_delay_s": ("histogram",
                                     "backoff delay of each retransmission"),
+    "spool.commits": ("counter", "live fault mode: write-ahead spool "
+                                 "commits"),
+    "spool.skipped": ("counter", "live fault mode: flushes the commit rule "
+                                 "let through without a commit"),
+    "spool.commit_s": ("histogram", "wall seconds per spool commit"),
+    "spool.bytes": ("histogram", "bytes per spool commit"),
     "engine.events": ("gauge", "events fired over the run"),
     "engine.makespan_s": ("gauge", "virtual time of termination"),
     "engine.crashes": ("counter", "crash-stop faults injected"),

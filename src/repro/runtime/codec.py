@@ -12,10 +12,11 @@ protocols rely on, so containers are *tagged*:
 * sets/frozensets become ``{"__s"/"__fs": [...]}`` (sorted);
 * dicts become ``{"__d": [[k, v], ...]}`` — also covers non-string keys;
 * work pieces are encoded structurally: :class:`~repro.uts.work.UTSWork`
-  as its generator parameters + (state, depth) stacks,
-  :class:`~repro.bnb.work.BnBWork` as its interval set.  NumPy ``uint64``
-  states exceed 2^53, so they ride as Python ints (JSON has no float
-  coercion on integers — the round trip is exact).
+  as its generator parameters + (state, depth) stacks, each stack one
+  hex string of the raw little-endian array (``uint64`` states, ``int32``
+  depths: exact above 2^53, and one ``str`` per stack instead of one
+  boxed ``int`` per entry); :class:`~repro.bnb.work.BnBWork` as its
+  interval set.
 
 Frames are ``4-byte big-endian length + UTF-8 JSON``.  Zero-length frames
 are invalid (every frame carries at least ``{}``), and a peer closing
@@ -76,8 +77,8 @@ def to_wire(obj: Any) -> Any:
     if isinstance(obj, UTSWork):
         states, depths = obj.peek()
         return {"__uts": {"p": list(dataclasses.astuple(obj.params)),
-                          "s": [int(x) for x in states],
-                          "d": [int(x) for x in depths]}}
+                          "s": states.astype("<u8", copy=False).tobytes().hex(),
+                          "d": depths.astype("<i4", copy=False).tobytes().hex()}}
     if isinstance(obj, BnBWork):
         return {"__bnb": {"n": obj.n_jobs,
                           "i": [[int(a), int(b)] for a, b in obj.as_tuples()]}}
@@ -102,18 +103,29 @@ def from_wire(obj: Any) -> Any:
             if tag == "__d":
                 return {from_wire(k): from_wire(v) for k, v in body}
             if tag == "__uts":
-                params = UTSParams(*body["p"])
-                if not body["s"]:
-                    return UTSWork.empty(params)
-                return UTSWork(params,
-                               states=np.array(body["s"], dtype=np.uint64),
-                               depths=np.array(body["d"], dtype=np.int32))
+                states = _unpack_stack(body["s"], "<u8")
+                depths = _unpack_stack(body["d"], "<i4")
+                if len(states) != len(depths):
+                    raise WireError(f"UTS stack of {len(states)} states "
+                                    f"but {len(depths)} depths")
+                # the constructor copies: the work owns writable arrays
+                return UTSWork(UTSParams(*body["p"]),
+                               states=states, depths=depths)
             if tag == "__bnb":
                 return _bnb_from_wire(body["n"], body["i"])
             if tag == "__syn":
                 return SyntheticWork(body)
         raise WireError(f"unknown wire tag in {sorted(obj)!r}")
     return obj
+
+
+def _unpack_stack(text: Any, dtype: str) -> np.ndarray:
+    """One packed UTS stack (hex of the raw little-endian array)."""
+    try:
+        return np.frombuffer(bytes.fromhex(text), dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        # not a string, odd length, non-hex, or a ragged last entry
+        raise WireError(f"bad packed {dtype} stack: {exc}") from exc
 
 
 def _bnb_from_wire(n_jobs: int, intervals: list) -> BnBWork:

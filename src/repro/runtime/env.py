@@ -225,7 +225,7 @@ class LiveEnv:
     def note_reliable_delivery(self, dst_pid: int, src_pid: int,
                                seq: int) -> None:
         """No-op: the live runtime's receive log is the on-disk spool,
-        committed by the worker itself before every flush."""
+        committed by the worker itself before the RACK leaves."""
 
     def mark_dead(self, pid: int) -> None:
         """Supervisor announced a death: absorb it and run the repair

@@ -16,12 +16,22 @@ atomically replaced JSON snapshot of exactly the state the oracle needs —
 * any ``crash_dropped`` pieces.
 
 **Write-ahead ordering** makes the snapshot consistent: the worker's
-reactor commits the spool *before* flushing the socket bytes produced in
-the same iteration.  A transfer only reaches the wire after it is spooled
-as pending; an RACK only reaches the sender after the merged piece is
-spooled in the pool.  Whatever instant ``kill -9`` lands, the last spool
-on disk plus the receivers' logs partition the work with no gap and no
-overlap — :func:`conserved_units_live` just adds the places up, mirroring
+reactor commits the spool *before* flushing socket bytes whose meaning
+depends on it.  A transfer only reaches the wire after it is spooled as
+pending; an RACK only reaches the sender after the receipt is logged and
+the merged piece is spooled in the pool.  Those are the only two, both
+are reliable-channel events, so the reactor commits when the channel's
+``revision`` moved (or ``crash_dropped`` grew, or on a job's first flush)
+and otherwise skips: between such events a worker only moves units from
+the pool to ``processed``, which the identity counts the same either way
+(expansion is deterministic), and an incoming RACK only shrinks
+``out_pending`` (a stale entry is cancelled by the receiver's log).
+Progress alone is committed at most :data:`~repro.runtime.worker.
+IDLE_TICK_S` late, for the ``--kill P@Nu`` trigger and the post-mortem;
+``docs/runtime.md`` ("The commit rule") has the full argument.  Whatever
+instant ``kill -9`` lands, the last spool on disk plus the receivers'
+logs partition the work with no gap and no overlap —
+:func:`conserved_units_live` just adds the places up, mirroring
 ``conserved_units`` in the fault-tolerance tests.
 """
 
@@ -42,13 +52,18 @@ def spool_path(run_dir: str, pid: int) -> str:
     return os.path.join(run_dir, f"spool_{pid}.json")
 
 
-def write_spool(path: str, doc: dict) -> None:
+def write_spool(path: str, doc: dict) -> int:
     """Atomically replace the spool (tmp + rename: a reader — or the
-    post-mortem — sees the previous snapshot or this one, never a mix)."""
+    post-mortem — sees the previous snapshot or this one, never a mix).
+    Returns the size written."""
     tmp = path + ".tmp"
+    # one-shot ``dumps`` runs the C encoder; ``json.dump`` would stream
+    # the document through the pure-Python ``iterencode``
+    text = json.dumps(doc, separators=(",", ":"))
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, separators=(",", ":"))
+        fh.write(text)
     os.replace(tmp, path)
+    return len(text)   # ASCII (``ensure_ascii``): characters == bytes
 
 
 def read_spool(path: str) -> Optional[dict]:

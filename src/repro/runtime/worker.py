@@ -28,10 +28,13 @@ which is:
    ``leave``, ``abort``, ``job_end``, ``shutdown``);
 4. fire due timers (compute quanta, retransmits, termination waves);
 5. report ``done`` once the protocol has terminated;
-6. :meth:`Reactor.flush` - the only place bytes leave the process, and
-   in fault mode always *after* committing the write-ahead spool, so no
-   byte is on the wire without the state that explains it on disk (see
-   :mod:`repro.runtime.spool`).
+6. :meth:`Reactor.flush` - the only place bytes leave the process.  In
+   fault mode it first commits the write-ahead spool if the state that
+   explains outgoing bytes changed since the last commit (a new pending
+   transfer, a new receipt, a dead peer settled, a ``crash_dropped``
+   piece; progress alone at most every :data:`IDLE_TICK_S`), so no byte
+   is on the wire without the state that explains it on disk (the commit
+   rule, :mod:`repro.runtime.spool`).
 
 Two data planes: **star** (default) - protocol frames ride the owner
 connection and the owner relays them by destination pid; **p2p** - the
@@ -61,7 +64,7 @@ from ..apps.base import Application
 from ..core.config import OCLBConfig
 from ..experiments.runner import RunConfig, worker_factory
 from ..obs.export import TraceWriter
-from ..obs.registry import MetricsRegistry
+from ..obs.registry import SIZE_EDGES, MetricsRegistry
 from .codec import message_from_frame, stats_to_wire, to_wire
 from .env import LiveEnv
 from .mesh import PeerMesh, open_peer_listener
@@ -69,7 +72,8 @@ from .spool import build_spool_doc, spool_path, write_spool
 from .transport import FramedConnection, InterestTable, connect_endpoint
 
 #: Selector timeout when no timer is pending (keeps the watchdog and
-#: owner-EOF checks responsive).
+#: owner-EOF checks responsive); also how stale the ``processed`` count of
+#: a fault-mode spool may get (the commit rule, :meth:`Reactor.flush`).
 IDLE_TICK_S = 0.25
 
 #: Ceiling on flushing a last report into a slow socket before exiting.
@@ -160,6 +164,10 @@ class Reactor(InterestTable):
         self.env: Optional[LiveEnv] = None   # set while a job runs
         self.proc = None
         self.spool: Optional[str] = None   # fault mode: the job's spool
+        #: last commit: ((channel revision, crash_dropped count), units
+        #: processed, monotonic time); and the job's spool instruments
+        self._commit: tuple = (None, 0, 0.0)
+        self._spool_metrics: tuple = ()
         self.mesh: Optional[PeerMesh] = None
         self.peer_endpoint: Optional[dict] = None
         if cfg.get("p2p"):
@@ -217,12 +225,46 @@ class Reactor(InterestTable):
               and len(self.early) < MAX_EARLY_FRAMES):
             self.early.append(frame)
 
+    def open_spool(self, run_dir: str, metrics: MetricsRegistry) -> None:
+        """Fault mode: this job keeps a spool, and publishes what it costs
+        into the job's registry."""
+        self.spool = spool_path(run_dir, self.pid)
+        self._commit = (None, 0, 0.0)   # the first flush commits
+        self._spool_metrics = (
+            metrics.counter("spool.commits"),
+            metrics.counter("spool.skipped"),
+            metrics.histogram("spool.commit_s"),
+            metrics.histogram("spool.bytes", SIZE_EDGES))
+
     def flush(self) -> bool:
         """Output half of a turn, and the only place bytes leave the
         process.  Write-ahead: state hits the disk before the bytes it
-        explains hit the wire.  True once every buffer drained."""
+        explains hit the wire.  True once every buffer drained.
+
+        The commit rule: only a send (``out_pending``), a receipt
+        (``recv_log`` + the merged piece), a dead peer's settlement and a
+        ``crash_dropped`` piece give bytes a meaning that depends on the
+        spool, so only they force a commit.  Between them a process moves
+        units from ``pool`` to ``processed``, which a stale spool counts
+        the same; that is refreshed once per :data:`IDLE_TICK_S` for the
+        ``--kill P@Nu`` trigger and the post-mortem."""
         if self.spool is not None:
-            write_spool(self.spool, build_spool_doc(self.proc))
+            proc, now = self.proc, time.monotonic()
+            ch = proc._reliable
+            state = (ch.revision if ch is not None else 0,
+                     len(proc.crash_dropped))
+            units = proc.stats.work_units
+            commits, skipped, commit_s, commit_bytes = self._spool_metrics
+            state0, units0, at0 = self._commit
+            if state != state0 or (units != units0
+                                   and now - at0 > IDLE_TICK_S):
+                commit_bytes.observe(
+                    write_spool(self.spool, build_spool_doc(proc)))
+                self._commit = (state, units, now)
+                commits.inc()
+                commit_s.observe(time.monotonic() - now)
+            else:
+                skipped.inc()
         done = self.conn.flush()
         if self.mesh is not None:
             done = self.mesh.flush_all() and done
@@ -374,7 +416,7 @@ class Reactor(InterestTable):
                       "app": app_label, "live": True})
         self.env, self.proc, self.epoch = env, proc, epoch
         if fault_mode and run_dir:
-            self.spool = spool_path(run_dir, pid)
+            self.open_spool(run_dir, metrics)
         try:
             self.flush()   # a kill before the first quantum finds a spool
             proc.start()

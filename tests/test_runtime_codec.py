@@ -71,6 +71,52 @@ def test_uts_empty_work_roundtrip():
     assert back.is_empty()
 
 
+def test_uts_stacks_ride_packed_and_exact_above_2_63():
+    """The stacks are one little-endian hex string each (no per-entry
+    int), through a WORK frame's JSON bytes, and stay exact where a float
+    or a signed 64-bit would not."""
+    states = np.array([2**63, 2**64 - 1, 2**63 + 12345, 7], dtype=np.uint64)
+    depths = np.array([1, 2, 2**31 - 1, 4], dtype=np.int32)
+    work = UTSWork(TINY, states=states, depths=depths)
+    wire = to_wire(work)["__uts"]
+    assert wire["s"] == states.astype("<u8").tobytes().hex()
+    assert wire["d"] == depths.astype("<i4").tobytes().hex()
+    msg = sized("WORK", 1, 0, (work, ""), work.encoded_bytes())
+    (frame,) = FrameDecoder().feed(pack_frame(message_to_frame(msg)))
+    back, _channel = message_from_frame(frame).payload
+    b_states, b_depths = back.peek()
+    assert b_states.dtype == np.uint64 and b_depths.dtype == np.int32
+    assert np.array_equal(b_states, states)
+    assert np.array_equal(b_depths, depths)
+
+
+def test_decoded_uts_work_owns_writable_stacks():
+    # np.frombuffer views are read-only; the pool must be processable
+    from repro.apps.uts_app import UTSApplication
+    app = UTSApplication(TINY)
+    work = UTSWork.root(TINY)
+    app.process(work, 50, None)
+    back = roundtrip(work)
+    assert app.process(back, 64, None).units == 64
+    assert app.process(work, 64, None).units == 64
+    assert np.array_equal(back.peek()[0], work.peek()[0])
+
+
+@pytest.mark.parametrize("s, d", [
+    ("abc", ""),                       # odd-length hex
+    ("zz" * 8, "00" * 4),              # non-hex characters
+    ("00" * 7, ""),                    # 7 bytes: not a whole uint64
+    ("00" * 8, "00" * 3),              # 3 bytes: not a whole int32
+    ("00" * 16, "00" * 4),             # two states, one depth
+    ([1, 2], [0, 0]),                  # the old list-of-ints form
+    (None, None),
+])
+def test_uts_decode_rejects_bad_packed_stacks(s, d):
+    body = {"p": to_wire(UTSWork.empty(TINY))["__uts"]["p"], "s": s, "d": d}
+    with pytest.raises(WireError):
+        from_wire({"__uts": body})
+
+
 def test_bnb_work_roundtrip():
     work = BnBWork(6, [(0, 10), (700, 720)])
     back = roundtrip(work)

@@ -30,6 +30,10 @@ from repro.uts.sequential import count_tree
 
 TINY_NODES = count_tree(PRESETS["bin_tiny"].params).nodes
 UTS_TINY = {"kind": "uts", "preset": "bin_tiny"}
+#: for runs whose fault edges are scheduled on the wall clock: ``bin_tiny``
+#: can finish before a 40-70 ms edge fires, this one runs ~1.5 s
+SMALL_NODES = PRESETS["bin_small"].nodes   # exact, verified by tests
+UTS_SMALL = {"kind": "uts", "preset": "bin_small"}
 
 
 def _children_of(pid: int) -> set[int]:
@@ -105,6 +109,9 @@ def test_live_stats_and_metrics_flow_through():
     assert live.stats.per_process[0].busy_time > 0.0   # measured, not priced
     assert live.metrics.counter("steal.requests").value >= 0
     assert live.metrics.gauge("engine.makespan_s").value > 0.0
+    # a plain run has no spool, so it publishes no spool instruments
+    assert not [name for name in live.metrics.names()
+                if name.startswith("spool.")]
 
 
 def test_live_trace_merges_into_loadable_schema(tmp_path):
@@ -166,6 +173,26 @@ def test_fault_mode_without_kills_is_exact():
                                timeout_s=90.0, fault_tolerance=True))
     assert live.result.total_units == TINY_NODES
     assert live.conserved == TINY_NODES
+    # the spool publishes into the run's registry: it committed, and the
+    # commit rule skipped the turns that changed nothing a commit explains
+    commits = live.metrics.get("spool.commits").value
+    assert commits > 0 and live.metrics.get("spool.skipped").value > 0
+    assert live.metrics.get("spool.commit_s").count == commits
+    assert live.metrics.get("spool.bytes").count == commits
+
+
+def test_expect_conserved_fails_when_a_planned_fault_never_fired(capsys):
+    """A kill that cannot land (the run is over long before the victim's
+    spool shows that many units) must not let the chaos step pass on the
+    identity alone."""
+    from repro.experiments.live import live_main
+    rc = live_main(["--preset", "bin_tiny", "--n", "2", "--seed", "3",
+                    "--kill", "1@999999999u", "--expect-conserved",
+                    "--quiet"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "FAIL: planned kill of pid 1 never happened" in err
+    assert "conservation violated" not in err    # the identity itself held
 
 
 def test_kill_config_validation():
@@ -341,7 +368,7 @@ def test_p2p_join_leave_and_kill_compose(tmp_path):
     """The full elastic-membership lifecycle in one run: a worker joins
     mid-run (grafted by the registry), another drains out gracefully, a
     third is SIGKILLed — and the conservation identity stays exact."""
-    cfg = LiveConfig(protocol="BTD", n=4, app=UTS_TINY, seed=23, p2p=True,
+    cfg = LiveConfig(protocol="BTD", n=4, app=UTS_SMALL, seed=23, p2p=True,
                      fault_tolerance=True, timeout_s=90.0,
                      joins=({"pid": 4, "after_s": 0.07},),
                      leaves=({"pid": 2, "after_s": 0.04},),
@@ -351,7 +378,7 @@ def test_p2p_join_leave_and_kill_compose(tmp_path):
     assert live.joined == (4,)
     assert live.left == (2,)
     assert live.killed == (3,)
-    assert live.conserved == TINY_NODES
+    assert live.conserved == SMALL_NODES
     # the leaver is a survivor: its stats flowed into the report and its
     # row is not marked crashed
     assert live.stats.per_process[2].crashes == 0
@@ -362,7 +389,7 @@ def test_p2p_join_during_partition_conserves(tmp_path):
     """A worker joining while the fleet is split must attach through the
     reachable side (or retry past the cut) without losing a unit —
     membership news rides the control plane, which partitions never cut."""
-    cfg = LiveConfig(protocol="BTD", n=4, app=UTS_TINY, seed=29, p2p=True,
+    cfg = LiveConfig(protocol="BTD", n=4, app=UTS_SMALL, seed=29, p2p=True,
                      fault_tolerance=True, timeout_s=90.0,
                      joins=({"pid": 4, "after_s": 0.06},),
                      partitions=({"side": [1, 3], "start_s": 0.03,
@@ -370,4 +397,4 @@ def test_p2p_join_during_partition_conserves(tmp_path):
                      run_dir=str(tmp_path / "run"))
     live = run_live(cfg)
     assert live.joined == (4,)
-    assert live.conserved == TINY_NODES
+    assert live.conserved == SMALL_NODES

@@ -24,6 +24,10 @@ N = 2
 UNITS = 2000
 
 
+def synthetic(units: int) -> dict:
+    return {"kind": "synthetic", "units": units}
+
+
 class _Exited:
     """What ``Fleet.stop`` needs from a member whose "process" is a
     thread: it reports itself gone, so nothing is signalled."""
@@ -33,9 +37,10 @@ class _Exited:
 
 
 class Harness:
-    """A star fleet of two in-process reactors."""
+    """A star fleet of two in-process reactors (``cfg`` adds to each
+    reactor's process configuration, e.g. ``fault_mode``)."""
 
-    def __init__(self, run_dir: str) -> None:
+    def __init__(self, run_dir: str, **cfg) -> None:
         self.fleet = Fleet(run_dir)
         self.fleet.members = [Member(pid, _Exited()) for pid in range(N)]
         self.fleet.on_frame = self.on_frame
@@ -45,8 +50,8 @@ class Harness:
         for pid in range(N):
             ours, theirs = socket.socketpair()
             self.fleet.adopt(ours)
-            reactor = Reactor({"pid": pid, "slots": N},
-                              FramedConnection(theirs))
+            reactor = Reactor({"pid": pid, "slots": N, "run_dir": run_dir,
+                               **cfg}, FramedConnection(theirs))
             thread = threading.Thread(target=self.run_reactor,
                                       args=(reactor,), daemon=True)
             self.reactors.append(reactor)
@@ -68,10 +73,9 @@ class Harness:
             assert time.monotonic() < end, "in-process fleet stalled"
             self.fleet.pump(0.02)
 
-    def run_job(self, epoch: int, units: int) -> int:
+    def run_job(self, epoch: int, app: dict) -> int:
         self.fleet.broadcast({
-            "t": "job", "id": f"j{epoch}", "epoch": epoch,
-            "app": {"kind": "synthetic", "units": units},
+            "t": "job", "id": f"j{epoch}", "epoch": epoch, "app": app,
             "run": {"protocol": "BTD", "n": N, "quantum": 16, "seed": 5},
             "timeout_s": 30.0})
         self.pump_until(lambda: all((epoch, pid) in self.reports
@@ -90,7 +94,7 @@ def test_two_reactors_two_jobs_no_subprocess(tmp_path):
                                  for m in h.fleet.members))
         h.fleet.broadcast({"t": "init"})
 
-        assert h.run_job(1, UNITS) == UNITS
+        assert h.run_job(1, synthetic(UNITS)) == UNITS
 
         # a straggler of the finished epoch — 300 units of WORK from pid 1
         # — reaches idle pid 0.  An idle reactor acks a late abort, and
@@ -104,7 +108,7 @@ def test_two_reactors_two_jobs_no_subprocess(tmp_path):
         h.pump_until(lambda: (0, 1) in h.acks)
         assert h.reactors[0].early == []
         # ... and not merged into the next job's pool either
-        assert h.run_job(2, UNITS + 500) == UNITS + 500
+        assert h.run_job(2, synthetic(UNITS + 500)) == UNITS + 500
 
         h.fleet.broadcast({"t": "shutdown"})
         h.pump_until(lambda: len(h.codes) == N)
