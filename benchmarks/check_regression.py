@@ -45,6 +45,10 @@ TOLERANCES = {
     "bnb_llrk_nodes_per_s": 0.25,
     "bnb_llrk_full_nodes_per_s": 0.25,
     "uts_nodes_per_s": 0.25,
+    # UTSWork.process(q) at the protocols' quanta: interpreter and ufunc
+    # dispatch per call, not arithmetic — same band as the bulk rate
+    "uts_q16_nodes_per_s": 0.25,
+    "uts_q64_nodes_per_s": 0.25,
     # live-backend rates (BENCH_runtime.json baseline): real sockets,
     # real scheduler — wall-clock noise dwarfs any code regression short
     # of a protocol stall, so the bands are deliberately generous

@@ -84,6 +84,7 @@ from repro.bnb.work import BnBWork
 from repro.sim.events import EventQueue
 from repro.uts.sequential import count_tree
 from repro.uts.tree import UTSParams
+from repro.uts.work import UTSWork
 
 #: Throughput at the seed commit (ops or nodes per second), measured with
 #: the functions below on the same machine before the kernel overhaul.
@@ -93,6 +94,9 @@ BASELINE = {
     "bnb_llrk_nodes_per_s": 73_660,
     "bnb_llrk_full_nodes_per_s": 70_364,
     "uts_nodes_per_s": 4_901_806,
+    # per-quantum rates, before the fused kernel (PR 19's parent commit)
+    "uts_q16_nodes_per_s": 307_096,
+    "uts_q64_nodes_per_s": 1_027_496,
 }
 
 
@@ -190,11 +194,27 @@ def bnb_rate(bound, budget=30_000, repeats=5):
     return nodes / dt
 
 
-def uts_rate(max_nodes=5_000_000, repeats=3):
-    params = UTSParams(b0=2000, q=0.49, m=2, root_seed=5)
+#: The instance both UTS rates traverse (~116k nodes).
+UTS_PARAMS = UTSParams(b0=2000, q=0.49, m=2, root_seed=5)
 
+
+def uts_rate(max_nodes=5_000_000, repeats=3):
     def run():
-        return count_tree(params, max_nodes=max_nodes).nodes
+        return count_tree(UTS_PARAMS, max_nodes=max_nodes).nodes
+
+    nodes, dt = best_of(run, repeats=repeats, warmup=1)
+    return nodes / dt
+
+
+def uts_quantum_rate(quantum, max_nodes=5_000_000, repeats=3):
+    """Nodes/s through ``UTSWork.process(quantum)``: the regime the
+    protocols run in (16 simulated, 64 live and served), where the per-call
+    cost ``count_tree``'s 32k batches hide is the whole bill."""
+    def run():
+        work, nodes = UTSWork.root(UTS_PARAMS), 0
+        while nodes < max_nodes and not work.is_empty():
+            nodes += work.process(quantum)
+        return nodes
 
     nodes, dt = best_of(run, repeats=repeats, warmup=1)
     return nodes / dt
@@ -677,20 +697,24 @@ def kernels(quick=False, out=None):
             "bnb_llrk_full_nodes_per_s": round(bnb_rate("llrk-full",
                                                         budget=15_000,
                                                         repeats=3)),
-            "uts_nodes_per_s": round(uts_rate(max_nodes=2_000_000,
-                                              repeats=2)),
         }
+        uts_budget = {"max_nodes": 2_000_000, "repeats": 2}
     else:
         after = {
             "event_queue_ops_per_s": round(eq_rate),
             "bnb_lb1_nodes_per_s": round(bnb_rate("lb1")),
             "bnb_llrk_nodes_per_s": round(bnb_rate("llrk")),
             "bnb_llrk_full_nodes_per_s": round(bnb_rate("llrk-full")),
-            "uts_nodes_per_s": round(uts_rate()),
         }
+        uts_budget = {}
+    after["uts_nodes_per_s"] = round(uts_rate(**uts_budget))
+    for quantum in (16, 64):
+        after[f"uts_q{quantum}_nodes_per_s"] = round(
+            uts_quantum_rate(quantum, **uts_budget))
     report = {
         "python": platform.python_version(),
         "machine": platform.machine(),
+        "cores": os.cpu_count(),
         "quick": quick,
         "calibration_ops_per_s": round(calib_rate),
         "metrics": {

@@ -229,6 +229,8 @@ class WorkerProcess(SimProcess):
             from ..obs.registry import SIZE_EDGES
             self._metrics = m
             self._m_steal_requests = m.counter("steal.requests")
+            self._m_quanta = m.counter("compute.quanta")
+            self._m_units = m.counter("compute.units")
             self._m_steal_latency = m.histogram("steal.latency_s")
             self._m_xfer_units = m.histogram("work.transfer_units",
                                              SIZE_EDGES)
@@ -319,6 +321,9 @@ class WorkerProcess(SimProcess):
             return
         st = self.stats
         st.work_units += outcome.units
+        if self._metrics is not None:
+            self._m_quanta.inc()
+            self._m_units.inc(outcome.units)
         if live:
             # the quantum already *took* real time inside app.process:
             # record what was measured and yield the loop immediately so
@@ -438,6 +443,9 @@ class WorkerProcess(SimProcess):
                     batch = process_quanta(work, quantum, None, budget)
                     if not batch:
                         break
+                    if self._metrics is not None:
+                        self._m_quanta.inc(len(batch))
+                        self._m_units.inc(sum(batch))
                     if tracer is None:
                         # C-speed replay: accumulate/reduce apply the
                         # exact left-to-right float additions the

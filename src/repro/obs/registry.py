@@ -143,6 +143,9 @@ METRICS = {
     "steal.requests": ("counter", "work requests issued (all protocols)"),
     "steal.latency_s": ("histogram", "first request of an idle episode -> "
                                      "WORK arrival (virtual s)"),
+    "compute.quanta": ("counter", "application quanta executed"),
+    "compute.units": ("counter", "work units processed in those quanta "
+                                 "(units / quanta = mean batch)"),
     "work.transfer_units": ("histogram", "work units per WORK transfer"),
     "work.transfer_bytes": ("histogram", "encoded bytes per WORK transfer"),
     "term.waves": ("counter", "verification waves started by the root"),

@@ -62,6 +62,8 @@ from .spool import conserved_units_live, read_spool, spool_path
 
 #: Supervisor loop tick: bounds kill-trigger and watchdog latency.
 _TICK_S = 0.05
+#: Poll period while the workers, shut down and hung up, finalise.
+_REAP_POLL_S = 0.001
 
 #: Protocols whose overlay supports elastic membership (grafted leaves).
 _TREE_PROTOCOLS = ("TD", "TR", "BTD", "BTR")
@@ -614,6 +616,15 @@ class _LiveRun:
                     and all(w.done for w in alive)):
                 self.shutdown_sent = True
                 fleet.broadcast({"t": "shutdown"})
+            if self.shutdown_sent and all(w.closed for w in alive):
+                # Every survivor has hung up and is finalising its
+                # interpreter (tens of ms) with nothing left to wake the
+                # selector: watch the processes instead of sleeping a blind
+                # tick. (Popen.wait backs off to 50 ms naps of its own.)
+                while (any(w.popen.poll() is None for w in alive)
+                       and not self.interrupted
+                       and time.monotonic() < deadline):
+                    time.sleep(_REAP_POLL_S)
             if self.shutdown_sent and all(w.popen.poll() is not None
                                           for w in alive):
                 self.collect_exited()   # final frames still buffered

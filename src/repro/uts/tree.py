@@ -9,16 +9,25 @@ Galton–Watson process: finite, but with unbounded variance in subtree sizes
 A **geometric** variant is provided as well (branching factor decaying with
 depth, depth-bounded), so the suite covers both canonical UTS families; the
 paper's tables only exercise BIN.
+
+:func:`expand` is the **hot path**: one call per quantum of every protocol
+run. :func:`child_counts` (with ``rng.decide_unit`` / ``rng.child_states``)
+is the **reference** it is tested against, and what the sequential oracle
+is built from.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from ..sim.errors import SimConfigError
 from . import rng as uts_rng
+from .rng import (_CHILD_INT, _DECIDE_INT, _GOLDEN, _GOLDEN_INT, _M64, _MIX1,
+                  _MIX1_INT, _MIX2, _MIX2_INT, _U53, DECIDE_SALT, SMALL_BATCH)
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,7 +116,8 @@ def root_frontier(params: UTSParams) -> tuple[np.ndarray, np.ndarray]:
 
 def child_counts(states: np.ndarray, depths: np.ndarray,
                  params: UTSParams) -> np.ndarray:
-    """Number of children of each non-root node in the batch (vectorised)."""
+    """Number of children of each non-root node in the batch — the
+    reference rule (float draw ``u < q``), vectorised."""
     _, decide_fn, _ = _rng_fns(params)
     u = decide_fn(states)
     if params.variant == "bin":
@@ -121,18 +131,99 @@ def child_counts(states: np.ndarray, depths: np.ndarray,
 
 def expand(states: np.ndarray, depths: np.ndarray,
            params: UTSParams) -> tuple[np.ndarray, np.ndarray]:
-    """Children of a batch of non-root nodes (vectorised).
+    """Children of a batch of non-root nodes — the hot path of every run.
 
-    Returns (child_states, child_depths); empty arrays when all given nodes
-    are leaves. Deterministic: depends only on node states (+ depth for geo).
+    Returns (child_states uint64, child_depths int32) in parent-then-index
+    order. Deterministic: depends only on node states (+ depth for geo).
+    The inputs are never written; a non-empty result is fresh and the
+    caller's, the all-leaves result is a shared pair of read-only empties.
+
+    Binomial SplitMix instances (every preset but ``geo_small``) take the
+    fused kernel below; ``geo`` and ``sha1`` keep the reference composition
+    ``child_counts`` -> ``rng.child_states``, which is also what the oracle
+    :func:`repro.uts.sequential.count_tree` is built from.
     """
     if len(states) == 0:
-        return (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int32))
+        return _NO_CHILDREN
+    if params.variant == "bin" and params.rng == "splitmix":
+        return _expand_bin(states, depths, params)
     counts = child_counts(states, depths, params)
     _, _, children_fn = _rng_fns(params)
     children = children_fn(states, counts)
     child_depths = np.repeat(depths, counts) + np.int32(1)
     return children, child_depths.astype(np.int32, copy=False)
+
+
+_NO_CHILDREN = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int32))
+for _a in _NO_CHILDREN:
+    _a.setflags(write=False)
+
+
+@lru_cache(maxsize=64)
+def _bin_constants(params: UTSParams):
+    """(decision limit, child salts) of a binomial instance, as Python ints
+    and as uint64, built once per ``params``.
+
+    ``decide_unit`` draws ``u = k / 2**53`` from ``k = z >> 11`` with ``z``
+    the mixed state word. ``k < 2**53``, so ``u`` and ``q * 2**53`` are
+    both exact in float64 and ``u < q  <=>  k < T`` with
+    ``T = ceil(q * 2**53)``, i.e. ``z < T << 11`` (``q < 1`` keeps that
+    below ``2**64``): one integer compare, no float anywhere.
+    """
+    limit = math.ceil(params.q * _U53) << 11
+    salts = tuple(((j + 1) * _CHILD_INT) & _M64 for j in range(params.m))
+    return limit, salts, np.uint64(limit), np.array(salts, dtype=np.uint64)
+
+
+def _mix64_inplace(z: np.ndarray) -> None:
+    """``sim.rng.mix64`` overwriting a uint64 array: array arithmetic wraps
+    mod 2**64 silently, so no masks and no ``errstate``."""
+    z += _GOLDEN
+    z ^= z >> 30
+    z *= _MIX1
+    z ^= z >> 27
+    z *= _MIX2
+    z ^= z >> 31
+
+
+def _expand_bin(states: np.ndarray, depths: np.ndarray,
+                params: UTSParams) -> tuple[np.ndarray, np.ndarray]:
+    """Fused decide + derive for ``bin``/``splitmix`` (see :func:`expand`).
+
+    The one place the hot path chooses between plain ints (NumPy's per-call
+    overhead dwarfs the work on the protocols' 16-node quanta) and arrays.
+    """
+    limit, salts, limit_u, salts_u = _bin_constants(params)
+    if len(states) > SMALL_BATCH:
+        z = states ^ DECIDE_SALT
+        _mix64_inplace(z)
+        fertile = z < limit_u
+        parents = states[fertile]
+        if len(parents) == 0:
+            return _NO_CHILDREN
+        # (parents, m) in C order is child_states' parent-then-index order
+        children = (parents[:, None] ^ salts_u).reshape(-1)
+        _mix64_inplace(children)
+        child_depths = np.repeat(depths[fertile], len(salts))
+        child_depths += 1
+        return children, child_depths
+    cs: list[int] = []
+    cd: list[int] = []
+    for s, d in zip(states.tolist(), depths.tolist()):
+        z = ((s ^ _DECIDE_INT) + _GOLDEN_INT) & _M64
+        z = ((z ^ (z >> 30)) * _MIX1_INT) & _M64
+        z = ((z ^ (z >> 27)) * _MIX2_INT) & _M64
+        if z ^ (z >> 31) < limit:
+            d += 1
+            for salt in salts:
+                z = ((s ^ salt) + _GOLDEN_INT) & _M64
+                z = ((z ^ (z >> 30)) * _MIX1_INT) & _M64
+                z = ((z ^ (z >> 27)) * _MIX2_INT) & _M64
+                cs.append(z ^ (z >> 31))
+                cd.append(d)
+    if not cs:
+        return _NO_CHILDREN
+    return np.array(cs, dtype=np.uint64), np.array(cd, dtype=np.int32)
 
 
 __all__ = ["UTSParams", "root_frontier", "child_counts", "expand"]

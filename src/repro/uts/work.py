@@ -20,7 +20,7 @@ import numpy as np
 from ..sim.errors import SimConfigError
 from ..work.base import WorkItem
 from . import rng as uts_rng
-from .tree import UTSParams, expand
+from .tree import UTSParams, expand, root_frontier
 
 #: Wire bytes per stack entry: 8 (state) + 4 (depth).
 ENTRY_BYTES = 12
@@ -101,25 +101,31 @@ class UTSWork(WorkItem):
 
     def process(self, max_units: int) -> int:
         """Expand up to ``max_units`` nodes depth-first; returns nodes done."""
-        if max_units <= 0 or self._size == 0:
+        size = self._size
+        if max_units <= 0 or size == 0:
             return 0
-        take = min(max_units, self._size)
-        lo = self._size - take
-        s = self._states[lo:self._size].copy()
-        d = self._depths[lo:self._size].copy()
+        take = min(max_units, size)
+        lo = size - take
+        # Views, not copies: expand never writes its inputs and builds the
+        # children in fresh arrays before anything is pushed over the batch.
+        s = self._states[lo:size]
+        d = self._depths[lo:size]
         self._size = lo
-        done = take
-        root_mask = d == 0
-        if root_mask.any():
-            # the pseudo-root entry expands to exactly b0 children
-            from .tree import root_frontier
-            cs, cd = root_frontier(self.params)
-            self._push(cs, cd)
-            s, d = s[~root_mask], d[~root_mask]
+        if not d.all():
+            # the pseudo-root (the only depth-0 entry) expands to exactly
+            # b0 children; the mask copies the rest out before the push
+            rest = d != 0
+            s, d = s[rest], d[rest]
+            self._push(*root_frontier(self.params))
         cs, cd = expand(s, d, self.params)
         if len(cs):
             self._push(cs, cd)
-        return done
+        elif self._size == 0 and len(self._states) > _MIN_CAP:
+            # An empty stack holds no buffer: a finished simulated cell is
+            # one reference cycle that only a gen-2 collection frees.
+            self._states = np.empty(_MIN_CAP, dtype=np.uint64)
+            self._depths = np.empty(_MIN_CAP, dtype=np.int32)
+        return take
 
     # -- internals -------------------------------------------------------------------
 

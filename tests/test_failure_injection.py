@@ -6,14 +6,20 @@ clean termination. This is the harness that historically catches
 termination-detection races.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.apps.synthetic import SyntheticApplication
 from repro.apps.uts_app import UTSApplication
 from repro.experiments.runner import RunConfig, run_once
+from repro.sim.errors import SimDeadlockError
+from repro.sim.faults import FaultPlan
 from repro.uts.params import PRESETS
 from repro.uts.sequential import count_tree
 from repro.uts.tree import UTSParams
+# imported here, not inside a @given body: that module declares @given
+# tests of its own, which Hypothesis refuses to see declared under a draw
+from tests.test_fault_tolerance import run_faulted
 
 MINI = PRESETS["bin_mini"].params
 MINI_NODES = count_tree(MINI).nodes
@@ -111,7 +117,6 @@ def test_extreme_handler_cost():
 )
 def test_property_conservation_under_lossy_links(proto, n, loss, dup, seed):
     """Loss/duplication chaos: the reliable channel keeps conservation exact."""
-    from repro.sim.faults import FaultPlan
     plan = FaultPlan(loss=loss, dup=dup)
     cfg = RunConfig(protocol=proto, n=n, dmax=4, quantum=32, seed=seed,
                     faults=plan)
@@ -119,7 +124,10 @@ def test_property_conservation_under_lossy_links(proto, n, loss, dup, seed):
     assert result.total_units == MINI_NODES
 
 
-@settings(max_examples=25, deadline=None,
+# derandomize: tier-1 must draw the same 25 plans every time — one known
+# draw deadlocks TR (pinned below) and used to fail unrelated changes
+# whenever Hypothesis happened on it.
+@settings(max_examples=25, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(
     proto=st.sampled_from(["TD", "TR", "BTD", "RWS"]),
@@ -135,12 +143,23 @@ def test_property_conservation_under_crash_chaos(proto, n, crashes, loss,
     Uses the oracle of test_fault_tolerance — live units plus drained
     frozen/in-flight/dropped work must reproduce the sequential count.
     """
-    from tests.test_fault_tolerance import run_faulted
-    from repro.sim.faults import FaultPlan
     crashes = min(crashes, n - 1, max(1, n // 4))
     plan = FaultPlan.sample(n, crashes=crashes, seed=seed,
                             window=(2e-4, 2e-3), loss=loss)
     total, _, _ = run_faulted(proto, n, plan, seed=seed,
+                              app=UTSApplication(MINI))
+    assert total == MINI_NODES
+
+
+@pytest.mark.xfail(strict=True, raises=SimDeadlockError,
+                   reason="open: TR's repair path deadlocks under this "
+                          "crash plan (ROADMAP); flips the day it is fixed")
+def test_tr_crash_plan_2361_conserves():
+    """The one draw of the chaos property above known to fail, kept
+    visible: processes 8 and 10 never finish (simulator only)."""
+    plan = FaultPlan.sample(13, crashes=3, seed=2361, window=(2e-4, 2e-3),
+                            loss=0.0)
+    total, _, _ = run_faulted("TR", 13, plan, seed=2361,
                               app=UTSApplication(MINI))
     assert total == MINI_NODES
 

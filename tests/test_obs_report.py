@@ -11,7 +11,7 @@ from repro.obs.export import load_trace
 from repro.obs.registry import MetricsRegistry
 from repro.obs.report import (REPORT_SCHEMA_VERSION, build_report,
                               load_entropy, steal_matrix)
-from repro.sim.trace import TRANSFER, Tracer
+from repro.sim.trace import QUANTUM, TRANSFER, Tracer
 from repro.uts.params import PRESETS
 
 MINI = PRESETS["bin_mini"].params
@@ -76,6 +76,25 @@ def test_report_counts_transfers_and_metrics():
     assert xfers is not None and xfers.count == total_edges > 0
     assert report.metrics["steal.requests"]["value"] == \
         report.totals["steals"]
+
+
+def test_compute_counters_give_the_batch_mean():
+    """``compute.units`` / ``compute.quanta`` — the mean batch a run's
+    kernel sees — are counted by the worker itself, once per quantum block:
+    units sum to the run's total, quanta to the traced QUANTUM samples, on
+    the traced (per-quantum replay) and the untraced (fused) loop alike."""
+    tiny = PRESETS["bin_tiny"]
+    cfg = RunConfig(protocol="TD", n=8, quantum=16, seed=42)
+    tracer, traced, fused = Tracer(), MetricsRegistry(), MetricsRegistry()
+    result, _ = run_instrumented(cfg, UTSSpec(tiny.params).build(),
+                                 tracer=tracer, metrics=traced)
+    run_instrumented(cfg, UTSSpec(tiny.params).build(), metrics=fused)
+    quanta = sum(1 for s in tracer.samples if s.kind == QUANTUM)
+    for reg in (traced, fused):
+        assert reg.get("compute.units").value == result.total_units \
+            == tiny.nodes
+        assert reg.get("compute.quanta").value == quanta
+    assert quanta >= tiny.nodes / 16
 
 
 def test_report_surfaces_circuit_breakers():

@@ -30,8 +30,9 @@ from repro.uts.sequential import count_tree
 
 TINY_NODES = count_tree(PRESETS["bin_tiny"].params).nodes
 UTS_TINY = {"kind": "uts", "preset": "bin_tiny"}
-#: for runs whose fault edges are scheduled on the wall clock: ``bin_tiny``
-#: can finish before a 40-70 ms edge fires, this one runs ~1.5 s
+#: for runs whose fault edges are scheduled on the wall clock or on a
+#: victim's progress: ``bin_tiny`` can finish before a 40-70 ms edge fires
+#: or a non-root worker has seen 400 units, this one runs for a few 100 ms
 SMALL_NODES = PRESETS["bin_small"].nodes   # exact, verified by tests
 UTS_SMALL = {"kind": "uts", "preset": "bin_small"}
 
@@ -109,6 +110,9 @@ def test_live_stats_and_metrics_flow_through():
     assert live.stats.per_process[0].busy_time > 0.0   # measured, not priced
     assert live.metrics.counter("steal.requests").value >= 0
     assert live.metrics.gauge("engine.makespan_s").value > 0.0
+    # the workers' own units / quanta (the mean batch) ride the same path
+    assert live.metrics.counter("compute.units").value == TINY_NODES
+    assert live.metrics.counter("compute.quanta").value >= TINY_NODES / 64
     # a plain run has no spool, so it publishes no spool instruments
     assert not [name for name in live.metrics.names()
                 if name.startswith("spool.")]
@@ -152,14 +156,16 @@ def test_explicit_run_dir_survives_clean_run(tmp_path):
 
 
 def test_sigkill_mid_run_conserves_every_unit(tmp_path):
-    cfg = LiveConfig(protocol="BTD", n=4, app=UTS_TINY, seed=21,
+    # bin_small: the root clears bin_tiny in ~10 ms, and one run in five
+    # the victim never saw 400 units of it
+    cfg = LiveConfig(protocol="BTD", n=4, app=UTS_SMALL, seed=21,
                      timeout_s=90.0, fault_tolerance=True,
                      run_dir=str(tmp_path / "run"),
                      kills=({"pid": 2, "after_units": 400},))
     live = run_live(cfg)
     assert live.killed == (2,)
     assert live.result.crashes == 1
-    assert live.conserved == TINY_NODES          # exact, not approximate
+    assert live.conserved == SMALL_NODES         # exact, not approximate
     assert live.stats.per_process[2].crashes == 1
     assert 2 in live.spools                      # post-mortem state exists
     # every survivor terminated and reported

@@ -13,6 +13,7 @@ rule").  Three angles:
 
 import os
 import socket
+import sys
 import threading
 
 import pytest
@@ -178,6 +179,14 @@ def test_no_frame_leaves_before_the_commit_that_explains_it(
     monkeypatch.setattr(FramedConnection, "send_frame", send_frame)
     monkeypatch.setattr(FramedConnection, "flush", flush)
 
+    # Relay and both reactors share one interpreter lock. A reliable
+    # message and its ack are five hand-offs of it, at the default 5 ms
+    # each more than the 20 ms ack timeout whenever the root is computing:
+    # its breaker opens on pid 1, no WORK is offered until the probe, and
+    # a root that now clears the tree in 0.25 s is done first. Hand over
+    # faster than the ack timeout instead.
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(2e-4)
     h = Harness(str(tmp_path), fault_mode=True)
     try:
         worker_conns.update((id(r.conn), r.pid) for r in h.reactors)
@@ -194,6 +203,7 @@ def test_no_frame_leaves_before_the_commit_that_explains_it(
         h.fleet.broadcast({"t": "shutdown"})
         h.pump_until(lambda: len(h.codes) == N)
     finally:
+        sys.setswitchinterval(switch_interval)
         h.fleet.close()
         for thread in h.threads:
             thread.join(timeout=5.0)
