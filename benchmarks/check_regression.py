@@ -44,6 +44,13 @@ TOLERANCES = {
     "bnb_lb1_nodes_per_s": 0.25,
     "bnb_llrk_nodes_per_s": 0.25,
     "bnb_llrk_full_nodes_per_s": 0.25,
+    # BnBEngine.explore(work, shared, q) at the protocols' quanta: a
+    # resumed call costs no stack rebuild, so these sit near the bulk
+    # rates — a cursor that stops validating halves q16, far outside the
+    # band
+    "bnb_lb1_q16_nodes_per_s": 0.25,
+    "bnb_lb1_q64_nodes_per_s": 0.25,
+    "bnb_llrk_q64_nodes_per_s": 0.25,
     "uts_nodes_per_s": 0.25,
     # UTSWork.process(q) at the protocols' quanta: interpreter and ufunc
     # dispatch per call, not arithmetic — same band as the bulk rate

@@ -97,6 +97,11 @@ BASELINE = {
     # per-quantum rates, before the fused kernel (PR 19's parent commit)
     "uts_q16_nodes_per_s": 307_096,
     "uts_q64_nodes_per_s": 1_027_496,
+    # explore(work, shared, q) loops, one stack rebuild per call (PR 21's
+    # parent commit)
+    "bnb_lb1_q16_nodes_per_s": 179_208,
+    "bnb_lb1_q64_nodes_per_s": 304_922,
+    "bnb_llrk_q64_nodes_per_s": 187_163,
 }
 
 
@@ -181,16 +186,24 @@ def gated_rates():
     return 40_000 / eq_s, 40_000 / calib_s  # push+pop pairs -> ops/sec
 
 
-def bnb_rate(bound, budget=30_000, repeats=5):
+def bnb_rate(bound, budget=30_000, repeats=5, quantum=None):
+    """Nodes/s through ``BnBEngine.explore`` on ta21 10x10: one bulk call
+    of ``budget`` nodes, or — given ``quantum`` — a loop of
+    ``explore(work, shared, quantum)`` calls, the regime the protocols run
+    in, where the per-call bookkeeping the bulk rate hides is on the bill."""
     inst = scaled_instance(1, n_jobs=10, n_machines=10)
     eng = BnBEngine(inst, bound=bound)
 
     def run():
-        work = BnBWork.full_tree(10)
-        shared = BoundState()
-        return eng.explore(work, shared, budget).nodes
+        work, shared, nodes = BnBWork.full_tree(10), BoundState(), 0
+        while nodes < budget and not work.is_empty():
+            nodes += eng.explore(work, shared, quantum or budget).nodes
+        return nodes
 
     nodes, dt = best_of(run, repeats=repeats, warmup=1)
+    if quantum:
+        print(f"  bnb {bound} q={quantum}: {eng.rebuilds} rebuilds, "
+              f"{eng.resumes} resumes")
     return nodes / dt
 
 
@@ -687,26 +700,15 @@ def serve_bench(quick=False, out=None):
 
 def kernels(quick=False, out=None):
     eq_rate, calib_rate = gated_rates()
-    if quick:
-        after = {
-            "event_queue_ops_per_s": round(eq_rate),
-            "bnb_lb1_nodes_per_s": round(bnb_rate("lb1", budget=15_000,
-                                                  repeats=3)),
-            "bnb_llrk_nodes_per_s": round(bnb_rate("llrk", budget=15_000,
-                                                   repeats=3)),
-            "bnb_llrk_full_nodes_per_s": round(bnb_rate("llrk-full",
-                                                        budget=15_000,
-                                                        repeats=3)),
-        }
-        uts_budget = {"max_nodes": 2_000_000, "repeats": 2}
-    else:
-        after = {
-            "event_queue_ops_per_s": round(eq_rate),
-            "bnb_lb1_nodes_per_s": round(bnb_rate("lb1")),
-            "bnb_llrk_nodes_per_s": round(bnb_rate("llrk")),
-            "bnb_llrk_full_nodes_per_s": round(bnb_rate("llrk-full")),
-        }
-        uts_budget = {}
+    bnb_budget = {"budget": 15_000, "repeats": 3} if quick else {}
+    uts_budget = {"max_nodes": 2_000_000, "repeats": 2} if quick else {}
+    after = {"event_queue_ops_per_s": round(eq_rate)}
+    for bound in ("lb1", "llrk", "llrk-full"):
+        after[f"bnb_{bound.replace('-', '_')}_nodes_per_s"] = round(
+            bnb_rate(bound, **bnb_budget))
+    for bound, quantum in (("lb1", 16), ("lb1", 64), ("llrk", 64)):
+        after[f"bnb_{bound}_q{quantum}_nodes_per_s"] = round(
+            bnb_rate(bound, quantum=quantum, **bnb_budget))
     after["uts_nodes_per_s"] = round(uts_rate(**uts_budget))
     for quantum in (16, 64):
         after[f"uts_q{quantum}_nodes_per_s"] = round(

@@ -288,8 +288,7 @@ class OneMachineBound(LowerBound):
         return rsT + tails[:, jobs].min(axis=1)[:, None]
 
     def _frame_eval(self, tables, g, rsT):
-        t = g + tables
-        return t.max(axis=0)
+        return np.maximum.reduce(g + tables, axis=0)
 
 
 class _PairRelaxationBound(LowerBound):

@@ -8,9 +8,16 @@ depth-first from the head interval's left edge, advancing the interval's
 ``a`` as it goes.
 
 Because a position fully encodes the DFS state (everything left of ``a`` is
-done, everything right is pending), pausing, splitting and resuming work
-costs one O(n²) path rebuild per resume — the property that makes the
-Mezmaz-style encoding so cheap to balance.
+done, everything right is pending), work can be split, shipped and picked
+up anywhere at the cost of one O(n²) path rebuild from the factoradic
+digits of ``a`` — the property that makes the Mezmaz-style encoding so
+cheap to balance. A quantum that merely pauses pays nothing: the stack
+stays on the work as ``BnBWork.cursor`` and the next call continues from
+it, provided the head is still the same list object with the same ``a``
+(``b`` is re-read, so tail steals keep it valid); anything else — a new
+head, merged or decoded work, a master editing intervals — fails that
+check and takes the rebuild. The cursor is a cache of what the position
+already says, so it never travels.
 
 Child enumeration runs in one of two modes:
 
@@ -60,14 +67,13 @@ class ExploreResult:
 class _Frame:
     """One DFS stack level: the node whose children are being enumerated."""
 
-    __slots__ = ("entry_job", "front", "remaining", "rank", "frame_data",
-                 "key", "lbs", "fronts")
+    __slots__ = ("front", "remaining", "rank", "frame_data", "key", "lbs",
+                 "fronts")
 
-    def __init__(self, entry_job, front, remaining, rank, frame_data, key=0):
-        self.entry_job = entry_job    # job scheduled to create this node
+    def __init__(self, front, remaining, frame_data, key=0):
         self.front = front            # machine completion times of the prefix
         self.remaining = remaining    # unscheduled jobs, ascending
-        self.rank = rank              # next child index to enumerate
+        self.rank = 0                 # next child index to enumerate
         self.frame_data = frame_data  # bound's per-frame data (scalar mode)
         self.key = key                # bitmask of remaining (batch mode)
         self.lbs = None               # batched child bounds (lazy, batch mode)
@@ -88,6 +94,8 @@ class BnBEngine:
         self.m = instance.n_machines
         self.fact = factorials(self.n)
         self._p = [list(row) for row in instance.p]
+        self.rebuilds = 0   # head intervals cold-started from their digits
+        self.resumes = 0    # head intervals continued from a paused cursor
 
     # -- public API ----------------------------------------------------------
 
@@ -103,15 +111,13 @@ class BnBEngine:
             if head is None:
                 break
             nodes, pos, imp = self._explore_interval(
-                head[0], head[1], shared, max_nodes - total)
+                work, head, shared, max_nodes - total)
             total += nodes
             improved = improved or imp
             if pos >= head[1]:
                 work.pop_head()
             else:
                 head[0] = pos
-            if nodes == 0 and pos < head[1]:  # budget exhausted mid-rebuild
-                break
         return ExploreResult(nodes=total, improved=improved,
                              exhausted=work.head() is None)
 
@@ -212,62 +218,30 @@ class BnBEngine:
 
     # -- the DFS ------------------------------------------------------------------
 
-    def _explore_interval(self, a: int, b: int, shared: BoundState,
+    def _explore_interval(self, work: BnBWork, head: list[int],
+                          shared: BoundState,
                           budget: int) -> tuple[int, int, bool]:
-        """DFS over leaves [a, b); returns (nodes, new position, improved)."""
-        n, m = self.n, self.m
+        """DFS over the head's leaves [a, b); returns (nodes, new position,
+        improved). Continues from ``work.cursor`` when that is the state
+        this head was paused in, else rebuilds the stack from ``a``."""
+        m = self.m
         p = self._p
         fact = self.fact
         bound = self.bound
         batch = self.batch
-        unscheduled = [True] * n
-        rem_sum = [sum(row) for row in p]
-        bound.set_mask(unscheduled)
-
-        # -- rebuild the DFS stack from the factoradic digits of `a` --
-        #
-        # Let D be the deepest level whose digit is non-zero. For every level
-        # d < D the digit-child is *partially explored* (the leaf `a` lies
-        # strictly inside its block): push its frame with rank digit+1 — the
-        # deeper frames embody the in-progress child. At level D itself (and
-        # below) `a` coincides with block starts: those children are entirely
-        # fresh and must be enumerated (and bounded!) by the normal DFS, so
-        # the rebuild stops there with rank = digit. Path nodes are rebuilt
-        # without bound evaluations and without counting: they were counted
-        # when first entered, wherever that happened. (In batch mode even
-        # the frame() precomputation is deferred to first enumeration.)
-        digits = position_to_digits(a, n)
-        deepest = -1
-        for d in range(n):
-            if digits[d]:
-                deepest = d
-        remaining = list(range(n))
-        front = [0] * m
-        key = (1 << n) - 1
-        frames: list[_Frame] = []
-        path_jobs: list[int] = []
-        for d in range(max(0, deepest) + 1):
-            fresh = d == deepest or deepest < 0
-            fr = _Frame(
-                entry_job=path_jobs[-1] if path_jobs else -1,
-                front=front,
-                remaining=remaining,
-                rank=digits[d] if fresh else digits[d] + 1,
-                frame_data=None if batch else bound.frame(remaining),
-                key=key,
-            )
-            frames.append(fr)
-            if fresh:
-                break
-            job = remaining[digits[d]]
-            path_jobs.append(job)
-            unscheduled[job] = False
-            key &= ~(1 << job)
-            if not batch:
-                for i in range(m):
-                    rem_sum[i] -= p[i][job]
-            front = self.instance.advance(front, job)
-            remaining = remaining[:digits[d]] + remaining[digits[d] + 1:]
+        a, b = head
+        cur = work.cursor
+        if cur is not None and cur[0] is head and cur[1] == a:
+            # same interval object, untouched left edge: the paused stack is
+            # exactly the DFS state at `a` (b is re-read: tail steals only
+            # shrink it). Child bounds cached in the frames do not depend on
+            # the incumbent, so they survive any ub change in between.
+            _, _, frames, path_jobs, unscheduled, rem_sum = cur
+            bound.set_mask(unscheduled)  # one bound serves every worker
+            self.resumes += 1
+        else:
+            frames, path_jobs, unscheduled, rem_sum = self._rebuild(a)
+            self.rebuilds += 1
 
         pos = a
         nodes = 0
@@ -285,7 +259,8 @@ class BnBEngine:
             fr = frames[-1]
             rem = fr.remaining
             k = len(rem)
-            if fr.rank >= k:
+            rank = fr.rank
+            if rank >= k:
                 # node exhausted: restore the job that created it
                 frames.pop()
                 if path_jobs:
@@ -295,47 +270,42 @@ class BnBEngine:
                         for i in range(m):
                             rem_sum[i] += p[i][j]
                 continue
-            j = rem[fr.rank]
-            fr.rank += 1
-            nodes += 1
-            if k == 1:
-                # complete permutation
-                cfront = fr.front
-                prev = 0
-                for i in range(m):
-                    fi = cfront[i]
-                    if prev < fi:
-                        prev = fi
-                    prev += p[i][j]
-                pos += 1
-                pause_ok = True
-                if prev < ub:
-                    ub = int(prev)
-                    shared.update(ub, tuple(path_jobs) + (j,))
-                    improved = True
-                continue
-            if batch:
-                if fr.lbs is None:
+            if batch and k > 1:
+                lbs = fr.lbs
+                if lbs is None:
                     # first enumeration of this frame: bound all children in
                     # one subset-cached kernel call
-                    lbs, fronts = bound.children_cached(fr.key, fr.front, rem)
-                    fr.lbs = lbs.tolist()
-                    fr.fronts = fronts
-                idx = fr.rank - 1
-                if fr.lbs[idx] < ub:
+                    lbs, fr.fronts = bound.children_cached(fr.key, fr.front,
+                                                           rem)
+                    lbs = fr.lbs = lbs.tolist()
+                if lbs[rank] < ub:
+                    j = rem[rank]
+                    fr.rank = rank + 1
+                    nodes += 1
                     unscheduled[j] = False
                     path_jobs.append(j)
-                    frames.append(_Frame(entry_job=j, front=fr.fronts[idx],
-                                         remaining=rem[:idx] + rem[fr.rank:],
-                                         rank=0, frame_data=None,
-                                         key=fr.key & ~(1 << j)))
+                    frames.append(_Frame(fr.fronts[rank],
+                                         rem[:rank] + rem[rank + 1:],
+                                         None, fr.key & ~(1 << j)))
                     pause_ok = False
-                else:
-                    # prune: skip the child's whole leaf block
-                    pos += fact[k - 1]
-                    pause_ok = True
+                    continue
+                # a run of pruned siblings, each skipping its whole leaf
+                # block; every prune is a pause point (budget, pos < b)
+                block = fact[k - 1]
+                while True:
+                    rank += 1
+                    nodes += 1
+                    pos += block
+                    if (rank >= k or lbs[rank] < ub or nodes >= budget
+                            or pos >= b):
+                        break
+                fr.rank = rank
+                pause_ok = True
                 continue
-            # scalar reference path: child front + one bound call
+            j = rem[rank]
+            fr.rank = rank + 1
+            nodes += 1
+            # child front (scalar): the leaf's makespan, or the bound's input
             cfront = fr.front
             nf = [0] * m
             prev = 0
@@ -345,16 +315,24 @@ class BnBEngine:
                     prev = fi
                 prev += p[i][j]
                 nf[i] = prev
+            if k == 1:
+                # complete permutation
+                pos += 1
+                pause_ok = True
+                if prev < ub:
+                    ub = int(prev)
+                    shared.update(ub, tuple(path_jobs) + (j,))
+                    improved = True
+                continue
+            # scalar reference path: one bound call
             unscheduled[j] = False
             for i in range(m):
                 rem_sum[i] -= p[i][j]
             lb = bound.child(nf, j, fr.frame_data, rem_sum)
             if lb < ub:
-                child_rem = rem[:fr.rank - 1] + rem[fr.rank:]
+                child_rem = rem[:rank] + rem[rank + 1:]
                 path_jobs.append(j)
-                frames.append(_Frame(entry_job=j, front=nf,
-                                     remaining=child_rem, rank=0,
-                                     frame_data=bound.frame(child_rem)))
+                frames.append(_Frame(nf, child_rem, bound.frame(child_rem)))
                 pause_ok = False
             else:
                 # prune: skip the child's whole leaf block
@@ -365,7 +343,59 @@ class BnBEngine:
                     rem_sum[i] += p[i][j]
         if not frames:
             pos = b  # finished everything we were given
+        # paused mid-interval: park the stack for the next call
+        work.cursor = ((head, pos, frames, path_jobs, unscheduled, rem_sum)
+                       if pos < b else None)
         return nodes, pos, improved
+
+    def _rebuild(self, a: int) -> tuple[list[_Frame], list[int], list[bool],
+                                        list[int]]:
+        """Cold start: the DFS stack from the factoradic digits of ``a``.
+
+        Let D be the deepest level whose digit is non-zero. For every level
+        d < D the digit-child is *partially explored* (the leaf `a` lies
+        strictly inside its block): push its frame with rank digit+1 — the
+        deeper frames embody the in-progress child. At level D itself (and
+        below) `a` coincides with block starts: those children are entirely
+        fresh and must be enumerated (and bounded!) by the normal DFS, so
+        the rebuild stops there with rank = digit. Path nodes are rebuilt
+        without bound evaluations and without counting: they were counted
+        when first entered, wherever that happened. (In batch mode even
+        the frame() precomputation is deferred to first enumeration.)
+        """
+        n, p = self.n, self._p
+        bound = self.bound
+        batch = self.batch
+        unscheduled = [True] * n
+        rem_sum = [sum(row) for row in p]
+        bound.set_mask(unscheduled)
+        digits = position_to_digits(a, n)
+        deepest = -1
+        for d in range(n):
+            if digits[d]:
+                deepest = d
+        remaining = list(range(n))
+        front = [0] * self.m
+        key = (1 << n) - 1
+        frames: list[_Frame] = []
+        path_jobs: list[int] = []
+        for d in range(max(0, deepest) + 1):
+            fresh = d == deepest or deepest < 0
+            fr = _Frame(front, remaining,
+                        None if batch else bound.frame(remaining), key)
+            fr.rank = digits[d] if fresh else digits[d] + 1
+            frames.append(fr)
+            if fresh:
+                break
+            job = remaining[digits[d]]
+            path_jobs.append(job)
+            unscheduled[job] = False
+            key &= ~(1 << job)
+            for i in range(self.m):
+                rem_sum[i] -= p[i][job]
+            front = self.instance.advance(front, job)
+            remaining = remaining[:digits[d]] + remaining[digits[d] + 1:]
+        return frames, path_jobs, unscheduled, rem_sum
 
 
 def solve_bruteforce(instance: FlowshopInstance) -> tuple[int, tuple[int, ...]]:

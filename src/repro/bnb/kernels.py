@@ -121,7 +121,9 @@ def fronts_matrix(front, cc0, cc1):
     fronts are non-negative), i.e. one ``maximum.accumulate`` instead of a
     per-child machine loop.
     """
-    g = np.asarray(front, dtype=np.int64)[:, None] - cc1
+    if type(front) is not np.ndarray:   # the engine passes int64 rows back
+        front = np.asarray(front, dtype=np.int64)
+    g = front[:, None] - cc1
     np.maximum.accumulate(g, axis=0, out=g)
     g += cc0
     return g
@@ -216,7 +218,7 @@ class PairKernel:
         seeds = g[self._uv]                 # (2, npairs, k): front at u / v
         cand = seeds[0] + A2
         np.maximum(cand, seeds[1] + B2, out=cand)
-        return cand.max(axis=0)
+        return np.maximum.reduce(cand, axis=0)
 
 
 __all__ = ["instance_arrays", "subset_geometry", "fronts_matrix",

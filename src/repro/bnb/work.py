@@ -50,7 +50,7 @@ def _aligned_cut(a: int, b: int, give: int, n_jobs: int) -> int:
 class BnBWork(WorkItem):
     """Splittable set of disjoint, ordered intervals of [0, n_jobs!)."""
 
-    __slots__ = ("n_jobs", "intervals")
+    __slots__ = ("n_jobs", "intervals", "cursor")
 
     def __init__(self, n_jobs: int,
                  intervals: Iterable[tuple[int, int]] = ()) -> None:
@@ -58,6 +58,10 @@ class BnBWork(WorkItem):
             raise SimConfigError("n_jobs must be >= 1")
         self.n_jobs = n_jobs
         self.intervals: deque[list[int]] = deque()
+        # The engine's paused DFS state for the head interval, or None: a
+        # cache the engine validates against the head on every call, so
+        # nothing here has to invalidate it.
+        self.cursor: Optional[tuple] = None
         limit = tree_leaves(n_jobs)
         last_end = -1
         for a, b in intervals:
@@ -132,6 +136,13 @@ class BnBWork(WorkItem):
     def pop_head(self) -> None:
         """Drop the (exhausted) head interval."""
         self.intervals.popleft()
+
+    def __getstate__(self) -> tuple:
+        return self.n_jobs, self.intervals  # the cursor never travels
+
+    def __setstate__(self, state: tuple) -> None:
+        self.n_jobs, self.intervals = state
+        self.cursor = None
 
     def as_tuples(self) -> list[tuple[int, int]]:
         """Immutable snapshot of the interval set (tests/reports)."""
