@@ -60,14 +60,7 @@ TOLERANCES = {
     # real scheduler — wall-clock noise dwarfs any code regression short
     # of a protocol stall, so the bands are deliberately generous
     "live_uts_units_per_s_n2": 0.5,
-    "live_uts_units_per_s_n4": 0.5,
-    # p2p data-plane cells: direct worker<->worker steal traffic.  The
-    # within-recording plateau assertion (p2p n=16 > star n=4) lives in
-    # record.py; these bands only catch throughput collapses
-    "live_p2p_steals_per_s_n4": 0.5,
-    "live_p2p_steals_per_s_n16": 0.5,
-    "live_p2p_units_per_s_n4": 0.5,
-    "live_p2p_units_per_s_n16": 0.5,
+    "live_steals_per_s_n2": 0.5,
     "sim_uts_units_per_wall_s_n4": 0.4,
     # fleet-scale engine rates (BENCH_scale.json baseline): whole-run
     # wall clocks of 2000-process simulations — long single runs, not

@@ -17,17 +17,17 @@ Fault injection is real: ``--kill PID@0.5s`` SIGKILLs a worker half a
 second after start, ``--kill PID@500u`` once its write-ahead spool shows
 500 processed units (deterministic enough for CI), and
 ``--partition 2,3@0.2-1.2s`` cuts workers 2 and 3 off from the rest of
-the fleet for a wall-clock window (the supervisor's router drops every
-``msg`` frame crossing the cut) before healing.  With
+the fleet for a wall-clock window (each worker's mesh drops every ``msg``
+frame it would send across the cut) before healing.  With
 ``--expect-conserved`` the exit status asserts the exact work-conservation
 identity over survivors + spools; with ``--compare-sim`` the run is
 cross-checked against the discrete-event simulator (equal UTS node
 counts, equal B&B optima).
 
-``--p2p`` switches the data plane to direct worker<->worker connections
-(the supervisor becomes control plane only), which unlocks elastic
-membership: ``--join 4@1.5s`` spawns worker 4 a second and a half into
-the run (the supervisor assigns its overlay position and announces it),
+Protocol frames flow over direct worker<->worker connections (the
+supervisor is control plane only), and membership is elastic:
+``--join 4@1.5s`` spawns worker 4 a second and a half into the run (the
+supervisor assigns its overlay position and announces it),
 ``--leave 2@1.5s`` orders worker 2 to drain its pool to its parent and
 depart gracefully.  Both compose with ``--kill`` and ``--partition``.
 """
@@ -70,8 +70,8 @@ def parse_partition(text: str) -> dict:
     """``PIDS@<start>-<end>s``: isolate PIDS for that wall-clock window.
 
     ``2,3@0.2-1.2s`` cuts workers 2 and 3 off from the rest of the fleet
-    between 0.2 s and 1.2 s after ``go`` (the supervisor's router drops
-    every ``msg`` frame crossing the cut), then heals.
+    between 0.2 s and 1.2 s after ``go`` (senders drop every ``msg``
+    frame crossing the cut), then heals.
     """
     m = _PART_RE.match(text)
     if not m:
@@ -130,22 +130,17 @@ def add_live_arguments(parser: argparse.ArgumentParser) -> None:
                         help="cut a set of workers off for a wall-clock "
                              "window, then heal: 2,3@0.2-1.2s; implies "
                              "--fault-tolerance")
-    parser.add_argument("--p2p", action="store_true",
-                        help="peer-to-peer data plane: protocol frames "
-                             "flow worker<->worker; the supervisor is "
-                             "control plane only")
     parser.add_argument("--peer-port-base", type=int, default=0,
-                        help="p2p tcp: worker PID listens on base+PID "
-                             "(0 = ephemeral ports)")
+                        help="tcp data plane: worker PID listens on "
+                             "base+PID (0 = ephemeral ports)")
     parser.add_argument("--join", action="append", type=parse_member,
                         default=[], metavar="PID@Ns",
                         help="spawn a new worker mid-run (pids count up "
-                             "from n): 4@1.5s; implies --p2p and "
-                             "--fault-tolerance")
+                             "from n): 4@1.5s; implies --fault-tolerance")
     parser.add_argument("--leave", action="append", type=parse_member,
                         default=[], metavar="PID@Ns",
                         help="order a worker to drain its pool and depart "
-                             "gracefully: 2@1.5s; implies --p2p and "
+                             "gracefully: 2@1.5s; implies "
                              "--fault-tolerance")
     parser.add_argument("--expect-conserved", action="store_true",
                         help="fail unless the work-conservation identity "
@@ -215,7 +210,6 @@ def live_main(argv: Optional[list] = None) -> int:
         fault_tolerance=(args.fault_tolerance or bool(args.kill)
                          or bool(args.partition) or bool(args.join)
                          or bool(args.leave)),
-        p2p=(args.p2p or bool(args.join) or bool(args.leave)),
         peer_port_base=args.peer_port_base,
         joins=tuple(sorted(args.join, key=lambda j: j["pid"])),
         leaves=tuple(args.leave),
@@ -244,7 +238,6 @@ def live_main(argv: Optional[list] = None) -> int:
                                       "killed": list(live.killed),
                                       "joined": list(live.joined),
                                       "left": list(live.left),
-                                      "p2p": cfg.p2p,
                                       "conserved_units": live.conserved,
                                       "wall_s": live.wall_s},
                           links=live.links)

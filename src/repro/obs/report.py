@@ -116,8 +116,8 @@ class RunReport:
     utilization: list[dict] = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
     breakers: list[dict] = field(default_factory=list)
-    #: live runs: per-link frame/byte traffic — relay-counted (star) or
-    #: mesh-counted (p2p); empty for simulated runs
+    #: live runs: per-link frame/byte traffic, counted by each worker's
+    #: mesh; empty for simulated runs
     links: list[dict] = field(default_factory=list)
 
     # -- structured form -----------------------------------------------------
@@ -208,8 +208,7 @@ class RunReport:
                 [[e["src"], e["dst"], e["frames"], e["bytes"] / 1e3]
                  for e in self.links],
                 title=f"per-link traffic "
-                      f"({'top links' if self.meta.get('links_elided') else 'all links'}, "
-                      f"{'mesh-counted' if self.meta.get('p2p') else 'relay-counted'})",
+                      f"({'top links' if self.meta.get('links_elided') else 'all links'})",
                 digits=2))
         if self.utilization:
             parts.append("")
@@ -242,8 +241,7 @@ def build_report(cfg: RunConfig, result: ExperimentResult, stats: RunStats,
     """Assemble a :class:`RunReport` from one finished run's artefacts.
 
     ``links`` is a live run's per-link traffic: ``(src, dst) ->
-    (frames, payload_bytes)``, counted by the star router while relaying
-    or by each worker's mesh in p2p mode.
+    (frames, payload_bytes)``, counted by each worker's mesh.
     """
     makespan = stats.makespan
     total_units = stats.total_work_units

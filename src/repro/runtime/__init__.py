@@ -14,16 +14,16 @@ connected by length-prefixed sockets:
   faults); protocol code cannot tell the two apart;
 * :mod:`~repro.runtime.spool` — the write-ahead state spool a worker keeps
   in fault mode, and the exact work-conservation accounting over it;
-* :mod:`~repro.runtime.mesh` — the p2p data plane: direct
-  worker<->worker framed connections;
+* :mod:`~repro.runtime.mesh` — the data plane: direct worker<->worker
+  framed connections, the only way a protocol frame travels;
 * :mod:`~repro.runtime.worker` — the worker process: one
   :class:`~repro.runtime.worker.Reactor` (selector, epoch filter, job
   loop, commit-before-flush) behind ``python -m repro.runtime.worker``
   and, for serve lanes, ``python -m repro.serve.jobhost``;
 * :mod:`~repro.runtime.fleet` — the owner side: one
   :class:`~repro.runtime.fleet.Fleet` (listener, ``hello``
-  identification, star relay, reaping) and the one ``assemble()`` that
-  turns worker reports into the
+  identification, control connections, reaping) and the one
+  ``assemble()`` that turns worker reports into the
   :class:`~repro.experiments.runner.ExperimentResult`/:class:`~repro.sim.stats.RunStats`
   pair a simulated run yields;
 * :mod:`~repro.runtime.supervisor` — the one-shot run on top of a fleet:

@@ -7,14 +7,12 @@ Protocol code (``core/worker.py``, ``core/oclb.py``, ``core/termination.py``,
 ``stats``, ``metrics``, ``debug``, ``seed``, and the fault trio
 (``faults`` / ``is_crashed`` / ``peer_logged``).  This module implements
 that exact surface over a monotonic wall clock, a timer heap and the
-process's data plane — the owner connection in star mode, the peer mesh
-in p2p mode — so a :class:`~repro.core.oclb.OverlayWorker` built by
-:func:`repro.experiments.runner.worker_factory` runs on a real process
+process's peer mesh, so a :class:`~repro.core.oclb.OverlayWorker` built
+by :func:`repro.experiments.runner.worker_factory` runs on a real process
 unchanged:
 
-* a simulated send becomes a queued frame: toward the owner's relay
-  (which forwards it by destination pid) or, with a mesh, straight onto
-  the destination worker's connection; the reactor flushes it;
+* a simulated send becomes a frame queued straight onto the destination
+  worker's connection (:mod:`repro.runtime.mesh`); the reactor flushes it;
 * a simulated timer becomes a heap entry the worker's selector loop fires
   when its wall deadline passes;
 * ``handler_cost`` is 0 — handling takes whatever it really takes;
@@ -37,8 +35,8 @@ from ..sim.errors import SimRuntimeError
 from ..sim.messages import Message
 from ..sim.stats import RunStats
 from .codec import message_to_frame
+from .mesh import PeerMesh
 from .spool import read_spool, spool_path
-from .transport import FramedConnection
 
 #: Timers fired per reactor iteration before the loop re-checks the
 #: socket. Compute chains (quantum -> occupy(0) -> next quantum) are
@@ -140,15 +138,13 @@ class LiveEnv:
 
     live = True
 
-    def __init__(self, pid: int, n: int, conn: FramedConnection, *,
-                 mesh=None, seed: int = 0, fault_mode: bool = False,
+    def __init__(self, pid: int, n: int, mesh: PeerMesh, *,
+                 seed: int = 0, fault_mode: bool = False,
                  run_dir: Optional[str] = None, metrics=None,
                  debug: bool = False) -> None:
         self.pid = pid
         self.n = n                      # pid slots (base fleet + max joins)
-        self.conn = conn
-        #: p2p data plane (repro.runtime.mesh.PeerMesh); None = star mode
-        self.mesh = mesh
+        self.mesh = mesh                # the data plane
         self.seed = seed
         self.debug = debug
         self.metrics = metrics
@@ -195,20 +191,16 @@ class LiveEnv:
         st.bytes_sent += msg.size_bytes
         msg.send_time = self.now
         if msg.dst == self.pid:
-            # self-sends loop locally through the timer queue (the router
-            # would only echo the frame back)
+            # self-sends loop locally through the timer queue
             self.queue.push(self.now, self.proc._arrive, arg=msg)
             return
         frame = message_to_frame(msg)
         if self.frame_tag is not None:
             frame["j"] = self.frame_tag
-        if self.mesh is not None:
-            self.mesh.send(frame)
-        else:
-            self.conn.send_frame(frame)
+        self.mesh.send(frame)
 
     def deliver(self, msg: Message) -> None:
-        """A routed frame arrived for our process."""
+        """A peer's frame arrived for our process."""
         self.proc._arrive(msg)
 
     # -- work accounting -------------------------------------------------------

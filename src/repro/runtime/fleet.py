@@ -1,4 +1,4 @@
-"""The owner side of a live fleet: processes, connections, relay, reports.
+"""The owner side of a live fleet: processes, control connections, reports.
 
 A :class:`Fleet` is what the one-shot supervisor
 (:func:`repro.runtime.supervisor.run_live`) and a serve lane
@@ -11,18 +11,16 @@ one cluster of worker processes.  It owns
   connection yet; anything else (garbage, an out-of-range pid, a second
   ``hello`` for a registered pid) is closed and forgotten, and the first
   registration stands;
-* one **connection per member**, ``broadcast``/``flush``/``drop``;
-* the **star relay** — ``msg`` frames forwarded by destination pid.
-  Relaying preserves arrival order per connection, so the per-(src, dst)
-  FIFO property the tree termination argument relies on holds exactly as
-  it does on the simulator (and on the paper's TCP testbed).  In p2p mode
-  workers exchange protocol frames directly and nothing reaches the relay;
+* one **control connection per member**, ``broadcast``/``flush``/
+  ``drop``.  Protocol traffic never comes this way: workers exchange
+  ``msg`` frames over their own mesh (:mod:`repro.runtime.mesh`), so no
+  node sees all the traffic, and a ``msg`` that does turn up on a control
+  connection is dropped — not forwarded, not handed to the owner;
 * **reaping** — SIGTERM, a grace period, SIGKILL, and always ``wait()``.
 
 What differs between the owners stays with them, as three hooks:
-``on_hello(member)``, ``on_frame(member, frame)`` for every non-``msg``
-frame, ``on_eof(member)``; and ``on_relay(frame) -> bool`` where the
-one-shot run hangs its partition filter and per-link counters.
+``on_hello(member)``, ``on_frame(member, frame)`` for every control
+frame, ``on_eof(member)``.
 
 :func:`assemble` is the other shared half: worker reports in, the
 ``(ExperimentResult, RunStats, MetricsRegistry, links)`` a simulated run
@@ -76,7 +74,7 @@ class Member:
         self.popen = popen
         self.conn: Optional[FramedConnection] = None   # set by its hello
         self.ospid: Optional[int] = None
-        self.peer: Optional[dict] = None     # p2p data-plane endpoint
+        self.peer: Optional[dict] = None     # data-plane endpoint
 
 
 def _ignore(*_args) -> None:
@@ -103,7 +101,6 @@ class Fleet(InterestTable):
         self.on_hello: Callable = _ignore
         self.on_frame: Callable = _ignore
         self.on_eof: Callable = _ignore
-        self.on_relay: Callable = lambda frame: True
 
     def _close(self, conn: FramedConnection) -> None:
         self.forget_sock(conn.sock)
@@ -112,8 +109,8 @@ class Fleet(InterestTable):
     # -- the turn ------------------------------------------------------------
 
     def pump(self, timeout: float) -> None:
-        """One turn: wait, accept, identify, relay, hand the owner its
-        frames, flush.  EVENT_WRITE only wakes the loop for a backlog."""
+        """One turn: wait, accept, identify, hand the owner its frames,
+        flush.  EVENT_WRITE only wakes the loop for a backlog."""
         for m in self.members:
             c = m.conn
             if c is not None and not c.closed:
@@ -180,18 +177,8 @@ class Fleet(InterestTable):
 
     def _dispatch(self, m: Member, frames: list) -> None:
         for frame in frames:
-            if frame.get("t") == "msg":
-                self._relay(frame)
-            else:
+            if frame.get("t") != "msg":   # the data plane is not ours
                 self.on_frame(m, frame)
-
-    def _relay(self, frame: dict) -> None:
-        dst = frame.get("dst")
-        if (type(dst) is int and 0 <= dst < len(self.members)
-                and self.on_relay(frame)):
-            conn = self.members[dst].conn
-            if conn is not None and not conn.closed:
-                conn.send_frame(frame)
 
     # -- outbound ------------------------------------------------------------
 
@@ -231,7 +218,7 @@ class Fleet(InterestTable):
             m.popen.wait()
         for m in self.members:
             self.drop(m)
-            if self._unix_path is not None:   # stale p2p data-plane socket
+            if self._unix_path is not None:   # stale data-plane socket
                 unlink_quietly(os.path.join(self.run_dir,
                                             f"peer_{m.pid}.sock"))
         for conn in self.strays:
@@ -250,9 +237,7 @@ class Fleet(InterestTable):
 
 def assemble(protocol: str, n: int, slots: int, reports: dict, *,
              t_go: float, crashed: Optional[dict] = None,
-             spools: Optional[dict] = None,
-             relay_links: Optional[dict] = None, relay_drops: int = 0,
-             wall_s: float = 0.0):
+             spools: Optional[dict] = None, wall_s: float = 0.0):
     """Worker reports -> ``(ExperimentResult, RunStats, MetricsRegistry,
     links)``, the shape :func:`repro.experiments.runner.run_instrumented`
     returns for a simulated run.
@@ -263,9 +248,8 @@ def assemble(protocol: str, n: int, slots: int, reports: dict, *,
     ``t0`` anchors, ``t_go`` (the owner's start instant, epoch seconds)
     standing in where one is missing.  ``crashed`` maps each dead pid to
     the seconds after go it was killed at (None: it died on its own) and
-    ``spools`` to its last committed spool.  Per-link traffic is what the
-    relay counted plus what the workers' meshes reported — one of the two
-    is empty, by data plane.
+    ``spools`` to its last committed spool.  Per-link traffic and
+    partition drops are what the workers' meshes counted, sender-side.
     """
     spools = spools or {}
     stats = RunStats.create(slots)
@@ -274,8 +258,8 @@ def assemble(protocol: str, n: int, slots: int, reports: dict, *,
     base = min(t0s.values(), default=t_go)
     makespan = work_done = 0.0
     optimum = None
-    links = {k: tuple(v) for k, v in (relay_links or {}).items()}
-    drops = relay_drops
+    links: dict = {}
+    drops = 0
     metrics = MetricsRegistry()
     for pid, rep in reports.items():
         if "stats" not in rep:

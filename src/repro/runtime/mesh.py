@@ -1,30 +1,36 @@
-"""Peer-to-peer data plane: direct worker<->worker framed connections.
+"""The data plane: direct worker<->worker framed connections.
 
-With ``--p2p`` the supervisor stops relaying protocol traffic and becomes
-a pure control plane (spawn, registry, kill plans, collection).  Every
-worker opens its own listener before saying ``hello``; the supervisor's
-``go`` (and later ``join`` announcements) hand each member its peers'
-endpoints, and a :class:`PeerMesh` then owns the data plane:
+The owner of a fleet (one-shot supervisor or serve lane) is control plane
+only — spawn, registry, kill plans, collection — and never sees a
+protocol frame.  Every worker opens its own listener before saying
+``hello``; the owner's start frame (and later ``join`` announcements)
+hands each member its peers' endpoints, and a :class:`PeerMesh` then owns
+the data plane:
 
 * **lazy dialing** — the first frame to a peer opens the connection and
   introduces us with a ``ph`` (peer-hello) frame; both sides may dial
   concurrently, in which case each keeps using the connection *it*
   opened, so the per-direction FIFO property the termination argument
   relies on is preserved (each direction's frames ride one TCP stream in
-  send order, exactly like the star router's per-connection relay).
+  send order, as on the simulator and on the paper's TCP testbed).
 * **membership buffering** — a joining worker may reach a peer before the
   supervisor's ``join`` announcement does (two independent streams).
-  Frames from a pid we do not yet know are buffered and replayed the
-  moment the control plane introduces it, so the grafted overlay exists
-  locally before any of the joiner's protocol traffic is delivered.
-* **partition emulation** — with no router to drop crossing frames, the
-  sender applies the run's partition windows itself: a frame whose
-  destination is on the far side of an active cut dies here (counted in
-  ``part_drops``), the live analogue of the simulator's partitioned
-  network and the star router's cut.
+  Frames from a pid we do not yet know are buffered (at most
+  :data:`MAX_EARLY_FRAMES` of them) and replayed the moment the control
+  plane introduces it, so the grafted overlay exists locally before any
+  of the joiner's protocol traffic is delivered.
+* **an open door** — the listener is a loopback (or run-directory) socket
+  any local process can dial, and what comes through it is unchecked
+  outside input.  A connection whose first frame is not a well-formed
+  ``ph``, that stops being a frame stream, or that sends a ``msg`` under
+  another pid than the one it introduced itself as is closed and
+  forgotten; nothing it said reaches the protocol.
+* **partition emulation** — the sender applies the run's partition
+  windows itself: a frame whose destination is on the far side of an
+  active cut dies here (counted in ``part_drops``), the live analogue of
+  the simulator's partitioned network.
 * **link accounting** — per-destination frame/byte counters feed the
-  report's per-link traffic table (the star supervisor counts the same
-  thing while relaying).
+  report's per-link traffic table.
 
 Everything above the frame level — reliable channel, spools, repair,
 conservation — is unchanged: a lost dial or a closed peer socket is just
@@ -38,7 +44,13 @@ import socket
 import time
 from typing import Callable, Optional
 
+from .codec import WireError
 from .transport import FramedConnection, connect_endpoint, open_listener
+
+#: Protocol frames a worker parks for later: the mesh's, from pids the
+#: control plane has not introduced yet, and the reactor's, for a job that
+#: has not started here yet.
+MAX_EARLY_FRAMES = 10_000
 
 #: Worker-to-worker dials are loopback to an already-listening socket;
 #: anything slower than this means the peer is gone.
@@ -117,16 +129,15 @@ class PeerMesh:
         """``pid`` is gone (death or graceful leave): drain its connection
         one last time and forget it.  Returns every frame it managed to
         deliver — hand those to the protocol *before* announcing the
-        death, the same order the star router guarantees."""
+        death: they physically arrived first."""
         self.members.discard(pid)
         self.endpoints.pop(pid, None)
         out = self.pending_frames.pop(pid, [])
         self.by_pid.pop(pid, None)
         for conn in [c for c in self.conns
                      if self._pid_of.get(id(c)) == pid]:
-            if not conn.closed:
-                out.extend(f for f in conn.receive()
-                           if f.get("t") == "msg" and f.get("src") == pid)
+            out.extend(f for f in self._read(conn)
+                       if f.get("t") == "msg" and f.get("src") == pid)
             self.forget(conn)
         return out
 
@@ -196,23 +207,41 @@ class PeerMesh:
             if self.on_conn is not None:
                 self.on_conn(conn)
 
+    def _read(self, conn: FramedConnection) -> list[dict]:
+        """Everything ``conn`` has sent; a stream that stops decoding is
+        closed, and what came with the bad bytes is not trusted either."""
+        try:
+            return conn.receive()
+        except WireError:
+            self.forget(conn)
+            return []
+
     def service(self, conn: FramedConnection) -> list[dict]:
         """Drain one connection; returns the frames ready for delivery.
 
-        ``ph`` frames identify the dialler; ``msg`` frames from a pid the
-        control plane has not introduced yet are buffered (see module
-        docstring) instead of delivered."""
+        A connection says who it is once, first, with a ``ph``, and then
+        sends ``msg`` frames under that pid; anything else closes it (see
+        module docstring).  Frames from a pid the control plane has not
+        introduced yet are buffered instead of delivered."""
         out: list[dict] = []
-        for frame in conn.receive():
+        who = self._pid_of.get(id(conn))
+        for frame in self._read(conn):
             t = frame.get("t")
-            if t == "ph":
-                self._identify(conn, frame["pid"])
-            elif t == "msg":
-                src = frame.get("src")
-                if src in self.members:
-                    out.append(frame)
-                else:
-                    self.pending_frames.setdefault(src, []).append(frame)
+            if who is None:
+                who = frame.get("pid")
+                if (t != "ph" or type(who) is not int or who < 0
+                        or who == self.pid):
+                    self.forget(conn)
+                    break
+                self._identify(conn, who)
+            elif t != "msg" or frame.get("src") != who:
+                self.forget(conn)
+                break
+            elif who in self.members:
+                out.append(frame)
+            elif (sum(map(len, self.pending_frames.values()))
+                    < MAX_EARLY_FRAMES):
+                self.pending_frames.setdefault(who, []).append(frame)
         return out
 
     def _identify(self, conn: FramedConnection, src: int) -> None:
@@ -231,9 +260,11 @@ class PeerMesh:
         return [c for c in self.conns if not c.closed]
 
     def forget(self, conn: FramedConnection) -> None:
-        """Close and drop one connection (EOF or peer death)."""
-        if conn in self.conns:
-            self.conns.remove(conn)
+        """Close and drop one connection (EOF, peer death or a stranger
+        shown the door); forgetting it twice is harmless."""
+        if conn not in self.conns:
+            return
+        self.conns.remove(conn)
         pid = self._pid_of.pop(id(conn), None)
         if pid is not None and self.by_pid.get(pid) is conn:
             del self.by_pid[pid]
@@ -274,4 +305,5 @@ class PeerMesh:
             pass
 
 
-__all__ = ["DIAL_TIMEOUT_S", "PeerMesh", "open_peer_listener"]
+__all__ = ["DIAL_TIMEOUT_S", "MAX_EARLY_FRAMES", "PeerMesh",
+           "open_peer_listener"]

@@ -2,24 +2,24 @@
 
 One supervisor process per live run.  Underneath it is a
 :class:`~repro.runtime.fleet.Fleet` — listener, ``hello`` identification,
-one connection per worker, the star relay, reaping — the same coordinator
-a serve lane drives.  What this module adds is what is specific to a
-one-shot run:
+one control connection per worker, reaping — the same coordinator a serve
+lane drives.  The supervisor is control plane only: protocol traffic
+flows over direct worker<->worker connections (:mod:`repro.runtime.mesh`)
+and never through this process.  What this module adds is what is
+specific to a one-shot run:
 
 * **start** — ``go`` is released only after all n workers said ``hello``,
-  so nobody computes before the fleet is routable.  In p2p mode
-  (``p2p=True``: protocol traffic flows over direct worker<->worker
-  connections, :mod:`repro.runtime.mesh`, and the supervisor is control
-  plane only) the membership :class:`Registry` records each worker's
-  data-plane endpoint and ``go`` hands every member its peers' addresses.
+  so nobody computes before the fleet is routable.  The membership
+  :class:`Registry` records each worker's data-plane endpoint and ``go``
+  hands every member its peers' addresses.
 * **fault schedule** — a planned kill delivers a real ``SIGKILL`` to the
   victim's OS process, after a wall delay or once the victim's spool
   shows it has processed a minimum number of units (deterministic enough
-  for CI); planned partitions drop crossing ``msg`` frames at the star
-  relay (p2p workers apply the same windows sender-side); mid-run
-  **joins** (spawn a worker, assign its overlay position, announce it)
-  and graceful **leaves** (order a worker out; it drains its pool to its
-  parent and reports ``left``) keep p2p membership elastic.
+  for CI); planned partitions ride ``go`` as windows each worker's mesh
+  applies sender-side; mid-run **joins** (spawn a worker, assign its
+  overlay position, announce it) and graceful **leaves** (order a worker
+  out; it drains its pool to its parent and reports ``left``) keep
+  membership elastic.
 * **failure detector** — a worker EOF (or child exit) before its ``done``
   report is a death; the supervisor broadcasts ``dead`` announcements and
   the workers' repair machinery splices the overlay around the corpse.
@@ -95,18 +95,18 @@ class LiveConfig:
     run_dir: Optional[str] = None   # artifacts dir (default: a tempdir)
     trace: bool = False             # per-worker NDJSON shards + merged trace
     fault_tolerance: bool = False   # reliable channel + spools + repair
-    #: peer-to-peer data plane: workers exchange protocol frames over
-    #: direct connections; the supervisor is control plane only
-    p2p: bool = False
+    #: accepted for callers that still pass it: the peer mesh is the only
+    #: data plane, so True is the only value
+    p2p: bool = True
     #: preferred data-plane TCP port for pid p is ``peer_port_base + p``
     #: (0 = every worker binds an ephemeral port)
     peer_port_base: int = 0
-    #: planned mid-run joins (p2p only): each ``{"pid": p, "after_s": t}``
+    #: planned mid-run joins: each ``{"pid": p, "after_s": t}``
     #: with consecutive pids n, n+1, ... — the supervisor spawns the
     #: worker t seconds after ``go``, assigns its overlay position and
     #: announces it to the fleet
     joins: tuple = ()
-    #: planned graceful leaves (p2p only): each ``{"pid": p, "after_s": t}``
+    #: planned graceful leaves: each ``{"pid": p, "after_s": t}``
     #: — the worker drains its pool to its parent and departs
     leaves: tuple = ()
     #: planned SIGKILLs: each ``{"pid": p, "after_s": t}`` or
@@ -115,10 +115,10 @@ class LiveConfig:
     kills: tuple = ()
     #: planned network partitions: each ``{"side": [pids], "start_s": t0,
     #: "end_s": t1}`` (wall seconds after ``go``).  While a window is
-    #: active every ``msg`` frame crossing the cut is dropped — by the
-    #: star router, or sender-side by each worker's mesh — iptables-free
-    #: splits at the transport layer.  Control frames (``go``/``dead``/
-    #: ``shutdown``/membership news) always flow: the supervisor itself is
+    #: active every ``msg`` frame crossing the cut is dropped, sender-side,
+    #: by each worker's mesh — iptables-free splits at the transport layer.
+    #: Control frames (``go``/``dead``/``shutdown``/membership news)
+    #: always flow: the supervisor itself is
     #: never partitioned from its workers, only workers from each other,
     #: so death announcements and spool recovery keep the ``kill -9``
     #: guarantee across splits.
@@ -144,6 +144,10 @@ class LiveConfig:
             raise SimConfigError("n must be >= 1")
         if self.transport not in ("tcp", "unix"):
             raise SimConfigError(f"unknown transport {self.transport!r}")
+        if not self.p2p:
+            raise SimConfigError(
+                "p2p=False: the star relay was removed, the peer mesh is "
+                "the only data plane")
         for k in self.kills:
             pid = k.get("pid")
             if not isinstance(pid, int) or not (0 < pid < self.n):
@@ -156,9 +160,6 @@ class LiveConfig:
             raise SimConfigError(
                 "planned kills require fault_tolerance=True")
         if self.joins or self.leaves:
-            if not self.p2p:
-                raise SimConfigError(
-                    "elastic membership (joins/leaves) requires p2p=True")
             if not self.fault_tolerance:
                 raise SimConfigError(
                     "elastic membership requires fault_tolerance=True "
@@ -225,7 +226,7 @@ class LiveConfig:
 
 
 class Registry:
-    """P2p membership ledger: who exists, where, and under whom.
+    """Membership ledger: who exists, where, and under whom.
 
     The supervisor is the single writer; workers only ever see snapshots
     (the ``go`` frame) and incremental announcements (``join``/``dead``/
@@ -251,7 +252,7 @@ class Registry:
             raise LiveRuntimeError(f"duplicate hello from pid {pid}")
         if endpoint is None:
             raise LiveRuntimeError(
-                f"p2p worker {pid} sent no data-plane endpoint")
+                f"worker {pid} sent no data-plane endpoint")
         self.endpoints[pid] = endpoint
 
     def assign_parent(self, pid: int) -> int:
@@ -304,8 +305,8 @@ class LiveResult:
     wall_s: float                   # supervisor wall time, spawn to reap
     joined: tuple[int, ...] = ()    # pids that joined mid-run
     left: tuple[int, ...] = ()      # pids that left gracefully
-    #: per-link traffic: (src, dst) -> (frames, stated payload bytes) —
-    #: relay counts in star mode, worker-reported mesh counts in p2p
+    #: per-link traffic: (src, dst) -> (frames, stated payload bytes),
+    #: as each worker's mesh counted it
     links: dict = field(default_factory=dict)
 
 
@@ -345,16 +346,11 @@ def _worker_doc(cfg: LiveConfig, pid: int, endpoint: dict, run_dir: str,
         "pid": pid, "endpoint": endpoint, "run": run, "app": cfg.app,
         "fault_mode": cfg.fault_tolerance, "run_dir": run_dir,
         "trace": cfg.trace, "timeout_s": cfg.timeout_s,
+        "slots": cfg.slots, "transport": cfg.transport, "host": cfg.host,
+        "peer_port": cfg.peer_port_base + pid if cfg.peer_port_base else 0,
     }
-    if cfg.p2p:
-        doc["p2p"] = True
-        doc["slots"] = cfg.slots
-        doc["transport"] = cfg.transport
-        doc["host"] = cfg.host
-        doc["peer_port"] = (cfg.peer_port_base + pid
-                            if cfg.peer_port_base else 0)
-        if join_parent is not None:
-            doc["join"] = {"parent": join_parent}
+    if join_parent is not None:
+        doc["join"] = {"parent": join_parent}
     return doc
 
 
@@ -426,7 +422,6 @@ class _LiveRun:
         self.fleet.on_hello = self.on_hello
         self.fleet.on_frame = self.on_frame
         self.fleet.on_eof = self.gone
-        self.fleet.on_relay = self.on_relay
         self.registry = Registry(cfg)
         self.interrupted: list[int] = []   # signals received
         self.reports: dict[int, dict] = {}
@@ -438,12 +433,6 @@ class _LiveRun:
         # announced graft sequence is totally ordered
         self.join_queue = sorted(cfg.joins, key=lambda j: j["after_s"])
         self.join_pending: Optional[int] = None   # spawned, no hello yet
-        # per-link relay accounting (star mode; p2p workers report theirs)
-        self.star_links: dict[tuple[int, int], list] = {}
-        self.part_windows = tuple(
-            (frozenset(p["side"]), p["start_s"], p["end_s"])
-            for p in cfg.partitions)
-        self.part_dropped = 0
 
     def elapsed(self) -> float:
         """Wall seconds since ``go``."""
@@ -451,29 +440,12 @@ class _LiveRun:
 
     # -- fleet hooks ---------------------------------------------------------
 
-    def on_relay(self, frame: dict) -> bool:
-        """Star relay filter: a frame crossing an active partition cut
-        dies at the router; every other one is counted on its link."""
-        src, dst = frame.get("src"), frame["dst"]
-        if self.part_windows and self.t_go is not None:
-            t = self.elapsed()
-            for side, t0, t1 in self.part_windows:
-                if t0 <= t < t1 and (src in side) != (dst in side):
-                    self.part_dropped += 1
-                    return False
-        link = self.star_links.setdefault((src, dst), [0, 0])
-        link[0] += 1
-        link[1] += frame.get("b", 0)
-        return True
-
     def go_frame(self, elapsed: float = 0.0) -> dict:
         """The start frame: membership snapshot + shifted fault schedule.
 
         A mid-run joiner's partition windows are expressed relative to
         *its* go instant, so the fleet-wide wall windows line up."""
         cfg, registry = self.cfg, self.registry
-        if not cfg.p2p:
-            return {"t": "go"}
         return {
             "t": "go",
             "peers": {str(p): ep for p, ep in registry.peers().items()},
@@ -486,8 +458,7 @@ class _LiveRun:
         }
 
     def on_hello(self, w: _Worker) -> None:
-        if self.cfg.p2p:
-            self.registry.register(w.pid, w.peer)
+        self.registry.register(w.pid, w.peer)
         if not w.joiner:
             self.hellos += 1
             return
@@ -653,8 +624,7 @@ class _LiveRun:
         result, stats, metrics, links = assemble(
             cfg.protocol, cfg.n, cfg.slots, reports, t_go=t_go_epoch,
             crashed={w.pid: w.killed_at for w in workers if w.dead},
-            spools=spools, relay_links=self.star_links,
-            relay_drops=self.part_dropped, wall_s=wall_s)
+            spools=spools, wall_s=wall_s)
         conserved = None
         if cfg.fault_tolerance:
             from .worker import build_app

@@ -3,8 +3,8 @@
 One OS process = one protocol worker, driven by one :class:`Reactor`.
 The owner (the one-shot supervisor or a serve lane) passes the process
 configuration as a single JSON argument; ``main`` dials the owner and
-hands the connected socket to the reactor, which says ``hello`` and waits
-for its start frame:
+hands the connected socket to the reactor, which opens its data-plane
+listener, says ``hello`` (advertising it) and waits for its start frame:
 
 * ``go`` (one-shot run): the configuration *is* the job.  The reactor
   runs it with the fault / trace / join / leave paths the configuration
@@ -22,8 +22,9 @@ Either way a job is the same loop (:meth:`Reactor.run_job`), one turn of
 which is:
 
 1. wait on the sockets until the next timer deadline (or an idle tick);
-2. absorb inbound frames - protocol messages into ``proc._arrive``
-   through the epoch filter, everything else onto the control queue;
+2. absorb inbound frames - protocol messages off the mesh into
+   ``proc._arrive`` through the epoch filter, the owner's frames onto the
+   control queue;
 3. act on the control queue (``dead``/``left``/``join`` membership news,
    ``leave``, ``abort``, ``job_end``, ``shutdown``);
 4. fire due timers (compute quanta, retransmits, termination waves);
@@ -36,12 +37,9 @@ which is:
    is on the wire without the state that explains it on disk (the commit
    rule, :mod:`repro.runtime.spool`).
 
-Two data planes: **star** (default) - protocol frames ride the owner
-connection and the owner relays them by destination pid; **p2p** - the
-reactor opens its own listener before ``hello``, advertises it, and
-protocol frames flow over direct worker<->worker connections
-(:mod:`repro.runtime.mesh`) that outlive jobs; the owner connection then
-carries control only.
+Protocol frames flow over direct worker<->worker connections
+(:mod:`repro.runtime.mesh`) that outlive jobs; the owner connection
+carries control only, in both directions.
 
 The process ignores SIGINT (the owner coordinates interactive aborts) and
 treats SIGTERM or owner EOF as an orderly exit, so no run leaves orphans.
@@ -67,7 +65,7 @@ from ..obs.export import TraceWriter
 from ..obs.registry import SIZE_EDGES, MetricsRegistry
 from .codec import message_from_frame, stats_to_wire, to_wire
 from .env import LiveEnv
-from .mesh import PeerMesh, open_peer_listener
+from .mesh import MAX_EARLY_FRAMES, PeerMesh, open_peer_listener
 from .spool import build_spool_doc, spool_path, write_spool
 from .transport import FramedConnection, InterestTable, connect_endpoint
 
@@ -78,9 +76,6 @@ IDLE_TICK_S = 0.25
 
 #: Ceiling on flushing a last report into a slow socket before exiting.
 DRAIN_S = 5.0
-
-#: Protocol frames parked for a job that has not started here yet.
-MAX_EARLY_FRAMES = 10_000
 
 #: Live-scale OCLB pacing: wall milliseconds, not the simulator's virtual
 #: defaults — loopback RTTs are tens of microseconds, but real scheduling
@@ -140,8 +135,8 @@ class Exit(Exception):
 
 
 class Reactor(InterestTable):
-    """Selector, owner connection, optional mesh and the job loop of one
-    worker process (see module docstring).
+    """Selector, owner connection, mesh and the job loop of one worker
+    process (see module docstring).
 
     ``conn`` is already connected: only :func:`main` dials, so tests can
     drive reactors in-process over ``socket.socketpair()``.
@@ -168,34 +163,32 @@ class Reactor(InterestTable):
         #: processed, monotonic time); and the job's spool instruments
         self._commit: tuple = (None, 0, 0.0)
         self._spool_metrics: tuple = ()
-        self.mesh: Optional[PeerMesh] = None
-        self.peer_endpoint: Optional[dict] = None
-        if cfg.get("p2p"):
-            # the listener must accept before anyone can learn our address:
-            # it is open ahead of the hello that advertises it
-            listener, self.peer_endpoint = open_peer_listener(
-                cfg.get("transport", "tcp"), cfg.get("host", "127.0.0.1"),
-                int(cfg.get("peer_port", 0)), cfg.get("run_dir"), self.pid)
-            self.mesh = PeerMesh(
-                self.pid, listener,
-                on_conn=lambda c: self.set_interest(c.sock, EVENT_READ, c),
-                on_drop=lambda c: self.forget_sock(c.sock))
-            self.set_interest(listener, EVENT_READ, "accept")
+        # the listener must accept before anyone can learn our address:
+        # it is open ahead of the hello that advertises it
+        listener, self.peer_endpoint = open_peer_listener(
+            cfg.get("transport", "tcp"), cfg.get("host", "127.0.0.1"),
+            int(cfg.get("peer_port", 0)), cfg.get("run_dir"), self.pid)
+        self.mesh = PeerMesh(
+            self.pid, listener,
+            on_conn=lambda c: self.set_interest(c.sock, EVENT_READ, c),
+            on_drop=lambda c: self.forget_sock(c.sock))
+        self.set_interest(listener, EVENT_READ, "accept")
 
     # -- the turn ------------------------------------------------------------
 
     def pump(self, timeout: float) -> None:
-        """Input half of a turn: wait, then drain every socket.  Protocol
-        frames go through :meth:`deliver`, control frames onto
-        :attr:`ctrl`.  EVENT_WRITE only wakes the loop - the bytes leave
-        in :meth:`flush`, after the commit."""
+        """Input half of a turn: wait, then drain every socket.  The
+        mesh's frames go through :meth:`deliver`, the owner's onto
+        :attr:`ctrl` - control frames all; a ``msg`` has no business there
+        and is passed over like any kind nobody handles.  EVENT_WRITE only
+        wakes the loop - the bytes leave in :meth:`flush`, after the
+        commit."""
         conn, mesh = self.conn, self.mesh
         self.set_interest(conn.sock, EVENT_READ
                           | (EVENT_WRITE if conn.wants_write else 0), "ctrl")
-        if mesh is not None:
-            for c in mesh.open_conns():
-                self.set_interest(c.sock, EVENT_READ
-                                  | (EVENT_WRITE if c.wants_write else 0), c)
+        for c in mesh.open_conns():
+            self.set_interest(c.sock, EVENT_READ
+                              | (EVENT_WRITE if c.wants_write else 0), c)
         for key, _mask in self.sel.select(timeout=timeout):
             if key.data == "accept":
                 mesh.accept()
@@ -204,11 +197,7 @@ class Reactor(InterestTable):
                     self.deliver(frame)
                 if key.data.eof:
                     mesh.forget(key.data)
-        for frame in conn.receive():
-            if frame.get("t") == "msg":
-                self.deliver(frame)
-            else:
-                self.ctrl.append(frame)
+        self.ctrl.extend(conn.receive())
         if conn.eof:
             raise Exit(1)   # owner vanished: don't linger
 
@@ -266,9 +255,7 @@ class Reactor(InterestTable):
             else:
                 skipped.inc()
         done = self.conn.flush()
-        if self.mesh is not None:
-            done = self.mesh.flush_all() and done
-        return done
+        return self.mesh.flush_all() and done
 
     def drain(self) -> None:
         """Flush until the buffers are empty (a last report must not die
@@ -282,21 +269,19 @@ class Reactor(InterestTable):
     def run(self) -> int:
         """hello, start frame, job(s); returns the process exit code."""
         try:
-            hello = {"t": "hello", "pid": self.pid, "ospid": os.getpid()}
-            if self.peer_endpoint is not None:
-                hello["peer"] = self.peer_endpoint
-            self.conn.send_frame(hello)
+            self.conn.send_frame({"t": "hello", "pid": self.pid,
+                                  "ospid": os.getpid(),
+                                  "peer": self.peer_endpoint})
             start = self.await_frame(
                 ("go", "init"), float(self.cfg.get("timeout_s", 60.0)))
-            if self.mesh is not None:
-                self.mesh.partitions = tuple(
-                    (frozenset(int(q) for q in side), float(t0), float(t1))
-                    for side, t0, t1 in start.get("partitions", ()))
-                for peer, ep in start.get("peers", {}).items():
-                    if int(peer) != self.pid:
-                        for frame in self.mesh.add_member(int(peer), ep):
-                            self.deliver(frame)
-                self.mesh.arm()
+            self.mesh.partitions = tuple(
+                (frozenset(int(q) for q in side), float(t0), float(t1))
+                for side, t0, t1 in start.get("partitions", ()))
+            for peer, ep in start.get("peers", {}).items():
+                if int(peer) != self.pid:
+                    for frame in self.mesh.add_member(int(peer), ep):
+                        self.deliver(frame)
+            self.mesh.arm()
             if start["t"] == "go":
                 self.run_job(self.cfg, start)   # leaves through Exit
             while True:
@@ -320,8 +305,7 @@ class Reactor(InterestTable):
             return ex.code
         finally:
             self.conn.close()
-            if self.mesh is not None:
-                self.mesh.close()
+            self.mesh.close()
             self.sel.close()
 
     def await_frame(self, kinds: tuple,
@@ -382,14 +366,14 @@ class Reactor(InterestTable):
         grafts = tuple((int(a), int(b)) for a, b in start.get("grafts", ()))
         proc = worker_factory(rcfg, app, grafts=grafts)(pid)
         metrics = MetricsRegistry()
-        env = LiveEnv(pid, int(cfg.get("slots", rcfg.n)), conn, mesh=mesh,
+        env = LiveEnv(pid, int(cfg.get("slots", rcfg.n)), mesh,
                       seed=rcfg.seed, fault_mode=fault_mode, run_dir=run_dir,
                       metrics=metrics, debug=bool(cfg.get("debug")))
         env.frame_tag = epoch
         env.attach(proc)
         t0_epoch = time.time()
         # the mesh outlives jobs: a job's traffic is the counters' growth
-        links0 = mesh.links_wire() if mesh is not None else {}
+        links0 = mesh.links_wire()
 
         def report(kind: str) -> dict:
             rep = {"t": kind, "pid": pid, "t0": t0_epoch,
@@ -397,14 +381,13 @@ class Reactor(InterestTable):
                    "work_done": env.stats.work_done_time,
                    "optimum": (app.shared_value(proc.shared)
                                if proc.shared is not None else None),
-                   "metrics": metrics.snapshot()}
+                   "metrics": metrics.snapshot(),
+                   "links": mesh.links_wire(links0),
+                   "part_drops": mesh.part_drops}
             if epoch is not None:
                 rep.update(job=job.get("id"), epoch=epoch)
             if fault_mode:
                 rep.update(self._receipts())
-            if mesh is not None:
-                rep["links"] = mesh.links_wire(links0)
-                rep["part_drops"] = mesh.part_drops
             return rep
 
         tracer = None
@@ -446,11 +429,9 @@ class Reactor(InterestTable):
                     if t in ("dead", "left"):
                         gone = int(frame["pid"])
                         # first whatever the departed peer flushed before
-                        # going: those frames physically arrived - the
-                        # order the star relay guarantees
-                        if mesh is not None:
-                            for late in mesh.drop_peer(gone):
-                                self.deliver(late)
+                        # going: those frames physically arrived
+                        for late in mesh.drop_peer(gone):
+                            self.deliver(late)
                         (env.mark_left if t == "left"
                          else env.mark_dead)(gone)
                     elif t == "join":
@@ -458,10 +439,9 @@ class Reactor(InterestTable):
                         # graft first, then the joiner's early frames: its
                         # ATTACH must find the overlay already extended
                         proc.peer_joined(jp, int(frame["parent"]))
-                        if mesh is not None:
-                            for late in mesh.add_member(
-                                    jp, frame.get("endpoint")):
-                                self.deliver(late)
+                        for late in mesh.add_member(jp,
+                                                    frame.get("endpoint")):
+                            self.deliver(late)
                     elif t == "leave":
                         proc.begin_leave()
                     elif t == "shutdown":

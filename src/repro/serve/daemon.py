@@ -64,7 +64,6 @@ class ServeConfig:
     seed: int = 0
     dmax: int = 10
     sharing: str = "proportional"
-    p2p: bool = False               # lanes run a p2p data plane
     queue_limit: int = 16           # bounded FIFO; beyond this -> busy
     max_inflight: int = 0           # concurrent jobs ceiling; 0 = lanes
     job_timeout_s: float = 60.0     # default per-job deadline
@@ -380,7 +379,7 @@ class ServeDaemon:
                     "lanes": [ln.snapshot() for ln in self._lanes]}
 
     def op_fleet(self, _req: dict) -> dict:
-        return {"ok": True, "p2p": self.cfg.p2p, "n": self.cfg.n,
+        return {"ok": True, "n": self.cfg.n,
                 "lanes": [ln.snapshot() for ln in self._lanes]}
 
     def op_dead_letters(self, req: dict) -> dict:
@@ -536,8 +535,6 @@ def serve_main(argv: Optional[list[str]] = None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--dmax", type=int, default=10)
     ap.add_argument("--sharing", default="proportional")
-    ap.add_argument("--p2p", action="store_true",
-                    help="worker-to-worker data plane inside each lane")
     ap.add_argument("--queue-limit", type=int, default=16)
     ap.add_argument("--max-inflight", type=int, default=0,
                     help="0 = one job per lane")
@@ -549,7 +546,7 @@ def serve_main(argv: Optional[list[str]] = None) -> int:
         host=args.host, port=args.port, socket_path=args.socket,
         lanes=args.lanes, n=args.n, protocol=args.protocol,
         quantum=args.quantum, seed=args.seed, dmax=args.dmax,
-        sharing=args.sharing, p2p=args.p2p, queue_limit=args.queue_limit,
+        sharing=args.sharing, queue_limit=args.queue_limit,
         max_inflight=args.max_inflight, job_timeout_s=args.job_timeout,
         run_dir=args.run_dir)
     daemon = ServeDaemon(cfg)
@@ -558,8 +555,8 @@ def serve_main(argv: Optional[list[str]] = None) -> int:
             signal.signal(signum, daemon._on_signal)
     address = daemon.start()
     print(f"repro.serve listening on {format_address(address)} "
-          f"(lanes={cfg.lanes} n={cfg.n} protocol={cfg.protocol}"
-          f"{' p2p' if cfg.p2p else ''})", flush=True)
+          f"(lanes={cfg.lanes} n={cfg.n} protocol={cfg.protocol})",
+          flush=True)
     daemon.serve_forever()
     print("repro.serve drained and stopped", flush=True)
     return 0

@@ -10,9 +10,11 @@ concurrently, and a poisoned spec, worker crash or timeout in one lane
 never perturbs the jobs running in the others.
 
 Underneath, a lane is a :class:`~repro.runtime.fleet.Fleet` — the same
-listener, ``hello`` identification, star relay and reaper a one-shot
-``run_live`` drives (docs/runtime.md) — fed ``job`` after ``job`` where
-the one-shot run sends a single ``go``.  Per job the lane broadcasts a
+listener, ``hello`` identification, control connections and reaper a
+one-shot ``run_live`` drives (docs/runtime.md) — fed ``job`` after ``job``
+where the one-shot run sends a single ``go``.  The hosts build their peer
+mesh once, at ``init``, and every job's protocol frames ride it; the lane
+sees control frames only.  Per job the lane broadcasts a
 ``job`` frame (spec + run config + a fresh **epoch**), collects one
 ``done`` report per host, and turns them through the shared
 :func:`~repro.runtime.fleet.assemble` into the same
@@ -27,9 +29,9 @@ Failure paths, in order of severity:
 * job timeout: same abort path; hosts that do not ack within the grace
   window force a recycle;
 * host process death: the job is dead-lettered and the lane is recycled
-  unconditionally (a half-dead fleet cannot be trusted — in p2p mode the
-  survivors' meshes still route toward the corpse, and serve jobs run
-  without the reliable channel that would recover those frames).
+  unconditionally (a half-dead fleet cannot be trusted — the survivors'
+  meshes still route toward the corpse, and serve jobs run without the
+  reliable channel that would recover those frames).
 
 A **recycle** stops the fleet (shutdown, SIGTERM, grace, SIGKILL), then
 respawns and re-handshakes the lane's hosts on the surviving listener
@@ -210,8 +212,8 @@ class Lane:
             _Host(pid, spawn_worker(
                 "repro.serve.jobhost",
                 {"pid": pid, "slots": self.n, "endpoint": fleet.endpoint,
-                 "run_dir": self.dir, "p2p": bool(scfg.p2p),
-                 "transport": scfg.transport, "host": scfg.host},
+                 "run_dir": self.dir, "transport": scfg.transport,
+                 "host": scfg.host},
                 os.path.join(self.dir, f"host_{pid}.log")))
             for pid in range(self.n)]
         deadline = time.monotonic() + scfg.boot_timeout_s
@@ -226,10 +228,9 @@ class Lane:
                     f"lane {self.lane_id}: a host died during boot "
                     f"(logs in {self.dir})")
             fleet.pump(0.2)
-        init = {"t": "init"}
-        if scfg.p2p:
-            init["peers"] = {str(h.pid): h.peer for h in self._hosts}
-        self._broadcast(init, "idle")
+        self._broadcast(
+            {"t": "init",
+             "peers": {str(h.pid): h.peer for h in self._hosts}}, "idle")
         self.state = "idle"
 
     def _recycle(self) -> None:
@@ -363,7 +364,6 @@ class Lane:
             unit_cost=0.0,
             extra_meta={"serve": True, "job_id": job.id,
                         "lane": self.lane_id, "epoch": self.epoch,
-                        "p2p": bool(self.scfg.p2p),
                         "queue_s": round(job.t_start - job.t_submit, 6)},
             links=links or None)
         return {"makespan": stats.makespan,

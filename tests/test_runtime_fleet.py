@@ -8,6 +8,11 @@ connection, the first registration stands, and the job finishes with the
 right answer.  One scenario, run against the one-shot supervisor and
 against a serve lane: underneath both are the same
 :class:`repro.runtime.fleet.Fleet`.
+
+The same goes for what a registered member says: its connection is for
+control frames.  A ``msg`` on it is dropped by either owner — workers
+exchange those among themselves (``test_runtime_reactor`` has the other
+direction: a reactor passes over a ``msg`` its owner sends).
 """
 
 import os
@@ -19,11 +24,15 @@ import time
 import pytest
 
 from repro.runtime.codec import pack_frame
-from repro.runtime.supervisor import LiveConfig, run_live
+from repro.runtime.fleet import Fleet
+from repro.runtime.supervisor import LiveConfig, _LiveRun, _Worker, run_live
 from repro.serve.client import ServeClient
 from repro.serve.daemon import ServeConfig, ServeDaemon
+from repro.serve.fleet import Lane, _Host
 from repro.uts.params import PRESETS
 from repro.uts.sequential import count_tree
+
+from test_runtime_reactor import _Exited, work_frame
 
 PRESET = "bin_small"      # long enough for the strangers to arrive mid-job
 
@@ -117,3 +126,61 @@ def test_bad_hellos_are_shown_the_door_and_the_job_completes(owner,
     total_units, hung_up = owner(tmp_path)
     assert total_units == count_tree(PRESETS[PRESET].params).nodes
     assert hung_up == {case: True for case in BAD_HELLOS}
+
+
+# -- a msg on a control connection -------------------------------------------
+
+def _one_shot_owner(run_dir: str) -> tuple:
+    run = _LiveRun(LiveConfig(n=2, run_dir=run_dir), run_dir)
+    run.fleet.members = [_Worker(pid, _Exited()) for pid in range(2)]
+    return run.fleet, run.reports
+
+
+def _lane_owner(run_dir: str) -> tuple:
+    lane = Lane(0, ServeConfig(n=2), run_dir, source=None)
+    lane._fleet = Fleet(run_dir)            # as Lane._main wires it
+    lane._fleet.on_frame = lane._on_frame
+    lane._hosts = lane._fleet.members = [_Host(pid, _Exited())
+                                         for pid in range(2)]
+    lane.epoch = 1                          # a job is out
+    return lane._fleet, lane._reports
+
+
+@pytest.mark.parametrize("owner", [_one_shot_owner, _lane_owner],
+                         ids=["run_live", "lane"])
+def test_msg_on_a_control_connection_goes_nowhere(owner, tmp_path):
+    fleet, reports = owner(str(tmp_path))
+    handed = []
+    on_frame = fleet.on_frame
+    fleet.on_frame = lambda m, f: (handed.append(f["t"]), on_frame(m, f))
+    far_ends = []
+    try:
+        for pid in range(2):
+            ours, theirs = socket.socketpair()
+            fleet.adopt(ours)
+            theirs.sendall(pack_frame(
+                {"t": "hello", "pid": pid, "ospid": 0,
+                 "peer": {"kind": "tcp", "host": "127.0.0.1", "port": 1}}))
+            far_ends.append(theirs)
+
+        def pump_until(cond, what: str) -> None:
+            end = time.monotonic() + 10.0
+            while not cond():
+                assert time.monotonic() < end, f"timed out waiting for {what}"
+                fleet.pump(0.02)
+
+        pump_until(lambda: all(m.conn is not None for m in fleet.members),
+                   "both hellos")
+        # member 0: WORK for member 1 up the control connection, then
+        # its report
+        far_ends[0].sendall(pack_frame(work_frame(0, 1, 300, epoch=1))
+                            + pack_frame({"t": "done", "pid": 0, "epoch": 1}))
+        pump_until(lambda: 0 in reports, "the report")
+        assert handed == ["done"]           # the owner never saw the msg
+        far_ends[1].setblocking(False)
+        with pytest.raises(BlockingIOError):     # nor did member 1
+            far_ends[1].recv(1)
+    finally:
+        fleet.close()
+        for sock in far_ends:
+            sock.close()

@@ -89,14 +89,13 @@ def test_live_bnb_matches_simulated_optimum():
     # incumbent value must not
 
 
-@pytest.mark.parametrize("p2p", [False, True])
-def test_live_bnb_survives_merged_pools_on_the_wire(p2p):
+def test_live_bnb_survives_merged_pools_on_the_wire():
     """At 10x10 a pool that absorbed a transfer gets split again, so
     non-ascending interval lists cross the wire — which used to kill the
     receiving worker in ``from_wire``."""
     spec = {"kind": "bnb", "index": 1, "jobs": 10, "machines": 10}
     live = run_live(LiveConfig(protocol="BTD", n=2, app=spec, seed=1,
-                               p2p=p2p, timeout_s=90.0))
+                               timeout_s=90.0))
     app, _ = build_app(spec)
     optimum, _perm, _nodes = app.engine.solve()
     assert live.result.optimum == optimum
@@ -216,9 +215,10 @@ def test_kill_config_validation():
 # -- network partitions (transport-layer splits) -----------------------------
 
 def test_live_partition_heal_conserves_every_unit(tmp_path):
-    """A real split-then-heal: the supervisor's router drops cross-cut
-    frames for a wall-clock window. No node dies, so the run must finish
-    with the full tree *processed* and the identity exact."""
+    """A real split-then-heal: every worker's mesh drops the frames it
+    would send across the cut for a wall-clock window. No node dies, so
+    the run must finish with the full tree *processed* and the identity
+    exact."""
     # the window must overlap the run: bin_tiny on 4 local workers takes
     # ~0.1 s of protocol time, so cut early and heal before the timeout
     cfg = LiveConfig(protocol="BTD", n=4, app=UTS_TINY, seed=23,
@@ -230,7 +230,7 @@ def test_live_partition_heal_conserves_every_unit(tmp_path):
     assert live.killed == ()
     assert live.result.total_units == TINY_NODES
     assert live.conserved == TINY_NODES
-    # frames actually crossed (and were eaten by) the cut
+    # frames actually headed across (and were eaten at) the cut
     assert live.metrics.counter("live.partition_drops").value > 0
     for pid in range(4):
         assert live.reports[pid]["stats"]["finish_time"] > 0.0
@@ -342,26 +342,24 @@ def test_worker_crash_without_fault_tolerance_fails_loudly(tmp_path):
         run_live.__globals__["_spawn"] = orig
 
 
-# -- p2p data plane + elastic membership -------------------------------------
+# -- data plane + elastic membership -----------------------------------------
 
 def test_p2p_clean_run_matches_sequential():
     """Direct worker<->worker frames explore exactly the same tree, and
     the mesh's per-link accounting reaches the result."""
     live = run_live(LiveConfig(protocol="BTD", n=4, app=UTS_TINY, seed=11,
-                               p2p=True, timeout_s=90.0))
+                               timeout_s=90.0))
     assert live.result.total_units == TINY_NODES
     assert live.links                            # mesh-counted traffic
     assert all(src != dst for src, dst in live.links)
-    # the supervisor relayed nothing: every counted link is worker<->worker
     sim_res, _ = run_instrumented(
-        LiveConfig(protocol="BTD", n=4, app=UTS_TINY, seed=11,
-                   p2p=True).run_config(),
+        LiveConfig(protocol="BTD", n=4, app=UTS_TINY, seed=11).run_config(),
         build_app(UTS_TINY)[0])
     assert live.result.total_units == sim_res.total_units
 
 
 def test_p2p_sigkill_conserves_every_unit(tmp_path):
-    cfg = LiveConfig(protocol="BTD", n=4, app=UTS_TINY, seed=21, p2p=True,
+    cfg = LiveConfig(protocol="BTD", n=4, app=UTS_TINY, seed=21,
                      fault_tolerance=True, timeout_s=90.0,
                      kills=({"pid": 2, "after_units": 150},),
                      run_dir=str(tmp_path / "run"))
@@ -374,7 +372,7 @@ def test_p2p_join_leave_and_kill_compose(tmp_path):
     """The full elastic-membership lifecycle in one run: a worker joins
     mid-run (grafted by the registry), another drains out gracefully, a
     third is SIGKILLed — and the conservation identity stays exact."""
-    cfg = LiveConfig(protocol="BTD", n=4, app=UTS_SMALL, seed=23, p2p=True,
+    cfg = LiveConfig(protocol="BTD", n=4, app=UTS_SMALL, seed=23,
                      fault_tolerance=True, timeout_s=90.0,
                      joins=({"pid": 4, "after_s": 0.07},),
                      leaves=({"pid": 2, "after_s": 0.04},),
@@ -395,7 +393,7 @@ def test_p2p_join_during_partition_conserves(tmp_path):
     """A worker joining while the fleet is split must attach through the
     reachable side (or retry past the cut) without losing a unit —
     membership news rides the control plane, which partitions never cut."""
-    cfg = LiveConfig(protocol="BTD", n=4, app=UTS_SMALL, seed=29, p2p=True,
+    cfg = LiveConfig(protocol="BTD", n=4, app=UTS_SMALL, seed=29,
                      fault_tolerance=True, timeout_s=90.0,
                      joins=({"pid": 4, "after_s": 0.06},),
                      partitions=({"side": [1, 3], "start_s": 0.03,

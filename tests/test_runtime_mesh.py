@@ -1,19 +1,24 @@
-"""Unit tests for the p2p data plane (:mod:`repro.runtime.mesh`) and the
+"""Unit tests for the data plane (:mod:`repro.runtime.mesh`) and the
 supervisor's membership :class:`~repro.runtime.supervisor.Registry`.
 
 These pin the handshake/registry protocol without spawning processes:
 meshes talk to each other over real loopback sockets inside one process,
-so the early-frame buffering, peer-hello identification and sender-side
-partition behaviour are exercised on the actual transport.
+so the early-frame buffering, peer-hello identification, sender-side
+partition behaviour and what a stranger at the listener gets are
+exercised on the actual transport.
 """
 
 from __future__ import annotations
 
+import socket
 import time
 
 import pytest
 
+import repro.runtime.mesh as mesh_mod
+from repro.runtime.codec import pack_frame
 from repro.runtime.mesh import PeerMesh, open_peer_listener
+from repro.runtime.transport import FramedConnection, connect_endpoint
 from repro.runtime.supervisor import LiveConfig, Registry
 from repro.sim.errors import SimConfigError
 from repro.runtime.supervisor import LiveRuntimeError
@@ -162,9 +167,106 @@ class TestPeerMeshDataPlane:
             b.close()
 
 
+#: What any local process can say to a worker's data-plane listener.
+#: Each is one connection's whole say; the mesh closes that connection and
+#: nothing of it reaches the protocol.
+HOSTILE = {
+    "garbage length prefix": b"\xff\xff\xff\xff",
+    "ph without a pid": pack_frame({"t": "ph"}),
+    "ph with an unhashable pid": pack_frame({"t": "ph", "pid": [1]}),
+    "msg with an unhashable src": pack_frame({"t": "msg", "src": [1]}),
+    "a member's src, no ph": pack_frame(
+        {"t": "msg", "src": 0, "dst": 1, "kind": "STEAL_REQ", "p": 0,
+         "b": 12}),
+}
+
+
+def hung_up_on(endpoint: dict, payload: bytes, serve) -> bool:
+    """Dial ``endpoint`` as a stranger, say ``payload``; True once the
+    listener's side hung up (``serve()`` gives it turns to do so)."""
+    sock = connect_endpoint(endpoint)
+    try:
+        sock.sendall(payload)
+        sock.settimeout(0.01)
+        end = time.monotonic() + 5.0
+        while time.monotonic() < end:
+            serve()
+            try:
+                return sock.recv(4096) == b""
+            except socket.timeout:
+                continue
+            except OSError:     # reset: closed on us
+                return True
+        return False
+    finally:
+        sock.close()
+
+
+class TestPeerListenerIsAnOpenDoor:
+    @pytest.mark.parametrize("case", HOSTILE)
+    def test_stranger_is_shown_the_door(self, case):
+        a, b = make_mesh(0), make_mesh(1)
+        try:
+            a.add_member(1, b.endpoint)
+            b.add_member(0, a.endpoint)
+            delivered = []
+
+            def serve():
+                b.accept()
+                for conn in b.open_conns():
+                    delivered.extend(b.service(conn))
+
+            assert hung_up_on(b.endpoint, HOSTILE[case], serve)
+            assert delivered == [] and b.pending_frames == {}
+            assert b.conns == [] and b._pid_of == {}
+            # the member it may have posed as is still heard
+            a.send(msg(0, 1, seq=4))
+            assert [f["p"] for f in pump(b, lambda m, d: d, a)] == [4]
+        finally:
+            a.close()
+            b.close()
+
+    def test_identified_connection_cannot_speak_for_another_pid(self):
+        a, b = make_mesh(0), make_mesh(1)
+        try:
+            a.add_member(1, b.endpoint)
+            b.add_member(0, a.endpoint)
+            b.add_member(2, None)
+            a.send(msg(0, 1, seq=1))
+            a.send(msg(2, 1, seq=2))        # pid 0 posing as pid 2
+            a.send(msg(0, 1, seq=3))
+            got = pump(b, lambda m, d: not m.conns, a)
+            assert [f["p"] for f in got] == [1]     # then the door
+        finally:
+            a.close()
+            b.close()
+
+    def test_frames_parked_for_strangers_are_capped(self, monkeypatch):
+        monkeypatch.setattr(mesh_mod, "MAX_EARLY_FRAMES", 3)
+        old = make_mesh(1)
+        far_ends = []
+        try:
+            for pid in (4, 5):      # the control plane introduced neither
+                ours, theirs = socket.socketpair()
+                far_ends.append(ours)
+                ours.sendall(b"".join(map(pack_frame, [
+                    {"t": "ph", "pid": pid}, msg(pid, 1, 0), msg(pid, 1, 1)])))
+                conn = FramedConnection(theirs)
+                old.conns.append(conn)
+                assert old.service(conn) == []
+            # one cap over everything parked, whichever pid it came from
+            assert ({pid: [f["p"] for f in frames]
+                     for pid, frames in old.pending_frames.items()}
+                    == {4: [0, 1], 5: [0]})
+        finally:
+            old.close()
+            for sock in far_ends:
+                sock.close()
+
+
 class TestRegistry:
     def cfg(self, **kw) -> LiveConfig:
-        base = dict(protocol="BTD", n=4, p2p=True, fault_tolerance=True,
+        base = dict(protocol="BTD", n=4, fault_tolerance=True,
                     joins=({"pid": 4, "after_s": 0.1},))
         base.update(kw)
         return LiveConfig(**base)
@@ -203,37 +305,38 @@ class TestRegistry:
 
 
 class TestElasticMembershipConfig:
-    def test_joins_require_p2p(self):
-        with pytest.raises(SimConfigError, match="p2p"):
-            LiveConfig(n=4, fault_tolerance=True,
-                       joins=({"pid": 4, "after_s": 0.1},))
+    def test_the_mesh_is_the_only_data_plane(self):
+        # callers that still pass the old switch keep constructing ...
+        assert LiveConfig(n=2, p2p=True).p2p
+        # ... and asking for the relay says where it went
+        with pytest.raises(SimConfigError, match="star relay was removed"):
+            LiveConfig(n=2, p2p=False)
 
     def test_joins_require_fault_tolerance(self):
         with pytest.raises(SimConfigError, match="fault_tolerance"):
-            LiveConfig(n=4, p2p=True, joins=({"pid": 4, "after_s": 0.1},))
+            LiveConfig(n=4, joins=({"pid": 4, "after_s": 0.1},))
 
     def test_join_pids_must_be_consecutive_from_n(self):
         with pytest.raises(SimConfigError, match="consecutive"):
-            LiveConfig(n=4, p2p=True, fault_tolerance=True,
+            LiveConfig(n=4, fault_tolerance=True,
                        joins=({"pid": 6, "after_s": 0.1},))
 
     def test_leave_cannot_target_root_or_kill_victim(self):
         with pytest.raises(SimConfigError, match="non-root"):
-            LiveConfig(n=4, p2p=True, fault_tolerance=True,
+            LiveConfig(n=4, fault_tolerance=True,
                        leaves=({"pid": 0, "after_s": 0.1},))
         with pytest.raises(SimConfigError, match="both leave and be killed"):
-            LiveConfig(n=4, p2p=True, fault_tolerance=True,
+            LiveConfig(n=4, fault_tolerance=True,
                        kills=({"pid": 2, "after_s": 0.5},),
                        leaves=({"pid": 2, "after_s": 0.1},))
 
     def test_membership_needs_a_tree_protocol(self):
         with pytest.raises(SimConfigError, match="tree protocol"):
-            LiveConfig(protocol="RWS", n=4, p2p=True, fault_tolerance=True,
+            LiveConfig(protocol="RWS", n=4, fault_tolerance=True,
                        joins=({"pid": 4, "after_s": 0.1},))
 
     def test_partition_sides_may_include_joiner_slots(self):
-        cfg = LiveConfig(protocol="BTD", n=4, p2p=True,
-                         fault_tolerance=True,
+        cfg = LiveConfig(protocol="BTD", n=4, fault_tolerance=True,
                          joins=({"pid": 4, "after_s": 0.1},),
                          partitions=({"side": [4], "start_s": 0.2,
                                       "end_s": 0.4},))

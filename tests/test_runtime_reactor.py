@@ -3,10 +3,11 @@
 ``Reactor`` takes an already-connected ``FramedConnection`` (only
 ``worker.main`` dials, installs signal handlers and exits the process), so
 two reactors can run on threads against a ``Fleet`` the test pumps itself
-over ``socket.socketpair()`` — no subprocess.  The same reactors run two
-jobs back to back, which is the serve lifecycle: ``hello``, ``init``,
-``job`` (epoch 1), ``job_end``, ``job`` (epoch 2), ``job_end``,
-``shutdown``.
+over ``socket.socketpair()`` — no subprocess.  The control plane is those
+socketpairs; the data plane is the reactors' own peer listeners on
+loopback, exactly as in a spawned fleet.  The same reactors run two jobs
+back to back, which is the serve lifecycle: ``hello``, ``init``, ``job``
+(epoch 1), ``job_end``, ``job`` (epoch 2), ``job_end``, ``shutdown``.
 """
 
 import socket
@@ -14,11 +15,13 @@ import threading
 import time
 
 from repro.apps.synthetic import SyntheticWork
-from repro.runtime.codec import message_to_frame
+from repro.runtime.codec import message_to_frame, pack_frame
 from repro.runtime.fleet import Fleet, Member, assemble
 from repro.sim.messages import sized
-from repro.runtime.transport import FramedConnection
+from repro.runtime.transport import FramedConnection, connect_endpoint
 from repro.runtime.worker import Reactor
+
+from test_runtime_mesh import HOSTILE
 
 N = 2
 UNITS = 2000
@@ -26,6 +29,14 @@ UNITS = 2000
 
 def synthetic(units: int) -> dict:
     return {"kind": "synthetic", "units": units}
+
+
+def work_frame(src: int, dst: int, units: int, epoch: int) -> dict:
+    """``units`` of WORK from ``src`` for ``dst``, as job ``epoch``'s."""
+    frame = message_to_frame(
+        sized("WORK", src, dst, (SyntheticWork(units), ""), 16))
+    frame["j"] = epoch
+    return frame
 
 
 class _Exited:
@@ -37,15 +48,14 @@ class _Exited:
 
 
 class Harness:
-    """A star fleet of two in-process reactors (``cfg`` adds to each
-    reactor's process configuration, e.g. ``fault_mode``)."""
+    """A fleet of two in-process reactors (``cfg`` adds to each reactor's
+    process configuration, e.g. ``fault_mode``)."""
 
     def __init__(self, run_dir: str, **cfg) -> None:
         self.fleet = Fleet(run_dir)
         self.fleet.members = [Member(pid, _Exited()) for pid in range(N)]
         self.fleet.on_frame = self.on_frame
         self.reports: dict = {}
-        self.acks: list = []              # (pid, epoch) of "aborted" frames
         self.reactors, self.threads, self.codes = [], [], {}
         for pid in range(N):
             ours, theirs = socket.socketpair()
@@ -64,14 +74,30 @@ class Harness:
     def on_frame(self, member, frame) -> None:
         if frame.get("t") == "done":
             self.reports[(frame["epoch"], member.pid)] = frame
-        elif frame.get("t") == "aborted":
-            self.acks.append((member.pid, frame["epoch"]))
 
     def pump_until(self, cond, timeout: float = 30.0) -> None:
         end = time.monotonic() + timeout
         while not cond():
             assert time.monotonic() < end, "in-process fleet stalled"
             self.fleet.pump(0.02)
+
+    def init(self) -> None:
+        """The lane's half of the handshake: every hello in, then ``init``
+        with the peer endpoints the hellos advertised."""
+        members = self.fleet.members
+        self.pump_until(lambda: all(m.conn is not None for m in members))
+        self.fleet.broadcast(
+            {"t": "init", "peers": {str(m.pid): m.peer for m in members}})
+
+    def dial(self, pid: int) -> socket.socket:
+        """A fresh connection to ``pid``'s data-plane listener."""
+        return connect_endpoint(self.fleet.members[pid].peer)
+
+    def close(self) -> None:
+        self.fleet.close()
+        for thread in self.threads:
+            thread.join(timeout=5.0)
+        assert not any(t.is_alive() for t in self.threads)
 
     def run_job(self, epoch: int, app: dict) -> int:
         self.fleet.broadcast({
@@ -89,33 +115,59 @@ class Harness:
 
 def test_two_reactors_two_jobs_no_subprocess(tmp_path):
     h = Harness(str(tmp_path))
+    peer = None
     try:
-        h.pump_until(lambda: all(m.conn is not None
-                                 for m in h.fleet.members))
-        h.fleet.broadcast({"t": "init"})
-
+        h.init()
         assert h.run_job(1, synthetic(UNITS)) == UNITS
 
         # a straggler of the finished epoch — 300 units of WORK from pid 1
-        # — reaches idle pid 0.  An idle reactor acks a late abort, and
-        # the connection is FIFO, so once the ack is back the straggler
-        # has been through the epoch filter: dropped, not parked ...
-        stale = message_to_frame(
-            sized("WORK", 1, 0, (SyntheticWork(300), ""), 16))
-        stale["j"] = 1
-        h.fleet.members[0].conn.send_frame(stale)
-        h.fleet.members[0].conn.send_frame({"t": "abort", "epoch": 1})
-        h.pump_until(lambda: (0, 1) in h.acks)
-        assert h.reactors[0].early == []
-        # ... and not merged into the next job's pool either
+        # — reaches idle pid 0 over a peer connection.  The connection is
+        # FIFO and a frame from an epoch still to come is parked, so once
+        # that one is in `early` the straggler has been through the epoch
+        # filter ahead of it: dropped, not parked ...
+        peer = h.dial(0)
+        peer.sendall(pack_frame({"t": "ph", "pid": 1})
+                     + pack_frame(work_frame(1, 0, 300, epoch=1))
+                     + pack_frame(work_frame(1, 0, 0, epoch=99)))
+        h.pump_until(lambda: h.reactors[0].early)
+        assert [f["j"] for f in h.reactors[0].early] == [99]
+        # ... and a `msg` on the control connection is not protocol traffic
+        # at all, whatever epoch it names
+        h.fleet.members[0].conn.send_frame(work_frame(1, 0, 700, epoch=2))
+        # neither is merged into the next job's pool
         assert h.run_job(2, synthetic(UNITS + 500)) == UNITS + 500
 
         h.fleet.broadcast({"t": "shutdown"})
         h.pump_until(lambda: len(h.codes) == N)
         assert h.codes == {0: 0, 1: 0}
     finally:
-        h.fleet.close()
-        for thread in h.threads:
-            thread.join(timeout=5.0)
-        assert not any(t.is_alive() for t in h.threads)
+        if peer is not None:
+            peer.close()
+        h.close()
 
+
+def test_strangers_at_the_peer_listener_cost_no_job(tmp_path):
+    """Every hostile input of ``test_runtime_mesh.HOSTILE`` dialled into
+    both reactors' data-plane listeners as a job starts: each such
+    connection is closed, both reactors live on, and the job ends with the
+    exact count."""
+    h = Harness(str(tmp_path))
+    try:
+        h.init()
+        strangers = []
+        for payload in HOSTILE.values():
+            for pid in range(N):
+                sock = h.dial(pid)
+                sock.sendall(payload)
+                strangers.append(sock)
+        assert h.run_job(1, synthetic(50 * UNITS)) == 50 * UNITS
+        for sock in strangers:
+            sock.settimeout(5.0)
+            assert sock.recv(4096) == b""       # shown the door
+            sock.close()
+        assert h.codes == {}                     # nobody fell over
+        h.fleet.broadcast({"t": "shutdown"})
+        h.pump_until(lambda: len(h.codes) == N)
+        assert h.codes == {0: 0, 1: 0}
+    finally:
+        h.close()

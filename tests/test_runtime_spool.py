@@ -50,12 +50,13 @@ def reactor(tmp_path):
     app, _label = build_app(job["app"])
     metrics = MetricsRegistry()
     r.proc = worker_factory(build_run_config(job), app)(1)
-    r.env = LiveEnv(1, 3, r.conn, fault_mode=True, run_dir=str(tmp_path),
+    r.env = LiveEnv(1, 3, r.mesh, fault_mode=True, run_dir=str(tmp_path),
                     metrics=metrics)
     r.env.attach(r.proc)
     r.open_spool(str(tmp_path), metrics)
     yield r
     r.conn.close()
+    r.mesh.close()
     r.sel.close()
     ours.close()
 
@@ -119,8 +120,8 @@ def test_commit_rule_turn_by_turn(reactor, monkeypatch):
 
 def test_no_frame_leaves_before_the_commit_that_explains_it(
         tmp_path, monkeypatch):
-    """Two fault-mode reactors run a UTS job over the star relay.  Every
-    ``write_spool`` and every worker-connection flush is recorded in
+    """Two fault-mode reactors run a UTS job over their mesh.  Every
+    ``write_spool`` and every flush of a mesh connection is recorded in
     order; a frame counts as leaving at the first flush after it was
     queued.  Then: every ``RMSG(WORK)`` that left was already in a
     commit's ``out_pending``, every ``RACK`` in a commit's ``recv_log``.
@@ -131,7 +132,7 @@ def test_no_frame_leaves_before_the_commit_that_explains_it(
     pending = {}     # (pid, epoch) -> {(dst, seq)} over its commits so far
     logged = {}      # (pid, epoch) -> {(src, seq)} in its latest commit
     queued = {}      # id(conn) -> frames queued since that conn's last flush
-    worker_conns = {}   # id(conn) -> pid, the reactors' own connections
+    reactors = []    # the harness's, once it is up
     checked = {"WORK": 0, "RACK": 0, "commits": 0}
     violations = []
 
@@ -142,7 +143,7 @@ def test_no_frame_leaves_before_the_commit_that_explains_it(
     def write_spool(path, doc):
         with lock:
             checked["commits"] += 1
-            key = (doc["pid"], h.reactors[doc["pid"]].epoch)
+            key = (doc["pid"], reactors[doc["pid"]].epoch)
             pending.setdefault(key, set()).update(
                 (dst, seq) for dst, seq, kind, _p in doc["out_pending"]
                 if kind == "WORK")
@@ -158,7 +159,9 @@ def test_no_frame_leaves_before_the_commit_that_explains_it(
 
     def flush(conn):
         with lock:
-            pid = worker_conns.get(id(conn))
+            # the reactor whose mesh holds the connection is the sender
+            pid = next((r.pid for r in reactors if conn in r.mesh.conns),
+                       None)
             for frame in queued.pop(id(conn), ()):
                 if pid is None or frame.get("t") != "msg":
                     continue
@@ -179,20 +182,18 @@ def test_no_frame_leaves_before_the_commit_that_explains_it(
     monkeypatch.setattr(FramedConnection, "send_frame", send_frame)
     monkeypatch.setattr(FramedConnection, "flush", flush)
 
-    # Relay and both reactors share one interpreter lock. A reliable
-    # message and its ack are five hand-offs of it, at the default 5 ms
-    # each more than the 20 ms ack timeout whenever the root is computing:
-    # its breaker opens on pid 1, no WORK is offered until the probe, and
-    # a root that now clears the tree in 0.25 s is done first. Hand over
-    # faster than the ack timeout instead.
+    # Both reactors and the test's fleet share one interpreter lock. A
+    # reliable message and its ack wait for it at every hop, at the
+    # default 5 ms a hand-off close to the 20 ms ack timeout whenever the
+    # root is computing: its breaker opens on pid 1, no WORK is offered
+    # until the probe, and a root that clears the tree in 0.25 s is done
+    # first. Hand over faster than the ack timeout instead.
     switch_interval = sys.getswitchinterval()
     sys.setswitchinterval(2e-4)
     h = Harness(str(tmp_path), fault_mode=True)
     try:
-        worker_conns.update((id(r.conn), r.pid) for r in h.reactors)
-        h.pump_until(lambda: all(m.conn is not None
-                                 for m in h.fleet.members))
-        h.fleet.broadcast({"t": "init"})
+        reactors.extend(h.reactors)
+        h.init()
         # a thread that starts late can leave the root to finish the tree
         # alone; a job that moved no work checks nothing, so go again
         for epoch in (1, 2, 3):
@@ -204,9 +205,7 @@ def test_no_frame_leaves_before_the_commit_that_explains_it(
         h.pump_until(lambda: len(h.codes) == N)
     finally:
         sys.setswitchinterval(switch_interval)
-        h.fleet.close()
-        for thread in h.threads:
-            thread.join(timeout=5.0)
+        h.close()
     assert h.codes == {0: 0, 1: 0}
     assert violations == []
     # the run did exercise both directions, and the rule did skip turns
@@ -218,14 +217,13 @@ def test_no_frame_leaves_before_the_commit_that_explains_it(
 
 # -- (c) kill -9 early, in the middle, late ----------------------------------
 
-@pytest.mark.parametrize("n", [2, 4])
-@pytest.mark.parametrize("p2p", [False, True], ids=["star", "p2p"])
+@pytest.mark.parametrize("n", [2, 4], ids=["p2p-2", "p2p-4"])   # plane-n
 @pytest.mark.parametrize("after_units", [50, 2000, 9000])
-def test_sigkill_sweep_conserves_exactly(tmp_path, after_units, p2p, n):
+def test_sigkill_sweep_conserves_exactly(tmp_path, after_units, n):
     victim = n - 1
     live = run_live(LiveConfig(
         protocol="BTD", n=n, app={"kind": "uts", "preset": "bin_small"},
-        seed=100 + after_units % 97 + n, p2p=p2p, fault_tolerance=True,
+        seed=100 + after_units % 97 + n, fault_tolerance=True,
         timeout_s=90.0, run_dir=str(tmp_path / "run"),
         kills=({"pid": victim, "after_units": after_units},)))
     assert live.killed == (victim,)

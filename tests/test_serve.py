@@ -147,15 +147,18 @@ def test_served_and_one_shot_reports_cannot_drift(client):
     assert one_shot["totals"]["work_units"] == TINY_NODES
 
     def shape(report):
-        # meta is the owners' to fill; the star relay's per-link counters
-        # are run_live's hook, a star lane has no links table
+        # meta is the owners' to fill
         return {name: (sorted(sec) if isinstance(sec, dict)
                        else sorted(sec[0]) if isinstance(sec, list) and sec
                        else type(sec).__name__)
-                for name, sec in report.items()
-                if name not in ("meta", "links")}
+                for name, sec in report.items() if name != "meta"}
     assert shape(served) == shape(one_shot)
     assert set(served) == set(one_shot)
+    # a lane's hosts exchange the job's frames among themselves, as a
+    # one-shot fleet's workers do: both reports carry the links they counted
+    for report in (served, one_shot):
+        assert report["links"]
+        assert all(e["src"] != e["dst"] for e in report["links"])
 
 
 def test_poison_spec_dead_letters_and_lane_survives(client):
