@@ -410,7 +410,16 @@ def live_backend(quick=False, out=None):
     recorded on).  Larger fleets (n=4, and 16 and 64 without ``--quick``)
     oversubscribe those cores, so their rows read the scheduler as much
     as the runtime: they are written under ``context`` and gate nothing.
+
+    A ``startup`` block says what a caller waits for before any of that:
+    the worker's import graph beside ``import numpy`` (fresh interpreters,
+    alternating, medians) and spawn -> last ``hello`` of the n=2 fleet
+    (the run's own ``live.handshake_s``).  Context as well: it reads the
+    box's disk cache and bytecode settings as much as the code.
     """
+    import statistics
+    import subprocess
+    import sys
     from repro.experiments.runner import RunConfig, run_instrumented
     from repro.experiments.specs import UTSSpec
     from repro.runtime.supervisor import LiveConfig, run_live
@@ -424,24 +433,43 @@ def live_backend(quick=False, out=None):
     def live_cell(n):
         best_units_s = 0.0
         best_steals_s = 0.0
+        handshakes = []
         for rep in range(repeats):
-            res = run_live(LiveConfig(
+            live = run_live(LiveConfig(
                 protocol="BTD", n=n, app={"kind": "uts", "preset": preset},
-                seed=42 + rep, timeout_s=240.0)).result
+                seed=42 + rep, timeout_s=240.0))
+            res = live.result
+            handshakes.append(live.metrics.gauge("live.handshake_s").value)
             assert res.total_units == BASELINE_LIVE_NODES, res.total_units
             best_units_s = max(best_units_s, res.total_units / res.makespan)
             best_steals_s = max(best_steals_s,
                                 res.total_steals / res.makespan)
-        return round(best_units_s), round(best_steals_s, 1)
+        return (round(best_units_s), round(best_steals_s, 1),
+                statistics.median(handshakes))
 
-    units_s, steals_s = live_cell(2)
+    units_s, steals_s, hello_s = live_cell(2)
     after = {"live_uts_units_per_s_n2": units_s,
              "live_steals_per_s_n2": steals_s}
     context = {"live_uts_units_per_s": {}, "live_steals_per_s": {}}
     for n in (4,) if quick else (4, 16, 64):
-        units_s, steals_s = live_cell(n)
+        units_s, steals_s, _hello_s = live_cell(n)
         context["live_uts_units_per_s"][n] = units_s
         context["live_steals_per_s"][n] = steals_s
+
+    def import_ms(statement):
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, "-c", statement], check=True)
+        return (time.perf_counter() - t0) * 1e3
+
+    imports = [(import_ms("import repro.runtime.worker"),
+                import_ms("import numpy")) for _ in range(5 if quick else 9)]
+    startup = {
+        "note": "context rows, gate nothing: fresh-interpreter imports "
+                "(alternating, medians) and spawn -> last hello at n=2",
+        "worker_import_ms": round(statistics.median(w for w, _ in imports), 1),
+        "numpy_import_ms": round(statistics.median(u for _, u in imports), 1),
+        "spawn_to_hello_ms": round(hello_s * 1e3, 1),
+    }
 
     def sim_run():
         cfg = RunConfig(protocol="BTD", n=4, quantum=64, seed=42)
@@ -465,6 +493,7 @@ def live_backend(quick=False, out=None):
             # the virtual-time makespan the simulator predicts here
             "sim_virtual_makespan_s": sim_res.makespan,
         },
+        "startup": startup,
         "metrics": {name: {"after": value} for name, value in after.items()},
     }
     out = (pathlib.Path(out) if out
@@ -475,6 +504,9 @@ def live_backend(quick=False, out=None):
     for name, row in context.items():
         for n, value in row.items():
             print(f"{name + f'_n{n}':32s} {value:>12,}  (context)")
+    for name, value in startup.items():
+        if name != "note":
+            print(f"{name:32s} {value:>12,}  (context)")
     print(f"wrote {out}")
 
 

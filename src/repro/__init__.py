@@ -21,26 +21,30 @@ Quickstart::
     print(result.makespan, result.total_units)
 """
 
-from .apps import BnBApplication, SyntheticApplication, UTSApplication
-from .bnb import (BnBEngine, FlowshopInstance, scaled_instance,
-                  taillard_instance)
-from .core import OCLBConfig, OverlayWorker, WorkerConfig
-from .experiments.runner import (ExperimentResult, RunConfig, TrialStats,
-                                 run_once, run_trials)
-from .overlay import (BridgedTreeOverlay, TreeOverlay, add_bridges,
-                      deterministic_tree, random_tree)
-from .sim import Simulator, grid5000, uniform_network
-from .uts import UTSParams
-from .uts import get_preset as get_uts_preset
+from ._lazy import TYPE_CHECKING, lazy
+
+if TYPE_CHECKING:
+    from .apps import BnBApplication, SyntheticApplication, UTSApplication
+    from .bnb import (BnBEngine, FlowshopInstance, scaled_instance,
+                      taillard_instance)
+    from .core import OCLBConfig, OverlayWorker, WorkerConfig
+    from .experiments.runner import (ExperimentResult, RunConfig, TrialStats,
+                                     run_once, run_trials)
+    from .overlay import (BridgedTreeOverlay, TreeOverlay, add_bridges,
+                          deterministic_tree, random_tree)
+    from .sim import Simulator, grid5000, uniform_network
+    from .uts import UTSParams
+    from .uts import get_preset as get_uts_preset
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "RunConfig", "run_once", "run_trials", "ExperimentResult", "TrialStats",
-    "UTSApplication", "BnBApplication", "SyntheticApplication",
-    "UTSParams", "get_uts_preset", "FlowshopInstance", "BnBEngine",
-    "taillard_instance", "scaled_instance", "TreeOverlay",
-    "BridgedTreeOverlay", "deterministic_tree", "random_tree", "add_bridges",
-    "OverlayWorker", "OCLBConfig", "WorkerConfig", "Simulator", "grid5000",
-    "uniform_network", "__version__",
-]
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".apps": "BnBApplication SyntheticApplication UTSApplication",
+    ".bnb": "BnBEngine FlowshopInstance scaled_instance taillard_instance",
+    ".core": "OCLBConfig OverlayWorker WorkerConfig",
+    ".experiments.runner": "ExperimentResult RunConfig TrialStats run_once run_trials",
+    ".overlay": "BridgedTreeOverlay TreeOverlay add_bridges deterministic_tree random_tree",
+    ".sim": "Simulator grid5000 uniform_network",
+    ".uts": "UTSParams get_uts_preset=get_preset",
+})
+__all__.append("__version__")

@@ -20,6 +20,7 @@ class SyntheticWork(WorkItem):
     """A bag of ``units`` identical work units."""
 
     __slots__ = ("units",)
+    wire_tag = "__syn"
 
     def __init__(self, units: int) -> None:
         if units < 0:

@@ -51,6 +51,7 @@ class BnBWork(WorkItem):
     """Splittable set of disjoint, ordered intervals of [0, n_jobs!)."""
 
     __slots__ = ("n_jobs", "intervals", "cursor")
+    wire_tag = "__bnb"
 
     def __init__(self, n_jobs: int,
                  intervals: Iterable[tuple[int, int]] = ()) -> None:

@@ -8,18 +8,25 @@ are memoised on disk (``--no-cache`` to disable).  See
 what each experiment shows.
 """
 
-from .base import ExperimentReport
-from .cache import ResultCache
-from .config import SCALES, Scale, get_scale
-from .parallel import ExperimentGrid, run_cells
-from .registry import EXPERIMENTS, ORDER, get_experiment
-from .runner import (PROTOCOLS, ExperimentResult, RunConfig, TrialStats,
-                     build_workers, cell_configs, run_once, run_trials)
-from .specs import BnBSpec, UTSSpec
+from .._lazy import TYPE_CHECKING, lazy
 
-__all__ = [
-    "ExperimentReport", "Scale", "SCALES", "get_scale", "EXPERIMENTS",
-    "ORDER", "get_experiment", "RunConfig", "ExperimentResult", "TrialStats",
-    "PROTOCOLS", "build_workers", "cell_configs", "run_once", "run_trials",
-    "ExperimentGrid", "ResultCache", "run_cells", "BnBSpec", "UTSSpec",
-]
+if TYPE_CHECKING:
+    from .base import ExperimentReport
+    from .cache import ResultCache
+    from .config import SCALES, Scale, get_scale
+    from .parallel import ExperimentGrid, run_cells
+    from .registry import EXPERIMENTS, ORDER, get_experiment
+    from .runner import (PROTOCOLS, ExperimentResult, RunConfig, TrialStats,
+                         build_workers, cell_configs, run_once, run_trials)
+    from .specs import BnBSpec, UTSSpec
+
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".base": "ExperimentReport",
+    ".cache": "ResultCache",
+    ".config": "SCALES Scale get_scale",
+    ".parallel": "ExperimentGrid run_cells",
+    ".registry": "EXPERIMENTS ORDER get_experiment",
+    ".runner": "PROTOCOLS ExperimentResult RunConfig TrialStats "
+               "build_workers cell_configs run_once run_trials",
+    ".specs": "BnBSpec UTSSpec",
+})

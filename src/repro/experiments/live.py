@@ -245,6 +245,10 @@ def live_main(argv: Optional[list] = None) -> int:
     text = report.render()
     if not args.quiet:
         print(text)
+        hs, reap = (live.metrics.gauge(f"live.{k}_s").value
+                    for k in ("handshake", "reap"))
+        print(f"start-up: handshake {hs:.3f} s (spawn -> last hello), "
+              f"reap {reap:.3f} s, of {live.wall_s:.3f} s wall")
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

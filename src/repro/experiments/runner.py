@@ -19,25 +19,24 @@ Protocol names (the paper's):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from statistics import mean, pstdev
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..apps.base import Application
-from ..baselines.ahmw import AHMW_DEGREE, AHMWNode
-from ..baselines.master_worker import MWMaster, MWWorker
-from ..baselines.rws import RWSWorker
 from ..core.config import OCLBConfig
 from ..core.oclb import OverlayWorker
 from ..core.worker import WorkerConfig, WorkerProcess
 from ..overlay.bridges import BridgedTreeOverlay, add_bridges
 from ..overlay.tree import deterministic_tree, graft_leaf, random_tree
-from ..sim.engine import Simulator
 from ..sim.errors import SimConfigError
-from ..sim.faults import FaultPlan
-from ..sim.network import NetworkModel, grid5000
 from ..sim.rng import RngStream
 from ..sim.stats import RunStats
+
+if TYPE_CHECKING:   # a live worker loads no simulator
+    from ..sim.engine import Simulator
+    from ..sim.faults import FaultPlan
+    from ..sim.network import NetworkModel
 
 PROTOCOLS = ("TD", "TR", "BTD", "BTR", "RWS", "MW", "AHMW", "LIFELINE")
 
@@ -211,12 +210,15 @@ def worker_factory(cfg: RunConfig, app: Application,
         oclb = cfg.oclb or OCLBConfig(sharing=cfg.sharing)
         return lambda p: OverlayWorker(p, app, wc_for(p), overlay, oclb)
     if proto == "RWS":
+        from ..baselines.rws import RWSWorker
         # "the application is pushed into [...] a random node in case of RWS"
         initial = RngStream(cfg.seed, "rws-initial").randrange(n)
         sharing = cfg.sharing if cfg.sharing != "proportional" else "half"
         return lambda p: RWSWorker(p, n, app, wc_for(p),
                                    initial_pid=initial, sharing=sharing)
     if proto == "MW":
+        from ..baselines.master_worker import MWMaster, MWWorker
+
         def make_mw(p: int) -> WorkerProcess:
             if p == 0:
                 return MWMaster(0, n, app, wc_for(0))
@@ -224,6 +226,7 @@ def worker_factory(cfg: RunConfig, app: Application,
                             update_every=cfg.mw_update_every)
         return make_mw
     if proto == "AHMW":
+        from ..baselines.ahmw import AHMW_DEGREE, AHMWNode
         tree = deterministic_tree(n, AHMW_DEGREE)
         return lambda p: AHMWNode(p, app, wc_for(p), tree)
     if proto == "LIFELINE":
@@ -259,6 +262,8 @@ def run_instrumented(cfg: RunConfig, app: Application, tracer=None,
                      metrics=None) -> tuple[ExperimentResult, RunStats]:
     """Like :func:`run_once` but also hands back the raw :class:`RunStats`
     (per-process counters — what :mod:`repro.obs.report` builds from)."""
+    from ..sim.engine import Simulator
+    from ..sim.network import grid5000
     network = cfg.network if cfg.network is not None else grid5000(
         handler_cost=cfg.handler_cost, jitter=cfg.jitter)
     sim = Simulator(network=network, seed=cfg.seed, faults=cfg.faults,
@@ -340,8 +345,7 @@ def cell_configs(cfg: RunConfig, trials: int) -> list[RunConfig]:
     """
     if trials < 1:
         raise SimConfigError("trials must be >= 1")
-    import dataclasses
-    return [dataclasses.replace(cfg, seed=cfg.seed + 1000 * t)
+    return [replace(cfg, seed=cfg.seed + 1000 * t)
             for t in range(trials)]
 
 

@@ -14,16 +14,18 @@ Three layers, all strictly opt-in and zero-cost when detached:
 See ``docs/observability.md`` for the metric catalogue and trace schema.
 """
 
-from .export import (TRACE_SCHEMA_VERSION, LoadedTrace, TraceWriter,
-                     export_trace, load_trace)
-from .registry import (LATENCY_EDGES, METRICS, SIZE_EDGES, Counter, Gauge,
-                       Histogram, MetricsRegistry)
-from .report import (REPORT_SCHEMA_VERSION, RunReport, build_report,
-                     load_entropy, steal_matrix)
+from .._lazy import TYPE_CHECKING, lazy
 
-__all__ = [
-    "Counter", "Gauge", "Histogram", "LATENCY_EDGES", "LoadedTrace",
-    "METRICS", "MetricsRegistry", "REPORT_SCHEMA_VERSION", "RunReport",
-    "SIZE_EDGES", "TRACE_SCHEMA_VERSION", "TraceWriter", "build_report",
-    "export_trace", "load_entropy", "load_trace", "steal_matrix",
-]
+if TYPE_CHECKING:
+    from .export import (TRACE_SCHEMA_VERSION, LoadedTrace, TraceWriter,
+                         export_trace, load_trace)
+    from .registry import (LATENCY_EDGES, METRICS, SIZE_EDGES, Counter, Gauge,
+                           Histogram, MetricsRegistry)
+    from .report import (REPORT_SCHEMA_VERSION, RunReport, build_report,
+                         load_entropy, steal_matrix)
+
+__getattr__, __dir__, __all__ = lazy(__name__, {
+    ".export": "TRACE_SCHEMA_VERSION LoadedTrace TraceWriter export_trace load_trace",
+    ".registry": "LATENCY_EDGES METRICS SIZE_EDGES Counter Gauge Histogram MetricsRegistry",
+    ".report": "REPORT_SCHEMA_VERSION RunReport build_report load_entropy steal_matrix",
+})

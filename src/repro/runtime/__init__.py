@@ -34,6 +34,10 @@ Entry point: ``python -m repro.experiments live`` (see
 :mod:`repro.experiments.live`).
 """
 
-from .supervisor import LiveConfig, LiveResult, run_live
+from .._lazy import TYPE_CHECKING, lazy
 
-__all__ = ["LiveConfig", "LiveResult", "run_live"]
+if TYPE_CHECKING:
+    from .supervisor import LiveConfig, LiveResult, run_live
+
+__getattr__, __dir__, __all__ = lazy(
+    __name__, {".supervisor": "LiveConfig LiveResult run_live"})

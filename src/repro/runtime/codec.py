@@ -16,7 +16,9 @@ protocols rely on, so containers are *tagged*:
   hex string of the raw little-endian array (``uint64`` states, ``int32``
   depths: exact above 2^53, and one ``str`` per stack instead of one
   boxed ``int`` per entry); :class:`~repro.bnb.work.BnBWork` as its
-  interval set.
+  interval set.  A piece is recognised by its ``wire_tag`` and its class
+  imported when the first of its kind is decoded: a process loads only the
+  applications it runs.
 
 Frames are ``4-byte big-endian length + UTF-8 JSON``.  Zero-length frames
 are invalid (every frame carries at least ``{}``), and a peer closing
@@ -33,13 +35,8 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from ..apps.synthetic import SyntheticWork
-from ..bnb.interval import tree_leaves
-from ..bnb.work import BnBWork
 from ..sim.errors import SimRuntimeError
 from ..sim.messages import Message, sized
-from ..uts.tree import UTSParams
-from ..uts.work import UTSWork
 
 #: Hard per-frame ceiling — a corrupt length prefix must not trigger a
 #: multi-gigabyte allocation.
@@ -74,15 +71,16 @@ def to_wire(obj: Any) -> Any:
         return {"__s": sorted(to_wire(x) for x in obj)}
     if isinstance(obj, dict):
         return {"__d": [[to_wire(k), to_wire(v)] for k, v in obj.items()]}
-    if isinstance(obj, UTSWork):
+    tag = getattr(obj, "wire_tag", None)
+    if tag == "__uts":
         states, depths = obj.peek()
         return {"__uts": {"p": list(dataclasses.astuple(obj.params)),
                           "s": states.astype("<u8", copy=False).tobytes().hex(),
                           "d": depths.astype("<i4", copy=False).tobytes().hex()}}
-    if isinstance(obj, BnBWork):
+    if tag == "__bnb":
         return {"__bnb": {"n": obj.n_jobs,
                           "i": [[int(a), int(b)] for a, b in obj.as_tuples()]}}
-    if isinstance(obj, SyntheticWork):
+    if tag == "__syn":
         return {"__syn": obj.units}
     raise WireError(f"cannot wire-encode {type(obj).__name__}: {obj!r}")
 
@@ -103,6 +101,8 @@ def from_wire(obj: Any) -> Any:
             if tag == "__d":
                 return {from_wire(k): from_wire(v) for k, v in body}
             if tag == "__uts":
+                from ..uts.tree import UTSParams
+                from ..uts.work import UTSWork
                 states = _unpack_stack(body["s"], "<u8")
                 depths = _unpack_stack(body["d"], "<i4")
                 if len(states) != len(depths):
@@ -114,6 +114,7 @@ def from_wire(obj: Any) -> Any:
             if tag == "__bnb":
                 return _bnb_from_wire(body["n"], body["i"])
             if tag == "__syn":
+                from ..apps.synthetic import SyntheticWork
                 return SyntheticWork(body)
         raise WireError(f"unknown wire tag in {sorted(obj)!r}")
     return obj
@@ -128,7 +129,7 @@ def _unpack_stack(text: Any, dtype: str) -> np.ndarray:
         raise WireError(f"bad packed {dtype} stack: {exc}") from exc
 
 
-def _bnb_from_wire(n_jobs: int, intervals: list) -> BnBWork:
+def _bnb_from_wire(n_jobs: int, intervals: list):
     """Rebuild B&B work keeping the sender's interval order.
 
     ``BnBWork.merge`` appends what it receives, so a pool that absorbed a
@@ -136,6 +137,8 @@ def _bnb_from_wire(n_jobs: int, intervals: list) -> BnBWork:
     would refuse it.  The wire is still outside input: range and overlap
     are checked here, on a sorted copy.
     """
+    from ..bnb.interval import tree_leaves
+    from ..bnb.work import BnBWork
     work = BnBWork(n_jobs)
     limit = tree_leaves(n_jobs)
     last_end = 0
@@ -178,7 +181,6 @@ def stats_to_wire(ps) -> dict:
     ``crash_time`` is ``+inf`` while alive — JSON has no infinity, so the
     field is simply omitted and restored by :func:`stats_from_wire`.
     """
-    import dataclasses
     import math
     out = {}
     for f in dataclasses.fields(ps):

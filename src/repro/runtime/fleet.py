@@ -56,7 +56,8 @@ def spawn_worker(module: str, doc: dict, log_path: str) -> subprocess.Popen:
     env = os.environ.copy()
     src_dir = os.path.dirname(os.path.dirname(
         os.path.abspath(repro.__file__)))
-    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (src_dir, env.get("PYTHONPATH")) if part)
     with open(log_path, "ab") as log:   # the child holds its own descriptor
         return subprocess.Popen(
             [sys.executable, "-m", module, json.dumps(doc)],

@@ -426,9 +426,10 @@ class _LiveRun:
         self.interrupted: list[int] = []   # signals received
         self.reports: dict[int, dict] = {}
         self.hellos = 0
+        self.t_spawn = time.monotonic()   # the workers start right after
         self.t_go: Optional[float] = None
         self.t_go_epoch: Optional[float] = None
-        self.shutdown_sent = False
+        self.shutdown_sent = 0.0   # when (monotonic); 0 = not yet
         # elastic membership schedule: one join in flight at a time so the
         # announced graft sequence is totally ordered
         self.join_queue = sorted(cfg.joins, key=lambda j: j["after_s"])
@@ -585,7 +586,7 @@ class _LiveRun:
             if (not self.shutdown_sent and self.t_go is not None
                     and self.join_pending is None
                     and all(w.done for w in alive)):
-                self.shutdown_sent = True
+                self.shutdown_sent = time.monotonic()
                 fleet.broadcast({"t": "shutdown"})
             if self.shutdown_sent and all(w.closed for w in alive):
                 # Every survivor has hung up and is finalising its
@@ -625,6 +626,8 @@ class _LiveRun:
             cfg.protocol, cfg.n, cfg.slots, reports, t_go=t_go_epoch,
             crashed={w.pid: w.killed_at for w in workers if w.dead},
             spools=spools, wall_s=wall_s)
+        metrics.gauge("live.handshake_s").set(self.t_go - self.t_spawn)
+        metrics.gauge("live.reap_s").set(time.monotonic() - self.shutdown_sent)
         conserved = None
         if cfg.fault_tolerance:
             from .worker import build_app

@@ -54,14 +54,13 @@ import signal
 import sys
 import time
 import traceback
+from importlib import import_module
 from selectors import EVENT_READ, EVENT_WRITE, DefaultSelector
-
 from typing import Optional
 
 from ..apps.base import Application
 from ..core.config import OCLBConfig
 from ..experiments.runner import RunConfig, worker_factory
-from ..obs.export import TraceWriter
 from ..obs.registry import SIZE_EDGES, MetricsRegistry
 from .codec import message_from_frame, stats_to_wire, to_wire
 from .env import LiveEnv
@@ -83,6 +82,26 @@ DRAIN_S = 5.0
 LIVE_WAVE_RETRY_S = 0.02
 LIVE_PROBE_RETRY_S = 0.005
 LIVE_ACK_TIMEOUT_S = 0.02
+
+#: What :func:`build_app` and :func:`~repro.experiments.runner.worker_factory`
+#: import for an application kind or a baseline protocol, and nothing else.
+_MODULES = {"uts": ("repro.apps.uts_app", "repro.uts.params"),
+            "bnb": ("repro.experiments.specs",),
+            "synthetic": ("repro.apps.synthetic",),
+            "RWS": ("repro.baselines.rws",),
+            "MW": ("repro.baselines.master_worker",),
+            "AHMW": ("repro.baselines.ahmw",),
+            "LIFELINE": ("repro.baselines.lifeline",)}
+
+
+def preload(*names: str) -> None:
+    """Import the applications and protocols named, ahead of ``hello``: the
+    caller's clock starts at the start frame, and an import after it is
+    start-up billed as run time.  A one-shot worker preloads its own job,
+    a persistent host every job it may be sent."""
+    for name in names:
+        for module in _MODULES.get(name, ()):
+            import_module(module)
 
 
 def build_app(spec: dict) -> tuple[Application, str]:
@@ -392,6 +411,7 @@ class Reactor(InterestTable):
 
         tracer = None
         if cfg.get("trace") and run_dir:
+            from ..obs.export import TraceWriter
             tracer = proc.tracer = TraceWriter(
                 os.path.join(run_dir, f"trace_{pid}.ndjson"),
                 meta={"pid": pid, "t0_epoch": t0_epoch,
@@ -492,6 +512,8 @@ def main(argv: list[str] | None = None) -> int:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))
     cfg = json.loads(argv[0])
+    if "app" in cfg:   # a one-shot worker: the configuration is the job
+        preload(cfg["app"].get("kind"), cfg["run"].get("protocol"))
     conn = FramedConnection(connect_endpoint(cfg["endpoint"]))
     return Reactor(cfg, conn).run()
 

@@ -32,6 +32,10 @@ See ``docs/serve.md`` for the API schema and lifecycle details, and
 :mod:`repro.serve.loadgen` for the sustained-traffic benchmark client.
 """
 
-from .daemon import ServeConfig, ServeDaemon, serve_main
+from .._lazy import TYPE_CHECKING, lazy
 
-__all__ = ["ServeConfig", "ServeDaemon", "serve_main"]
+if TYPE_CHECKING:
+    from .daemon import ServeConfig, ServeDaemon, serve_main
+
+__getattr__, __dir__, __all__ = lazy(
+    __name__, {".daemon": "ServeConfig ServeDaemon serve_main"})

@@ -95,6 +95,7 @@ class Lane:
         self.epoch = 0               # last dispatched job epoch
         self.restarts = 0            # completed recycles
         self.jobs_run = 0
+        self.boot_s = 0.0            # last boot or recycle: spawn -> init
         self.current_job = None
         self._fleet: Optional[Fleet] = None
         self._hosts: list[_Host] = []
@@ -131,7 +132,7 @@ class Lane:
         job = self.current_job
         return {"lane": self.lane_id, "state": self.state,
                 "restarts": self.restarts, "jobs_run": self.jobs_run,
-                "epoch": self.epoch,
+                "epoch": self.epoch, "boot_s": round(self.boot_s, 6),
                 "job": None if job is None else job.id,
                 "workers": [{"pid": h.pid, "ospid": h.ospid}
                             for h in self._hosts]}
@@ -206,7 +207,7 @@ class Lane:
     # -- fleet lifecycle -----------------------------------------------------
 
     def _boot(self) -> None:
-        fleet, scfg = self._fleet, self.scfg
+        fleet, scfg, t0 = self._fleet, self.scfg, time.monotonic()
         # one log per slot, appended across recycles, keeps the history
         self._hosts = fleet.members = [
             _Host(pid, spawn_worker(
@@ -231,6 +232,7 @@ class Lane:
         self._broadcast(
             {"t": "init",
              "peers": {str(h.pid): h.peer for h in self._hosts}}, "idle")
+        self.boot_s = time.monotonic() - t0
         self.state = "idle"
 
     def _recycle(self) -> None:

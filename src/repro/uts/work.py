@@ -31,6 +31,7 @@ class UTSWork(WorkItem):
     """Splittable stack of pending UTS nodes (see module docstring)."""
 
     __slots__ = ("params", "_states", "_depths", "_size")
+    wire_tag = "__uts"
 
     def __init__(self, params: UTSParams,
                  states: Optional[np.ndarray] = None,

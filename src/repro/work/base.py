@@ -21,6 +21,9 @@ from typing import Optional
 class WorkItem(ABC):
     """Abstract splittable work; see the module docstring."""
 
+    #: :mod:`repro.runtime.codec` dispatches on this, not on a class to import
+    wire_tag: Optional[str] = None
+
     @abstractmethod
     def amount(self) -> int:
         """Current work amount in application units (stack entries,

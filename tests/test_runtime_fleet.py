@@ -23,8 +23,9 @@ import time
 
 import pytest
 
+import repro
 from repro.runtime.codec import pack_frame
-from repro.runtime.fleet import Fleet
+from repro.runtime.fleet import Fleet, spawn_worker
 from repro.runtime.supervisor import LiveConfig, _LiveRun, _Worker, run_live
 from repro.serve.client import ServeClient
 from repro.serve.daemon import ServeConfig, ServeDaemon
@@ -184,3 +185,25 @@ def test_msg_on_a_control_connection_goes_nowhere(owner, tmp_path):
         fleet.close()
         for sock in far_ends:
             sock.close()
+
+
+# -- the path a spawned worker starts with -----------------------------------
+
+@pytest.mark.parametrize("inherited", [None, "/some/where/else"],
+                         ids=["unset", "set"])
+def test_spawned_child_path_is_this_checkout_first_and_has_no_empty_entry(
+        inherited, tmp_path, monkeypatch):
+    """An empty ``PYTHONPATH`` entry is the working directory: a child
+    spawned with the variable unset must not get one appended."""
+    (tmp_path / "echo_path.py").write_text(
+        "import os\nprint(os.environ['PYTHONPATH'])\n")
+    monkeypatch.chdir(tmp_path)   # where ``python -m`` finds the module
+    if inherited is None:
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONPATH", inherited)
+    log = tmp_path / "child.log"
+    assert spawn_worker("echo_path", {}, str(log)).wait(timeout=60) == 0
+    parts = log.read_text().strip().split(os.pathsep)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    assert parts == [src] + ([inherited] if inherited else [])

@@ -92,13 +92,16 @@ def test_live_bnb_matches_simulated_optimum():
 def test_live_bnb_survives_merged_pools_on_the_wire():
     """At 10x10 a pool that absorbed a transfer gets split again, so
     non-ascending interval lists cross the wire — which used to kill the
-    receiving worker in ``from_wire``."""
+    receiving worker in ``from_wire``.  The codec knows B&B work by its
+    wire tag and imports the class at the first piece: with two workers
+    one side meets it encoding, the other decoding."""
     spec = {"kind": "bnb", "index": 1, "jobs": 10, "machines": 10}
     live = run_live(LiveConfig(protocol="BTD", n=2, app=spec, seed=1,
                                timeout_s=90.0))
     app, _ = build_app(spec)
     optimum, _perm, _nodes = app.engine.solve()
     assert live.result.optimum == optimum
+    assert live.metrics.histogram("work.transfer_units").count > 0
 
 
 def test_live_stats_and_metrics_flow_through():
@@ -109,6 +112,11 @@ def test_live_stats_and_metrics_flow_through():
     assert live.stats.per_process[0].busy_time > 0.0   # measured, not priced
     assert live.metrics.counter("steal.requests").value >= 0
     assert live.metrics.gauge("engine.makespan_s").value > 0.0
+    # the run reports its own set-up: spawn -> last hello, shutdown -> reaped
+    handshake = live.metrics.gauge("live.handshake_s").value
+    reap = live.metrics.gauge("live.reap_s").value
+    assert handshake > 0.0 and reap > 0.0
+    assert handshake + live.result.makespan + reap <= live.wall_s
     # the workers' own units / quanta (the mean batch) ride the same path
     assert live.metrics.counter("compute.units").value == TINY_NODES
     assert live.metrics.counter("compute.quanta").value >= TINY_NODES / 64

@@ -145,6 +145,10 @@ def test_served_and_one_shot_reports_cannot_drift(client):
 
     assert served["totals"]["work_units"] == TINY_NODES
     assert one_shot["totals"]["work_units"] == TINY_NODES
+    # set-up is the owners' to report as well: a fleet that lives for one
+    # run has two gauges for it, a lane has ``boot_s`` (the ``fleet`` op)
+    for gauge in ("live.handshake_s", "live.reap_s"):
+        assert one_shot["metrics"].pop(gauge)["value"] > 0.0
 
     def shape(report):
         # meta is the owners' to fill
@@ -159,6 +163,38 @@ def test_served_and_one_shot_reports_cannot_drift(client):
     for report in (served, one_shot):
         assert report["links"]
         assert all(e["src"] != e["dst"] for e in report["links"])
+
+
+def test_one_warm_lane_takes_every_kind_in_turn():
+    """UTS, then B&B, then synthetic on the *same two* hosts (one lane).
+    A host loads every application before ``hello`` and its codec meets
+    the B&B work class at the first piece it encodes or decodes - the
+    job must still find the sequential optimum, and a kind must not
+    depend on which kind ran before it."""
+    from repro.runtime.worker import build_app
+
+    bnb = {"kind": "bnb", "index": 1, "jobs": 8, "machines": 5}
+    d = ServeDaemon(ServeConfig(lanes=1, n=2, job_timeout_s=60.0))
+    d.start()
+    try:
+        _wait_idle(d)
+        with ServeClient(d.address) as c:
+            before = c.fleet()["lanes"][0]
+            done = [c.wait(c.submit(spec)["job_id"], timeout=90.0)
+                    for spec in (UTS_TINY, bnb, SYN)]
+            after = c.fleet()["lanes"][0]
+    finally:
+        d.stop()
+        shutil.rmtree(d.run_dir, ignore_errors=True)
+    assert [st["state"] for st in done] == ["done"] * 3, done
+    assert done[0]["total_units"] == TINY_NODES
+    assert done[1]["optimum"] == build_app(bnb)[0].engine.solve()[0]
+    assert done[1]["total_units"] > 0
+    assert done[2]["total_units"] == SYN["units"]
+    assert after["workers"] == before["workers"] and after["restarts"] == 0
+    assert after["jobs_run"] == 3
+    # the lane says what its boot cost (docs/serve.md, the ``fleet`` op)
+    assert 0.0 < before["boot_s"] == after["boot_s"] < 60.0
 
 
 def test_poison_spec_dead_letters_and_lane_survives(client):
