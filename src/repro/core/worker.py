@@ -310,40 +310,46 @@ class WorkerProcess(SimProcess):
             self.on_idle()
 
     def _run_quantum(self) -> None:
-        live = self.sim.live
-        if live:
-            from time import perf_counter
-            t0 = perf_counter()
-        outcome = self.app.process(self.work, self.cfg.quantum, self.shared)
-        if outcome.units <= 0:
-            # a non-empty container that yields nothing is drained
-            self.on_idle()
+        if self.sim.live:
+            # the live substrate computes one slice per reactor turn and
+            # hands its outcome back to slice_done
+            self.sim.park_slice()
             return
-        st = self.stats
-        st.work_units += outcome.units
-        if self._metrics is not None:
-            self._m_quanta.inc()
-            self._m_units.inc(outcome.units)
-        if live:
-            # the quantum already *took* real time inside app.process:
-            # record what was measured and yield the loop immediately so
-            # queued messages interleave between quanta
-            st.busy_time += perf_counter() - t0
-            duration = 0.0
-        else:
-            duration = outcome.units * self.app.unit_cost / self.cfg.speed
-            if self._gray_slow:
-                duration *= self.sim.faults.slow_factor(self.pid, self.now)
-            st.busy_time += duration
-            sim = self.sim
-            if (sim._fuse_active and self._fusible
-                    and self.quantum_boundary_quiet()):
-                self._run_fused(outcome.units, outcome.improved, duration)
-                return
+        outcome = self.app.process(self.work, self.cfg.quantum, self.shared)
+        if not self._count_quantum(outcome):
+            return
+        duration = outcome.units * self.app.unit_cost / self.cfg.speed
+        if self._gray_slow:
+            duration *= self.sim.faults.slow_factor(self.pid, self.now)
+        self.stats.busy_time += duration
+        if (self.sim._fuse_active and self._fusible
+                and self.quantum_boundary_quiet()):
+            self._run_fused(outcome.units, outcome.improved, duration)
+            return
         self.occupy(duration,
                     lambda: self._quantum_done(outcome.units,
                                                outcome.improved),
                     tag=f"quantum@{self.pid}" if self.sim.debug else "")
+
+    def _count_quantum(self, outcome) -> bool:
+        """Book a quantum's units; False (having gone idle) if it had none."""
+        if outcome.units <= 0:
+            # a non-empty container that yields nothing is drained
+            self.on_idle()
+            return False
+        self.stats.work_units += outcome.units
+        if self._metrics is not None:
+            self._m_quanta.inc()
+            self._m_units.inc(outcome.units)
+        return True
+
+    def slice_done(self, outcome) -> None:
+        """Boundary of a slice the live substrate computed (its wall time
+        is already booked): the quantum's end, then the queue or the next
+        slice."""
+        if self._count_quantum(outcome):
+            self._quantum_done(outcome.units, outcome.improved)
+            self._drain()
 
     def _fusion_horizon(self):
         """Earliest time any *other* event could affect this worker.

@@ -41,6 +41,7 @@ import sys
 from typing import Optional
 
 from ..obs.report import build_report
+from ..runtime.env import LIVE_QUANTUM
 from ..uts.params import PRESETS
 from .runner import PROTOCOLS
 
@@ -105,7 +106,7 @@ def add_live_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bound", default="lb1")
     parser.add_argument("--protocol", default="BTD", choices=LIVE_PROTOCOLS)
     parser.add_argument("--n", type=int, default=4)
-    parser.add_argument("--quantum", type=int, default=64)
+    parser.add_argument("--quantum", type=int, default=LIVE_QUANTUM)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--dmax", type=int, default=10)
     parser.add_argument("--sharing", default="proportional")

@@ -154,6 +154,8 @@ METRICS = {
     "reliable.retransmits": ("counter", "reliable-channel retransmissions"),
     "reliable.retransmit_delay_s": ("histogram",
                                     "backoff delay of each retransmission"),
+    "reactor.turns": ("counter", "live: reactor turns (socket waits) of "
+                                 "the job; at most one quantum each"),
     "spool.commits": ("counter", "live fault mode: write-ahead spool "
                                  "commits"),
     "spool.skipped": ("counter", "live fault mode: flushes the commit rule "

@@ -15,6 +15,9 @@ unchanged:
   worker's connection (:mod:`repro.runtime.mesh`); the reactor flushes it;
 * a simulated timer becomes a heap entry the worker's selector loop fires
   when its wall deadline passes;
+* a compute quantum becomes a *slice*: the protocol parks it
+  (:meth:`LiveEnv.park_slice`) and the reactor computes at most one per
+  turn (:meth:`LiveEnv.run_slice`), timed on the wall clock;
 * ``handler_cost`` is 0 — handling takes whatever it really takes;
 * ``is_crashed`` consults the death announcements the supervisor
   broadcasts (its EOF/child-exit watch is the failure detector), and
@@ -38,10 +41,11 @@ from .codec import message_to_frame
 from .mesh import PeerMesh
 from .spool import read_spool, spool_path
 
-#: Timers fired per reactor iteration before the loop re-checks the
-#: socket. Compute chains (quantum -> occupy(0) -> next quantum) are
-#: zero-delay timer loops; an uncapped drain would starve inbound steals.
-MAX_TIMER_BATCH = 32
+#: Work units per live compute slice, the default ``quantum`` of every live
+#: run and serve lane.  A reactor turn computes at most one slice, so this
+#: is how many units a worker processes between two reads of its sockets
+#: (docs/runtime.md, "The live quantum").
+LIVE_QUANTUM = 2048
 
 
 class _LiveTimer:
@@ -90,11 +94,13 @@ class WallTimerQueue:
             heapq.heappop(heap)
         return heap[0][0] if heap else None
 
-    def fire_due(self, limit: int = MAX_TIMER_BATCH) -> int:
-        """Run up to ``limit`` timers whose deadline has passed."""
+    def fire_due(self) -> int:
+        """Run every timer whose deadline has passed, including the
+        zero-delay ones they schedule (a handler chain ends with the
+        frames the turn pumped: compute never rides this heap)."""
         fired = 0
         heap = self._heap
-        while heap and fired < limit:
+        while heap:
             when, _, ev = heap[0]
             if ev.cancelled:
                 heapq.heappop(heap)
@@ -157,6 +163,8 @@ class LiveEnv:
                                              else None)
         self.run_dir = run_dir
         self.proc = None
+        #: a compute slice the process asked for, run by :meth:`run_slice`
+        self.slice_parked = False
         self._spool_cache: dict[int, Optional[dict]] = {}
         #: stamped onto every outbound ``msg`` frame as ``"j"`` when set —
         #: the :mod:`repro.serve` job hosts multiplex successive jobs over
@@ -202,6 +210,32 @@ class LiveEnv:
     def deliver(self, msg: Message) -> None:
         """A peer's frame arrived for our process."""
         self.proc._arrive(msg)
+
+    # -- compute -------------------------------------------------------------
+
+    def park_slice(self) -> None:
+        """The process wants its next quantum.  It is computed by the
+        next :meth:`run_slice`, not now: the reactor runs one slice per
+        turn, after the turn's frames and due timers (idempotent)."""
+        self.slice_parked = True
+
+    def run_slice(self) -> None:
+        """Compute the parked slice, if it is still wanted, and run its
+        boundary.  The wall time it took is the process's ``busy_time``
+        (the simulator prices it instead)."""
+        if not self.slice_parked:
+            return
+        self.slice_parked = False
+        proc = self.proc
+        # a handler since the park may have taken the pool or the CPU, or
+        # started a leave; whoever did re-parks if compute is still due
+        if (proc._cpu_busy or proc.terminated or proc.leaving
+                or proc.work.is_empty()):
+            return
+        t0 = time.perf_counter()
+        outcome = proc.app.process(proc.work, proc.cfg.quantum, proc.shared)
+        proc.stats.busy_time += time.perf_counter() - t0
+        proc.slice_done(outcome)
 
     # -- work accounting -------------------------------------------------------
 
@@ -260,5 +294,5 @@ class LiveEnv:
         return seq in doc.get("recv_log", {}).get(str(src_pid), ())
 
 
-__all__ = ["LiveEnv", "LiveFaults", "LiveNetwork", "MAX_TIMER_BATCH",
+__all__ = ["LIVE_QUANTUM", "LiveEnv", "LiveFaults", "LiveNetwork",
            "WallTimerQueue"]

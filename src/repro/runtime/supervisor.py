@@ -57,6 +57,7 @@ from ..sim.errors import SimConfigError, SimRuntimeError
 from ..sim.rng import RngStream
 from ..sim.stats import RunStats
 from ..sim.trace import CRASH, PARTITION
+from .env import LIVE_QUANTUM
 from .fleet import Fleet, Member, assemble, spawn_worker
 from .spool import conserved_units_live, read_spool, spool_path
 
@@ -87,7 +88,7 @@ class LiveConfig:
                                                "preset": "bin_tiny"})
     dmax: int = 10
     sharing: str = "proportional"
-    quantum: int = 64
+    quantum: int = LIVE_QUANTUM
     seed: int = 0
     transport: str = "tcp"          # "tcp" (loopback) or "unix"
     host: str = "127.0.0.1"

@@ -21,13 +21,16 @@ listener, says ``hello`` (advertising it) and waits for its start frame:
 Either way a job is the same loop (:meth:`Reactor.run_job`), one turn of
 which is:
 
-1. wait on the sockets until the next timer deadline (or an idle tick);
+1. wait on the sockets until the next timer deadline (or an idle tick;
+   not at all while a compute slice is parked);
 2. absorb inbound frames - protocol messages off the mesh into
    ``proc._arrive`` through the epoch filter, the owner's frames onto the
    control queue;
 3. act on the control queue (``dead``/``left``/``join`` membership news,
    ``leave``, ``abort``, ``job_end``, ``shutdown``);
-4. fire due timers (compute quanta, retransmits, termination waves);
+4. fire due timers - message handlers, retransmits, termination waves -
+   then compute **at most one** slice of ``quantum`` units
+   (:meth:`repro.runtime.env.LiveEnv.run_slice`);
 5. report ``done`` once the protocol has terminated;
 6. :meth:`Reactor.flush` - the only place bytes leave the process.  In
    fault mode it first commits the write-ahead spool if the state that
@@ -63,7 +66,7 @@ from ..core.config import OCLBConfig
 from ..experiments.runner import RunConfig, worker_factory
 from ..obs.registry import SIZE_EDGES, MetricsRegistry
 from .codec import message_from_frame, stats_to_wire, to_wire
-from .env import LiveEnv
+from .env import LIVE_QUANTUM, LiveEnv
 from .mesh import MAX_EARLY_FRAMES, PeerMesh, open_peer_listener
 from .spool import build_spool_doc, spool_path, write_spool
 from .transport import FramedConnection, InterestTable, connect_endpoint
@@ -139,7 +142,8 @@ def build_run_config(cfg: dict) -> RunConfig:
     return RunConfig(protocol=run["protocol"], n=run["n"],
                      dmax=run.get("dmax", 10),
                      sharing=run.get("sharing", "proportional"),
-                     quantum=run.get("quantum", 64), seed=run.get("seed", 0),
+                     quantum=run.get("quantum", LIVE_QUANTUM),
+                     seed=run.get("seed", 0),
                      oclb=oclb,
                      ack_timeout=run.get("ack_timeout", LIVE_ACK_TIMEOUT_S),
                      ack_max_backoff=run.get("ack_max_backoff"),
@@ -440,45 +444,8 @@ class Reactor(InterestTable):
             while True:
                 if time.monotonic() > deadline:
                     raise Exit(4)
-                nxt = env.queue.next_deadline()
-                self.pump(IDLE_TICK_S if nxt is None
-                          else min(IDLE_TICK_S, max(0.0, nxt - env.now)))
-                while self.ctrl:
-                    frame = self.ctrl.popleft()
-                    t = frame.get("t")
-                    if t in ("dead", "left"):
-                        gone = int(frame["pid"])
-                        # first whatever the departed peer flushed before
-                        # going: those frames physically arrived
-                        for late in mesh.drop_peer(gone):
-                            self.deliver(late)
-                        (env.mark_left if t == "left"
-                         else env.mark_dead)(gone)
-                    elif t == "join":
-                        jp = int(frame["pid"])
-                        # graft first, then the joiner's early frames: its
-                        # ATTACH must find the overlay already extended
-                        proc.peer_joined(jp, int(frame["parent"]))
-                        for late in mesh.add_member(jp,
-                                                    frame.get("endpoint")):
-                            self.deliver(late)
-                    elif t == "leave":
-                        proc.begin_leave()
-                    elif t == "shutdown":
-                        if fault_mode and not frame.get("abort"):
-                            conn.send_frame({"t": "bye", "pid": pid,
-                                             **self._receipts()})
-                        self.drain()
-                        raise Exit(0)
-                    elif frame.get("epoch") == epoch:
-                        if t == "abort":
-                            conn.send_frame({"t": "aborted", "epoch": epoch})
-                            self.drain()
-                            return
-                        if t == "job_end":
-                            return   # a queued next job stays in ctrl
-                env.queue.fire_due()
-
+                if self.turn():
+                    return
                 if proc.terminated and not reported:
                     reported = True
                     conn.send_frame(report("done"))
@@ -493,6 +460,61 @@ class Reactor(InterestTable):
             self.env = self.proc = self.spool = self.epoch = None
             if tracer is not None:
                 tracer.close()
+
+    def turn(self) -> bool:
+        """Steps 1-4 of a turn of the running job (module docstring): at
+        most one compute slice, after every frame pumped and every timer
+        due - handlers, acks, retransmits, waves.  The pump does not wait
+        while a slice is parked.  True once a control frame ended the job."""
+        env = self.env
+        env.metrics.counter("reactor.turns").inc()
+        nxt = env.queue.next_deadline()
+        self.pump(0.0 if env.slice_parked
+                  else IDLE_TICK_S if nxt is None
+                  else min(IDLE_TICK_S, max(0.0, nxt - env.now)))
+        if self.control():
+            return True
+        env.queue.fire_due()
+        env.run_slice()
+        return False
+
+    def control(self) -> bool:
+        """Act on the queued control frames of the running job; True if
+        one ended it (``abort``, ``job_end``), ``shutdown`` exits."""
+        env, proc, mesh, epoch = self.env, self.proc, self.mesh, self.epoch
+        while self.ctrl:
+            frame = self.ctrl.popleft()
+            t = frame.get("t")
+            if t in ("dead", "left"):
+                gone = int(frame["pid"])
+                # first whatever the departed peer flushed before going:
+                # those frames physically arrived
+                for late in mesh.drop_peer(gone):
+                    self.deliver(late)
+                (env.mark_left if t == "left" else env.mark_dead)(gone)
+            elif t == "join":
+                jp = int(frame["pid"])
+                # graft first, then the joiner's early frames: its ATTACH
+                # must find the overlay already extended
+                proc.peer_joined(jp, int(frame["parent"]))
+                for late in mesh.add_member(jp, frame.get("endpoint")):
+                    self.deliver(late)
+            elif t == "leave":
+                proc.begin_leave()
+            elif t == "shutdown":
+                if self.cfg.get("fault_mode") and not frame.get("abort"):
+                    self.conn.send_frame({"t": "bye", "pid": self.pid,
+                                          **self._receipts()})
+                self.drain()
+                raise Exit(0)
+            elif frame.get("epoch") == epoch:
+                if t == "abort":
+                    self.conn.send_frame({"t": "aborted", "epoch": epoch})
+                    self.drain()
+                    return True
+                if t == "job_end":
+                    return True   # a queued next job stays in ctrl
+        return False
 
     def _receipts(self) -> dict:
         """Fault mode: the conservation inputs only a survivor can give."""

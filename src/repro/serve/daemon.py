@@ -39,6 +39,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Optional
 
+from ..runtime.env import LIVE_QUANTUM
 from ..sim.errors import SimConfigError
 from .fleet import Lane
 from .protocol import (BadRequest, SERVE_PROTOCOLS, error_response,
@@ -60,7 +61,7 @@ class ServeConfig:
     lanes: int = 2                  # concurrent jobs = warm fleets
     n: int = 2                      # workers per lane
     protocol: str = "BTD"           # default per-job run config ...
-    quantum: int = 64
+    quantum: int = LIVE_QUANTUM
     seed: int = 0
     dmax: int = 10
     sharing: str = "proportional"
@@ -531,7 +532,7 @@ def serve_main(argv: Optional[list[str]] = None) -> int:
     ap.add_argument("--n", type=int, default=2,
                     help="workers per lane")
     ap.add_argument("--protocol", default="BTD", choices=SERVE_PROTOCOLS)
-    ap.add_argument("--quantum", type=int, default=64)
+    ap.add_argument("--quantum", type=int, default=LIVE_QUANTUM)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--dmax", type=int, default=10)
     ap.add_argument("--sharing", default="proportional")

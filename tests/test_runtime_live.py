@@ -23,6 +23,7 @@ import time
 import pytest
 
 from repro.experiments.runner import run_instrumented
+from repro.runtime.env import LIVE_QUANTUM
 from repro.runtime.supervisor import LiveConfig, run_live
 from repro.runtime.worker import build_app
 from repro.uts.params import PRESETS
@@ -35,6 +36,10 @@ UTS_TINY = {"kind": "uts", "preset": "bin_tiny"}
 #: or a non-root worker has seen 400 units, this one runs for a few 100 ms
 SMALL_NODES = PRESETS["bin_small"].nodes   # exact, verified by tests
 UTS_SMALL = {"kind": "uts", "preset": "bin_small"}
+#: for edges on the wall clock: one slice per reactor turn clears
+#: bin_small on four workers in a few 10 ms, this one takes ~0.2 s
+LARGE_NODES = PRESETS["bin_large"].nodes
+UTS_LARGE = {"kind": "uts", "preset": "bin_large"}
 
 
 def _children_of(pid: int) -> set[int]:
@@ -104,6 +109,19 @@ def test_live_bnb_survives_merged_pools_on_the_wire():
     assert live.metrics.histogram("work.transfer_units").count > 0
 
 
+def test_live_bnb_fault_mode_keeps_its_guarantees():
+    """A slice of LIVE_QUANTUM B&B nodes stays well inside the ack timeout:
+    in fault mode the live optimum is the sequential one, no circuit
+    breaker opens on a healthy peer, and the identity is exact."""
+    spec = {"kind": "bnb", "index": 3, "jobs": 11, "machines": 10}
+    live = run_live(LiveConfig(protocol="BTD", n=2, app=spec, seed=1,
+                               fault_tolerance=True, timeout_s=120.0))
+    optimum, _perm, _nodes = build_app(spec)[0].engine.solve()
+    assert live.result.optimum == optimum
+    assert live.result.breaker_opens == 0
+    assert live.conserved == live.result.total_units
+
+
 def test_live_stats_and_metrics_flow_through():
     live = run_live(LiveConfig(protocol="BTD", n=2, app=UTS_TINY, seed=12,
                                timeout_s=60.0))
@@ -119,7 +137,10 @@ def test_live_stats_and_metrics_flow_through():
     assert handshake + live.result.makespan + reap <= live.wall_s
     # the workers' own units / quanta (the mean batch) ride the same path
     assert live.metrics.counter("compute.units").value == TINY_NODES
-    assert live.metrics.counter("compute.quanta").value >= TINY_NODES / 64
+    quanta = live.metrics.counter("compute.quanta").value
+    assert quanta >= TINY_NODES / LIVE_QUANTUM
+    # a reactor turn computes at most one slice
+    assert quanta <= live.metrics.counter("reactor.turns").value
     # a plain run has no spool, so it publishes no spool instruments
     assert not [name for name in live.metrics.names()
                 if name.startswith("spool.")]
@@ -227,17 +248,17 @@ def test_live_partition_heal_conserves_every_unit(tmp_path):
     would send across the cut for a wall-clock window. No node dies, so
     the run must finish with the full tree *processed* and the identity
     exact."""
-    # the window must overlap the run: bin_tiny on 4 local workers takes
-    # ~0.1 s of protocol time, so cut early and heal before the timeout
-    cfg = LiveConfig(protocol="BTD", n=4, app=UTS_TINY, seed=23,
+    # the window must overlap the run: bin_large on 4 local workers takes
+    # ~0.2 s of protocol time, so cut early and heal before the timeout
+    cfg = LiveConfig(protocol="BTD", n=4, app=UTS_LARGE, seed=23,
                      timeout_s=90.0, fault_tolerance=True,
                      run_dir=str(tmp_path / "run"),
                      partitions=({"side": [2, 3],
                                   "start_s": 0.02, "end_s": 0.3},))
     live = run_live(cfg)
     assert live.killed == ()
-    assert live.result.total_units == TINY_NODES
-    assert live.conserved == TINY_NODES
+    assert live.result.total_units == LARGE_NODES
+    assert live.conserved == LARGE_NODES
     # frames actually headed across (and were eaten at) the cut
     assert live.metrics.counter("live.partition_drops").value > 0
     for pid in range(4):
@@ -247,10 +268,10 @@ def test_live_partition_heal_conserves_every_unit(tmp_path):
 def test_sigkill_during_partition_conserves(tmp_path):
     """kill -9 on a partitioned worker: the spool identity must survive
     the composition of a split and a death inside it."""
-    # termination waves cannot cross the cut, so the run must outlive the
-    # window — an after_s kill at 0.1 s is therefore guaranteed to land
-    # *inside* the 0.02-0.5 s split, not before or after it
-    cfg = LiveConfig(protocol="BTD", n=4, app=UTS_TINY, seed=24,
+    # termination waves cannot cross the cut, so a run still going when
+    # it opens outlives the window — an after_s kill at 0.1 s therefore
+    # lands *inside* the 0.02-0.5 s split, not before or after it
+    cfg = LiveConfig(protocol="BTD", n=4, app=UTS_LARGE, seed=24,
                      timeout_s=90.0, fault_tolerance=True,
                      run_dir=str(tmp_path / "run"),
                      kills=({"pid": 3, "after_s": 0.1},),
@@ -259,7 +280,7 @@ def test_sigkill_during_partition_conserves(tmp_path):
     live = run_live(cfg)
     assert live.killed == (3,)
     assert live.result.crashes == 1
-    assert live.conserved == TINY_NODES          # exact, not approximate
+    assert live.conserved == LARGE_NODES         # exact, not approximate
     for pid in (0, 1, 2):
         assert live.reports[pid]["stats"]["finish_time"] > 0.0
 
@@ -380,7 +401,7 @@ def test_p2p_join_leave_and_kill_compose(tmp_path):
     """The full elastic-membership lifecycle in one run: a worker joins
     mid-run (grafted by the registry), another drains out gracefully, a
     third is SIGKILLed — and the conservation identity stays exact."""
-    cfg = LiveConfig(protocol="BTD", n=4, app=UTS_SMALL, seed=23,
+    cfg = LiveConfig(protocol="BTD", n=4, app=UTS_LARGE, seed=23,
                      fault_tolerance=True, timeout_s=90.0,
                      joins=({"pid": 4, "after_s": 0.07},),
                      leaves=({"pid": 2, "after_s": 0.04},),
@@ -390,7 +411,7 @@ def test_p2p_join_leave_and_kill_compose(tmp_path):
     assert live.joined == (4,)
     assert live.left == (2,)
     assert live.killed == (3,)
-    assert live.conserved == SMALL_NODES
+    assert live.conserved == LARGE_NODES
     # the leaver is a survivor: its stats flowed into the report and its
     # row is not marked crashed
     assert live.stats.per_process[2].crashes == 0
@@ -401,7 +422,7 @@ def test_p2p_join_during_partition_conserves(tmp_path):
     """A worker joining while the fleet is split must attach through the
     reachable side (or retry past the cut) without losing a unit —
     membership news rides the control plane, which partitions never cut."""
-    cfg = LiveConfig(protocol="BTD", n=4, app=UTS_SMALL, seed=29,
+    cfg = LiveConfig(protocol="BTD", n=4, app=UTS_LARGE, seed=29,
                      fault_tolerance=True, timeout_s=90.0,
                      joins=({"pid": 4, "after_s": 0.06},),
                      partitions=({"side": [1, 3], "start_s": 0.03,
@@ -409,4 +430,4 @@ def test_p2p_join_during_partition_conserves(tmp_path):
                      run_dir=str(tmp_path / "run"))
     live = run_live(cfg)
     assert live.joined == (4,)
-    assert live.conserved == SMALL_NODES
+    assert live.conserved == LARGE_NODES

@@ -2,9 +2,11 @@
 
 A fault-mode worker commits its spool only when the state that explains
 outgoing bytes changed since the last commit (docs/runtime.md, "The commit
-rule").  Three angles:
+rule").  Three angles, and the turn the rule is applied once per:
 
 * the rule itself, turn by turn, on one in-process reactor;
+* the turn rule on the same reactor: one compute slice per turn, after
+  every frame pumped and every timer due, and one commit for all of it;
 * write-ahead order as a property of a whole run: two fault-mode reactors
   on threads, every commit and every flush recorded in order;
 * ``kill -9`` at early / middle / late points of a real fleet run: the
@@ -22,10 +24,13 @@ import repro.runtime.worker as worker_mod
 from repro.apps.synthetic import SyntheticWork
 from repro.experiments.runner import worker_factory
 from repro.obs.registry import MetricsRegistry
+from repro.core.reliable import RMSG
+from repro.runtime.codec import message_to_frame, pack_frame
 from repro.runtime.env import LiveEnv
 from repro.runtime.spool import read_spool
 from repro.runtime.supervisor import LiveConfig, run_live
-from repro.runtime.transport import FramedConnection
+from repro.runtime.transport import FramedConnection, connect_endpoint
+from repro.sim.messages import sized
 from repro.runtime.worker import Reactor, build_app, build_run_config
 from repro.uts.params import PRESETS
 
@@ -114,6 +119,48 @@ def test_commit_rule_turn_by_turn(reactor, monkeypatch):
     assert flush(r) == 1
     assert read_spool(r.spool)["processed"] == 64
     assert flush(r) == 0            # no progress since: age alone is not
+
+
+# -- the turn rule ---------------------------------------------------------
+
+def test_a_turn_computes_one_slice_after_every_frame_and_due_timer(reactor):
+    """Parent 0 answers pid 1's work request with k WORK pieces, and the
+    request's ack timer falls due: the next turn handles all k (k RACKs
+    leave), retransmits the request, computes exactly one slice of the
+    pool the pieces built, and its flush commits once."""
+    r, k = reactor, 5
+    r.mesh.add_member(0, None)
+    r.proc.start()
+    assert not r.turn()             # the kick: idle, asks parent 0
+    assert flush(r) == 1
+    [request] = r.proc._reliable.pending_to(0)
+    peer = connect_endpoint(r.peer_endpoint)
+    try:
+        r.mesh.accept()
+        peer.sendall(pack_frame({"t": "ph", "pid": 0}) + b"".join(
+            pack_frame(message_to_frame(sized(
+                RMSG, 0, 1, (seq, "WORK", (SyntheticWork(100), "")), 16)))
+            for seq in range(k)))
+        r.env.queue._t0 -= 1.0      # the clock jumps: the ack timer is due
+        stats, quanta = r.proc.stats, r.env.metrics.counter("compute.quanta")
+        frames0 = r.mesh.link_frames.get(0, 0)
+
+        assert not r.turn()
+        assert stats.work_msgs_received == k
+        assert stats.retransmits == 1 and request.attempts == 1
+        assert r.mesh.link_frames[0] - frames0 == k + 1   # RACKs + request
+        assert quanta.value == 1 and stats.work_units == 16
+        assert flush(r) == 1
+
+        # the pool is not empty: the next slice is parked, and each turn
+        # computes exactly one
+        for turn in (2, 3):
+            assert r.env.slice_parked
+            assert not r.turn()
+            assert quanta.value == turn and stats.work_units == 16 * turn
+        assert r.env.metrics.counter("reactor.turns").value == 4
+    finally:
+        peer.close()
 
 
 # -- (b) write-ahead order over a whole run ----------------------------------

@@ -149,6 +149,11 @@ def test_served_and_one_shot_reports_cannot_drift(client):
     # run has two gauges for it, a lane has ``boot_s`` (the ``fleet`` op)
     for gauge in ("live.handshake_s", "live.reap_s"):
         assert one_shot["metrics"].pop(gauge)["value"] > 0.0
+    # both reactors count their turns, and compute at most a slice in each
+    for report in (served, one_shot):
+        metrics = report["metrics"]
+        assert (0 < metrics["compute.quanta"]["value"]
+                <= metrics["reactor.turns"]["value"])
 
     def shape(report):
         # meta is the owners' to fill
