@@ -583,8 +583,9 @@ def shard_bench(quick=False, out=None, jobs=0):
     Both runs execute the fixed CI-sized gate workload (the same 2000-node
     cell ``scale_bench`` gates), so a ``--quick`` re-recording compares
     apples-to-apples with the committed baseline. Without ``--quick`` a
-    10,000-node BTD/synthetic cell is added as context — the workload the
-    issue's multi-core speedup claim is stated on.
+    10,000-node BTD/synthetic cell is added as context, at the same shard
+    count — the cell the sharded engine's keep-or-delete threshold is
+    stated on.
     """
     from repro.experiments.parallel import resolve_jobs
     from repro.experiments.scale import scale_run
@@ -631,8 +632,9 @@ def shard_bench(quick=False, out=None, jobs=0):
                       units_per_node=50_000, unit_cost=1e-6,
                       preset="bin_small")
         b_serial = scale_run("BTD", "synthetic", 10_000, **big_kw)
-        b_shard = scale_run("BTD", "synthetic", 10_000,
-                            shards=max(shards, 4), **big_kw)
+        # the gate's shard count: more shards than cores would time-slice
+        b_shard = scale_run("BTD", "synthetic", 10_000, shards=shards,
+                            **big_kw)
         report["btd_10k_serial"] = b_serial.to_json()
         report["btd_10k_sharded"] = b_shard.to_json()
         report["btd_10k_speedup_vs_serial"] = round(

@@ -27,6 +27,9 @@ class SyntheticWork(WorkItem):
             raise SimConfigError("units must be >= 0")
         self.units = units
 
+    def __reduce__(self) -> tuple:
+        return (SyntheticWork, (self.units,))
+
     def amount(self) -> int:
         return self.units
 

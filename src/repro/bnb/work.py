@@ -138,12 +138,9 @@ class BnBWork(WorkItem):
         """Drop the (exhausted) head interval."""
         self.intervals.popleft()
 
-    def __getstate__(self) -> tuple:
-        return self.n_jobs, self.intervals  # the cursor never travels
-
-    def __setstate__(self, state: tuple) -> None:
-        self.n_jobs, self.intervals = state
-        self.cursor = None
+    def __reduce__(self) -> tuple:
+        # the cursor never travels
+        return (_restore, (self.n_jobs, list(self.intervals)))
 
     def as_tuples(self) -> list[tuple[int, int]]:
         """Immutable snapshot of the interval set (tests/reports)."""
@@ -152,6 +149,15 @@ class BnBWork(WorkItem):
     def __repr__(self) -> str:  # pragma: no cover
         return (f"BnBWork(n_jobs={self.n_jobs}, "
                 f"{len(self.intervals)} intervals, amount={self.amount()})")
+
+
+def _restore(n_jobs: int, intervals: list[list[int]]) -> BnBWork:
+    """Unpickle B&B work as it was. ``BnBWork.merge`` appends what it
+    receives, so a pool that absorbed a transfer is legitimately not
+    ascending, and the validating constructor would refuse it."""
+    work = BnBWork(n_jobs)
+    work.intervals.extend(intervals)
+    return work
 
 
 __all__ = ["BnBWork", "INTERVAL_BYTES"]

@@ -43,8 +43,8 @@ from ..runtime.env import LIVE_QUANTUM
 from ..sim.errors import SimConfigError
 from .fleet import Lane
 from .protocol import (BadRequest, SERVE_PROTOCOLS, error_response,
-                       format_address, read_line, validate_app, validate_run,
-                       write_line)
+                       format_address, is_json_int, read_line, validate_app,
+                       validate_run, validate_seconds, write_line)
 
 #: Smoothing of the execution-time EWMA behind the queue-ETA estimate.
 _EWMA_ALPHA = 0.3
@@ -272,14 +272,11 @@ class ServeDaemon:
         return round(self._ewma_exec_s * (1.0 + position / servers), 3)
 
     def op_submit(self, req: dict) -> dict:
-        try:
-            app = validate_app(req.get("app"))
-            run = validate_run(req.get("run"))
-            timeout_s = float(req.get("timeout_s", self.cfg.job_timeout_s))
-            if not (0 < timeout_s <= 3600):
-                raise BadRequest("timeout_s out of range (0, 3600]")
-        except BadRequest as exc:
-            return error_response("bad-request", detail=str(exc))
+        app = validate_app(req.get("app"))
+        run = validate_run(req.get("run"))
+        timeout_s = validate_seconds(req, "timeout_s", self.cfg.job_timeout_s)
+        if not (0 < timeout_s <= 3600):
+            raise BadRequest("timeout_s out of range (0, 3600]")
         with self._cond:
             if self._draining or self._stopping:
                 self._rejected_draining += 1
@@ -384,9 +381,12 @@ class ServeDaemon:
                 "lanes": [ln.snapshot() for ln in self._lanes]}
 
     def op_dead_letters(self, req: dict) -> dict:
-        limit = int(req.get("limit", 50))
+        limit = req.get("limit", 50)
+        if not is_json_int(limit) or limit < 0:
+            raise BadRequest(f"'limit' must be an integer >= 0, "
+                             f"not {limit!r}")
         with self._cond:
-            records = list(self._dead_letters)[-limit:]
+            records = list(self._dead_letters)[-limit:] if limit else []
         return {"ok": True, "count": len(records), "dead_letters": records}
 
     def drain(self, wait: bool, timeout_s: float = 300.0) -> dict:
@@ -411,7 +411,7 @@ class ServeDaemon:
 
     def op_drain(self, req: dict) -> dict:
         return self.drain(wait=bool(req.get("wait", True)),
-                          timeout_s=float(req.get("timeout_s", 300.0)))
+                          timeout_s=validate_seconds(req, "timeout_s", 300.0))
 
     def op_resume(self, _req: dict) -> dict:
         with self._cond:
@@ -441,7 +441,7 @@ class ServeDaemon:
 
     def op_shutdown(self, req: dict) -> dict:
         resp = self.drain(wait=bool(req.get("wait", True)),
-                          timeout_s=float(req.get("timeout_s", 300.0)))
+                          timeout_s=validate_seconds(req, "timeout_s", 300.0))
         self._shutdown_ev.set()
         return {"ok": True, "shutdown": True, "drained": resp["drained"]}
 
@@ -508,6 +508,8 @@ class ServeDaemon:
                                   known=sorted(self._OPS))
         try:
             return handler(self, req)
+        except BadRequest as exc:
+            return error_response("bad-request", detail=str(exc))
         except Exception:
             tb = traceback.format_exc()
             return error_response("internal-error",

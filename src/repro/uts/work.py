@@ -98,6 +98,13 @@ class UTSWork(WorkItem):
     def encoded_bytes(self) -> int:
         return ENTRY_BYTES * self._size
 
+    def __reduce__(self) -> tuple:
+        # the live entries only, not the spare capacity of the buffers
+        n = self._size
+        if not n:
+            return (UTSWork, (self.params,))
+        return (UTSWork, (self.params, self._states[:n], self._depths[:n]))
+
     # -- processing ---------------------------------------------------------------
 
     def process(self, max_units: int) -> int:

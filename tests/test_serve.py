@@ -90,6 +90,66 @@ def test_bad_request_and_unknown_op(client):
     assert resp["ok"] is False and resp["error"] == "unknown-job"
 
 
+# -- request fields, through the op table of a daemon with no lanes -------------
+
+@pytest.fixture()
+def bare():
+    """A daemon that never started: ops run, nothing boots or listens."""
+    return ServeDaemon(ServeConfig(lanes=1, n=2))
+
+
+def _op(d, op, **fields):
+    return d._dispatch({"op": op, **fields})
+
+
+@pytest.mark.parametrize("op", ["submit", "drain", "shutdown"])
+@pytest.mark.parametrize("bad", ["soon", None, [5], True, float("nan"),
+                                 float("inf"), -1])
+def test_non_numeric_timeout_is_a_bad_request(bare, op, bad):
+    fields = {"app": dict(SYN)} if op == "submit" else {"wait": False}
+    resp = _op(bare, op, timeout_s=bad, **fields)
+    assert resp["ok"] is False and resp["error"] == "bad-request", resp
+    assert "timeout_s" in resp["detail"]
+    assert bare._accepted == 0 and not bare._shutdown_ev.is_set()
+
+
+def test_numeric_timeouts_are_accepted(bare):
+    assert _op(bare, "submit", app=dict(SYN), timeout_s=5)["ok"] is True
+    assert _op(bare, "submit", app=dict(SYN), timeout_s=2.5)["ok"] is True
+    resp = _op(bare, "submit", app=dict(SYN), timeout_s=0)
+    assert resp["error"] == "bad-request"         # out of (0, 3600]
+    assert [j.timeout_s for j in bare._queue] == [5.0, 2.5]
+    assert _op(bare, "drain", wait=False, timeout_s=1)["ok"] is True
+
+
+def test_dead_letters_limit(bare):
+    for i in range(5):
+        bare._dead_letters.append({"job_id": f"j{i}"})
+    ids = lambda resp: [r["job_id"] for r in resp["dead_letters"]]  # noqa
+    assert _op(bare, "dead_letters", limit=0) == {
+        "ok": True, "count": 0, "dead_letters": []}
+    assert ids(_op(bare, "dead_letters", limit=2)) == ["j3", "j4"]
+    assert ids(_op(bare, "dead_letters", limit=9)) == [
+        "j0", "j1", "j2", "j3", "j4"]
+    assert _op(bare, "dead_letters")["count"] == 5          # default 50
+    for bad in (-2, 1.5, "3", True, None):
+        resp = _op(bare, "dead_letters", limit=bad)
+        assert resp["ok"] is False and resp["error"] == "bad-request", bad
+
+
+def test_booleans_are_not_integers(bare):
+    for app in ({"kind": "synthetic", "units": True},
+                {"kind": "bnb", "index": False}):
+        resp = _op(bare, "submit", app=app)
+        assert resp["error"] == "bad-request", app
+    for key in ("quantum", "seed", "dmax"):
+        resp = _op(bare, "submit", app=dict(SYN), run={key: True})
+        assert resp["error"] == "bad-request", key
+    assert _op(bare, "submit", app={"kind": "bnb", "index": 1},
+               run={"seed": 3})["ok"] is True
+    assert bare._accepted == 1
+
+
 # -- warm-fleet execution ------------------------------------------------------
 
 def test_concurrent_jobs_on_warm_lanes(client):

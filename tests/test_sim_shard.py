@@ -11,20 +11,24 @@ same simultaneity scope already documented for quantum fusion).
 """
 
 import math
+import pickle
 from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.apps.synthetic import SyntheticApplication
+from repro.apps.synthetic import SyntheticApplication, SyntheticWork
 from repro.apps.uts_app import UTSApplication
+from repro.bnb.work import BnBWork
 from repro.experiments.runner import RunConfig, run_instrumented
 from repro.sim.errors import SimConfigError
 from repro.sim.faults import FaultPlan
+from repro.sim.messages import Message
 from repro.sim.network import ClusterSpec, NetworkModel, uniform_network
-from repro.sim.shard import partition_fleet, run_sharded
+from repro.sim.shard import partition_fleet, run_sharded, seal_parcels
 from repro.sim.stats import _FLOAT_FIELDS, _INT_FIELDS, RunStats
 from repro.uts.params import PRESETS
+from repro.uts.work import UTSWork
 
 MINI = PRESETS["bin_mini"].params
 
@@ -110,6 +114,87 @@ def test_partition_cluster_refinement():
     owner = partition_fleet(cfg, 4, network=net)
     assert len(owner) == 40 and set(owner) <= {0, 1, 2, 3}
     assert owner[0] == 0
+
+
+# -- parcels: what crosses a barrier ----------------------------------------
+
+def _round_trip(obj):
+    return pickle.loads(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
+
+
+def test_message_pickles_every_field():
+    msg = Message(3, 7, "WORK", (SyntheticWork(5), 2), size_bytes=200,
+                  send_time=0.125)
+    copy = _round_trip(msg)
+    assert (copy.src, copy.dst, copy.kind, copy.size_bytes,
+            copy.send_time) == (3, 7, "WORK", 200, 0.125)
+    assert copy.payload[0].units == 5 and copy.payload[1] == 2
+
+
+def test_synthetic_work_pickles():
+    assert _round_trip(SyntheticWork(1234)).units == 1234
+    assert _round_trip(SyntheticWork(0)).units == 0
+
+
+def test_uts_work_pickles_live_entries():
+    work = UTSWork.root(MINI)
+    work.process(40)
+    piece = work.split(0.5)
+    assert piece is not None and piece.amount() > 0
+    for w in (work, piece, UTSWork.empty(MINI)):
+        copy = _round_trip(w)
+        assert copy.params == w.params
+        states, depths = copy.peek()
+        want_s, want_d = w.peek()
+        assert states.tolist() == want_s.tolist()
+        assert depths.tolist() == want_d.tolist()
+    # only the live entries travel, not the spare buffer capacity
+    assert len(pickle.dumps(UTSWork.empty(MINI))) < len(
+        pickle.dumps(UTSWork.root(MINI)))
+
+
+def test_bnb_work_pickles_without_cursor():
+    work = BnBWork(6, [(0, 100), (300, 700)])
+    work.merge(BnBWork(6, [(120, 200)]))    # a merged pool: not ascending
+    work.cursor = ("paused", 1)
+    copy = _round_trip(work)
+    assert copy.n_jobs == 6
+    assert copy.as_tuples() == [(0, 100), (300, 700), (120, 200)]
+    assert copy.cursor is None
+
+
+def _entry(src, seq, dst, arrive_at, send_time=0.5):
+    msg = Message(src, dst, "REQ", ("up", send_time), send_time=send_time)
+    return (send_time, 0.25, src, seq, msg, arrive_at)
+
+
+def test_seal_parcels_groups_by_owner_and_bids_minimum():
+    owner = [0, 0, 1, 1, 2, 2]
+    outbox = [_entry(0, 0, 2, 0.9), _entry(0, 1, 4, 0.7),
+              _entry(1, 2, 3, 0.6), _entry(1, 3, 5, 0.8),
+              _entry(0, 4, 2, 0.95)]
+    sealed = seal_parcels(outbox, owner)
+    assert sorted(sealed) == [1, 2]
+    assert sealed[1][0] == 0.6 and sealed[2][0] == 0.7
+    for k, (_at, blob) in sealed.items():
+        entries = pickle.loads(blob)
+        want = [e for e in outbox if owner[e[4].dst] == k]
+        # entry order survives the bytes, message fields included
+        assert [e[:4] + (e[5],) for e in entries] == [
+            e[:4] + (e[5],) for e in want]
+        assert [(e[4].src, e[4].dst, e[4].send_time) for e in entries] == [
+            (e[4].src, e[4].dst, e[4].send_time) for e in want]
+    assert seal_parcels([], owner) == {}
+
+
+def test_seal_parcels_keeps_a_duplicate_on_one_message():
+    """A duplicated delivery is exported twice with the same message; the
+    destination must see one object, as the serial engine delivers it."""
+    msg = Message(0, 3, "WORK", (SyntheticWork(9), 0), send_time=0.1)
+    outbox = [(0.1, 0.0, 0, 0, msg, 0.4), (0.1, 0.0, 0, 1, msg, 0.45)]
+    (_at, blob), = seal_parcels(outbox, [0, 0, 1, 1]).values()
+    first, second = pickle.loads(blob)
+    assert first[4] is second[4]
 
 
 # -- golden matrix: serial == sharded ---------------------------------------
