@@ -33,6 +33,9 @@ class SyntheticWork(WorkItem):
     def amount(self) -> int:
         return self.units
 
+    def is_empty(self) -> bool:
+        return self.units <= 0
+
     def split(self, fraction: float) -> Optional["SyntheticWork"]:
         give = min(int(self.units * fraction), self.units - 1)
         if give <= 0:

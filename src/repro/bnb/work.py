@@ -91,6 +91,14 @@ class BnBWork(WorkItem):
     def amount(self) -> int:
         return sum(b - a for a, b in self.intervals)
 
+    def is_empty(self) -> bool:
+        # amount() <= 0 without the sum: intervals never run backwards, so
+        # the pool is empty iff no interval has a position left
+        for a, b in self.intervals:
+            if b > a:
+                return False
+        return True
+
     def split(self, fraction: float) -> Optional["BnBWork"]:
         total = self.amount()
         give = int(total * fraction)

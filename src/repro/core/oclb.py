@@ -180,7 +180,7 @@ class OverlayWorker(WorkerProcess):
 
     def _search(self) -> None:
         if (self.terminated or self.leaving or not self.ready
-                or not self.work.is_empty() or self.cpu_busy):
+                or not self.work.is_empty() or self._cpu_busy):
             return
         if (self.bridged and self.bridge_target is not None
                 and not self.bridge_outstanding):
@@ -482,7 +482,7 @@ class OverlayWorker(WorkerProcess):
 
     def _root_trigger(self) -> bool:
         if (self.pid != 0 or self.terminated or not self.ready
-                or not self.work.is_empty() or self.cpu_busy):
+                or not self.work.is_empty() or self._cpu_busy):
             return False
         if self._reliable is not None:
             # crashed children never file an upward request; the waves'
@@ -497,7 +497,7 @@ class OverlayWorker(WorkerProcess):
     def _counters(self) -> tuple[int, int, bool]:
         st = self.stats
         return (st.work_msgs_sent, st.work_msgs_received,
-                not self.work.is_empty() or self.cpu_busy)
+                not self.work.is_empty() or self._cpu_busy)
 
 
 __all__ = ["OverlayWorker", "REQ", "NOWORK", "UP", "DOWN", "BRIDGE"]

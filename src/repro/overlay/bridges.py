@@ -96,8 +96,14 @@ def add_bridges(tree: TreeOverlay, seed: int = 0,
     if policy not in _POLICIES:
         raise SimConfigError(
             f"unknown bridge policy {policy!r}; have {sorted(_POLICIES)}")
-    rng = RngStream(seed, "bridges", policy)
     n = tree.n
+    if n == 2:
+        # Forced: each node's only other node is its tree neighbour, which
+        # no policy admits, so the draws all miss and the last resort picks
+        # it anyway. Skipping them is exact (the stream is local to this
+        # call) and spares every two-worker job 258 draws.
+        return BridgedTreeOverlay(tree=tree, bridge=(1, 0), policy=policy)
+    rng = RngStream(seed, "bridges", policy)
     chain = [policy] + [p for p in ("uniform",) if p != policy]
     preds = {name: _POLICIES[name](tree) for name in chain}
     bridges: list[int] = []

@@ -35,7 +35,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from ..sim.errors import SimRuntimeError
+from ..sim.errors import SimConfigError, SimRuntimeError
 from ..sim.messages import Message, sized
 
 #: Hard per-frame ceiling — a corrupt length prefix must not trigger a
@@ -165,11 +165,16 @@ def message_from_frame(frame: dict) -> Message:
     ``sized`` adds the header price on top of the body estimate, so the
     accounting matches the simulator's; the *stated* size is carried
     rather than re-derived because the reliable channel prices envelopes
-    at the sender.
+    at the sender.  A frame that does not rebuild — a missing field, a
+    payload of the wrong shape — raises :class:`WireError`, like every
+    other undecodable input.
     """
-    msg = sized(frame["kind"], frame["src"], frame["dst"],
-                from_wire(frame["p"]), 0)
-    msg.size_bytes = frame["b"]
+    try:
+        msg = sized(frame["kind"], frame["src"], frame["dst"],
+                    from_wire(frame["p"]), 0)
+        msg.size_bytes = frame["b"]
+    except (KeyError, TypeError, ValueError, SimConfigError) as exc:
+        raise WireError(f"malformed msg frame: {exc!r}") from exc
     return msg
 
 

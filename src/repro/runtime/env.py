@@ -87,6 +87,11 @@ class WallTimerQueue:
         heapq.heappush(self._heap, (time, self._seq, ev))
         return ev
 
+    def post(self, time: float, action: Callable, arg: Any = None) -> None:
+        """:meth:`push` without handing back the handle (the simulator's
+        ``queue.post`` shape: a handler completion nobody cancels)."""
+        self.push(time, action, arg=arg)
+
     def next_deadline(self) -> Optional[float]:
         """Earliest pending deadline (skips cancelled heads)."""
         heap = self._heap
@@ -180,6 +185,7 @@ class LiveEnv:
             raise SimRuntimeError(
                 f"env for pid {self.pid} cannot run pid {proc.pid}")
         proc.sim = self
+        proc._stats = self.stats.per_process[self.pid]
         self.proc = proc
 
     # -- clock -----------------------------------------------------------------

@@ -134,8 +134,7 @@ class PeerMesh:
         self.endpoints.pop(pid, None)
         out = self.pending_frames.pop(pid, [])
         self.by_pid.pop(pid, None)
-        for conn in [c for c in self.conns
-                     if self._pid_of.get(id(c)) == pid]:
+        for conn in self.conns_of(pid):
             out.extend(f for f in self._read(conn)
                        if f.get("t") == "msg" and f.get("src") == pid)
             self.forget(conn)
@@ -254,6 +253,10 @@ class PeerMesh:
             self.by_pid[src] = conn
 
     # -- reactor plumbing ----------------------------------------------------
+
+    def conns_of(self, pid: int) -> list[FramedConnection]:
+        """Every connection identified as ``pid``'s (in- and outbound)."""
+        return [c for c in self.conns if self._pid_of.get(id(c)) == pid]
 
     def open_conns(self) -> list[FramedConnection]:
         """Live connections (for readiness registration)."""

@@ -65,7 +65,7 @@ from ..apps.base import Application
 from ..core.config import OCLBConfig
 from ..experiments.runner import RunConfig, worker_factory
 from ..obs.registry import SIZE_EDGES, MetricsRegistry
-from .codec import message_from_frame, stats_to_wire, to_wire
+from .codec import WireError, message_from_frame, stats_to_wire, to_wire
 from .env import LIVE_QUANTUM, LiveEnv
 from .mesh import MAX_EARLY_FRAMES, PeerMesh, open_peer_listener
 from .spool import build_spool_doc, spool_path, write_spool
@@ -217,25 +217,43 @@ class Reactor(InterestTable):
                 mesh.accept()
             elif key.data != "ctrl":
                 for frame in mesh.service(key.data):
-                    self.deliver(frame)
+                    if not self.deliver(frame):
+                        break   # the rest came with the bad frame
                 if key.data.eof:
                     mesh.forget(key.data)
         self.ctrl.extend(conn.receive())
         if conn.eof:
             raise Exit(1)   # owner vanished: don't linger
 
-    def deliver(self, frame: dict) -> None:
+    def deliver(self, frame: dict) -> bool:
         """A protocol frame in: to the protocol if it belongs to the job
         running now; parked if its job has not started here yet (the
         frame raced our start frame, or a faster sibling is an epoch
-        ahead); dropped if its epoch is over."""
+        ahead); dropped if its epoch is over.  False if it was for the
+        protocol but did not decode (see :meth:`to_protocol`)."""
         tag = frame.get("j")
         if self.env is not None and tag == self.epoch:
-            self.env.deliver(message_from_frame(frame))
-        elif ((tag is None or (isinstance(tag, int)
-                               and tag > self.seen_epoch))
-              and len(self.early) < MAX_EARLY_FRAMES):
+            return self.to_protocol(frame)
+        if ((tag is None or (isinstance(tag, int)
+                             and tag > self.seen_epoch))
+                and len(self.early) < MAX_EARLY_FRAMES):
             self.early.append(frame)
+        return True
+
+    def to_protocol(self, frame: dict) -> bool:
+        """Decode a frame of the running job for the protocol.  A member
+        whose payload does not decode is a hostile input like the mesh's
+        others: every connection from that pid is closed and forgotten,
+        the frame is dropped, the reactor runs on, and False tells the
+        caller not to trust what came with it."""
+        try:
+            msg = message_from_frame(frame)
+        except WireError:
+            for conn in self.mesh.conns_of(frame.get("src")):
+                self.mesh.forget(conn)
+            return False
+        self.env.deliver(msg)
+        return True
 
     def open_spool(self, run_dir: str, metrics: MetricsRegistry) -> None:
         """Fault mode: this job keeps a spool, and publishes what it costs
@@ -434,7 +452,7 @@ class Reactor(InterestTable):
             early, self.early = self.early, []
             for frame in early:
                 if frame.get("j") == epoch:
-                    env.deliver(message_from_frame(frame))
+                    self.to_protocol(frame)
             if cfg.get("join") is not None:
                 # announce ourselves to the overlay parent the registry
                 # assigned (ATTACH -> ADOPT; idempotent if it died since)
@@ -490,7 +508,8 @@ class Reactor(InterestTable):
                 # first whatever the departed peer flushed before going:
                 # those frames physically arrived
                 for late in mesh.drop_peer(gone):
-                    self.deliver(late)
+                    if not self.deliver(late):
+                        break
                 (env.mark_left if t == "left" else env.mark_dead)(gone)
             elif t == "join":
                 jp = int(frame["pid"])
@@ -498,7 +517,8 @@ class Reactor(InterestTable):
                 # must find the overlay already extended
                 proc.peer_joined(jp, int(frame["parent"]))
                 for late in mesh.add_member(jp, frame.get("endpoint")):
-                    self.deliver(late)
+                    if not self.deliver(late):
+                        break
             elif t == "leave":
                 proc.begin_leave()
             elif t == "shutdown":

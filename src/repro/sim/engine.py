@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from heapq import heappop
 from typing import TYPE_CHECKING, Optional
 
 from .errors import SimConfigError, SimDeadlockError, SimRuntimeError
@@ -76,7 +77,10 @@ class Simulator:
         # reproduce the serial insertion order (see EventQueue docstring).
         self.queue = EventQueue(tie_by_push_time=shard is not None)
         self.processes: list[SimProcess] = []
+        # per-pid bound hooks, so a delivery indexes a list instead of
+        # looking a method up on the receiving process
         self._arrive_fns: list = []
+        self._inbound_fns: list = []
         self.stats = RunStats.create(0)
         self._auto_place = auto_place
         self._running = False
@@ -126,6 +130,9 @@ class Simulator:
         proc.sim = self
         self.processes.append(proc)
         self._arrive_fns.append(proc._arrive)
+        # (None for a duck-typed process, e.g. a shard ghost: nothing
+        # schedules events for one)
+        self._inbound_fns.append(getattr(proc, "_note_inbound", None))
         return proc
 
     @property
@@ -143,17 +150,17 @@ class Simulator:
     def transmit(self, msg: Message) -> None:
         """Price and enqueue a message delivery.
 
-        Deliveries are pushed as (bound arrival method, message) pairs —
-        no closure per message — and carry a tag only when :attr:`debug`
-        is set.
+        Deliveries are posted as (bound arrival method, message) pairs —
+        no closure and no cancel handle per message (:meth:`_deliver_at`).
         """
         dst = msg.dst
         if not (0 <= dst < len(self.processes)):
             raise SimRuntimeError(f"message to unknown process {dst}")
-        src_stats = self.stats.per_process[msg.src]
+        src = msg.src
+        src_stats = self.stats.per_process[src]
         src_stats.msgs_sent += 1
         src_stats.bytes_sent += msg.size_bytes
-        now = self.queue.now
+        now = self.queue._now
         msg.send_time = now
         if len(self._fifo) >= self._fifo_sweep:
             # drop channels whose FIFO horizon already passed (inert; see
@@ -165,16 +172,20 @@ class Simulator:
         if fc is not None and fc.drops(msg, now):
             src_stats.msgs_lost += 1
             return
-        delay = self.network.delivery_delay(msg.src, dst, msg.size_bytes)
+        delay = self.network.delivery_delay(src, dst, msg.size_bytes)
         if fc is not None and fc.plan.gray_links:
             # Gray-link inflation multiplies (factor >= 1, validated), so
             # network.min_delay() remains a sound fusion/shard lookahead.
-            delay *= fc.delay_factor(msg.src, dst, now)
-        chan = (msg.src, dst)
-        arrive_at = max(now + delay, self._fifo.get(chan, 0.0))
+            delay *= fc.delay_factor(src, dst, now)
+        chan = (src, dst)
+        # max(now + delay, FIFO horizon), without the builtin call
+        arrive_at = now + delay
+        horizon = self._fifo.get(chan, 0.0)
+        if horizon > arrive_at:
+            arrive_at = horizon
         self._fifo[chan] = arrive_at
         sh = self._shard
-        if sh is not None and dst != msg.src:
+        if sh is not None and dst != src:
             # Sharded run: every delivery to another pid arrives at least
             # min_delay() away — at or past the window end — so none can
             # fire inside the current window. Both local and cross-shard
@@ -186,38 +197,37 @@ class Simulator:
             # Everything source-side — send stats, loss/dup draws,
             # pricing, the (src, dst) FIFO clock — already happened above,
             # identically to a serial run. (Self-sends can arrive within
-            # the window; they fall through to the direct push below.)
+            # the window; they are scheduled locally below.)
             sh.export(msg, arrive_at)
-            if fc is not None and fc.duplicates(msg):
-                src_stats.msgs_duplicated += 1
-                dup_delay = self.network.delivery_delay(msg.src, dst,
-                                                        msg.size_bytes)
-                if fc.plan.gray_links:
-                    dup_delay *= fc.delay_factor(msg.src, dst, now)
-                dup_at = max(now + dup_delay, self._fifo[chan])
-                self._fifo[chan] = dup_at
-                sh.export(msg, dup_at)
-            return
-        if self._fuse_active:
-            self.processes[dst]._note_inbound(arrive_at)
-        self.queue.push(
-            arrive_at, self._arrive_fns[dst],
-            tag=f"deliver:{msg.kind}->{dst}" if self.debug else "",
-            arg=msg)
+        else:
+            self._deliver_at(arrive_at, msg, "deliver")
         if fc is not None and fc.duplicates(msg):
             src_stats.msgs_duplicated += 1
-            dup_delay = self.network.delivery_delay(msg.src, dst,
-                                                    msg.size_bytes)
+            dup_delay = self.network.delivery_delay(src, dst, msg.size_bytes)
             if fc.plan.gray_links:
-                dup_delay *= fc.delay_factor(msg.src, dst, now)
+                dup_delay *= fc.delay_factor(src, dst, now)
             dup_at = max(now + dup_delay, self._fifo[chan])
             self._fifo[chan] = dup_at
-            if self._fuse_active:
-                self.processes[dst]._note_inbound(dup_at)
-            self.queue.push(
-                dup_at, self._arrive_fns[dst],
-                tag=f"dup:{msg.kind}->{dst}" if self.debug else "",
-                arg=msg)
+            if sh is not None and dst != src:
+                sh.export(msg, dup_at)
+            else:
+                self._deliver_at(dup_at, msg, "dup")
+
+    def _deliver_at(self, arrive_at: float, msg: Message, label: str,
+                    sent_at: Optional[float] = None) -> None:
+        """Schedule ``msg``'s arrival at its destination. Posted: nothing
+        cancels a delivery (a crashed receiver drops it in ``_arrive``);
+        under :attr:`debug` pushed instead, to carry a tag."""
+        dst = msg.dst
+        if self._fuse_active:
+            self._inbound_fns[dst](arrive_at)
+        if self.debug:
+            self.queue.push(arrive_at, self._arrive_fns[dst],
+                            tag=f"{label}:{msg.kind}->{dst}", arg=msg,
+                            sent_at=sent_at)
+        else:
+            self.queue.post(arrive_at, self._arrive_fns[dst], msg, None,
+                            sent_at)
 
     # -- run --------------------------------------------------------------------
 
@@ -239,6 +249,11 @@ class Simulator:
         if not self.processes:
             raise SimConfigError("no processes registered")
         self.stats = RunStats.create(len(self.processes))
+        # bind every process (shard ghosts included) to its stats row once,
+        # so SimProcess.stats is an attribute read, not a lookup chain
+        rows = self.stats.per_process
+        for proc in self.processes:
+            proc._stats = rows[proc.pid]
         if self._auto_place:
             self.network.place(len(self.processes), seed=self.seed)
         self._running = True
@@ -258,7 +273,7 @@ class Simulator:
                     # answers for them from the plan (see below).
                     continue
                 if self._fuse_active:
-                    self.processes[pid]._note_inbound(t)
+                    self._inbound_fns[pid](t)
                 self.queue.push(t, self._crash_process,
                                 tag=f"crash:{pid}" if self.debug else "",
                                 arg=pid)
@@ -277,7 +292,11 @@ class Simulator:
         limited = max_time is not None or max_events is not None
         self._begin(limited)
         queue = self.queue
-        fired = 0
+        # Pops are inline: the EventQueue.pop step (skip cancelled, advance
+        # the clock, note the push key) without a method call per event.
+        heap = queue._heap
+        tie = queue._tie_by_push
+        fired = skipped = 0
         # A run is *truncated* only when a limit actually cut it short —
         # stop() was called, or an event beyond the limit was left pending.
         # Merely passing max_time/max_events must not suppress the deadlock
@@ -297,15 +316,24 @@ class Simulator:
                 if max_time is not None and nxt is not None and nxt > max_time:
                     truncated = True
                     break
-            ev = queue.pop()
-            if ev is None:
+            if not heap:
                 break
+            entry = heappop(heap)
+            handle = entry[-1]
+            if handle is not None and handle.cancelled:
+                skipped += 1
+                continue
+            queue._now = entry[0]
+            if tie:
+                queue._pop_key = entry[1]
             fired += 1
-            arg = ev.arg
+            arg = entry[-2]
             if arg is not None:
-                ev.action(arg)
+                entry[-3](arg)
             else:
-                ev.action()
+                entry[-3]()
+        queue.fired += fired
+        queue.skipped += skipped
         self._fired = fired
         return self._finish(truncated)
 
@@ -336,19 +364,35 @@ class Simulator:
         """
         self._window_end = horizon
         queue = self.queue
-        fired = self._fired
-        while True:
-            nxt = queue.peek_time()
-            if nxt is None or nxt >= horizon:
+        heap = queue._heap
+        tie = queue._tie_by_push
+        fired = skipped = 0
+        nxt = None
+        while heap:
+            # inline peek + pop, as in run()
+            entry = heap[0]
+            handle = entry[-1]
+            if handle is not None and handle.cancelled:
+                heappop(heap)
+                skipped += 1
+                continue
+            nxt = entry[0]
+            if nxt >= horizon:
                 break
-            ev = queue.pop()
+            heappop(heap)
+            queue._now = nxt
+            if tie:
+                queue._pop_key = entry[1]
             fired += 1
-            arg = ev.arg
+            arg = entry[-2]
             if arg is not None:
-                ev.action(arg)
+                entry[-3](arg)
             else:
-                ev.action()
-        self._fired = fired
+                entry[-3]()
+            nxt = None
+        queue.fired += fired
+        queue.skipped += skipped
+        self._fired += fired
         self._window_end = None
         return nxt
 
@@ -359,13 +403,7 @@ class Simulator:
         loss/dup draws) and counted the source-side stats; this side only
         schedules the arrival, exactly as transmit() would have.
         """
-        dst = msg.dst
-        if self._fuse_active:
-            self.processes[dst]._note_inbound(arrive_at)
-        self.queue.push(
-            arrive_at, self._arrive_fns[dst],
-            tag=f"deliver:{msg.kind}->{dst}" if self.debug else "",
-            arg=msg, sent_at=msg.send_time)
+        self._deliver_at(arrive_at, msg, "deliver", msg.send_time)
 
     def finish_windows(self) -> RunStats:
         """End a windowed run: deadlock check, seal, return stats."""

@@ -1,33 +1,38 @@
 """Event core of the discrete-event simulator.
 
-An :class:`Event` is an opaque callback bound to a virtual time; the
-:class:`EventQueue` is a binary heap ordered by ``(time, seq)`` where ``seq``
-is a global insertion counter. The counter makes simultaneous events fire in
-insertion order, which is what makes whole-protocol runs bit-reproducible.
+The :class:`EventQueue` is a binary heap ordered by ``(time, seq)`` where
+``seq`` is a global insertion counter. The counter makes simultaneous events
+fire in insertion order, which is what makes whole-protocol runs
+bit-reproducible.
 
-Hot-path layout: the heap holds ``(time, seq, event)`` tuples so sift
-comparisons stay inside the C tuple comparator (``seq`` is unique, so two
-events are never compared), and :class:`Event` is a plain ``__slots__``
-class — pushing allocates one tuple and one small object, nothing else.
-An event may carry a single ``arg`` for its callback; schedulers use it to
-push a shared bound method plus per-event argument (e.g. ``(proc._arrive,
-msg)``) instead of allocating a closure per delivery.
+Hot-path layout: every heap entry is one flat tuple ``(time, seq, action,
+arg, handle)`` — ``(time, push_key, seq, action, arg, handle)`` in shard
+mode — so sift comparisons stay inside the C tuple comparator (``seq`` is
+unique, so the comparison never reaches ``action``) and firing an entry
+needs no attribute lookups: ``action(arg)``, or ``action()`` when ``arg`` is
+None. ``handle`` is the entry's :class:`Event` — the cancel handle — or
+None. :meth:`EventQueue.push` always allocates one and returns it (timers,
+CPU occupancy, macro events: anything a caller may cancel);
+:meth:`EventQueue.post` schedules without one, which is how the engine
+schedules message deliveries and handler completions: nothing ever cancels
+those (a crashed receiver drops a delivery on arrival), so they cost one
+tuple and nothing else. Both go through ``post``, the single ordering path.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 from .errors import SimRuntimeError
 
 
 class Event:
-    """A scheduled callback.
+    """A scheduled callback's handle: cancel it, or read what it runs.
 
     Attributes:
-        time: virtual time (seconds) at which the event fires.
-        seq: insertion sequence number; total order tie-break.
+        time: virtual time (seconds) at which the event fires. (Its
+            insertion sequence number lives in the heap entry only.)
         action: callable executed when the event fires — with ``arg`` when
             ``arg`` is not None, else with no arguments.
         arg: optional single argument for ``action``.
@@ -37,13 +42,11 @@ class Event:
             with tracing on).
     """
 
-    __slots__ = ("time", "seq", "action", "arg", "cancelled", "tag")
+    __slots__ = ("time", "action", "arg", "cancelled", "tag")
 
-    def __init__(self, time: float, seq: int,
-                 action: Callable[..., None],
+    def __init__(self, time: float, action: Callable[..., None],
                  arg: Any = None, tag: str = "") -> None:
         self.time = time
-        self.seq = seq
         self.action = action
         self.arg = arg
         self.cancelled = False
@@ -63,7 +66,7 @@ class Event:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = " cancelled" if self.cancelled else ""
         label = f" tag={self.tag!r}" if self.tag else ""
-        return f"<Event t={self.time:.6f} seq={self.seq}{label}{flags}>"
+        return f"<Event t={self.time:.6f}{label}{flags}>"
 
 
 class EventQueue:
@@ -87,7 +90,7 @@ class EventQueue:
     """
 
     __slots__ = ("_heap", "_seq", "_now", "_tie_by_push", "_pop_key",
-                 "pushed", "fired", "skipped")
+                 "fired", "skipped")
 
     def __init__(self, tie_by_push_time: bool = False) -> None:
         self._heap: list[tuple] = []
@@ -95,9 +98,13 @@ class EventQueue:
         self._now = 0.0
         self._tie_by_push = tie_by_push_time
         self._pop_key = 0.0
-        self.pushed = 0
         self.fired = 0
         self.skipped = 0
+
+    @property
+    def pushed(self) -> int:
+        """Entries scheduled so far (every one took a sequence number)."""
+        return self._seq
 
     @property
     def now(self) -> float:
@@ -131,29 +138,55 @@ class EventQueue:
         shard engine passes the original send time of barrier-injected
         deliveries); it is ignored in the default mode.
         """
+        ev = Event(time, action, arg, tag)
+        self.post(time, action, arg, ev, sent_at)
+        return ev
+
+    def post(self, time: float, action: Callable[..., None], arg: Any = None,
+             handle: Optional[Event] = None,
+             sent_at: Optional[float] = None) -> None:
+        """Schedule ``action`` at virtual ``time`` without a cancel handle.
+
+        The one ordering path: :meth:`push` is this plus an :class:`Event`
+        in the entry's ``handle`` slot. Without one the entry can never be
+        cancelled, which is exactly right for what the engine posts here —
+        deliveries and handler completions — and saves allocating a
+        handle nobody holds.
+        """
         if time < self._now:
+            tag = handle.tag if handle is not None else ""
             raise SimRuntimeError(
                 f"cannot schedule event at t={time:.9f} before current t={self._now:.9f}"
                 + (f" (tag={tag!r})" if tag else "")
             )
         seq = self._seq
         self._seq = seq + 1
-        ev = Event(time, seq, action, arg, tag)
         if self._tie_by_push:
-            heapq.heappush(self._heap, (
-                time, self._now if sent_at is None else sent_at, seq, ev))
+            heappush(self._heap, (
+                time, self._now if sent_at is None else sent_at, seq,
+                action, arg, handle))
         else:
-            heapq.heappush(self._heap, (time, seq, ev))
-        self.pushed += 1
-        return ev
+            heappush(self._heap, (time, seq, action, arg, handle))
+
+    @staticmethod
+    def _detached(entry: tuple) -> Event:
+        """A read-only view of a posted entry, for :meth:`pop` and
+        :meth:`peek` (cancelling it has no effect on the queue)."""
+        return Event(entry[0], entry[-3], entry[-2])
 
     def pop(self) -> Optional[Event]:
-        """Pop the next live event, advancing ``now``; None when drained."""
+        """Pop the next live event, advancing ``now``; None when drained.
+
+        The engine pops inline (``Simulator.run``/``run_window``); this is
+        the same step for everyone else.
+        """
         heap = self._heap
         while heap:
-            entry = heapq.heappop(heap)
+            entry = heappop(heap)
             ev = entry[-1]
-            if ev.cancelled:
+            if ev is None:
+                ev = self._detached(entry)
+            elif ev.cancelled:
                 self.skipped += 1
                 continue
             self._now = entry[0]
@@ -173,8 +206,8 @@ class EventQueue:
         fuse ahead must treat the peeked time itself as unsafe.
         """
         heap = self._heap
-        while heap and heap[0][-1].cancelled:
-            heapq.heappop(heap)
+        while heap and (ev := heap[0][-1]) is not None and ev.cancelled:
+            heappop(heap)
             self.skipped += 1
         return heap[0][0] if heap else None
 
@@ -185,20 +218,24 @@ class EventQueue:
         event is guaranteed live *at call time*; it may of course be
         cancelled afterwards through the handle.
         """
-        heap = self._heap
-        while heap and heap[0][-1].cancelled:
-            heapq.heappop(heap)
-            self.skipped += 1
-        return heap[0][-1] if heap else None
+        if self.peek_time() is None:
+            return None
+        ev = self._heap[0][-1]
+        return ev if ev is not None else self._detached(self._heap[0])
 
     def clear(self) -> None:
         """Drop every pending event."""
         self._heap.clear()
 
     def snapshot_tags(self) -> list[tuple[float, str]]:
-        """Sorted (time, tag) of live events; debugging aid for deadlocks."""
-        return sorted((entry[0], entry[-1].tag) for entry in self._heap
-                      if not entry[-1].cancelled)
+        """Sorted (time, tag) of live events; debugging aid for deadlocks.
+
+        Posted entries have no tag unless the engine runs with
+        ``debug=True``, which schedules them through :meth:`push` instead.
+        """
+        return sorted((entry[0], "" if ev is None else ev.tag)
+                      for entry in self._heap
+                      if (ev := entry[-1]) is None or not ev.cancelled)
 
 
 __all__ = ["Event", "EventQueue"]

@@ -25,12 +25,11 @@ Use :meth:`occupy` to model computation, :meth:`send` to transmit, and
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from .errors import SimRuntimeError
 from .events import Event
-from .messages import Message, sized
+from .messages import HEADER_BYTES, Message
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Simulator
@@ -44,10 +43,16 @@ class SimProcess:
             raise SimRuntimeError(f"pid must be >= 0, got {pid}")
         self.pid = pid
         self.sim: "Simulator" = None  # type: ignore[assignment]  # set on add
-        self._inbox: deque[Message] = deque()
+        # a list, not a deque: it is almost always empty, and an empty
+        # deque costs ~760 bytes a process to a list's 56 (a finished
+        # cell lingers until a full collection, so that is peak RSS)
+        self._inbox: list[Message] = []
         self._cpu_busy = False
         self._crashed = False   # set by the engine's fault layer, only
         self._occupy_event: Optional[Event] = None
+        # this process's row of the run statistics; bound by the
+        # environment (Simulator._begin, LiveEnv.attach), None before
+        self._stats = None
         # Lazy min-heap of fire times of pending events *targeting* this
         # process (deliveries, timers, crashes). Maintained only while the
         # engine runs with quantum fusion active; the macro-event fast path
@@ -80,8 +85,9 @@ class SimProcess:
 
     @property
     def stats(self):
-        """This process's counters in the run statistics."""
-        return self.sim.stats.per_process[self.pid]
+        """This process's counters in the run statistics (the row its
+        environment bound when the run began)."""
+        return self._stats
 
     @property
     def cpu_busy(self) -> bool:
@@ -96,7 +102,10 @@ class SimProcess:
     def send(self, dst: int, kind: str, payload: Any = None,
              body_bytes: int = 0) -> None:
         """Transmit a message; delivery time priced by the network model."""
-        self.sim.transmit(sized(kind, self.pid, dst, payload, body_bytes))
+        # sized() inline: the constructor clamps a negative body to the
+        # bare header, as max(0, body) would
+        self.sim.transmit(Message(self.pid, dst, kind, payload,
+                                  HEADER_BYTES + int(body_bytes)))
 
     def call_at(self, time: float, fn: Callable[[], None], tag: str = "") -> Event:
         """Schedule a zero-cost callback at absolute virtual ``time``."""
@@ -173,7 +182,7 @@ class SimProcess:
         """Engine hook: a message reached this node's NIC."""
         if self._crashed:
             return
-        st = self.stats
+        st = self._stats
         st.msgs_received += 1
         st.bytes_received += msg.size_bytes
         self._inbox.append(msg)
@@ -187,17 +196,21 @@ class SimProcess:
         if not self._inbox:
             self.on_cpu_free()
             return
-        msg = self._inbox.popleft()
+        msg = self._inbox.pop(0)
         sim = self.sim
         self._cpu_busy = True
-        sim.queue.push(
-            sim.queue.now + sim.network.handler_cost, self._handled,
-            tag=f"handle:{msg.kind}@{self.pid}" if sim.debug else "",
-            arg=msg)
+        queue = sim.queue
+        # posted, not pushed: nothing ever cancels a handler completion
+        if sim.debug:
+            queue.push(queue.now + sim.network.handler_cost, self._handled,
+                       tag=f"handle:{msg.kind}@{self.pid}", arg=msg)
+        else:
+            queue.post(queue.now + sim.network.handler_cost, self._handled,
+                       msg)
 
     def _handled(self, msg: Message) -> None:
         self._cpu_busy = False
-        self.stats.handler_time += self.sim.network.handler_cost
+        self._stats.handler_time += self.sim.network.handler_cost
         self.on_message(msg)
         self._drain()
 

@@ -76,13 +76,26 @@ class RngStream:
     ``random.Random`` (Mersenne Twister) is plenty for protocol decisions
     (victim choice, tie-breaking); the heavy-duty vectorised randomness in
     UTS uses :func:`mix64` directly.
+
+    The generator is seeded on the first draw, not at construction: the
+    same stream either way, but a stream nobody draws from (an overlay
+    leaf's probe picker) holds no 2.5 KB of Twister state. A finished
+    simulated cell is cyclic garbage until a full collection, and at
+    n = 1000 those states were up to 2.5 MB of it.
     """
 
-    __slots__ = ("seed", "_rng")
+    __slots__ = ("seed", "_mt")
 
     def __init__(self, global_seed: int, *path: int | str) -> None:
         self.seed = derive_seed(global_seed, *path)
-        self._rng = random.Random(self.seed)
+        self._mt: random.Random | None = None
+
+    @property
+    def _rng(self) -> random.Random:
+        mt = self._mt
+        if mt is None:
+            mt = self._mt = random.Random(self.seed)
+        return mt
 
     def random(self) -> float:
         return self._rng.random()

@@ -172,12 +172,13 @@ class _GhostProcess:
     loudly.
     """
 
-    __slots__ = ("pid", "sim", "_crashed")
+    __slots__ = ("pid", "sim", "_crashed", "_stats")
 
     def __init__(self, pid: int) -> None:
         self.pid = pid
         self.sim = None
         self._crashed = False
+        self._stats = None      # bound by Simulator._begin, never written
 
     def start(self) -> None:
         pass

@@ -66,6 +66,9 @@ class UTSWork(WorkItem):
     def amount(self) -> int:
         return self._size
 
+    def is_empty(self) -> bool:
+        return self._size <= 0
+
     def split(self, fraction: float) -> Optional["UTSWork"]:
         give = int(fraction * self._size)
         give = min(give, self._size - 1)  # the victim keeps at least one node

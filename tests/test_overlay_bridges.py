@@ -76,3 +76,58 @@ def test_kind_and_validation():
         BridgedTreeOverlay(tree=t, bridge=(0,) * 9)
     with pytest.raises(SimConfigError):
         BridgedTreeOverlay(tree=t, bridge=tuple([0] + [0] * 9))  # 0 -> 0
+
+
+def _drawn_bridges(tree, seed, policy, max_tries=64):
+    """The draw loop of ``add_bridges`` without its n == 2 shortcut."""
+    from repro.overlay.bridges import _POLICIES
+    from repro.sim.rng import RngStream
+    rng = RngStream(seed, "bridges", policy)
+    n = tree.n
+    chain = [policy] + [p for p in ("uniform",) if p != policy]
+    bridges = []
+    for v in range(n):
+        choice = -1
+        for name in chain:
+            ok = _POLICIES[name](tree)
+            for _ in range(max_tries):
+                u = rng.randrange(n)
+                if ok(v, u):
+                    choice = u
+                    break
+            if choice >= 0:
+                break
+        if choice < 0 and n > 1:
+            u = rng.randrange(n - 1)
+            choice = u if u < v else u + 1
+        bridges.append(choice)
+    return tuple(bridges)
+
+
+@pytest.mark.parametrize("policy", ["far", "uniform"])
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+def test_two_node_bridges_skip_the_draws_exactly(policy, seed):
+    """n == 2 returns the forced answer without drawing: the same bridges
+    the draw loop reaches after its misses and its last resort."""
+    from repro.overlay.tree import random_tree
+    for tree in (deterministic_tree(2, 2), random_tree(2, seed=seed)):
+        got = add_bridges(tree, seed=seed, policy=policy)
+        assert got.bridge == _drawn_bridges(tree, seed, policy) == (1, 0)
+        assert got.policy == policy
+
+
+def test_bridges_pinned_for_small_overlays():
+    """Bridges for n in 3..64 under both policies, on a deterministic and
+    a random tree each, hash to the value the draw loop has always given:
+    the n == 2 shortcut leaves every other size alone."""
+    import hashlib
+    from repro.overlay.tree import random_tree
+    h = hashlib.sha256()
+    for policy in ("far", "uniform"):
+        for n in range(3, 65):
+            for tree in (deterministic_tree(n, 4), random_tree(n, seed=n)):
+                bridge = add_bridges(tree, seed=7, policy=policy).bridge
+                assert bridge == _drawn_bridges(tree, 7, policy)
+                h.update(repr(bridge).encode())
+    assert h.hexdigest() == (
+        "a1665c9093434a5319112ee26e41f0bb38a40f543f7f36aa05fe5d795ce105ce")

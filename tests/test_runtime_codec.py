@@ -164,6 +164,21 @@ def test_message_frame_roundtrip_preserves_size():
     assert isinstance(back.payload, tuple)
 
 
+@pytest.mark.parametrize("damage", [
+    lambda f: f.update(p={"__nope": 1}),         # unknown wire tag
+    lambda f: f.update(p={"__syn": -1}),         # refused by its constructor
+    lambda f: f.update(p={"__uts": {"s": ""}}),  # a payload field missing
+    lambda f: f.pop("kind"),                     # a frame field missing
+])
+def test_malformed_msg_frame_raises_wire_error(damage):
+    """Anything a member can put in a ``msg`` that does not rebuild a
+    message is a WireError, the one error the reactor treats as hostile."""
+    frame = message_to_frame(sized("WORK", 2, 5, None, 0))
+    damage(frame)
+    with pytest.raises(WireError):
+        message_from_frame(frame)
+
+
 def test_stats_roundtrip_restores_inf_crash_time():
     ps = ProcessStats(pid=3, work_units=42, busy_time=1.5)
     doc = stats_to_wire(ps)

@@ -388,13 +388,15 @@ def test_p2p_clean_run_matches_sequential():
 
 
 def test_p2p_sigkill_conserves_every_unit(tmp_path):
-    cfg = LiveConfig(protocol="BTD", n=4, app=UTS_TINY, seed=21,
+    # an edge on the victim's progress: on bin_tiny the root clears the
+    # tree before the victim has seen 150 units as often as not
+    cfg = LiveConfig(protocol="BTD", n=4, app=UTS_SMALL, seed=21,
                      fault_tolerance=True, timeout_s=90.0,
                      kills=({"pid": 2, "after_units": 150},),
                      run_dir=str(tmp_path / "run"))
     live = run_live(cfg)
     assert live.killed == (2,)
-    assert live.conserved == TINY_NODES          # exact, not approximate
+    assert live.conserved == SMALL_NODES         # exact, not approximate
 
 
 def test_p2p_join_leave_and_kill_compose(tmp_path):

@@ -10,6 +10,7 @@ back to back, which is the serve lifecycle: ``hello``, ``init``, ``job``
 (epoch 1), ``job_end``, ``job`` (epoch 2), ``job_end``, ``shutdown``.
 """
 
+import select
 import socket
 import threading
 import time
@@ -170,4 +171,84 @@ def test_strangers_at_the_peer_listener_cost_no_job(tmp_path):
         h.pump_until(lambda: len(h.codes) == N)
         assert h.codes == {0: 0, 1: 0}
     finally:
+        h.close()
+
+
+def bad_frame(src: int, dst: int, epoch: int) -> dict:
+    """A ``msg`` from a member whose payload does not decode."""
+    frame = work_frame(src, dst, 10, epoch)
+    frame["p"] = {"__nope": 1}
+    return frame
+
+
+def test_undecodable_frame_from_a_member_costs_its_connection(tmp_path):
+    """A member's ``msg`` that does not decode, delivered live: the pump
+    closes that member's connection, drops the frame and everything that
+    came with it, and keeps going; the next connection is heard again."""
+    ours, theirs = socket.socketpair()
+    reactor = Reactor({"pid": 0, "slots": N, "run_dir": str(tmp_path)},
+                      FramedConnection(theirs))
+    got = []
+
+    class Env:
+        def deliver(self, msg):
+            got.append(msg)
+
+    def pump_until(cond):
+        end = time.monotonic() + 5.0
+        while not cond():
+            assert time.monotonic() < end, "reactor stalled"
+            reactor.pump(0.02)
+
+    def shown_the_door(sock):
+        readable, _, _ = select.select([sock], [], [], 0)
+        return bool(readable) and sock.recv(4096) == b""
+
+    reactor.env, reactor.epoch = Env(), 3
+    reactor.mesh.add_member(1, None)
+    peers = []
+    try:
+        bad = connect_endpoint(reactor.peer_endpoint)
+        peers.append(bad)
+        bad.sendall(pack_frame({"t": "ph", "pid": 1})
+                    + pack_frame(bad_frame(1, 0, 3))
+                    + pack_frame(work_frame(1, 0, 10, 3)))
+        pump_until(lambda: shown_the_door(bad))
+        assert got == [] and reactor.mesh.conns == []
+        good = connect_endpoint(reactor.peer_endpoint)
+        peers.append(good)
+        good.sendall(pack_frame({"t": "ph", "pid": 1})
+                     + pack_frame(work_frame(1, 0, 20, 3)))
+        pump_until(lambda: got)
+        assert [m.payload[0].units for m in got] == [20]
+    finally:
+        for sock in peers:
+            sock.close()
+        ours.close()
+        reactor.conn.close()
+        reactor.mesh.close()
+        reactor.sel.close()
+
+
+def test_undecodable_early_frame_costs_its_connection_not_the_job(tmp_path):
+    """The same frame parked before its job starts: the replay drops it
+    and closes its connection, and the job runs to the exact count."""
+    h = Harness(str(tmp_path))
+    peer = None
+    try:
+        h.init()
+        peer = h.dial(0)
+        peer.sendall(pack_frame({"t": "ph", "pid": 1})
+                     + pack_frame(bad_frame(1, 0, epoch=1)))
+        h.pump_until(lambda: h.reactors[0].early)
+        assert h.run_job(1, synthetic(UNITS)) == UNITS
+        peer.settimeout(5.0)
+        assert peer.recv(4096) == b""            # shown the door
+        assert h.codes == {}                     # nobody fell over
+        h.fleet.broadcast({"t": "shutdown"})
+        h.pump_until(lambda: len(h.codes) == N)
+        assert h.codes == {0: 0, 1: 0}
+    finally:
+        if peer is not None:
+            peer.close()
         h.close()

@@ -319,3 +319,206 @@ def test_exact_limit_with_drained_queue_is_not_truncated():
     sim.add_process(Stuck(0))
     with pytest.raises(SimDeadlockError):
         sim.run(max_events=1)  # fires the only event, queue now empty
+
+
+# -- the event layout: posted deliveries and handler completions -------------
+
+
+def test_equal_time_deliveries_completions_and_timers_keep_insertion_order():
+    """Deliveries (posted by pid 0's start) beat the timer pid 1 pushes at
+    the same instant in its start; each handler completion is posted when
+    the CPU frees, so it fires after everything inserted before it."""
+    net = _net(handler_cost=0.0)
+    arrival = 1e-4 + 64 / net.bandwidth
+
+    class Timed(Sink):
+        def start(self):
+            self.call_at(arrival, lambda: self.log.append((self.now, "timer")))
+
+    sim = Simulator(net)
+    sim.add_process(Sender(0, 1, ["A", "B", "C"]))
+    sink = sim.add_process(Timed(1))
+    sim.run()
+    assert sink.log == [(arrival, "timer"), (arrival, "A"), (arrival, "B"),
+                        (arrival, "C")]
+
+
+def test_crash_cancelled_occupy_never_fires():
+    from repro.sim.faults import FaultPlan
+
+    class Busy(SimProcess):
+        def start(self):
+            self.occupy(1.0, self.done)
+
+        def done(self):
+            raise AssertionError("occupy completion fired after the crash")
+
+    sim = Simulator(_net(), faults=FaultPlan(crashes=((1, 0.5),)))
+    sim.add_process(SimProcess(0))
+    sim.add_process(Busy(1))
+    stats = sim.run()
+    assert stats.per_process[1].crashes == 1
+    assert sim.queue.skipped == 1 and sim.now == 0.5
+
+
+def test_crash_cancelled_macro_event_never_fires():
+    """A fused block pending at its worker's crash is skipped, never run."""
+    from repro.apps.synthetic import SyntheticApplication
+    from repro.experiments.runner import RunConfig, build_workers
+    from repro.sim.faults import FaultPlan
+
+    crash_at = 0.02
+    plan = FaultPlan(crashes=((2, crash_at),))
+    cfg = RunConfig(protocol="TD", n=4, quantum=16, seed=7, faults=plan,
+                    network=uniform_network(latency=1e-3))
+    sim = Simulator(network=cfg.network, seed=7, faults=plan, debug=True)
+    workers = build_workers(sim, cfg, SyntheticApplication(4 * 50_000,
+                                                          unit_cost=1e-6))
+    victim = workers[2]
+    fused_at = []
+    real_done = victim._fused_done
+
+    def spy(arg):
+        fused_at.append(sim.now)
+        real_done(arg)
+
+    victim._fused_done = spy
+    pending = []
+    real_crash = sim._crash_process
+
+    def crash(pid):
+        pending.append(sim.processes[pid]._occupy_event)
+        real_crash(pid)
+
+    sim._crash_process = crash
+    sim.run()
+    (handle,) = pending
+    assert handle is not None and handle.tag.startswith("macro@2")
+    assert handle.cancelled and handle.time > crash_at
+    assert fused_at and max(fused_at) <= crash_at
+
+
+def test_cancelled_reliable_timer_never_fires(monkeypatch):
+    """A partition trips circuit breakers, which park their transfers and
+    cancel the retransmit timers: none of those timers ever runs."""
+    from repro.apps.uts_app import UTSApplication
+    from repro.experiments.runner import RunConfig, build_workers
+    from repro.sim import grid5000
+    from repro.sim.events import Event
+    from repro.sim.faults import FaultPlan
+    from repro.uts.params import PRESETS
+
+    cancelled, fired = [], []
+    real_cancel, real_fire = Event.cancel, SimProcess._fire_timer
+
+    def cancel(ev):
+        # a tripping breaker also cancels the timer that is firing right
+        # now (it parks every transfer to the peer): only a cancel ahead
+        # of the fire counts
+        if not any(fn is ev.arg for fn in fired):
+            cancelled.append(ev.arg)
+        real_cancel(ev)
+
+    def fire(proc, fn):
+        fired.append(fn)
+        real_fire(proc, fn)
+
+    monkeypatch.setattr(Event, "cancel", cancel)
+    monkeypatch.setattr(SimProcess, "_fire_timer", fire)
+    n = 16
+    plan = FaultPlan(partitions=((tuple(range(n // 2, n)), 1e-3, 8e-3),))
+    cfg = RunConfig(protocol="TD", n=n, dmax=3, seed=1, faults=plan,
+                    ack_timeout=5e-4, breaker_threshold=3, quantum=16)
+    sim = Simulator(network=grid5000(), seed=1, faults=plan)
+    build_workers(sim, cfg, UTSApplication(PRESETS["bin_tiny"].params))
+    stats = sim.run()
+    assert stats.total_breaker_opens() > 0 and cancelled and fired
+    # both lists keep their callables alive, so ids are unique
+    dead = {id(fn) for fn in cancelled}
+    assert not any(id(fn) in dead for fn in fired)
+
+
+def test_debug_names_pending_deliveries_and_handles():
+    """Under debug=True the snapshot and the deadlock report name what is
+    pending, posted-path events included: a delivery and a handle."""
+    class Stuck(Sink):
+        def finished(self):
+            return False
+
+    class Bulky(SimProcess):
+        def start(self):
+            self.send(1, "B", body_bytes=200_000)   # 0.1 ms behind A
+
+    net = _net()
+    arrival = 1e-4 + 64 / net.bandwidth
+    sim = Simulator(net, debug=True)
+    sim.add_process(Sender(0, 1, ["A"]))
+    sim.add_process(Stuck(1))
+    sim.add_process(Bulky(2))
+    sim.begin_windows()
+    sim.run_window(arrival + 5e-6)     # A arrived, its handle is pending
+    tags = [tag for _, tag in sim.queue.snapshot_tags()]
+    assert tags == ["handle:A@1", "deliver:B->1"]
+    with pytest.raises(SimDeadlockError) as exc:
+        sim.finish_windows()
+    assert "handle:A@1" in str(exc.value)
+    assert "deliver:B->1" in str(exc.value)
+
+
+# -- bound stats rows ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("columnar", [False, True])
+def test_stats_row_is_bound_once(monkeypatch, columnar):
+    """SimProcess.stats is the row of sim.stats, bound when the run begins
+    (start() already sees it) and the same object through the run."""
+    from repro.sim.stats import RunStats
+    if columnar:
+        monkeypatch.setattr(RunStats, "COLUMNAR_THRESHOLD", 1)
+    seen = {}
+
+    class Probe(Sink):
+        def start(self):
+            seen["start"] = self.stats
+
+        def on_message(self, msg):
+            seen["handler"] = self.stats
+
+    sim = Simulator(_net())
+    sim.add_process(Sender(0, 1, ["A"]))
+    probe = sim.add_process(Probe(1))
+    stats = sim.run()
+    assert seen["start"] is seen["handler"] is probe.stats
+    assert probe.stats is stats.per_process[1]
+    assert probe.stats.msgs_received == 1
+    assert (stats._columns is not None) == columnar
+
+
+def test_shard_ghost_stats_row_is_bound():
+    from types import SimpleNamespace
+    from repro.sim.shard import _GhostProcess
+
+    sim = Simulator(_net(), shard=SimpleNamespace())
+    ghost = sim.add_process(_GhostProcess(0))
+    local = sim.add_process(Sink(1))
+    sim.begin_windows()
+    assert ghost._stats is sim.stats.per_process[0]
+    assert local.stats is sim.stats.per_process[1]
+    sim.finish_windows()
+    assert ghost._stats is sim.stats.per_process[0]
+
+
+def test_live_env_binds_the_stats_row():
+    """LiveEnv.attach binds the row; the posted handler completion runs
+    through the wall-clock queue and books into that same row."""
+    from repro.runtime.env import LiveEnv
+
+    env = LiveEnv(0, 2, mesh=None)
+    proc = Sink(0)
+    env.attach(proc)
+    row = env.stats.per_process[0]
+    assert proc.stats is row
+    proc._arrive(Message(1, 0, "A"))
+    assert env.queue.fire_due() == 1
+    assert [k for _, k in proc.log] == ["A"]
+    assert proc.stats is row and row.msgs_received == 1

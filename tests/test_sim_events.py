@@ -208,3 +208,86 @@ def test_property_peek_matches_next_pop(entries):
         assert peeked is popped
         if popped is None:
             break
+
+
+# -- the heap-entry layout: posted entries carry no handle -------------------
+
+
+def test_post_and_push_share_one_insertion_order():
+    """Equal-time posted and pushed entries fire in insertion order."""
+    q = EventQueue()
+    order = []
+    for i in range(6):
+        if i % 2:
+            q.post(1.0, order.append, i)
+        else:
+            q.push(1.0, order.append, arg=i)
+    while (ev := q.pop()) is not None:
+        ev.fire()
+    assert order == [0, 1, 2, 3, 4, 5]
+    assert q.pushed == 6 and q.fired == 6
+
+
+def test_entry_layout():
+    """One flat tuple per entry; only push() fills the handle slot."""
+    q = EventQueue()
+    assert q.post(1.0, print, "x") is None
+    ev = q.push(2.0, print, tag="t", arg="y")
+    assert sorted(q._heap) == [(1.0, 0, print, "x", None),
+                               (2.0, 1, print, "y", ev)]
+    shard = EventQueue(tie_by_push_time=True)
+    shard.post(3.0, print, "z", None, 0.5)
+    assert shard._heap == [(3.0, 0.5, 0, print, "z", None)]
+
+
+def test_post_into_past_rejected():
+    q = EventQueue()
+    q.post(5.0, lambda: None)
+    q.pop()
+    with pytest.raises(SimRuntimeError):
+        q.post(4.0, lambda: None)
+
+
+def test_pop_of_posted_entry_is_a_detached_view():
+    q = EventQueue()
+    q.post(1.5, print, "x")
+    ev = q.pop()
+    assert (ev.time, ev.action, ev.arg, ev.cancelled) == (1.5, print, "x",
+                                                          False)
+    assert q.now == 1.5 and q.pop() is None
+
+
+def test_peek_skips_cancelled_heads_before_posted_entries():
+    q = EventQueue()
+    dead = q.push(1.0, lambda: None, tag="dead")
+    q.post(1.0, print, "live")
+    dead.cancel()
+    assert q.peek_time() == 1.0
+    ev = q.peek()
+    assert ev.action is print and ev.arg == "live"
+    assert q.skipped == 1 and len(q) == 1
+    assert q.pop().arg == "live"
+
+
+def test_shard_mode_orders_posted_entries_by_push_key():
+    """tie_by_push_time: a barrier-injected entry (early ``sent_at``)
+    beats a local one pushed before it at the same arrival time."""
+    q = EventQueue(tie_by_push_time=True)
+    order = []
+    q.post(2.0, order.append, "local")            # push key: now == 0.0
+    q.post(1.0, lambda: None)
+    q.pop()                                       # now == 1.0
+    q.post(2.0, order.append, "late-local")       # push key 1.0
+    q.post(2.0, order.append, "injected", None, 0.5)
+    while (ev := q.pop()) is not None:
+        ev.fire()
+    assert order == ["local", "injected", "late-local"]
+    assert q.current_push_key == 1.0
+
+
+def test_snapshot_tags_lists_posted_entries_untagged():
+    q = EventQueue()
+    q.post(1.0, print, "x")
+    q.push(2.0, print, tag="timer")
+    q.push(3.0, print, tag="gone").cancel()
+    assert q.snapshot_tags() == [(1.0, ""), (2.0, "timer")]

@@ -100,3 +100,16 @@ def test_property_mix64_in_range(x):
 def test_property_derive_seed_63bit(seed, k):
     s = derive_seed(seed, "p", k)
     assert 0 <= s < 2**63
+
+
+def test_stream_seeds_its_generator_on_first_draw():
+    """Lazy seeding changes nothing but memory: an undrawn stream holds
+    no generator, and the draws equal a Random seeded up front."""
+    import random
+    s = RngStream(7, "oclb", 3)
+    assert s._mt is None
+    ref = random.Random(derive_seed(7, "oclb", 3))
+    assert [s.randrange(100) for _ in range(5)] == \
+        [ref.randrange(100) for _ in range(5)]
+    assert s.choice("abcdef") == ref.choice("abcdef")
+    assert s._mt is not None
