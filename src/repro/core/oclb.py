@@ -174,24 +174,32 @@ class OverlayWorker(WorkerProcess):
     # -- idle search (paper §II-A) ------------------------------------------------
 
     def on_idle(self) -> None:
-        if not self.ready or self.terminated or self.leaving:
-            return
         self._search()
 
     def _search(self) -> None:
-        if (self.terminated or self.leaving or not self.ready
-                or not self.work.is_empty() or self._cpu_busy):
+        """Ask for work wherever a request is due; a no-op when none is.
+
+        Runs at the end of the REQ / WITHDRAW / NOWORK handlers and the
+        membership hooks, whenever the CPU goes free without work, and on
+        the reprobe timer. Most calls find every request already
+        outstanding, so the cheap checks come first and a no-op costs a
+        few attribute reads.
+        """
+        if (self._cpu_busy or not self.ready or self.terminated
+                or self.leaving or not self.work.is_empty()):
             return
-        if (self.bridged and self.bridge_target is not None
-                and not self.bridge_outstanding):
+        if (not self.bridge_outstanding and self.bridged
+                and self.bridge_target is not None):
             self.bridge_outstanding = True
             self.note_steal_request()
             self.send(self.bridge_target, REQ, (BRIDGE, self.t_self),
                       body_bytes=8)
         if self.probe_target is None:
-            candidates = [c for c in self.children
+            # a leaf — most nodes of a wide tree — has no child to probe
+            children = self.children
+            candidates = [c for c in children
                           if c not in self.R and c not in self.probed
-                          and c not in self.suspect]
+                          and c not in self.suspect] if children else None
             if candidates:
                 self.probe_target = self.rng.choice(candidates)
                 self.probed.add(self.probe_target)
@@ -209,13 +217,14 @@ class OverlayWorker(WorkerProcess):
                     self.send(self.parent, REQ, (UP, self.t_self),
                               body_bytes=8)
                 self._schedule_reprobe()
-        self._root_check()
+        if self.pid == 0:
+            self._root_check()
 
     def _schedule_reprobe(self) -> None:
         """Start a fresh down-phase round after ``probe_retry`` seconds."""
         if self._reprobe_pending or self.terminated or self.leaving:
             return
-        if all(c in self.R for c in self.children):
+        if self.R.issuperset(self.children):
             return  # nothing to probe; their upward requests sit here anyway
 
         def fire() -> None:
@@ -230,30 +239,29 @@ class OverlayWorker(WorkerProcess):
     # -- message handling ----------------------------------------------------------
 
     def handle(self, msg: Message) -> None:
-        if self.sizes.handles(msg.kind):
-            if self.sizes.handle(msg):
-                from ..overlay.convergecast import SIZE_UP
-                if msg.kind == SIZE_UP:
-                    self.child_sizes[msg.src] = msg.payload
-            return
-        if self.waves.handles(msg.kind):
-            self.waves.handle(msg)
-            return
-        if msg.kind == REQ:
+        # the search traffic first: REQ, WITHDRAW and NOWORK are nine in
+        # ten of the messages that reach here on a message-bound run (the
+        # kinds are disjoint, so the order decides nothing but the cost)
+        kind = msg.kind
+        if kind == REQ:
             self._on_request(msg)
-            return
-        if msg.kind == NOWORK:
-            if msg.src == self.probe_target:
-                self.probe_target = None
-                self._search()
-            return
-        if msg.kind == WITHDRAW:
+        elif kind == WITHDRAW:
             # the requester found work elsewhere; its queued request here
             # is stale — forget it (it will re-request when idle again)
             self.pending = [e for e in self.pending if e.pid != msg.src]
             self.R.discard(msg.src)
             self._search()
-            return
+        elif kind == NOWORK:
+            if msg.src == self.probe_target:
+                self.probe_target = None
+                self._search()
+        elif self.sizes.handles(kind):
+            if self.sizes.handle(msg):
+                from ..overlay.convergecast import SIZE_UP
+                if kind == SIZE_UP:
+                    self.child_sizes[msg.src] = msg.payload
+        elif self.waves.handles(kind):
+            self.waves.handle(msg)
 
     def _on_request(self, msg: Message) -> None:
         link, req_subtree = msg.payload
@@ -324,7 +332,7 @@ class OverlayWorker(WorkerProcess):
 
     def _try_serve(self, entry: _Pending) -> bool:
         """Serve one requester; False when nothing can be given."""
-        if self.work.is_empty() or not self.ready:
+        if not self.ready or self.work.is_empty():
             return False
         piece = self.work.split(self.policy.fraction(self._share_context(entry)))
         if piece is None:
@@ -344,13 +352,14 @@ class OverlayWorker(WorkerProcess):
         self.pending = still
 
     def gossip_targets(self) -> list[int]:
-        """Bound diffusion goes to overlay neighbours (+ my bridge target)."""
+        """Bound diffusion goes to overlay neighbours (+ my bridge target),
+        each once: the bridge target may also be a tree neighbour."""
         out = list(self.children)
         if self.parent >= 0:
             out.append(self.parent)
         if self.bridged and self.bridge_target is not None:
             out.append(self.bridge_target)
-        return out
+        return list(dict.fromkeys(out))
 
     # -- crash repair (only reached when fault injection is active) ---------------------
 

@@ -539,7 +539,7 @@ class WorkerProcess(SimProcess):
              body_bytes: int = 0) -> None:
         ch = self._reliable
         if ch is None:
-            super().send(dst, kind, payload, body_bytes)
+            SimProcess.send(self, dst, kind, payload, body_bytes)
             return
         if dst in self.dead:
             return  # talking to the dead is pointless (WORK guarded earlier)

@@ -33,13 +33,15 @@ class LinkKind(Enum):
     PEER = "peer"              # structureless (RWS victim)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ShareContext:
     """Everything a policy may look at when computing a share.
 
     Subtree "sizes" are node counts in the paper's homogeneous setting and
     aggregate compute capacities in the heterogeneous extension
     (``OCLBConfig.capacity_aware``) — the fraction formulas are identical.
+    Not frozen: one is built per serve and nothing hashes it, while a
+    frozen dataclass pays ``object.__setattr__`` for every field.
     """
 
     link: LinkKind

@@ -6,9 +6,11 @@ from repro.apps.synthetic import SyntheticApplication
 from repro.core.config import OCLBConfig
 from repro.core.oclb import BRIDGE, OverlayWorker
 from repro.core.worker import WorkerConfig
+from repro.experiments.runner import RunConfig, build_workers
+from repro.experiments.specs import BnBSpec
 from repro.overlay.bridges import add_bridges
 from repro.overlay.tree import chain_tree, deterministic_tree
-from repro.sim import Message, Simulator, uniform_network
+from repro.sim import Message, Simulator, grid5000, uniform_network
 from repro.sim.errors import SimConfigError
 
 
@@ -167,3 +169,27 @@ def test_stats_count_steal_attempts():
     tree = deterministic_tree(8, 2)
     _, stats = run_oclb(tree)
     assert stats.total_steals > 0
+
+
+def test_bridge_to_a_tree_neighbour_gossips_once():
+    """At n=2 the only bridge target is the tree neighbour: every new
+    incumbent must still travel to it once, not once per edge."""
+    cfg = RunConfig("BTD", n=2, quantum=16, seed=7)
+    sim = Simulator(grid5000(), seed=cfg.seed)
+    workers = build_workers(sim, cfg,
+                            BnBSpec(1, n_jobs=9, n_machines=6).build())
+    assert workers[0].bridge_target == 1
+    assert workers[0].gossip_targets() == [1]
+    assert workers[1].gossip_targets() == [0]
+    bounds = []
+    transmit = sim.transmit
+
+    def spy(msg):
+        if msg.kind == "BOUND":
+            bounds.append((msg.src, msg.dst, msg.payload))
+        transmit(msg)
+
+    sim.transmit = spy
+    sim.run()
+    assert bounds, "the run improved no incumbent"
+    assert len(bounds) == len(set(bounds))

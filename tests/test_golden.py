@@ -9,9 +9,11 @@ the constants together with EXPERIMENTS.md.
 import pytest
 
 from repro.apps.bnb_app import BnBApplication
+from repro.apps.synthetic import SyntheticApplication
 from repro.apps.uts_app import UTSApplication
 from repro.bnb.taillard import scaled_instance
-from repro.experiments.runner import RunConfig, run_once
+from repro.experiments.runner import RunConfig, run_instrumented, run_once
+from repro.experiments.scale import fleet_network, fleet_pacing
 from repro.uts.params import PRESETS
 
 GOLDEN_UTS = {
@@ -27,6 +29,12 @@ GOLDEN_BNB = {
     "BTD": (0.02773038399999998, 443, 712),
     "MW": (0.015330567999999989, 760, 712),
     "AHMW": (0.047580488000000046, 242, 712),
+}
+
+GOLDEN_MSG = {
+    # protocol -> (events_fired, events_equivalent, msgs, steals, makespan)
+    "BTD": (7132, 13161, 3204, 1225, 0.22157868800000052),
+    "TD": (2394, 8582, 1042, 224, 0.18128052800000033),
 }
 
 
@@ -53,3 +61,24 @@ def test_golden_bnb(proto):
     assert r.optimum == optimum
     assert r.total_units == units
     assert r.makespan == pytest.approx(makespan, abs=1e-12)
+
+
+@pytest.mark.parametrize("proto", sorted(GOLDEN_MSG))
+def test_golden_message_bound(proto):
+    """The message-bound cell of the end-to-end benchmark at smoke size:
+    synthetic work, 1,000 units a node, n=100 on the 10 ms fleet network
+    with fleet pacing — the withdraw path and the idle search carry it."""
+    n, latency = 100, 1e-2
+    oclb, ack_timeout = fleet_pacing(latency)
+    _, stats = run_instrumented(
+        RunConfig(proto, n=n, quantum=16, seed=42378,
+                  network=fleet_network(n, latency), oclb=oclb,
+                  ack_timeout=ack_timeout),
+        SyntheticApplication(1000 * n, unit_cost=1e-6))
+    fired, equivalent, msgs, steals, makespan = GOLDEN_MSG[proto]
+    assert stats.total_work_units == 1000 * n
+    assert stats.events_fired == fired
+    assert stats.events_equivalent == equivalent
+    assert stats.total_msgs == msgs
+    assert stats.total_steals == steals
+    assert stats.makespan == pytest.approx(makespan, abs=1e-12)
