@@ -165,9 +165,8 @@ def test_fault_hooks_free_when_clean(benchmark):
     from repro.experiments.runner import RunConfig, run_once
     from repro.experiments.specs import UTSSpec
     from repro.sim.faults import FaultPlan
-    from repro.uts.params import PRESETS
 
-    spec = UTSSpec(PRESETS["bin_tiny"].params)
+    spec = UTSSpec("bin_tiny")
 
     def once(plan):
         cfg = RunConfig(protocol="BTD", n=12, quantum=64, seed=42,

@@ -238,9 +238,8 @@ def harness_grid():
     """A compare-style grid: 2 apps x 2 protocols x 2 sizes x 2 trials."""
     from repro.experiments.runner import RunConfig, cell_configs
     from repro.experiments.specs import BnBSpec, UTSSpec
-    from repro.uts.params import PRESETS
 
-    specs = ((UTSSpec(PRESETS["bin_small"].params), ("BTD", "RWS")),
+    specs = ((UTSSpec("bin_small"), ("BTD", "RWS")),
              (BnBSpec(1, n_jobs=8, n_machines=8), ("BTD", "MW")))
     cells = []
     for spec, protocols in specs:
@@ -301,9 +300,8 @@ def faults(out=None):
     from repro.experiments.runner import RunConfig, run_once
     from repro.experiments.specs import UTSSpec
     from repro.sim.faults import FaultPlan
-    from repro.uts.params import PRESETS
 
-    spec = UTSSpec(PRESETS["bin_tiny"].params)
+    spec = UTSSpec("bin_tiny")
     _eq_rate, calib_rate = gated_rates()
 
     def cell(plan, **cfg_kwargs):
@@ -423,11 +421,10 @@ def live_backend(quick=False, out=None):
     from repro.experiments.runner import RunConfig, run_instrumented
     from repro.experiments.specs import UTSSpec
     from repro.runtime.supervisor import LiveConfig, run_live
-    from repro.uts.params import PRESETS
 
     preset = "bin_tiny"
     repeats = 2 if quick else 3
-    spec = UTSSpec(PRESETS[preset].params)
+    spec = UTSSpec(preset)
     _eq_rate, calib_rate = gated_rates()
 
     def live_cell(n):

@@ -14,13 +14,8 @@ from ..bnb.engine import BnBEngine
 from ..bnb.flowshop import FlowshopInstance
 from ..bnb.state import BoundState
 from ..bnb.work import BnBWork
+from . import BNB_UNIT_COST
 from .base import Application, ProcessOutcome
-
-#: Default virtual cost of one bound evaluation (seconds). The real LLRK
-#: bound on a 20x20 instance costs ~100-300 microseconds on the paper's
-#: hardware; we price our scaled instances at the same order so the
-#: compute/communication ratio matches (DESIGN.md §6).
-BNB_UNIT_COST = 2e-4
 
 
 class BnBApplication(Application):

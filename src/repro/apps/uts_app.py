@@ -6,11 +6,8 @@ from typing import Any
 
 from ..uts.tree import UTSParams
 from ..uts.work import UTSWork
+from . import UTS_UNIT_COST
 from .base import Application, ProcessOutcome
-
-#: Default virtual cost of one UTS node expansion (seconds). Comparable to
-#: the original benchmark's per-node cost on the paper's Xeons.
-UTS_UNIT_COST = 5e-6
 
 
 class UTSApplication(Application):

@@ -9,9 +9,9 @@ side::
     python -m repro.experiments.compare --protocols TD BTD LIFELINE \\
         --app uts:bin_small --n 64 --quantum 256 --jobs 4
 
-Workload specs: ``uts:<preset>`` (see ``repro.uts.PRESETS``) or
+Workload specs: ``uts:<preset>`` (see ``repro.uts.PRESETS``),
 ``bnb:<k>[:jobs[:machines]]`` for the scaled Taillard instance Ta(20+k),
-NEH warm-started.  The whole grid fans out over ``--jobs`` worker
+NEH warm-started, or ``synthetic:<units>``.  The whole grid fans out over ``--jobs`` worker
 processes (default ``$REPRO_JOBS``), with finished cells memoised on disk
 unless ``--no-cache`` is given.
 """
@@ -22,37 +22,20 @@ import argparse
 from typing import Callable, Optional
 
 from ..apps.base import Application
-from ..sim.errors import SimConfigError
-from ..uts.params import get_preset
 from .parallel import ExperimentGrid
 from .report import render_table
 from .runner import PROTOCOLS
 from .seqref import sequential_time
-from .specs import AppSpec, BnBSpec, UTSSpec
+from .specs import GRAMMAR, AppSpec
 
 
-def parse_app(spec: str) -> AppSpec:
-    """Turn an ``uts:...`` / ``bnb:...`` spec string into an app spec.
-
-    The returned spec is callable (building the application), picklable
-    (the grid runner ships it to pool workers) and content-addressable
-    (the result cache keys on it).
-    """
-    kind, _, rest = spec.partition(":")
-    if kind == "uts":
-        preset = get_preset(rest or "bin_small")
-        return UTSSpec(preset.params)
-    if kind == "bnb":
-        parts = [p for p in rest.split(":") if p]
-        if not parts:
-            raise SimConfigError("bnb spec needs an instance index, "
-                                 "e.g. bnb:1 for Ta21")
-        idx = int(parts[0])
-        jobs = int(parts[1]) if len(parts) > 1 else 10
-        machines = int(parts[2]) if len(parts) > 2 else 10
-        return BnBSpec(idx, n_jobs=jobs, n_machines=machines, warm_start=True)
-    raise SimConfigError(f"unknown app spec {spec!r} (uts:<preset> | "
-                         "bnb:<k>[:jobs[:machines]])")
+def parse_app(text: str) -> AppSpec:
+    """Turn a spec string (:data:`~repro.experiments.specs.GRAMMAR`) into
+    an app spec, built once here: a bad preset fails before the grid
+    starts, and a B&B spec carries its instance to the pool workers."""
+    spec = AppSpec.parse(text)
+    spec.build()
+    return spec
 
 
 def compare(protocols: list[str], app_factory: Callable[[], Application],
@@ -98,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--protocols", nargs="+", default=["BTD", "RWS"],
                         choices=list(PROTOCOLS))
     parser.add_argument("--app", default="uts:bin_tiny",
-                        help="uts:<preset> or bnb:<k>[:jobs[:machines]]")
+                        help=GRAMMAR)
     parser.add_argument("--n", nargs="+", type=int, default=[64])
     parser.add_argument("--quantum", type=int, default=64)
     parser.add_argument("--dmax", type=int, default=10)
@@ -112,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     spec = parse_app(args.app)
-    app = spec()   # built once: names the table AND prices the seq reference
+    app = spec()   # names the table AND prices the seq reference
     rows = compare(args.protocols, spec, args.n, args.quantum,
                    args.trials, args.seed, dmax=args.dmax, jobs=args.jobs,
                    use_cache=False if args.no_cache else None, app=app)

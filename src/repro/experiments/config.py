@@ -24,7 +24,6 @@ from ..apps.bnb_app import BnBApplication
 from ..apps.uts_app import UTSApplication
 from ..bnb.taillard import scaled_instance
 from ..sim.errors import SimConfigError
-from ..uts.params import PRESETS
 from .specs import BnBSpec, UTSSpec
 
 
@@ -113,7 +112,7 @@ def bnb_spec(scale: Scale, index: int, big: bool = False) -> BnBSpec:
 def uts_spec(scale: Scale, which: str = "main") -> UTSSpec:
     """Picklable spec for the scale's UTS instance (main or fig2)."""
     name = scale.uts_main if which == "main" else scale.uts_fig2
-    return UTSSpec(PRESETS[name].params)
+    return UTSSpec(name)
 
 
 def bnb_app(scale: Scale, index: int, big: bool = False) -> BnBApplication:

@@ -42,8 +42,8 @@ from typing import Optional
 
 from ..obs.report import build_report
 from ..runtime.env import LIVE_QUANTUM
-from ..uts.params import PRESETS
 from .runner import PROTOCOLS
+from .runreport import spec_from_args
 
 #: Protocols the live backend supports (MW/AHMW/LIFELINE would run, but
 #: only these are cross-validated; keep the CLI honest).
@@ -159,34 +159,19 @@ def add_live_arguments(parser: argparse.ArgumentParser) -> None:
                         help="suppress the stdout rendering")
 
 
-def _app_spec(args) -> dict:
-    if args.app == "uts":
-        if args.preset not in PRESETS:
-            raise SystemExit(f"unknown UTS preset {args.preset!r}; "
-                             f"known: {', '.join(sorted(PRESETS))}")
-        if not PRESETS[args.preset].runnable:
-            raise SystemExit(f"preset {args.preset!r} is paper-scale "
-                             "(not runnable here)")
-        return {"kind": "uts", "preset": args.preset}
-    return {"kind": "bnb", "index": args.bnb_index, "jobs": args.bnb_jobs,
-            "machines": args.bnb_machines, "bound": args.bound}
-
-
-def _compare_sim(live, cfg, args) -> list[str]:
+def _compare_sim(live, cfg, spec) -> list[str]:
     """Cross-validate the live run against the simulator; returns errors."""
     from .runner import run_instrumented
-    from ..runtime.worker import build_app
-    app, _label = build_app(cfg.app)
-    sim_result, _sim_stats = run_instrumented(cfg.run_config(), app)
+    sim_result, _sim_stats = run_instrumented(cfg.run_config(), spec.build())
     errors = []
-    if args.app == "uts" and not live.killed \
+    if spec.kind == "uts" and not live.killed \
             and live.result.total_units != sim_result.total_units:
         # with kills, part of the tree sits in the victim's spool — the
         # conservation identity (--expect-conserved) is the check there
         errors.append(f"UTS node counts diverge: live "
                       f"{live.result.total_units} != simulated "
                       f"{sim_result.total_units}")
-    if args.app == "bnb" and live.result.optimum != sim_result.optimum:
+    if spec.kind == "bnb" and live.result.optimum != sim_result.optimum:
         errors.append(f"B&B optima diverge: live {live.result.optimum} != "
                       f"simulated {sim_result.optimum}")
     return errors
@@ -201,10 +186,10 @@ def live_main(argv: Optional[list] = None) -> int:
 
     from ..runtime.supervisor import (LiveAborted, LiveConfig,
                                       LiveRuntimeError, run_live)
-    spec = _app_spec(args)
+    spec = spec_from_args(args)
     want_trace = bool(args.trace_out)
     cfg = LiveConfig(
-        protocol=args.protocol, n=args.n, app=spec, dmax=args.dmax,
+        protocol=args.protocol, n=args.n, app=spec.to_wire(), dmax=args.dmax,
         sharing=args.sharing, quantum=args.quantum, seed=args.seed,
         transport=args.transport, port=args.port, run_dir=args.run_dir,
         trace=want_trace, timeout_s=args.timeout,
@@ -224,16 +209,13 @@ def live_main(argv: Optional[list] = None) -> int:
         print(f"live run failed: {exc}", file=sys.stderr)
         return 1
 
-    label = (f"uts/{args.preset}" if args.app == "uts"
-             else f"bnb/ta{20 + args.bnb_index}"
-                  f"@{args.bnb_jobs}x{args.bnb_machines}/{args.bound}")
     tracer = None
     if live.trace_path is not None:
         from ..obs.export import load_trace
         tracer = load_trace(live.trace_path).tracer
     unit_cost = 0.0   # live busy time is measured, not priced
     report = build_report(cfg.run_config(), live.result, live.stats,
-                          tracer=tracer, metrics=live.metrics, app=label,
+                          tracer=tracer, metrics=live.metrics, app=spec.label,
                           unit_cost=unit_cost,
                           extra_meta={"live": True, "run_dir": live.run_dir,
                                       "killed": list(live.killed),
@@ -274,14 +256,13 @@ def live_main(argv: Optional[list] = None) -> int:
                                     f"never happened (the run ended first)")
         if live.conserved is None:
             failures.append("--expect-conserved needs --fault-tolerance")
-        elif args.app != "uts":
+        elif spec.kind != "uts":
             # B&B explores a bound-dependent node set; only UTS has a
             # fixed sequential total to conserve against
             failures.append("--expect-conserved is defined for UTS runs")
         else:
-            from ..runtime.worker import build_app
             from ..runtime.spool import drain
-            app, _ = build_app(spec)
+            app = spec.build()
             sequential = drain(app.initial_work(), app, app.make_shared())
             if live.conserved != sequential:
                 failures.append(f"conservation violated: accounted "
@@ -291,7 +272,7 @@ def live_main(argv: Optional[list] = None) -> int:
                 print(f"conservation exact: {live.conserved} units "
                       f"accounted across survivors, spools and transfers")
     if args.compare_sim:
-        errs = _compare_sim(live, cfg, args)
+        errs = _compare_sim(live, cfg, spec)
         failures.extend(errs)
         if not errs and not args.quiet:
             print("live run matches the simulator")

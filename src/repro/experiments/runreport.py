@@ -28,27 +28,25 @@ from typing import Optional
 from ..obs.export import export_trace
 from ..obs.registry import MetricsRegistry
 from ..obs.report import build_report
+from ..sim.errors import SimConfigError
 from ..sim.trace import Tracer
-from ..uts.params import PRESETS
 from .cache import ResultCache, cache_disabled_by_env, cell_key
 from .runner import PROTOCOLS, RunConfig, run_instrumented
-from .specs import BnBSpec, UTSSpec
+from .specs import AppSpec, BnBSpec, UTSSpec
 
 
-def _build_spec(args):
+def spec_from_args(args) -> AppSpec:
+    """The app spec named by the ``--app``, ``--preset`` and ``--bnb-*``
+    options that the ``report`` and ``live`` subcommands share."""
     if args.app == "uts":
-        if args.preset not in PRESETS:
-            raise SystemExit(f"unknown UTS preset {args.preset!r}; "
-                             f"known: {', '.join(sorted(PRESETS))}")
-        preset = PRESETS[args.preset]
-        if not preset.runnable:
-            raise SystemExit(f"preset {args.preset!r} is paper-scale "
-                             "(not runnable here)")
-        return UTSSpec(preset.params), f"uts/{args.preset}"
-    spec = BnBSpec(args.bnb_index, n_jobs=args.bnb_jobs,
+        spec = UTSSpec(args.preset)
+        try:
+            spec.params     # an unknown preset fails here, not in a run
+        except SimConfigError as exc:
+            raise SystemExit(str(exc)) from None
+        return spec
+    return BnBSpec(args.bnb_index, n_jobs=args.bnb_jobs,
                    n_machines=args.bnb_machines, bound=args.bound)
-    return spec, (f"bnb/ta{20 + args.bnb_index}"
-                  f"@{args.bnb_jobs}x{args.bnb_machines}/{args.bound}")
 
 
 def add_report_arguments(parser: argparse.ArgumentParser) -> None:
@@ -83,7 +81,7 @@ def report_main(argv: Optional[list] = None) -> int:
     add_report_arguments(parser)
     args = parser.parse_args(argv)
 
-    spec, app_label = _build_spec(args)
+    spec = spec_from_args(args)
     cfg = RunConfig(protocol=args.protocol, n=args.n, quantum=args.quantum,
                     seed=args.seed, dmax=args.dmax, sharing=args.sharing)
 
@@ -107,7 +105,7 @@ def report_main(argv: Optional[list] = None) -> int:
         extra_meta["cached_cell_mismatch"] = True
 
     report = build_report(cfg, result, stats, tracer=tracer,
-                          metrics=metrics, app=app_label,
+                          metrics=metrics, app=spec.label,
                           unit_cost=app.unit_cost, extra_meta=extra_meta)
 
     text = report.render()
@@ -122,10 +120,10 @@ def report_main(argv: Optional[list] = None) -> int:
             fh.write("\n")
     if args.trace_out:
         export_trace(tracer, args.trace_out,
-                     meta={"app": app_label, "protocol": cfg.protocol,
+                     meta={"app": spec.label, "protocol": cfg.protocol,
                            "n": cfg.n, "seed": cfg.seed,
                            "cell_key": key})
     return 0
 
 
-__all__ = ["add_report_arguments", "report_main"]
+__all__ = ["add_report_arguments", "report_main", "spec_from_args"]

@@ -49,14 +49,12 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 
-from ..apps.base import Application
-from ..apps.synthetic import SyntheticApplication
-from ..apps.uts_app import UTSApplication
 from ..core.config import OCLBConfig
 from ..sim.errors import SimConfigError
 from ..sim.network import uniform_network
 from ..uts.params import get_preset
 from .runner import RunConfig, run_instrumented
+from .specs import SyntheticSpec, UTSSpec
 
 #: Default knobs of the headline sweep. A 10 ms flat latency models the
 #: WAN/grid regime a 10^4-node fleet actually lives in (Grid'5000
@@ -149,47 +147,6 @@ class ScaleRow:
         return out
 
 
-def build_app(app: str, n: int, *, units_per_node: int, unit_cost: float,
-              preset: str) -> tuple[Application, int]:
-    """``(application, exact expected total units)`` for one cell."""
-    if app == "synthetic":
-        return (SyntheticApplication(units_per_node * n,
-                                     unit_cost=unit_cost),
-                units_per_node * n)
-    if app == "uts":
-        p = get_preset(preset)
-        if p.nodes <= 0:
-            raise SimConfigError(
-                f"preset {preset!r} has no recorded exact size; the scale "
-                "sweep needs one for its conservation oracle")
-        return UTSApplication(p.params), p.nodes
-    raise SimConfigError(f"unknown scale app {app!r}; known: synthetic, uts")
-
-
-class _CellApp:
-    """Picklable zero-arg application builder for sharded cells.
-
-    :func:`repro.sim.shard.run_sharded` re-creates the application inside
-    each shard child; under the spawn fallback the builder crosses a
-    process boundary, so it must be a module-level callable, not a
-    closure.
-    """
-
-    __slots__ = ("app", "n", "units_per_node", "unit_cost", "preset")
-
-    def __init__(self, app: str, n: int, units_per_node: int,
-                 unit_cost: float, preset: str) -> None:
-        self.app = app
-        self.n = n
-        self.units_per_node = units_per_node
-        self.unit_cost = unit_cost
-        self.preset = preset
-
-    def __call__(self) -> Application:
-        return build_app(self.app, self.n, units_per_node=self.units_per_node,
-                         unit_cost=self.unit_cost, preset=self.preset)[0]
-
-
 def scale_run(protocol: str, app: str, n: int, *,
               quantum: int = DEFAULT_QUANTUM, seed: int = 42,
               latency: float = DEFAULT_LATENCY,
@@ -203,9 +160,18 @@ def scale_run(protocol: str, app: str, n: int, *,
     (:func:`repro.sim.shard.run_sharded`); the conservation oracle is
     checked identically — it holds under any event schedule.
     """
-    builder = _CellApp(app, n, units_per_node, unit_cost, preset)
-    _app0, expected = build_app(app, n, units_per_node=units_per_node,
-                                unit_cost=unit_cost, preset=preset)
+    if app == "synthetic":
+        spec = SyntheticSpec(units_per_node * n, unit_cost=unit_cost)
+        expected = spec.units
+    elif app == "uts":
+        spec, expected = UTSSpec(preset), get_preset(preset).nodes
+        if expected <= 0:
+            raise SimConfigError(
+                f"preset {preset!r} has no recorded exact size; the scale "
+                "sweep needs one for its conservation oracle")
+    else:
+        raise SimConfigError(f"unknown scale app {app!r}; "
+                             "known: synthetic, uts")
     oclb, ack_timeout = fleet_pacing(latency)
     cfg = RunConfig(protocol=protocol, n=n, quantum=quantum, seed=seed,
                     network=fleet_network(n, latency), oclb=oclb,
@@ -214,10 +180,10 @@ def scale_run(protocol: str, app: str, n: int, *,
     cpu0 = time.process_time()
     if shards > 1:
         from ..sim.shard import run_sharded
-        res, _stats, shard_walls = run_sharded(cfg, builder, shards)
+        res, _stats, shard_walls = run_sharded(cfg, spec, shards)
         cpu = sum(shard_walls)
     else:
-        res, _stats = run_instrumented(cfg, _app0)
+        res, _stats = run_instrumented(cfg, spec.build())
         shard_walls = []
         cpu = time.process_time() - cpu0
     wall = time.perf_counter() - t0
@@ -375,5 +341,5 @@ def scale_main(argv=None) -> int:
     return 0
 
 
-__all__ = ["ScaleRow", "build_app", "fleet_network", "fleet_pacing",
+__all__ = ["ScaleRow", "fleet_network", "fleet_pacing",
            "render_sweep", "scale_main", "scale_run", "scale_sweep"]

@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..experiments.runner import ExperimentResult, RunConfig
+from ..experiments.specs import AppSpec
 from ..obs.export import TraceWriter
 from ..obs.registry import MetricsRegistry
 from ..sim.errors import SimConfigError, SimRuntimeError
@@ -143,6 +144,7 @@ class LiveConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise SimConfigError("n must be >= 1")
+        AppSpec.from_wire(self.app)     # shallow: kind and field types
         if self.transport not in ("tcp", "unix"):
             raise SimConfigError(f"unknown transport {self.transport!r}")
         if not self.p2p:
@@ -631,8 +633,7 @@ class _LiveRun:
         metrics.gauge("live.reap_s").set(time.monotonic() - self.shutdown_sent)
         conserved = None
         if cfg.fault_tolerance:
-            from .worker import build_app
-            app, _label = build_app(cfg.app)
+            app = AppSpec.from_wire(cfg.app).build()
             conserved = conserved_units_live(app, reports, spools)
         return LiveResult(
             result=result, stats=stats, metrics=metrics,

@@ -64,6 +64,7 @@ from typing import Optional
 from ..apps.base import Application
 from ..core.config import OCLBConfig
 from ..experiments.runner import RunConfig, worker_factory
+from ..experiments.specs import AppSpec
 from ..obs.registry import SIZE_EDGES, MetricsRegistry
 from .codec import WireError, message_from_frame, stats_to_wire, to_wire
 from .env import LIVE_QUANTUM, LiveEnv
@@ -89,7 +90,8 @@ LIVE_ACK_TIMEOUT_S = 0.02
 #: What :func:`build_app` and :func:`~repro.experiments.runner.worker_factory`
 #: import for an application kind or a baseline protocol, and nothing else.
 _MODULES = {"uts": ("repro.apps.uts_app", "repro.uts.params"),
-            "bnb": ("repro.experiments.specs",),
+            "bnb": ("repro.apps.bnb_app", "repro.bnb.taillard",
+                    "repro.bnb.neh"),
             "synthetic": ("repro.apps.synthetic",),
             "RWS": ("repro.baselines.rws",),
             "MW": ("repro.baselines.master_worker",),
@@ -107,29 +109,10 @@ def preload(*names: str) -> None:
             import_module(module)
 
 
-def build_app(spec: dict) -> tuple[Application, str]:
-    """Construct the application from its JSON coordinates."""
-    if spec["kind"] == "uts":
-        from ..apps.uts_app import UTS_UNIT_COST, UTSApplication
-        from ..uts.params import get_preset
-        preset = get_preset(spec["preset"])
-        app = UTSApplication(preset.params,
-                             unit_cost=spec.get("unit_cost", UTS_UNIT_COST))
-        return app, f"uts/{spec['preset']}"
-    if spec["kind"] == "bnb":
-        from ..experiments.specs import BnBSpec
-        bs = BnBSpec(spec["index"], n_jobs=spec["jobs"],
-                     n_machines=spec["machines"],
-                     bound=spec.get("bound", "lb1"),
-                     warm_start=spec.get("warm_start", True))
-        return bs.build(), (f"bnb/ta{20 + spec['index']}"
-                            f"@{spec['jobs']}x{spec['machines']}")
-    if spec["kind"] == "synthetic":
-        from ..apps.synthetic import SyntheticApplication
-        app = SyntheticApplication(int(spec["units"]),
-                                   unit_cost=spec.get("unit_cost", 1e-5))
-        return app, f"synthetic/{spec['units']}"
-    raise SystemExit(f"unknown app kind {spec.get('kind')!r}")
+def build_app(wire: dict) -> tuple[Application, str]:
+    """The application a wire document describes, and its label."""
+    spec = AppSpec.from_wire(wire)
+    return spec.build(), spec.label
 
 
 def build_run_config(cfg: dict) -> RunConfig:
@@ -332,9 +315,8 @@ class Reactor(InterestTable):
                 except Exit:
                     raise
                 except (Exception, SystemExit):
-                    # a poisoned spec (SystemExit: unknown app kind) or an
-                    # application that blows up mid-run costs the job,
-                    # not the process
+                    # a poisoned spec or an application that blows up
+                    # mid-run costs the job, not the process
                     tb = traceback.format_exc()
                     self.conn.send_frame({
                         "t": "job_error", "job": job.get("id"),

@@ -39,12 +39,13 @@ import traceback
 from dataclasses import dataclass
 from typing import Optional
 
+from ..experiments.specs import AppSpec
 from ..runtime.env import LIVE_QUANTUM
 from ..sim.errors import SimConfigError
 from .fleet import Lane
 from .protocol import (BadRequest, SERVE_PROTOCOLS, error_response,
-                       format_address, is_json_int, read_line, validate_app,
-                       validate_run, validate_seconds, write_line)
+                       format_address, is_json_int, read_line, validate_run,
+                       validate_seconds, write_line)
 
 #: Smoothing of the execution-time EWMA behind the queue-ETA estimate.
 _EWMA_ALPHA = 0.3
@@ -272,7 +273,11 @@ class ServeDaemon:
         return round(self._ewma_exec_s * (1.0 + position / servers), 3)
 
     def op_submit(self, req: dict) -> dict:
-        app = validate_app(req.get("app"))
+        app = req.get("app")
+        try:
+            AppSpec.from_wire(app)
+        except SimConfigError as exc:
+            raise BadRequest(str(exc)) from None
         run = validate_run(req.get("run"))
         timeout_s = validate_seconds(req, "timeout_s", self.cfg.job_timeout_s)
         if not (0 < timeout_s <= 3600):

@@ -49,10 +49,10 @@ import traceback
 from typing import Optional
 
 from ..experiments.runner import RunConfig
+from ..experiments.specs import AppSpec
 from ..obs.report import build_report
 from ..runtime.fleet import Fleet, Member, assemble, spawn_worker
 from ..sim.errors import SimRuntimeError
-from .protocol import spec_label
 
 #: Abort-ack grace: hosts unwind at quantum granularity, so acks are
 #: prompt; a host that stays silent this long is wedged and gets recycled.
@@ -362,7 +362,7 @@ class Lane:
                          dmax=run["dmax"], sharing=run["sharing"],
                          quantum=run["quantum"], seed=run["seed"])
         report = build_report(
-            rcfg, result, stats, metrics=metrics, app=spec_label(job.app),
+            rcfg, result, stats, metrics=metrics, app=AppSpec.from_wire(job.app).label,
             unit_cost=0.0,
             extra_meta={"serve": True, "job_id": job.id,
                         "lane": self.lane_id, "epoch": self.epoch,

@@ -12,6 +12,10 @@ with backoff, and reports:
   dead-letter store; the daemon-side counters are cross-checked so a
   lost job is an error here, not a footnote.
 
+The mix is a comma-separated list of app spec strings, in the grammar of
+``python -m repro.experiments.compare --app``: ``uts:<preset>``,
+``bnb:<k>[:jobs[:machines]]`` or ``synthetic:<units>``.
+
 Options exercise the failure machinery under load: ``--poison-every K``
 makes every K-th submission a spec that cannot build (it must land in
 the dead-letter store), and ``--restart-at K`` fires a rolling restart
@@ -28,7 +32,7 @@ import threading
 import time
 from typing import Optional
 
-from ..sim.errors import SimConfigError
+from ..experiments.specs import GRAMMAR, AppSpec
 from .client import ServeClient, ServeClientError
 
 #: A spec that passes shallow admission checks and fails at build time —
@@ -40,27 +44,11 @@ DEFAULT_MIX = "synthetic:20000,uts:bin_mini,synthetic:8000"
 
 
 def parse_mix(text: str) -> list[dict]:
-    """``synthetic:20000,uts:bin_mini,bnb:0:6x5`` -> app spec list."""
-    out: list[dict] = []
-    for part in text.split(","):
-        fields = part.strip().split(":")
-        kind = fields[0]
-        try:
-            if kind == "synthetic":
-                out.append({"kind": "synthetic", "units": int(fields[1])})
-            elif kind == "uts":
-                out.append({"kind": "uts", "preset": fields[1]})
-            elif kind == "bnb":
-                jobs, machines = fields[2].split("x")
-                out.append({"kind": "bnb", "index": int(fields[1]),
-                            "jobs": int(jobs), "machines": int(machines)})
-            else:
-                raise SimConfigError(f"unknown mix kind {kind!r}")
-        except (IndexError, ValueError) as exc:
-            raise SimConfigError(f"bad mix entry {part!r}: {exc}") from exc
-    if not out:
-        raise SimConfigError("empty workload mix")
-    return out
+    """``synthetic:20000,uts:bin_mini,bnb:0:6:5`` -> wire documents, one
+    per comma-separated :meth:`~repro.experiments.specs.AppSpec.parse`
+    string."""
+    return [AppSpec.parse(part.strip()).to_wire()
+            for part in text.split(",")]
 
 
 def percentile(sorted_vals: list[float], q: float) -> float:
@@ -200,7 +188,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                     help="daemon address (tcp:HOST:PORT or unix:/path)")
     ap.add_argument("--jobs", type=int, default=100)
     ap.add_argument("--submitters", type=int, default=4)
-    ap.add_argument("--mix", default=DEFAULT_MIX)
+    ap.add_argument("--mix", default=DEFAULT_MIX,
+                    help=f"comma-separated app specs ({GRAMMAR})")
     ap.add_argument("--poison-every", type=int, default=0,
                     help="every K-th submission is a poisoned spec")
     ap.add_argument("--restart-at", type=int, default=None,

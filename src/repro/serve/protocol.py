@@ -5,11 +5,12 @@ response carries ``"ok": true`` or ``"ok": false`` plus ``"error"`` (a
 stable machine-readable code) and optionally ``"detail"`` (human text).
 
 Submission validation here is deliberately *shallow* — kind, types and
-field names only.  Deep validation (does the UTS preset exist? is the
-Taillard index in range?) happens when a job host builds the application:
-a spec that passes admission but fails to build is the canonical
-*poisoned spec* and lands in the dead-letter store with its traceback,
-instead of being silently impossible to submit.
+field names only; an app spec is admitted by
+:meth:`repro.experiments.specs.AppSpec.from_wire`.  Deep validation (does
+the UTS preset exist? is the Taillard index in range?) happens when a job
+host builds the application: a spec that passes admission but fails to
+build is the canonical *poisoned spec* and lands in the dead-letter store
+with its traceback, instead of being silently impossible to submit.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ import json
 import math
 from typing import Optional
 
+from ..experiments.specs import KINDS
 from ..sim.errors import SimConfigError
 
 #: Protocols the service executes (the live-validated subset).
 SERVE_PROTOCOLS = ("TD", "TR", "BTD", "BTR", "RWS")
 
-#: App-spec kinds a submission may name (shallow check; see module doc).
-APP_KINDS = ("uts", "bnb", "synthetic")
+#: App-spec kinds a submission may name.
+APP_KINDS = tuple(KINDS)
 
 #: Per-job run-config overrides a submission may carry.
 RUN_OVERRIDES = ("protocol", "quantum", "seed", "dmax", "sharing")
@@ -55,23 +57,6 @@ def validate_seconds(req: dict, key: str, default: float) -> float:
     return float(value)
 
 
-def validate_app(app) -> dict:
-    """Shallow-validate a submitted app spec; returns it normalised."""
-    if not isinstance(app, dict):
-        raise BadRequest("app spec must be a JSON object")
-    kind = app.get("kind")
-    if kind not in APP_KINDS:
-        raise BadRequest(f"unknown app kind {kind!r}; "
-                         f"known: {', '.join(APP_KINDS)}")
-    if kind == "uts" and not isinstance(app.get("preset"), str):
-        raise BadRequest("uts spec needs a string 'preset'")
-    if kind == "bnb" and not is_json_int(app.get("index")):
-        raise BadRequest("bnb spec needs an integer 'index'")
-    if kind == "synthetic" and not is_json_int(app.get("units")):
-        raise BadRequest("synthetic spec needs an integer 'units'")
-    return dict(app)
-
-
 def validate_run(run) -> dict:
     """Shallow-validate per-job run overrides; returns them normalised."""
     if run is None:
@@ -93,20 +78,6 @@ def validate_run(run) -> dict:
     if "sharing" in out and not isinstance(out["sharing"], str):
         raise BadRequest("run override 'sharing' must be a string")
     return out
-
-
-def spec_label(app: dict) -> str:
-    """Human label of an app spec, without building the application."""
-    kind = app.get("kind")
-    if kind == "uts":
-        return f"uts/{app.get('preset')}"
-    if kind == "bnb":
-        return (f"bnb/ta{20 + app.get('index', 0)}"
-                f"@{app.get('jobs', 10)}x{app.get('machines', 10)}"
-                f"/{app.get('bound', 'lb1')}")
-    if kind == "synthetic":
-        return f"synthetic/{app.get('units')}"
-    return f"{kind}/?"
 
 
 def parse_address(text: str) -> tuple:
@@ -149,5 +120,5 @@ def read_line(rfile) -> Optional[dict]:
 
 __all__ = ["APP_KINDS", "BadRequest", "RUN_OVERRIDES", "SERVE_PROTOCOLS",
            "error_response", "format_address", "is_json_int",
-           "parse_address", "read_line", "spec_label", "validate_app",
-           "validate_run", "validate_seconds", "write_line"]
+           "parse_address", "read_line", "validate_run", "validate_seconds",
+           "write_line"]

@@ -15,7 +15,7 @@ from repro.experiments.specs import BnBSpec, UTSSpec, is_spec
 from repro.sim.errors import SimConfigError
 from repro.uts.params import PRESETS
 
-UTS_SPEC = UTSSpec(PRESETS["bin_mini"].params)
+UTS_SPEC = UTSSpec("bin_mini")
 BNB_SPEC = BnBSpec(5, n_jobs=6, n_machines=5)
 
 
@@ -183,7 +183,7 @@ def test_cache_miss_on_any_config_change(cache):
                    {"handler_cost": 2e-5}, {"speed_spread": 0.2}):
         assert cell_key(dataclasses.replace(base, **change), UTS_SPEC) != key
     assert cell_key(base, BNB_SPEC) != key          # app spec in the key
-    assert cell_key(base, UTSSpec(PRESETS["bin_tiny"].params)) != key
+    assert cell_key(base, UTSSpec("bin_tiny")) != key
 
 
 def test_cache_survives_corrupt_entries(cache):

@@ -88,7 +88,7 @@ w.main([json.dumps(cfg)])
         "repro.sim.shard", "repro.experiments.base",
         "repro.experiments.cache", "repro.experiments.config",
         "repro.experiments.parallel", "repro.experiments.registry",
-        "repro.experiments.specs", "repro.runtime.supervisor",
+        "repro.apps.bnb_app", "repro.runtime.supervisor",
         "repro.runtime.fleet", "repro.obs.report")
     assert len(under(mods, "repro")) <= 45, len(under(mods, "repro"))
 

@@ -156,10 +156,9 @@ def test_a_submodule_that_fails_to_import_says_so(tmp_path, monkeypatch):
 def test_configs_and_specs_pickle_through_a_spawned_pool():
     from repro.experiments.runner import RunConfig
     from repro.experiments.specs import BnBSpec, UTSSpec
-    from repro.uts.params import PRESETS
 
     sent = [RunConfig(protocol="TD", n=8, seed=3),
-            UTSSpec(PRESETS["bin_tiny"].params),
+            UTSSpec("bin_tiny"),
             BnBSpec(1, n_jobs=6, n_machines=4)]
     with multiprocessing.get_context("spawn").Pool(1) as pool:
         back = pool.map(copy.copy, sent)

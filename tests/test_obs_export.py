@@ -121,9 +121,8 @@ def test_trace_writer_streams_a_live_run(tmp_path):
     """TraceWriter is duck-compatible with Tracer: attach it to a run."""
     from repro.experiments.runner import RunConfig, run_once
     from repro.experiments.specs import UTSSpec
-    from repro.uts.params import PRESETS
 
-    spec = UTSSpec(PRESETS["bin_mini"].params)
+    spec = UTSSpec("bin_mini")
     cfg = RunConfig(protocol="BTD", n=4, quantum=16, seed=7)
 
     mem = Tracer()

@@ -14,7 +14,6 @@ from repro.obs.report import (REPORT_SCHEMA_VERSION, build_report,
 from repro.sim.trace import QUANTUM, TRANSFER, Tracer
 from repro.uts.params import PRESETS
 
-MINI = PRESETS["bin_mini"].params
 MINI_NODES = 53
 
 
@@ -46,7 +45,7 @@ def test_per_node_units_sum_to_total(protocol):
     """Report per-node work totals sum exactly to the run's work units."""
     cfg = RunConfig(protocol=protocol, n=8, quantum=16, seed=42)
     tracer, metrics = Tracer(), MetricsRegistry()
-    result, stats = run_instrumented(cfg, UTSSpec(MINI).build(),
+    result, stats = run_instrumented(cfg, UTSSpec("bin_mini").build(),
                                      tracer=tracer, metrics=metrics)
     report = build_report(cfg, result, stats, tracer=tracer,
                           metrics=metrics, app="uts/bin_mini")
@@ -66,7 +65,7 @@ def test_report_counts_transfers_and_metrics():
     # 53-node mini tree (quantum 16 drains it before any WORK reply)
     cfg = RunConfig(protocol="BTD", n=8, quantum=4, seed=42)
     tracer, metrics = Tracer(), MetricsRegistry()
-    result, stats = run_instrumented(cfg, UTSSpec(MINI).build(),
+    result, stats = run_instrumented(cfg, UTSSpec("bin_mini").build(),
                                      tracer=tracer, metrics=metrics)
     report = build_report(cfg, result, stats, tracer=tracer, metrics=metrics)
     # every recorded transfer edge appears in the matrix, and transfer
@@ -86,9 +85,9 @@ def test_compute_counters_give_the_batch_mean():
     tiny = PRESETS["bin_tiny"]
     cfg = RunConfig(protocol="TD", n=8, quantum=16, seed=42)
     tracer, traced, fused = Tracer(), MetricsRegistry(), MetricsRegistry()
-    result, _ = run_instrumented(cfg, UTSSpec(tiny.params).build(),
+    result, _ = run_instrumented(cfg, UTSSpec("bin_tiny").build(),
                                  tracer=tracer, metrics=traced)
-    run_instrumented(cfg, UTSSpec(tiny.params).build(), metrics=fused)
+    run_instrumented(cfg, UTSSpec("bin_tiny").build(), metrics=fused)
     quanta = sum(1 for s in tracer.samples if s.kind == QUANTUM)
     for reg in (traced, fused):
         assert reg.get("compute.units").value == result.total_units \
@@ -101,14 +100,13 @@ def test_report_surfaces_circuit_breakers():
     """A partitioned run's report carries the breaker section: per-(owner,
     peer) trip/probe/open-span rows folded from CIRCUIT trace samples."""
     from repro.sim.faults import FaultPlan
-    from repro.uts.params import PRESETS as UTS_PRESETS
     plan = FaultPlan(partitions=(((8, 9, 10, 11, 12, 13, 14, 15),
                                   1e-3, 8e-3),))
     cfg = RunConfig(protocol="BTD", n=16, quantum=16, seed=1, faults=plan,
                     ack_timeout=5e-4, breaker_threshold=3)
     tracer = Tracer()
     result, stats = run_instrumented(
-        cfg, UTSSpec(UTS_PRESETS["bin_tiny"].params).build(), tracer=tracer)
+        cfg, UTSSpec("bin_tiny").build(), tracer=tracer)
     report = build_report(cfg, result, stats, tracer=tracer,
                           app="uts/bin_tiny")
     doc = report.to_json()
@@ -128,7 +126,7 @@ def test_report_surfaces_circuit_breakers():
 def test_report_without_faults_has_no_breaker_section():
     cfg = RunConfig(protocol="BTD", n=8, quantum=16, seed=42)
     tracer = Tracer()
-    result, stats = run_instrumented(cfg, UTSSpec(MINI).build(),
+    result, stats = run_instrumented(cfg, UTSSpec("bin_mini").build(),
                                      tracer=tracer)
     report = build_report(cfg, result, stats, tracer=tracer)
     assert report.breakers == []
@@ -173,7 +171,7 @@ def test_report_cli_cross_checks_cached_cell(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
 
-    spec = UTSSpec(MINI)
+    spec = UTSSpec("bin_mini")
     cfg = RunConfig(protocol="BTD", n=8, quantum=16, seed=42,
                     dmax=10, sharing="proportional")
     result = run_once(cfg, spec.build())

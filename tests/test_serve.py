@@ -150,6 +150,25 @@ def test_booleans_are_not_integers(bare):
     assert bare._accepted == 1
 
 
+def test_known_app_fields_are_typed_at_admission(bare):
+    """A B&B spec without ``jobs``/``machines`` takes the spec's defaults
+    (it builds); one whose ``jobs`` is not an integer is a bad request,
+    not a dead letter."""
+    from repro.runtime.worker import build_app
+
+    app, label = build_app({"kind": "bnb", "index": 1})
+    assert label == "bnb/ta21@10x10/lb1" and app.instance.n_jobs == 10
+    for bad, key in (({"kind": "bnb", "index": 1, "jobs": "x"}, "jobs"),
+                     ({"kind": "bnb", "index": 1, "machines": 2.5},
+                      "machines"),
+                     ({"kind": "uts", "preset": "bin_tiny",
+                       "unit_cost": "cheap"}, "unit_cost")):
+        resp = _op(bare, "submit", app=bad)
+        assert resp["error"] == "bad-request", bad
+        assert repr(key) in resp["detail"]
+    assert bare._accepted == 0
+
+
 # -- warm-fleet execution ------------------------------------------------------
 
 def test_concurrent_jobs_on_warm_lanes(client):
@@ -247,6 +266,8 @@ def test_one_warm_lane_takes_every_kind_in_turn():
             before = c.fleet()["lanes"][0]
             done = [c.wait(c.submit(spec)["job_id"], timeout=90.0)
                     for spec in (UTS_TINY, bnb, SYN)]
+            labels = [c.report(st["job_id"])["report"]["meta"]["app"]
+                      for st in done]
             after = c.fleet()["lanes"][0]
     finally:
         d.stop()
@@ -256,6 +277,9 @@ def test_one_warm_lane_takes_every_kind_in_turn():
     assert done[1]["optimum"] == build_app(bnb)[0].engine.solve()[0]
     assert done[1]["total_units"] > 0
     assert done[2]["total_units"] == SYN["units"]
+    # the label a host's trace carries is the label of the served report
+    assert labels == [build_app(spec)[1] for spec in (UTS_TINY, bnb, SYN)]
+    assert labels[1] == "bnb/ta21@8x5/lb1"
     assert after["workers"] == before["workers"] and after["restarts"] == 0
     assert after["jobs_run"] == 3
     # the lane says what its boot cost (docs/serve.md, the ``fleet`` op)
