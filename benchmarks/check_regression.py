@@ -56,6 +56,9 @@ TOLERANCES = {
     # dispatch per call, not arithmetic — same band as the bulk rate
     "uts_q16_nodes_per_s": 0.25,
     "uts_q64_nodes_per_s": 0.25,
+    # UTSWork.process_quanta(16, 32): the fused replay loop — a per-quantum
+    # root scan or a lost local stack shows as a third of this rate
+    "uts_replay_q16_nodes_per_s": 0.25,
     # live-backend rates (BENCH_runtime.json baseline): real sockets,
     # real scheduler — wall-clock noise dwarfs any code regression short
     # of a protocol stall, so the bands are deliberately generous

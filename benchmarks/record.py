@@ -98,6 +98,9 @@ BASELINE = {
     # per-quantum rates, before the fused kernel (PR 19's parent commit)
     "uts_q16_nodes_per_s": 307_096,
     "uts_q64_nodes_per_s": 1_027_496,
+    # process_quanta(16, 32), before the replay loop: 32 process(16)
+    # calls per batch, through UTSApplication.process_quanta
+    "uts_replay_q16_nodes_per_s": 567_534,
     # explore(work, shared, q) loops, one stack rebuild per call (PR 21's
     # parent commit)
     "bnb_lb1_q16_nodes_per_s": 179_208,
@@ -221,13 +224,29 @@ def uts_rate(max_nodes=5_000_000, repeats=3):
 
 
 def uts_quantum_rate(quantum, max_nodes=5_000_000, repeats=3):
-    """Nodes/s through ``UTSWork.process(quantum)``: the regime the
-    protocols run in (16 simulated, 64 live and served), where the per-call
-    cost ``count_tree``'s 32k batches hide is the whole bill."""
+    """Nodes/s through ``UTSWork.process(quantum)``, one call per quantum:
+    the simulated protocols' unfused quanta (16 by default), where the
+    per-call cost ``count_tree``'s 32k batches hide is the whole bill.
+    (A live or served slice is one batch of up to ``LIVE_QUANTUM`` =
+    2,048 nodes, which ``uts_nodes_per_s`` covers better.)"""
     def run():
         work, nodes = UTSWork.root(UTS_PARAMS), 0
         while nodes < max_nodes and not work.is_empty():
             nodes += work.process(quantum)
+        return nodes
+
+    nodes, dt = best_of(run, repeats=repeats, warmup=1)
+    return nodes / dt
+
+
+def uts_replay_rate(quantum, limit=32, max_nodes=5_000_000, repeats=3):
+    """Nodes/s through ``UTSWork.process_quanta(quantum, limit)``: the
+    fused replay of the simulated path, ``limit`` quanta per call with the
+    stack held in locals between them."""
+    def run():
+        work, nodes = UTSWork.root(UTS_PARAMS), 0
+        while nodes < max_nodes and not work.is_empty():
+            nodes += sum(work.process_quanta(quantum, limit))
         return nodes
 
     nodes, dt = best_of(run, repeats=repeats, warmup=1)
@@ -731,6 +750,8 @@ def kernels(quick=False, out=None):
     for quantum in (16, 64):
         after[f"uts_q{quantum}_nodes_per_s"] = round(
             uts_quantum_rate(quantum, **uts_budget))
+    after["uts_replay_q16_nodes_per_s"] = round(
+        uts_replay_rate(16, 32, **uts_budget))
     report = {
         "python": platform.python_version(),
         "machine": platform.machine(),

@@ -31,19 +31,9 @@ class UTSApplication(Application):
 
     def process_quanta(self, work: UTSWork, max_units: int, shared: Any,
                        limit: int) -> list[int]:
-        # Chunked exactly like `limit` separate process() calls — UTS
-        # expansion pops off the top and pushes children mid-sequence, so
-        # one big batch would visit different nodes than k quanta; the
-        # per-quantum loop is the bit-identical (and still vectorised
-        # inside work.process) form. Skips the ProcessOutcome boxing of
-        # the default implementation.
-        out: list[int] = []
-        while len(out) < limit:
-            u = work.process(max_units)
-            if u <= 0:
-                break
-            out.append(u)
-        return out
+        # the stack's own replay loop: the same quanta as `limit` process()
+        # calls, without a ProcessOutcome or a method call per quantum
+        return work.process_quanta(max_units, limit)
 
 
 __all__ = ["UTSApplication", "UTS_UNIT_COST"]

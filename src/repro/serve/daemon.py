@@ -94,6 +94,10 @@ class ServeConfig:
             raise SimConfigError("job_timeout_s must be positive")
 
 
+class UnknownJob(LookupError):
+    """A well-formed ``job_id`` that names no job (``unknown-job``)."""
+
+
 class Job:
     """One accepted submission, through its whole lifecycle."""
 
@@ -303,16 +307,22 @@ class ServeDaemon:
                     "eta_s": self._eta_s(position)}
 
     def _job_of(self, req: dict) -> Job:
-        job = self._jobs.get(req.get("job_id"))
+        """The job ``req`` names. A ``job_id`` that is not a string is a
+        malformed request (``BadRequest``: ``bad-request``); a string that
+        names no job is ``UnknownJob`` (``unknown-job``)."""
+        job_id = req.get("job_id")
+        if not isinstance(job_id, str):
+            raise BadRequest(f"'job_id' must be a string, got {job_id!r}")
+        job = self._jobs.get(job_id)
         if job is None:
-            raise BadRequest(f"unknown job_id {req.get('job_id')!r}")
+            raise UnknownJob(f"unknown job_id {job_id!r}")
         return job
 
     def op_status(self, req: dict) -> dict:
         with self._cond:
             try:
                 job = self._job_of(req)
-            except BadRequest as exc:
+            except UnknownJob as exc:
                 return error_response("unknown-job", detail=str(exc))
             out = {"ok": True, "job_id": job.id, "state": job.state}
             if job.state == "queued":
@@ -341,7 +351,7 @@ class ServeDaemon:
         with self._cond:
             try:
                 job = self._job_of(req)
-            except BadRequest as exc:
+            except UnknownJob as exc:
                 return error_response("unknown-job", detail=str(exc))
             if job.state == "dead":
                 return {"ok": True, "job_id": job.id, "state": "dead",
@@ -356,7 +366,7 @@ class ServeDaemon:
         with self._cond:
             try:
                 job = self._job_of(req)
-            except BadRequest as exc:
+            except UnknownJob as exc:
                 return error_response("unknown-job", detail=str(exc))
             if job.state != "done":
                 return error_response("not-done", state=job.state)

@@ -39,9 +39,27 @@ _CHILD_INT = int(CHILD_SALT)
 _GOLDEN_INT, _MIX1_INT, _MIX2_INT = int(_GOLDEN), int(_MIX1), int(_MIX2)
 
 #: Batches at or below this size take the pure-Python path: NumPy's
-#: per-call overhead dwarfs the work. Measured on the fused kernel
-#: (``tree.expand``): ~1.1 us a node on ints against ~16 us flat on arrays.
+#: per-call overhead dwarfs the work.
 SMALL_BATCH = 14
+#: Batches above ``SMALL_BATCH`` and at or below this size mix the decision
+#: word and the ``m`` child words in one ``(n, 1+m)`` pass; larger ones mix
+#: the decision words, then only the fertile rows' child words.
+ONEPASS_MAX = 256
+
+# The fused kernel's three paths (``tree._expand_bin``) by batch size n,
+# in us per batch: bin q=0.47 m=2, best of 9 rounds over 64 random
+# batches, Python 3.11 / NumPy 2.4 on a 2-core x86_64 box.
+#
+#     n            10    14    15    16    64   256   320  2048
+#     Python ints 13.8  19.1  18.7  20.8  73.8
+#     one pass    13.0  11.9  11.9  12.2  13.1  22.0  24.5  94.5
+#     two passes  18.0  17.8  16.3  16.5  17.7  22.9  23.9  67.5
+#
+# One pass wins from ~10 to ~300 nodes: it halves the array calls and
+# pays with the child words of leaves, which grow with n. Against it the
+# ints path crosses over near 10, not 14; batches of 11-14 are ~6 % of
+# ``sim_uts_td``'s expands, so ``SMALL_BATCH`` (which the reference
+# functions below share) stays 14.
 
 
 def _mix64_int(z: int) -> int:

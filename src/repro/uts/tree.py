@@ -27,7 +27,8 @@ import numpy as np
 from ..sim.errors import SimConfigError
 from . import rng as uts_rng
 from .rng import (_CHILD_INT, _DECIDE_INT, _GOLDEN, _GOLDEN_INT, _M64, _MIX1,
-                  _MIX1_INT, _MIX2, _MIX2_INT, _U53, DECIDE_SALT, SMALL_BATCH)
+                  _MIX1_INT, _MIX2, _MIX2_INT, _U53, DECIDE_SALT, ONEPASS_MAX,
+                  SMALL_BATCH)
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,8 +146,9 @@ def expand(states: np.ndarray, depths: np.ndarray,
     """
     if len(states) == 0:
         return _NO_CHILDREN
-    if params.variant == "bin" and params.rng == "splitmix":
-        return _expand_bin(states, depths, params)
+    consts = _bin_constants(params)
+    if consts is not None:
+        return _expand_bin(states, depths, consts)
     counts = child_counts(states, depths, params)
     _, _, children_fn = _rng_fns(params)
     children = children_fn(states, counts)
@@ -158,11 +160,28 @@ _NO_CHILDREN = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int32))
 for _a in _NO_CHILDREN:
     _a.setflags(write=False)
 
+#: (params, constants) of the instance :func:`_bin_constants` saw last: a
+#: run expands one instance, so an identity test replaces a value hash of
+#: the eight-field ``UTSParams`` on every call.
+_last: tuple = (None, None)
+
+
+def _bin_constants(params: UTSParams):
+    """The fused kernel's constants of ``params``, or None for an instance
+    that keeps the reference composition (``geo``, ``sha1``)."""
+    global _last
+    seen, consts = _last
+    if seen is not params:
+        consts = _instance_constants(params)
+        _last = (params, consts)
+    return consts
+
 
 @lru_cache(maxsize=64)
-def _bin_constants(params: UTSParams):
-    """(decision limit, child salts) of a binomial instance, as Python ints
-    and as uint64, built once per ``params``.
+def _instance_constants(params: UTSParams):
+    """(decision limit, child salts, and the same as uint64 — the salts
+    once alone and once behind the decision salt) of a binomial SplitMix
+    instance, built once per ``params`` value.
 
     ``decide_unit`` draws ``u = k / 2**53`` from ``k = z >> 11`` with ``z``
     the mixed state word. ``k < 2**53``, so ``u`` and ``q * 2**53`` are
@@ -170,9 +189,12 @@ def _bin_constants(params: UTSParams):
     ``T = ceil(q * 2**53)``, i.e. ``z < T << 11`` (``q < 1`` keeps that
     below ``2**64``): one integer compare, no float anywhere.
     """
+    if params.variant != "bin" or params.rng != "splitmix":
+        return None
     limit = math.ceil(params.q * _U53) << 11
     salts = tuple(((j + 1) * _CHILD_INT) & _M64 for j in range(params.m))
-    return limit, salts, np.uint64(limit), np.array(salts, dtype=np.uint64)
+    return (limit, salts, np.uint64(limit), np.array(salts, dtype=np.uint64),
+            np.array((_DECIDE_INT,) + salts, dtype=np.uint64))
 
 
 def _mix64_inplace(z: np.ndarray) -> None:
@@ -187,14 +209,19 @@ def _mix64_inplace(z: np.ndarray) -> None:
 
 
 def _expand_bin(states: np.ndarray, depths: np.ndarray,
-                params: UTSParams) -> tuple[np.ndarray, np.ndarray]:
+                consts: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Fused decide + derive for ``bin``/``splitmix`` (see :func:`expand`).
 
-    The one place the hot path chooses between plain ints (NumPy's per-call
-    overhead dwarfs the work on the protocols' 16-node quanta) and arrays.
+    The one place the hot path chooses by batch size (``uts/rng.py`` has
+    the measured crossovers): plain ints up to ``SMALL_BATCH`` (NumPy's
+    per-call overhead dwarfs the work), one ``(n, 1+m)`` mix of the
+    decision word and every child word up to ``ONEPASS_MAX`` (half the
+    array calls, for children of leaves that are thrown away), and above
+    that two passes that mix child words for the fertile rows only.
     """
-    limit, salts, limit_u, salts_u = _bin_constants(params)
-    if len(states) > SMALL_BATCH:
+    limit, salts, limit_u, salts_u, words_u = consts
+    n = len(states)
+    if n > ONEPASS_MAX:
         z = states ^ DECIDE_SALT
         _mix64_inplace(z)
         fertile = z < limit_u
@@ -204,26 +231,35 @@ def _expand_bin(states: np.ndarray, depths: np.ndarray,
         # (parents, m) in C order is child_states' parent-then-index order
         children = (parents[:, None] ^ salts_u).reshape(-1)
         _mix64_inplace(children)
-        child_depths = np.repeat(depths[fertile], len(salts))
-        child_depths += 1
-        return children, child_depths
-    cs: list[int] = []
-    cd: list[int] = []
-    for s, d in zip(states.tolist(), depths.tolist()):
-        z = ((s ^ _DECIDE_INT) + _GOLDEN_INT) & _M64
-        z = ((z ^ (z >> 30)) * _MIX1_INT) & _M64
-        z = ((z ^ (z >> 27)) * _MIX2_INT) & _M64
-        if z ^ (z >> 31) < limit:
-            d += 1
-            for salt in salts:
-                z = ((s ^ salt) + _GOLDEN_INT) & _M64
-                z = ((z ^ (z >> 30)) * _MIX1_INT) & _M64
-                z = ((z ^ (z >> 27)) * _MIX2_INT) & _M64
-                cs.append(z ^ (z >> 31))
-                cd.append(d)
-    if not cs:
-        return _NO_CHILDREN
-    return np.array(cs, dtype=np.uint64), np.array(cd, dtype=np.int32)
+    elif n > SMALL_BATCH:
+        z = states[:, None] ^ words_u
+        _mix64_inplace(z)
+        fertile = z[:, 0] < limit_u
+        # the fertile rows' child columns, still parent-then-index
+        children = z[fertile, 1:].reshape(-1)
+        if len(children) == 0:
+            return _NO_CHILDREN
+    else:
+        cs: list[int] = []
+        cd: list[int] = []
+        for s, d in zip(states.tolist(), depths.tolist()):
+            z = ((s ^ _DECIDE_INT) + _GOLDEN_INT) & _M64
+            z = ((z ^ (z >> 30)) * _MIX1_INT) & _M64
+            z = ((z ^ (z >> 27)) * _MIX2_INT) & _M64
+            if z ^ (z >> 31) < limit:
+                d += 1
+                for salt in salts:
+                    z = ((s ^ salt) + _GOLDEN_INT) & _M64
+                    z = ((z ^ (z >> 30)) * _MIX1_INT) & _M64
+                    z = ((z ^ (z >> 27)) * _MIX2_INT) & _M64
+                    cs.append(z ^ (z >> 31))
+                    cd.append(d)
+        if not cs:
+            return _NO_CHILDREN
+        return np.array(cs, dtype=np.uint64), np.array(cd, dtype=np.int32)
+    child_depths = depths[fertile].repeat(len(salts))
+    child_depths += 1
+    return children, child_depths
 
 
 __all__ = ["UTSParams", "root_frontier", "child_counts", "expand"]

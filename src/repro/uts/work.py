@@ -30,7 +30,7 @@ _MIN_CAP = 64
 class UTSWork(WorkItem):
     """Splittable stack of pending UTS nodes (see module docstring)."""
 
-    __slots__ = ("params", "_states", "_depths", "_size")
+    __slots__ = ("params", "_states", "_depths", "_size", "_root")
     wire_tag = "__uts"
 
     def __init__(self, params: UTSParams,
@@ -45,6 +45,13 @@ class UTSWork(WorkItem):
             self._states[:n] = states
             self._depths[:n] = depths
         self._size = n
+        #: the stack may hold the pseudo-root (a depth-0 entry): exact on
+        #: construction, inherited by merge, re-derived by split and when
+        #: the root expands. Only while it is set is a batch scanned for
+        #: depth 0, and in a run that is one quantum: the root is the top
+        #: of its stack (merge slides under it, split takes from the
+        #: bottom and keeps one entry), so the first quantum expands it.
+        self._root = bool(n) and not self._depths[:n].all()
 
     # -- construction ---------------------------------------------------------
 
@@ -81,6 +88,8 @@ class UTSWork(WorkItem):
         self._states[:keep] = self._states[give:self._size]
         self._depths[:keep] = self._depths[give:self._size]
         self._size = keep
+        if self._root:
+            self._root = not self._depths[:keep].all()
         return piece
 
     def merge(self, other: WorkItem) -> None:
@@ -96,7 +105,9 @@ class UTSWork(WorkItem):
         self._states[:k] = other._states[:k]
         self._depths[:k] = other._depths[:k]
         self._size += k
+        self._root = self._root or other._root
         other._size = 0
+        other._root = False
 
     def encoded_bytes(self) -> int:
         return ENTRY_BYTES * self._size
@@ -112,31 +123,61 @@ class UTSWork(WorkItem):
 
     def process(self, max_units: int) -> int:
         """Expand up to ``max_units`` nodes depth-first; returns nodes done."""
+        done = self.process_quanta(max_units, 1)
+        return done[0] if done else 0
+
+    def process_quanta(self, max_units: int, limit: int) -> list[int]:
+        """Up to ``limit`` quanta of :meth:`process`, in one loop; returns
+        the nodes done per quantum, stopping early when the stack drains.
+
+        Each quantum pops the top ``max_units`` entries and pushes their
+        children, exactly as ``limit`` separate calls would: this is the
+        one replay path, fused or not. The stack's buffers and size live in
+        locals between quanta.
+        """
+        out: list[int] = []
         size = self._size
-        if max_units <= 0 or size == 0:
-            return 0
-        take = min(max_units, size)
-        lo = size - take
-        # Views, not copies: expand never writes its inputs and builds the
-        # children in fresh arrays before anything is pushed over the batch.
-        s = self._states[lo:size]
-        d = self._depths[lo:size]
-        self._size = lo
-        if not d.all():
-            # the pseudo-root (the only depth-0 entry) expands to exactly
-            # b0 children; the mask copies the rest out before the push
-            rest = d != 0
-            s, d = s[rest], d[rest]
-            self._push(*root_frontier(self.params))
-        cs, cd = expand(s, d, self.params)
-        if len(cs):
-            self._push(cs, cd)
-        elif self._size == 0 and len(self._states) > _MIN_CAP:
-            # An empty stack holds no buffer: a finished simulated cell is
-            # one reference cycle that only a gen-2 collection frees.
-            self._states = np.empty(_MIN_CAP, dtype=np.uint64)
-            self._depths = np.empty(_MIN_CAP, dtype=np.int32)
-        return take
+        if max_units <= 0 or size == 0 or limit <= 0:
+            return out
+        states, depths, params = self._states, self._depths, self.params
+        root, kernel = self._root, expand
+        while True:
+            take = max_units if max_units < size else size
+            lo = size - take
+            # Views, not copies: the kernel never writes its inputs and
+            # builds the children in fresh arrays before any push over them.
+            s = states[lo:size]
+            d = depths[lo:size]
+            size = lo
+            if root and not d.all():
+                # the pseudo-root expands to exactly b0 children; the mask
+                # copies the rest of the batch out before the push
+                rest = d != 0
+                s, d = s[rest], d[rest]
+                root = self._root = not depths[:size].all()
+                self._size = size
+                self._push(*root_frontier(params))
+                states, depths, size = self._states, self._depths, self._size
+            cs, cd = kernel(s, d, params)
+            k = len(cs)
+            if k:
+                top = size + k
+                if top > len(states):
+                    self._size = size
+                    self._reserve(top)
+                    states, depths = self._states, self._depths
+                states[size:top] = cs
+                depths[size:top] = cd
+                size = top
+            elif size == 0 and len(states) > _MIN_CAP:
+                # An empty stack holds no buffer: a finished simulated cell
+                # is one reference cycle that only a gen-2 collection frees.
+                states = self._states = np.empty(_MIN_CAP, dtype=np.uint64)
+                depths = self._depths = np.empty(_MIN_CAP, dtype=np.int32)
+            out.append(take)
+            if size == 0 or len(out) == limit:
+                self._size = size
+                return out
 
     # -- internals -------------------------------------------------------------------
 

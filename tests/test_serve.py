@@ -122,6 +122,16 @@ def test_numeric_timeouts_are_accepted(bare):
     assert _op(bare, "drain", wait=False, timeout_s=1)["ok"] is True
 
 
+@pytest.mark.parametrize("op", ["status", "result", "report"])
+@pytest.mark.parametrize("bad", [["j000001"], {"id": "j000001"}, 1, None])
+def test_non_string_job_id_is_a_bad_request(bare, op, bad):
+    resp = _op(bare, op, job_id=bad)
+    assert resp["ok"] is False and resp["error"] == "bad-request", resp
+    assert "job_id" in resp["detail"]
+    resp = _op(bare, op, job_id="j999999")
+    assert resp["ok"] is False and resp["error"] == "unknown-job", resp
+
+
 def test_dead_letters_limit(bare):
     for i in range(5):
         bare._dead_letters.append({"job_id": f"j{i}"})

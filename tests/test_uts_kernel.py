@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.uts import rng as uts_rng
 from repro.uts.params import PRESETS
-from repro.uts.rng import SMALL_BATCH
+from repro.uts.rng import ONEPASS_MAX, SMALL_BATCH
 from repro.uts.sequential import count_tree
 from repro.uts.tree import UTSParams, child_counts, expand, root_frontier
 from repro.uts.work import _MIN_CAP, UTSWork
@@ -106,17 +106,48 @@ def test_threshold_is_exact_at_the_edge(q, n):
     assert len(got[0]) == 2 * fertile
 
 
+PATH_EDGES = (SMALL_BATCH - 1, SMALL_BATCH, SMALL_BATCH + 1,
+              ONEPASS_MAX - 1, ONEPASS_MAX, ONEPASS_MAX + 1)
+
+
+@pytest.mark.parametrize("plant", ["edge", "fertile", "leaves"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", PATH_EDGES)
+def test_every_size_path_equals_reference_at_its_thresholds(n, m, plant):
+    """Scalar (<= SMALL_BATCH), one-pass (<= ONEPASS_MAX) and two-pass
+    batches, one either side of each crossover, with planted draws: on
+    both sides of u == q, all fertile, all leaves."""
+    q = 0.3 / m
+    t = math.ceil(q * 2.0 ** 53)
+    ks = {"edge": [t - 2, t - 1, t, t + 1], "fertile": [0, t - 1],
+          "leaves": [t, (1 << 53) - 1]}[plant]
+    states = np.array((states_drawing(ks) * n)[:n], dtype=np.uint64)
+    if plant == "edge":          # mix planted draws with random ones
+        states[::3] = np.random.default_rng(n).integers(
+            0, M64, len(states[::3]), dtype=np.uint64, endpoint=True)
+    depths = np.arange(1, n + 1, dtype=np.int32)
+    params = UTSParams(b0=1, q=q, m=m)
+    got = expand(states, depths, params)
+    assert_same(got, reference_expand(states, depths, params))
+    if plant == "fertile":
+        assert len(got[0]) == m * n
+    if plant == "leaves":
+        assert got is expand(states[:0], depths[:0], params)   # the shared
+
+
 # -- (b) same stack, entry for entry ------------------------------------------
 
 class ReferenceStack:
     """``UTSWork.process`` re-told with the unfused helpers and plain
     concatenation: the traversal order, written down once more."""
 
-    def __init__(self, params):
+    def __init__(self, params, states=None, depths=None):
         self.params = params
-        self.s = np.array([uts_rng.root_state(params.root_seed)],
-                          dtype=np.uint64)
-        self.d = np.zeros(1, dtype=np.int32)
+        if states is None:
+            states = [uts_rng.root_state(params.root_seed)]
+            depths = [0]
+        self.s = np.array(states, dtype=np.uint64)
+        self.d = np.array(depths, dtype=np.int32)
 
     def process(self, max_units):
         take = min(max_units, len(self.s))
@@ -151,6 +182,28 @@ def test_stack_sequence_identical_to_reference(q):
             break
         total += done
     assert total == PRESETS["bin_tiny"].nodes
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 14, 15, 16, 64, 256, 257, 2048]),
+       st.integers(min_value=1, max_value=40),
+       st.lists(st.integers(min_value=0, max_value=3), min_size=1,
+                max_size=12))
+def test_replay_loop_identical_to_reference(q, limit, depths):
+    """``process_quanta`` against the reference's per-batch scan for
+    depth-0 entries, from stacks built by hand: pseudo-roots anywhere, and
+    more than one of them."""
+    params = UTSParams(b0=20, q=0.45, m=2, root_seed=3)   # ~200 nodes
+    states = np.arange(1, len(depths) + 1, dtype=np.uint64) * np.uint64(
+        0x9E3779B97F4A7C15)
+    work = UTSWork(params, states=states, depths=np.array(depths, np.int32))
+    ref = ReferenceStack(params, states, depths)
+    while not work.is_empty():
+        done = work.process_quanta(q, limit)
+        assert 0 < len(done) <= limit
+        assert done == [ref.process(q) for _ in done]
+        assert_same(work.peek(), (ref.s, ref.d))
+    assert len(ref.s) == 0
 
 
 # -- (c) the pseudo-root sharing a batch --------------------------------------
