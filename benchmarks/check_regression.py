@@ -51,6 +51,7 @@ TOLERANCES = {
     "bnb_lb1_q16_nodes_per_s": 0.25,
     "bnb_lb1_q64_nodes_per_s": 0.25,
     "bnb_llrk_q64_nodes_per_s": 0.25,
+    "bnb_llrk_20x20_q64_nodes_per_s": 0.25,
     "uts_nodes_per_s": 0.25,
     # UTSWork.process(q) at the protocols' quanta: interpreter and ufunc
     # dispatch per call, not arithmetic — same band as the bulk rate

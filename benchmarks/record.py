@@ -87,25 +87,31 @@ from repro.uts.sequential import count_tree
 from repro.uts.tree import UTSParams
 from repro.uts.work import UTSWork
 
-#: Throughput at the seed commit (ops or nodes per second), measured with
-#: the functions below on the same machine before the kernel overhaul.
+#: Throughput of the commit before the per-subset max-plus bound table
+#: (ops or nodes per second), measured with the functions below on the
+#: recording box (2 cores), written as ``before`` in the committed
+#: ``BENCH_kernels.json``. Each row is the median over 15 recordings,
+#: interleaved with the table's own, of rate x (median calibration / that
+#: recording's calibration) — the box's speed wandered too far for one
+#: recording to stand for it. Earlier baselines (the seed commit, the
+#: pre-kernel and pre-cursor commits) are in this file's history.
 BASELINE = {
-    "event_queue_ops_per_s": 524_760,
-    "bnb_lb1_nodes_per_s": 235_489,
-    "bnb_llrk_nodes_per_s": 73_660,
-    "bnb_llrk_full_nodes_per_s": 70_364,
-    "uts_nodes_per_s": 4_901_806,
-    # per-quantum rates, before the fused kernel (PR 19's parent commit)
-    "uts_q16_nodes_per_s": 307_096,
-    "uts_q64_nodes_per_s": 1_027_496,
-    # process_quanta(16, 32), before the replay loop: 32 process(16)
-    # calls per batch, through UTSApplication.process_quanta
-    "uts_replay_q16_nodes_per_s": 567_534,
-    # explore(work, shared, q) loops, one stack rebuild per call (PR 21's
-    # parent commit)
-    "bnb_lb1_q16_nodes_per_s": 179_208,
-    "bnb_lb1_q64_nodes_per_s": 304_922,
-    "bnb_llrk_q64_nodes_per_s": 187_163,
+    "event_queue_ops_per_s": 664_100,
+    "bnb_lb1_nodes_per_s": 298_126,
+    "bnb_llrk_nodes_per_s": 173_805,
+    "bnb_llrk_full_nodes_per_s": 173_905,
+    "uts_nodes_per_s": 3_847_781,
+    # per-quantum rates: UTSWork.process(q) at the protocols' quanta
+    "uts_q16_nodes_per_s": 710_481,
+    "uts_q64_nodes_per_s": 2_517_688,
+    # process_quanta(16, 32): the fused replay loop
+    "uts_replay_q16_nodes_per_s": 826_362,
+    # explore(work, shared, q) loops on ta21 10x10
+    "bnb_lb1_q16_nodes_per_s": 303_080,
+    "bnb_lb1_q64_nodes_per_s": 301_667,
+    "bnb_llrk_q64_nodes_per_s": 165_579,
+    # the paper's size and bound: Ta21 20x20, llrk, explore(q=64)
+    "bnb_llrk_20x20_q64_nodes_per_s": 190_408,
 }
 
 
@@ -190,24 +196,26 @@ def gated_rates():
     return 40_000 / eq_s, 40_000 / calib_s  # push+pop pairs -> ops/sec
 
 
-def bnb_rate(bound, budget=30_000, repeats=5, quantum=None):
-    """Nodes/s through ``BnBEngine.explore`` on ta21 10x10: one bulk call
-    of ``budget`` nodes, or — given ``quantum`` — a loop of
+def bnb_rate(bound, budget=30_000, repeats=5, quantum=None, size=10):
+    """Nodes/s through ``BnBEngine.explore`` on ta21 ``size``x``size``: one
+    bulk call of ``budget`` nodes, or — given ``quantum`` — a loop of
     ``explore(work, shared, quantum)`` calls, the regime the protocols run
-    in, where the per-call bookkeeping the bulk rate hides is on the bill."""
-    inst = scaled_instance(1, n_jobs=10, n_machines=10)
+    in, where the per-call bookkeeping the bulk rate hides is on the bill.
+    ``size=20`` is the paper's Ta21 itself (the first ``budget`` nodes of
+    its tree)."""
+    inst = scaled_instance(1, n_jobs=size, n_machines=size)
     eng = BnBEngine(inst, bound=bound)
 
     def run():
-        work, shared, nodes = BnBWork.full_tree(10), BoundState(), 0
+        work, shared, nodes = BnBWork.full_tree(size), BoundState(), 0
         while nodes < budget and not work.is_empty():
             nodes += eng.explore(work, shared, quantum or budget).nodes
         return nodes
 
     nodes, dt = best_of(run, repeats=repeats, warmup=1)
     if quantum:
-        print(f"  bnb {bound} q={quantum}: {eng.rebuilds} rebuilds, "
-              f"{eng.resumes} resumes")
+        print(f"  bnb {bound} {size}x{size} q={quantum}: "
+              f"{eng.rebuilds} rebuilds, {eng.resumes} resumes")
     return nodes / dt
 
 
@@ -746,6 +754,8 @@ def kernels(quick=False, out=None):
     for bound, quantum in (("lb1", 16), ("lb1", 64), ("llrk", 64)):
         after[f"bnb_{bound}_q{quantum}_nodes_per_s"] = round(
             bnb_rate(bound, quantum=quantum, **bnb_budget))
+    after["bnb_llrk_20x20_q64_nodes_per_s"] = round(
+        bnb_rate("llrk", quantum=64, size=20, **bnb_budget))
     after["uts_nodes_per_s"] = round(uts_rate(**uts_budget))
     for quantum in (16, 64):
         after[f"uts_q{quantum}_nodes_per_s"] = round(

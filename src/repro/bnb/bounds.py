@@ -20,23 +20,24 @@ one-machine and two-machine (Johnson) relaxations. We implement:
 All bounds are *admissible*: they never exceed the best makespan reachable
 below the node (property-tested against exhaustive enumeration).
 
-Engine contract: ``attach`` once per instance; then one of three paths,
-all bit-identical (golden-tested in ``tests/test_bnb_kernels.py``):
+Two ways to evaluate a bound, bit-identical (golden-tested in
+``tests/test_bnb_kernels.py``):
 
-* the scalar reference path — ``frame(remaining)`` once per expanded node,
-  then ``child(front_child, job, frame_data, rem_sum_child)`` once per
-  child, with the engine's unscheduled mask (published through
-  :meth:`LowerBound.set_mask`) reflecting the *child's* unscheduled set;
-* the batched kernel path — ``children(front_parent, remaining,
-  frame_data, rem_sum_parent)`` once per expanded node, returning the
-  bounds of *all* children as an int64 ndarray (order of ``remaining``);
-  pass ``frame_data=None`` to let the bound derive its frame minima
-  internally (same integer math);
-* the subset-cached path — ``children_cached(key, front_parent,
-  remaining)`` with ``key`` the bitmask of ``remaining``: like
-  ``children`` but with every front-independent quantity (child geometry,
-  Johnson skip-one tables, frame minima) cached per subset, which a DFS
-  revisits constantly. This is the engine's hot path.
+* the scalar reference — ``frame(remaining)`` once per expanded node, then
+  ``child(front_child, job, frame_data, rem_sum_child)`` once per child,
+  with the unscheduled mask published through :meth:`LowerBound.set_mask`
+  reflecting the *child's* unscheduled set. Tests and the admissibility
+  properties use it;
+* the max-plus table — every bound here is max-plus linear in the
+  parent's front, so ``table(key, remaining)`` (``key`` the bitmask of
+  ``remaining``) returns a ``(k, m)`` table ``T`` with child ``c``'s
+  bound ``max_l(front[l] + T[c, l])``
+  (:func:`repro.bnb.kernels.child_bounds`). ``T`` depends on the subset
+  only and is cached per bitmask, which a DFS revisits constantly. Each
+  bound supplies just its *seed table* ``Add[i, c]`` — the work that must
+  still follow machine ``i``'s completion in child ``c``'s relaxation —
+  and :func:`repro.bnb.kernels.maxplus_table` folds the child's own
+  completion front into it. This is the engine's only path.
 
 To keep the per-child cost O(m), frame-level minima are taken over the
 *parent's* remaining set (they include the child's own job — a relaxation
@@ -85,18 +86,18 @@ class LowerBound(ABC):
 
     def __init__(self) -> None:
         self.instance: FlowshopInstance | None = None
-        # The engine publishes its unscheduled mask here before child()
-        # calls; a shared list avoids building per-child job sets in the
-        # hot loop. Instance-level: two engines (hence two bound instances)
-        # must never see each other's masks.
+        # A scalar caller publishes its unscheduled mask here before
+        # child() calls; a shared list avoids building per-child job sets
+        # in the loop. Instance-level: two callers (hence two bound
+        # instances) must never see each other's masks.
         self._mask: list[bool] | None = None
-        # subset bitmask -> (cc0, cc1, rsT, frame tables); see children_cached
-        self._cache: dict[int, tuple] = {}
+        # subset bitmask -> max-plus table; see table()
+        self._tables: dict[int, np.ndarray] = {}
 
     def attach(self, instance: FlowshopInstance) -> "LowerBound":
         """Bind to an instance and precompute; returns self for chaining."""
         self.instance = instance
-        self._cache = {}
+        self._tables = {}
         self._precompute()
         return self
 
@@ -104,7 +105,7 @@ class LowerBound(ABC):
         """Optional instance-level precomputation hook."""
 
     def set_mask(self, unscheduled: list[bool]) -> None:
-        """Adopt the engine's (live, shared) unscheduled mask."""
+        """Adopt the caller's (live, shared) unscheduled mask."""
         self._mask = unscheduled
 
     @abstractmethod
@@ -123,96 +124,40 @@ class LowerBound(ABC):
             rem_sum: per-machine unscheduled work, ``job`` already excluded.
         """
 
-    # -- batched kernel layer --------------------------------------------------
+    # -- the max-plus table ---------------------------------------------------
 
-    def children(self, front: Sequence[int], remaining: Sequence[int],
-                 frame_data: Any, rem_sum: Sequence[int],
-                 fronts: np.ndarray | None = None,
-                 rem_sums: np.ndarray | None = None) -> np.ndarray:
-        """Bounds of *all* children of an expanded node, one vector call.
+    def table(self, key: int, remaining: Sequence[int]) -> np.ndarray:
+        """The ``(k, m)`` max-plus table of one unscheduled subset, cached.
 
-        Args:
-            front: the parent's machine completion times.
-            remaining: the parent's unscheduled jobs (child order).
-            frame_data: :meth:`frame` result for ``remaining``, or None to
-                let the bound derive its frame minima internally (batched
-                callers skip the scalar ``frame`` entirely).
-            rem_sum: the parent's per-machine unscheduled work (children's
-                jobs still included).
-            fronts / rem_sums: optional precomputed child fronts and child
-                rem-sums (callers may share them across bounds); computed
-                here when absent.
-
-        Returns an int64 array, entry ``c`` bit-identical to the scalar
-        ``child`` call for ``remaining[c]``.
+        ``key`` is the bitmask of ``remaining`` (the parent's unscheduled
+        jobs, child order). Child ``c`` of a node with completion front
+        ``front`` is bounded by ``max_l(front[l] + T[c, l])`` —
+        :func:`repro.bnb.kernels.child_bounds` — bit-identical to the
+        scalar :meth:`child` call for ``remaining[c]``. The cache
+        self-clears at ``kernels.CACHE_CAP`` entries.
         """
-        jobs = np.asarray(remaining, dtype=np.intp)
-        if fronts is None or rem_sums is None:
-            p, cp, cpp, _ = kernels.instance_arrays(self.instance)
-            if fronts is None:
-                fronts = kernels.child_fronts(front, jobs, cp, cpp)
-            if rem_sums is None:
-                rem_sums = kernels.child_rem_sums(rem_sum, jobs, p)
-        g = np.ascontiguousarray(fronts.T)
-        rsT = np.ascontiguousarray(rem_sums.T)
-        return self._frame_eval(self._frame_tables(jobs, rsT), g, rsT)
+        tables = self._tables
+        t = tables.get(key)
+        if t is None:
+            if len(tables) >= kernels.CACHE_CAP:
+                tables.clear()
+            p = kernels.instance_arrays(self.instance)[0]
+            jobs = np.asarray(remaining, dtype=np.intp)
+            ps = p[:, jobs]
+            rsT = ps.sum(axis=1, keepdims=True) - ps
+            t = tables[key] = kernels.maxplus_table(
+                self.instance, jobs, self._seed(jobs, rsT))
+        return t
 
-    def children_cached(self, key: int, front: Sequence[int],
-                        remaining: Sequence[int]) -> tuple[np.ndarray,
-                                                           np.ndarray]:
-        """Bounds *and* fronts of all children of one frame, subset-cached.
+    @abstractmethod
+    def _seed(self, jobs: np.ndarray, rsT: np.ndarray) -> np.ndarray:
+        """The ``(m, k)`` seed table of a subset (see module docstring).
 
-        ``key`` is the bitmask of ``remaining``. Returns ``(lbs, fronts)``
-        with ``lbs`` bit-identical to :meth:`children` and ``fronts`` the
-        (k, m) child completion fronts (the engine reuses row ``c`` as the
-        front of the child it enters). Front-independent per-subset data —
-        child geometry and :meth:`_frame_tables` output — is cached keyed
-        by ``key``; only the front-dependent :meth:`_frame_eval` runs per
-        call. Caches self-clear at ``kernels.CACHE_CAP`` entries.
+        ``rsT[i, c]`` is machine ``i``'s unscheduled work once child ``c``
+        (job ``jobs[c]``) is scheduled; entry ``[i, c]`` is the most work
+        this bound puts after machine ``i``'s completion in child ``c``,
+        or ``kernels.NEG`` where it has no term on ``i``.
         """
-        cache = self._cache
-        entry = cache.get(key)
-        if entry is None:
-            if len(cache) >= kernels.CACHE_CAP:
-                cache.clear()
-            jobs, cc0, cc1, rsT, _ = kernels.subset_geometry(
-                self.instance, key, remaining)
-            entry = (cc0, cc1, rsT, self._frame_tables(jobs, rsT))
-            cache[key] = entry
-        cc0, cc1, rsT, tables = entry
-        g = kernels.fronts_matrix(front, cc0, cc1)
-        return self._frame_eval(tables, g, rsT), g.T
-
-    def _frame_tables(self, jobs: np.ndarray, rsT: np.ndarray) -> Any:
-        """Front-independent tables of one subset (cacheable).
-
-        ``rsT[i, c]`` is machine ``i``'s unscheduled work for child ``c``.
-        The fallback keeps the scalar :meth:`frame` result (a function of
-        the subset only) plus the subset itself for the scalar loop.
-        """
-        return jobs, self.frame(jobs.tolist())
-
-    def _frame_eval(self, tables: Any, g: np.ndarray,
-                    rsT: np.ndarray) -> np.ndarray:
-        """Per-child bounds from :meth:`_frame_tables` output and child
-        fronts ``g`` (m, k, one column per child).
-
-        Reference fallback: one scalar :meth:`child` call per job, with the
-        engine's mask discipline (the child's own job flipped out around
-        the call) so mask-walking bounds see the child's set.
-        """
-        jobs, frame_data = tables
-        fronts = g.T
-        rem_sums = rsT.T
-        mask = self._mask
-        out = np.empty(jobs.shape[0], dtype=np.int64)
-        for c, j in enumerate(jobs):
-            if mask is not None:
-                mask[j] = False
-            out[c] = self.child(fronts[c], j, frame_data, rem_sums[c])
-            if mask is not None:
-                mask[j] = True
-        return out
 
 
 class TrivialBound(LowerBound):
@@ -226,11 +171,10 @@ class TrivialBound(LowerBound):
     def child(self, front, job, frame_data, rem_sum) -> int:
         return front[-1] + rem_sum[-1]
 
-    def _frame_tables(self, jobs, rsT):
-        return None
-
-    def _frame_eval(self, tables, g, rsT):
-        return g[-1] + rsT[-1]
+    def _seed(self, jobs, rsT):
+        add = np.full_like(rsT, kernels.NEG)
+        add[-1] = rsT[-1]
+        return add
 
 
 class OneMachineBound(LowerBound):
@@ -239,9 +183,10 @@ class OneMachineBound(LowerBound):
     The per-frame "smallest unscheduled tail after machine i" is found by
     walking a tail-sorted job order (precomputed at attach) until the first
     unscheduled job — O(#scheduled) amortised instead of O(#remaining),
-    which matters because ``frame`` runs once per expanded node. The engine
-    publishes its unscheduled mask through :meth:`set_mask`; when no mask
-    is available (stand-alone use) the plain scan is used.
+    which matters because the scalar reference runs ``frame`` once per
+    expanded node. Its caller publishes the unscheduled mask through
+    :meth:`set_mask`; when no mask is available (stand-alone use) the plain
+    scan is used.
     """
 
     name = "one-machine"
@@ -281,23 +226,19 @@ class OneMachineBound(LowerBound):
                 best = v
         return best
 
-    def _frame_tables(self, jobs, rsT):
-        # min tails folded into the per-child work column: the eval is then
-        # a single add + column-max
-        _, _, _, tails = kernels.instance_arrays(self.instance)
-        return rsT + tails[:, jobs].min(axis=1)[:, None]
-
-    def _frame_eval(self, tables, g, rsT):
-        return np.maximum.reduce(g + tables, axis=0)
+    def _seed(self, jobs, rsT):
+        tails = kernels.instance_arrays(self.instance)[3]
+        return rsT + tails[:, jobs].min(axis=1, keepdims=True)
 
 
 class _PairRelaxationBound(LowerBound):
     """Common machinery of the two-machine relaxation bounds.
 
     Subclasses provide the per-pair job order (plain Johnson or
-    lag-transformed) and the scalar walk; the batched path is shared —
-    a :class:`repro.bnb.kernels.PairKernel` holding the closed-form
-    skip-one tables (``lags=None`` for the zero-lag variant).
+    lag-transformed) and the scalar walk; the seed table is shared — a
+    :class:`repro.bnb.kernels.PairKernel` holding the closed-form
+    skip-one tables (``lags=None`` for the zero-lag variant), scattered by
+    max onto each pair's machines ``u`` and ``v``.
 
     ``pairs``: ``"adjacent"`` (u, u+1), ``"last"`` (u, m-1), ``"all"``
     (every u < v), or an explicit list.
@@ -305,8 +246,8 @@ class _PairRelaxationBound(LowerBound):
     The scalar reference skips a pair when the child has no unscheduled
     work on its first machine; with strictly positive processing times
     that only happens for an empty unscheduled set, where the pair value
-    never exceeds the trivial floor — so the batched path needs no such
-    mask to stay bit-identical.
+    never exceeds the trivial floor — so the table needs no such mask to
+    stay bit-identical.
     """
 
     def __init__(self, pairs: str | list[tuple[int, int]] = "adjacent") -> None:
@@ -315,6 +256,9 @@ class _PairRelaxationBound(LowerBound):
         self.pairs: list[tuple[int, int]] = []
         self._orders: list[list[int]] = []
         self._kernel: kernels.PairKernel | None = None
+        # pair machine indices u / v, as index arrays
+        self._u: np.ndarray | None = None
+        self._v: np.ndarray | None = None
 
     def _make_order(self, u: int, v: int) -> list[int]:
         raise NotImplementedError
@@ -328,6 +272,8 @@ class _PairRelaxationBound(LowerBound):
         self.pairs = _parse_pairs(self.pairs_spec, m, type(self).__name__)
         self._orders = [self._make_order(u, v) for u, v in self.pairs]
         p, _, _, tails = kernels.instance_arrays(self.instance)
+        self._u = np.asarray([u for u, _ in self.pairs], dtype=np.intp)
+        self._v = np.asarray([v for _, v in self.pairs], dtype=np.intp)
         self._kernel = kernels.PairKernel(
             p, tails, self.pairs, np.asarray(self._orders, dtype=np.intp),
             lags=self._kernel_lags())
@@ -337,14 +283,13 @@ class _PairRelaxationBound(LowerBound):
         return [min(tails[v][j] for j in remaining)
                 for _, v in self.pairs]
 
-    def _frame_tables(self, jobs, rsT):
-        return self._kernel.tables(jobs)
-
-    def _frame_eval(self, tables, g, rsT):
-        out = self._kernel.eval(tables, g)
-        floor = g[-1] + rsT[-1]              # never below the trivial bound
-        np.maximum(out, floor, out=out)
-        return out
+    def _seed(self, jobs, rsT):
+        A2, B2 = self._kernel.tables(jobs)
+        add = np.full_like(rsT, kernels.NEG)
+        add[-1] = rsT[-1]                    # never below the trivial bound
+        np.maximum.at(add, self._u, A2)      # pairs may share a machine
+        np.maximum.at(add, self._v, B2)
+        return add
 
 
 class JohnsonPairBound(_PairRelaxationBound):
@@ -452,7 +397,7 @@ class MaxBound(LowerBound):
 
     def attach(self, instance: FlowshopInstance) -> "MaxBound":
         self.instance = instance
-        self._cache = {}
+        self._tables = {}
         for c in self.components:
             c.attach(instance)
         return self
@@ -464,15 +409,9 @@ class MaxBound(LowerBound):
         return max(c.child(front, job, fd, rem_sum)
                    for c, fd in zip(self.components, frame_data))
 
-    def _frame_tables(self, jobs, rsT):
-        return [c._frame_tables(jobs, rsT) for c in self.components]
-
-    def _frame_eval(self, tables, g, rsT):
-        comps = self.components
-        out = comps[0]._frame_eval(tables[0], g, rsT)
-        for c, t in zip(comps[1:], tables[1:]):
-            np.maximum(out, c._frame_eval(t, g, rsT), out=out)
-        return out
+    def _seed(self, jobs, rsT):
+        return np.maximum.reduce([c._seed(jobs, rsT)
+                                  for c in self.components])
 
     def set_mask(self, unscheduled: list[bool]) -> None:
         self._mask = unscheduled

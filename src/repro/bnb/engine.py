@@ -19,38 +19,34 @@ head, merged or decoded work, a master editing intervals — fails that
 check and takes the rebuild. The cursor is a cache of what the position
 already says, so it never travels.
 
-Child enumeration runs in one of two modes:
-
-* ``batch=True`` (default) — when a frame's first child is enumerated, the
-  bounds of *all* its children are computed in one vectorised
-  ``LowerBound.children_cached`` call (:mod:`repro.bnb.kernels`): child
-  fronts come back as a matrix whose rows seed the children that are
-  entered, and every front-independent quantity is cached per unscheduled
-  subset (tracked as a bitmask), which the DFS revisits constantly;
-* ``batch=False`` — the scalar reference path: one ``LowerBound.child``
-  call per enumerated child, exactly the pre-kernel implementation.
-
-Both modes visit the same nodes, count the same nodes and find the same
-optima — the kernels are integer-exact (golden-tested in
+Child enumeration is one max-plus product per frame: when a frame's first
+child is enumerated, the bounds of *all* its children come from the
+bound's per-subset table (``LowerBound.table``, :mod:`repro.bnb.kernels`)
+applied to the frame's front, one NumPy add and row-max. The subset is
+tracked as a bitmask, which the DFS revisits constantly, so the table is
+built once per subset. Fronts are plain lists of ints: an entered child's
+front, a leaf's makespan and a rebuilt path all come from one flow-shop
+recurrence (``_advance``, inlined in the DFS loop). The scalar ``frame``/``child`` explorer is a test
+oracle; the table is integer-exact against it (golden-tested in
 ``tests/test_bnb_kernels.py``).
 
 Node accounting: one unit per lower-bound evaluation or complete
 permutation evaluated. This is the quantity the simulation prices with
-``unit_cost`` and the quantity reported as "explored nodes". A batched
-frame may *compute* bounds for children the budget never reaches; only
-enumerated children are counted, keeping counts independent of batching
-and of the quantum size.
+``unit_cost`` and the quantity reported as "explored nodes". A frame may
+*compute* bounds for children the budget never reaches; only enumerated
+children are counted, keeping counts independent of the table and of the
+quantum size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-
 from ..sim.errors import SimConfigError
 from .bounds import LowerBound, get_bound
 from .flowshop import FlowshopInstance
 from .interval import factorials, position_to_digits
+from .kernels import child_bounds
 from .state import INF, BoundState
 from .work import BnBWork
 
@@ -67,33 +63,41 @@ class ExploreResult:
 class _Frame:
     """One DFS stack level: the node whose children are being enumerated."""
 
-    __slots__ = ("front", "remaining", "rank", "frame_data", "key", "lbs",
-                 "fronts")
+    __slots__ = ("front", "remaining", "rank", "key", "lbs")
 
-    def __init__(self, front, remaining, frame_data, key=0):
+    def __init__(self, front, remaining, key):
         self.front = front            # machine completion times of the prefix
         self.remaining = remaining    # unscheduled jobs, ascending
         self.rank = 0                 # next child index to enumerate
-        self.frame_data = frame_data  # bound's per-frame data (scalar mode)
-        self.key = key                # bitmask of remaining (batch mode)
-        self.lbs = None               # batched child bounds (lazy, batch mode)
-        self.fronts = None            # batched child fronts (lazy, batch mode)
+        self.key = key                # bitmask of remaining
+        self.lbs = None               # child bounds (lazy, first enumeration)
+
+
+def _advance(front, times):
+    """The completion front after appending a job with per-machine
+    ``times`` to a prefix whose completion front is ``front``."""
+    out = []
+    prev = 0
+    for fi, t in zip(front, times):
+        if prev < fi:
+            prev = fi
+        prev += t
+        out.append(prev)
+    return out
 
 
 class BnBEngine:
     """Explorer bound to one instance + lower bound (see module docstring)."""
 
     def __init__(self, instance: FlowshopInstance,
-                 bound: LowerBound | str = "lb1",
-                 batch: bool = True) -> None:
+                 bound: LowerBound | str = "lb1") -> None:
         self.instance = instance
         self.bound = get_bound(bound) if isinstance(bound, str) else bound
         self.bound.attach(instance)
-        self.batch = batch
         self.n = instance.n_jobs
         self.m = instance.n_machines
         self.fact = factorials(self.n)
-        self._p = [list(row) for row in instance.p]
+        self._pT = list(zip(*instance.p))   # _pT[j][i]: job j on machine i
         self.rebuilds = 0   # head intervals cold-started from their digits
         self.resumes = 0    # head intervals continued from a paused cursor
 
@@ -150,14 +154,16 @@ class BnBEngine:
 
         Used by hierarchical master schemes (AHMW): the children of the
         block's prefix node are bounded; surviving children come back as
-        their own (width/(n-d)) blocks, pruned ones are dropped, and leaf
-        children are evaluated on the spot. Returns (surviving child
-        blocks, bound/leaf evaluations performed, ub improved).
+        their own (width/(n-d)) blocks, pruned ones are dropped. Returns
+        (surviving child blocks, bound evaluations performed, ub improved).
+        A width of 1 matches 0! and is rejected, so a valid width is at
+        least 2!: the children are never leaves, and the incumbent never
+        improves here.
 
         ``a`` must be aligned: width == (n-d)! for the prefix depth d and
         ``a % width == 0`` within its parent block.
         """
-        n, m = self.n, self.m
+        n = self.n
         d = None
         for k in range(n + 1):
             if self.fact[k] == width:
@@ -169,52 +175,18 @@ class BnBEngine:
         if any(digits[q] for q in range(d, n)):
             raise SimConfigError(f"block start {a} is not aligned to {width}")
         remaining = list(range(n))
-        front = [0] * m
-        prefix: list[int] = []
+        front = [0] * self.m
+        key = (1 << n) - 1
         for q in range(d):
             job = remaining.pop(digits[q])
-            prefix.append(job)
-            front = self.instance.advance(front, job)
+            key &= ~(1 << job)
+            front = _advance(front, self._pT[job])
         ub = shared.value
-        improved = False
-        nodes = 0
-        out: list[tuple[int, int]] = []
         child_width = self.fact[n - d - 1]
-        bound = self.bound
-        mask = [j in remaining for j in range(n)]
-        bound.set_mask(mask)
-        if self.batch and len(remaining) > 1:
-            # one vectorised call bounds every child; no leaves at this depth
-            key = 0
-            for j in remaining:
-                key |= 1 << j
-            lbs, _ = bound.children_cached(key, front, remaining)
-            lbs = lbs.tolist()
-            for rank in range(len(remaining)):
-                nodes += 1
-                if lbs[rank] < ub:
-                    start = a + rank * child_width
-                    out.append((start, start + child_width))
-            return out, nodes, improved
-        fd = bound.frame(remaining)
-        rem_sum = [sum(self._p[i][j] for j in remaining) for i in range(m)]
-        for rank, j in enumerate(remaining):
-            nf = self.instance.advance(front, j)
-            nodes += 1
-            start = a + rank * child_width
-            if len(remaining) == 1:
-                if nf[-1] < ub:
-                    ub = nf[-1]
-                    shared.update(ub, tuple(prefix) + (j,))
-                    improved = True
-                continue
-            mask[j] = False
-            rs = [rem_sum[i] - self._p[i][j] for i in range(m)]
-            lb = bound.child(nf, j, fd, rs)
-            mask[j] = True
-            if lb < ub:
-                out.append((start, start + child_width))
-        return out, nodes, improved
+        lbs = child_bounds(self.bound.table(key, remaining), front)
+        out = [(a + rank * child_width, a + (rank + 1) * child_width)
+               for rank, lb in enumerate(lbs) if lb < ub]
+        return out, len(lbs), False
 
     # -- the DFS ------------------------------------------------------------------
 
@@ -224,11 +196,9 @@ class BnBEngine:
         """DFS over the head's leaves [a, b); returns (nodes, new position,
         improved). Continues from ``work.cursor`` when that is the state
         this head was paused in, else rebuilds the stack from ``a``."""
-        m = self.m
-        p = self._p
+        pT = self._pT
         fact = self.fact
-        bound = self.bound
-        batch = self.batch
+        table = self.bound.table
         a, b = head
         cur = work.cursor
         if cur is not None and cur[0] is head and cur[1] == a:
@@ -236,11 +206,10 @@ class BnBEngine:
             # exactly the DFS state at `a` (b is re-read: tail steals only
             # shrink it). Child bounds cached in the frames do not depend on
             # the incumbent, so they survive any ub change in between.
-            _, _, frames, path_jobs, unscheduled, rem_sum = cur
-            bound.set_mask(unscheduled)  # one bound serves every worker
+            _, _, frames, path_jobs = cur
             self.resumes += 1
         else:
-            frames, path_jobs, unscheduled, rem_sum = self._rebuild(a)
+            frames, path_jobs = self._rebuild(a)
             self.rebuilds += 1
 
         pos = a
@@ -261,95 +230,63 @@ class BnBEngine:
             k = len(rem)
             rank = fr.rank
             if rank >= k:
-                # node exhausted: restore the job that created it
+                # node exhausted: drop the job that created it
                 frames.pop()
                 if path_jobs:
-                    j = path_jobs.pop()
-                    unscheduled[j] = True
-                    if not batch:
-                        for i in range(m):
-                            rem_sum[i] += p[i][j]
+                    path_jobs.pop()
                 continue
-            if batch and k > 1:
+            if k > 1:
                 lbs = fr.lbs
                 if lbs is None:
-                    # first enumeration of this frame: bound all children in
-                    # one subset-cached kernel call
-                    lbs, fr.fronts = bound.children_cached(fr.key, fr.front,
-                                                           rem)
-                    lbs = fr.lbs = lbs.tolist()
-                if lbs[rank] < ub:
-                    j = rem[rank]
-                    fr.rank = rank + 1
-                    nodes += 1
-                    unscheduled[j] = False
-                    path_jobs.append(j)
-                    frames.append(_Frame(fr.fronts[rank],
-                                         rem[:rank] + rem[rank + 1:],
-                                         None, fr.key & ~(1 << j)))
-                    pause_ok = False
+                    # first enumeration of this frame: bound all children
+                    # with one product against the subset's table
+                    lbs = fr.lbs = child_bounds(table(fr.key, rem), fr.front)
+                if lbs[rank] >= ub:
+                    # a run of pruned siblings, each skipping its whole leaf
+                    # block; every prune is a pause point (budget, pos < b)
+                    block = fact[k - 1]
+                    while True:
+                        rank += 1
+                        nodes += 1
+                        pos += block
+                        if (rank >= k or lbs[rank] < ub or nodes >= budget
+                                or pos >= b):
+                            break
+                    fr.rank = rank
+                    pause_ok = True
                     continue
-                # a run of pruned siblings, each skipping its whole leaf
-                # block; every prune is a pause point (budget, pos < b)
-                block = fact[k - 1]
-                while True:
-                    rank += 1
-                    nodes += 1
-                    pos += block
-                    if (rank >= k or lbs[rank] < ub or nodes >= budget
-                            or pos >= b):
-                        break
-                fr.rank = rank
-                pause_ok = True
-                continue
             j = rem[rank]
             fr.rank = rank + 1
             nodes += 1
-            # child front (scalar): the leaf's makespan, or the bound's input
-            cfront = fr.front
-            nf = [0] * m
+            # the child's front (_advance, inlined): the leaf's makespan, or
+            # the entered child's frame
+            nf = []
             prev = 0
-            for i in range(m):
-                fi = cfront[i]
+            for fi, t in zip(fr.front, pT[j]):
                 if prev < fi:
                     prev = fi
-                prev += p[i][j]
-                nf[i] = prev
+                prev += t
+                nf.append(prev)
             if k == 1:
                 # complete permutation
                 pos += 1
                 pause_ok = True
                 if prev < ub:
-                    ub = int(prev)
+                    ub = prev
                     shared.update(ub, tuple(path_jobs) + (j,))
                     improved = True
                 continue
-            # scalar reference path: one bound call
-            unscheduled[j] = False
-            for i in range(m):
-                rem_sum[i] -= p[i][j]
-            lb = bound.child(nf, j, fr.frame_data, rem_sum)
-            if lb < ub:
-                child_rem = rem[:rank] + rem[rank + 1:]
-                path_jobs.append(j)
-                frames.append(_Frame(nf, child_rem, bound.frame(child_rem)))
-                pause_ok = False
-            else:
-                # prune: skip the child's whole leaf block
-                pos += fact[k - 1]
-                pause_ok = True
-                unscheduled[j] = True
-                for i in range(m):
-                    rem_sum[i] += p[i][j]
+            path_jobs.append(j)
+            frames.append(_Frame(nf, rem[:rank] + rem[rank + 1:],
+                                 fr.key & ~(1 << j)))
+            pause_ok = False
         if not frames:
             pos = b  # finished everything we were given
         # paused mid-interval: park the stack for the next call
-        work.cursor = ((head, pos, frames, path_jobs, unscheduled, rem_sum)
-                       if pos < b else None)
+        work.cursor = (head, pos, frames, path_jobs) if pos < b else None
         return nodes, pos, improved
 
-    def _rebuild(self, a: int) -> tuple[list[_Frame], list[int], list[bool],
-                                        list[int]]:
+    def _rebuild(self, a: int) -> tuple[list[_Frame], list[int]]:
         """Cold start: the DFS stack from the factoradic digits of ``a``.
 
         Let D be the deepest level whose digit is non-zero. For every level
@@ -360,15 +297,10 @@ class BnBEngine:
         fresh and must be enumerated (and bounded!) by the normal DFS, so
         the rebuild stops there with rank = digit. Path nodes are rebuilt
         without bound evaluations and without counting: they were counted
-        when first entered, wherever that happened. (In batch mode even
-        the frame() precomputation is deferred to first enumeration.)
+        when first entered, wherever that happened; their child bounds are
+        computed on first enumeration.
         """
-        n, p = self.n, self._p
-        bound = self.bound
-        batch = self.batch
-        unscheduled = [True] * n
-        rem_sum = [sum(row) for row in p]
-        bound.set_mask(unscheduled)
+        n = self.n
         digits = position_to_digits(a, n)
         deepest = -1
         for d in range(n):
@@ -381,21 +313,17 @@ class BnBEngine:
         path_jobs: list[int] = []
         for d in range(max(0, deepest) + 1):
             fresh = d == deepest or deepest < 0
-            fr = _Frame(front, remaining,
-                        None if batch else bound.frame(remaining), key)
+            fr = _Frame(front, remaining, key)
             fr.rank = digits[d] if fresh else digits[d] + 1
             frames.append(fr)
             if fresh:
                 break
             job = remaining[digits[d]]
             path_jobs.append(job)
-            unscheduled[job] = False
             key &= ~(1 << job)
-            for i in range(self.m):
-                rem_sum[i] -= p[i][job]
-            front = self.instance.advance(front, job)
+            front = _advance(front, self._pT[job])
             remaining = remaining[:digits[d]] + remaining[digits[d] + 1:]
-        return frames, path_jobs, unscheduled, rem_sum
+        return frames, path_jobs
 
 
 def solve_bruteforce(instance: FlowshopInstance) -> tuple[int, tuple[int, ...]]:

@@ -1,31 +1,44 @@
-"""Vectorised child-batch kernels for the B&B bound layer.
+"""The max-plus bound table behind the B&B engine's child enumeration.
 
 The scalar bound contract (:mod:`repro.bnb.bounds`) evaluates one child per
 call; at millions of bound evaluations per experiment the pure-Python inner
-loops dominate wall-clock. This module holds the NumPy kernels that bound
-*all* children of an expanded node in one shot:
+loops dominate wall-clock. Every bound shipped in this repo is *max-plus
+linear* in the parent's completion front ``f``: the bound of child ``c``
+(the parent's ``c``-th unscheduled job ``j``) is::
+
+    lb[c] = max_l (f[l] + T[c, l])
+
+for a ``(k, m)`` table ``T`` that depends on the unscheduled *set* only.
+This module builds that table and evaluates it:
 
 * :func:`instance_arrays` — int64 views of an instance (processing times,
   their machine-prefix sums, tails), built once and cached on the instance.
-* :func:`subset_geometry` / :func:`fronts_matrix` — per-unscheduled-subset
-  child geometry (gathered prefix sums, per-child remaining work) and the
-  child completion fronts derived from it, via the max-plus prefix form of
-  the flow-shop recurrence.
-* :func:`child_fronts` / :func:`child_rem_sums` — the same quantities in
-  the explicit (non-cached) layout of the ``LowerBound.children`` API.
-* :class:`PairKernel` — batched two-machine (optionally lagged) Johnson
-  relaxations in closed form: one set of skip-one tables bounds every
-  (machine pair, child) cell without walking the Johnson order per child.
+* :func:`maxplus_table` — ``T`` from a bound's *seed table* ``Add[i, c]``:
+  the work that must still follow machine ``i``'s completion in child
+  ``c``'s relaxation (``NEG`` where the bound has no term on ``i``).
+* :func:`child_bounds` — the one evaluator: ``T`` applied to a front.
+* :class:`PairKernel` — the seed rows of the two-machine (optionally
+  lagged) Johnson relaxations, in closed form: one set of skip-one tables
+  covers every (machine pair, child) cell without walking the Johnson
+  order per child.
 
-Everything front-independent is a pure function of the unscheduled *set*,
-so it is cached keyed by the subset bitmask: a depth-first search revisits
-the same subsets thousands of times (every permutation of a prefix leads to
-the same remaining set), which amortises the table construction to nearly
-nothing on instances of interval-B&B scale.
+Why ``T`` exists: the child's front is the flow-shop recurrence
+``nf[i] = max(nf[i-1], f[i]) + p[i, j]``, whose closed form (fronts are
+non-negative) is ``nf[i] = cp[i, j] + max_{l<=i}(f[l] - cpp[l, j])`` with
+``cp``/``cpp`` the inclusive/exclusive machine-prefix sums of ``p``. A
+bound ``max_i(nf[i] + Add[i, c])`` then regroups by ``l``::
 
-The closed form: the two-machine (lagged) Johnson walk is max-plus linear.
-For a fixed step sequence with times ``(a_t, lag_t, b_t)`` seeded at
-``(ta0, tb0)``, the final second-machine time is::
+    T[c, l] = max_{i>=l}(cp[i, j] + Add[i, c]) - cpp[l, j]
+
+— one reverse ``maximum.accumulate`` per subset. A depth-first search
+revisits the same subsets thousands of times (every permutation of a
+prefix leads to the same remaining set), so the bound caches ``T`` per
+subset bitmask and a frame's enumeration costs one add and one row-max.
+
+The pair seed in closed form: the two-machine (lagged) Johnson walk is
+max-plus linear too. For a fixed step sequence with times
+``(a_t, lag_t, b_t)`` seeded at ``(ta0, tb0)``, the final second-machine
+time is::
 
     tb_fin = max(tb0 + SBtot, ta0 + SBtot + max_t X_t)
     X_t    = SA_{t+1} + lag_t + b_t - SB_{t+1}
@@ -39,10 +52,11 @@ with ``SA``/``SB`` the prefix sums of ``a``/``b``. Removing step ``t``
 
 where ``NMAX_t = max_{s<t} X_s`` and ``RMAX_t = max_{s>=t} X_s`` — one
 forward and one reverse ``maximum.accumulate`` replace the per-step walk.
+``A_t``/``B_t`` are the pair's seed entries on machines ``u``/``v``.
 
-All kernels are integer-exact: they perform the same int arithmetic as the
-scalar reference implementations, so batched and scalar bounds are
-bit-identical (enforced by ``tests/test_bnb_kernels.py``).
+All of it is integer-exact: the same int arithmetic as the scalar
+reference implementations, so table and scalar bounds are bit-identical
+(enforced by ``tests/test_bnb_kernels.py``).
 """
 
 from __future__ import annotations
@@ -50,14 +64,15 @@ from __future__ import annotations
 import numpy as np
 
 _CACHE_ATTR = "_kernel_arrays"
-_GEOM_ATTR = "_kernel_geometry"
 
-#: "no prefix/suffix yet" sentinel in the skip-one tables: far below any
-#: reachable completion time, far above int64 underflow when summed.
+#: "no term on this machine" sentinel in seed tables (and "no
+#: prefix/suffix yet" in the skip-one tables): far below any reachable
+#: completion time, far above int64 underflow when summed.
 NEG = -(1 << 40)
 
-#: subset caches self-clear at this many entries (bounds memory on large
-#: instances; a 10-job tree has at most 2**10 subsets and never trips it).
+#: per-subset table caches self-clear at this many entries (bounds memory
+#: on large instances; a 10-job tree has at most 2**10 subsets and never
+#: trips it).
 CACHE_CAP = 1 << 14
 
 
@@ -85,86 +100,46 @@ def instance_arrays(instance):
     return cache
 
 
-def subset_geometry(instance, key, remaining):
-    """Front-independent child geometry of one unscheduled subset, cached.
+def maxplus_table(instance, jobs, add):
+    """The ``(k, m)`` table ``T`` of a subset from its ``(m, k)`` seed.
 
-    Returns ``(jobs, cc0, cc1, rsT, rsvec)``: the subset as an ascending
-    index array, ``cp``/``cpp`` gathered on it (columns per child),
-    ``rsT[i, c]`` the machine-``i`` unscheduled work of child ``c`` (the
-    subset minus ``jobs[c]``), and ``rsvec`` the subset's own per-machine
-    work. ``key`` is the subset bitmask; the cache is shared by everything
-    attached to the instance.
+    ``jobs`` is the subset (child order), ``add`` the bound's seed table
+    (see the module docstring); row ``c`` of the result bounds the child
+    that appends ``jobs[c]``.
     """
-    geom = instance.__dict__.get(_GEOM_ATTR)
-    if geom is None:
-        geom = instance.__dict__[_GEOM_ATTR] = {}
-    entry = geom.get(key)
-    if entry is None:
-        if len(geom) >= CACHE_CAP:
-            geom.clear()
-        p, cp, cpp, _ = instance_arrays(instance)
-        jobs = np.asarray(remaining, dtype=np.intp)
-        ps = p[:, jobs]
-        rsvec = ps.sum(axis=1)
-        entry = (jobs, cp[:, jobs], cpp[:, jobs], rsvec[:, None] - ps, rsvec)
-        geom[key] = entry
-    return entry
+    _, cp, cpp, _ = instance_arrays(instance)
+    t = cp[:, jobs] + add
+    np.maximum.accumulate(t[::-1], axis=0, out=t[::-1])
+    t -= cpp[:, jobs]
+    return np.ascontiguousarray(t.T)
 
 
-def fronts_matrix(front, cc0, cc1):
-    """(m, k) child completion fronts, one column per child.
-
-    Column ``c`` equals ``instance.advance(front, jobs[c])`` for the subset
-    behind ``cc0``/``cc1`` (:func:`subset_geometry`). Uses the closed form
-    ``nf[i] = cp[i, j] + max_{l<=i}(front[l] - cpp[l, j])`` of the
-    recurrence ``nf[i] = max(nf[i-1], front[i]) + p[i, j]`` (valid because
-    fronts are non-negative), i.e. one ``maximum.accumulate`` instead of a
-    per-child machine loop.
-    """
-    if type(front) is not np.ndarray:   # the engine passes int64 rows back
-        front = np.asarray(front, dtype=np.int64)
-    g = front[:, None] - cc1
-    np.maximum.accumulate(g, axis=0, out=g)
-    g += cc0
-    return g
-
-
-def child_fronts(front, jobs, cp, cpp):
-    """(k, m) completion fronts after appending each of ``jobs`` to ``front``."""
-    return fronts_matrix(front, cp[:, jobs], cpp[:, jobs]).T
-
-
-def child_rem_sums(rem_sum, jobs, p):
-    """(k, m) per-machine unscheduled work after removing each of ``jobs``.
-
-    ``rem_sum`` is the parent's per-machine unscheduled work (children's
-    jobs still included, as the engine maintains it).
-    """
-    return np.asarray(rem_sum, dtype=np.int64)[None, :] - p[:, jobs].T
+def child_bounds(table, front):
+    """Bounds of all children of a node with completion ``front`` (a list
+    of ints), as a list of ints in the table's child order."""
+    return np.maximum.reduce(table + front, axis=1).tolist()
 
 
 class PairKernel:
     """Batched closed-form two-machine relaxations over machine pairs.
 
     Owns the attach-time constants of a pair bound — per-pair step times in
-    Johnson-order layout, tails after the second machine, seed machine
-    indices — plus the scratch used to filter orders to a subset. One
-    instance serves both Johnson variants: pass ``lags`` for the Mitten
-    (lagged) transform, leave it None for the zero-lag walk.
+    Johnson-order layout, tails after the second machine — plus the
+    scratch used to filter orders to a subset. One instance serves both
+    Johnson variants: pass ``lags`` for the Mitten (lagged) transform,
+    leave it None for the zero-lag walk.
 
-    :meth:`tables` builds the skip-one tables ``(A2, B2)`` of a subset
-    (child ``c`` of pair ``q`` is bounded by
-    ``max(g[u_q, c] + A2[q, c], g[v_q, c] + B2[q, c])`` — see the module
-    docstring for the derivation; the per-pair min tail after ``v`` is
-    folded in). :meth:`eval` applies them to a child-front matrix.
+    :meth:`tables` builds the skip-one tables ``(A2, B2)`` of a subset:
+    child ``c``'s pair-``q`` bound is ``max(nf[u_q] + A2[q, c], nf[v_q] +
+    B2[q, c])`` with ``nf`` the child's front — see the module docstring
+    for the derivation; the per-pair min tail after ``v`` is folded in.
     """
 
     def __init__(self, p, tails, pairs, orders, lags=None):
-        u = np.asarray([pair[0] for pair in pairs], dtype=np.intp)
         v = np.asarray([pair[1] for pair in pairs], dtype=np.intp)
         npairs, n = orders.shape
         rows = np.arange(npairs)[:, None]
-        a = p[u]
+        a = p[[pair[0] for pair in pairs]]
         b = p[v]
         bl = b if lags is None else b + np.asarray(lags, dtype=np.int64)
         # channel stack in Johnson-order layout: step s of pair q carries
@@ -175,7 +150,6 @@ class PairKernel:
         self._orders = orders
         self._tails_v = np.ascontiguousarray(
             np.asarray(tails, dtype=np.int64)[v])
-        self._uv = np.ascontiguousarray(np.stack([u, v]))
         self._rows = rows
         self._mask = np.zeros(n, dtype=bool)
         self._jobpos = np.empty(n, dtype=np.int64)
@@ -212,15 +186,6 @@ class PairKernel:
         B2[self._rows, cidx] = B
         return A2, B2
 
-    def eval(self, tables, g):
-        """(k,) per-child maxima over pairs given child fronts ``g`` (m, k)."""
-        A2, B2 = tables
-        seeds = g[self._uv]                 # (2, npairs, k): front at u / v
-        cand = seeds[0] + A2
-        np.maximum(cand, seeds[1] + B2, out=cand)
-        return np.maximum.reduce(cand, axis=0)
 
-
-__all__ = ["instance_arrays", "subset_geometry", "fronts_matrix",
-           "child_fronts", "child_rem_sums", "PairKernel",
+__all__ = ["instance_arrays", "maxplus_table", "child_bounds", "PairKernel",
            "NEG", "CACHE_CAP"]

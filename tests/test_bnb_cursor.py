@@ -25,6 +25,7 @@ from repro.core.worker import WorkerConfig
 from repro.runtime.codec import from_wire, to_wire
 from repro.sim import Simulator, uniform_network
 from repro.sim.messages import Message
+from tests.bnb_scalar import make_engine
 
 BOUNDS = ["lb1", "llrk", "llrk-full"]
 QUANTA = [1, 3, 16, 64]
@@ -35,8 +36,8 @@ class Twin:
 
     def __init__(self, inst, bound="lb1", batch=True, intervals=None):
         n = inst.n_jobs
-        self.engines = (BnBEngine(inst, bound=bound, batch=batch),
-                        BnBEngine(inst, bound=bound, batch=batch))
+        self.engines = (make_engine(inst, bound, batch),
+                        make_engine(inst, bound, batch))
         self.works = tuple(
             BnBWork(n, intervals) if intervals else BnBWork.full_tree(n)
             for _ in range(2))
@@ -209,7 +210,7 @@ def test_interleaved_workers_on_one_shared_engine(batch):
     parts = ([(0, cut)], [(cut, TOTAL)])
     alone = []
     for part in parts:
-        eng, work, shared = (BnBEngine(INST, "llrk", batch), BnBWork(N, part),
+        eng, work, shared = (make_engine(INST, "llrk", batch), BnBWork(N, part),
                              BoundState())
         trace = []
         while not work.is_empty():
@@ -217,7 +218,7 @@ def test_interleaved_workers_on_one_shared_engine(batch):
             trace.append((res.nodes, res.improved, work.as_tuples(),
                           shared.value))
         alone.append(trace)
-    eng = BnBEngine(INST, "llrk", batch)
+    eng = make_engine(INST, "llrk", batch)
     works = [BnBWork(N, part) for part in parts]
     shareds = [BoundState(), BoundState()]
     together = [[], []]

@@ -1,23 +1,51 @@
-"""Golden tests for the vectorised bound-kernel layer.
+"""Golden tests for the max-plus bound table.
 
-The batched paths (``LowerBound.children`` / ``children_cached`` and the
-engine's ``batch=True`` enumeration) must be *bit-identical* to the scalar
-``frame``/``child`` reference: same bounds, same explored-node counts, same
-optima. These tests pin that contract on every scaled Taillard instance and
-every shipped bound family.
+The engine's enumeration (one ``LowerBound.table`` product per frame) must
+be *bit-identical* to the scalar ``frame``/``child`` reference — the
+:class:`tests.bnb_scalar.ScalarBnBEngine` twin: same bounds, same
+explored-node counts, same optima. These tests pin that contract on every
+scaled Taillard instance and every shipped bound family.
 """
 
-import numpy as np
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from repro.bnb.bounds import JohnsonPairBound, get_bound
 from repro.bnb.engine import BnBEngine
 from repro.bnb.interval import tree_leaves
+from repro.bnb.kernels import child_bounds
 from repro.bnb.state import BoundState
 from repro.bnb.taillard import scaled_instance
 from repro.bnb.work import BnBWork
+from tests.bnb_scalar import ScalarBnBEngine
 
 BOUNDS = ["lb1", "johnson:adjacent", "llrk", "llrk-full"]
+FAMILIES = ["trivial", "lb1", "johnson:adjacent", "johnson:last",
+            "johnson-lag:all", "llrk", "llrk-full"]
+
+
+def scalar_children(ref, inst, front, remaining):
+    """The scalar ``child`` loop over every child of one node."""
+    n, m = inst.n_jobs, inst.n_machines
+    mask = [j in remaining for j in range(n)]
+    ref.set_mask(mask)
+    fd = ref.frame(remaining)
+    rem_sum = [sum(inst.p[i][j] for j in remaining) for i in range(m)]
+    out = []
+    for child in remaining:
+        cf = inst.advance(front, child)
+        crs = [rem_sum[i] - inst.p[i][child] for i in range(m)]
+        mask[child] = False
+        out.append(ref.child(cf, child, fd, crs))
+        mask[child] = True
+    return out
+
+
+def subset_key(remaining):
+    key = 0
+    for j in remaining:
+        key |= 1 << j
+    return key
 
 
 # -- full-solve golden equivalence: all ten scaled Taillard instances ---------
@@ -27,8 +55,8 @@ BOUNDS = ["lb1", "johnson:adjacent", "llrk", "llrk-full"]
 def test_batch_solve_bit_identical(idx, bound):
     """Ta2{idx}s: batched solve == scalar solve (value, perm, node count)."""
     inst = scaled_instance(idx, n_jobs=8, n_machines=10)
-    batched = BnBEngine(inst, bound=bound, batch=True).solve()
-    scalar = BnBEngine(inst, bound=bound, batch=False).solve()
+    batched = BnBEngine(inst, bound=bound).solve()
+    scalar = ScalarBnBEngine(inst, bound=bound).solve()
     assert batched == scalar
 
 
@@ -36,8 +64,8 @@ def test_batch_explore_bit_identical_10x10():
     """Budgeted exploration on a 10x10 matches the scalar path step by step."""
     inst = scaled_instance(1, n_jobs=10, n_machines=10)
     for bound in BOUNDS:
-        eb = BnBEngine(inst, bound=bound, batch=True)
-        es = BnBEngine(inst, bound=bound, batch=False)
+        eb = BnBEngine(inst, bound=bound)
+        es = ScalarBnBEngine(inst, bound=bound)
         wb, ws = BnBWork.full_tree(10), BnBWork.full_tree(10)
         sb, ss = BoundState(), BoundState()
         for _ in range(4):
@@ -49,58 +77,65 @@ def test_batch_explore_bit_identical_10x10():
             assert wb.intervals == ws.intervals
 
 
-# -- children(): direct comparison against the scalar child() loop -----------
+# -- table(): direct comparison against the scalar child() loop --------------
 
 @pytest.mark.parametrize("bound_name", BOUNDS + ["trivial", "johnson-lag:all"])
 def test_children_matches_scalar_child_loop(bound_name):
     inst = scaled_instance(3, n_jobs=9, n_machines=10)
     bound = get_bound(bound_name).attach(inst)
     ref = get_bound(bound_name).attach(inst)
-    n, m = inst.n_jobs, inst.n_machines
-
-    front = [0] * m
+    front = [0] * inst.n_machines
     scheduled = [4, 0]
     for j in scheduled:
         front = inst.advance(front, j)
-    remaining = [j for j in range(n) if j not in scheduled]
-    rem_sum = [sum(inst.p[i][j] for j in remaining) for i in range(m)]
+    remaining = [j for j in range(inst.n_jobs) if j not in scheduled]
 
-    batched = bound.children(front, remaining, None, rem_sum)
-
-    mask = [j in remaining for j in range(n)]
-    scalar = []
-    for child in remaining:
-        fd = ref.frame(remaining)
-        cf = inst.advance(front, child)
-        crs = [rem_sum[i] - inst.p[i][child] for i in range(m)]
-        mask[child] = False
-        ref.set_mask(mask)
-        scalar.append(ref.child(cf, child, fd, crs))
-        mask[child] = True
-    assert batched.tolist() == scalar
+    table = bound.table(subset_key(remaining), remaining)
+    assert table.shape == (len(remaining), inst.n_machines)
+    assert child_bounds(table, front) == \
+        scalar_children(ref, inst, front, remaining)
 
 
 @pytest.mark.parametrize("bound_name", BOUNDS)
 def test_children_cached_consistent_across_revisits(bound_name):
-    """Cached subset tables give the same answer as the uncached call."""
+    """A subset's cached table bounds every front that reaches the subset —
+    revisited through any prefix order — exactly as a fresh table does."""
     inst = scaled_instance(5, n_jobs=8, n_machines=10)
     bound = get_bound(bound_name).attach(inst)
     n, m = inst.n_jobs, inst.n_machines
-    for scheduled in ([0], [1], [0, 3], [3, 0], [5, 2, 7]):
+    for scheduled in ([0], [1], [0, 3], [3, 0], [5, 2, 7], [7, 5, 2]):
         front = [0] * m
         for j in scheduled:
             front = inst.advance(front, j)
         remaining = [j for j in range(n) if j not in scheduled]
-        key = 0
-        for j in remaining:
-            key |= 1 << j
-        rem_sum = [sum(inst.p[i][j] for j in remaining) for i in range(m)]
-        for _ in range(2):  # second pass hits the subset cache
-            lbs, fronts = bound.children_cached(key, front, remaining)
-            direct = bound.children(front, remaining, None, rem_sum)
-            assert lbs.tolist() == direct.tolist()
-            expected = np.array([inst.advance(front, j) for j in remaining])
-            assert fronts.tolist() == expected.tolist()
+        key = subset_key(remaining)
+        fresh = get_bound(bound_name).attach(inst).table(key, remaining)
+        first = bound.table(key, remaining)
+        assert bound.table(key, remaining) is first   # second pass: cached
+        assert first.tolist() == fresh.tolist()
+        assert child_bounds(first, front) == child_bounds(fresh, front)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), family=st.sampled_from(FAMILIES),
+       idx=st.integers(1, 10), n=st.integers(2, 12), m=st.integers(2, 20))
+def test_property_table_matches_scalar_child_loop(data, family, idx, n, m):
+    """Any subset, any front that reaches it (its complement advanced in a
+    random order), every family: table bounds == the scalar loop."""
+    inst = scaled_instance(idx, n_jobs=n, n_machines=m)
+    remaining = sorted(data.draw(
+        st.sets(st.integers(0, n - 1), min_size=1, max_size=n),
+        label="remaining"))
+    done = data.draw(st.permutations(
+        [j for j in range(n) if j not in remaining]), label="prefix")
+    front = [0] * m
+    for j in done:
+        front = inst.advance(front, j)
+    bound = get_bound(family).attach(inst)
+    ref = get_bound(family).attach(inst)
+    table = bound.table(subset_key(remaining), remaining)
+    assert child_bounds(table, front) == \
+        scalar_children(ref, inst, front, remaining)
 
 
 # -- decompose_block: batch path == scalar path --------------------------------
@@ -109,8 +144,8 @@ def test_decompose_block_bit_identical():
     inst = scaled_instance(2, n_jobs=10, n_machines=10)
     width = tree_leaves(10)
     for bound in BOUNDS:
-        eb = BnBEngine(inst, bound=bound, batch=True)
-        es = BnBEngine(inst, bound=bound, batch=False)
+        eb = BnBEngine(inst, bound=bound)
+        es = ScalarBnBEngine(inst, bound=bound)
         blocks_b = eb.decompose_block(0, BoundState(), width)
         blocks_s = es.decompose_block(0, BoundState(), width)
         assert blocks_b == blocks_s
@@ -119,7 +154,7 @@ def test_decompose_block_bit_identical():
 # -- regression: per-engine bound state must not be shared --------------------
 
 def test_two_engines_do_not_share_bound_state():
-    """JohnsonPairBound masks/caches are per-instance, not class-level."""
+    """JohnsonPairBound masks/tables are per-instance, not class-level."""
     inst_a = scaled_instance(1, n_jobs=8, n_machines=10)
     inst_b = scaled_instance(7, n_jobs=8, n_machines=10)
 
