@@ -22,7 +22,7 @@ def test_event_queue_throughput(benchmark):
         q = EventQueue()
         noop = lambda: None
         for i in range(20_000):
-            q.push(float(i % 97), noop)
+            q.push(float(i % 97), i, noop)
         while q.pop() is not None:
             pass
         return q.fired

@@ -177,7 +177,7 @@ def gated_rates():
         q = EventQueue()
         noop = lambda: None
         for i in range(20_000):
-            q.push(float(i % 97), noop)
+            q.push(float(i % 97), i, noop)
         while q.pop() is not None:
             pass
 
@@ -663,17 +663,18 @@ def shard_bench(quick=False, out=None, jobs=0):
         report["btd_10k_sharded"] = b_shard.to_json()
         report["btd_10k_speedup_vs_serial"] = round(
             b_serial.wall_s / b_shard.wall_s, 2)
-        # the sweep workload is zero-jitter and homogeneous — the one
-        # regime where sharding may reorder exactly-simultaneous events
-        # (docs/simulation.md, "Parallel sharding"), so unlike the gate
-        # cell the 10k makespans need not match to the bit; conservation
-        # is still exact (scale_run raises otherwise)
+        # zero jitter, equal speeds: simultaneous events abound, and the
+        # heap key alone (repro.sim.events) makes both runs fire them in
+        # one order — the claim this recording stands on
         report["btd_10k_makespan_match"] = (
             b_shard.makespan == b_serial.makespan)
         print(f"10k BTD: wall {b_shard.wall_s:.1f}s vs serial "
               f"{b_serial.wall_s:.1f}s "
               f"({report['btd_10k_speedup_vs_serial']:.2f}x on "
               f"{cores} core(s))")
+        assert report["btd_10k_makespan_match"], (
+            f"10k BTD sharded makespan {b_shard.makespan!r} != serial "
+            f"{b_serial.makespan!r}")
 
     out = (pathlib.Path(out) if out
            else pathlib.Path(__file__).with_name("BENCH_shard.json"))

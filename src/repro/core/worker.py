@@ -396,17 +396,10 @@ class WorkerProcess(SimProcess):
         timers or a crash landing inside the last quantum's window behave
         exactly as under the unfused engine. Durations accumulate
         iteratively (``t = t + d``), reproducing the unfused engine's
-        float arithmetic bit for bit.
-
-        One caveat: the macro event is *pushed* at the block's start,
-        not at the last interior boundary, so if the final boundary
-        lands at the identical float time as a causally unrelated
-        foreign event, the insertion-order tie-break between them can
-        differ from the unfused engine's. Both orders are valid
-        executions of the same timed schedule (conservation and, in
-        practice, makespans are unaffected); runs whose boundaries
-        never collide — all golden/faulted test configurations — are
-        bit-identical. See docs/simulation.md, "Scaling to 10^4 nodes".
+        float arithmetic bit for bit. The block takes ``k`` keys, one per
+        quantum, and its event the last: the key the unfused engine's
+        ``k``-th occupy event has, so it ties with foreign events exactly
+        as that one does (repro.sim.events).
         """
         sim = self.sim
         queue = sim.queue
@@ -495,8 +488,10 @@ class WorkerProcess(SimProcess):
         # bypass occupy(): one event at the fused boundary, cancellable by
         # the crash injector exactly like a plain occupy event
         self._cpu_busy = True
+        key = self._key + k - 1
+        self._key = key + 1
         self._occupy_event = queue.push(
-            t, self._fused_done, arg=(units, improved),
+            t, key, self._fused_done, arg=(units, improved),
             tag=f"macro@{self.pid}x{k}" if sim.debug else "")
 
     def _fused_done(self, arg: tuple) -> None:

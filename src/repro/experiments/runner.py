@@ -77,10 +77,9 @@ class RunConfig:
     #: opens (routed around until a probe succeeds); 0 disables breaking
     breaker_threshold: int = 4
     #: quantum fusion (macro events): far fewer engine events at scale,
-    #: bit-identical results up to the ordering of exactly-simultaneous
-    #: events (docs/simulation.md, "Scaling to 10^4 nodes"); False
-    #: forces one event per quantum (debugging / the fused-vs-unfused
-    #: comparison itself)
+    #: bit-identical results (docs/simulation.md, "Scaling to 10^4
+    #: nodes"); False forces one event per quantum (debugging / the
+    #: fused-vs-unfused comparison itself)
     fuse: bool = True
 
     def __post_init__(self) -> None:

@@ -147,19 +147,13 @@ class ScaleRow:
         return out
 
 
-def scale_run(protocol: str, app: str, n: int, *,
-              quantum: int = DEFAULT_QUANTUM, seed: int = 42,
-              latency: float = DEFAULT_LATENCY,
-              units_per_node: int = DEFAULT_UNITS_PER_NODE,
-              unit_cost: float = DEFAULT_UNIT_COST,
-              preset: str = "bin_large", fuse: bool = True,
-              shards: int = 1) -> ScaleRow:
-    """Run one fleet-scale cell and verify work conservation.
-
-    ``shards > 1`` splits the run over that many OS processes
-    (:func:`repro.sim.shard.run_sharded`); the conservation oracle is
-    checked identically — it holds under any event schedule.
-    """
+def scale_cell(protocol: str, app: str, n: int, *,
+               quantum: int = DEFAULT_QUANTUM, seed: int = 42,
+               latency: float = DEFAULT_LATENCY,
+               units_per_node: int = DEFAULT_UNITS_PER_NODE,
+               unit_cost: float = DEFAULT_UNIT_COST,
+               preset: str = "bin_large", fuse: bool = True):
+    """One fleet-scale cell: ``(RunConfig, app spec, exact unit count)``."""
     if app == "synthetic":
         spec = SyntheticSpec(units_per_node * n, unit_cost=unit_cost)
         expected = spec.units
@@ -176,6 +170,27 @@ def scale_run(protocol: str, app: str, n: int, *,
     cfg = RunConfig(protocol=protocol, n=n, quantum=quantum, seed=seed,
                     network=fleet_network(n, latency), oclb=oclb,
                     ack_timeout=ack_timeout, fuse=fuse)
+    return cfg, spec, expected
+
+
+def scale_run(protocol: str, app: str, n: int, *,
+              quantum: int = DEFAULT_QUANTUM, seed: int = 42,
+              latency: float = DEFAULT_LATENCY,
+              units_per_node: int = DEFAULT_UNITS_PER_NODE,
+              unit_cost: float = DEFAULT_UNIT_COST,
+              preset: str = "bin_large", fuse: bool = True,
+              shards: int = 1) -> ScaleRow:
+    """Run one fleet-scale cell (:func:`scale_cell`) and verify work
+    conservation.
+
+    ``shards > 1`` splits the run over that many OS processes
+    (:func:`repro.sim.shard.run_sharded`); the conservation oracle is
+    checked identically — it holds under any event schedule.
+    """
+    cfg, spec, expected = scale_cell(
+        protocol, app, n, quantum=quantum, seed=seed, latency=latency,
+        units_per_node=units_per_node, unit_cost=unit_cost, preset=preset,
+        fuse=fuse)
     t0 = time.perf_counter()
     cpu0 = time.process_time()
     if shards > 1:
@@ -287,8 +302,8 @@ def render_sweep(doc: dict) -> str:
         lines.append(f"fused engine speedup: {doc['fused_speedup']:.2f}x "
                      "events-equivalent per wall second"
                      + ("" if doc.get("twin_makespan_match")
-                        else "  (makespans differ: simultaneous-event "
-                             "ordering, see docs/simulation.md)"))
+                        else "  (makespans differ: a fused run must "
+                             "equal its unfused twin)"))
     return "\n".join(lines)
 
 
@@ -341,5 +356,5 @@ def scale_main(argv=None) -> int:
     return 0
 
 
-__all__ = ["ScaleRow", "fleet_network", "fleet_pacing",
+__all__ = ["ScaleRow", "fleet_network", "fleet_pacing", "scale_cell",
            "render_sweep", "scale_main", "scale_run", "scale_sweep"]

@@ -78,19 +78,21 @@ class WallTimerQueue:
         """Wall seconds since this environment started."""
         return time.monotonic() - self._t0
 
-    def push(self, time: float, action: Callable, tag: str = "",
+    def push(self, time: float, key: int, action: Callable, tag: str = "",
              arg: Any = None) -> _LiveTimer:
         """Schedule ``action`` at wall time ``time`` (same shape as the
-        simulator's ``queue.push``; ``tag`` is accepted and dropped)."""
+        simulator's ``queue.push``; ``key`` and ``tag`` are accepted and
+        dropped: equal deadlines fire in push order)."""
         ev = _LiveTimer(time, action, arg)
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, ev))
         return ev
 
-    def post(self, time: float, action: Callable, arg: Any = None) -> None:
+    def post(self, time: float, key: int, action: Callable,
+             arg: Any = None) -> None:
         """:meth:`push` without handing back the handle (the simulator's
         ``queue.post`` shape: a handler completion nobody cancels)."""
-        self.push(time, action, arg=arg)
+        self.push(time, key, action, arg=arg)
 
     def next_deadline(self) -> Optional[float]:
         """Earliest pending deadline (skips cancelled heads)."""
@@ -206,7 +208,7 @@ class LiveEnv:
         msg.send_time = self.now
         if msg.dst == self.pid:
             # self-sends loop locally through the timer queue
-            self.queue.push(self.now, self.proc._arrive, arg=msg)
+            self.queue.push(self.now, 0, self.proc._arrive, arg=msg)
             return
         frame = message_to_frame(msg)
         if self.frame_tag is not None:

@@ -6,7 +6,7 @@ from heapq import heappop
 from typing import TYPE_CHECKING, Optional
 
 from .errors import SimConfigError, SimDeadlockError, SimRuntimeError
-from .events import EventQueue
+from .events import ENGINE, EventQueue, event_key
 from .faults import FaultController, FaultPlan
 from .messages import Message
 from .network import NetworkModel, uniform_network
@@ -73,9 +73,7 @@ class Simulator:
         self.faults: Optional[FaultController] = (
             FaultController(faults, seed)
             if faults is not None and not faults.is_null() else None)
-        # Shard mode keys ties by push time so barrier-injected deliveries
-        # reproduce the serial insertion order (see EventQueue docstring).
-        self.queue = EventQueue(tie_by_push_time=shard is not None)
+        self.queue = EventQueue()
         self.processes: list[SimProcess] = []
         # per-pid bound hooks, so a delivery indexes a list instead of
         # looking a method up on the receiving process
@@ -151,12 +149,16 @@ class Simulator:
         """Price and enqueue a message delivery.
 
         Deliveries are posted as (bound arrival method, message) pairs —
-        no closure and no cancel handle per message (:meth:`_deliver_at`).
+        no closure and no cancel handle per message (:meth:`_deliver_at`),
+        keyed by the sender's next ordinal (a duplicate takes another).
         """
         dst = msg.dst
         if not (0 <= dst < len(self.processes)):
             raise SimRuntimeError(f"message to unknown process {dst}")
         src = msg.src
+        sender = self.processes[src]
+        key = sender._key
+        sender._key = key + 1
         src_stats = self.stats.per_process[src]
         src_stats.msgs_sent += 1
         src_stats.bytes_sent += msg.size_bytes
@@ -184,23 +186,17 @@ class Simulator:
         if horizon > arrive_at:
             arrive_at = horizon
         self._fifo[chan] = arrive_at
+        # Sharded run: a delivery to a foreign pid leaves with its key for
+        # the barrier (it arrives min_delay() away, at or past the window
+        # end); everything source-side — send stats, loss/dup draws,
+        # pricing, the (src, dst) FIFO clock — already happened above,
+        # identically to a serial run.
         sh = self._shard
-        if sh is not None and dst != src:
-            # Sharded run: every delivery to another pid arrives at least
-            # min_delay() away — at or past the window end — so none can
-            # fire inside the current window. Both local and cross-shard
-            # deliveries therefore detour through the barrier, where they
-            # are merge-ordered by (send time, sender, sender's send
-            # sequence) before injection: at equal arrival times the
-            # destination queue sees them in serial transmit order, which
-            # is what the serial engine's insertion-order tie-break fires.
-            # Everything source-side — send stats, loss/dup draws,
-            # pricing, the (src, dst) FIFO clock — already happened above,
-            # identically to a serial run. (Self-sends can arrive within
-            # the window; they are scheduled locally below.)
-            sh.export(msg, arrive_at)
+        foreign = sh is not None and sh.owner[dst] != sh.shard_id
+        if foreign:
+            sh.outbox.append((arrive_at, key, msg))
         else:
-            self._deliver_at(arrive_at, msg, "deliver")
+            self._deliver_at(arrive_at, key, msg, "deliver")
         if fc is not None and fc.duplicates(msg):
             src_stats.msgs_duplicated += 1
             dup_delay = self.network.delivery_delay(src, dst, msg.size_bytes)
@@ -208,13 +204,15 @@ class Simulator:
                 dup_delay *= fc.delay_factor(src, dst, now)
             dup_at = max(now + dup_delay, self._fifo[chan])
             self._fifo[chan] = dup_at
-            if sh is not None and dst != src:
-                sh.export(msg, dup_at)
+            key = sender._key
+            sender._key = key + 1
+            if foreign:
+                sh.outbox.append((dup_at, key, msg))
             else:
-                self._deliver_at(dup_at, msg, "dup")
+                self._deliver_at(dup_at, key, msg, "dup")
 
-    def _deliver_at(self, arrive_at: float, msg: Message, label: str,
-                    sent_at: Optional[float] = None) -> None:
+    def _deliver_at(self, arrive_at: float, key: int, msg: Message,
+                    label: str) -> None:
         """Schedule ``msg``'s arrival at its destination. Posted: nothing
         cancels a delivery (a crashed receiver drops it in ``_arrive``);
         under :attr:`debug` pushed instead, to carry a tag."""
@@ -222,12 +220,10 @@ class Simulator:
         if self._fuse_active:
             self._inbound_fns[dst](arrive_at)
         if self.debug:
-            self.queue.push(arrive_at, self._arrive_fns[dst],
-                            tag=f"{label}:{msg.kind}->{dst}", arg=msg,
-                            sent_at=sent_at)
+            self.queue.push(arrive_at, key, self._arrive_fns[dst],
+                            tag=f"{label}:{msg.kind}->{dst}", arg=msg)
         else:
-            self.queue.post(arrive_at, self._arrive_fns[dst], msg, None,
-                            sent_at)
+            self.queue.post(arrive_at, key, self._arrive_fns[dst], msg)
 
     # -- run --------------------------------------------------------------------
 
@@ -274,7 +270,8 @@ class Simulator:
                     continue
                 if self._fuse_active:
                     self._inbound_fns[pid](t)
-                self.queue.push(t, self._crash_process,
+                self.queue.push(t, event_key(ENGINE, pid),
+                                self._crash_process,
                                 tag=f"crash:{pid}" if self.debug else "",
                                 arg=pid)
         for proc in self.processes:
@@ -293,9 +290,8 @@ class Simulator:
         self._begin(limited)
         queue = self.queue
         # Pops are inline: the EventQueue.pop step (skip cancelled, advance
-        # the clock, note the push key) without a method call per event.
+        # the clock) without a method call per event.
         heap = queue._heap
-        tie = queue._tie_by_push
         fired = skipped = 0
         # A run is *truncated* only when a limit actually cut it short —
         # stop() was called, or an event beyond the limit was left pending.
@@ -319,19 +315,17 @@ class Simulator:
             if not heap:
                 break
             entry = heappop(heap)
-            handle = entry[-1]
+            handle = entry[4]
             if handle is not None and handle.cancelled:
                 skipped += 1
                 continue
             queue._now = entry[0]
-            if tie:
-                queue._pop_key = entry[1]
             fired += 1
-            arg = entry[-2]
+            arg = entry[3]
             if arg is not None:
-                entry[-3](arg)
+                entry[2](arg)
             else:
-                entry[-3]()
+                entry[2]()
         queue.fired += fired
         queue.skipped += skipped
         self._fired = fired
@@ -345,7 +339,7 @@ class Simulator:
     #     while not done:
     #         next_t = sim.run_window(horizon)   # fire events with t < horizon
     #         ... barrier: exchange cross-shard messages ...
-    #         for msg, at in inbound: sim.inject(msg, at)
+    #         for at, key, msg in inbound: sim.inject(msg, at, key)
     #     stats = sim.finish_windows()
     #
     # run_window never fires an event at or past the horizon, and inject
@@ -365,13 +359,12 @@ class Simulator:
         self._window_end = horizon
         queue = self.queue
         heap = queue._heap
-        tie = queue._tie_by_push
         fired = skipped = 0
         nxt = None
         while heap:
             # inline peek + pop, as in run()
             entry = heap[0]
-            handle = entry[-1]
+            handle = entry[4]
             if handle is not None and handle.cancelled:
                 heappop(heap)
                 skipped += 1
@@ -381,14 +374,12 @@ class Simulator:
                 break
             heappop(heap)
             queue._now = nxt
-            if tie:
-                queue._pop_key = entry[1]
             fired += 1
-            arg = entry[-2]
+            arg = entry[3]
             if arg is not None:
-                entry[-3](arg)
+                entry[2](arg)
             else:
-                entry[-3]()
+                entry[2]()
             nxt = None
         queue.fired += fired
         queue.skipped += skipped
@@ -396,14 +387,14 @@ class Simulator:
         self._window_end = None
         return nxt
 
-    def inject(self, msg: Message, arrive_at: float) -> None:
+    def inject(self, msg: Message, arrive_at: float, key: int) -> None:
         """Deliver a foreign shard's message locally at ``arrive_at``.
 
         The sender's shard already priced the delivery (delay, FIFO clock,
-        loss/dup draws) and counted the source-side stats; this side only
-        schedules the arrival, exactly as transmit() would have.
+        loss/dup draws), keyed it and counted the source-side stats; this
+        side only schedules the arrival, exactly as transmit() would have.
         """
-        self._deliver_at(arrive_at, msg, "deliver", msg.send_time)
+        self._deliver_at(arrive_at, key, msg, "deliver")
 
     def finish_windows(self) -> RunStats:
         """End a windowed run: deadlock check, seal, return stats."""
@@ -421,10 +412,9 @@ class Simulator:
         if self._shard is not None:
             # Remote pids crash in their owner's shard; answer from the
             # plan instead. Exactly equivalent to the event-based answer:
-            # crash events are pushed in _begin(), before any start() can
-            # schedule anything, so at their timestamp they hold the
-            # smallest sequence number and fire before any same-time
-            # query — plan time <= now iff the event already fired.
+            # a crash key has the ENGINE origin, the smallest there is, so
+            # a crash fires before any same-time query — plan time <= now
+            # iff the event already fired.
             t = fc.crash_times.get(pid)
             return t is not None and t <= self.queue.now
         return False

@@ -1,18 +1,25 @@
 """Event core of the discrete-event simulator.
 
-The :class:`EventQueue` is a binary heap ordered by ``(time, seq)`` where
-``seq`` is a global insertion counter. The counter makes simultaneous events
-fire in insertion order, which is what makes whole-protocol runs
-bit-reproducible.
+Every heap entry is one flat tuple ``(time, key, action, arg, handle)``.
+The ``key`` names the event by its cause — an *origin* pid and that
+origin's *ordinal* — so simultaneous events fire in ``(origin, ordinal)``
+order whatever order they were pushed in (:func:`event_key`). A process's
+ordinals count what it schedules: its sends (one slot per delivery, a
+duplicate its own), timers, handler completions, ``occupy`` calls and
+quantum boundaries. A fused block of ``L`` quanta advances the count by
+``L``, so its one event takes the key its last boundary has in an unfused
+run; a shard computes every key of its own pids. That makes the serial,
+fused and sharded engines fire the same events in the same order: the key
+is a fact of the run, not of the engine. Crash events have the engine's
+origin, :data:`ENGINE`, so a crash fires before anything else at its
+instant.
 
-Hot-path layout: every heap entry is one flat tuple ``(time, seq, action,
-arg, handle)`` — ``(time, push_key, seq, action, arg, handle)`` in shard
-mode — so sift comparisons stay inside the C tuple comparator (``seq`` is
-unique, so the comparison never reaches ``action``) and firing an entry
-needs no attribute lookups: ``action(arg)``, or ``action()`` when ``arg`` is
-None. ``handle`` is the entry's :class:`Event` — the cancel handle — or
-None. :meth:`EventQueue.push` always allocates one and returns it (timers,
-CPU occupancy, macro events: anything a caller may cancel);
+Hot-path layout: keys are unique, so sift comparisons stay inside the C
+tuple comparator and never reach ``action``, and firing an entry needs no
+attribute lookups: ``action(arg)``, or ``action()`` when ``arg`` is None.
+``handle`` is the entry's :class:`Event` — the cancel handle — or None.
+:meth:`EventQueue.push` always allocates one and returns it (timers, CPU
+occupancy, macro events: anything a caller may cancel);
 :meth:`EventQueue.post` schedules without one, which is how the engine
 schedules message deliveries and handler completions: nothing ever cancels
 those (a crashed receiver drops a delivery on arrival), so they cost one
@@ -26,13 +33,23 @@ from typing import Any, Callable, Optional
 
 from .errors import SimRuntimeError
 
+#: Bits of a key below its origin: up to 2**40 events per origin.
+ORD_BITS = 40
+#: The origin of the engine's own events (crashes); below every pid.
+ENGINE = -1
+
+
+def event_key(origin: int, ordinal: int) -> int:
+    """The heap key of ``origin``'s ``ordinal``-th event (one int)."""
+    return (origin << ORD_BITS) | ordinal
+
 
 class Event:
     """A scheduled callback's handle: cancel it, or read what it runs.
 
     Attributes:
-        time: virtual time (seconds) at which the event fires. (Its
-            insertion sequence number lives in the heap entry only.)
+        time: virtual time (seconds) at which the event fires. (Its key
+            lives in the heap entry only.)
         action: callable executed when the event fires — with ``arg`` when
             ``arg`` is not None, else with no arguments.
         arg: optional single argument for ``action``.
@@ -70,57 +87,25 @@ class Event:
 
 
 class EventQueue:
-    """Min-heap of :class:`Event` with lazy cancellation.
+    """Min-heap of :class:`Event` with lazy cancellation, ordered by
+    ``(time, key)`` (see the module docstring).
 
     The queue never rewinds: pushing an event earlier than the last popped
     time raises :class:`SimRuntimeError` (a protocol scheduling bug).
-
-    Tie-breaking has two modes. The default heap key is ``(time, seq)``:
-    simultaneous events fire in insertion order, which makes serial runs
-    bit-reproducible. Sharded runs (``tie_by_push_time=True``) key by
-    ``(time, push_key, seq)`` where ``push_key`` is the virtual time at
-    which the event was *pushed* — or, for deliveries injected at a window
-    barrier, the original send time passed via ``sent_at``. Because the
-    serial clock is monotone, serial insertion order *is* push-time order,
-    so the three-part key reproduces the serial tie-break even though a
-    barrier-injected arrival enters the heap long after the local events
-    it must beat (its ``push_key`` is the instant serial would have pushed
-    it). Ties are only unresolvable when two competing events were pushed
-    at the exact same virtual instant from different shards.
     """
 
-    __slots__ = ("_heap", "_seq", "_now", "_tie_by_push", "_pop_key",
-                 "fired", "skipped")
+    __slots__ = ("_heap", "_now", "fired", "skipped")
 
-    def __init__(self, tie_by_push_time: bool = False) -> None:
+    def __init__(self) -> None:
         self._heap: list[tuple] = []
-        self._seq = 0
         self._now = 0.0
-        self._tie_by_push = tie_by_push_time
-        self._pop_key = 0.0
         self.fired = 0
         self.skipped = 0
-
-    @property
-    def pushed(self) -> int:
-        """Entries scheduled so far (every one took a sequence number)."""
-        return self._seq
 
     @property
     def now(self) -> float:
         """Virtual time of the last popped event (0.0 initially)."""
         return self._now
-
-    @property
-    def current_push_key(self) -> float:
-        """Push key of the event currently firing (``tie_by_push_time``
-        mode only; 0.0 before the first pop). The shard engine stamps it
-        onto exported deliveries as their *cause key*: two deliveries sent
-        at the same virtual instant from different processes are ordered
-        in serial by which causing event fired first, and the causing
-        events themselves are ordered by push key — so carrying the key
-        lets the receiving shard reproduce that order."""
-        return self._pop_key
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -128,23 +113,21 @@ class EventQueue:
     def __bool__(self) -> bool:
         return bool(self._heap)
 
-    def push(self, time: float, action: Callable[..., None], tag: str = "",
-             arg: Any = None, sent_at: Optional[float] = None) -> Event:
+    def push(self, time: float, key: int, action: Callable[..., None],
+             tag: str = "", arg: Any = None) -> Event:
         """Schedule ``action`` at virtual ``time``; returns a cancellable handle.
 
-        ``arg``, when given, is passed to ``action`` at fire time — the
-        zero-allocation alternative to binding it in a lambda. ``sent_at``
-        overrides the tie-break push key in ``tie_by_push_time`` mode (the
-        shard engine passes the original send time of barrier-injected
-        deliveries); it is ignored in the default mode.
+        ``key`` breaks ties at equal times (:func:`event_key`; unique among
+        pending entries). ``arg``, when given, is passed to ``action`` at
+        fire time — the zero-allocation alternative to binding it in a
+        lambda.
         """
         ev = Event(time, action, arg, tag)
-        self.post(time, action, arg, ev, sent_at)
+        self.post(time, key, action, arg, ev)
         return ev
 
-    def post(self, time: float, action: Callable[..., None], arg: Any = None,
-             handle: Optional[Event] = None,
-             sent_at: Optional[float] = None) -> None:
+    def post(self, time: float, key: int, action: Callable[..., None],
+             arg: Any = None, handle: Optional[Event] = None) -> None:
         """Schedule ``action`` at virtual ``time`` without a cancel handle.
 
         The one ordering path: :meth:`push` is this plus an :class:`Event`
@@ -159,20 +142,13 @@ class EventQueue:
                 f"cannot schedule event at t={time:.9f} before current t={self._now:.9f}"
                 + (f" (tag={tag!r})" if tag else "")
             )
-        seq = self._seq
-        self._seq = seq + 1
-        if self._tie_by_push:
-            heappush(self._heap, (
-                time, self._now if sent_at is None else sent_at, seq,
-                action, arg, handle))
-        else:
-            heappush(self._heap, (time, seq, action, arg, handle))
+        heappush(self._heap, (time, key, action, arg, handle))
 
     @staticmethod
     def _detached(entry: tuple) -> Event:
         """A read-only view of a posted entry, for :meth:`pop` and
         :meth:`peek` (cancelling it has no effect on the queue)."""
-        return Event(entry[0], entry[-3], entry[-2])
+        return Event(entry[0], entry[2], entry[3])
 
     def pop(self) -> Optional[Event]:
         """Pop the next live event, advancing ``now``; None when drained.
@@ -190,8 +166,6 @@ class EventQueue:
                 self.skipped += 1
                 continue
             self._now = entry[0]
-            if self._tie_by_push:
-                self._pop_key = entry[1]
             self.fired += 1
             return ev
         return None
@@ -238,4 +212,4 @@ class EventQueue:
                       if (ev := entry[-1]) is None or not ev.cancelled)
 
 
-__all__ = ["Event", "EventQueue"]
+__all__ = ["ENGINE", "ORD_BITS", "Event", "EventQueue", "event_key"]

@@ -28,7 +28,7 @@ import heapq
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from .errors import SimRuntimeError
-from .events import Event
+from .events import Event, event_key
 from .messages import HEADER_BYTES, Message
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -50,6 +50,10 @@ class SimProcess:
         self._cpu_busy = False
         self._crashed = False   # set by the engine's fault layer, only
         self._occupy_event: Optional[Event] = None
+        # the key of the next event this process schedules: every send
+        # (one per delivery), timer, handler completion, occupy and
+        # quantum boundary takes one (repro.sim.events, "key")
+        self._key = event_key(pid, 0)
         # this process's row of the run statistics; bound by the
         # environment (Simulator._begin, LiveEnv.attach), None before
         self._stats = None
@@ -113,11 +117,13 @@ class SimProcess:
             tag = f"timer@{self.pid}"
         if getattr(self.sim, "_fuse_active", False):
             self._note_inbound(time)
+        key = self._key
+        self._key = key + 1
         if self.sim.faults is not None:
             # route through a guard so timers of a crashed process are inert
-            return self.sim.queue.push(time, self._fire_timer, tag=tag,
+            return self.sim.queue.push(time, key, self._fire_timer, tag=tag,
                                        arg=fn)
-        return self.sim.queue.push(time, fn, tag=tag)
+        return self.sim.queue.push(time, key, fn, tag=tag)
 
     def _fire_timer(self, fn: Callable[[], None]) -> None:
         if not self._crashed:
@@ -143,7 +149,9 @@ class SimProcess:
         sim = self.sim
         if not tag and sim.debug:
             tag = f"occupy@{self.pid}"
-        self._occupy_event = sim.queue.push(sim.queue.now + duration,
+        key = self._key
+        self._key = key + 1
+        self._occupy_event = sim.queue.push(sim.queue.now + duration, key,
                                             self._occupy_done, tag=tag,
                                             arg=done)
 
@@ -200,13 +208,16 @@ class SimProcess:
         sim = self.sim
         self._cpu_busy = True
         queue = sim.queue
+        key = self._key
+        self._key = key + 1
         # posted, not pushed: nothing ever cancels a handler completion
         if sim.debug:
-            queue.push(queue.now + sim.network.handler_cost, self._handled,
-                       tag=f"handle:{msg.kind}@{self.pid}", arg=msg)
+            queue.push(queue.now + sim.network.handler_cost, key,
+                       self._handled, tag=f"handle:{msg.kind}@{self.pid}",
+                       arg=msg)
         else:
-            queue.post(queue.now + sim.network.handler_cost, self._handled,
-                       msg)
+            queue.post(queue.now + sim.network.handler_cost, key,
+                       self._handled, msg)
 
     def _handled(self, msg: Message) -> None:
         self._cpu_busy = False

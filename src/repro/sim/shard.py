@@ -21,14 +21,14 @@ advances them in lock-step **windows** of the network's minimum latency:
   condition (Chandy-Misra-Bryant), and the window barrier is its
   null-message protocol collapsed to one synchronisation per window.
 * At the barrier each shard seals its exports into one *parcel* per
-  destination shard: the earliest arrival time plus the pickled entry
-  list (:func:`seal_parcels`). The parent bids the next window from the
-  parcel minima and forwards the bytes unopened; the destination
-  unpickles them inside its next window and merges them with its own
-  held-back deliveries by ``(send_time, cause key, src pid, send order)``
-  — reproducing the serial engine's transmit order. Windows with no
-  events anywhere are skipped (``W`` jumps straight to the next pending
-  time).
+  destination shard: the earliest arrival time plus the pickled
+  ``(arrive_at, key, message)`` entries (:func:`seal_parcels`). The
+  parent bids the next window from the parcel minima and forwards the
+  bytes unopened; the destination unpickles them inside its next window
+  and posts each one under the key its sender gave it. Deliveries
+  between two pids of one shard post straight into its heap. Windows
+  with no events anywhere are skipped (``W`` jumps straight to the next
+  pending time).
 
 **Partitioning** follows the overlay: for tree protocols the fleet is cut
 into whole subtrees (greedy decomposition into chunks of about ``n/K``
@@ -39,14 +39,13 @@ When the network placed processes on multiple clusters
 straddles clusters. Non-tree protocols (RWS, MW, LIFELINE) fall back to
 contiguous pid blocks.
 
-**Determinism.** A sharded run is bit-identical to the serial fused run —
-same makespan, node counts, steal counts, RNG draws — whenever no
-cross-shard arrival ties, at the identical float time, with an unrelated
-event of the destination shard (the same simultaneity caveat already
-scoped for quantum fusion; see docs/simulation.md). Everything else is
-exact by construction: every per-process RNG stream is derived from
-``(seed, purpose, pid)`` and runs entirely inside the owner shard;
-loss/duplication draws are keyed per ``(sender, send index)``
+**Determinism.** A sharded run is bit-identical to the serial run — same
+makespan, node counts, steal counts, RNG draws. Every event's heap key
+is computed by the shard that owns its origin pid, exactly as the serial
+engine computes it (:mod:`repro.sim.events`), so simultaneous events
+fire in the same order on every engine; every per-process RNG stream is
+derived from ``(seed, purpose, pid)`` and runs entirely inside the owner
+shard; loss/duplication draws are keyed per ``(sender, send index)``
 (:mod:`repro.sim.faults`); per-pid stats are written only by the owner
 and merged by copy.
 
@@ -67,7 +66,6 @@ from .errors import SimConfigError, SimRuntimeError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..experiments.runner import RunConfig
-    from .messages import Message
     from .stats import RunStats
 
 
@@ -195,49 +193,28 @@ class ShardContext:
     """One shard's view of the partition, wired into its Simulator.
 
     The engine consults :attr:`owner` on every transmit, appends foreign
-    deliveries through :meth:`export`, mirrors doomed pids' receive-log
+    deliveries to :attr:`outbox`, mirrors doomed pids' receive-log
     entries through :meth:`note_delivery`, and resolves post-mortem log
     lookups for foreign pids through :meth:`query_peer_log` (a blocking
     round trip to the parent, which arbitrates using every shard's
     flushed clock — see ``run_sharded``).
     """
 
-    __slots__ = ("shard_id", "owner", "outbox", "local_pending", "delta",
-                 "_doomed", "_conn", "_seq", "sim")
+    __slots__ = ("shard_id", "owner", "outbox", "delta", "_doomed",
+                 "_conn", "sim")
 
     def __init__(self, shard_id: int, owner: list[int], doomed: set[int],
                  conn) -> None:
         self.shard_id = shard_id
         self.owner = owner
-        #: cross-shard deliveries: (send_time, cause key, src, send order,
-        #: message, arrive_at) — sealed into parcels and cleared at every
-        #: barrier. The cause key is the push key of the event that was
-        #: firing when the send happened (``EventQueue.current_push_key``):
-        #: it orders same-instant sends from different processes the way
-        #: the serial engine did.
+        #: cross-shard deliveries: (arrive_at, key, message) — sealed into
+        #: parcels and cleared at every barrier
         self.outbox: list[tuple] = []
-        #: intra-shard deliveries, same entry shape — held back until the
-        #: barrier so they merge-order with the cross-shard inbound (the
-        #: serial engine inserts both in transmit order; injecting local
-        #: ones eagerly would put them ahead of earlier-sent foreign ones
-        #: at equal arrival times)
-        self.local_pending: list[tuple] = []
         #: receive-log entries of local doomed pids since the last flush
         self.delta: list[tuple[int, int, int]] = []
         self._doomed = doomed
         self._conn = conn
-        self._seq = 0
         self.sim = None
-
-    def export(self, msg: "Message", arrive_at: float) -> None:
-        seq = self._seq
-        self._seq = seq + 1
-        entry = (msg.send_time, self.sim.queue.current_push_key,
-                 msg.src, seq, msg, arrive_at)
-        if self.owner[msg.dst] == self.shard_id:
-            self.local_pending.append(entry)
-        else:
-            self.outbox.append(entry)
 
     def note_delivery(self, dst_pid: int, src_pid: int, seq: int) -> None:
         if dst_pid in self._doomed:
@@ -265,21 +242,21 @@ def seal_parcels(outbox: list[tuple],
     """Seal a barrier's cross-shard deliveries, one parcel per destination.
 
     Returns ``{destination shard: (earliest arrive_at, pickled entries)}``
-    with each shard's entries in outbox order. The parent needs only the
-    minimum to bid the next window, so it forwards the bytes unopened and
-    every delivery costs one pickle and one unpickle. One ``dumps`` per
-    parcel keeps a duplicated delivery's two entries on one message object,
-    as in a serial run.
+    with each shard's ``(arrive_at, key, message)`` entries in outbox
+    order. The parent needs only the minimum to bid the next window, so
+    it forwards the bytes unopened and every delivery costs one pickle
+    and one unpickle. One ``dumps`` per parcel keeps a duplicated
+    delivery's two entries on one message object, as in a serial run.
     """
     groups: dict[int, list[tuple]] = {}
     for entry in outbox:
-        k = owner[entry[4].dst]
+        k = owner[entry[2].dst]
         group = groups.get(k)
         if group is None:
             groups[k] = [entry]
         else:
             group.append(entry)
-    return {k: (min(entry[5] for entry in group),
+    return {k: (min(entry[0] for entry in group),
                 pickle.dumps(group, pickle.HIGHEST_PROTOCOL))
             for k, group in groups.items()}
 
@@ -337,31 +314,11 @@ def _shard_main(conn, shard_id: int, owner: list[int], cfg: "RunConfig",
                 break
             _, horizon, parcels = cmd
             t0 = _time.perf_counter()
-            if parcels or ctx.local_pending:
-                # merge held-back local deliveries with the cross-shard
-                # parcels: (send_time, cause key, src, send order) is a
-                # total order (a sender lives in exactly one shard), and
-                # injecting in it reproduces the serial engine's
-                # insertion order at equal arrival times — same-instant
-                # sends from different senders fire in serial in cause-key
-                # order, because causing events with distinct push times
-                # fire in push-time order. (src, send order) is unique, so
-                # the plain tuple sort never compares two messages.
-                batch = ctx.local_pending
-                ctx.local_pending = []
-                for blob in parcels:
-                    batch.extend(pickle.loads(blob))
-                batch.sort()
-                inject = sim.inject
-                for entry in batch:
-                    inject(entry[4], entry[5])
+            inject = sim.inject
+            for blob in parcels:
+                for at, key, msg in pickle.loads(blob):
+                    inject(msg, at, key)
             next_t = sim.run_window(horizon)
-            # buffered local deliveries are invisible to the queue until
-            # the next merge — bid them into the window computation
-            for entry in ctx.local_pending:
-                at = entry[5]
-                if next_t is None or at < next_t:
-                    next_t = at
             compute_s += _time.perf_counter() - t0
             sealed = seal_parcels(ctx.outbox, owner)
             ctx.outbox = []
@@ -452,8 +409,8 @@ def _merge_samples(parts: list) -> list:
 
     Each shard records only its own pids, on the same virtual clock, so
     the merge is a stable sort by (time, pid) — per-pid sample order is
-    preserved, matching the serial tracer up to same-time cross-pid
-    interleaving (the documented simultaneity scope).
+    preserved, matching the serial tracer up to the interleaving of
+    same-time samples of different pids.
     """
     out = []
     for samples in parts:
@@ -479,9 +436,8 @@ def run_sharded(cfg: "RunConfig", app, shards: int, *,
     """Run ``cfg`` split over ``shards`` OS processes; returns
     ``(ExperimentResult, RunStats, per_shard_wall)``.
 
-    Bit-compatible with :func:`repro.experiments.runner.run_instrumented`
-    up to the documented simultaneous-event scope; with ``shards <= 1``
-    it *is* that function (plus a zero wall list). ``app`` may be an
+    Bit-compatible with :func:`repro.experiments.runner.run_instrumented`;
+    with ``shards <= 1`` it *is* that function (plus a zero wall list). ``app`` may be an
     Application or a zero-argument builder (needed under the spawn
     fallback, where children re-create it). ``tracer``, if given,
     receives the merged per-shard samples.
@@ -593,9 +549,8 @@ def run_sharded(cfg: "RunConfig", app, shards: int, *,
             msg[1] for msg in collect_all("ready")]
 
         # sealed parcels per destination shard, never unpickled here: the
-        # receiving shard merge-sorts their entries with its own held-back
-        # local deliveries before injecting; pending_at is their earliest
-        # arrival, the parcels' bid for the next window
+        # receiving shard posts their entries under their keys; pending_at
+        # is their earliest arrival, the parcels' bid for the next window
         pending: list[list[bytes]] = [[] for _ in range(shards)]
         pending_at: Optional[float] = None
         windows = 0

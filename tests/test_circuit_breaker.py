@@ -15,6 +15,7 @@ from repro.apps.uts_app import UTSApplication
 from repro.core.reliable import B_CLOSED, B_OPEN, ReliableChannel
 from repro.experiments.runner import RunConfig, build_workers
 from repro.sim import Simulator, grid5000
+from repro.sim.events import ENGINE, event_key
 from repro.sim.faults import FaultPlan
 from repro.uts.params import PRESETS
 from repro.uts.sequential import count_tree
@@ -45,8 +46,9 @@ def _run(proto, n, plan, seed=0, probe=None, **cfg_kwargs):
     workers = build_workers(sim, cfg, app)
     if probe is not None:
         times, fn = probe
-        for t in times:
-            sim.queue.push(t, lambda: fn(sim, workers), tag="test-probe")
+        for i, t in enumerate(times):
+            sim.queue.push(t, event_key(ENGINE, n + i),
+                           lambda: fn(sim, workers), tag="test-probe")
     stats = sim.run()
     assert all(w.terminated for w in workers if not w._crashed)
     return conserved_units(sim, workers, app, stats), stats, workers

@@ -18,22 +18,22 @@ from repro.uts.params import PRESETS
 
 GOLDEN_UTS = {
     # protocol -> (makespan, total_msgs, total_steals)
-    "TD": (0.009430575999999984, 726, 294),
-    "BTD": (0.008520427999999953, 1701, 703),
-    "RWS": (0.008338983999999987, 1587, 627),
+    "TD": (0.009430575999999984, 720, 291),
+    "BTD": (0.008720683999999958, 1699, 702),
+    "RWS": (0.00832897999999999, 1581, 624),
     "LIFELINE": (0.008115297999999981, 1188, 472),
 }
 
 GOLDEN_BNB = {
     # protocol -> (makespan, total_units, optimum)
-    "BTD": (0.02773038399999998, 443, 712),
+    "BTD": (0.02552038399999998, 422, 712),
     "MW": (0.015330567999999989, 760, 712),
     "AHMW": (0.047580488000000046, 242, 712),
 }
 
 GOLDEN_MSG = {
     # protocol -> (events_fired, events_equivalent, msgs, steals, makespan)
-    "BTD": (7132, 13161, 3204, 1225, 0.22157868800000052),
+    "BTD": (7022, 13053, 3149, 1198, 0.22156368800000054),
     "TD": (2394, 8582, 1042, 224, 0.18128052800000033),
 }
 

@@ -263,7 +263,7 @@ class _Stuck(SimProcess):
     """Never finishes; schedules one no-op timer so the run isn't empty."""
 
     def start(self):
-        self.sim.queue.push(1e-3, lambda: None, tag="stuck-timer")
+        self.call_at(1e-3, lambda: None, tag="stuck-timer")
 
     def finished(self):
         return False

@@ -3,11 +3,12 @@
 The correctness bar for :mod:`repro.sim.shard` is *bit-identity* with the
 serial fused engine — same makespan, node counts, steal counts, message
 counts, RNG draws — not statistical agreement. The goldens here pin that
-for every protocol family x application, clean and faulted. Configurations
-use ``jitter > 0``: jitter draws are keyed per (src, send index) so shards
-reproduce them exactly, and the noise breaks the one residual ambiguity
-(events pushed at the *same* virtual instant from different shards, the
-same simultaneity scope already documented for quantum fusion).
+for every protocol family x application, clean and faulted, with network
+jitter (its draws are keyed per (src, send index), so shards reproduce
+them exactly) and in lockstep: zero jitter and equal speeds, where events
+from different shards collide at the same instant all the time and only
+the heap key, ``(time, origin pid, per-origin ordinal)``, decides which
+fires first.
 """
 
 import math
@@ -22,6 +23,7 @@ from repro.apps.uts_app import UTSApplication
 from repro.bnb.work import BnBWork
 from repro.experiments.runner import RunConfig, run_instrumented
 from repro.sim.errors import SimConfigError
+from repro.sim.events import event_key
 from repro.sim.faults import FaultPlan
 from repro.sim.messages import Message
 from repro.sim.network import ClusterSpec, NetworkModel, uniform_network
@@ -165,7 +167,7 @@ def test_bnb_work_pickles_without_cursor():
 
 def _entry(src, seq, dst, arrive_at, send_time=0.5):
     msg = Message(src, dst, "REQ", ("up", send_time), send_time=send_time)
-    return (send_time, 0.25, src, seq, msg, arrive_at)
+    return (arrive_at, event_key(src, seq), msg)
 
 
 def test_seal_parcels_groups_by_owner_and_bids_minimum():
@@ -178,12 +180,11 @@ def test_seal_parcels_groups_by_owner_and_bids_minimum():
     assert sealed[1][0] == 0.6 and sealed[2][0] == 0.7
     for k, (_at, blob) in sealed.items():
         entries = pickle.loads(blob)
-        want = [e for e in outbox if owner[e[4].dst] == k]
+        want = [e for e in outbox if owner[e[2].dst] == k]
         # entry order survives the bytes, message fields included
-        assert [e[:4] + (e[5],) for e in entries] == [
-            e[:4] + (e[5],) for e in want]
-        assert [(e[4].src, e[4].dst, e[4].send_time) for e in entries] == [
-            (e[4].src, e[4].dst, e[4].send_time) for e in want]
+        assert [e[:2] for e in entries] == [e[:2] for e in want]
+        assert [(e[2].src, e[2].dst, e[2].send_time) for e in entries] == [
+            (e[2].src, e[2].dst, e[2].send_time) for e in want]
     assert seal_parcels([], owner) == {}
 
 
@@ -191,10 +192,10 @@ def test_seal_parcels_keeps_a_duplicate_on_one_message():
     """A duplicated delivery is exported twice with the same message; the
     destination must see one object, as the serial engine delivers it."""
     msg = Message(0, 3, "WORK", (SyntheticWork(9), 0), send_time=0.1)
-    outbox = [(0.1, 0.0, 0, 0, msg, 0.4), (0.1, 0.0, 0, 1, msg, 0.45)]
+    outbox = [(0.4, event_key(0, 0), msg), (0.45, event_key(0, 1), msg)]
     (_at, blob), = seal_parcels(outbox, [0, 0, 1, 1]).values()
     first, second = pickle.loads(blob)
-    assert first[4] is second[4]
+    assert first[2] is second[2]
 
 
 # -- golden matrix: serial == sharded ---------------------------------------
@@ -205,6 +206,24 @@ def test_golden_serial_equals_sharded(proto, app):
     cfg = RunConfig(protocol=proto, n=16, dmax=3, quantum=16, seed=42,
                     jitter=1.5, speed_spread=0.3)
     assert_bit_identical(cfg, APPS[app], shards=3)
+
+
+@pytest.mark.parametrize("proto", ["TD", "BTD", "RWS"])
+@pytest.mark.parametrize("app", ["synthetic", "uts"])
+def test_golden_lockstep(proto, app):
+    """Zero jitter, equal speeds: simultaneous cross-shard events abound."""
+    cfg = RunConfig(protocol=proto, n=16, dmax=3, quantum=16, seed=42,
+                    jitter=0.0)
+    assert_bit_identical(cfg, APPS[app], shards=3)
+
+
+def test_golden_lockstep_faulted():
+    """Lockstep with crashes in two shards plus loss and duplication."""
+    plan = FaultPlan(crashes=((3, 4e-4), (11, 9e-4)), loss=0.05, dup=0.03)
+    cfg = RunConfig(protocol="BTD", n=16, dmax=3, quantum=16, seed=42,
+                    jitter=0.0, faults=plan)
+    res = assert_bit_identical(cfg, _uts, shards=3)
+    assert res.crashes == 2
 
 
 @pytest.mark.parametrize("app", ["synthetic", "uts"])
@@ -261,8 +280,8 @@ def test_run_window_horizon_is_exclusive():
     sim.add_process(_Idle())
     fired = []
     sim.begin_windows()
-    sim.queue.push(1.0, partial(fired.append, 1.0))
-    sim.queue.push(2.0, partial(fired.append, 2.0))
+    sim.queue.push(1.0, 0, partial(fired.append, 1.0))
+    sim.queue.push(2.0, 1, partial(fired.append, 2.0))
     assert sim.run_window(2.0) == 2.0
     assert fired == [1.0]
     assert sim.run_window(math.nextafter(2.0, math.inf)) is None
