@@ -1,7 +1,7 @@
 """Protocol-agnostic worker: compute quanta, work transfer, bound gossip.
 
 A :class:`WorkerProcess` alternates compute quanta (``quantum`` work units,
-priced at the application's ``unit_cost``) with message handling. Between
+computed by its substrate's ``compute``) with message handling. Between
 quanta (and whenever it is idle) its inbox drains; protocol subclasses react
 in :meth:`handle` / :meth:`on_idle` / :meth:`on_work_received`.
 
@@ -31,9 +31,6 @@ clean runs (``sim.faults is None`` gates every hook):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import accumulate
-from operator import add
 from typing import Any, Optional
 
 from ..apps.base import Application
@@ -88,11 +85,6 @@ class WorkerProcess(SimProcess):
         self.work: WorkItem = (app.initial_work() if has_initial_work
                                else app.empty_work())
         self.shared = app.make_shared()
-        # Quantum fusion is only sound without shared knowledge: a BOUND
-        # improvement arriving between quanta must be protocol-visible at
-        # the exact quantum boundary, which fusing would skip. UTS and the
-        # synthetic workload share nothing; B&B never fuses.
-        self._fusible = self.shared is None
         self.terminated = False
         #: graceful-leave state (live elastic membership): a leaving worker
         #: stops computing and acquiring, hands its pool up, and waits for
@@ -124,9 +116,6 @@ class WorkerProcess(SimProcess):
         #: WORK pieces from crashed peers that arrived after termination;
         #: dropped from the run but kept for the conservation accounting
         self.crash_dropped: list[WorkItem] = []
-        # gray-failure compute slowdown (set in start() when the plan
-        # targets this pid); one dead branch per quantum otherwise
-        self._gray_slow = False
 
     # -- protocol hooks ---------------------------------------------------------
 
@@ -146,7 +135,8 @@ class WorkerProcess(SimProcess):
         """True iff :meth:`on_quantum_done` is a no-op in the current state
         — the protocol-side precondition of quantum fusion.
 
-        The macro-event fast path checks this once before fusing a run of
+        The simulator's macro-event fast path (``Simulator.compute``)
+        checks this once before fusing a run of
         quanta; interior boundaries then skip ``on_quantum_done`` entirely.
         That is sound only when the answer cannot change *during* the
         fused block: the state it depends on (queued requesters, pending
@@ -211,19 +201,11 @@ class WorkerProcess(SimProcess):
     # -- lifecycle -----------------------------------------------------------------
 
     def start(self) -> None:
-        fc = self.sim.faults
-        if fc is not None:
+        if self.sim.faults is not None:
             self._reliable = ReliableChannel(
                 self, self.cfg.ack_timeout, self.cfg.ack_retries,
                 max_backoff=self.cfg.ack_max_backoff,
                 breaker_threshold=self.cfg.breaker_threshold)
-            # a gray-slowed pid opts out of quantum fusion: a fused block
-            # cannot observe a slowdown window opening or closing mid-block
-            # (the live runtime's LiveFaults has no slowdown machinery)
-            if getattr(fc, "plan", None) is not None \
-                    and fc.has_slowdown(self.pid):
-                self._fusible = False
-                self._gray_slow = True
         m = self.sim.metrics
         if m is not None:
             from ..obs.registry import SIZE_EDGES
@@ -302,34 +284,14 @@ class WorkerProcess(SimProcess):
         if self.terminated or self.leaving:
             return
         if not self.work.is_empty():
-            self._run_quantum()
+            # the substrate computes it: priced (and possibly fused with
+            # the next ones) by the simulator, measured by the live runtime
+            self.sim.compute(self)
         else:
             if self.tracer is not None:
                 from ..sim.trace import IDLE
                 self.tracer.record(self.now, self.pid, IDLE)
             self.on_idle()
-
-    def _run_quantum(self) -> None:
-        if self.sim.live:
-            # the live substrate computes one slice per reactor turn and
-            # hands its outcome back to slice_done
-            self.sim.park_slice()
-            return
-        outcome = self.app.process(self.work, self.cfg.quantum, self.shared)
-        if not self._count_quantum(outcome):
-            return
-        duration = outcome.units * self.app.unit_cost / self.cfg.speed
-        if self._gray_slow:
-            duration *= self.sim.faults.slow_factor(self.pid, self.now)
-        self.stats.busy_time += duration
-        if (self.sim._fuse_active and self._fusible
-                and self.quantum_boundary_quiet()):
-            self._run_fused(outcome.units, outcome.improved, duration)
-            return
-        self.occupy(duration,
-                    lambda: self._quantum_done(outcome.units,
-                                               outcome.improved),
-                    tag=f"quantum@{self.pid}" if self.sim.debug else "")
 
     def _count_quantum(self, outcome) -> bool:
         """Book a quantum's units; False (having gone idle) if it had none."""
@@ -343,165 +305,6 @@ class WorkerProcess(SimProcess):
             self._m_units.inc(outcome.units)
         return True
 
-    def slice_done(self, outcome) -> None:
-        """Boundary of a slice the live substrate computed (its wall time
-        is already booked): the quantum's end, then the queue or the next
-        slice."""
-        if self._count_quantum(outcome):
-            self._quantum_done(outcome.units, outcome.improved)
-            self._drain()
-
-    def _fusion_horizon(self):
-        """Earliest time any *other* event could affect this worker.
-
-        Two sources bound it: (a) events already scheduled *for us* —
-        deliveries, our timers, our crash injection — tracked exactly in
-        the per-process inbound heap; (b) anything a *foreign* event might
-        do. A foreign event firing at time T can only reach us through
-        ``transmit``, which prices at least the network's minimum latency,
-        so nothing it causes lands before ``peek_time() + min_delay``.
-        Quantum starts strictly before the horizon are therefore
-        undisturbed: the worker provably computes through them exactly as
-        the one-event-per-quantum engine would. None = queue empty and no
-        inbound (fuse until the work drains).
-        """
-        sim = self.sim
-        h = sim.queue.peek_time()
-        if h is not None:
-            h += sim._min_net_delay
-        # Sharded runs (repro.sim.shard): a foreign *shard's* events are
-        # invisible to this queue, but the conservative-lookahead barrier
-        # guarantees their influence lands at or after the current window
-        # end — so the window end is a valid horizon term of kind (b).
-        wend = sim._window_end
-        if wend is not None and (h is None or wend < h):
-            h = wend
-        mine = self._inbound_horizon()
-        if mine is not None and (h is None or mine < h):
-            return mine
-        return h
-
-    def _run_fused(self, units: int, improved: bool,
-                   duration: float) -> None:
-        """Macro-event fast path: fuse consecutive quanta into one event.
-
-        The first quantum was already processed and counted (at its start
-        time, like the unfused engine); this extends it with as many
-        further quanta as provably complete before :meth:`_fusion_horizon`,
-        then schedules a *single* engine event at the accumulated boundary.
-        Interior boundaries are replayed eagerly — same ``work_done_time``
-        updates, same QUANTUM trace samples at the same virtual times, and
-        guaranteed-no-op ``on_quantum_done`` calls skipped — while the
-        final boundary runs for real in :meth:`_fused_done`, so messages,
-        timers or a crash landing inside the last quantum's window behave
-        exactly as under the unfused engine. Durations accumulate
-        iteratively (``t = t + d``), reproducing the unfused engine's
-        float arithmetic bit for bit. The block takes ``k`` keys, one per
-        quantum, and its event the last: the key the unfused engine's
-        ``k``-th occupy event has, so it ties with foreign events exactly
-        as that one does (repro.sim.events).
-        """
-        sim = self.sim
-        queue = sim.queue
-        t = queue.now + duration
-        horizon = self._fusion_horizon()
-        k = 1
-        if (horizon is None or t < horizon) and not self.work.is_empty():
-            uc = self.app.unit_cost
-            speed = self.cfg.speed
-            full = self.cfg.quantum * uc / speed
-            if full > 0.0:
-                if self.tracer is not None:
-                    from ..sim.trace import QUANTUM
-                rs = sim.stats
-                st = self.stats
-                tracer = self.tracer
-                pid = self.pid
-                work = self.work
-                quantum = self.cfg.quantum
-                process_quanta = self.app.process_quanta
-                # accumulate the hot counters locally (same sequential
-                # additions, written back once — matters for columnar
-                # stats) — nothing else can touch them mid-loop
-                wu = st.work_units
-                bt = st.busy_time
-                wdt = rs.work_done_time
-                while ((horizon is None or t < horizon)
-                       and not work.is_empty()):
-                    if horizon is None:
-                        budget = 16384
-                    else:
-                        # floor, not ceil: the budget only counts quanta
-                        # whose *starts* fit strictly under the horizon
-                        # even if every one runs full length, leaving a
-                        # full quantum of slack against float drift in t;
-                        # the while loop mops up any remainder
-                        budget = int((horizon - t) / full) or 1
-                        if budget > 16384:
-                            budget = 16384
-                    batch = process_quanta(work, quantum, None, budget)
-                    if not batch:
-                        break
-                    if self._metrics is not None:
-                        self._m_quanta.inc(len(batch))
-                        self._m_units.inc(sum(batch))
-                    if tracer is None:
-                        # C-speed replay: accumulate/reduce apply the
-                        # exact left-to-right float additions the
-                        # unfused engine performs, at ~5x the speed of
-                        # the bytecode loop below
-                        ds = [u * uc / speed for u in batch]
-                        ts = list(accumulate(ds, initial=t))
-                        wu += sum(batch)
-                        bt = reduce(add, ds, bt)
-                        # boundaries replayed at ts[:-1]; t is monotone,
-                        # so the last one is the work_done_time candidate
-                        if ts[-2] > wdt:
-                            wdt = ts[-2]
-                        t = ts[-1]
-                        units = batch[-1]
-                    else:
-                        for u in batch:
-                            # replay the previous quantum's boundary at t
-                            if t > wdt:
-                                wdt = t
-                            tracer.record(t, pid, QUANTUM, units)
-                            # same operand order as the unfused engine:
-                            # (units * unit_cost) / speed, bit for bit
-                            d = u * uc / speed
-                            wu += u
-                            bt += d
-                            t = t + d
-                            units = u
-                    k += len(batch)
-                st.work_units = wu
-                st.busy_time = bt
-                if wdt > rs.work_done_time:
-                    rs.work_done_time = wdt
-                if k > 1:
-                    # interior `improved` flags are meaningless without
-                    # shared knowledge (gossip is a no-op); the final
-                    # boundary reports False like any non-improving quantum
-                    improved = False
-                    rs.macro_events += 1
-                    rs.fused_quanta += k
-        # bypass occupy(): one event at the fused boundary, cancellable by
-        # the crash injector exactly like a plain occupy event
-        self._cpu_busy = True
-        key = self._key + k - 1
-        self._key = key + 1
-        self._occupy_event = queue.push(
-            t, key, self._fused_done, arg=(units, improved),
-            tag=f"macro@{self.pid}x{k}" if sim.debug else "")
-
-    def _fused_done(self, arg: tuple) -> None:
-        # mirrors SimProcess._occupy_done for the fused boundary
-        units, improved = arg
-        self._occupy_event = None
-        self._cpu_busy = False
-        self._quantum_done(units, improved)
-        self._drain()
-
     def _quantum_done(self, units: int, improved: bool) -> None:
         self.sim.note_work_done()
         if self.tracer is not None:
@@ -510,8 +313,8 @@ class WorkerProcess(SimProcess):
         if improved and self.cfg.gossip_bounds:
             self._gossip(exclude=-1)
         self.on_quantum_done(units)
-        # _drain (in SimProcess.occupy) now absorbs queued messages and
-        # re-enters on_cpu_free, chaining the next quantum or idling.
+        # the substrate's _drain now absorbs queued messages and re-enters
+        # on_cpu_free, chaining the next quantum or idling.
 
     # -- work transfer ----------------------------------------------------------------
 

@@ -88,6 +88,8 @@ class RunConfig:
                 f"unknown protocol {self.protocol!r}; known: {PROTOCOLS}")
         if self.n < 1:
             raise SimConfigError("n must be >= 1")
+        if self.quantum < 1:
+            raise SimConfigError("quantum must be >= 1")
         if self.protocol in ("MW", "AHMW") and self.n < 2:
             raise SimConfigError(f"{self.protocol} needs at least 2 nodes")
         if self.speed_placement not in ("random", "fast-interior"):

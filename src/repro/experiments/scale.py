@@ -1,7 +1,7 @@
 """Fleet-scale sweeps: the macro-event engine at 10^4 simulated nodes.
 
-The quantum-fusion fast path (:mod:`repro.sim.engine`,
-:meth:`repro.core.worker.WorkerProcess._run_fused`) collapses the
+The quantum-fusion fast path
+(:meth:`repro.sim.engine.Simulator.compute`) collapses the
 per-quantum event class — the dominant one once every worker is busy —
 into one engine event per fused block, so runs at 10,000 nodes complete
 on a single host.  This module is the harness around that claim:

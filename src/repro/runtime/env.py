@@ -3,8 +3,9 @@
 Protocol code (``core/worker.py``, ``core/oclb.py``, ``core/termination.py``,
 ``core/reliable.py``, the baselines) never imports the engine — it talks to
 ``self.sim`` through a narrow surface: ``queue.now`` / ``queue.push``
-(clock + timers), ``transmit`` (transport), ``network.handler_cost``,
-``stats``, ``metrics``, ``debug``, ``seed``, and the fault trio
+(clock + timers), ``transmit`` (transport), ``compute`` (a worker's
+quanta), ``network.handler_cost``, ``stats``, ``metrics``, ``debug``,
+``seed``, and the fault trio
 (``faults`` / ``is_crashed`` / ``peer_logged``).  This module implements
 that exact surface over a monotonic wall clock, a timer heap and the
 process's peer mesh, so a :class:`~repro.core.oclb.OverlayWorker` built
@@ -15,9 +16,9 @@ unchanged:
   worker's connection (:mod:`repro.runtime.mesh`); the reactor flushes it;
 * a simulated timer becomes a heap entry the worker's selector loop fires
   when its wall deadline passes;
-* a compute quantum becomes a *slice*: the protocol parks it
-  (:meth:`LiveEnv.park_slice`) and the reactor computes at most one per
-  turn (:meth:`LiveEnv.run_slice`), timed on the wall clock;
+* a compute quantum becomes a *slice*: :meth:`LiveEnv.compute` parks it
+  and the reactor computes at most one per turn
+  (:meth:`LiveEnv.run_slice`), timed on the wall clock;
 * ``handler_cost`` is 0 — handling takes whatever it really takes;
 * ``is_crashed`` consults the death announcements the supervisor
   broadcasts (its EOF/child-exit watch is the failure detector), and
@@ -149,8 +150,6 @@ class LiveNetwork:
 class LiveEnv:
     """Execution environment of one live worker process."""
 
-    live = True
-
     def __init__(self, pid: int, n: int, mesh: PeerMesh, *,
                  seed: int = 0, fault_mode: bool = False,
                  run_dir: Optional[str] = None, metrics=None,
@@ -221,16 +220,16 @@ class LiveEnv:
 
     # -- compute -------------------------------------------------------------
 
-    def park_slice(self) -> None:
-        """The process wants its next quantum.  It is computed by the
-        next :meth:`run_slice`, not now: the reactor runs one slice per
-        turn, after the turn's frames and due timers (idempotent)."""
+    def compute(self, proc) -> None:
+        """``proc`` wants its next quantum.  It is computed by the next
+        :meth:`run_slice`, not now: the reactor runs one slice per turn,
+        after the turn's frames and due timers (idempotent)."""
         self.slice_parked = True
 
     def run_slice(self) -> None:
         """Compute the parked slice, if it is still wanted, and run its
-        boundary.  The wall time it took is the process's ``busy_time``
-        (the simulator prices it instead)."""
+        boundary, then the queue or the next slice.  The wall time it took
+        is the process's ``busy_time`` (the simulator prices it instead)."""
         if not self.slice_parked:
             return
         self.slice_parked = False
@@ -243,7 +242,9 @@ class LiveEnv:
         t0 = time.perf_counter()
         outcome = proc.app.process(proc.work, proc.cfg.quantum, proc.shared)
         proc.stats.busy_time += time.perf_counter() - t0
-        proc.slice_done(outcome)
+        if proc._count_quantum(outcome):
+            proc._quantum_done(outcome.units, outcome.improved)
+            proc._drain()
 
     # -- work accounting -------------------------------------------------------
 

@@ -144,6 +144,8 @@ class LiveConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise SimConfigError("n must be >= 1")
+        if self.quantum < 1:
+            raise SimConfigError("quantum must be >= 1")
         AppSpec.from_wire(self.app)     # shallow: kind and field types
         if self.transport not in ("tcp", "unix"):
             raise SimConfigError(f"unknown transport {self.transport!r}")

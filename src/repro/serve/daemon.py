@@ -84,6 +84,8 @@ class ServeConfig:
             raise SimConfigError("need at least one lane")
         if self.n < 2:
             raise SimConfigError("a lane needs at least 2 workers")
+        if self.quantum < 1:
+            raise SimConfigError("quantum must be >= 1")
         if self.queue_limit < 1:
             raise SimConfigError("queue_limit must be >= 1")
         if not self.max_inflight:

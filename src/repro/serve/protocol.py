@@ -75,6 +75,9 @@ def validate_run(run) -> dict:
     for key in ("quantum", "seed", "dmax"):
         if key in out and not is_json_int(out[key]):
             raise BadRequest(f"run override {key!r} must be an integer")
+    for key in ("quantum", "dmax"):
+        if key in out and out[key] < 1:
+            raise BadRequest(f"run override {key!r} must be >= 1")
     if "sharing" in out and not isinstance(out["sharing"], str):
         raise BadRequest("run override 'sharing' must be a string")
     return out

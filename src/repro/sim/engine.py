@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from functools import reduce
 from heapq import heappop
+from itertools import accumulate
+from operator import add
 from typing import TYPE_CHECKING, Optional
 
 from .errors import SimConfigError, SimDeadlockError, SimRuntimeError
@@ -42,17 +45,14 @@ class Simulator:
 
     The class doubles as the reference *execution environment*: protocol
     code only ever touches ``queue.now``/``queue.push`` (clock + timers),
-    ``transmit`` (transport), ``network.handler_cost``, ``stats``,
-    ``metrics``, ``debug``, ``seed`` and the fault surface (``faults``,
-    ``is_crashed``, ``peer_logged``).  ``repro.runtime.env.LiveEnv``
-    implements the same surface over wall clocks and sockets, which is how
-    the protocols run unmodified on real processes (docs/runtime.md).
+    ``transmit`` (transport), ``compute`` (a worker's quanta: priced and
+    fused here, measured on the wall clock by the live runtime),
+    ``network.handler_cost``, ``stats``, ``metrics``, ``debug``, ``seed``
+    and the fault surface (``faults``, ``is_crashed``, ``peer_logged``).
+    ``repro.runtime.env.LiveEnv`` implements the same surface over wall
+    clocks and sockets, which is how the protocols run unmodified on real
+    processes (docs/runtime.md).
     """
-
-    #: False: virtual time, priced occupancy. The live runtime's
-    #: environment sets True, switching the worker's quantum accounting to
-    #: measured wall time (the only protocol-visible difference).
-    live = False
 
     def __init__(self, network: Optional[NetworkModel] = None, seed: int = 0,
                  auto_place: bool = True, debug: bool = False,
@@ -94,7 +94,7 @@ class Simulator:
         # channels ever used.
         self._fifo: dict[tuple[int, int], float] = {}
         self._fifo_sweep = 256
-        # Macro-event fusion (see docs/simulation.md and core/worker.py):
+        # Macro-event fusion (see docs/simulation.md and _run_fused):
         # the ``fuse`` flag opts in; ``_fuse_active`` is resolved in run()
         # — fusion stays off under max_time/max_events truncation, where
         # the cut point depends on the per-event schedule.
@@ -224,6 +224,170 @@ class Simulator:
                             tag=f"{label}:{msg.kind}->{dst}", arg=msg)
         else:
             self.queue.post(arrive_at, key, self._arrive_fns[dst], msg)
+
+    # -- compute ----------------------------------------------------------------
+
+    def compute(self, proc) -> None:
+        """Compute ``proc``'s next quantum and schedule its boundary.
+
+        The quantum is processed now, at its start time, and priced as
+        ``units * unit_cost / speed``, stretched by any gray slowdown
+        window on the pid. Its boundary (``proc._quantum_done``) fires as
+        one occupy event — or, when fusion is active and the worker can
+        fuse, at the end of a macro event (:meth:`_run_fused`).
+        """
+        app = proc.app
+        cfg = proc.cfg
+        outcome = app.process(proc.work, cfg.quantum, proc.shared)
+        if not proc._count_quantum(outcome):
+            return
+        units = outcome.units
+        duration = units * app.unit_cost / cfg.speed
+        fc = self.faults
+        # a gray-slowed pid never fuses: a fused block cannot observe a
+        # slowdown window opening or closing mid-block
+        slowed = fc is not None and fc.has_slowdown(proc.pid)
+        if slowed:
+            duration *= fc.slow_factor(proc.pid, self.queue._now)
+        proc.stats.busy_time += duration
+        # Fusion is only sound without shared knowledge: a BOUND
+        # improvement arriving between quanta must be protocol-visible at
+        # the exact quantum boundary, which fusing would skip. UTS and the
+        # synthetic workload share nothing; B&B never fuses.
+        if (self._fuse_active and proc.shared is None and not slowed
+                and proc.quantum_boundary_quiet()):
+            self._run_fused(proc, units, duration)
+            return
+        improved = outcome.improved
+        proc.occupy(duration, lambda: proc._quantum_done(units, improved),
+                    tag=f"quantum@{proc.pid}" if self.debug else "")
+
+    def _fusion_horizon(self, proc) -> Optional[float]:
+        """Earliest time any *other* event could affect ``proc``.
+
+        Two sources bound it: (a) events already scheduled *for* it —
+        deliveries, its timers, its crash injection — tracked exactly in
+        the per-process inbound heap; (b) anything a *foreign* event might
+        do. A foreign event firing at time T can only reach it through
+        :meth:`transmit`, which prices at least the network's minimum
+        latency, so nothing it causes lands before ``peek_time() +
+        min_delay``. Under sharding the window end is a further (b) term:
+        the conservative-lookahead barrier lands a foreign shard's
+        influence at or after it. Quantum starts strictly before the
+        horizon are undisturbed: the worker provably computes through
+        them exactly as the one-event-per-quantum engine would. None =
+        queue empty and no inbound (fuse until the work drains).
+        """
+        h = self.queue.peek_time()
+        if h is not None:
+            h += self._min_net_delay
+        wend = self._window_end
+        if wend is not None and (h is None or wend < h):
+            h = wend
+        mine = proc._inbound_horizon()
+        if mine is not None and (h is None or mine < h):
+            return mine
+        return h
+
+    def _run_fused(self, proc, units: int, duration: float) -> None:
+        """Macro-event fast path: fuse consecutive quanta into one event.
+
+        The first quantum was already processed and counted (at its start
+        time, like the unfused engine); this extends it with as many
+        further quanta as provably complete before :meth:`_fusion_horizon`,
+        then schedules a *single* event at the accumulated boundary.
+        Interior boundaries are replayed eagerly — same ``work_done_time``
+        updates, same QUANTUM trace samples at the same virtual times, and
+        guaranteed-no-op ``on_quantum_done`` calls skipped — while the
+        final boundary runs for real through ``proc._occupy_done``, so
+        messages, timers or a crash landing inside the last quantum's
+        window behave exactly as under the unfused engine. Durations
+        accumulate left to right (``t = t + d``), reproducing the unfused
+        engine's float arithmetic bit for bit. The block takes ``k`` keys,
+        one per quantum, and its event the last: the key the unfused
+        engine's ``k``-th occupy event has, so it ties with foreign events
+        exactly as that one does (repro.sim.events).
+        """
+        queue = self.queue
+        t = queue._now + duration
+        horizon = self._fusion_horizon(proc)
+        work = proc.work
+        k = 1
+        if (horizon is None or t < horizon) and not work.is_empty():
+            app = proc.app
+            uc = app.unit_cost
+            speed = proc.cfg.speed
+            quantum = proc.cfg.quantum
+            full = quantum * uc / speed
+            if full > 0.0:
+                rs = self.stats
+                st = proc.stats
+                tracer = proc.tracer
+                m = self.metrics
+                process_quanta = app.process_quanta
+                if tracer is not None:
+                    from .trace import QUANTUM
+                # accumulate the hot counters locally (same sequential
+                # additions, written back once — matters for columnar
+                # stats) — nothing else can touch them mid-loop
+                wu = st.work_units
+                bt = st.busy_time
+                wdt = rs.work_done_time
+                while ((horizon is None or t < horizon)
+                       and not work.is_empty()):
+                    if horizon is None:
+                        budget = 16384
+                    else:
+                        # floor, not ceil: the budget only counts quanta
+                        # whose *starts* fit strictly under the horizon
+                        # even if every one runs full length, leaving a
+                        # full quantum of slack against float drift in t;
+                        # the while loop mops up any remainder
+                        budget = int((horizon - t) / full) or 1
+                        if budget > 16384:
+                            budget = 16384
+                    batch = process_quanta(work, quantum, None, budget)
+                    if not batch:
+                        break
+                    if m is not None:
+                        m.counter("compute.quanta").inc(len(batch))
+                        m.counter("compute.units").inc(sum(batch))
+                    # accumulate/reduce apply the exact left-to-right
+                    # float additions the unfused engine performs, with
+                    # the same operand order: (units * unit_cost) / speed
+                    ds = [u * uc / speed for u in batch]
+                    ts = list(accumulate(ds, initial=t))
+                    if tracer is not None:
+                        # the boundary at ts[i] ends the quantum before
+                        # batch[i]: the first one ends the previous block
+                        for tb, u in zip(ts, [units, *batch[:-1]]):
+                            tracer.record(tb, proc.pid, QUANTUM, u)
+                    wu += sum(batch)
+                    bt = reduce(add, ds, bt)
+                    # boundaries replayed at ts[:-1]; t is monotone, so
+                    # the last one is the work_done_time candidate
+                    if ts[-2] > wdt:
+                        wdt = ts[-2]
+                    t = ts[-1]
+                    units = batch[-1]
+                    k += len(batch)
+                st.work_units = wu
+                st.busy_time = bt
+                if wdt > rs.work_done_time:
+                    rs.work_done_time = wdt
+                if k > 1:
+                    rs.macro_events += 1
+                    rs.fused_quanta += k
+        # bypass occupy(): one event at the fused boundary, cancellable by
+        # the crash injector exactly like a plain occupy event. Its
+        # `improved` is False: without shared knowledge gossip is a no-op
+        proc._cpu_busy = True
+        key = proc._key + k - 1
+        proc._key = key + 1
+        proc._occupy_event = queue.push(
+            t, key, proc._occupy_done,
+            tag=f"macro@{proc.pid}x{k}" if self.debug else "",
+            arg=lambda: proc._quantum_done(units, False))
 
     # -- run --------------------------------------------------------------------
 

@@ -84,6 +84,15 @@ def test_runconfig_validation():
         RunConfig(protocol="TD", n=0)
     with pytest.raises(SimConfigError):
         RunConfig(protocol="MW", n=1)
+    for quantum in (0, -64):
+        # a zero quantum computes nothing and deadlocks at t=0
+        with pytest.raises(SimConfigError):
+            RunConfig(protocol="TD", n=4, quantum=quantum)
+    from repro.runtime.supervisor import LiveConfig
+    from repro.serve.daemon import ServeConfig
+    for make in (LiveConfig, ServeConfig):
+        with pytest.raises(SimConfigError):
+            make(quantum=0)
     assert set(PROTOCOLS) == {"TD", "TR", "BTD", "BTR", "RWS", "MW", "AHMW",
                               "LIFELINE"}
 

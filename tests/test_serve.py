@@ -155,6 +155,9 @@ def test_booleans_are_not_integers(bare):
     for key in ("quantum", "seed", "dmax"):
         resp = _op(bare, "submit", app=dict(SYN), run={key: True})
         assert resp["error"] == "bad-request", key
+    for run in ({"quantum": 0}, {"dmax": -3}, {"quantum": 0, "dmax": -3}):
+        resp = _op(bare, "submit", app=dict(SYN), run=run)
+        assert resp["error"] == "bad-request", run
     assert _op(bare, "submit", app={"kind": "bnb", "index": 1},
                run={"seed": 3})["ok"] is True
     assert bare._accepted == 1

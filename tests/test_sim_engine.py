@@ -376,13 +376,13 @@ def test_crash_cancelled_macro_event_never_fires():
                                                           unit_cost=1e-6))
     victim = workers[2]
     fused_at = []
-    real_done = victim._fused_done
+    real_done = victim._quantum_done
 
-    def spy(arg):
+    def spy(units, improved):
         fused_at.append(sim.now)
-        real_done(arg)
+        real_done(units, improved)
 
-    victim._fused_done = spy
+    victim._quantum_done = spy
     pending = []
     real_crash = sim._crash_process
 

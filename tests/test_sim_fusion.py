@@ -15,10 +15,12 @@ equivalence down at every level:
 * the gates: B&B (shared state) never fuses, bounded runs
   (``max_events``) never fuse.
 
-Identity is exact whenever no fused boundary collides with a foreign
-event at the identical float time (see docs/simulation.md); all the
-configurations here are in that regime, and — the simulator being
-bit-deterministic — stay there.
+Identity is exact for every configuration, including fused boundaries
+that tie with a foreign event at the identical float time: every engine
+orders heap entries by one key, ``(time, origin pid, per-origin
+ordinal)``, and a fused block takes one ordinal per quantum, its event
+the last — the key of the unfused engine's last occupy event
+(repro.sim.events; docs/simulation.md, "One event order").
 """
 
 import dataclasses
@@ -87,15 +89,22 @@ def test_fused_identity_uts(proto):
 
 @pytest.mark.parametrize("proto", ("TD", "BTD", "RWS"))
 def test_fused_identity_faulted(proto):
-    """Crashes, loss and duplication inside fused windows stay exact."""
+    """Crashes, loss and duplication inside fused windows stay exact, and
+    so does a gray slowdown: the slowed pid never fuses, the rest do. Its
+    pid is one whose slowed quanta would fuse if the engine let them, so
+    fused == unfused fails without that opt-out."""
     preset = PRESETS["bin_tiny"]
-    plan = FaultPlan(crashes=((5, 0.002), (11, 0.004)), loss=0.02, dup=0.01)
-    cfg = RunConfig(protocol=proto, n=24, dmax=4, quantum=64, seed=123,
-                    faults=plan)
-    fused, unfused = run_pair(cfg, lambda: UTSApplication(preset.params))
-    assert_identical(fused, unfused)
-    assert fused[0].crashes == 2
-    assert fused[0].macro_events > 0
+    slowed = {"TD": 21, "BTD": 9, "RWS": 13}[proto]
+    plans = (FaultPlan(crashes=((5, 0.002), (11, 0.004)), loss=0.02,
+                       dup=0.01),
+             FaultPlan(slowdowns=((slowed, 0.0, 6e-3, 6.0),)))
+    for plan in plans:
+        cfg = RunConfig(protocol=proto, n=24, dmax=4, quantum=64, seed=123,
+                        faults=plan)
+        fused, unfused = run_pair(cfg, lambda: UTSApplication(preset.params))
+        assert_identical(fused, unfused)
+        assert fused[0].crashes == len(plan.crashes)
+        assert fused[0].macro_events > 0
 
 
 def test_fused_identity_synthetic_fleet_net():
