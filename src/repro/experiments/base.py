@@ -7,11 +7,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..apps.base import Application
 from .config import Scale
 from .parallel import ExperimentGrid
 from .report import banner
-from .runner import RunConfig, TrialStats, run_trials
 
 
 @dataclass
@@ -76,13 +74,5 @@ def make_grid(scale: Scale, jobs: int | None = None,
                           progress=cell_progress)
 
 
-def trial_stats(scale: Scale, app_factory: Callable[[], Application],
-                trials: int | None = None, **cfg_kwargs) -> TrialStats:
-    """Run seeded trials of one configuration (default: ``scale.trials``)."""
-    cfg = RunConfig(seed=scale.seed, **cfg_kwargs)
-    return run_trials(cfg, app_factory, trials or scale.trials,
-                      progress=cell_progress)
-
-
 __all__ = ["ExperimentReport", "cell_progress", "make_grid", "progress",
-           "timed", "trial_stats"]
+           "timed"]

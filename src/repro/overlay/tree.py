@@ -81,10 +81,6 @@ class TreeOverlay:
         """Maximum depth of any node."""
         return max(self.depth)
 
-    def is_leaf(self, v: int) -> bool:
-        """True when v has no children."""
-        return not self.children[v]
-
     def leaves(self) -> list[int]:
         """All leaf pids, ascending."""
         return [v for v in range(self.n) if not self.children[v]]
@@ -108,13 +104,6 @@ class TreeOverlay:
             v = q.popleft()
             yield v
             q.extend(self.children[v])
-
-    def path_to_root(self, v: int) -> list[int]:
-        """Pids from v up to (and including) the root."""
-        out = [v]
-        while out[-1] != 0:
-            out.append(self.parent[out[-1]])
-        return out
 
     def distance(self, u: int, v: int) -> int:
         """Tree distance (hops) between two nodes."""

@@ -247,9 +247,6 @@ class Registry:
         self.dead: set[int] = set()
         self.left: set[int] = set()
 
-    def registered(self, pid: int) -> bool:
-        return pid in self.endpoints
-
     def register(self, pid: int, endpoint: Optional[dict]) -> None:
         """Record one worker's hello; duplicate registrations are refused
         (the runtime drops the impostor connection instead of raising)."""

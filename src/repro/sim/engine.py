@@ -134,11 +134,6 @@ class Simulator:
         return proc
 
     @property
-    def n(self) -> int:
-        """Number of registered processes."""
-        return len(self.processes)
-
-    @property
     def now(self) -> float:
         """Current virtual time."""
         return self.queue.now
@@ -328,8 +323,8 @@ class Simulator:
                 if tracer is not None:
                     from .trace import QUANTUM
                 # accumulate the hot counters locally (same sequential
-                # additions, written back once — matters for columnar
-                # stats) — nothing else can touch them mid-loop
+                # additions, written back once) — nothing else can touch
+                # them mid-loop
                 wu = st.work_units
                 bt = st.busy_time
                 wdt = rs.work_done_time

@@ -197,10 +197,6 @@ class EventQueue:
         ev = self._heap[0][-1]
         return ev if ev is not None else self._detached(self._heap[0])
 
-    def clear(self) -> None:
-        """Drop every pending event."""
-        self._heap.clear()
-
     def snapshot_tags(self) -> list[tuple[float, str]]:
         """Sorted (time, tag) of live events; debugging aid for deadlocks.
 

@@ -98,11 +98,6 @@ class SimProcess:
         """True while computing or absorbing a message."""
         return self._cpu_busy
 
-    @property
-    def inbox_size(self) -> int:
-        """Messages waiting for the CPU."""
-        return len(self._inbox)
-
     def send(self, dst: int, kind: str, payload: Any = None,
              body_bytes: int = 0) -> None:
         """Transmit a message; delivery time priced by the network model."""

@@ -16,7 +16,6 @@ that the UTS splittable RNG builds on (vectorised over NumPy ``uint64``).
 from __future__ import annotations
 
 import random
-from typing import Iterable
 
 import numpy as np
 
@@ -123,20 +122,6 @@ class RngStream:
         return self._rng.uniform(a, b)
 
 
-def stream_family(global_seed: int, label: str, count: int) -> list[RngStream]:
-    """Create ``count`` independent streams ``label/0 .. label/count-1``."""
-    return [RngStream(global_seed, label, i) for i in range(count)]
-
-
 def spawn_numpy(global_seed: int, *path: int | str) -> np.random.Generator:
     """A NumPy generator on the same deterministic derivation scheme."""
     return np.random.default_rng(derive_seed(global_seed, *path))
-
-
-def fold_words(words: Iterable[int]) -> int:
-    """Fold an iterable of ints into one 63-bit value (order-sensitive)."""
-    acc = np.uint64(0x9AFB0C5D1E2F3A47)
-    with np.errstate(over="ignore"):
-        for w in words:
-            acc = mix64((acc ^ np.uint64(int(w) & 0xFFFFFFFFFFFFFFFF)) & _MASK)
-    return int(acc) & 0x7FFFFFFFFFFFFFFF

@@ -376,23 +376,11 @@ def merge_shard_stats(parts: list["RunStats"], owner: list[int],
 
     n = len(owner)
     merged = RunStats.create(n)
-    cols = merged._columns
-    if cols is not None:
-        import numpy as np
-        owner_arr = np.asarray(owner)
-        for k, part in enumerate(parts):
-            mask = owner_arr == k
-            pc = part._columns
-            for name, a in cols.i.items():
-                a[mask] = pc.i[name][mask]
-            for name, a in cols.f.items():
-                a[mask] = pc.f[name][mask]
-    else:
-        for pid, k in enumerate(owner):
-            src = parts[k].per_process[pid]
-            dst = merged.per_process[pid]
-            for name in _INT_FIELDS + _FLOAT_FIELDS:
-                setattr(dst, name, getattr(src, name))
+    for pid, k in enumerate(owner):
+        src = parts[k].per_process[pid]
+        dst = merged.per_process[pid]
+        for name in _INT_FIELDS + _FLOAT_FIELDS:
+            setattr(dst, name, getattr(src, name))
     merged.events_fired = sum(p.events_fired for p in parts)
     merged.macro_events = sum(p.macro_events for p in parts)
     merged.fused_quanta = sum(p.fused_quanta for p in parts)

@@ -4,25 +4,15 @@ Counters are cheap plain attributes updated inline by the engine and the
 worker framework; aggregation helpers turn them into the quantities the
 paper plots (per-node message counts, busy/idle ratios, work units, ...).
 
-Two storage layouts back the same counter protocol:
-
-* small runs (below :attr:`RunStats.COLUMNAR_THRESHOLD` processes) keep a
-  plain list of :class:`ProcessStats` dataclasses — fastest for the
-  per-event hot path and what the live runtime's codec round-trips;
-* fleet-scale runs switch to *columnar* numpy arrays (one int64/float64
-  array per counter) wrapped in lightweight per-pid views, cutting the
-  per-process memory from ~0.5 KiB of boxed attributes to 8 bytes per
-  counter and making the run-level aggregates vectorised sums.
-
-Both layouts are observationally identical: every field, ``idle_time`` and
-every aggregate produce bit-equal values (float sums are computed with the
-same sequential left-to-right order in both paths).
+Every run, whatever its size, keeps one plain list of
+:class:`ProcessStats` rows: the engine binds each process to its row once
+and bumps the slots in place, and the live runtime's codec round-trips the
+same rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 
 @dataclass(slots=True)
@@ -75,103 +65,6 @@ _INT_FIELDS = ("msgs_sent", "msgs_received", "bytes_sent", "bytes_received",
 _FLOAT_FIELDS = ("busy_time", "handler_time", "finish_time", "crash_time")
 
 
-class _Columns:
-    """The array backing store of a columnar run (numpy required)."""
-
-    __slots__ = ("n", "i", "f")
-
-    def __init__(self, n: int) -> None:
-        import numpy as np
-        self.n = n
-        self.i = {name: np.zeros(n, dtype=np.int64) for name in _INT_FIELDS}
-        self.f = {name: np.zeros(n, dtype=np.float64)
-                  for name in _FLOAT_FIELDS}
-        self.f["crash_time"].fill(np.inf)
-
-
-class ColumnarProcessStats:
-    """A per-pid view over :class:`_Columns` with the full
-    :class:`ProcessStats` attribute protocol (reads return plain Python
-    ints/floats, writes land in the arrays)."""
-
-    __slots__ = ("_c", "pid")
-
-    def __init__(self, cols: _Columns, pid: int) -> None:
-        object.__setattr__(self, "_c", cols)
-        object.__setattr__(self, "pid", pid)
-
-    def __getattr__(self, name: str):
-        if name.startswith("_"):
-            # no counter is private; bailing here keeps lookups of the
-            # _c slot itself (and pickle's __setstate__ probe, which
-            # runs before slots are restored) from recursing
-            raise AttributeError(name)
-        c = self._c
-        a = c.i.get(name)
-        if a is not None:
-            return int(a[self.pid])
-        a = c.f.get(name)
-        if a is not None:
-            return float(a[self.pid])
-        raise AttributeError(
-            f"ColumnarProcessStats has no counter {name!r}")
-
-    def __setattr__(self, name: str, value) -> None:
-        if name.startswith("_") or name == "pid":
-            # the two real slots — written by __init__ and by pickle's
-            # slot-state restore, neither of which may touch the arrays
-            object.__setattr__(self, name, value)
-            return
-        c = self._c
-        a = c.i.get(name)
-        if a is None:
-            a = c.f.get(name)
-            if a is None:
-                raise AttributeError(
-                    f"ColumnarProcessStats has no counter {name!r}")
-        a[self.pid] = value
-
-    def idle_time(self, horizon: float) -> float:
-        """Same contract as :meth:`ProcessStats.idle_time`."""
-        c = self._c
-        p = self.pid
-        horizon = min(horizon, float(c.f["crash_time"][p]))
-        return max(0.0, horizon - float(c.f["busy_time"][p])
-                   - float(c.f["handler_time"][p]))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ColumnarProcessStats(pid={self.pid}, "
-                f"work_units={self.work_units})")
-
-
-class _ColumnarSeq:
-    """Read-only pid-indexed sequence of cached per-pid views."""
-
-    __slots__ = ("_c", "_views")
-
-    def __init__(self, cols: _Columns) -> None:
-        self._c = cols
-        self._views: list = [None] * cols.n
-
-    def __len__(self) -> int:
-        return self._c.n
-
-    def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            return [self[i] for i in range(*idx.indices(self._c.n))]
-        if idx < 0:
-            idx += self._c.n
-        v = self._views[idx]
-        if v is None:
-            v = ColumnarProcessStats(self._c, idx)
-            self._views[idx] = v
-        return v
-
-    def __iter__(self):
-        for i in range(self._c.n):
-            yield self[i]
-
-
 @dataclass(slots=True)
 class RunStats:
     """Aggregated statistics of a complete simulation run.
@@ -182,11 +75,6 @@ class RunStats:
     experiment tables read each aggregate several times per row, and n
     reaches 10000 in the scale sweeps.
     """
-
-    #: above this process count :meth:`create` switches to columnar
-    #: (array-backed) per-process storage; tests lower it to force the
-    #: columnar path on small runs
-    COLUMNAR_THRESHOLD: ClassVar[int] = 4096
 
     n: int
     per_process: list[ProcessStats] = field(default_factory=list)
@@ -201,42 +89,16 @@ class RunStats:
     fused_quanta: int = 0
     #: (units, msgs, steals, steals_ok, busy) — set by :meth:`seal`
     _aggregates: tuple | None = field(default=None, repr=False, compare=False)
-    _columns: _Columns | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def create(cls, n: int) -> "RunStats":
-        """Fresh statistics for an n-process run.
-
-        Fleet-scale runs (n >= :attr:`COLUMNAR_THRESHOLD`) get columnar
-        array storage; everything else keeps the plain dataclass list.
-        """
-        if n >= cls.COLUMNAR_THRESHOLD:
-            try:
-                cols = _Columns(n)
-            except ImportError:  # pragma: no cover - numpy is a hard dep
-                cols = None
-            if cols is not None:
-                return cls(n=n, per_process=_ColumnarSeq(cols),
-                           _columns=cols)
+        """Fresh statistics for an n-process run."""
         return cls(n=n, per_process=[ProcessStats(pid=i) for i in range(n)])
 
     # -- aggregates used by the experiment harness --------------------------
 
     def seal(self) -> None:
         """Cache the aggregate sums (call once the counters are final)."""
-        c = self._columns
-        if c is not None:
-            # the float sum goes through tolist() so it is the same
-            # sequential left-to-right addition as the list path (numpy's
-            # pairwise summation would round differently)
-            self._aggregates = (
-                int(c.i["work_units"].sum()),
-                int(c.i["msgs_sent"].sum()),
-                int(c.i["steals_attempted"].sum()),
-                int(c.i["steals_successful"].sum()),
-                sum(c.f["busy_time"].tolist()),
-            )
-            return
         self._aggregates = (
             sum(p.work_units for p in self.per_process),
             sum(p.msgs_sent for p in self.per_process),
@@ -247,14 +109,6 @@ class RunStats:
 
     def fault_totals(self) -> tuple[int, int, int, int, int]:
         """(losses, duplicates, retransmits, crashes, repairs) summed."""
-        c = self._columns
-        if c is not None:
-            i = c.i
-            return (int(i["msgs_lost"].sum()),
-                    int(i["msgs_duplicated"].sum()),
-                    int(i["retransmits"].sum()),
-                    int(i["crashes"].sum()),
-                    int(i["repairs"].sum()))
         return (sum(p.msgs_lost for p in self.per_process),
                 sum(p.msgs_duplicated for p in self.per_process),
                 sum(p.retransmits for p in self.per_process),
@@ -263,18 +117,10 @@ class RunStats:
 
     def total_breaker_opens(self) -> int:
         """Circuit-breaker trips summed over the fleet (0 in clean runs)."""
-        c = self._columns
-        if c is not None:
-            return int(c.i["breaker_opens"].sum())
         return sum(p.breaker_opens for p in self.per_process)
 
     def max_finish_time(self, default: float = 0.0) -> float:
         """Latest per-process ``finish_time`` (``default`` when n == 0)."""
-        c = self._columns
-        if c is not None:
-            if c.n == 0:
-                return default
-            return float(c.f["finish_time"].max())
         return max((p.finish_time for p in self.per_process),
                    default=default)
 
@@ -336,9 +182,6 @@ class RunStats:
 
     def msgs_by_pid(self) -> list[int]:
         """Messages sent per process, ordered by pid (Fig 1 bottom)."""
-        c = self._columns
-        if c is not None:
-            return c.i["msgs_sent"].tolist()
         return [p.msgs_sent for p in self.per_process]
 
     def efficiency_vs(self, t_seq: float) -> float:
@@ -347,11 +190,5 @@ class RunStats:
             return 0.0
         return t_seq / (self.n * self.makespan)
 
-    def busy_fraction(self) -> float:
-        """Mean fraction of the makespan each process spent computing."""
-        if self.makespan <= 0 or self.n <= 0:
-            return 0.0
-        return self.total_busy / (self.n * self.makespan)
 
-
-__all__ = ["ProcessStats", "ColumnarProcessStats", "RunStats"]
+__all__ = ["ProcessStats", "RunStats"]

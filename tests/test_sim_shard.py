@@ -28,7 +28,7 @@ from repro.sim.faults import FaultPlan
 from repro.sim.messages import Message
 from repro.sim.network import ClusterSpec, NetworkModel, uniform_network
 from repro.sim.shard import partition_fleet, run_sharded, seal_parcels
-from repro.sim.stats import _FLOAT_FIELDS, _INT_FIELDS, RunStats
+from repro.sim.stats import _FLOAT_FIELDS, _INT_FIELDS
 from repro.uts.params import PRESETS
 from repro.uts.work import UTSWork
 
@@ -356,11 +356,9 @@ def test_single_shard_falls_back_to_serial():
         res_s.makespan, res_s.total_msgs)
 
 
-def test_columnar_merge_path(monkeypatch):
-    """Force the columnar RunStats representation at tiny n so the numpy
-    branch of merge_shard_stats is exercised without a 4096-pid run."""
-    pytest.importorskip("numpy")
-    monkeypatch.setattr(RunStats, "COLUMNAR_THRESHOLD", 4)
+def test_two_shards_td_jitter():
+    """TD with jitter on two shards of ten pids: the merged rows equal the
+    serial run's, each copied from its owner shard."""
     cfg = RunConfig(protocol="TD", n=10, dmax=3, quantum=16, seed=6,
                     jitter=1.5)
     assert_bit_identical(cfg, partial(_synth, 1200), shards=2)

@@ -67,7 +67,6 @@ def test_runstats_aggregates():
     assert rs.total_steals_ok == 3
     assert rs.total_busy == pytest.approx(1.5)
     assert rs.msgs_by_pid() == [0, 1, 2]
-    assert rs.busy_fraction() == pytest.approx(0.5)
 
 
 def test_runstats_efficiency():
@@ -82,8 +81,11 @@ def test_runstats_efficiency():
 
 def test_empty_runstats_guards():
     rs = RunStats.create(0)
-    assert rs.busy_fraction() == 0.0
     assert rs.efficiency_vs(1.0) == 0.0
+    assert rs.max_finish_time(default=1.5) == 1.5
+    assert rs.msgs_by_pid() == []
+    rs.seal()
+    assert (rs.total_work_units, rs.total_busy) == (0, 0)
 
 
 def test_seal_freezes_aggregates():
@@ -122,71 +124,3 @@ def test_simulator_seals_stats():
     sim.add_process(SimProcess(0))
     st = sim.run()
     assert st._aggregates is not None
-
-
-# -- columnar (fleet-scale) storage --------------------------------------------
-
-
-def _full_run(monkeypatch, threshold):
-    from repro.apps.uts_app import UTSApplication
-    from repro.experiments.runner import RunConfig, run_instrumented
-    from repro.uts.params import PRESETS
-
-    monkeypatch.setattr(RunStats, "COLUMNAR_THRESHOLD", threshold)
-    cfg = RunConfig(protocol="TD", n=16, dmax=4, quantum=32, seed=9)
-    return run_instrumented(cfg, UTSApplication(PRESETS["bin_mini"].params))
-
-
-def test_columnar_run_is_bit_identical(monkeypatch):
-    """Array-backed and list-backed stats must agree field for field."""
-    import dataclasses
-
-    res_list, st_list = _full_run(monkeypatch, threshold=1 << 30)
-    res_cols, st_cols = _full_run(monkeypatch, threshold=1)
-    assert type(st_cols.per_process).__name__ == "_ColumnarSeq"
-    assert isinstance(st_list.per_process, list)
-    assert res_cols == dataclasses.replace(res_list)
-    for f in ("makespan", "work_done_time", "total_work_units",
-              "total_msgs", "total_steals", "total_steals_ok",
-              "total_busy", "events_fired"):
-        assert getattr(st_cols, f) == getattr(st_list, f), f
-    assert st_cols.msgs_by_pid() == st_list.msgs_by_pid()
-    assert st_cols.fault_totals() == st_list.fault_totals()
-    for pc, pl in zip(st_cols.per_process, st_list.per_process):
-        assert pc.pid == pl.pid
-        for name in ("msgs_sent", "msgs_received", "bytes_sent",
-                     "work_units", "busy_time", "handler_time",
-                     "steals_attempted", "steals_successful",
-                     "finish_time", "crash_time"):
-            assert getattr(pc, name) == getattr(pl, name), (pc.pid, name)
-        assert pc.idle_time(st_cols.makespan) == pl.idle_time(
-            st_list.makespan)
-
-
-def test_columnar_seq_indexing():
-    rs = RunStats.create(8)
-    rs.per_process[3].work_units = 7   # exercise a view write
-    cols = RunStats.create(8)
-    # force columnar regardless of threshold by checking create() output
-    if isinstance(cols.per_process, list):   # numpy always present in CI
-        import numpy  # noqa: F401  (would have raised if missing)
-        cols = RunStats.create(RunStats.COLUMNAR_THRESHOLD)
-    seq = cols.per_process
-    n = cols.n
-    assert len(seq) == n
-    assert seq[0].pid == 0 and seq[-1].pid == n - 1
-    assert [p.pid for p in seq[2:5]] == [2, 3, 4]
-    assert seq[n - 1].pid == seq[-1].pid
-    with pytest.raises(IndexError):
-        seq[n]
-    seq[1].msgs_sent = 42
-    assert seq[1].msgs_sent == 42
-
-
-def test_columnar_view_rejects_unknown_counter():
-    cols = RunStats.create(RunStats.COLUMNAR_THRESHOLD)
-    p = cols.per_process[0]
-    with pytest.raises(AttributeError):
-        p.no_such_counter
-    with pytest.raises(AttributeError):
-        p.no_such_counter = 1

@@ -47,12 +47,6 @@ def test_params_validation():
         UTSParams(variant="geo", depth_max=0)
 
 
-def test_expected_size_formula():
-    p = UTSParams(b0=100, q=0.25, m=2)
-    # E[subtree] = 1/(1-0.5) = 2 -> E[total] = 1 + 200
-    assert p.expected_size == pytest.approx(201.0)
-
-
 def test_describe():
     assert "BIN" in UTSParams().describe()
     assert "GEO" in UTSParams(variant="geo").describe()

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.apps.synthetic import SyntheticWork
 from repro.sim.errors import SimConfigError
 from repro.work.base import clamp_fraction
 from repro.work.sharing import (PROPORTIONAL, STEAL_HALF, LinkKind,
@@ -42,18 +43,26 @@ def test_steal_half_everywhere():
         assert STEAL_HALF.fraction(ctx(link, tu=5, tv=500)) == 0.5
 
 
+def given_units(policy, amount):
+    """Units a victim holding ``amount`` hands over under ``policy``."""
+    work = SyntheticWork(amount)
+    piece = work.split(policy.fraction(ctx(LinkKind.PEER, amount=amount)))
+    return 0 if piece is None else piece.units
+
+
 def test_steal_k_units():
     p = steal_k(2)
-    assert p.give_units(ctx(LinkKind.PEER, amount=100)) == 2
-    assert p.give_units(ctx(LinkKind.PEER, amount=1)) == 1
-    assert p.give_units(ctx(LinkKind.PEER, amount=0)) == 0
+    assert given_units(p, 100) == 2
+    assert given_units(p, 3) == 2
+    assert given_units(p, 2) == 1      # the victim keeps one unit
+    assert given_units(p, 0) == 0
     with pytest.raises(SimConfigError):
         steal_k(0)
 
 
 def test_fixed_fraction():
     p = fixed_fraction(0.25)
-    assert p.give_units(ctx(LinkKind.PEER, amount=100)) == 25
+    assert given_units(p, 100) == 25
     with pytest.raises(SimConfigError):
         fixed_fraction(1.5)
     with pytest.raises(SimConfigError):
@@ -86,8 +95,8 @@ def test_property_fractions_always_valid(tu, tv, amount, link):
                      work_amount=amount)
     f = PROPORTIONAL.fraction(c)
     assert 0.0 <= f <= 1.0
-    units = PROPORTIONAL.give_units(c)
-    assert 0 <= units <= amount
+    piece = SyntheticWork(amount).split(f)
+    assert piece is None or 0 < piece.units < amount
 
 
 @given(st.integers(min_value=1, max_value=10**6),
