@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from ..sim.errors import SimConfigError
 
 
@@ -87,24 +85,6 @@ class FlowshopInstance:
             prev = max(prev, front[i]) + self.p[i][job]
             out.append(prev)
         return out
-
-    def makespans_batch(self, perms: np.ndarray) -> np.ndarray:
-        """Makespans of many permutations at once (rows of ``perms``)."""
-        perms = np.asarray(perms)
-        if perms.ndim != 2:
-            raise SimConfigError("perms must be a 2-D array")
-        k, n = perms.shape
-        if n != self.n_jobs:
-            raise SimConfigError("permutation length mismatch")
-        parr = np.asarray(self.p)
-        front = np.zeros((k, self.n_machines), dtype=np.int64)
-        for col in range(n):
-            jobs = perms[:, col]
-            prev = np.zeros(k, dtype=np.int64)
-            for i in range(self.n_machines):
-                prev = np.maximum(prev, front[:, i]) + parr[i, jobs]
-                front[:, i] = prev
-        return front[:, -1]
 
     def describe(self) -> str:
         return (f"{self.name}: {self.n_jobs} jobs x {self.n_machines} "

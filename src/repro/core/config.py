@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..sim.errors import SimConfigError
@@ -11,10 +12,10 @@ from ..sim.errors import SimConfigError
 class OCLBConfig:
     """Tunables of the overlay-centric protocol (paper §II).
 
+    The work-sharing policy is the run's, not the protocol's:
+    ``RunConfig.sharing`` (see :mod:`repro.work.sharing`).
+
     Attributes:
-        sharing: work-sharing policy name — ``"proportional"`` is the
-            paper's contribution; ``"half"`` / ``"steal-1"`` / ... give the
-            Fig. 2 baselines (see :mod:`repro.work.sharing`).
         wave_retry: pause between inconclusive termination waves.
         probe_retry: pause before an idle node starts a fresh down-phase
             probing round (idle nodes keep searching, paced by this).
@@ -30,7 +31,6 @@ class OCLBConfig:
             is an ablation knob — results stay correct, traffic grows.
     """
 
-    sharing: str = "proportional"
     wave_retry: float = 2e-3
     probe_retry: float = 2.5e-4
     convergecast: bool = True
@@ -42,10 +42,10 @@ class OCLBConfig:
     capacity_aware: bool = False
 
     def __post_init__(self) -> None:
-        if self.wave_retry <= 0:
-            raise SimConfigError("wave_retry must be > 0")
-        if self.probe_retry <= 0:
-            raise SimConfigError("probe_retry must be > 0")
+        if not 0 < self.wave_retry < math.inf:
+            raise SimConfigError("wave_retry must be positive and finite")
+        if not 0 < self.probe_retry < math.inf:
+            raise SimConfigError("probe_retry must be positive and finite")
 
 
 __all__ = ["OCLBConfig"]

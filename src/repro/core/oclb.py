@@ -75,7 +75,8 @@ class OverlayWorker(WorkerProcess):
 
     def __init__(self, pid: int, app: Application, cfg: WorkerConfig,
                  overlay: Union[TreeOverlay, BridgedTreeOverlay],
-                 oclb: Optional[OCLBConfig] = None) -> None:
+                 oclb: Optional[OCLBConfig] = None,
+                 sharing: str = "proportional") -> None:
         super().__init__(pid, app, cfg, has_initial_work=(pid == 0))
         self.oclb = oclb or OCLBConfig()
         if isinstance(overlay, BridgedTreeOverlay):
@@ -88,7 +89,7 @@ class OverlayWorker(WorkerProcess):
             self.bridged = False
         self.parent = self.tree.parent[pid]
         self.children = list(self.tree.children[pid])
-        self.policy = get_policy(self.oclb.sharing)
+        self.policy = get_policy(sharing)
         self.rng = RngStream(cfg.seed, "oclb", pid)
 
         # subtree sizes: distributed converge-cast or instant (ablation);

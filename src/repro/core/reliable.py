@@ -77,7 +77,6 @@ RACK = "RACK"   # transport acknowledgement: payload = seq
 
 #: Envelope overhead charged on the wire (seq + kind tag).
 _ENVELOPE_BYTES = 12
-_ACK_BYTES = 4
 
 #: Inner kind whose payload carries a work piece — tracked for the
 #: termination waves ("work in flight" counts as active) and recovered on

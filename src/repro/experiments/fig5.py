@@ -14,10 +14,6 @@ from .config import Scale, bnb_spec, uts_spec
 from .report import Series, ascii_chart, render_series
 from .seqref import sequential_time
 
-SWEEPS = (("B&B Ta21", "fig45_n", "bnb_quantum"),
-          ("B&B Ta23", "fig45_n", "bnb_quantum"),
-          ("UTS", "fig5_uts_n", "uts_quantum"))
-
 
 def run(scale: Scale) -> ExperimentReport:
     def build() -> ExperimentReport:

@@ -43,7 +43,7 @@ from typing import Optional
 from ..obs.report import build_report
 from ..runtime.env import LIVE_QUANTUM
 from .runner import PROTOCOLS
-from .runreport import spec_from_args
+from .runreport import add_job_arguments, spec_from_args
 
 #: Protocols the live backend supports (MW/AHMW/LIFELINE would run, but
 #: only these are cross-validated; keep the CLI honest).
@@ -96,20 +96,8 @@ def parse_member(text: str) -> dict:
 
 
 def add_live_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--app", choices=("uts", "bnb"), default="uts")
-    parser.add_argument("--preset", default="bin_tiny",
-                        help="UTS preset (default: bin_tiny)")
-    parser.add_argument("--bnb-index", type=int, default=1,
-                        help="Taillard instance index (Ta(20+i))")
-    parser.add_argument("--bnb-jobs", type=int, default=8)
-    parser.add_argument("--bnb-machines", type=int, default=5)
-    parser.add_argument("--bound", default="lb1")
-    parser.add_argument("--protocol", default="BTD", choices=LIVE_PROTOCOLS)
-    parser.add_argument("--n", type=int, default=4)
-    parser.add_argument("--quantum", type=int, default=LIVE_QUANTUM)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--dmax", type=int, default=10)
-    parser.add_argument("--sharing", default="proportional")
+    add_job_arguments(parser, preset="bin_tiny", bnb_machines=5,
+                      protocols=LIVE_PROTOCOLS, n=4, quantum=LIVE_QUANTUM)
     parser.add_argument("--transport", choices=("tcp", "unix"),
                         default="tcp")
     parser.add_argument("--port", type=int, default=0,

@@ -19,9 +19,10 @@ Protocol names (the paper's):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from statistics import mean, pstdev
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..apps.base import Application
 from ..core.config import OCLBConfig
@@ -32,6 +33,7 @@ from ..overlay.tree import deterministic_tree, graft_leaf, random_tree
 from ..sim.errors import SimConfigError
 from ..sim.rng import RngStream
 from ..sim.stats import RunStats
+from ..work.sharing import get_policy
 
 if TYPE_CHECKING:   # a live worker loads no simulator
     from ..sim.engine import Simulator
@@ -39,6 +41,16 @@ if TYPE_CHECKING:   # a live worker loads no simulator
     from ..sim.network import NetworkModel
 
 PROTOCOLS = ("TD", "TR", "BTD", "BTR", "RWS", "MW", "AHMW", "LIFELINE")
+
+#: What a live host runs with: the keys of :meth:`RunConfig.to_wire`, with
+#: the OCLB ``wave_retry`` and ``probe_retry``.
+_WIRE_FIELDS = ("protocol", "n", "dmax", "sharing", "quantum", "seed",
+                "ack_timeout", "ack_max_backoff", "breaker_threshold")
+
+
+def _is_int(value) -> bool:
+    """An integer, and not a ``bool`` (which JSON ``true`` decodes to)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(slots=True)
@@ -86,10 +98,21 @@ class RunConfig:
         if self.protocol not in PROTOCOLS:
             raise SimConfigError(
                 f"unknown protocol {self.protocol!r}; known: {PROTOCOLS}")
-        if self.n < 1:
-            raise SimConfigError("n must be >= 1")
-        if self.quantum < 1:
-            raise SimConfigError("quantum must be >= 1")
+        for name in ("n", "quantum", "dmax", "seed", "breaker_threshold"):
+            if not _is_int(getattr(self, name)):
+                raise SimConfigError(f"{name} must be an integer, "
+                                     f"not {getattr(self, name)!r}")
+        for name in ("n", "quantum", "dmax"):
+            if getattr(self, name) < 1:
+                raise SimConfigError(f"{name} must be >= 1")
+        if not isinstance(self.sharing, str):
+            raise SimConfigError(
+                f"sharing must be a policy name, not {self.sharing!r}")
+        try:
+            get_policy(self.sharing)
+        except ValueError:   # fixed:<f> / steal-<k> with a bad number
+            raise SimConfigError(
+                f"bad sharing policy {self.sharing!r}") from None
         if self.protocol in ("MW", "AHMW") and self.n < 2:
             raise SimConfigError(f"{self.protocol} needs at least 2 nodes")
         if self.speed_placement not in ("random", "fast-interior"):
@@ -97,8 +120,11 @@ class RunConfig:
                 f"unknown speed placement {self.speed_placement!r}")
         if self.breaker_threshold < 0:
             raise SimConfigError("breaker_threshold must be >= 0")
-        if self.ack_max_backoff is not None and self.ack_max_backoff <= 0:
-            raise SimConfigError("ack_max_backoff must be positive")
+        if not 0 < self.ack_timeout < math.inf:
+            raise SimConfigError("ack_timeout must be positive and finite")
+        if (self.ack_max_backoff is not None
+                and not 0 < self.ack_max_backoff < math.inf):
+            raise SimConfigError("ack_max_backoff must be finite and > 0")
         if (self.faults is not None and not self.faults.is_null()
                 and self.protocol in ("MW", "AHMW", "LIFELINE")):
             # only the peer protocols carry the self-healing machinery;
@@ -110,6 +136,46 @@ class RunConfig:
                 if pid >= self.n:
                     raise SimConfigError(
                         f"fault plan crashes pid {pid} but n = {self.n}")
+
+    def to_wire(self) -> dict:
+        """The JSON object a live host runs this configuration from.
+
+        The simulator-only settings (network, faults, jitter, speeds, the
+        OCLB ablation knobs, ...) have no wire form: one that is not at its
+        default raises instead of being dropped on the way.  ``wave_retry``
+        and ``probe_retry`` are null when ``oclb`` is None.
+        """
+        oclb = self.oclb
+        extra = [f.name for f in fields(self)
+                 if f.name not in _WIRE_FIELDS + ("oclb",)
+                 and getattr(self, f.name) != f.default]
+        if oclb is not None and oclb != OCLBConfig(oclb.wave_retry,
+                                                   oclb.probe_retry):
+            extra.append("oclb")
+        if extra:
+            raise SimConfigError(f"a live run cannot take the simulator-only "
+                                 f"settings {extra} of {self!r}")
+        return {**{name: getattr(self, name) for name in _WIRE_FIELDS},
+                "wave_retry": None if oclb is None else oclb.wave_retry,
+                "probe_retry": None if oclb is None else oclb.probe_retry}
+
+    @classmethod
+    def from_wire(cls, doc) -> "RunConfig":
+        """The configuration :meth:`to_wire` wrote.  Strict, because the
+        document arrived over a socket: every key and no other, then the
+        checks of :meth:`__post_init__` (integers are not ``bool``, seconds
+        are finite)."""
+        keys = set(_WIRE_FIELDS) | {"wave_retry", "probe_retry"}
+        if not isinstance(doc, dict) or set(doc) != keys:
+            raise SimConfigError(
+                f"a run is an object with the keys {sorted(keys)}: {doc!r}")
+        retry = (doc["wave_retry"], doc["probe_retry"])
+        try:
+            return cls(**{name: doc[name] for name in _WIRE_FIELDS},
+                       oclb=None if retry == (None, None)
+                       else OCLBConfig(*retry))
+        except TypeError as exc:   # a string where a number goes, ...
+            raise SimConfigError(f"bad run {doc!r}: {exc}") from None
 
 
 @dataclass(slots=True)
@@ -139,6 +205,20 @@ class ExperimentResult:
     crashes: int = 0
     repairs: int = 0
     breaker_opens: int = 0             # circuit-breaker trips fleet-wide
+
+    @classmethod
+    def of(cls, protocol: str, n: int, stats: RunStats,
+           **extra) -> "ExperimentResult":
+        """The totals of a finished run's ``stats``, plus ``extra``."""
+        lost, dup, rexmit, crashes, repairs = stats.fault_totals()
+        totals: dict[str, Any] = dict(
+            makespan=stats.makespan, work_done_time=stats.work_done_time,
+            total_units=stats.total_work_units, total_msgs=stats.total_msgs,
+            total_steals=stats.total_steals, msgs_by_pid=stats.msgs_by_pid(),
+            msgs_lost=lost, msgs_duplicated=dup, retransmits=rexmit,
+            crashes=crashes, repairs=repairs,
+            breaker_opens=stats.total_breaker_opens())
+        return cls(protocol=protocol, n=n, **{**totals, **extra})
 
     def efficiency(self, t_seq: float, workers: Optional[int] = None) -> float:
         """Parallel efficiency vs a sequential reference time."""
@@ -208,13 +288,13 @@ def worker_factory(cfg: RunConfig, app: Application,
                            .randrange(j),)
         overlay = (BridgedTreeOverlay(tree=tree, bridge=bridge)
                    if proto.startswith("B") else tree)
-        oclb = cfg.oclb or OCLBConfig(sharing=cfg.sharing)
-        return lambda p: OverlayWorker(p, app, wc_for(p), overlay, oclb)
+        return lambda p: OverlayWorker(p, app, wc_for(p), overlay, cfg.oclb,
+                                       sharing=cfg.sharing)
+    # "the application is pushed into [...] a random node in case of RWS"
+    initial = RngStream(cfg.seed, "rws-initial").randrange(n)
+    sharing = cfg.sharing if cfg.sharing != "proportional" else "half"
     if proto == "RWS":
         from ..baselines.rws import RWSWorker
-        # "the application is pushed into [...] a random node in case of RWS"
-        initial = RngStream(cfg.seed, "rws-initial").randrange(n)
-        sharing = cfg.sharing if cfg.sharing != "proportional" else "half"
         return lambda p: RWSWorker(p, n, app, wc_for(p),
                                    initial_pid=initial, sharing=sharing)
     if proto == "MW":
@@ -232,8 +312,6 @@ def worker_factory(cfg: RunConfig, app: Application,
         return lambda p: AHMWNode(p, app, wc_for(p), tree)
     if proto == "LIFELINE":
         from ..baselines.lifeline import LifelineWorker
-        initial = RngStream(cfg.seed, "rws-initial").randrange(n)
-        sharing = cfg.sharing if cfg.sharing != "proportional" else "half"
         return lambda p: LifelineWorker(p, n, app, wc_for(p),
                                         initial_pid=initial, sharing=sharing)
     raise SimConfigError(f"unhandled protocol {proto}")
@@ -290,30 +368,12 @@ def run_instrumented(cfg: RunConfig, app: Application, tracer=None,
                     and getattr(w.shared, "perm_value", None) == optimum):
                 optimum_perm = w.shared.perm
                 break
-    lost, dup, rexmit, crashes, repairs = stats.fault_totals()
-    result = ExperimentResult(
-        protocol=cfg.protocol,
-        n=cfg.n,
-        makespan=stats.makespan,
-        work_done_time=stats.work_done_time,
-        total_units=stats.total_work_units,
-        total_msgs=stats.total_msgs,
-        total_steals=stats.total_steals,
-        msgs_by_pid=stats.msgs_by_pid(),
-        optimum=optimum,
-        optimum_perm=optimum_perm,
-        redundancy=redundancy,
-        events=stats.events_fired,
-        macro_events=stats.macro_events,
+    result = ExperimentResult.of(
+        cfg.protocol, cfg.n, stats, optimum=optimum,
+        optimum_perm=optimum_perm, redundancy=redundancy,
+        events=stats.events_fired, macro_events=stats.macro_events,
         fused_quanta=stats.fused_quanta,
-        events_equivalent=stats.events_equivalent,
-        msgs_lost=lost,
-        msgs_duplicated=dup,
-        retransmits=rexmit,
-        crashes=crashes,
-        repairs=repairs,
-        breaker_opens=stats.total_breaker_opens(),
-    )
+        events_equivalent=stats.events_equivalent)
     return result, stats
 
 

@@ -49,21 +49,30 @@ def spec_from_args(args) -> AppSpec:
                    n_machines=args.bnb_machines, bound=args.bound)
 
 
-def add_report_arguments(parser: argparse.ArgumentParser) -> None:
+def add_job_arguments(parser: argparse.ArgumentParser, *, preset: str,
+                      bnb_machines: int, protocols: tuple, n: int,
+                      quantum: int) -> None:
+    """The app options :func:`spec_from_args` reads and the run options,
+    shared by the ``report`` and ``live`` subcommands."""
     parser.add_argument("--app", choices=("uts", "bnb"), default="uts")
-    parser.add_argument("--preset", default="bin_mini",
-                        help="UTS preset (default: bin_mini)")
+    parser.add_argument("--preset", default=preset,
+                        help=f"UTS preset (default: {preset})")
     parser.add_argument("--bnb-index", type=int, default=1,
                         help="Taillard instance index (Ta(20+i))")
     parser.add_argument("--bnb-jobs", type=int, default=8)
-    parser.add_argument("--bnb-machines", type=int, default=8)
+    parser.add_argument("--bnb-machines", type=int, default=bnb_machines)
     parser.add_argument("--bound", default="lb1")
-    parser.add_argument("--protocol", default="BTD", choices=PROTOCOLS)
-    parser.add_argument("--n", type=int, default=16)
-    parser.add_argument("--quantum", type=int, default=64)
+    parser.add_argument("--protocol", default="BTD", choices=protocols)
+    parser.add_argument("--n", type=int, default=n)
+    parser.add_argument("--quantum", type=int, default=quantum)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--dmax", type=int, default=10)
     parser.add_argument("--sharing", default="proportional")
+
+
+def add_report_arguments(parser: argparse.ArgumentParser) -> None:
+    add_job_arguments(parser, preset="bin_mini", bnb_machines=8,
+                      protocols=PROTOCOLS, n=16, quantum=64)
     parser.add_argument("--json", dest="json_out", default=None,
                         help="write the JSON summary here")
     parser.add_argument("--trace", dest="trace_out", default=None,

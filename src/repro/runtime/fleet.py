@@ -37,15 +37,49 @@ import time
 from selectors import EVENT_READ, EVENT_WRITE, DefaultSelector
 from typing import Callable, Optional
 
-from ..experiments.runner import ExperimentResult
+from ..core.config import OCLBConfig
+from ..experiments.runner import ExperimentResult, RunConfig
 from ..obs.registry import MetricsRegistry
 from ..sim.stats import RunStats
 from .codec import WireError, stats_from_wire
+from .env import LIVE_QUANTUM
 from .transport import (FramedConnection, InterestTable, open_listener,
                         unlink_quietly)
 
 #: Wall grace between SIGTERM and SIGKILL while reaping.
 GRACE_S = 2.0
+
+#: Live-scale pacing: wall milliseconds, not the simulator's virtual
+#: defaults — loopback RTTs are tens of microseconds, but real scheduling
+#: jitter is milliseconds, so retries back off further than in the sim.
+LIVE_WAVE_RETRY_S = 0.02
+LIVE_PROBE_RETRY_S = 0.005
+LIVE_ACK_TIMEOUT_S = 0.02
+
+
+def live_run_config(**fields) -> RunConfig:
+    """The :class:`RunConfig` a live fleet runs: ``fields`` at live pacing.
+
+    The one place the live defaults are applied — a one-shot run and every
+    serve lane start from it, and the workers receive its ``to_wire()``.
+    A field given as None takes its default: the live one, if any."""
+    live = {k: v for k, v in fields.items() if v is not None}
+    oclb = OCLBConfig(wave_retry=live.pop("wave_retry", LIVE_WAVE_RETRY_S),
+                      probe_retry=live.pop("probe_retry", LIVE_PROBE_RETRY_S))
+    live.setdefault("quantum", LIVE_QUANTUM)
+    live.setdefault("ack_timeout", LIVE_ACK_TIMEOUT_S)
+    return RunConfig(**live, oclb=oclb)
+
+
+def log_tail(path: str, limit: int = 4096) -> str:
+    """The last ``limit`` bytes of a worker's log ("" if unreadable)."""
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(0, os.SEEK_END)
+            fh.seek(max(0, fh.tell() - limit))
+            return fh.read().decode("utf-8", "replace")
+    except OSError:
+        return ""
 
 
 def spawn_worker(module: str, doc: dict, log_path: str) -> subprocess.Popen:
@@ -300,16 +334,12 @@ def assemble(protocol: str, n: int, slots: int, reports: dict, *,
     if drops:
         metrics.counter("live.partition_drops").inc(drops)
 
-    lost, dup, rexmit, crashes, repairs = stats.fault_totals()
-    result = ExperimentResult(
-        protocol=protocol, n=n, makespan=stats.makespan,
-        work_done_time=stats.work_done_time,
-        total_units=stats.total_work_units, total_msgs=stats.total_msgs,
-        total_steals=stats.total_steals, msgs_by_pid=stats.msgs_by_pid(),
-        optimum=optimum, events=0, msgs_lost=lost + drops,
-        msgs_duplicated=dup, retransmits=rexmit, crashes=crashes,
-        repairs=repairs, breaker_opens=stats.total_breaker_opens())
+    result = ExperimentResult.of(
+        protocol, n, stats, optimum=optimum,
+        msgs_lost=stats.fault_totals()[0] + drops)
     return result, stats, metrics, links
 
 
-__all__ = ["Fleet", "GRACE_S", "Member", "assemble", "spawn_worker"]
+__all__ = ["Fleet", "GRACE_S", "LIVE_ACK_TIMEOUT_S", "LIVE_PROBE_RETRY_S",
+           "LIVE_WAVE_RETRY_S", "Member", "assemble", "live_run_config",
+           "log_tail", "spawn_worker"]

@@ -59,7 +59,8 @@ from ..sim.rng import RngStream
 from ..sim.stats import RunStats
 from ..sim.trace import CRASH, PARTITION
 from .env import LIVE_QUANTUM
-from .fleet import Fleet, Member, assemble, spawn_worker
+from .fleet import (GRACE_S, Fleet, Member, assemble, live_run_config,
+                    log_tail, spawn_worker)
 from .spool import conserved_units_live, read_spool, spool_path
 
 #: Supervisor loop tick: bounds kill-trigger and watchdog latency.
@@ -127,7 +128,7 @@ class LiveConfig:
     partitions: tuple = ()
     timeout_s: float = 120.0
     #: live pacing overrides forwarded to the workers (None = the live
-    #: defaults in :mod:`repro.runtime.worker`)
+    #: defaults of :func:`repro.runtime.fleet.live_run_config`)
     ack_timeout: Optional[float] = None
     wave_retry: Optional[float] = None
     probe_retry: Optional[float] = None
@@ -142,10 +143,7 @@ class LiveConfig:
         return self.n + len(self.joins)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise SimConfigError("n must be >= 1")
-        if self.quantum < 1:
-            raise SimConfigError("quantum must be >= 1")
+        self.run_config()               # the run's own settings
         AppSpec.from_wire(self.app)     # shallow: kind and field types
         if self.transport not in ("tcp", "unix"):
             raise SimConfigError(f"unknown transport {self.transport!r}")
@@ -153,6 +151,11 @@ class LiveConfig:
             raise SimConfigError(
                 "p2p=False: the star relay was removed, the peer mesh is "
                 "the only data plane")
+        if ((self.kills or self.partitions or self.joins or self.leaves)
+                and not self.fault_tolerance):
+            raise SimConfigError(
+                "planned kills, partitions, joins and leaves require "
+                "fault_tolerance=True (spools, splice/adopt machinery)")
         for k in self.kills:
             pid = k.get("pid")
             if not isinstance(pid, int) or not (0 < pid < self.n):
@@ -161,18 +164,11 @@ class LiveConfig:
             if ("after_s" in k) == ("after_units" in k):
                 raise SimConfigError(
                     f"kill needs exactly one of after_s/after_units: {k!r}")
-        if self.kills and not self.fault_tolerance:
+        if ((self.joins or self.leaves)
+                and self.protocol not in _TREE_PROTOCOLS):
             raise SimConfigError(
-                "planned kills require fault_tolerance=True")
-        if self.joins or self.leaves:
-            if not self.fault_tolerance:
-                raise SimConfigError(
-                    "elastic membership requires fault_tolerance=True "
-                    "(joins/leaves ride the splice/adopt machinery)")
-            if self.protocol not in _TREE_PROTOCOLS:
-                raise SimConfigError(
-                    f"elastic membership needs a tree protocol "
-                    f"({'/'.join(_TREE_PROTOCOLS)}), not {self.protocol}")
+                f"elastic membership needs a tree protocol "
+                f"({'/'.join(_TREE_PROTOCOLS)}), not {self.protocol}")
         join_pids = sorted(j.get("pid") for j in self.joins)
         if join_pids != list(range(self.n, self.n + len(self.joins))):
             raise SimConfigError(
@@ -219,15 +215,14 @@ class LiveConfig:
                     or not 0 <= t0 < t1):
                 raise SimConfigError(
                     f"partition needs 0 <= start_s < end_s: {p!r}")
-        if self.partitions and not self.fault_tolerance:
-            raise SimConfigError(
-                "planned partitions require fault_tolerance=True")
 
     def run_config(self) -> RunConfig:
-        """The equivalent simulator configuration (cross-validation)."""
-        return RunConfig(protocol=self.protocol, n=self.n, dmax=self.dmax,
-                         sharing=self.sharing, quantum=self.quantum,
-                         seed=self.seed)
+        """The configuration every worker runs (``to_wire()`` is their
+        ``run``), and the one ``--compare-sim`` simulates."""
+        return live_run_config(**{name: getattr(self, name) for name in (
+            "protocol", "n", "dmax", "sharing", "quantum", "seed",
+            "ack_timeout", "wave_retry", "probe_retry", "ack_max_backoff",
+            "breaker_threshold")})
 
 
 class Registry:
@@ -336,16 +331,9 @@ class _Worker(Member):
 
 def _worker_doc(cfg: LiveConfig, pid: int, endpoint: dict, run_dir: str,
                 join_parent: Optional[int] = None) -> dict:
-    run: dict = {"protocol": cfg.protocol, "n": cfg.n, "dmax": cfg.dmax,
-                 "sharing": cfg.sharing, "quantum": cfg.quantum,
-                 "seed": cfg.seed}
-    for name in ("ack_timeout", "wave_retry", "probe_retry",
-                 "ack_max_backoff", "breaker_threshold"):
-        v = getattr(cfg, name)
-        if v is not None:
-            run[name] = v
     doc = {
-        "pid": pid, "endpoint": endpoint, "run": run, "app": cfg.app,
+        "pid": pid, "endpoint": endpoint,
+        "run": cfg.run_config().to_wire(), "app": cfg.app,
         "fault_mode": cfg.fault_tolerance, "run_dir": run_dir,
         "trace": cfg.trace, "timeout_s": cfg.timeout_s,
         "slots": cfg.slots, "transport": cfg.transport, "host": cfg.host,
@@ -507,10 +495,17 @@ class _LiveRun:
             self.join_pending = None   # died pre-hello: unblock the queue
         self.registry.mark_dead(w.pid)
         if w.killed_at is None and not self.cfg.fault_tolerance:
+            # the connection drops before the process is gone: let it
+            # finish its traceback, so that the error can say what it was
+            try:
+                code: Optional[int] = w.popen.wait(timeout=GRACE_S)
+            except subprocess.TimeoutExpired:
+                code = None
+            log = os.path.join(self.run_dir, f"worker_{w.pid}.log")
+            last = (log_tail(log).strip().splitlines() or ["(empty log)"])
             raise LiveRuntimeError(
-                f"worker {w.pid} died unexpectedly "
-                f"(exit {w.popen.poll()}); "
-                f"see {self.run_dir}/worker_{w.pid}.log")
+                f"worker {w.pid} died unexpectedly (exit {code}): "
+                f"{last[-1]}; see {log}")
         if not w.joiner or w.announced:
             self.fleet.broadcast({"t": "dead", "pid": w.pid})
         # a joiner that died before its hello was never announced:

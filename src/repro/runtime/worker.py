@@ -62,12 +62,11 @@ from selectors import EVENT_READ, EVENT_WRITE, DefaultSelector
 from typing import Optional
 
 from ..apps.base import Application
-from ..core.config import OCLBConfig
 from ..experiments.runner import RunConfig, worker_factory
 from ..experiments.specs import AppSpec
 from ..obs.registry import SIZE_EDGES, MetricsRegistry
 from .codec import WireError, message_from_frame, stats_to_wire, to_wire
-from .env import LIVE_QUANTUM, LiveEnv
+from .env import LiveEnv
 from .mesh import MAX_EARLY_FRAMES, PeerMesh, open_peer_listener
 from .spool import build_spool_doc, spool_path, write_spool
 from .transport import FramedConnection, InterestTable, connect_endpoint
@@ -79,13 +78,6 @@ IDLE_TICK_S = 0.25
 
 #: Ceiling on flushing a last report into a slow socket before exiting.
 DRAIN_S = 5.0
-
-#: Live-scale OCLB pacing: wall milliseconds, not the simulator's virtual
-#: defaults — loopback RTTs are tens of microseconds, but real scheduling
-#: jitter is milliseconds, so retries back off further than in the sim.
-LIVE_WAVE_RETRY_S = 0.02
-LIVE_PROBE_RETRY_S = 0.005
-LIVE_ACK_TIMEOUT_S = 0.02
 
 #: What :func:`build_app` and :func:`~repro.experiments.runner.worker_factory`
 #: import for an application kind or a baseline protocol, and nothing else.
@@ -113,24 +105,6 @@ def build_app(wire: dict) -> tuple[Application, str]:
     """The application a wire document describes, and its label."""
     spec = AppSpec.from_wire(wire)
     return spec.build(), spec.label
-
-
-def build_run_config(cfg: dict) -> RunConfig:
-    """The worker-side :class:`RunConfig` (shared with the simulator)."""
-    run = cfg["run"]
-    oclb = OCLBConfig(
-        sharing=run.get("sharing", "proportional"),
-        wave_retry=run.get("wave_retry", LIVE_WAVE_RETRY_S),
-        probe_retry=run.get("probe_retry", LIVE_PROBE_RETRY_S))
-    return RunConfig(protocol=run["protocol"], n=run["n"],
-                     dmax=run.get("dmax", 10),
-                     sharing=run.get("sharing", "proportional"),
-                     quantum=run.get("quantum", LIVE_QUANTUM),
-                     seed=run.get("seed", 0),
-                     oclb=oclb,
-                     ack_timeout=run.get("ack_timeout", LIVE_ACK_TIMEOUT_S),
-                     ack_max_backoff=run.get("ack_max_backoff"),
-                     breaker_threshold=run.get("breaker_threshold", 4))
 
 
 class Exit(Exception):
@@ -370,7 +344,8 @@ class Reactor(InterestTable):
     def run_job(self, job: dict, start: dict) -> None:
         """Build and run one job to its end: ``job_end`` or an ``abort``
         of its epoch return, ``shutdown`` and a completed leave exit the
-        process.  ``job`` names the work (``app``, ``run``, ``timeout_s``
+        process.  ``job`` names the work (``app``, ``run`` - a
+        :meth:`RunConfig.to_wire` document - ``timeout_s``
         and, when served, ``id`` and ``epoch``); the process configuration
         switches the fault / trace / join paths on; ``start`` is the
         frame's membership snapshot (``grafts``, ``dead``, ``left``)."""
@@ -385,7 +360,7 @@ class Reactor(InterestTable):
         deadline = time.monotonic() + 2.0 * float(job.get("timeout_s", 120.0))
 
         app, app_label = build_app(job["app"])
-        rcfg = build_run_config(job)
+        rcfg = RunConfig.from_wire(job["run"])
         grafts = tuple((int(a), int(b)) for a, b in start.get("grafts", ()))
         proc = worker_factory(rcfg, app, grafts=grafts)(pid)
         metrics = MetricsRegistry()
@@ -537,7 +512,8 @@ def main(argv: list[str] | None = None) -> int:
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))
     cfg = json.loads(argv[0])
     if "app" in cfg:   # a one-shot worker: the configuration is the job
-        preload(cfg["app"].get("kind"), cfg["run"].get("protocol"))
+        preload(cfg["app"].get("kind"),
+                RunConfig.from_wire(cfg["run"]).protocol)
     conn = FramedConnection(connect_endpoint(cfg["endpoint"]))
     return Reactor(cfg, conn).run()
 

@@ -36,11 +36,13 @@ import tempfile
 import threading
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from ..experiments.runner import RunConfig
 from ..experiments.specs import AppSpec
 from ..runtime.env import LIVE_QUANTUM
+from ..runtime.fleet import live_run_config
 from ..sim.errors import SimConfigError
 from .fleet import Lane
 from .protocol import (BadRequest, SERVE_PROTOCOLS, error_response,
@@ -80,12 +82,11 @@ class ServeConfig:
                 f"(live-validated: {', '.join(SERVE_PROTOCOLS)})")
         if self.transport not in ("tcp", "unix"):
             raise SimConfigError(f"unknown transport {self.transport!r}")
+        self.run_config()               # the lanes' default run
         if self.lanes < 1:
             raise SimConfigError("need at least one lane")
         if self.n < 2:
             raise SimConfigError("a lane needs at least 2 workers")
-        if self.quantum < 1:
-            raise SimConfigError("quantum must be >= 1")
         if self.queue_limit < 1:
             raise SimConfigError("queue_limit must be >= 1")
         if not self.max_inflight:
@@ -95,33 +96,35 @@ class ServeConfig:
         if self.job_timeout_s <= 0:
             raise SimConfigError("job_timeout_s must be positive")
 
+    def run_config(self) -> RunConfig:
+        """The run a job gets before its overrides: ``n`` is the lane's."""
+        return live_run_config(protocol=self.protocol, n=self.n,
+                               quantum=self.quantum, seed=self.seed,
+                               dmax=self.dmax, sharing=self.sharing)
+
 
 class UnknownJob(LookupError):
     """A well-formed ``job_id`` that names no job (``unknown-job``)."""
 
 
+@dataclass(slots=True, eq=False)
 class Job:
     """One accepted submission, through its whole lifecycle."""
 
-    __slots__ = ("id", "app", "run", "timeout_s", "state", "t_submit",
-                 "t_start", "t_done", "lane", "epoch", "outcome", "error",
-                 "traceback")
-
-    def __init__(self, job_id: str, app: dict, run: dict,
-                 timeout_s: float) -> None:
-        self.id = job_id
-        self.app = app
-        self.run = run
-        self.timeout_s = timeout_s
-        self.state = "queued"        # queued|running|done|dead
-        self.t_submit = time.time()
-        self.t_start: Optional[float] = None
-        self.t_done: Optional[float] = None
-        self.lane: Optional[int] = None
-        self.epoch: Optional[int] = None
-        self.outcome: Optional[dict] = None
-        self.error: Optional[str] = None
-        self.traceback: Optional[str] = None
+    id: str
+    app: dict
+    run: dict                        # the submitted overrides, as sent
+    config: RunConfig                # what the hosts run
+    timeout_s: float
+    state: str = "queued"            # queued|running|done|dead
+    t_submit: float = field(default_factory=time.time)
+    t_start: Optional[float] = None
+    t_done: Optional[float] = None
+    lane: Optional[int] = None
+    epoch: Optional[int] = None
+    outcome: Optional[dict] = None
+    error: Optional[str] = None
+    traceback: Optional[str] = None
 
 
 class ServeDaemon:
@@ -129,6 +132,7 @@ class ServeDaemon:
 
     def __init__(self, cfg: ServeConfig) -> None:
         self.cfg = cfg
+        self._run_config = cfg.run_config()
         self.run_dir: Optional[str] = None
         self._cond = threading.Condition()
         self._queue: collections.deque[Job] = collections.deque()
@@ -285,6 +289,10 @@ class ServeDaemon:
         except SimConfigError as exc:
             raise BadRequest(str(exc)) from None
         run = validate_run(req.get("run"))
+        try:
+            config = replace(self._run_config, **run)
+        except SimConfigError as exc:
+            raise BadRequest(str(exc)) from None
         timeout_s = validate_seconds(req, "timeout_s", self.cfg.job_timeout_s)
         if not (0 < timeout_s <= 3600):
             raise BadRequest("timeout_s out of range (0, 3600]")
@@ -299,7 +307,7 @@ class ServeDaemon:
                     queue_limit=self.cfg.queue_limit,
                     retry_after_s=self._eta_s(0))
             self._seq += 1
-            job = Job(f"j{self._seq:06d}", app, run, timeout_s)
+            job = Job(f"j{self._seq:06d}", app, run, config, timeout_s)
             position = len(self._queue)
             self._queue.append(job)
             self._jobs[job.id] = job
@@ -322,10 +330,7 @@ class ServeDaemon:
 
     def op_status(self, req: dict) -> dict:
         with self._cond:
-            try:
-                job = self._job_of(req)
-            except UnknownJob as exc:
-                return error_response("unknown-job", detail=str(exc))
+            job = self._job_of(req)
             out = {"ok": True, "job_id": job.id, "state": job.state}
             if job.state == "queued":
                 try:
@@ -351,10 +356,7 @@ class ServeDaemon:
 
     def op_result(self, req: dict) -> dict:
         with self._cond:
-            try:
-                job = self._job_of(req)
-            except UnknownJob as exc:
-                return error_response("unknown-job", detail=str(exc))
+            job = self._job_of(req)
             if job.state == "dead":
                 return {"ok": True, "job_id": job.id, "state": "dead",
                         "error": job.error, "traceback": job.traceback}
@@ -366,10 +368,7 @@ class ServeDaemon:
 
     def op_report(self, req: dict) -> dict:
         with self._cond:
-            try:
-                job = self._job_of(req)
-            except UnknownJob as exc:
-                return error_response("unknown-job", detail=str(exc))
+            job = self._job_of(req)
             if job.state != "done":
                 return error_response("not-done", state=job.state)
             return {"ok": True, "job_id": job.id,
@@ -527,6 +526,8 @@ class ServeDaemon:
             return handler(self, req)
         except BadRequest as exc:
             return error_response("bad-request", detail=str(exc))
+        except UnknownJob as exc:
+            return error_response("unknown-job", detail=str(exc))
         except Exception:
             tb = traceback.format_exc()
             return error_response("internal-error",

@@ -14,9 +14,9 @@ listener, ``hello`` identification, control connections and reaper a
 one-shot ``run_live`` drives (docs/runtime.md) — fed ``job`` after ``job``
 where the one-shot run sends a single ``go``.  The hosts build their peer
 mesh once, at ``init``, and every job's protocol frames ride it; the lane
-sees control frames only.  Per job the lane broadcasts a
-``job`` frame (spec + run config + a fresh **epoch**), collects one
-``done`` report per host, and turns them through the shared
+sees control frames only.  Per job the lane broadcasts a ``job`` frame
+(spec + the job's ``RunConfig.to_wire()`` + a fresh **epoch**), collects
+one ``done`` report per host, and turns them through the shared
 :func:`~repro.runtime.fleet.assemble` into the same
 :class:`~repro.obs.report.RunReport` a one-shot live run produces.
 
@@ -48,10 +48,9 @@ import time
 import traceback
 from typing import Optional
 
-from ..experiments.runner import RunConfig
 from ..experiments.specs import AppSpec
 from ..obs.report import build_report
-from ..runtime.fleet import Fleet, Member, assemble, spawn_worker
+from ..runtime.fleet import Fleet, Member, assemble, log_tail, spawn_worker
 from ..sim.errors import SimRuntimeError
 
 #: Abort-ack grace: hosts unwind at quantum granularity, so acks are
@@ -155,28 +154,14 @@ class Lane:
         while not self._stop:
             if self._recycle_req is not None:
                 req, self._recycle_req = self._recycle_req, None
-                try:
-                    self.state = "recycling"
-                    self._recycle()
-                    self.state = "idle"
-                except Exception:
-                    self.state = "failed"
-                    self.source.lane_failed(self, traceback.format_exc())
-                    req.set()
-                    self._teardown()
-                    return
+                ok = self._rebuild()
                 req.set()
+                if not ok:
+                    return
                 continue
             if any(h.popen.poll() is not None for h in self._hosts):
                 # a host died while idle — rebuild before taking work
-                try:
-                    self.state = "recycling"
-                    self._recycle()
-                    self.state = "idle"
-                except Exception:
-                    self.state = "failed"
-                    self.source.lane_failed(self, traceback.format_exc())
-                    self._teardown()
+                if not self._rebuild():
                     return
                 continue
             job = self.source.next_job(self)
@@ -190,12 +175,7 @@ class Lane:
                 # lane-level defect: account for the job, then rebuild
                 self.source.job_dead(job, "lane failure",
                                      traceback.format_exc())
-                try:
-                    self._recycle()
-                except Exception:
-                    self.state = "failed"
-                    self.source.lane_failed(self, traceback.format_exc())
-                    self._teardown()
+                if not self._rebuild():
                     return
             finally:
                 self.current_job = None
@@ -241,6 +221,20 @@ class Lane:
         self._boot()
         self.restarts += 1
 
+    def _rebuild(self) -> bool:
+        """:meth:`_recycle` between jobs; False once the lane failed
+        trying (reported and torn down)."""
+        try:
+            self.state = "recycling"
+            self._recycle()
+            self.state = "idle"
+            return True
+        except Exception:
+            self.state = "failed"
+            self.source.lane_failed(self, traceback.format_exc())
+            self._teardown()
+            return False
+
     def _teardown(self) -> None:
         if self._fleet is not None:
             self._fleet.close()
@@ -275,13 +269,9 @@ class Lane:
         job.t_start = time.time()
         job.lane = self.lane_id
         job.epoch = self.epoch
-        run = {"protocol": self.scfg.protocol, "n": self.n,
-               "quantum": self.scfg.quantum, "seed": self.scfg.seed,
-               "dmax": self.scfg.dmax, "sharing": self.scfg.sharing}
-        run.update(job.run)
-        run["n"] = self.n
         frame = {"t": "job", "id": job.id, "epoch": self.epoch,
-                 "app": job.app, "run": run, "timeout_s": job.timeout_s}
+                 "app": job.app, "run": job.config.to_wire(),
+                 "timeout_s": job.timeout_s}
         self._broadcast(frame, "running")
 
         deadline = time.monotonic() + job.timeout_s
@@ -293,7 +283,8 @@ class Lane:
                 self._fail_job(
                     job, f"worker {h.pid} died "
                     f"(exit {h.popen.returncode}) during job {job.id}",
-                    self._log_tail(h.pid), recycle=True)
+                    log_tail(os.path.join(self.dir, f"host_{h.pid}.log")),
+                    recycle=True)
                 return
             if self._errors:
                 pid, err = min(self._errors.items())
@@ -308,7 +299,7 @@ class Lane:
                     "", recycle=False)
                 return
         self._broadcast({"t": "job_end", "epoch": self.epoch}, "idle")
-        outcome = self._outcome(job, run)
+        outcome = self._outcome(job)
         self.jobs_run += 1
         self.source.job_finished(job, outcome)
 
@@ -343,27 +334,14 @@ class Lane:
             for h in self._hosts:
                 h.state = "idle"
 
-    def _log_tail(self, pid: int, limit: int = 4096) -> str:
-        try:
-            with open(os.path.join(self.dir, f"host_{pid}.log"), "rb") as fh:
-                fh.seek(0, os.SEEK_END)
-                size = fh.tell()
-                fh.seek(max(0, size - limit))
-                return fh.read().decode("utf-8", "replace")
-        except OSError:
-            return ""
-
-    def _outcome(self, job, run: dict) -> dict:
+    def _outcome(self, job) -> dict:
         """The finished job's result document and full run report."""
         result, stats, metrics, links = assemble(
-            run["protocol"], self.n, self.n, self._reports,
+            job.config.protocol, self.n, self.n, self._reports,
             t_go=job.t_start)
-        rcfg = RunConfig(protocol=run["protocol"], n=self.n,
-                         dmax=run["dmax"], sharing=run["sharing"],
-                         quantum=run["quantum"], seed=run["seed"])
         report = build_report(
-            rcfg, result, stats, metrics=metrics, app=AppSpec.from_wire(job.app).label,
-            unit_cost=0.0,
+            job.config, result, stats, metrics=metrics,
+            app=AppSpec.from_wire(job.app).label, unit_cost=0.0,
             extra_meta={"serve": True, "job_id": job.id,
                         "lane": self.lane_id, "epoch": self.epoch,
                         "queue_s": round(job.t_start - job.t_submit, 6)},

@@ -58,7 +58,9 @@ def validate_seconds(req: dict, key: str, default: float) -> float:
 
 
 def validate_run(run) -> dict:
-    """Shallow-validate per-job run overrides; returns them normalised."""
+    """Per-job run overrides: a JSON object of :data:`RUN_OVERRIDES` keys
+    naming a servable protocol, if any.  Their types and ranges are the
+    job's :class:`~repro.experiments.runner.RunConfig`'s to check."""
     if run is None:
         return {}
     if not isinstance(run, dict):
@@ -67,20 +69,10 @@ def validate_run(run) -> dict:
     if unknown:
         raise BadRequest(f"unknown run override(s) {unknown}; "
                          f"known: {', '.join(RUN_OVERRIDES)}")
-    out = dict(run)
-    proto = out.get("protocol")
-    if proto is not None and proto not in SERVE_PROTOCOLS:
-        raise BadRequest(f"unknown protocol {proto!r}; "
+    if "protocol" in run and run["protocol"] not in SERVE_PROTOCOLS:
+        raise BadRequest(f"unknown protocol {run['protocol']!r}; "
                          f"known: {', '.join(SERVE_PROTOCOLS)}")
-    for key in ("quantum", "seed", "dmax"):
-        if key in out and not is_json_int(out[key]):
-            raise BadRequest(f"run override {key!r} must be an integer")
-    for key in ("quantum", "dmax"):
-        if key in out and out[key] < 1:
-            raise BadRequest(f"run override {key!r} must be >= 1")
-    if "sharing" in out and not isinstance(out["sharing"], str):
-        raise BadRequest("run override 'sharing' must be a string")
-    return out
+    return dict(run)
 
 
 def parse_address(text: str) -> tuple:

@@ -184,11 +184,5 @@ class RunStats:
         """Messages sent per process, ordered by pid (Fig 1 bottom)."""
         return [p.msgs_sent for p in self.per_process]
 
-    def efficiency_vs(self, t_seq: float) -> float:
-        """Parallel efficiency against a sequential reference time."""
-        if self.makespan <= 0 or self.n <= 0:
-            return 0.0
-        return t_seq / (self.n * self.makespan)
-
 
 __all__ = ["ProcessStats", "RunStats"]

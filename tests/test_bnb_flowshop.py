@@ -1,6 +1,5 @@
-"""Tests for the flow-shop model: makespans, heads/tails, batch evaluation."""
+"""Tests for the flow-shop model: makespans, heads/tails."""
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -53,20 +52,6 @@ def test_total_work_and_describe():
     assert "2m" in TWO_M.describe()
 
 
-def test_batch_makespans_match_scalar():
-    perms = np.array([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
-    batch = TWO_M.makespans_batch(perms)
-    scalar = [TWO_M.makespan(p) for p in perms]
-    assert batch.tolist() == scalar
-
-
-def test_batch_validation():
-    with pytest.raises(SimConfigError):
-        TWO_M.makespans_batch(np.array([0, 1, 2]))
-    with pytest.raises(SimConfigError):
-        TWO_M.makespans_batch(np.array([[0, 1]]))
-
-
 @given(st.lists(st.lists(st.integers(min_value=1, max_value=50),
                          min_size=4, max_size=4),
                 min_size=2, max_size=4))
@@ -78,8 +63,3 @@ def test_property_makespan_bounds(rows):
     assert c >= max(sum(r) for r in rows)
     assert c <= inst.total_work
 
-
-@given(st.permutations(list(range(5))))
-def test_property_batch_equals_scalar(perm):
-    inst = make_instance([[3, 1, 4, 1, 5], [9, 2, 6, 5, 3], [5, 8, 9, 7, 9]])
-    assert inst.makespans_batch(np.array([perm]))[0] == inst.makespan(perm)

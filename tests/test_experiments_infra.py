@@ -1,6 +1,9 @@
 """Tests for the experiment harness infrastructure (not the experiments)."""
 
+import json
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.apps.synthetic import SyntheticApplication
 from repro.apps.uts_app import UTSApplication
@@ -9,6 +12,7 @@ from repro.experiments.config import (SCALES, bnb_app, bnb_instances,
 from repro.experiments.registry import EXPERIMENTS, ORDER, get_experiment
 from repro.experiments.report import (Series, banner, fmt, render_series,
                                       render_table)
+from repro.core.config import OCLBConfig
 from repro.experiments.runner import (PROTOCOLS, RunConfig, TrialStats,
                                       run_trials)
 from repro.experiments.seqref import (sequential_optimum, sequential_time,
@@ -88,13 +92,69 @@ def test_runconfig_validation():
         # a zero quantum computes nothing and deadlocks at t=0
         with pytest.raises(SimConfigError):
             RunConfig(protocol="TD", n=4, quantum=quantum)
+    # caught here, not where the overlay is built or in a spawned worker
+    bad_runs = ({"dmax": 0}, {"dmax": -1}, {"n": 2.0}, {"n": True},
+                {"seed": 1.5}, {"quantum": True}, {"sharing": "bogus"},
+                {"sharing": "fixed:x"}, {"sharing": 3})
+    for bad in bad_runs:
+        with pytest.raises(SimConfigError):
+            RunConfig(protocol="TD", **bad)
     from repro.runtime.supervisor import LiveConfig
     from repro.serve.daemon import ServeConfig
     for make in (LiveConfig, ServeConfig):
-        with pytest.raises(SimConfigError):
-            make(quantum=0)
+        for bad in ({"quantum": 0}, {"protocol": "NOPE"}) + bad_runs:
+            with pytest.raises(SimConfigError):
+                make(**bad)
     assert set(PROTOCOLS) == {"TD", "TR", "BTD", "BTR", "RWS", "MW", "AHMW",
                               "LIFELINE"}
+
+
+SECONDS = st.floats(min_value=1e-6, max_value=10.0)
+
+RUNS = st.builds(
+    RunConfig,
+    protocol=st.sampled_from(PROTOCOLS),
+    n=st.integers(2, 10_000),
+    dmax=st.integers(1, 64),
+    sharing=st.sampled_from(["proportional", "half", "steal-1",
+                             "steal-half", "fixed:0.25"]),
+    quantum=st.integers(1, 1 << 20),
+    seed=st.integers(0, 1 << 62),
+    ack_timeout=SECONDS,
+    ack_max_backoff=st.none() | SECONDS,
+    breaker_threshold=st.integers(0, 16),
+    oclb=st.none() | st.builds(OCLBConfig, wave_retry=SECONDS,
+                               probe_retry=SECONDS))
+
+
+@given(RUNS)
+def test_run_wire_round_trip(cfg):
+    doc = json.loads(json.dumps(cfg.to_wire(), allow_nan=False))
+    assert RunConfig.from_wire(doc) == cfg
+
+
+@given(RUNS)
+def test_run_wire_is_strict(cfg):
+    doc = cfg.to_wire()
+    for key in doc:
+        with pytest.raises(SimConfigError):
+            RunConfig.from_wire({k: v for k, v in doc.items() if k != key})
+    for bad in ({"extra": 1}, {"n": True}, {"seed": False},
+                {"breaker_threshold": True}, {"quantum": 64.0},
+                {"ack_timeout": float("nan")}, {"ack_timeout": None},
+                {"ack_max_backoff": float("inf")},
+                {"wave_retry": float("-inf")},
+                {"probe_retry": None, "wave_retry": 0.01}):
+        with pytest.raises(SimConfigError):
+            RunConfig.from_wire({**doc, **bad})
+
+
+def test_simulator_only_settings_have_no_wire_form():
+    for cfg in (RunConfig(jitter=0.1), RunConfig(speed_spread=0.5),
+                RunConfig(fuse=False),
+                RunConfig(oclb=OCLBConfig(withdraw=False))):
+        with pytest.raises(SimConfigError):
+            cfg.to_wire()
 
 
 def test_run_trials_uses_distinct_seeds():

@@ -14,6 +14,7 @@ import sys
 
 import repro
 from repro.experiments.runner import PROTOCOLS
+from repro.runtime.fleet import live_run_config
 from repro.serve.protocol import APP_KINDS, SERVE_PROTOCOLS
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -22,9 +23,12 @@ SPECS = {"uts": {"kind": "uts", "preset": "bin_tiny"},
          "bnb": {"kind": "bnb", "index": 1, "jobs": 6, "machines": 4},
          "synthetic": {"kind": "synthetic", "units": 100}}
 
+#: the ``run`` an owner sends for each protocol, on a two-worker fleet
+RUNS = {p: live_run_config(protocol=p, n=2).to_wire() for p in PROTOCOLS}
+
 #: shared by the probes: the loaded ``repro``/``numpy`` modules, and one job
 #: built the way ``Reactor.run_job`` builds it
-PRELUDE = """
+PRELUDE = f"""
 import json, sys
 
 def loaded():
@@ -32,10 +36,10 @@ def loaded():
                   if m.split(".")[0] in ("repro", "numpy"))
 
 def build(spec, protocol):
-    from repro.experiments.runner import worker_factory
-    from repro.runtime.worker import build_app, build_run_config
+    from repro.experiments.runner import RunConfig, worker_factory
+    from repro.runtime.worker import build_app
     app, _label = build_app(spec)
-    rcfg = build_run_config({"run": {"protocol": protocol, "n": 2}})
+    rcfg = RunConfig.from_wire({RUNS!r}[protocol])
     worker_factory(rcfg, app)(0)
 """
 
@@ -65,7 +69,7 @@ def test_uts_btd_worker_budget():
     """``main()`` has preloaded the job by the time it dials its owner,
     and building the job afterwards imports nothing more."""
     cfg = {"pid": 0, "endpoint": {}, "app": SPECS["uts"],
-           "run": {"protocol": "BTD", "n": 2}}
+           "run": RUNS["BTD"]}
     doc = probe(f"""
 import repro.runtime.worker as w
 cfg = {cfg!r}

@@ -17,7 +17,7 @@ import time
 
 from repro.apps.synthetic import SyntheticWork
 from repro.runtime.codec import message_to_frame, pack_frame
-from repro.runtime.fleet import Fleet, Member, assemble
+from repro.runtime.fleet import Fleet, Member, assemble, live_run_config
 from repro.sim.messages import sized
 from repro.runtime.transport import FramedConnection, connect_endpoint
 from repro.runtime.worker import Reactor
@@ -103,7 +103,8 @@ class Harness:
     def run_job(self, epoch: int, app: dict) -> int:
         self.fleet.broadcast({
             "t": "job", "id": f"j{epoch}", "epoch": epoch, "app": app,
-            "run": {"protocol": "BTD", "n": N, "quantum": 16, "seed": 5},
+            "run": live_run_config(protocol="BTD", n=N, quantum=16,
+                                   seed=5).to_wire(),
             "timeout_s": 30.0})
         self.pump_until(lambda: all((epoch, pid) in self.reports
                                     for pid in range(N)))

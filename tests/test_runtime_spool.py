@@ -22,16 +22,17 @@ import pytest
 
 import repro.runtime.worker as worker_mod
 from repro.apps.synthetic import SyntheticWork
-from repro.experiments.runner import worker_factory
+from repro.experiments.runner import RunConfig, worker_factory
 from repro.obs.registry import MetricsRegistry
 from repro.core.reliable import RMSG
 from repro.runtime.codec import message_to_frame, pack_frame
 from repro.runtime.env import LiveEnv
+from repro.runtime.fleet import live_run_config
 from repro.runtime.spool import read_spool
 from repro.runtime.supervisor import LiveConfig, run_live
 from repro.runtime.transport import FramedConnection, connect_endpoint
 from repro.sim.messages import sized
-from repro.runtime.worker import Reactor, build_app, build_run_config
+from repro.runtime.worker import Reactor, build_app
 from repro.uts.params import PRESETS
 
 from test_runtime_reactor import Harness, N
@@ -50,11 +51,12 @@ def reactor(tmp_path):
     cfg = {"pid": 1, "slots": 3, "fault_mode": True,
            "run_dir": str(tmp_path)}
     job = {"app": {"kind": "synthetic", "units": 5000},
-           "run": {"protocol": "BTD", "n": 3, "quantum": 16, "seed": 5}}
+           "run": live_run_config(protocol="BTD", n=3, quantum=16,
+                                  seed=5).to_wire()}
     r = Reactor(cfg, FramedConnection(theirs))
     app, _label = build_app(job["app"])
     metrics = MetricsRegistry()
-    r.proc = worker_factory(build_run_config(job), app)(1)
+    r.proc = worker_factory(RunConfig.from_wire(job["run"]), app)(1)
     r.env = LiveEnv(1, 3, r.mesh, fault_mode=True, run_dir=str(tmp_path),
                     metrics=metrics)
     r.env.attach(r.proc)

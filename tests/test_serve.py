@@ -155,7 +155,8 @@ def test_booleans_are_not_integers(bare):
     for key in ("quantum", "seed", "dmax"):
         resp = _op(bare, "submit", app=dict(SYN), run={key: True})
         assert resp["error"] == "bad-request", key
-    for run in ({"quantum": 0}, {"dmax": -3}, {"quantum": 0, "dmax": -3}):
+    for run in ({"quantum": 0}, {"dmax": -3}, {"quantum": 0, "dmax": -3},
+                {"sharing": "bogus"}, {"seed": 1.5}):
         resp = _op(bare, "submit", app=dict(SYN), run=run)
         assert resp["error"] == "bad-request", run
     assert _op(bare, "submit", app={"kind": "bnb", "index": 1},
@@ -214,6 +215,19 @@ def test_concurrent_jobs_on_warm_lanes(client):
     # the full observability report rides along
     rep = client.report(subs[0]["job_id"])
     assert rep["ok"] and rep["report"]["meta"]["serve"] is True
+
+
+def test_served_run_overrides_reach_the_hosts(client):
+    sub = client.submit(UTS_TINY, run={"protocol": "TD", "quantum": 256,
+                                       "seed": 5, "dmax": 3})
+    assert sub["ok"], sub
+    assert client.wait(sub["job_id"], timeout=90.0)["state"] == "done"
+    report = client.report(sub["job_id"])["report"]
+    meta, metrics = report["meta"], report["metrics"]
+    assert (meta["protocol"], meta["quantum"], meta["seed"]) == ("TD", 256, 5)
+    assert (metrics["compute.units"]["value"]
+            <= 256 * metrics["compute.quanta"]["value"])
+    assert report["totals"]["work_units"] == TINY_NODES
 
 
 def test_served_and_one_shot_reports_cannot_drift(client):
@@ -300,7 +314,7 @@ def test_one_warm_lane_takes_every_kind_in_turn():
 
 
 def test_poison_spec_dead_letters_and_lane_survives(client):
-    resp = client.submit(POISON_SPEC)
+    resp = client.submit(POISON_SPEC, run={"seed": 3})
     assert resp["ok"], "poison must pass admission (fails at build time)"
     st = client.wait(resp["job_id"], timeout=60.0)
     assert st["state"] == "dead"
@@ -311,6 +325,7 @@ def test_poison_spec_dead_letters_and_lane_survives(client):
     rec = next(r for r in dl["dead_letters"]
                if r["job_id"] == resp["job_id"])
     assert rec["app"] == POISON_SPEC
+    assert rec["run"] == {"seed": 3}             # echoed as submitted
     assert rec["traceback"]                      # API exposes the traceback
 
     # the lane that hit the poison is still in service

@@ -69,19 +69,8 @@ def test_runstats_aggregates():
     assert rs.msgs_by_pid() == [0, 1, 2]
 
 
-def test_runstats_efficiency():
-    rs = RunStats.create(4)
-    rs.makespan = 2.0
-    assert rs.efficiency_vs(t_seq=8.0) == 1.0
-    rs.makespan = 4.0
-    assert rs.efficiency_vs(t_seq=8.0) == 0.5
-    rs.makespan = 0.0
-    assert rs.efficiency_vs(t_seq=8.0) == 0.0
-
-
 def test_empty_runstats_guards():
     rs = RunStats.create(0)
-    assert rs.efficiency_vs(1.0) == 0.0
     assert rs.max_finish_time(default=1.5) == 1.5
     assert rs.msgs_by_pid() == []
     rs.seal()
