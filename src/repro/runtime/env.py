@@ -5,7 +5,7 @@ Protocol code (``core/worker.py``, ``core/oclb.py``, ``core/termination.py``,
 ``self.sim`` through a narrow surface: ``queue.now`` / ``queue.push``
 (clock + timers), ``transmit`` (transport), ``compute`` (a worker's
 quanta), ``network.handler_cost``, ``stats``, ``metrics``, ``debug``,
-``seed``, and the fault trio
+``seed``, ``fuse_active`` (False here), and the fault trio
 (``faults`` / ``is_crashed`` / ``peer_logged``).  This module implements
 that exact surface over a monotonic wall clock, a timer heap and the
 process's peer mesh, so a :class:`~repro.core.oclb.OverlayWorker` built
@@ -150,10 +150,13 @@ class LiveNetwork:
 class LiveEnv:
     """Execution environment of one live worker process."""
 
+    #: a live quantum is computed, never fused (:attr:`Simulator.fuse_active`)
+    fuse_active = False
+
     def __init__(self, pid: int, n: int, mesh: PeerMesh, *,
                  seed: int = 0, fault_mode: bool = False,
                  run_dir: Optional[str] = None, metrics=None,
-                 debug: bool = False) -> None:
+                 debug: bool = False, frame_tag: int = 0) -> None:
         self.pid = pid
         self.n = n                      # pid slots (base fleet + max joins)
         self.mesh = mesh                # the data plane
@@ -172,11 +175,10 @@ class LiveEnv:
         #: a compute slice the process asked for, run by :meth:`run_slice`
         self.slice_parked = False
         self._spool_cache: dict[int, Optional[dict]] = {}
-        #: stamped onto every outbound ``msg`` frame as ``"j"`` when set —
-        #: the :mod:`repro.serve` job hosts multiplex successive jobs over
-        #: one warm fleet and use the tag to drop stragglers from an
-        #: earlier job's epoch (None = single-job runs, no tag, no change)
-        self.frame_tag: Optional[int] = None
+        #: the job's epoch, stamped onto every outbound ``msg`` frame as
+        #: ``"j"``: a fleet runs its jobs over one mesh, and the receiving
+        #: reactor drops a straggler from an earlier epoch on its tag
+        self.frame_tag = frame_tag
 
     # -- wiring ----------------------------------------------------------------
 
@@ -210,8 +212,7 @@ class LiveEnv:
             self.queue.push(self.now, 0, self.proc._arrive, arg=msg)
             return
         frame = message_to_frame(msg)
-        if self.frame_tag is not None:
-            frame["j"] = self.frame_tag
+        frame["j"] = self.frame_tag
         self.mesh.send(frame)
 
     def deliver(self, msg: Message) -> None:

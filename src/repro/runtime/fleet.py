@@ -1,9 +1,10 @@
-"""The owner side of a live fleet: processes, control connections, reports.
+"""The owner side of a live fleet: processes, control connections, jobs.
 
 A :class:`Fleet` is what the one-shot supervisor
 (:func:`repro.runtime.supervisor.run_live`) and a serve lane
-(:class:`repro.serve.fleet.Lane`) both are underneath: the coordinator of
-one cluster of worker processes.  It owns
+(:class:`repro.serve.fleet.Lane`) both drive: the coordinator of one
+cluster of worker processes, with one start protocol and one job loop.
+It owns
 
 * the **listener** the workers dial back to, and the selector;
 * **identification** — an accepted connection is nobody until its first
@@ -16,11 +17,22 @@ one cluster of worker processes.  It owns
   ``msg`` frames over their own mesh (:mod:`repro.runtime.mesh`), so no
   node sees all the traffic, and a ``msg`` that does turn up on a control
   connection is dropped — not forwarded, not handed to the owner;
+* the **boot** (:meth:`Fleet.boot`) — every member's ``hello`` in, then
+  one ``go`` with the peer table: nobody computes before the fleet is
+  routable;
+* the **job loop** (:meth:`Fleet.run_job`) — one epoch-stamped ``job``
+  out, then this epoch's ``done``/``left``/``job_error``/``aborted``
+  frames in, deaths detected (EOF or child exit) and either repaired
+  (``dead`` broadcast) or failing the job, until the job ends with every
+  survivor's report or with one failure;
 * **reaping** — SIGTERM, a grace period, SIGKILL, and always ``wait()``.
 
-What differs between the owners stays with them, as three hooks:
-``on_hello(member)``, ``on_frame(member, frame)`` for every control
-frame, ``on_eof(member)``.
+A one-shot run is one job (epoch 1) on a freshly booted fleet, then
+``shutdown``; a lane runs job after job on the fleet it booted, with
+``job_end`` between them.  What differs between the owners stays with
+them, as hooks: ``on_hello(member)``, ``on_frame(member, frame)`` after
+the fleet's own reading of every control frame, ``on_dead(member)``, and
+the ``turn`` callable :meth:`Fleet.run_job` runs once a turn.
 
 :func:`assemble` is the other shared half: worker reports in, the
 ``(ExperimentResult, RunStats, MetricsRegistry, links)`` a simulated run
@@ -40,6 +52,7 @@ from typing import Callable, Optional
 from ..core.config import OCLBConfig
 from ..experiments.runner import ExperimentResult, RunConfig
 from ..obs.registry import MetricsRegistry
+from ..sim.errors import SimRuntimeError
 from ..sim.stats import RunStats
 from .codec import WireError, stats_from_wire
 from .env import LIVE_QUANTUM
@@ -48,6 +61,9 @@ from .transport import (FramedConnection, InterestTable, open_listener,
 
 #: Wall grace between SIGTERM and SIGKILL while reaping.
 GRACE_S = 2.0
+
+#: Owner loop tick: bounds death-detection and fault-schedule latency.
+TICK_S = 0.05
 
 #: Live-scale pacing: wall milliseconds, not the simulator's virtual
 #: defaults — loopback RTTs are tens of microseconds, but real scheduling
@@ -98,6 +114,10 @@ def spawn_worker(module: str, doc: dict, log_path: str) -> subprocess.Popen:
             stdout=log, stderr=subprocess.STDOUT, env=env)
 
 
+class LiveRuntimeError(SimRuntimeError):
+    """A live run or job failed (worker error, death, timeout, ...)."""
+
+
 class Member:
     """One worker process, owner-side; its slot in ``Fleet.members`` is
     its protocol pid."""
@@ -110,6 +130,34 @@ class Member:
         self.conn: Optional[FramedConnection] = None   # set by its hello
         self.ospid: Optional[int] = None
         self.peer: Optional[dict] = None     # data-plane endpoint
+
+
+class Worker(Member):
+    """A member the fleet runs jobs on: its log and its standing in the
+    job in flight."""
+
+    __slots__ = ("log", "state")
+
+    def __init__(self, pid: int, popen: subprocess.Popen,
+                 log: str = "") -> None:
+        super().__init__(pid, popen)
+        self.log = log
+        #: boot (no job yet) | running | done | left | errored | aborted
+        #: | dead
+        self.state = "boot"
+
+    def describe_exit(self, what: str) -> str:
+        """``worker P <what> (exit C): <last log line>; see <log>``.  The
+        connection drops before the process is gone: wait (up to
+        :data:`GRACE_S`) for it to finish its traceback, so that the
+        message can say what it was."""
+        try:
+            code: Optional[int] = self.popen.wait(timeout=GRACE_S)
+        except subprocess.TimeoutExpired:
+            code = None
+        last = log_tail(self.log).strip().splitlines() or ["(empty log)"]
+        return (f"worker {self.pid} {what} (exit {code}): {last[-1]}; "
+                f"see {self.log}")
 
 
 def _ignore(*_args) -> None:
@@ -131,11 +179,17 @@ class Fleet(InterestTable):
         self.sel = DefaultSelector()
         self._interest: dict[int, int] = {}   # fd -> registered event mask
         self.set_interest(self.listener, EVENT_READ, None)
-        self.members: list[Member] = []
+        self.members: list = []
         self.strays: list[FramedConnection] = []   # accepted, no hello yet
         self.on_hello: Callable = _ignore
         self.on_frame: Callable = _ignore
-        self.on_eof: Callable = _ignore
+        self.on_dead: Callable = _ignore
+        # the job in flight (None between jobs) and what it collected
+        self.job: Optional[dict] = None
+        self.epoch = 0                 # the last job's; 0 = no job yet
+        self.repair = False
+        self.reports: dict[int, dict] = {}
+        self.failure: Optional[tuple[str, str]] = None
 
     def _close(self, conn: FramedConnection) -> None:
         self.forget_sock(conn.sock)
@@ -160,7 +214,10 @@ class Fleet(InterestTable):
             elif not who.conn.closed:   # else: stale event of this batch
                 self.drain(who)
                 if who.conn.eof:
-                    self.on_eof(who)
+                    self.drop(who)
+                    if self.job is not None and who.state not in ("left",
+                                                                  "dead"):
+                        self._died(who)
         self.flush()
 
     def _accept(self) -> None:
@@ -213,7 +270,113 @@ class Fleet(InterestTable):
     def _dispatch(self, m: Member, frames: list) -> None:
         for frame in frames:
             if frame.get("t") != "msg":   # the data plane is not ours
+                self._collect(m, frame)
                 self.on_frame(m, frame)
+
+    def _collect(self, m: Worker, frame: dict) -> None:
+        """The fleet's own reading of a control frame: the job's reports,
+        its first error and the abort acks (a frame stamped with another epoch is a
+        straggler of a job already settled), and the receipts a fault-mode
+        worker's ``bye`` adds to its report."""
+        t = frame.get("t")
+        if t == "bye":
+            rep = self.reports.setdefault(m.pid, {})
+            rep.update((k, frame[k]) for k in ("recv_log", "crash_dropped")
+                       if k in frame)
+        elif frame.get("epoch") != self.epoch:
+            return
+        elif t in ("done", "left"):
+            m.state = t
+            self.reports[m.pid] = frame
+            if t == "left":
+                self.broadcast({"t": "left", "pid": m.pid}, skip=m.pid)
+        elif t == "job_error":
+            m.state = "errored"
+            if self.failure is None:
+                self.failure = (f"worker {m.pid}: "
+                                f"{frame.get('error', 'job error')}",
+                                frame.get("traceback", ""))
+        elif t == "aborted":
+            m.state = "aborted"
+
+    # -- boot and jobs -------------------------------------------------------
+
+    def boot(self, members: list, timeout_s: float, **go) -> None:
+        """Start the spawned ``members``: wait for every ``hello`` (a member
+        that exits first, or the deadline, fails the boot), then release
+        them with one ``go`` - the peer table and the fields of ``go``."""
+        self.members = members
+        deadline = time.monotonic() + timeout_s
+        while any(m.conn is None for m in members):
+            for m in members:
+                if m.conn is None and m.popen.poll() is not None:
+                    raise LiveRuntimeError(
+                        m.describe_exit("died unexpectedly"))
+            if time.monotonic() > deadline:
+                raise LiveRuntimeError(
+                    f"fleet handshake timed out after {timeout_s}s; "
+                    f"logs in {self.run_dir}")
+            self.pump(TICK_S)
+        self.broadcast({"t": "go",
+                        "peers": {str(m.pid): m.peer for m in members}, **go})
+
+    def run_job(self, job: dict, turn: Callable[[], None] = _ignore,
+                repair: bool = False) -> Optional[tuple[str, str]]:
+        """Run one ``job`` frame (``app``, ``run``, ``timeout_s``, ``id``,
+        ``epoch``) on the booted fleet to its end: None once every member
+        still alive reported ``done`` or ``left`` (:attr:`reports`), else
+        its one failure as ``(error, detail)`` - a ``job_error`` and its
+        traceback, a death's exit code and last log line and its log's
+        tail, or the deadline.  ``turn`` runs once a turn (the one-shot
+        fault schedule).  With ``repair`` a death is announced for the
+        survivors to splice around; without, it fails the job."""
+        self.job, self.epoch, self.repair = job, job["epoch"], repair
+        self.reports, self.failure = {}, None
+        for m in self.members:
+            if m.state != "dead":
+                m.state = "running"
+        self.broadcast(job)
+        self.flush()
+        deadline = time.monotonic() + float(job["timeout_s"])
+        try:
+            while True:
+                self.pump(TICK_S)
+                turn()
+                for m in self.members:
+                    if (m.state not in ("left", "dead")
+                            and m.popen.poll() is not None):
+                        if m.conn is not None and not m.conn.closed:
+                            self.drain(m)   # what it flushed before exiting
+                        if m.state != "left":
+                            self._died(m)
+                if self.failure is not None:
+                    return self.failure
+                if all(m.state in ("done", "left", "dead")
+                       for m in self.members):
+                    return None
+                if time.monotonic() > deadline:
+                    return (f"job {job.get('id')} timed out after "
+                            f"{job['timeout_s']}s; logs in {self.run_dir}",
+                            "")
+        finally:
+            self.job = None
+
+    def _died(self, m: Worker) -> None:
+        """``m`` died mid-job: with repair, announce the death (unless
+        ``m`` never said hello: a joiner nobody grafted); without, or once
+        nobody is left, fail the job."""
+        said_hello = m.conn is not None
+        m.state = "dead"
+        self.drop(m)
+        self.on_dead(m)
+        if self.repair and any(w.state != "dead" for w in self.members):
+            if said_hello:
+                self.broadcast({"t": "dead", "pid": m.pid})
+        elif self.failure is None:
+            lost = (f"all {len(self.members)} workers died; "
+                    if self.repair else "")
+            self.failure = (lost + m.describe_exit("died unexpectedly"),
+                            log_tail(m.log))
 
     # -- outbound ------------------------------------------------------------
 
@@ -341,5 +504,6 @@ def assemble(protocol: str, n: int, slots: int, reports: dict, *,
 
 
 __all__ = ["Fleet", "GRACE_S", "LIVE_ACK_TIMEOUT_S", "LIVE_PROBE_RETRY_S",
-           "LIVE_WAVE_RETRY_S", "Member", "assemble", "live_run_config",
-           "log_tail", "spawn_worker"]
+           "LIVE_WAVE_RETRY_S", "LiveRuntimeError", "Member", "TICK_S",
+           "Worker", "assemble", "live_run_config", "log_tail",
+           "spawn_worker"]

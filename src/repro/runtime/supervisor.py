@@ -1,17 +1,18 @@
-"""Live-run supervisor: spawn N workers, detect deaths, collect results.
+"""Live-run supervisor: one job on a freshly booted fleet.
 
 One supervisor process per live run.  Underneath it is a
 :class:`~repro.runtime.fleet.Fleet` — listener, ``hello`` identification,
-one control connection per worker, reaping — the same coordinator a serve
-lane drives.  The supervisor is control plane only: protocol traffic
+one control connection per worker, the boot and the job loop, reaping —
+the same coordinator a serve lane drives: the fleet boots n workers (every
+``hello`` in, then one ``go``), runs one ``job`` of epoch 1 to its end and
+is shut down.  The supervisor is control plane only: protocol traffic
 flows over direct worker<->worker connections (:mod:`repro.runtime.mesh`)
 and never through this process.  What this module adds is what is
 specific to a one-shot run:
 
-* **start** — ``go`` is released only after all n workers said ``hello``,
-  so nobody computes before the fleet is routable.  The membership
-  :class:`Registry` records each worker's data-plane endpoint and ``go``
-  hands every member its peers' addresses.
+* **membership** — the :class:`Registry` records each worker's data-plane
+  endpoint and the graft history; a mid-run joiner's ``go`` is its
+  snapshot.
 * **fault schedule** — a planned kill delivers a real ``SIGKILL`` to the
   victim's OS process, after a wall delay or once the victim's spool
   shows it has processed a minimum number of units (deterministic enough
@@ -20,9 +21,12 @@ specific to a one-shot run:
   overlay position, announce it) and graceful **leaves** (order a worker
   out; it drains its pool to its parent and reports ``left``) keep
   membership elastic.
-* **failure detector** — a worker EOF (or child exit) before its ``done``
-  report is a death; the supervisor broadcasts ``dead`` announcements and
-  the workers' repair machinery splices the overlay around the corpse.
+* **failure handling** — in fault mode the fleet announces a death
+  (``dead``) and the workers' repair machinery splices the overlay around
+  the corpse; otherwise a death fails the run.  Either way a failed job
+  (a worker's ``job_error``, a death, the deadline) is raised as
+  :class:`LiveRuntimeError`, naming the worker's own error or its exit
+  code and last log line.
 * **collector** — ``done``/``left`` reports go through
   :func:`~repro.runtime.fleet.assemble` into the same
   ``(ExperimentResult, RunStats)`` pair the simulator's
@@ -43,7 +47,6 @@ import json
 import os
 import shutil
 import signal
-import subprocess
 import tempfile
 import threading
 import time
@@ -54,26 +57,20 @@ from ..experiments.runner import ExperimentResult, RunConfig
 from ..experiments.specs import AppSpec
 from ..obs.export import TraceWriter
 from ..obs.registry import MetricsRegistry
-from ..sim.errors import SimConfigError, SimRuntimeError
+from ..sim.errors import SimConfigError
 from ..sim.rng import RngStream
 from ..sim.stats import RunStats
 from ..sim.trace import CRASH, PARTITION
 from .env import LIVE_QUANTUM
-from .fleet import (GRACE_S, Fleet, Member, assemble, live_run_config,
-                    log_tail, spawn_worker)
+from .fleet import (TICK_S, Fleet, LiveRuntimeError, Worker, assemble,
+                    live_run_config, spawn_worker)
 from .spool import conserved_units_live, read_spool, spool_path
 
-#: Supervisor loop tick: bounds kill-trigger and watchdog latency.
-_TICK_S = 0.05
 #: Poll period while the workers, shut down and hung up, finalise.
 _REAP_POLL_S = 0.001
 
 #: Protocols whose overlay supports elastic membership (grafted leaves).
 _TREE_PROTOCOLS = ("TD", "TR", "BTD", "BTR")
-
-
-class LiveRuntimeError(SimRuntimeError):
-    """A live run failed (worker error, handshake timeout, ...)."""
 
 
 class LiveAborted(Exception):
@@ -229,8 +226,8 @@ class Registry:
     """Membership ledger: who exists, where, and under whom.
 
     The supervisor is the single writer; workers only ever see snapshots
-    (the ``go`` frame) and incremental announcements (``join``/``dead``/
-    ``left``), which is what makes the grafted overlay consistent
+    (a joiner's ``go`` frame) and incremental announcements (``join``/
+    ``dead``/``left``), which is what makes the grafted overlay consistent
     fleet-wide: every member applies the same ordered join sequence.
     """
 
@@ -307,33 +304,11 @@ class LiveResult:
     links: dict = field(default_factory=dict)
 
 
-class _Worker(Member):
-    """A fleet member plus its place in this run's fault schedule."""
-
-    __slots__ = ("done", "dead", "closed", "kill_at", "kill_units",
-                 "killed_at", "joiner", "announced", "left", "leave_at",
-                 "leave_sent")
-
-    def __init__(self, pid: int, popen: subprocess.Popen) -> None:
-        super().__init__(pid, popen)
-        self.done = False
-        self.dead = False          # died mid-run (crash semantics)
-        self.closed = False        # orderly post-shutdown close
-        self.kill_at: Optional[float] = None
-        self.kill_units: Optional[int] = None
-        self.killed_at: Optional[float] = None
-        self.joiner = False        # spawned mid-run (elastic membership)
-        self.announced = False     # fleet has heard of this joiner
-        self.left = False          # departed gracefully (still a survivor)
-        self.leave_at: Optional[float] = None
-        self.leave_sent = False
-
-
 def _worker_doc(cfg: LiveConfig, pid: int, endpoint: dict, run_dir: str,
                 join_parent: Optional[int] = None) -> dict:
     doc = {
         "pid": pid, "endpoint": endpoint,
-        "run": cfg.run_config().to_wire(), "app": cfg.app,
+        "preload": [cfg.app.get("kind"), cfg.protocol],
         "fault_mode": cfg.fault_tolerance, "run_dir": run_dir,
         "trace": cfg.trace, "timeout_s": cfg.timeout_s,
         "slots": cfg.slots, "transport": cfg.transport, "host": cfg.host,
@@ -345,23 +320,14 @@ def _worker_doc(cfg: LiveConfig, pid: int, endpoint: dict, run_dir: str,
 
 
 def _spawn_one(cfg: LiveConfig, pid: int, endpoint: dict, run_dir: str,
-               join_parent: Optional[int] = None) -> _Worker:
-    w = _Worker(pid, spawn_worker(
+               join_parent: Optional[int] = None) -> Worker:
+    log = os.path.join(run_dir, f"worker_{pid}.log")
+    return Worker(pid, spawn_worker(
         "repro.runtime.worker",
-        _worker_doc(cfg, pid, endpoint, run_dir, join_parent),
-        os.path.join(run_dir, f"worker_{pid}.log")))
-    w.joiner = join_parent is not None
-    for k in cfg.kills:
-        if k["pid"] == pid:
-            w.kill_at = k.get("after_s")
-            w.kill_units = k.get("after_units")
-    for lv in cfg.leaves:
-        if lv["pid"] == pid:
-            w.leave_at = lv["after_s"]
-    return w
+        _worker_doc(cfg, pid, endpoint, run_dir, join_parent), log), log)
 
 
-def _spawn(cfg: LiveConfig, endpoint: dict, run_dir: str) -> list[_Worker]:
+def _spawn(cfg: LiveConfig, endpoint: dict, run_dir: str) -> list[Worker]:
     return [_spawn_one(cfg, pid, endpoint, run_dir)
             for pid in range(cfg.n)]
 
@@ -378,8 +344,7 @@ def run_live(cfg: LiveConfig) -> LiveResult:
             for signum in (signal.SIGINT, signal.SIGTERM):
                 restore.append((signum, signal.signal(
                     signum, lambda s, _frame: run.interrupted.append(s))))
-        run.fleet.members = _spawn(cfg, run.fleet.endpoint, run_dir)
-        run.loop()
+        run.run()
     except LiveAborted:
         run.fleet.broadcast({"t": "shutdown", "abort": True})
         raise
@@ -402,8 +367,8 @@ def run_live(cfg: LiveConfig) -> LiveResult:
 class _LiveRun:
     """The state of one :func:`run_live` call: what is specific to a
     one-shot run on top of its :class:`~repro.runtime.fleet.Fleet` — the
-    membership registry, the kill/join/leave/partition schedule, failure
-    detection and the collected reports."""
+    membership registry, the kill/join/leave/partition schedule, the reap
+    and the result."""
 
     def __init__(self, cfg: LiveConfig, run_dir: str) -> None:
         self.cfg = cfg
@@ -411,220 +376,153 @@ class _LiveRun:
         self.fleet = Fleet(run_dir, cfg.transport, cfg.host, cfg.port)
         self.fleet.on_hello = self.on_hello
         self.fleet.on_frame = self.on_frame
-        self.fleet.on_eof = self.gone
+        self.fleet.on_dead = lambda w: self.registry.mark_dead(w.pid)
         self.registry = Registry(cfg)
         self.interrupted: list[int] = []   # signals received
-        self.reports: dict[int, dict] = {}
-        self.hellos = 0
         self.t_spawn = time.monotonic()   # the workers start right after
-        self.t_go: Optional[float] = None
-        self.t_go_epoch: Optional[float] = None
-        self.shutdown_sent = 0.0   # when (monotonic); 0 = not yet
+        self.t_go = self.t_go_epoch = 0.0
+        self.t_shutdown = 0.0
+        self.kills = {k["pid"]: k for k in cfg.kills}
+        self.killed: dict[int, float] = {}   # pid -> seconds after go
+        self.leaves = {lv["pid"]: lv["after_s"] for lv in cfg.leaves}
         # elastic membership schedule: one join in flight at a time so the
         # announced graft sequence is totally ordered
         self.join_queue = sorted(cfg.joins, key=lambda j: j["after_s"])
-        self.join_pending: Optional[int] = None   # spawned, no hello yet
 
     def elapsed(self) -> float:
         """Wall seconds since ``go``."""
         return time.monotonic() - self.t_go
 
+    def partitions(self, elapsed: float) -> list:
+        """The partition windows, relative to a ``go`` sent ``elapsed``
+        seconds after the fleet's: a mid-run joiner's line up with the
+        fleet-wide wall windows."""
+        return [[sorted(p["side"]), p["start_s"] - elapsed,
+                 p["end_s"] - elapsed] for p in self.cfg.partitions]
+
+    def run(self) -> None:
+        """Boot, the one job, reap: returns once every surviving worker
+        has reported, been told to shut down, and exited."""
+        cfg, fleet = self.cfg, self.fleet
+        fleet.boot(_spawn(cfg, fleet.endpoint, self.run_dir), cfg.timeout_s,
+                   partitions=self.partitions(0.0))
+        self.t_go, self.t_go_epoch = time.monotonic(), time.time()
+        failure = fleet.run_job(
+            {"t": "job", "id": "live", "epoch": 1, "app": cfg.app,
+             "run": cfg.run_config().to_wire(), "timeout_s": cfg.timeout_s},
+            self.turn, repair=cfg.fault_tolerance)
+        if failure is not None:
+            raise LiveRuntimeError(failure[0])
+        self.reap()
+
     # -- fleet hooks ---------------------------------------------------------
 
-    def go_frame(self, elapsed: float = 0.0) -> dict:
-        """The start frame: membership snapshot + shifted fault schedule.
-
-        A mid-run joiner's partition windows are expressed relative to
-        *its* go instant, so the fleet-wide wall windows line up."""
-        cfg, registry = self.cfg, self.registry
-        return {
-            "t": "go",
-            "peers": {str(p): ep for p, ep in registry.peers().items()},
-            "grafts": [[a, b] for a, b in registry.grafts],
-            "dead": sorted(registry.dead),
-            "left": sorted(registry.left),
-            "partitions": [[sorted(p["side"]), p["start_s"] - elapsed,
-                            p["end_s"] - elapsed]
-                           for p in cfg.partitions],
-        }
-
-    def on_hello(self, w: _Worker) -> None:
+    def on_hello(self, w: Worker) -> None:
         self.registry.register(w.pid, w.peer)
-        if not w.joiner:
-            self.hellos += 1
+        if w.pid < self.cfg.n:
             return
         # a joiner checked in: announce it to the fleet *before* its own
         # go — members buffer any data-plane frames from a pid they have
         # not been introduced to, so either order is safe, but this one
         # minimises buffering
-        w.announced = True
+        registry = self.registry
         self.fleet.broadcast(
             {"t": "join", "pid": w.pid, "endpoint": w.peer,
-             "parent": self.registry.graft_parent[w.pid]}, skip=w.pid)
-        w.conn.send_frame(self.go_frame(self.elapsed()))
-        self.join_pending = None
+             "parent": registry.graft_parent[w.pid]}, skip=w.pid)
+        w.conn.send_frame({
+            "t": "go",
+            "peers": {str(p): ep for p, ep in registry.peers().items()},
+            "grafts": [[a, b] for a, b in registry.grafts],
+            "dead": sorted(registry.dead), "left": sorted(registry.left),
+            "partitions": self.partitions(self.elapsed())})
+        w.conn.send_frame(self.fleet.job)
+        w.state = "running"
 
-    def on_frame(self, w: _Worker, frame: dict) -> None:
-        t = frame.get("t")
-        if t == "done":
-            w.done = True
-            self.reports[w.pid] = frame
-        elif t == "left":
-            w.left = True
-            w.done = True   # a leaver is finished for shutdown purposes
-            self.reports[w.pid] = frame
+    def on_frame(self, w: Worker, frame: dict) -> None:
+        if frame.get("t") == "left" and w.state == "left":
             self.registry.mark_left(w.pid)
-            self.fleet.broadcast({"t": "left", "pid": w.pid}, skip=w.pid)
-        elif t == "bye":
-            rep = self.reports.setdefault(w.pid, {})
-            for fld in ("recv_log", "crash_dropped"):
-                if fld in frame:
-                    rep[fld] = frame[fld]
 
-    def gone(self, w: _Worker) -> None:
-        """``w``'s connection hit EOF or its process exited: an orderly
-        close if it had left or was told to shut down, else a death."""
-        if w.dead or w.closed:
-            return
-        self.fleet.drop(w)
-        if w.left or (self.shutdown_sent and w.done):
-            w.closed = True
-            return
-        w.dead = True
-        if self.join_pending == w.pid:
-            self.join_pending = None   # died pre-hello: unblock the queue
-        self.registry.mark_dead(w.pid)
-        if w.killed_at is None and not self.cfg.fault_tolerance:
-            # the connection drops before the process is gone: let it
-            # finish its traceback, so that the error can say what it was
-            try:
-                code: Optional[int] = w.popen.wait(timeout=GRACE_S)
-            except subprocess.TimeoutExpired:
-                code = None
-            log = os.path.join(self.run_dir, f"worker_{w.pid}.log")
-            last = (log_tail(log).strip().splitlines() or ["(empty log)"])
-            raise LiveRuntimeError(
-                f"worker {w.pid} died unexpectedly (exit {code}): "
-                f"{last[-1]}; see {log}")
-        if not w.joiner or w.announced:
-            self.fleet.broadcast({"t": "dead", "pid": w.pid})
-        # a joiner that died before its hello was never announced:
-        # nobody grafted it, so nobody needs the news
-
-    # -- the run -------------------------------------------------------------
-
-    def inject(self) -> None:
+    def turn(self) -> None:
         """Planned faults and membership changes that have come due."""
+        if self.interrupted:
+            raise LiveAborted(signal.Signals(self.interrupted[0]).name)
         cfg, fleet, now = self.cfg, self.fleet, self.elapsed()
         for w in fleet.members:
+            k = self.kills.get(w.pid)
             # kills land only before the victim reports done
-            if (w.killed_at is not None or w.dead or w.done
-                    or (w.kill_at is None and w.kill_units is None)):
+            if k is None or w.pid in self.killed or w.state != "running":
                 continue
-            due = w.kill_at is not None and now >= w.kill_at
-            if not due and w.kill_units is not None:
+            due = "after_s" in k and now >= k["after_s"]
+            if not due and "after_units" in k:
                 doc = read_spool(spool_path(self.run_dir, w.pid))
-                due = doc is not None and doc["processed"] >= w.kill_units
+                due = doc is not None and doc["processed"] >= k["after_units"]
             if due:
-                w.killed_at = now
+                self.killed[w.pid] = now
                 w.popen.kill()
         # one join at a time: the graft sequence must be totally ordered
-        if (self.join_queue and self.join_pending is None
-                and not self.shutdown_sent
-                and now >= self.join_queue[0]["after_s"]):
+        if (self.join_queue and now >= self.join_queue[0]["after_s"]
+                and all(w.state != "boot" for w in fleet.members)):
             jpid = self.join_queue.pop(0)["pid"]
             parent = self.registry.assign_parent(jpid)
             self.registry.add_join(jpid, parent)
             fleet.members.append(_spawn_one(
                 cfg, jpid, fleet.endpoint, self.run_dir, join_parent=parent))
-            self.join_pending = jpid
         for w in fleet.members:
-            if (w.leave_at is not None and not w.leave_sent and not w.dead
-                    and not w.done and w.conn is not None
-                    and now >= w.leave_at):
-                w.leave_sent = True
+            at = self.leaves.get(w.pid)
+            if at is not None and w.state == "running" and now >= at:
+                del self.leaves[w.pid]
                 w.conn.send_frame({"t": "leave"})
 
-    def collect_exited(self) -> None:
-        for w in self.fleet.members:
-            if not w.dead and not w.closed and w.popen.poll() is not None:
-                if w.conn is not None:
-                    self.fleet.drain(w)   # what it flushed before exiting
-                self.gone(w)
+    # -- the end -------------------------------------------------------------
 
-    def loop(self) -> None:
-        """Handshake, run, collect: returns once every surviving worker
-        has reported, been told to shut down, and exited."""
-        cfg, fleet = self.cfg, self.fleet
-        deadline = time.monotonic() + cfg.timeout_s
+    def reap(self) -> None:
+        """Shut the finished fleet down; returns once every survivor hung
+        up (its fault-mode ``bye`` receipts read) and exited."""
+        fleet = self.fleet
+        survivors = [w for w in fleet.members if w.state != "dead"]
+        deadline = self.t_go + self.cfg.timeout_s
+        self.t_shutdown = time.monotonic()
+        fleet.broadcast({"t": "shutdown"})
         while True:
             if self.interrupted:
                 raise LiveAborted(signal.Signals(self.interrupted[0]).name)
             if time.monotonic() > deadline:
                 raise LiveRuntimeError(
-                    f"live run exceeded timeout_s={cfg.timeout_s}; "
+                    f"live run exceeded timeout_s={self.cfg.timeout_s}; "
                     f"worker logs in {self.run_dir}")
-            fleet.pump(_TICK_S)
-
-            if self.t_go is None and self.hellos == cfg.n:
-                self.t_go = time.monotonic()
-                self.t_go_epoch = time.time()
-                deadline = self.t_go + cfg.timeout_s
-                fleet.broadcast(self.go_frame())
-            if self.t_go is not None:
-                self.inject()
-
-            self.collect_exited()
-
-            alive = [w for w in fleet.members if not w.dead]
-            if not alive:
-                raise LiveRuntimeError(
-                    f"all {cfg.n} workers died; logs in {self.run_dir}")
-            if (not self.shutdown_sent and self.t_go is not None
-                    and self.join_pending is None
-                    and all(w.done for w in alive)):
-                self.shutdown_sent = time.monotonic()
-                fleet.broadcast({"t": "shutdown"})
-            if self.shutdown_sent and all(w.closed for w in alive):
+            if all(w.conn.closed for w in survivors):
+                if all(w.popen.poll() is not None for w in survivors):
+                    return
                 # Every survivor has hung up and is finalising its
                 # interpreter (tens of ms) with nothing left to wake the
-                # selector: watch the processes instead of sleeping a blind
-                # tick. (Popen.wait backs off to 50 ms naps of its own.)
-                while (any(w.popen.poll() is None for w in alive)
-                       and not self.interrupted
-                       and time.monotonic() < deadline):
-                    time.sleep(_REAP_POLL_S)
-            if self.shutdown_sent and all(w.popen.poll() is not None
-                                          for w in alive):
-                self.collect_exited()   # final frames still buffered
-                return
+                # selector: watch the processes instead of sleeping a
+                # blind tick. (Popen.wait backs off to 50 ms naps.)
+                time.sleep(_REAP_POLL_S)
+                continue
+            fleet.pump(TICK_S)
+            for w in survivors:
+                if not w.conn.closed and w.popen.poll() is not None:
+                    fleet.drain(w)   # what it flushed before exiting
+                    fleet.drop(w)
 
     def result(self, wall_s: float) -> LiveResult:
-        cfg, run_dir, reports = self.cfg, self.run_dir, self.reports
-        workers = self.fleet.members
+        cfg, run_dir = self.cfg, self.run_dir
+        workers, reports = self.fleet.members, self.fleet.reports
         for w in workers:
-            code = w.popen.returncode
-            if w.killed_at is None and code != 0:
-                raise LiveRuntimeError(
-                    f"worker {w.pid} exited with {code}; "
-                    f"see {run_dir}/worker_{w.pid}.log")
-            if not w.dead and w.pid not in reports:
-                raise LiveRuntimeError(
-                    f"worker {w.pid} never reported done")
-        t_go_epoch = (self.t_go_epoch if self.t_go_epoch is not None
-                      else time.time())
+            if w.pid not in self.killed and w.popen.returncode != 0:
+                raise LiveRuntimeError(w.describe_exit("exited with an error"))
+        dead = [w.pid for w in workers if w.state == "dead"]
         spools = {}
-        for w in workers:
-            if w.dead:
-                doc = read_spool(spool_path(run_dir, w.pid))
-                if doc is not None:
-                    spools[w.pid] = doc
+        for pid in dead:
+            doc = read_spool(spool_path(run_dir, pid))
+            if doc is not None:
+                spools[pid] = doc
         result, stats, metrics, links = assemble(
-            cfg.protocol, cfg.n, cfg.slots, reports, t_go=t_go_epoch,
-            crashed={w.pid: w.killed_at for w in workers if w.dead},
+            cfg.protocol, cfg.n, cfg.slots, reports, t_go=self.t_go_epoch,
+            crashed={pid: self.killed.get(pid) for pid in dead},
             spools=spools, wall_s=wall_s)
         metrics.gauge("live.handshake_s").set(self.t_go - self.t_spawn)
-        metrics.gauge("live.reap_s").set(time.monotonic() - self.shutdown_sent)
+        metrics.gauge("live.reap_s").set(time.monotonic() - self.t_shutdown)
         conserved = None
         if cfg.fault_tolerance:
             app = AppSpec.from_wire(cfg.app).build()
@@ -633,11 +531,11 @@ class _LiveRun:
             result=result, stats=stats, metrics=metrics,
             conserved=conserved, run_dir=run_dir, reports=reports,
             spools=spools, wall_s=wall_s, links=links,
-            killed=tuple(sorted(w.pid for w in workers
-                                if w.killed_at is not None)),
-            trace_path=_merge_traces(cfg, run_dir, workers, t_go_epoch),
-            joined=tuple(sorted(w.pid for w in workers if w.joiner)),
-            left=tuple(sorted(w.pid for w in workers if w.left)))
+            killed=tuple(sorted(self.killed)),
+            trace_path=_merge_traces(cfg, run_dir, len(workers),
+                                     self.killed, self.t_go_epoch),
+            joined=tuple(range(cfg.n, len(workers))),
+            left=tuple(sorted(w.pid for w in workers if w.state == "left")))
 
 
 # -- trace merge -------------------------------------------------------------
@@ -668,26 +566,24 @@ def _read_shard_samples(path: str) -> tuple[dict, list]:
     return meta, samples
 
 
-def _merge_traces(cfg: LiveConfig, run_dir: str, workers: list[_Worker],
+def _merge_traces(cfg: LiveConfig, run_dir: str, slots: int, killed: dict,
                   t_go_epoch: float) -> Optional[str]:
     if not cfg.trace:
         return None
     t0s: dict[int, float] = {}
     shards: dict[int, list] = {}
-    for w in workers:
+    for pid in range(slots):
         meta, samples = _read_shard_samples(
-            os.path.join(run_dir, f"trace_{w.pid}.ndjson"))
-        shards[w.pid] = samples
-        t0s[w.pid] = float(meta.get("t0_epoch", t_go_epoch))
+            os.path.join(run_dir, f"trace_{pid}.ndjson"))
+        shards[pid] = samples
+        t0s[pid] = float(meta.get("t0_epoch", t_go_epoch))
     base = min(t0s.values(), default=t_go_epoch)
     merged = []
     for pid, samples in shards.items():
         off = t0s[pid] - base
         merged.extend((t + off, pid, kind, v) for t, _p, kind, v in samples)
-    for w in workers:
-        if w.killed_at is not None:
-            merged.append((w.killed_at + (t_go_epoch - base), w.pid,
-                           CRASH, 0.0))
+    for pid, killed_at in killed.items():
+        merged.append((killed_at + (t_go_epoch - base), pid, CRASH, 0.0))
     for i, p in enumerate(cfg.partitions):
         # same encoding as the simulator: +(i+1) at the cut, -(i+1) at
         # the heal, stamped on pid 0's timeline
@@ -699,10 +595,8 @@ def _merge_traces(cfg: LiveConfig, run_dir: str, workers: list[_Worker],
     with TraceWriter(out, meta={"live": True, "protocol": cfg.protocol,
                                 "n": cfg.n, "seed": cfg.seed,
                                 "app": cfg.app,
-                                "merged_shards": len(workers),
-                                "killed": sorted(
-                                    w.pid for w in workers
-                                    if w.killed_at is not None)}) as tw:
+                                "merged_shards": slots,
+                                "killed": sorted(killed)}) as tw:
         for t, pid, kind, v in merged:
             tw.record(t, pid, kind, v)
     return out

@@ -2,24 +2,24 @@
 
 One OS process = one protocol worker, driven by one :class:`Reactor`.
 The owner (the one-shot supervisor or a serve lane) passes the process
-configuration as a single JSON argument; ``main`` dials the owner and
-hands the connected socket to the reactor, which opens its data-plane
-listener, says ``hello`` (advertising it) and waits for its start frame:
+configuration as a single JSON argument - who the process is and which
+paths (fault / trace / join) it switches on, not the work; ``main``
+preloads what the configuration names, dials the owner and hands the
+connected socket to the reactor, which opens its data-plane listener,
+says ``hello`` (advertising it) and waits for its start frame, ``go``:
+the membership snapshot (peers, grafts, dead, left, partitions).  Then
+it takes ``job`` after ``job``, each stamped with an **epoch** that rides
+every protocol frame of the job
+(:attr:`repro.runtime.env.LiveEnv.frame_tag`).  A frame from a finished
+epoch is dropped on receipt, one from an epoch ahead of ours (it raced
+our start frame, or a faster sibling started first) waits for its job.
+A job reports ``done`` (or ``left``) and ends at ``job_end`` or
+``shutdown``; one that raises while building or running is reported as
+``job_error`` and the process returns to idle; ``abort`` unwinds the
+current job and is acknowledged with ``aborted``.  A one-shot run is one
+job (epoch 1), then ``shutdown``; a serve lane sends a stream of them.
 
-* ``go`` (one-shot run): the configuration *is* the job.  The reactor
-  runs it with the fault / trace / join / leave paths the configuration
-  switches on, reports ``done`` (or ``left``), and exits on ``shutdown``.
-* ``init`` (serve lane): the reactor then takes ``job`` after ``job``,
-  each stamped with an **epoch** that rides every protocol frame of the
-  job (:attr:`repro.runtime.env.LiveEnv.frame_tag`).  A frame from a
-  finished epoch is dropped on receipt, one from an epoch ahead of ours
-  (a faster sibling started first) waits for its job.  A job that raises
-  while building or running is reported as ``job_error`` and the process
-  returns to idle; ``abort`` unwinds the current job and is acknowledged
-  with ``aborted``.
-
-Either way a job is the same loop (:meth:`Reactor.run_job`), one turn of
-which is:
+A job is one loop (:meth:`Reactor.run_job`), one turn of which is:
 
 1. wait on the sockets until the next timer deadline (or an idle tick;
    not at all while a compute slice is parked);
@@ -129,7 +129,7 @@ class Reactor(InterestTable):
         self.sel = DefaultSelector()
         self._interest: dict[int, int] = {}   # fd -> registered event mask
         #: control frames received but not yet acted on.  Owners send them
-        #: back to back (``init`` then ``job``, ``job_end`` then the next
+        #: back to back (``go`` then ``job``, ``job_end`` then the next
         #: ``job``), so consumers pop what they handle and leave the rest.
         self.ctrl: collections.deque[dict] = collections.deque()
         #: protocol frames that arrived before their job started here
@@ -191,8 +191,7 @@ class Reactor(InterestTable):
         tag = frame.get("j")
         if self.env is not None and tag == self.epoch:
             return self.to_protocol(frame)
-        if ((tag is None or (isinstance(tag, int)
-                             and tag > self.seen_epoch))
+        if (isinstance(tag, int) and tag > self.seen_epoch
                 and len(self.early) < MAX_EARLY_FRAMES):
             self.early.append(frame)
         return True
@@ -265,13 +264,13 @@ class Reactor(InterestTable):
     # -- lifecycle -----------------------------------------------------------
 
     def run(self) -> int:
-        """hello, start frame, job(s); returns the process exit code."""
+        """hello, ``go``, jobs; returns the process exit code."""
         try:
             self.conn.send_frame({"t": "hello", "pid": self.pid,
                                   "ospid": os.getpid(),
                                   "peer": self.peer_endpoint})
             start = self.await_frame(
-                ("go", "init"), float(self.cfg.get("timeout_s", 60.0)))
+                ("go",), float(self.cfg.get("timeout_s", 60.0)))
             self.mesh.partitions = tuple(
                 (frozenset(int(q) for q in side), float(t0), float(t1))
                 for side, t0, t1 in start.get("partitions", ()))
@@ -280,18 +279,17 @@ class Reactor(InterestTable):
                     for frame in self.mesh.add_member(int(peer), ep):
                         self.deliver(frame)
             self.mesh.arm()
-            if start["t"] == "go":
-                self.run_job(self.cfg, start)   # leaves through Exit
             while True:
                 job = self.await_frame(("job",))
                 try:
-                    self.run_job(job, {})
+                    self.run_job(job, start)
                 except Exit:
                     raise
                 except (Exception, SystemExit):
                     # a poisoned spec or an application that blows up
                     # mid-run costs the job, not the process
                     tb = traceback.format_exc()
+                    print(tb, end="", file=sys.stderr)   # into our log
                     self.conn.send_frame({
                         "t": "job_error", "job": job.get("id"),
                         "epoch": job.get("epoch"),
@@ -345,14 +343,13 @@ class Reactor(InterestTable):
         """Build and run one job to its end: ``job_end`` or an ``abort``
         of its epoch return, ``shutdown`` and a completed leave exit the
         process.  ``job`` names the work (``app``, ``run`` - a
-        :meth:`RunConfig.to_wire` document - ``timeout_s``
-        and, when served, ``id`` and ``epoch``); the process configuration
-        switches the fault / trace / join paths on; ``start`` is the
-        frame's membership snapshot (``grafts``, ``dead``, ``left``)."""
+        :meth:`RunConfig.to_wire` document - ``timeout_s``, ``id`` and
+        ``epoch``); the process configuration switches the fault / trace /
+        join paths on; ``start`` is the ``go`` frame's membership snapshot
+        (``grafts``, ``dead``, ``left``)."""
         cfg, pid, conn, mesh = self.cfg, self.pid, self.conn, self.mesh
-        epoch = job.get("epoch")
-        if epoch is not None:
-            self.seen_epoch = max(self.seen_epoch, epoch)
+        epoch = int(job["epoch"])
+        self.seen_epoch = max(self.seen_epoch, epoch)
         fault_mode = bool(cfg.get("fault_mode"))
         run_dir = cfg.get("run_dir")
         # a wedged application is the owner's to time out (it aborts or
@@ -366,8 +363,8 @@ class Reactor(InterestTable):
         metrics = MetricsRegistry()
         env = LiveEnv(pid, int(cfg.get("slots", rcfg.n)), mesh,
                       seed=rcfg.seed, fault_mode=fault_mode, run_dir=run_dir,
-                      metrics=metrics, debug=bool(cfg.get("debug")))
-        env.frame_tag = epoch
+                      metrics=metrics, debug=bool(cfg.get("debug")),
+                      frame_tag=epoch)
         env.attach(proc)
         t0_epoch = time.time()
         # the mesh outlives jobs: a job's traffic is the counters' growth
@@ -381,9 +378,8 @@ class Reactor(InterestTable):
                                if proc.shared is not None else None),
                    "metrics": metrics.snapshot(),
                    "links": mesh.links_wire(links0),
-                   "part_drops": mesh.part_drops}
-            if epoch is not None:
-                rep.update(job=job.get("id"), epoch=epoch)
+                   "part_drops": mesh.part_drops,
+                   "job": job.get("id"), "epoch": epoch}
             if fault_mode:
                 rep.update(self._receipts())
             return rep
@@ -511,9 +507,7 @@ def main(argv: list[str] | None = None) -> int:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))
     cfg = json.loads(argv[0])
-    if "app" in cfg:   # a one-shot worker: the configuration is the job
-        preload(cfg["app"].get("kind"),
-                RunConfig.from_wire(cfg["run"]).protocol)
+    preload(*cfg.get("preload", ()))   # a one-shot worker's own job
     conn = FramedConnection(connect_endpoint(cfg["endpoint"]))
     return Reactor(cfg, conn).run()
 

@@ -10,13 +10,14 @@ concurrently, and a poisoned spec, worker crash or timeout in one lane
 never perturbs the jobs running in the others.
 
 Underneath, a lane is a :class:`~repro.runtime.fleet.Fleet` — the same
-listener, ``hello`` identification, control connections and reaper a
-one-shot ``run_live`` drives (docs/runtime.md) — fed ``job`` after ``job``
-where the one-shot run sends a single ``go``.  The hosts build their peer
-mesh once, at ``init``, and every job's protocol frames ride it; the lane
-sees control frames only.  Per job the lane broadcasts a ``job`` frame
-(spec + the job's ``RunConfig.to_wire()`` + a fresh **epoch**), collects
-one ``done`` report per host, and turns them through the shared
+listener, ``hello`` identification, control connections, boot, job loop
+and reaper a one-shot ``run_live`` drives (docs/runtime.md) — fed ``job``
+after ``job`` where the one-shot run sends a single one.  The hosts build
+their peer mesh once, at ``go``, and every job's protocol frames ride it;
+the lane sees control frames only.  Per job the fleet broadcasts a ``job``
+frame (spec + the job's ``RunConfig.to_wire()`` + a fresh **epoch**) and
+collects one ``done`` report per host (:meth:`Fleet.run_job`); the lane
+sends ``job_end`` and turns the reports through the shared
 :func:`~repro.runtime.fleet.assemble` into the same
 :class:`~repro.obs.report.RunReport` a one-shot live run produces.
 
@@ -50,29 +51,11 @@ from typing import Optional
 
 from ..experiments.specs import AppSpec
 from ..obs.report import build_report
-from ..runtime.fleet import Fleet, Member, assemble, log_tail, spawn_worker
-from ..sim.errors import SimRuntimeError
+from ..runtime.fleet import TICK_S, Fleet, Worker, assemble, spawn_worker
 
 #: Abort-ack grace: hosts unwind at quantum granularity, so acks are
 #: prompt; a host that stays silent this long is wedged and gets recycled.
 ABORT_GRACE_S = 5.0
-
-#: Lane reactor tick while a job is in flight.
-_TICK_S = 0.05
-
-
-class LaneError(SimRuntimeError):
-    """A lane could not (re)build its worker fleet."""
-
-
-class _Host(Member):
-    """One persistent worker process, lane-side."""
-
-    __slots__ = ("state",)
-
-    def __init__(self, pid: int, popen) -> None:
-        super().__init__(pid, popen)
-        self.state = "boot"      # boot|idle|running|done|errored|aborted
 
 
 class Lane:
@@ -94,16 +77,12 @@ class Lane:
         self.epoch = 0               # last dispatched job epoch
         self.restarts = 0            # completed recycles
         self.jobs_run = 0
-        self.boot_s = 0.0            # last boot or recycle: spawn -> init
+        self.boot_s = 0.0            # last boot or recycle: spawn -> go
         self.current_job = None
         self._fleet: Optional[Fleet] = None
-        self._hosts: list[_Host] = []
         self._stop = False
         self._recycle_req: Optional[threading.Event] = None
         self._thread: Optional[threading.Thread] = None
-        # per-job collection state
-        self._reports: dict[int, dict] = {}
-        self._errors: dict[int, dict] = {}
 
     # -- public (daemon-facing) ----------------------------------------------
 
@@ -128,13 +107,13 @@ class Lane:
 
     def snapshot(self) -> dict:
         """JSON-able lane state for the ``fleet`` API op."""
-        job = self.current_job
+        job, fleet = self.current_job, self._fleet
         return {"lane": self.lane_id, "state": self.state,
                 "restarts": self.restarts, "jobs_run": self.jobs_run,
                 "epoch": self.epoch, "boot_s": round(self.boot_s, 6),
                 "job": None if job is None else job.id,
                 "workers": [{"pid": h.pid, "ospid": h.ospid}
-                            for h in self._hosts]}
+                            for h in (fleet.members if fleet else ())]}
 
     # -- thread main ---------------------------------------------------------
 
@@ -143,8 +122,6 @@ class Lane:
             os.makedirs(self.dir, exist_ok=True)
             self._fleet = Fleet(self.dir, self.scfg.transport,
                                 self.scfg.host)
-            self._fleet.on_frame = self._on_frame
-            self._fleet.on_eof = self._fleet.drop
             self._boot()
         except Exception:
             self.state = "failed"
@@ -159,7 +136,7 @@ class Lane:
                 if not ok:
                     return
                 continue
-            if any(h.popen.poll() is not None for h in self._hosts):
+            if any(h.popen.poll() is not None for h in self._fleet.members):
                 # a host died while idle — rebuild before taking work
                 if not self._rebuild():
                     return
@@ -188,30 +165,16 @@ class Lane:
 
     def _boot(self) -> None:
         fleet, scfg, t0 = self._fleet, self.scfg, time.monotonic()
-        # one log per slot, appended across recycles, keeps the history
-        self._hosts = fleet.members = [
-            _Host(pid, spawn_worker(
+        hosts = []
+        for pid in range(self.n):
+            # one log per slot, appended across recycles, keeps the history
+            log = os.path.join(self.dir, f"host_{pid}.log")
+            hosts.append(Worker(pid, spawn_worker(
                 "repro.serve.jobhost",
                 {"pid": pid, "slots": self.n, "endpoint": fleet.endpoint,
                  "run_dir": self.dir, "transport": scfg.transport,
-                 "host": scfg.host},
-                os.path.join(self.dir, f"host_{pid}.log")))
-            for pid in range(self.n)]
-        deadline = time.monotonic() + scfg.boot_timeout_s
-        while any(h.conn is None for h in self._hosts):
-            if time.monotonic() > deadline:
-                raise LaneError(
-                    f"lane {self.lane_id}: fleet handshake timed out "
-                    f"(logs in {self.dir})")
-            if any(h.popen.poll() is not None and h.conn is None
-                   for h in self._hosts):
-                raise LaneError(
-                    f"lane {self.lane_id}: a host died during boot "
-                    f"(logs in {self.dir})")
-            fleet.pump(0.2)
-        self._broadcast(
-            {"t": "init",
-             "peers": {str(h.pid): h.peer for h in self._hosts}}, "idle")
+                 "host": scfg.host}, log), log))
+        fleet.boot(hosts, scfg.boot_timeout_s)
         self.boot_s = time.monotonic() - t0
         self.state = "idle"
 
@@ -239,105 +202,54 @@ class Lane:
         if self._fleet is not None:
             self._fleet.close()
 
-    def _broadcast(self, frame: dict, state: str) -> None:
-        for h in self._hosts:
-            h.state = state
-        self._fleet.broadcast(frame)
-        self._fleet.flush()
-
-    def _on_frame(self, host: _Host, frame: dict) -> None:
-        """A host's word on the current job (anything stamped with
-        another epoch is a straggler of a job already settled)."""
-        if frame.get("epoch") != self.epoch:
-            return
-        t = frame.get("t")
-        if t == "done":
-            host.state = "done"
-            self._reports[host.pid] = frame
-        elif t == "job_error":
-            host.state = "errored"
-            self._errors[host.pid] = frame
-        elif t == "aborted":
-            host.state = "aborted"
-
     # -- one job -------------------------------------------------------------
 
     def _execute(self, job) -> None:
         self.epoch += 1
-        self._reports = {}
-        self._errors = {}
         job.t_start = time.time()
         job.lane = self.lane_id
         job.epoch = self.epoch
-        frame = {"t": "job", "id": job.id, "epoch": self.epoch,
-                 "app": job.app, "run": job.config.to_wire(),
-                 "timeout_s": job.timeout_s}
-        self._broadcast(frame, "running")
-
-        deadline = time.monotonic() + job.timeout_s
-        while True:
-            self._fleet.pump(_TICK_S)
-            dead = [h for h in self._hosts if h.popen.poll() is not None]
-            if dead:
-                h = dead[0]
-                self._fail_job(
-                    job, f"worker {h.pid} died "
-                    f"(exit {h.popen.returncode}) during job {job.id}",
-                    log_tail(os.path.join(self.dir, f"host_{h.pid}.log")),
-                    recycle=True)
-                return
-            if self._errors:
-                pid, err = min(self._errors.items())
-                self._fail_job(job, err.get("error", "job error"),
-                               err.get("traceback", ""), recycle=False)
-                return
-            if len(self._reports) == self.n:
-                break
-            if time.monotonic() > deadline:
-                self._fail_job(
-                    job, f"job {job.id} timed out after {job.timeout_s}s",
-                    "", recycle=False)
-                return
-        self._broadcast({"t": "job_end", "epoch": self.epoch}, "idle")
+        failure = self._fleet.run_job(
+            {"t": "job", "id": job.id, "epoch": self.epoch, "app": job.app,
+             "run": job.config.to_wire(), "timeout_s": job.timeout_s})
+        if failure is not None:
+            self._fail_job(job, *failure)
+            return
+        self._fleet.broadcast({"t": "job_end", "epoch": self.epoch})
+        self._fleet.flush()
         outcome = self._outcome(job)
         self.jobs_run += 1
         self.source.job_finished(job, outcome)
 
-    def _fail_job(self, job, error: str, tb: str, recycle: bool) -> None:
+    def _fail_job(self, job, error: str, tb: str) -> None:
         """Abort the epoch everywhere, then dead-letter the job.
 
         Hosts still ``running``/``done`` get an ``abort`` and must ack;
-        missing acks (a wedged or dying host) escalate to a recycle, as
-        does ``recycle=True`` (a host process already died).
+        a missing ack (a wedged or dying host) or a host that died
+        escalates to a recycle.
         """
-        targets = [h for h in self._hosts
-                   if h.state in ("running", "done")
-                   and h.conn is not None and not h.conn.closed
+        fleet = self._fleet
+        targets = [h for h in fleet.members
+                   if h.state in ("running", "done") and not h.conn.closed
                    and h.popen.poll() is None]
         for h in targets:
             h.conn.send_frame({"t": "abort", "epoch": self.epoch})
-        self._fleet.flush()
+        fleet.flush()
         grace = time.monotonic() + ABORT_GRACE_S
-        while time.monotonic() < grace:
-            self._fleet.pump(_TICK_S)
-            if all(h.state in ("aborted", "errored", "idle")
-                   or h.popen.poll() is not None for h in self._hosts):
-                break
-        unclean = [h for h in self._hosts
-                   if h.state not in ("aborted", "errored", "idle")
-                   or h.popen.poll() is not None]
+        while time.monotonic() < grace and any(
+                h.state in ("running", "done") and h.popen.poll() is None
+                for h in targets):
+            fleet.pump(TICK_S)
         self.source.job_dead(job, error, tb)
-        if recycle or unclean:
+        if any(h.state not in ("aborted", "errored")
+               or h.popen.poll() is not None for h in fleet.members):
             self.state = "recycling"
             self._recycle()
-        else:
-            for h in self._hosts:
-                h.state = "idle"
 
     def _outcome(self, job) -> dict:
         """The finished job's result document and full run report."""
         result, stats, metrics, links = assemble(
-            job.config.protocol, self.n, self.n, self._reports,
+            job.config.protocol, self.n, self.n, self._fleet.reports,
             t_go=job.t_start)
         report = build_report(
             job.config, result, stats, metrics=metrics,
@@ -354,4 +266,4 @@ class Lane:
                 "report": report.to_json()}
 
 
-__all__ = ["ABORT_GRACE_S", "Lane", "LaneError"]
+__all__ = ["ABORT_GRACE_S", "Lane"]

@@ -2,10 +2,10 @@
 
 A serve lane's worker process.  It is the same
 :class:`repro.runtime.worker.Reactor` a one-shot live run spawns — same
-connect, ``hello``, job loop, epoch filter and flush — and what makes it
-persistent is only what its owner sends: a lane answers ``hello`` with
-``init`` and then ``job`` after ``job``, where the one-shot supervisor
-sends a single ``go``.  The module exists so that a lane's processes are
+connect, ``hello``, ``go``, job loop, epoch filter and flush — and what
+makes it persistent is only what its owner sends: a lane follows ``go``
+with ``job`` after ``job`` (``job_end`` between them), where the one-shot
+supervisor sends a single ``job`` and then ``shutdown``.  The module exists so that a lane's processes are
 recognisable by name (``ps``, logs, the e2e trace's per-role accounting),
 and imports everything a lane may send before ``hello``: no job pays for it.
 """

@@ -95,11 +95,13 @@ class Simulator:
         self._fifo: dict[tuple[int, int], float] = {}
         self._fifo_sweep = 256
         # Macro-event fusion (see docs/simulation.md and _run_fused):
-        # the ``fuse`` flag opts in; ``_fuse_active`` is resolved in run()
+        # the ``fuse`` flag opts in; ``fuse_active`` is resolved in run()
         # — fusion stays off under max_time/max_events truncation, where
-        # the cut point depends on the per-event schedule.
+        # the cut point depends on the per-event schedule.  Public: a
+        # process's timer tells fusion its inbound horizon while it is on
+        # (``SimProcess.call_at``); every substrate declares it.
         self._fuse = fuse
-        self._fuse_active = False
+        self.fuse_active = False
         self._min_net_delay = self.network.min_delay()
         # Sharded parallel runs (repro.sim.shard): ``shard`` is the shard
         # context of the owning shard process — it maps every pid to its
@@ -212,7 +214,7 @@ class Simulator:
         cancels a delivery (a crashed receiver drops it in ``_arrive``);
         under :attr:`debug` pushed instead, to carry a tag."""
         dst = msg.dst
-        if self._fuse_active:
+        if self.fuse_active:
             self._inbound_fns[dst](arrive_at)
         if self.debug:
             self.queue.push(arrive_at, key, self._arrive_fns[dst],
@@ -249,7 +251,7 @@ class Simulator:
         # improvement arriving between quanta must be protocol-visible at
         # the exact quantum boundary, which fusing would skip. UTS and the
         # synthetic workload share nothing; B&B never fuses.
-        if (self._fuse_active and proc.shared is None and not slowed
+        if (self.fuse_active and proc.shared is None and not slowed
                 and proc.quantum_boundary_quiet()):
             self._run_fused(proc, units, duration)
             return
@@ -415,7 +417,7 @@ class Simulator:
         # Fusion needs the full event schedule ahead of time to be the
         # run's own; truncation limits cut at per-event granularity, so a
         # limited run falls back to the one-event-per-quantum engine.
-        self._fuse_active = self._fuse and not limited
+        self.fuse_active = self._fuse and not limited
         sh = self._shard
         if self.faults is not None:
             self.faults.validate_fleet(len(self.processes))
@@ -427,7 +429,7 @@ class Simulator:
                     # Remote pids crash in their own shard; is_crashed
                     # answers for them from the plan (see below).
                     continue
-                if self._fuse_active:
+                if self.fuse_active:
                     self._inbound_fns[pid](t)
                 self.queue.push(t, event_key(ENGINE, pid),
                                 self._crash_process,

@@ -110,7 +110,7 @@ class SimProcess:
         """Schedule a zero-cost callback at absolute virtual ``time``."""
         if not tag and self.sim.debug:
             tag = f"timer@{self.pid}"
-        if getattr(self.sim, "_fuse_active", False):
+        if self.sim.fuse_active:
             self._note_inbound(time)
         key = self._key
         self._key = key + 1

@@ -68,15 +68,14 @@ def test_bare_import_loads_no_numpy_and_almost_nothing():
 def test_uts_btd_worker_budget():
     """``main()`` has preloaded the job by the time it dials its owner,
     and building the job afterwards imports nothing more."""
-    cfg = {"pid": 0, "endpoint": {}, "app": SPECS["uts"],
-           "run": RUNS["BTD"]}
+    cfg = {"pid": 0, "endpoint": {}, "preload": ["uts", "BTD"]}
     doc = probe(f"""
 import repro.runtime.worker as w
 cfg = {cfg!r}
 
 def dialled(_endpoint):
     before = loaded()
-    build(cfg["app"], "BTD")
+    build({SPECS["uts"]!r}, "BTD")
     print(json.dumps({{"at_dial": before, "after_build": loaded()}}))
     raise SystemExit(0)
 

@@ -25,11 +25,11 @@ import pytest
 
 import repro
 from repro.runtime.codec import pack_frame
-from repro.runtime.fleet import Fleet, spawn_worker
-from repro.runtime.supervisor import LiveConfig, _LiveRun, _Worker, run_live
+from repro.runtime.fleet import Fleet, Worker, spawn_worker
+from repro.runtime.supervisor import LiveConfig, _LiveRun, run_live
 from repro.serve.client import ServeClient
 from repro.serve.daemon import ServeConfig, ServeDaemon
-from repro.serve.fleet import Lane, _Host
+from repro.serve.fleet import Lane
 from repro.uts.params import PRESETS
 from repro.uts.sequential import count_tree
 
@@ -102,7 +102,7 @@ def _run_served(tmp_path) -> tuple:
     try:
         lane = d._lanes[0]
         _wait_for(lambda: lane.state == "idle", "the lane to boot")
-        before = [(h.ospid, h.conn) for h in lane._hosts]
+        before = [(h.ospid, h.conn) for h in lane._fleet.members]
         with ServeClient(d.address) as c:
             job = c.submit({"kind": "uts", "preset": PRESET})
             _wait_for(lambda: c.status(job["job_id"])["state"] != "queued",
@@ -111,7 +111,7 @@ def _run_served(tmp_path) -> tuple:
             st = c.wait(job["job_id"], timeout=90.0)
         assert st["state"] == "done", st
         # nobody was replaced, nobody is still parked
-        assert [(h.ospid, h.conn) for h in lane._hosts] == before
+        assert [(h.ospid, h.conn) for h in lane._fleet.members] == before
         assert lane._fleet.strays == []
         assert lane.restarts == 0
         return st["total_units"], hung_up
@@ -133,18 +133,17 @@ def test_bad_hellos_are_shown_the_door_and_the_job_completes(owner,
 
 def _one_shot_owner(run_dir: str) -> tuple:
     run = _LiveRun(LiveConfig(n=2, run_dir=run_dir), run_dir)
-    run.fleet.members = [_Worker(pid, _Exited()) for pid in range(2)]
-    return run.fleet, run.reports
+    run.fleet.members = [Worker(pid, _Exited()) for pid in range(2)]
+    run.fleet.epoch = 1                     # the job is out
+    return run.fleet, run.fleet.reports
 
 
 def _lane_owner(run_dir: str) -> tuple:
     lane = Lane(0, ServeConfig(n=2), run_dir, source=None)
     lane._fleet = Fleet(run_dir)            # as Lane._main wires it
-    lane._fleet.on_frame = lane._on_frame
-    lane._hosts = lane._fleet.members = [_Host(pid, _Exited())
-                                         for pid in range(2)]
-    lane.epoch = 1                          # a job is out
-    return lane._fleet, lane._reports
+    lane._fleet.members = [Worker(pid, _Exited()) for pid in range(2)]
+    lane._fleet.epoch = 1                   # a job is out
+    return lane._fleet, lane._fleet.reports
 
 
 @pytest.mark.parametrize("owner", [_one_shot_owner, _lane_owner],

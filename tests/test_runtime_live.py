@@ -371,12 +371,16 @@ def test_worker_crash_without_fault_tolerance_fails_loudly(tmp_path):
         run_live.__globals__["_spawn"] = orig
 
 
-def test_worker_error_reaches_the_caller(tmp_path):
+@pytest.mark.parametrize("fault_tolerance", [False, True],
+                         ids=["plain", "ft"])
+def test_worker_error_reaches_the_caller(tmp_path, fault_tolerance):
     """A spec that passes the shallow check but does not build: the
-    worker's own error is in the message, not just its exit."""
+    worker's own error is in the message, not just its exit - also when
+    fault tolerance would repair a death."""
     from repro.runtime.supervisor import LiveRuntimeError
     cfg = LiveConfig(protocol="BTD", n=2,
                      app={"kind": "uts", "preset": "no_such_preset"},
+                     fault_tolerance=fault_tolerance,
                      timeout_s=60.0, run_dir=str(tmp_path / "run"))
     with pytest.raises(LiveRuntimeError, match="unknown UTS preset"):
         run_live(cfg)

@@ -6,8 +6,9 @@ two reactors can run on threads against a ``Fleet`` the test pumps itself
 over ``socket.socketpair()`` — no subprocess.  The control plane is those
 socketpairs; the data plane is the reactors' own peer listeners on
 loopback, exactly as in a spawned fleet.  The same reactors run two jobs
-back to back, which is the serve lifecycle: ``hello``, ``init``, ``job``
-(epoch 1), ``job_end``, ``job`` (epoch 2), ``job_end``, ``shutdown``.
+back to back, which is the serve lifecycle: ``hello``, ``go``, ``job``
+(epoch 1), ``job_end``, ``job`` (epoch 2), ``job_end``, ``shutdown``; a
+one-shot run is ``hello``, ``go``, one ``job``, ``shutdown``.
 """
 
 import select
@@ -15,9 +16,10 @@ import socket
 import threading
 import time
 
-from repro.apps.synthetic import SyntheticWork
+from repro.apps.synthetic import SyntheticApplication, SyntheticWork
 from repro.runtime.codec import message_to_frame, pack_frame
 from repro.runtime.fleet import Fleet, Member, assemble, live_run_config
+from repro.runtime.spool import conserved_units_live
 from repro.sim.messages import sized
 from repro.runtime.transport import FramedConnection, connect_endpoint
 from repro.runtime.worker import Reactor
@@ -57,6 +59,7 @@ class Harness:
         self.fleet.members = [Member(pid, _Exited()) for pid in range(N)]
         self.fleet.on_frame = self.on_frame
         self.reports: dict = {}
+        self.byes: dict = {}
         self.reactors, self.threads, self.codes = [], [], {}
         for pid in range(N):
             ours, theirs = socket.socketpair()
@@ -75,6 +78,8 @@ class Harness:
     def on_frame(self, member, frame) -> None:
         if frame.get("t") == "done":
             self.reports[(frame["epoch"], member.pid)] = frame
+        elif frame.get("t") == "bye":
+            self.byes[member.pid] = frame
 
     def pump_until(self, cond, timeout: float = 30.0) -> None:
         end = time.monotonic() + timeout
@@ -82,13 +87,13 @@ class Harness:
             assert time.monotonic() < end, "in-process fleet stalled"
             self.fleet.pump(0.02)
 
-    def init(self) -> None:
-        """The lane's half of the handshake: every hello in, then ``init``
+    def go(self) -> None:
+        """The owner's half of the handshake: every hello in, then ``go``
         with the peer endpoints the hellos advertised."""
         members = self.fleet.members
         self.pump_until(lambda: all(m.conn is not None for m in members))
         self.fleet.broadcast(
-            {"t": "init", "peers": {str(m.pid): m.peer for m in members}})
+            {"t": "go", "peers": {str(m.pid): m.peer for m in members}})
 
     def dial(self, pid: int) -> socket.socket:
         """A fresh connection to ``pid``'s data-plane listener."""
@@ -100,7 +105,9 @@ class Harness:
             thread.join(timeout=5.0)
         assert not any(t.is_alive() for t in self.threads)
 
-    def run_job(self, epoch: int, app: dict) -> int:
+    def run_job(self, epoch: int, app: dict, end: bool = True) -> int:
+        """One job to every reactor's ``done``; ``job_end`` unless
+        ``end`` is False (a one-shot run shuts down instead)."""
         self.fleet.broadcast({
             "t": "job", "id": f"j{epoch}", "epoch": epoch, "app": app,
             "run": live_run_config(protocol="BTD", n=N, quantum=16,
@@ -108,7 +115,8 @@ class Harness:
             "timeout_s": 30.0})
         self.pump_until(lambda: all((epoch, pid) in self.reports
                                     for pid in range(N)))
-        self.fleet.broadcast({"t": "job_end", "epoch": epoch})
+        if end:
+            self.fleet.broadcast({"t": "job_end", "epoch": epoch})
         reports = {pid: self.reports[(epoch, pid)] for pid in range(N)}
         result, _stats, _metrics, _links = assemble(
             "BTD", N, N, reports, t_go=time.time())
@@ -119,7 +127,7 @@ def test_two_reactors_two_jobs_no_subprocess(tmp_path):
     h = Harness(str(tmp_path))
     peer = None
     try:
-        h.init()
+        h.go()
         assert h.run_job(1, synthetic(UNITS)) == UNITS
 
         # a straggler of the finished epoch — 300 units of WORK from pid 1
@@ -148,6 +156,31 @@ def test_two_reactors_two_jobs_no_subprocess(tmp_path):
         h.close()
 
 
+def test_one_shot_lifecycle_no_subprocess(tmp_path):
+    """What ``run_live`` sends a fault-mode fleet: ``go``, one ``job`` of
+    epoch 1, and ``shutdown`` once both reported ``done``.  Each reactor
+    answers the shutdown with its ``bye`` receipts - the receive log and
+    crash-dropped pieces only a survivor can give - and exits 0."""
+    h = Harness(str(tmp_path), fault_mode=True)
+    try:
+        h.go()
+        assert h.run_job(1, synthetic(UNITS), end=False) == UNITS
+        h.fleet.broadcast({"t": "shutdown"})
+        h.pump_until(lambda: len(h.codes) == N and len(h.byes) == N)
+        assert h.codes == {0: 0, 1: 0}
+        for pid, bye in h.byes.items():
+            assert bye["pid"] == pid
+            assert isinstance(bye["recv_log"], dict)
+            assert bye["crash_dropped"] == []
+        # the receipts complete the reports: the four-place identity holds
+        reports = {pid: {**h.reports[(1, pid)], **h.byes[pid]}
+                   for pid in range(N)}
+        assert conserved_units_live(SyntheticApplication(UNITS), reports,
+                                    {}) == UNITS
+    finally:
+        h.close()
+
+
 def test_strangers_at_the_peer_listener_cost_no_job(tmp_path):
     """Every hostile input of ``test_runtime_mesh.HOSTILE`` dialled into
     both reactors' data-plane listeners as a job starts: each such
@@ -155,7 +188,7 @@ def test_strangers_at_the_peer_listener_cost_no_job(tmp_path):
     exact count."""
     h = Harness(str(tmp_path))
     try:
-        h.init()
+        h.go()
         strangers = []
         for payload in HOSTILE.values():
             for pid in range(N):
@@ -237,7 +270,7 @@ def test_undecodable_early_frame_costs_its_connection_not_the_job(tmp_path):
     h = Harness(str(tmp_path))
     peer = None
     try:
-        h.init()
+        h.go()
         peer = h.dial(0)
         peer.sendall(pack_frame({"t": "ph", "pid": 1})
                      + pack_frame(bad_frame(1, 0, epoch=1)))

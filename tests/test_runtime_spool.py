@@ -242,7 +242,7 @@ def test_no_frame_leaves_before_the_commit_that_explains_it(
     h = Harness(str(tmp_path), fault_mode=True)
     try:
         reactors.extend(h.reactors)
-        h.init()
+        h.go()
         # a thread that starts late can leave the root to finish the tree
         # alone; a job that moved no work checks nothing, so go again
         for epoch in (1, 2, 3):

@@ -4,8 +4,9 @@ The same protocol classes run on the simulator, the sharded simulator and
 the live runtime (``Simulator`` / ``LiveEnv``, docs/runtime.md). Engine
 internals — fusion state, lookahead, shard windows — and a branch on
 which substrate is underneath belong to the substrate (``sim.compute``
-prices and fuses quanta there), never to ``core/``, the baselines or the
-overlays. This test walks their AST and fails on any ``….sim._name``
+prices and fuses quanta there), never to ``core/``, the baselines, the
+overlays or ``sim/process.py``, the process base they all inherit. This
+test walks their AST and fails on any ``….sim._name``
 read (attribute or ``getattr``) and any ``sim.live``.
 """
 
@@ -15,6 +16,8 @@ import pathlib
 import repro
 
 PROTOCOL_PACKAGES = ("core", "baselines", "overlay")
+#: the base every protocol process inherits its timers and sends from
+PROTOCOL_MODULES = ("sim/process.py",)
 
 
 def _is_sim(node: ast.AST) -> bool:
@@ -60,10 +63,12 @@ def test_protocol_code_reads_no_substrate_internals():
     root = pathlib.Path(repro.__file__).parent
     leaks = []
     files = 0
-    for pkg in PROTOCOL_PACKAGES:
-        for path in sorted((root / pkg).rglob("*.py")):
-            files += 1
-            leaks += substrate_leaks(path.read_text(),
-                                     str(path.relative_to(root)))
+    paths = [path for pkg in PROTOCOL_PACKAGES
+             for path in sorted((root / pkg).rglob("*.py"))]
+    paths += [root / name for name in PROTOCOL_MODULES]
+    for path in paths:
+        files += 1
+        leaks += substrate_leaks(path.read_text(),
+                                 str(path.relative_to(root)))
     assert files > 10
     assert not leaks, "\n".join(leaks)
