@@ -65,6 +65,7 @@ one and keep the engine's native delivery path bit-for-bit unchanged.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Any
 
 from ..sim.messages import sized
@@ -111,6 +112,9 @@ class _Transfer:
         self.attempts = 0
         self.done = False
         self.parked = False
+        #: a weak reference to the pending retransmit timer: a spent or
+        #: never-fired timer (its host crashed) must not keep the transfer,
+        #: and through it the channel, in a cycle with its event
         self.timer: Any = None
 
 
@@ -137,7 +141,7 @@ class ReliableChannel:
     def __init__(self, host: "WorkerProcess", timeout: float = 2e-3,
                  retries: int = 5, max_backoff: float | None = None,
                  breaker_threshold: int = 0) -> None:
-        self.host = host
+        self.host = weakref.proxy(host)   # the worker owns its channel
         self.timeout = timeout
         self.retries = retries
         # Backoff clamp: the legacy ladder already tops out at
@@ -253,9 +257,9 @@ class ReliableChannel:
                    self.max_backoff)
 
     def _schedule(self, xf: _Transfer) -> None:
-        xf.timer = self.host.call_after(self._backoff(xf.attempts),
-                                        lambda: self._retry(xf),
-                                        tag=f"rexmit@{self.host.pid}")
+        xf.timer = weakref.ref(self.host.call_after(
+            self._backoff(xf.attempts), lambda: self._retry(xf),
+            tag=f"rexmit@{self.host.pid}"))
 
     def _retry(self, xf: _Transfer) -> None:
         if xf.done or xf.parked:
@@ -298,16 +302,16 @@ class ReliableChannel:
         """Per-peer breaker statistics for run reports.
 
         ``open_s`` includes the still-running open span of a breaker that
-        has not closed by snapshot time.
+        has not closed by snapshot time; only such a breaker reads the
+        clock, so a snapshot of a finished run needs no live substrate.
         """
-        now = self.host.sim.queue.now
         out: dict[int, dict[str, Any]] = {}
         for pid, br in sorted(self._breakers.items()):
             if br.opens == 0 and br.state == B_CLOSED:
                 continue
             open_s = br.open_s
             if br.state != B_CLOSED:
-                open_s += now - br.opened_at
+                open_s += self.host.sim.queue.now - br.opened_at
             out[pid] = {"state": _STATE_NAMES[br.state], "opens": br.opens,
                         "probes": br.probes, "open_s": open_s}
         return out
@@ -339,9 +343,10 @@ class ReliableChannel:
         for xf in self._pending.values():
             if xf.dst == dst and not xf.done:
                 xf.parked = True
-                if xf.timer is not None:
-                    xf.timer.cancel()
-                    xf.timer = None
+                timer = xf.timer and xf.timer()   # None once it fired
+                if timer is not None:
+                    timer.cancel()
+                xf.timer = None
         if self._m_breaker_opens is not None:
             self._m_breaker_opens.inc()
         self._trace_breaker(dst, B_OPEN)

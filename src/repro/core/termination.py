@@ -41,10 +41,11 @@ surface as lost work (count mismatch) or a WORK message after termination
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Optional
 
 from ..sim.messages import Message
-from ..sim.process import SimProcess
+from ..sim.process import SimProcess, weak_callback
 
 WAVE = "WAVE"
 WAVE_R = "WAVE_R"
@@ -58,7 +59,9 @@ class TerminationWaves:
     """Per-node wave component; the root drives, everyone relays.
 
     Args:
-        host: the process this service sends/receives through.
+        host: the process this service sends/receives through. It is
+            held weakly, and so is every callback below that is one of
+            its methods (:func:`~repro.sim.process.weak_callback`).
         parent: tree parent pid (-1 at the root).
         children: tree children pids.
         get_counters: samples this node's (sent, received, active).
@@ -84,15 +87,15 @@ class TerminationWaves:
                      Callable[[frozenset], Counters]] = None,
                  absorb_dead: Optional[Callable[[tuple], None]] = None,
                  n_total: int = 0) -> None:
-        self.host = host
+        self.host = weakref.proxy(host)
         self.parent = parent
         self.children = list(children)
-        self.get_counters = get_counters
-        self.on_terminate = on_terminate
-        self.should_wave = should_wave or (lambda: True)
+        self.get_counters = weak_callback(get_counters, host)
+        self.on_terminate = weak_callback(on_terminate, host)
+        self.should_wave = weak_callback(should_wave or (lambda: True), host)
         self.retry_delay = retry_delay
-        self.counters_vs = counters_vs
-        self.absorb_dead = absorb_dead
+        self.counters_vs = weak_callback(counters_vs, host)
+        self.absorb_dead = weak_callback(absorb_dead, host)
         self.n_total = n_total
         self.is_root = parent < 0
         self.wave_seq = 0

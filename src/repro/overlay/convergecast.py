@@ -18,10 +18,11 @@ protocol can be simulated and unit-tested on its own.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Optional
 
 from ..sim.messages import Message
-from ..sim.process import SimProcess
+from ..sim.process import SimProcess, weak_callback
 from .tree import TreeOverlay
 
 SIZE_UP = "SIZE_UP"
@@ -33,7 +34,8 @@ class SizeService:
     """Converge-cast component; see module docstring.
 
     Args:
-        host: the process this service sends/receives through.
+        host: the process this service sends/receives through (held
+            weakly, as is ``on_ready`` when it is one of its methods).
         tree: the overlay (only the host's own links are read).
         on_ready: callback fired exactly once, when both sizes are known.
     """
@@ -41,9 +43,9 @@ class SizeService:
     def __init__(self, host: SimProcess, tree: TreeOverlay,
                  on_ready: Optional[Callable[[], None]] = None,
                  weight: float = 1.0) -> None:
-        self.host = host
+        self.host = weakref.proxy(host)
         self.tree = tree
-        self.on_ready = on_ready
+        self.on_ready = weak_callback(on_ready, host)
         v = host.pid
         self._waiting = set(tree.children[v])
         # own contribution: 1 for plain subtree sizes; the node's relative

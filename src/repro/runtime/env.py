@@ -52,7 +52,7 @@ LIVE_QUANTUM = 2048
 class _LiveTimer:
     """Heap entry duck-compatible with :class:`repro.sim.events.Event`."""
 
-    __slots__ = ("time", "action", "arg", "cancelled")
+    __slots__ = ("time", "action", "arg", "cancelled", "__weakref__")
 
     def __init__(self, time: float, action: Callable, arg: Any) -> None:
         self.time = time
@@ -187,7 +187,7 @@ class LiveEnv:
         if proc.pid != self.pid:
             raise SimRuntimeError(
                 f"env for pid {self.pid} cannot run pid {proc.pid}")
-        proc.sim = self
+        proc._bind(self)   # weakly, as Simulator.add_process binds it
         proc._stats = self.stats.per_process[self.pid]
         self.proc = proc
 

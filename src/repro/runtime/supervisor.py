@@ -171,10 +171,17 @@ class LiveConfig:
             raise SimConfigError(
                 f"join pids must be consecutive from n={self.n}, "
                 f"got {join_pids}")
-        for j in self.joins:
+        last = 0.0
+        for j in sorted(self.joins, key=lambda j: j["pid"]):
             t = j.get("after_s")
             if not isinstance(t, (int, float)) or t < 0:
                 raise SimConfigError(f"join needs after_s >= 0: {j!r}")
+            # a joiner's pid is its slot in the fleet, filled in order
+            if t < last:
+                raise SimConfigError(
+                    f"join times must not decrease in pid order: pid "
+                    f"{j['pid']} joins at {t} s, before pid {j['pid'] - 1}")
+            last = t
         kill_pids = {k["pid"] for k in self.kills}
         seen_leave: set[int] = set()
         for lv in self.leaves:
@@ -387,7 +394,8 @@ class _LiveRun:
         self.leaves = {lv["pid"]: lv["after_s"] for lv in cfg.leaves}
         # elastic membership schedule: one join in flight at a time so the
         # announced graft sequence is totally ordered
-        self.join_queue = sorted(cfg.joins, key=lambda j: j["after_s"])
+        # (pid order is time order: LiveConfig checks it)
+        self.join_queue = sorted(cfg.joins, key=lambda j: j["pid"])
 
     def elapsed(self) -> float:
         """Wall seconds since ``go``."""

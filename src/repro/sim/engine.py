@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from functools import reduce
 from heapq import heappop
 from itertools import accumulate
@@ -127,7 +128,14 @@ class Simulator:
             raise SimConfigError(
                 f"expected pid {len(self.processes)}, got {proc.pid}; "
                 "add processes in pid order")
-        proc.sim = self
+        # the one back-reference is weak (SimProcess docstring): a dropped
+        # finished run is freed by reference counting, not left to the
+        # cycle collector
+        bind = getattr(proc, "_bind", None)
+        if bind is not None:
+            bind(self)
+        else:   # a duck-typed process, e.g. a shard ghost
+            proc.sim = weakref.proxy(self)
         self.processes.append(proc)
         self._arrive_fns.append(proc._arrive)
         # (None for a duck-typed process, e.g. a shard ghost: nothing

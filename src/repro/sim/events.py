@@ -59,7 +59,8 @@ class Event:
             with tracing on).
     """
 
-    __slots__ = ("time", "action", "arg", "cancelled", "tag")
+    # weak-referenceable: a protocol may hold its pending timer weakly
+    __slots__ = ("time", "action", "arg", "cancelled", "tag", "__weakref__")
 
     def __init__(self, time: float, action: Callable[..., None],
                  arg: Any = None, tag: str = "") -> None:

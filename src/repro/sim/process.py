@@ -20,11 +20,23 @@ Subclass contract:
 
 Use :meth:`occupy` to model computation, :meth:`send` to transmit, and
 :meth:`call_at` / :meth:`call_after` for zero-cost timers.
+
+Ownership runs one way. The substrate (:class:`~repro.sim.engine.Simulator`,
+:class:`~repro.runtime.env.LiveEnv`) owns its processes, and a process
+reaches its substrate through a weak proxy, bound once when the substrate
+adopts it (:meth:`SimProcess._bind`). A protocol component
+(``SizeService``, ``TerminationWaves``, ``ReliableChannel``) reaches its
+host through a weak proxy too, and stores a callback that is a method of
+its host re-bound to that proxy (:func:`weak_callback`). So a finished
+run holds no reference cycle: reference counting frees it the moment its
+caller drops the substrate and its processes.
 """
 
 from __future__ import annotations
 
 import heapq
+import weakref
+from types import MethodType
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from .errors import SimRuntimeError
@@ -36,16 +48,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class SimProcess:
-    """One simulated node; see module docstring for the execution model."""
+    """One simulated node; see module docstring for the execution model.
+
+    A process does not keep its substrate alive: ``sim`` is a weak proxy,
+    so reading ``now`` (or sending, or scheduling) after the substrate is
+    gone raises ``ReferenceError``.
+    """
 
     def __init__(self, pid: int) -> None:
         if pid < 0:
             raise SimRuntimeError(f"pid must be >= 0, got {pid}")
         self.pid = pid
-        self.sim: "Simulator" = None  # type: ignore[assignment]  # set on add
+        self.sim: "Simulator" = None  # type: ignore[assignment]  # _bind
+        self._handler_cost = 0.0
+        self._debug = False
         # a list, not a deque: it is almost always empty, and an empty
-        # deque costs ~760 bytes a process to a list's 56 (a finished
-        # cell lingers until a full collection, so that is peak RSS)
+        # deque costs ~760 bytes a process to a list's 56 (n of them per
+        # cell; at n=10,000 that is 7 MB)
         self._inbox: list[Message] = []
         self._cpu_busy = False
         self._crashed = False   # set by the engine's fault layer, only
@@ -108,7 +127,7 @@ class SimProcess:
 
     def call_at(self, time: float, fn: Callable[[], None], tag: str = "") -> Event:
         """Schedule a zero-cost callback at absolute virtual ``time``."""
-        if not tag and self.sim.debug:
+        if not tag and self._debug:
             tag = f"timer@{self.pid}"
         if self.sim.fuse_active:
             self._note_inbound(time)
@@ -142,7 +161,7 @@ class SimProcess:
             raise SimRuntimeError(f"process {self.pid}: negative occupy {duration}")
         self._cpu_busy = True
         sim = self.sim
-        if not tag and sim.debug:
+        if not tag and self._debug:
             tag = f"occupy@{self.pid}"
         key = self._key
         self._key = key + 1
@@ -157,6 +176,15 @@ class SimProcess:
         self._drain()
 
     # -- engine-facing internals ----------------------------------------------
+
+    def _bind(self, env) -> None:
+        """Adoption by the substrate ``env`` (``Simulator.add_process``,
+        ``LiveEnv.attach``): reach it weakly, and copy the two plain
+        values the per-message path reads, so that path dereferences the
+        proxy only to send and to schedule."""
+        self.sim = weakref.proxy(env)
+        self._handler_cost = env.network.handler_cost
+        self._debug = env.debug
 
     def _note_inbound(self, time: float) -> None:
         """Record that some event targeting this process fires at ``time``.
@@ -200,23 +228,22 @@ class SimProcess:
             self.on_cpu_free()
             return
         msg = self._inbox.pop(0)
-        sim = self.sim
         self._cpu_busy = True
-        queue = sim.queue
+        queue = self.sim.queue
         key = self._key
         self._key = key + 1
         # posted, not pushed: nothing ever cancels a handler completion
-        if sim.debug:
-            queue.push(queue.now + sim.network.handler_cost, key,
+        if self._debug:
+            queue.push(queue.now + self._handler_cost, key,
                        self._handled, tag=f"handle:{msg.kind}@{self.pid}",
                        arg=msg)
         else:
-            queue.post(queue.now + sim.network.handler_cost, key,
+            queue.post(queue.now + self._handler_cost, key,
                        self._handled, msg)
 
     def _handled(self, msg: Message) -> None:
         self._cpu_busy = False
-        self._stats.handler_time += self.sim.network.handler_cost
+        self._stats.handler_time += self._handler_cost
         self.on_message(msg)
         self._drain()
 
@@ -224,4 +251,13 @@ class SimProcess:
         return f"<{type(self).__name__} pid={self.pid}>"
 
 
-__all__ = ["SimProcess"]
+def weak_callback(fn, host):
+    """``fn`` as a component stores it: a method of ``host`` is re-bound
+    to a weak proxy of ``host`` (anything else is kept as is), so the
+    stored callback closes no cycle through its host."""
+    if isinstance(fn, MethodType) and fn.__self__ is host:
+        return MethodType(fn.__func__, weakref.proxy(host))
+    return fn
+
+
+__all__ = ["SimProcess", "weak_callback"]

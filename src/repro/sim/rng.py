@@ -78,9 +78,9 @@ class RngStream:
 
     The generator is seeded on the first draw, not at construction: the
     same stream either way, but a stream nobody draws from (an overlay
-    leaf's probe picker) holds no 2.5 KB of Twister state. A finished
-    simulated cell is cyclic garbage until a full collection, and at
-    n = 1000 those states were up to 2.5 MB of it.
+    leaf's probe picker) holds no 2.5 KB of Twister state. At n = 1000
+    that is up to 2.5 MB of a running cell; a finished one is freed
+    whole when its caller drops it.
     """
 
     __slots__ = ("seed", "_mt")

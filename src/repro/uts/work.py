@@ -170,8 +170,8 @@ class UTSWork(WorkItem):
                 depths[size:top] = cd
                 size = top
             elif size == 0 and len(states) > _MIN_CAP:
-                # An empty stack holds no buffer: a finished simulated cell
-                # is one reference cycle that only a gen-2 collection frees.
+                # An empty stack holds no buffer: a drained worker idles
+                # out the rest of its run on the 64-entry minimum.
                 states = self._states = np.empty(_MIN_CAP, dtype=np.uint64)
                 depths = self._depths = np.empty(_MIN_CAP, dtype=np.int32)
             out.append(take)

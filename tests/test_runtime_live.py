@@ -241,6 +241,22 @@ def test_kill_config_validation():
                    kills=({"pid": 1, "after_s": 0.1, "after_units": 5},))
 
 
+def test_join_times_must_follow_pid_order():
+    """A joiner's pid is its fleet slot, filled in order, so a later pid
+    may not join earlier; checked at construction, before any spawn."""
+    from repro.sim.errors import SimConfigError
+    with pytest.raises(SimConfigError, match="pid 5 joins at 0.02 s"):
+        LiveConfig("BTD", n=4, fault_tolerance=True,
+                   joins=({"pid": 4, "after_s": 0.08},
+                          {"pid": 5, "after_s": 0.02}),
+                   app={"kind": "uts", "preset": "bin_small"})
+    cfg = LiveConfig("BTD", n=4, fault_tolerance=True,
+                     joins=({"pid": 5, "after_s": 0.08},
+                            {"pid": 4, "after_s": 0.02},
+                            {"pid": 6, "after_s": 0.08}))
+    assert cfg.slots == 7
+
+
 # -- network partitions (transport-layer splits) -----------------------------
 
 def test_live_partition_heal_conserves_every_unit(tmp_path):
