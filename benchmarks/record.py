@@ -235,8 +235,8 @@ def uts_quantum_rate(quantum, max_nodes=5_000_000, repeats=3):
     """Nodes/s through ``UTSWork.process(quantum)``, one call per quantum:
     the simulated protocols' unfused quanta (16 by default), where the
     per-call cost ``count_tree``'s 32k batches hide is the whole bill.
-    (A live or served slice is one batch of up to ``LIVE_QUANTUM`` =
-    2,048 nodes, which ``uts_nodes_per_s`` covers better.)"""
+    (A live or served slice is one batch of about 1 ms of nodes, up to
+    the run's ``quantum``, which ``uts_nodes_per_s`` covers better.)"""
     def run():
         work, nodes = UTSWork.root(UTS_PARAMS), 0
         while nodes < max_nodes and not work.is_empty():

@@ -150,7 +150,7 @@ def add_live_arguments(parser: argparse.ArgumentParser) -> None:
 def _compare_sim(live, cfg, spec) -> list[str]:
     """Cross-validate the live run against the simulator; returns errors."""
     from .runner import run_instrumented
-    sim_result, _sim_stats = run_instrumented(cfg.run_config(), spec.build())
+    sim_result, _sim_stats = run_instrumented(cfg.sim_config(), spec.build())
     errors = []
     if spec.kind == "uts" and not live.killed \
             and live.result.total_units != sim_result.total_units:

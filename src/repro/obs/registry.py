@@ -146,6 +146,8 @@ METRICS = {
     "compute.quanta": ("counter", "application quanta executed"),
     "compute.units": ("counter", "work units processed in those quanta "
                                  "(units / quanta = mean batch)"),
+    "compute.slice_s": ("histogram", "live: wall seconds per compute slice "
+                                     "(sized against LIVE_SLICE_S)"),
     "work.transfer_units": ("histogram", "work units per WORK transfer"),
     "work.transfer_bytes": ("histogram", "encoded bytes per WORK transfer"),
     "term.waves": ("counter", "verification waves started by the root"),

@@ -18,7 +18,8 @@ unchanged:
   when its wall deadline passes;
 * a compute quantum becomes a *slice*: :meth:`LiveEnv.compute` parks it
   and the reactor computes at most one per turn
-  (:meth:`LiveEnv.run_slice`), timed on the wall clock;
+  (:meth:`LiveEnv.run_slice`), timed on the wall clock and sized by it
+  (:data:`LIVE_SLICE_S`);
 * ``handler_cost`` is 0 — handling takes whatever it really takes;
 * ``is_crashed`` consults the death announcements the supervisor
   broadcasts (its EOF/child-exit watch is the failure detector), and
@@ -42,11 +43,19 @@ from .codec import message_to_frame
 from .mesh import PeerMesh
 from .spool import read_spool, spool_path
 
-#: Work units per live compute slice, the default ``quantum`` of every live
-#: run and serve lane.  A reactor turn computes at most one slice, so this
-#: is how many units a worker processes between two reads of its sockets
-#: (docs/runtime.md, "The live quantum").
-LIVE_QUANTUM = 2048
+#: Wall-clock budget of one live compute slice.  A reactor turn computes at
+#: most one slice, so this is about how long a busy worker goes between two
+#: reads of its sockets (docs/runtime.md, "The live slice").
+LIVE_SLICE_S = 1e-3
+
+#: Units of a worker's first slice (at most the run's ``quantum``): each
+#: worker then doubles its allowance after a slice that used all of it in
+#: under half the budget and halves it after one that overran the budget.
+LIVE_SLICE_UNITS = 2048
+
+#: The default ``quantum`` of every live run and serve lane, the ceiling of
+#: the allowance: only units that cost nothing (the synthetic app) reach it.
+LIVE_QUANTUM = 65536
 
 
 class _LiveTimer:
@@ -174,6 +183,10 @@ class LiveEnv:
         self.proc = None
         #: a compute slice the process asked for, run by :meth:`run_slice`
         self.slice_parked = False
+        #: units the next slice may compute (0: none computed yet)
+        self.allowance = 0
+        self._slice_s = (metrics.histogram("compute.slice_s")
+                         if metrics is not None else None)
         self._spool_cache: dict[int, Optional[dict]] = {}
         #: the job's epoch, stamped onto every outbound ``msg`` frame as
         #: ``"j"``: a fleet runs its jobs over one mesh, and the receiving
@@ -229,8 +242,11 @@ class LiveEnv:
 
     def run_slice(self) -> None:
         """Compute the parked slice, if it is still wanted, and run its
-        boundary, then the queue or the next slice.  The wall time it took
-        is the process's ``busy_time`` (the simulator prices it instead)."""
+        boundary, then the queue or the next slice.  The slice is one
+        ``app.process`` call of :attr:`allowance` units; the wall time it
+        took is the process's ``busy_time`` (the simulator prices it
+        instead) and sizes the next one against :data:`LIVE_SLICE_S`,
+        between 1 unit and the run's ``quantum``."""
         if not self.slice_parked:
             return
         self.slice_parked = False
@@ -240,9 +256,20 @@ class LiveEnv:
         if (proc._cpu_busy or proc.terminated or proc.leaving
                 or proc.work.is_empty()):
             return
+        ceiling = proc.cfg.quantum
+        allowance = self.allowance or min(ceiling, LIVE_SLICE_UNITS)
         t0 = time.perf_counter()
-        outcome = proc.app.process(proc.work, proc.cfg.quantum, proc.shared)
-        proc.stats.busy_time += time.perf_counter() - t0
+        outcome = proc.app.process(proc.work, allowance, proc.shared)
+        took = time.perf_counter() - t0
+        proc.stats.busy_time += took
+        if self._slice_s is not None:
+            self._slice_s.observe(took)
+        if took > LIVE_SLICE_S:
+            self.allowance = max(1, allowance // 2)
+        elif outcome.units >= allowance and took < LIVE_SLICE_S / 2:
+            self.allowance = min(ceiling, 2 * allowance)
+        else:
+            self.allowance = allowance
         if proc._count_quantum(outcome):
             proc._quantum_done(outcome.units, outcome.improved)
             proc._drain()
@@ -304,5 +331,5 @@ class LiveEnv:
         return seq in doc.get("recv_log", {}).get(str(src_pid), ())
 
 
-__all__ = ["LIVE_QUANTUM", "LiveEnv", "LiveFaults", "LiveNetwork",
-           "WallTimerQueue"]
+__all__ = ["LIVE_QUANTUM", "LIVE_SLICE_S", "LIVE_SLICE_UNITS", "LiveEnv",
+           "LiveFaults", "LiveNetwork", "WallTimerQueue"]

@@ -55,22 +55,25 @@ from ..obs.registry import MetricsRegistry
 from ..sim.errors import SimRuntimeError
 from ..sim.stats import RunStats
 from .codec import WireError, stats_from_wire
-from .env import LIVE_QUANTUM
+from .env import LIVE_QUANTUM, LIVE_SLICE_S
 from .transport import (FramedConnection, InterestTable, open_listener,
                         unlink_quietly)
 
 #: Wall grace between SIGTERM and SIGKILL while reaping.
 GRACE_S = 2.0
 
-#: Owner loop tick: bounds death-detection and fault-schedule latency.
+#: Owner loop tick: bounds death-detection latency (a one-shot run's fault
+#: schedule wakes the job loop sooner when it is due).
 TICK_S = 0.05
 
 #: Live-scale pacing: wall milliseconds, not the simulator's virtual
 #: defaults — loopback RTTs are tens of microseconds, but real scheduling
 #: jitter is milliseconds, so retries back off further than in the sim.
+#: The ack timeout is twenty compute slices: a peer busy in one slice
+#: answers long before it fires.
 LIVE_WAVE_RETRY_S = 0.02
 LIVE_PROBE_RETRY_S = 0.005
-LIVE_ACK_TIMEOUT_S = 0.02
+LIVE_ACK_TIMEOUT_S = 20 * LIVE_SLICE_S
 
 
 def live_run_config(**fields) -> RunConfig:
@@ -164,6 +167,10 @@ def _ignore(*_args) -> None:
     return None
 
 
+#: The states of a member whose report of the job in flight is in.
+_REPORTED = ("done", "left")
+
+
 class Fleet(InterestTable):
     """Listener, selector and member connections of one worker fleet
     (see module docstring).  The owner fills :attr:`members`."""
@@ -215,8 +222,7 @@ class Fleet(InterestTable):
                 self.drain(who)
                 if who.conn.eof:
                     self.drop(who)
-                    if self.job is not None and who.state not in ("left",
-                                                                  "dead"):
+                    if self.job is not None and who.state != "dead":
                         self._died(who)
         self.flush()
 
@@ -285,7 +291,7 @@ class Fleet(InterestTable):
                        if k in frame)
         elif frame.get("epoch") != self.epoch:
             return
-        elif t in ("done", "left"):
+        elif t in _REPORTED:
             m.state = t
             self.reports[m.pid] = frame
             if t == "left":
@@ -320,7 +326,8 @@ class Fleet(InterestTable):
         self.broadcast({"t": "go",
                         "peers": {str(m.pid): m.peer for m in members}, **go})
 
-    def run_job(self, job: dict, turn: Callable[[], None] = _ignore,
+    def run_job(self, job: dict,
+                turn: Callable[[], Optional[float]] = _ignore,
                 repair: bool = False) -> Optional[tuple[str, str]]:
         """Run one ``job`` frame (``app``, ``run``, ``timeout_s``, ``id``,
         ``epoch``) on the booted fleet to its end: None once every member
@@ -328,8 +335,10 @@ class Fleet(InterestTable):
         its one failure as ``(error, detail)`` - a ``job_error`` and its
         traceback, a death's exit code and last log line and its log's
         tail, or the deadline.  ``turn`` runs once a turn (the one-shot
-        fault schedule).  With ``repair`` a death is announced for the
-        survivors to splice around; without, it fails the job."""
+        fault schedule) and returns the seconds until it wants the next
+        one (None: a :data:`TICK_S` tick will do).  With ``repair`` a
+        death is announced for the survivors to splice around; without,
+        it fails the job."""
         self.job, self.epoch, self.repair = job, job["epoch"], repair
         self.reports, self.failure = {}, None
         for m in self.members:
@@ -338,20 +347,21 @@ class Fleet(InterestTable):
         self.broadcast(job)
         self.flush()
         deadline = time.monotonic() + float(job["timeout_s"])
+        wait = TICK_S
         try:
             while True:
-                self.pump(TICK_S)
-                turn()
+                self.pump(wait)
+                due = turn()
+                wait = TICK_S if due is None else min(TICK_S, due)
                 for m in self.members:
-                    if (m.state not in ("left", "dead")
+                    if (m.state not in _REPORTED + ("dead",)
                             and m.popen.poll() is not None):
                         if m.conn is not None and not m.conn.closed:
                             self.drain(m)   # what it flushed before exiting
-                        if m.state != "left":
-                            self._died(m)
+                        self._died(m)
                 if self.failure is not None:
                     return self.failure
-                if all(m.state in ("done", "left", "dead")
+                if all(m.state in _REPORTED + ("dead",)
                        for m in self.members):
                     return None
                 if time.monotonic() > deadline:
@@ -364,15 +374,21 @@ class Fleet(InterestTable):
     def _died(self, m: Worker) -> None:
         """``m`` died mid-job: with repair, announce the death (unless
         ``m`` never said hello: a joiner nobody grafted); without, or once
-        nobody is left, fail the job."""
+        nobody is left, fail the job.  A member that already reported
+        this epoch stays reported: its report is its account of the job,
+        and only the survivors still running hear of the death."""
+        if m.state == "left":
+            return   # its departure was announced already
+        reported = m.state == "done"
         said_hello = m.conn is not None
-        m.state = "dead"
+        if not reported:
+            m.state = "dead"
         self.drop(m)
         self.on_dead(m)
         if self.repair and any(w.state != "dead" for w in self.members):
             if said_hello:
                 self.broadcast({"t": "dead", "pid": m.pid})
-        elif self.failure is None:
+        elif not reported and self.failure is None:
             lost = (f"all {len(self.members)} workers died; "
                     if self.repair else "")
             self.failure = (lost + m.describe_exit("died unexpectedly"),
@@ -424,11 +440,14 @@ class Fleet(InterestTable):
         self.strays.clear()
 
     def close(self) -> None:
-        """:meth:`stop`, then release the listener and the selector."""
+        """:meth:`stop`, then release the listener, the selector and the
+        owner's hooks (bound methods of the owner, which holds the fleet:
+        a closed fleet keeps no cycle alive)."""
         self.stop()
         self.sel.close()
         self.listener.close()
         unlink_quietly(self._unix_path)
+        self.on_hello = self.on_frame = self.on_dead = _ignore
 
 
 # -- result assembly ---------------------------------------------------------

@@ -27,7 +27,8 @@ the pool to ``processed``, which the identity counts the same either way
 (expansion is deterministic), and an incoming RACK only shrinks
 ``out_pending`` (a stale entry is cancelled by the receiver's log).
 Progress alone is committed at most :data:`~repro.runtime.worker.
-IDLE_TICK_S` late, for the ``--kill P@Nu`` trigger and the post-mortem;
+IDLE_TICK_S` late, for the post-mortem, and at once when it crosses the
+threshold of a planned ``--kill P@Nu``, for its trigger;
 ``docs/runtime.md`` ("The commit rule") has the full argument.  Whatever
 instant ``kill -9`` lands, the last spool on disk plus the receivers'
 logs partition the work with no gap and no overlap —

@@ -50,7 +50,7 @@ import signal
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..experiments.runner import ExperimentResult, RunConfig
@@ -61,7 +61,7 @@ from ..sim.errors import SimConfigError
 from ..sim.rng import RngStream
 from ..sim.stats import RunStats
 from ..sim.trace import CRASH, PARTITION
-from .env import LIVE_QUANTUM
+from .env import LIVE_QUANTUM, LIVE_SLICE_UNITS
 from .fleet import (TICK_S, Fleet, LiveRuntimeError, Worker, assemble,
                     live_run_config, spawn_worker)
 from .spool import conserved_units_live, read_spool, spool_path
@@ -222,11 +222,19 @@ class LiveConfig:
 
     def run_config(self) -> RunConfig:
         """The configuration every worker runs (``to_wire()`` is their
-        ``run``), and the one ``--compare-sim`` simulates."""
+        ``run``)."""
         return live_run_config(**{name: getattr(self, name) for name in (
             "protocol", "n", "dmax", "sharing", "quantum", "seed",
             "ack_timeout", "wave_retry", "probe_retry", "ack_max_backoff",
             "breaker_threshold")})
+
+    def sim_config(self) -> RunConfig:
+        """The run's simulated twin (``--compare-sim``): the simulator has
+        no wall clock to size a slice by, so its fixed quantum is the
+        live first slice, ``min(quantum, LIVE_SLICE_UNITS)``, not the
+        ceiling."""
+        return replace(self.run_config(),
+                       quantum=min(self.quantum, LIVE_SLICE_UNITS))
 
 
 class Registry:
@@ -302,7 +310,8 @@ class LiveResult:
     run_dir: str
     trace_path: Optional[str]
     reports: dict                   # pid -> final worker report
-    spools: dict                    # pid -> last spool of each dead worker
+    spools: dict                    # pid -> last spool of each dead or
+                                    # killed worker
     wall_s: float                   # supervisor wall time, spawn to reap
     joined: tuple[int, ...] = ()    # pids that joined mid-run
     left: tuple[int, ...] = ()      # pids that left gracefully
@@ -323,6 +332,11 @@ def _worker_doc(cfg: LiveConfig, pid: int, endpoint: dict, run_dir: str,
     }
     if join_parent is not None:
         doc["join"] = {"parent": join_parent}
+    for k in cfg.kills:
+        if k["pid"] == pid and "after_units" in k:
+            # the victim commits its spool past the threshold, says so,
+            # and is killed
+            doc["kill_units"] = k["after_units"]
     return doc
 
 
@@ -381,9 +395,9 @@ class _LiveRun:
         self.cfg = cfg
         self.run_dir = run_dir
         self.fleet = Fleet(run_dir, cfg.transport, cfg.host, cfg.port)
-        self.fleet.on_hello = self.on_hello
+        self.fleet.on_hello = self.on_hello   # until fleet.close()
         self.fleet.on_frame = self.on_frame
-        self.fleet.on_dead = lambda w: self.registry.mark_dead(w.pid)
+        self.fleet.on_dead = self.on_dead
         self.registry = Registry(cfg)
         self.interrupted: list[int] = []   # signals received
         self.t_spawn = time.monotonic()   # the workers start right after
@@ -447,39 +461,60 @@ class _LiveRun:
         w.state = "running"
 
     def on_frame(self, w: Worker, frame: dict) -> None:
-        if frame.get("t") == "left" and w.state == "left":
+        t = frame.get("t")
+        if t == "left" and w.state == "left":
             self.registry.mark_left(w.pid)
+        elif t == "passed" and w.state == "running":
+            # its spool shows the units of its after_units kill
+            self.kill(w)
 
-    def turn(self) -> None:
-        """Planned faults and membership changes that have come due."""
+    def kill(self, w: Worker) -> None:
+        """SIGKILL a planned victim (once)."""
+        if w.pid not in self.killed:
+            self.killed[w.pid] = self.elapsed()
+            w.popen.kill()
+
+    def on_dead(self, w: Worker) -> None:
+        self.registry.mark_dead(w.pid)
+
+    def turn(self) -> Optional[float]:
+        """Planned faults and membership changes that have come due;
+        returns the seconds until the next one is (None: none is
+        pending), so that the job loop wakes for its own schedule."""
         if self.interrupted:
             raise LiveAborted(signal.Signals(self.interrupted[0]).name)
         cfg, fleet, now = self.cfg, self.fleet, self.elapsed()
+        waits = []
         for w in fleet.members:
             k = self.kills.get(w.pid)
-            # kills land only before the victim reports done
-            if k is None or w.pid in self.killed or w.state != "running":
-                continue
-            due = "after_s" in k and now >= k["after_s"]
-            if not due and "after_units" in k:
-                doc = read_spool(spool_path(self.run_dir, w.pid))
-                due = doc is not None and doc["processed"] >= k["after_units"]
-            if due:
-                self.killed[w.pid] = now
-                w.popen.kill()
+            # kills land only before the victim reports done; an
+            # after_units one when the victim says it passed them
+            if (k is not None and "after_s" in k and w.pid not in self.killed
+                    and w.state == "running"):
+                waits.append(k["after_s"] - now)
+                if now >= k["after_s"]:
+                    self.kill(w)
         # one join at a time: the graft sequence must be totally ordered
-        if (self.join_queue and now >= self.join_queue[0]["after_s"]
-                and all(w.state != "boot" for w in fleet.members)):
-            jpid = self.join_queue.pop(0)["pid"]
-            parent = self.registry.assign_parent(jpid)
-            self.registry.add_join(jpid, parent)
-            fleet.members.append(_spawn_one(
-                cfg, jpid, fleet.endpoint, self.run_dir, join_parent=parent))
+        # (a joiner still booting wakes the loop with its hello)
+        if self.join_queue:
+            waits.append(self.join_queue[0]["after_s"] - now)
+            if (waits[-1] <= 0
+                    and all(w.state != "boot" for w in fleet.members)):
+                jpid = self.join_queue.pop(0)["pid"]
+                parent = self.registry.assign_parent(jpid)
+                self.registry.add_join(jpid, parent)
+                fleet.members.append(_spawn_one(
+                    cfg, jpid, fleet.endpoint, self.run_dir,
+                    join_parent=parent))
         for w in fleet.members:
             at = self.leaves.get(w.pid)
-            if at is not None and w.state == "running" and now >= at:
-                del self.leaves[w.pid]
-                w.conn.send_frame({"t": "leave"})
+            if at is not None and w.state == "running":
+                waits.append(at - now)
+                if now >= at:
+                    del self.leaves[w.pid]
+                    w.conn.send_frame({"t": "leave"})
+        waits = [t for t in waits if t > 0]
+        return min(waits) if waits else None
 
     # -- the end -------------------------------------------------------------
 
@@ -520,21 +555,25 @@ class _LiveRun:
             if w.pid not in self.killed and w.popen.returncode != 0:
                 raise LiveRuntimeError(w.describe_exit("exited with an error"))
         dead = [w.pid for w in workers if w.state == "dead"]
+        # every killed pid's spool, for the post-mortem; but a kill that
+        # landed after its victim reported leaves the report as the
+        # victim's account, so only the deaths before one count
         spools = {}
-        for pid in dead:
+        for pid in sorted(set(dead) | set(self.killed)):
             doc = read_spool(spool_path(run_dir, pid))
             if doc is not None:
                 spools[pid] = doc
+        lost = {pid: doc for pid, doc in spools.items() if pid in dead}
         result, stats, metrics, links = assemble(
             cfg.protocol, cfg.n, cfg.slots, reports, t_go=self.t_go_epoch,
             crashed={pid: self.killed.get(pid) for pid in dead},
-            spools=spools, wall_s=wall_s)
+            spools=lost, wall_s=wall_s)
         metrics.gauge("live.handshake_s").set(self.t_go - self.t_spawn)
         metrics.gauge("live.reap_s").set(time.monotonic() - self.t_shutdown)
         conserved = None
         if cfg.fault_tolerance:
             app = AppSpec.from_wire(cfg.app).build()
-            conserved = conserved_units_live(app, reports, spools)
+            conserved = conserved_units_live(app, reports, lost)
         return LiveResult(
             result=result, stats=stats, metrics=metrics,
             conserved=conserved, run_dir=run_dir, reports=reports,

@@ -29,16 +29,17 @@ A job is one loop (:meth:`Reactor.run_job`), one turn of which is:
 3. act on the control queue (``dead``/``left``/``join`` membership news,
    ``leave``, ``abort``, ``job_end``, ``shutdown``);
 4. fire due timers - message handlers, retransmits, termination waves -
-   then compute **at most one** slice of ``quantum`` units
+   then compute **at most one** slice, sized to about
+   :data:`~repro.runtime.env.LIVE_SLICE_S` of wall clock
    (:meth:`repro.runtime.env.LiveEnv.run_slice`);
 5. report ``done`` once the protocol has terminated;
 6. :meth:`Reactor.flush` - the only place bytes leave the process.  In
    fault mode it first commits the write-ahead spool if the state that
    explains outgoing bytes changed since the last commit (a new pending
    transfer, a new receipt, a dead peer settled, a ``crash_dropped``
-   piece; progress alone at most every :data:`IDLE_TICK_S`), so no byte
-   is on the wire without the state that explains it on disk (the commit
-   rule, :mod:`repro.runtime.spool`).
+   piece; progress alone after :data:`IDLE_TICK_S`, or when it passes a
+   planned kill's threshold), so no byte is on the wire without the state
+   that explains it on disk (the commit rule, :mod:`repro.runtime.spool`).
 
 Protocol frames flow over direct worker<->worker connections
 (:mod:`repro.runtime.mesh`) that outlive jobs; the owner connection
@@ -232,8 +233,11 @@ class Reactor(InterestTable):
         ``crash_dropped`` piece give bytes a meaning that depends on the
         spool, so only they force a commit.  Between them a process moves
         units from ``pool`` to ``processed``, which a stale spool counts
-        the same; that is refreshed once per :data:`IDLE_TICK_S` for the
-        ``--kill P@Nu`` trigger and the post-mortem."""
+        the same; that is refreshed for the post-mortem once the last
+        commit is :data:`IDLE_TICK_S` old.  A worker whose process
+        configuration names ``kill_units`` (the threshold of a planned
+        ``--kill P@Nu``) also commits at its first flush past it, and
+        then tells the owner, which kills it."""
         if self.spool is not None:
             proc, now = self.proc, time.monotonic()
             ch = proc._reliable
@@ -242,13 +246,16 @@ class Reactor(InterestTable):
             units = proc.stats.work_units
             commits, skipped, commit_s, commit_bytes = self._spool_metrics
             state0, units0, at0 = self._commit
-            if state != state0 or (units != units0
-                                   and now - at0 > IDLE_TICK_S):
+            passed = units0 < self.cfg.get("kill_units", -1) <= units
+            if state != state0 or passed or (units != units0
+                                             and now - at0 > IDLE_TICK_S):
                 commit_bytes.observe(
                     write_spool(self.spool, build_spool_doc(proc)))
                 self._commit = (state, units, now)
                 commits.inc()
                 commit_s.observe(time.monotonic() - now)
+                if passed:
+                    self.conn.send_frame({"t": "passed", "units": units})
             else:
                 skipped.inc()
         done = self.conn.flush()

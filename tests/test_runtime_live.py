@@ -23,13 +23,14 @@ import time
 import pytest
 
 from repro.experiments.runner import run_instrumented
-from repro.runtime.env import LIVE_QUANTUM
+from repro.runtime.env import LIVE_SLICE_UNITS
 from repro.runtime.supervisor import LiveConfig, run_live
 from repro.runtime.worker import build_app
 from repro.uts.params import PRESETS
 from repro.uts.sequential import count_tree
 
-TINY_NODES = count_tree(PRESETS["bin_tiny"].params).nodes
+TINY = count_tree(PRESETS["bin_tiny"].params)
+TINY_NODES = TINY.nodes
 UTS_TINY = {"kind": "uts", "preset": "bin_tiny"}
 #: for runs whose fault edges are scheduled on the wall clock or on a
 #: victim's progress: ``bin_tiny`` can finish before a 40-70 ms edge fires
@@ -70,7 +71,7 @@ def test_live_uts_matches_sequential_and_simulator(n):
     live = run_live(cfg)
     assert live.result.total_units == TINY_NODES
     app, _ = build_app(UTS_TINY)
-    sim, _stats = run_instrumented(cfg.run_config(), app)
+    sim, _stats = run_instrumented(cfg.sim_config(), app)
     assert live.result.total_units == sim.total_units
     assert live.result.crashes == 0
     assert live.killed == ()
@@ -87,7 +88,7 @@ def test_live_bnb_matches_simulated_optimum():
     cfg = LiveConfig(protocol="BTD", n=4, app=spec, seed=11, timeout_s=90.0)
     live = run_live(cfg)
     app, _ = build_app(spec)
-    sim, _stats = run_instrumented(cfg.run_config(), app)
+    sim, _stats = run_instrumented(cfg.sim_config(), app)
     assert live.result.optimum is not None
     assert live.result.optimum == sim.optimum
     # node counts legitimately differ (bound-arrival timing), the
@@ -110,9 +111,9 @@ def test_live_bnb_survives_merged_pools_on_the_wire():
 
 
 def test_live_bnb_fault_mode_keeps_its_guarantees():
-    """A slice of LIVE_QUANTUM B&B nodes stays well inside the ack timeout:
-    in fault mode the live optimum is the sequential one, no circuit
-    breaker opens on a healthy peer, and the identity is exact."""
+    """A live slice of B&B nodes stays well inside the ack timeout: in
+    fault mode the live optimum is the sequential one, no circuit breaker
+    opens on a healthy peer, and the identity is exact."""
     spec = {"kind": "bnb", "index": 3, "jobs": 11, "machines": 10}
     live = run_live(LiveConfig(protocol="BTD", n=2, app=spec, seed=1,
                                fault_tolerance=True, timeout_s=120.0))
@@ -120,6 +121,27 @@ def test_live_bnb_fault_mode_keeps_its_guarantees():
     assert live.result.optimum == optimum
     assert live.result.breaker_opens == 0
     assert live.conserved == live.result.total_units
+
+
+def test_live_bnb_at_the_papers_machine_count_slices_by_time():
+    """Ta21 on its 20 machines with the paper's bound (truncated to 10
+    jobs): a first slice of LIVE_SLICE_UNITS nodes takes ~20 ms, the ack
+    timeout, so each worker halves its allowance until a slice fits the
+    budget.  The guarantees of fault mode hold, and the mean slice is
+    under half the first one (1,800-2,000 nodes when every slice was
+    2,048) - a count, not a timing."""
+    spec = {"kind": "bnb", "index": 1, "jobs": 10, "machines": 20,
+            "bound": "llrk"}
+    live = run_live(LiveConfig(protocol="BTD", n=2, app=spec, seed=1,
+                               fault_tolerance=True, timeout_s=120.0))
+    optimum, _perm, _nodes = build_app(spec)[0].engine.solve()
+    assert live.result.optimum == optimum
+    assert live.result.breaker_opens == 0
+    assert live.conserved == live.result.total_units
+    units = live.metrics.counter("compute.units").value
+    assert 2 * units < LIVE_SLICE_UNITS * live.metrics.counter(
+        "compute.quanta").value
+    assert live.metrics.histogram("compute.slice_s").count > 0
 
 
 def test_live_stats_and_metrics_flow_through():
@@ -138,7 +160,9 @@ def test_live_stats_and_metrics_flow_through():
     # the workers' own units / quanta (the mean batch) ride the same path
     assert live.metrics.counter("compute.units").value == TINY_NODES
     quanta = live.metrics.counter("compute.quanta").value
-    assert quanta >= TINY_NODES / LIVE_QUANTUM
+    # a slice is one batch: a node and its child never share one, so the
+    # deepest root-to-leaf path takes a slice per node, whatever the size
+    assert quanta > TINY.max_depth
     # a reactor turn computes at most one slice
     assert quanta <= live.metrics.counter("reactor.turns").value
     # a plain run has no spool, so it publishes no spool instruments
@@ -413,7 +437,7 @@ def test_p2p_clean_run_matches_sequential():
     assert live.links                            # mesh-counted traffic
     assert all(src != dst for src, dst in live.links)
     sim_res, _ = run_instrumented(
-        LiveConfig(protocol="BTD", n=4, app=UTS_TINY, seed=11).run_config(),
+        LiveConfig(protocol="BTD", n=4, app=UTS_TINY, seed=11).sim_config(),
         build_app(UTS_TINY)[0])
     assert live.result.total_units == sim_res.total_units
 

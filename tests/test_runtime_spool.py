@@ -9,8 +9,9 @@ rule").  Three angles, and the turn the rule is applied once per:
   every frame pumped and every timer due, and one commit for all of it;
 * write-ahead order as a property of a whole run: two fault-mode reactors
   on threads, every commit and every flush recorded in order;
-* ``kill -9`` at early / middle / late points of a real fleet run: the
-  four-place conservation identity stays exact.
+* ``kill -9`` at early / middle / late points of a real fleet run, and
+  one that lands after its victim's report: the four-place conservation
+  identity stays exact.
 """
 
 import os
@@ -25,13 +26,15 @@ from repro.apps.synthetic import SyntheticWork
 from repro.experiments.runner import RunConfig, worker_factory
 from repro.obs.registry import MetricsRegistry
 from repro.core.reliable import RMSG
-from repro.runtime.codec import message_to_frame, pack_frame
+from repro.runtime.codec import (message_to_frame, pack_frame,
+                                 stats_to_wire, to_wire)
 from repro.runtime.env import LiveEnv
-from repro.runtime.fleet import live_run_config
-from repro.runtime.spool import read_spool
-from repro.runtime.supervisor import LiveConfig, run_live
+from repro.runtime.fleet import Worker, live_run_config
+from repro.runtime.spool import read_spool, spool_path, write_spool
+from repro.runtime.supervisor import LiveConfig, _LiveRun, run_live
 from repro.runtime.transport import FramedConnection, connect_endpoint
 from repro.sim.messages import sized
+from repro.sim.stats import RunStats
 from repro.runtime.worker import Reactor, build_app
 from repro.uts.params import PRESETS
 
@@ -113,13 +116,25 @@ def test_commit_rule_turn_by_turn(reactor, monkeypatch):
     assert read_spool(r.spool)["crash_dropped"] == [{"__syn": 7}]
     assert flush(r) == 0
 
-    # progress alone: only once the last commit is IDLE_TICK_S old
+    # progress alone: at once past a planned kill's threshold (and the
+    # owner hears of it, after the commit), else only once the last commit
+    # is IDLE_TICK_S old
+    told = []
+    monkeypatch.setattr(r.conn, "send_frame", told.append)
+    r.cfg["kill_units"] = 100
     r.proc.stats.work_units += 64
     assert flush(r) == 0
-    assert read_spool(r.spool)["processed"] == 0
+    assert read_spool(r.spool)["processed"] == 0 and told == []
+    r.proc.stats.work_units += 64
+    assert flush(r) == 1            # 128 >= 100
+    assert read_spool(r.spool)["processed"] == 128
+    assert told == [{"t": "passed", "units": 128}]
+    r.proc.stats.work_units += 64
+    assert flush(r) == 0            # passed once
+    assert len(told) == 1
     monkeypatch.setattr(worker_mod, "IDLE_TICK_S", 0.0)
     assert flush(r) == 1
-    assert read_spool(r.spool)["processed"] == 64
+    assert read_spool(r.spool)["processed"] == 192
     assert flush(r) == 0            # no progress since: age alone is not
 
 
@@ -264,7 +279,76 @@ def test_no_frame_leaves_before_the_commit_that_explains_it(
                for r in h.reports.values()) > 0
 
 
-# -- (c) kill -9 early, in the middle, late ----------------------------------
+# -- (c) kill -9 early, in the middle, late, after the report ----------------
+
+class _Popen:
+    """A member "process" the owner never sees exit: only its connection
+    tells."""
+
+    returncode = 0
+
+    def poll(self) -> None:
+        return None
+
+    def terminate(self) -> None:
+        pass
+
+    def wait(self, timeout=None) -> int:
+        return 0
+
+
+def test_a_kill_after_the_victim_reported_counts_its_units_once(tmp_path):
+    """The owner's fault schedule killed pid 1, but its ``done`` was on the
+    wire already: one pump reads the report and then the EOF.  The report
+    is pid 1's account of the job; its spool stays for the post-mortem
+    but does not enter the identity a second time."""
+    units = 1000
+    run_dir = str(tmp_path)
+    app = {"kind": "synthetic", "units": units}
+    run = _LiveRun(LiveConfig(n=2, app=app, fault_tolerance=True,
+                              run_dir=run_dir), run_dir)
+    fleet = run.fleet
+    fleet.members = [Worker(pid, _Popen()) for pid in range(2)]
+    far = []
+    try:
+        for pid in range(2):
+            ours, theirs = socket.socketpair()
+            fleet.adopt(ours)
+            theirs.sendall(pack_frame({"t": "hello", "pid": pid, "ospid": 0,
+                                       "peer": {"kind": "tcp", "port": 1}}))
+            far.append(theirs)
+        while any(m.conn is None for m in fleet.members):
+            fleet.pump(0.02)
+
+        def done(pid: int, processed: int) -> bytes:
+            row = RunStats.create(2).per_process[pid]
+            row.work_units = processed
+            return pack_frame({"t": "done", "pid": pid, "epoch": 1,
+                               "stats": stats_to_wire(row), "recv_log": {},
+                               "crash_dropped": []})
+
+        # pid 1 processed 400 units, committed them and reported; then the
+        # kill landed: its report and its EOF arrive together
+        write_spool(spool_path(run_dir, 1), {
+            "pid": 1, "processed": 400, "pool": to_wire(SyntheticWork(0)),
+            "out_pending": [], "recv_log": {}, "crash_dropped": []})
+        run.killed[1] = 0.0
+        far[0].sendall(done(0, units - 400))
+        far[1].sendall(done(1, 400))
+        far[1].close()
+        assert fleet.run_job({"t": "job", "id": "live", "epoch": 1,
+                              "app": app, "timeout_s": 10.0},
+                             repair=True) is None
+        assert [m.state for m in fleet.members] == ["done", "done"]
+        live = run.result(wall_s=1.0)
+        assert live.killed == (1,)
+        assert live.spools[1]["processed"] == 400    # the post-mortem
+        assert live.result.crashes == 0
+        assert live.conserved == live.result.total_units == units
+    finally:
+        fleet.close()
+        far[0].close()
+
 
 @pytest.mark.parametrize("n", [2, 4], ids=["p2p-2", "p2p-4"])   # plane-n
 @pytest.mark.parametrize("after_units", [50, 2000, 9000])
@@ -277,6 +361,6 @@ def test_sigkill_sweep_conserves_exactly(tmp_path, after_units, n):
         kills=({"pid": victim, "after_units": after_units},)))
     assert live.killed == (victim,)
     assert live.conserved == SMALL_NODES
-    # the trigger reads the victim's spool, which progress alone refreshes
-    # only every IDLE_TICK_S: it fired at or after the threshold
+    # the victim commits its spool past the threshold, then says so: the
+    # kill fired at or after it
     assert live.spools[victim]["processed"] >= after_units

@@ -25,6 +25,7 @@ from repro.apps.uts_app import UTSApplication
 from repro.bnb.taillard import scaled_instance
 from repro.experiments.runner import PROTOCOLS, RunConfig, build_workers
 from repro.runtime import env as live_env
+from repro.runtime.supervisor import LiveConfig, run_live
 from repro.sim import SimProcess, Simulator, grid5000, uniform_network
 from repro.sim.faults import FaultPlan
 from repro.uts.params import PRESETS
@@ -142,3 +143,20 @@ def test_a_finished_live_job_frees_its_worker_and_env(tmp_path, monkeypatch,
     finally:
         gc.enable()
         h.close()
+
+
+def test_a_finished_live_run_leaves_no_cyclic_garbage():
+    """The owner side of a one-shot run: once ``run_live`` has returned and
+    the caller drops its result, the run, its fleet, the member processes
+    and their connections are freed by reference counting."""
+    cfg = LiveConfig(n=2, app={"kind": "uts", "preset": "bin_tiny"}, seed=3)
+    run_live(cfg)   # first-call garbage (imports, caches) is not a run's
+    gc.collect()
+    gc.disable()
+    try:
+        live = run_live(cfg)
+        assert live.result.total_units == PRESETS["bin_tiny"].nodes
+        del live
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
