@@ -163,7 +163,8 @@ METRICS = {
     "spool.skipped": ("counter", "live fault mode: flushes the commit rule "
                                  "let through without a commit"),
     "spool.commit_s": ("histogram", "wall seconds per spool commit"),
-    "spool.bytes": ("histogram", "bytes per spool commit"),
+    "spool.bytes": ("histogram", "record bytes per spool commit (header, "
+                                 "JSON head, raw UTS stacks)"),
     "engine.events": ("gauge", "events fired over the run"),
     "engine.makespan_s": ("gauge", "virtual time of termination"),
     "engine.crashes": ("counter", "crash-stop faults injected"),

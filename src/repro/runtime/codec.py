@@ -15,10 +15,11 @@ protocols rely on, so containers are *tagged*:
   as its generator parameters + (state, depth) stacks, each stack one
   hex string of the raw little-endian array (``uint64`` states, ``int32``
   depths: exact above 2^53, and one ``str`` per stack instead of one
-  boxed ``int`` per entry); :class:`~repro.bnb.work.BnBWork` as its
-  interval set.  A piece is recognised by its ``wire_tag`` and its class
-  imported when the first of its kind is decoded: a process loads only the
-  applications it runs.
+  boxed ``int`` per entry; ``raw=True`` leaves the ``bytes`` unhexed for
+  the spool, which stores them as they are);
+  :class:`~repro.bnb.work.BnBWork` as its interval set.  A piece is
+  recognised by its ``wire_tag`` and its class imported when the first of
+  its kind is decoded: a process loads only the applications it runs.
 
 Frames are ``4-byte big-endian length + UTF-8 JSON``.  Zero-length frames
 are invalid (every frame carries at least ``{}``), and a peer closing
@@ -51,8 +52,9 @@ class WireError(SimRuntimeError):
 
 # -- payload encoding --------------------------------------------------------
 
-def to_wire(obj: Any) -> Any:
-    """JSON-safe form of a protocol payload (see module docstring)."""
+def to_wire(obj: Any, raw: bool = False) -> Any:
+    """JSON-safe form of a protocol payload (see module docstring); with
+    ``raw``, UTS stacks stay ``bytes``, which only the spool can store."""
     if obj is None or isinstance(obj, (bool, str)):
         return obj
     if isinstance(obj, (int, float)):
@@ -62,21 +64,24 @@ def to_wire(obj: Any) -> Any:
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, list):
-        return [to_wire(x) for x in obj]
+        return [to_wire(x, raw) for x in obj]
     if isinstance(obj, tuple):
-        return {"__t": [to_wire(x) for x in obj]}
+        return {"__t": [to_wire(x, raw) for x in obj]}
     if isinstance(obj, frozenset):
-        return {"__fs": sorted(to_wire(x) for x in obj)}
+        return {"__fs": sorted(to_wire(x, raw) for x in obj)}
     if isinstance(obj, set):
-        return {"__s": sorted(to_wire(x) for x in obj)}
+        return {"__s": sorted(to_wire(x, raw) for x in obj)}
     if isinstance(obj, dict):
-        return {"__d": [[to_wire(k), to_wire(v)] for k, v in obj.items()]}
+        return {"__d": [[to_wire(k, raw), to_wire(v, raw)]
+                        for k, v in obj.items()]}
     tag = getattr(obj, "wire_tag", None)
     if tag == "__uts":
         states, depths = obj.peek()
+        s = states.astype("<u8", copy=False).tobytes()
+        d = depths.astype("<i4", copy=False).tobytes()
         return {"__uts": {"p": list(dataclasses.astuple(obj.params)),
-                          "s": states.astype("<u8", copy=False).tobytes().hex(),
-                          "d": depths.astype("<i4", copy=False).tobytes().hex()}}
+                          "s": s if raw else s.hex(),
+                          "d": d if raw else d.hex()}}
     if tag == "__bnb":
         return {"__bnb": {"n": obj.n_jobs,
                           "i": [[int(a), int(b)] for a, b in obj.as_tuples()]}}

@@ -6,8 +6,9 @@ in a dead worker's unacknowledged WORK transfer, or recorded as a
 ``crash_dropped`` piece — and the four places sum to the sequential node
 count *exactly* (``tests/test_fault_tolerance.py``).  The simulator can
 simply inspect a crashed process's memory; a SIGKILLed OS process leaves
-none, so in fault mode each live worker maintains a **spool**: an
-atomically replaced JSON snapshot of exactly the state the oracle needs —
+none, so in fault mode each live worker maintains a **spool**: a
+snapshot, committed whole or not at all, of exactly the state the oracle
+needs —
 
 * units processed so far,
 * the local work pool,
@@ -34,12 +35,33 @@ instant ``kill -9`` lands, the last spool on disk plus the receivers'
 logs partition the work with no gap and no overlap —
 :func:`conserved_units_live` just adds the places up, mirroring
 ``conserved_units`` in the fault-tolerance tests.
+
+**The record.**  A spool is two slot files, the file at its path (slot 0)
+and one beside it with the suffix ``.1`` (slot 1), held open by a
+:class:`Spool` from a job's start to its end (opened truncated: nothing of
+an earlier job survives) and overwritten in place in turn: commit ``k``
+writes slot ``k % 2``.  A slot holds one record: a header (magic,
+sequence number ``k``, lengths, CRC-32 of header and body), then the
+body — the snapshot as a small JSON head in which every UTS stack is a
+``{"__raw": [offset, length]}`` reference, then those stacks as the raw
+little-endian bytes they are in memory.  A commit never
+touches the slot holding the previous one, so whatever instant
+``kill -9`` lands mid-write, the torn slot fails its checksum and a
+reader (:func:`read_spool`: the valid slot with the higher sequence
+number) sees the previous commit or this one, never a mix — the
+guarantee ``os.replace`` of a temporary file gave, without the data flush
+ext4 forces on a rename over an existing file (0.3–1.7 ms a commit, where
+overwriting a slot costs microseconds).  The fault model is process
+death, not power loss: the page cache outlives the process, so there is
+no ``fsync`` either way.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import struct
+import zlib
 from typing import Optional
 
 from ..apps.base import Application
@@ -48,51 +70,164 @@ from .codec import from_wire, to_wire
 #: Inner message kind whose payload carries a work piece.
 _WORK = "WORK"
 
+#: Record header: magic, sequence number, JSON head bytes, raw stack
+#: bytes; then the CRC-32 of those and of the body.
+_HEADER = struct.Struct("<4sQQQ")
+_CRC = struct.Struct("<I")
+_MAGIC = b"SPL1"
+
 
 def spool_path(run_dir: str, pid: int) -> str:
-    return os.path.join(run_dir, f"spool_{pid}.json")
+    return os.path.join(run_dir, f"spool_{pid}")
 
 
-def write_spool(path: str, doc: dict) -> int:
-    """Atomically replace the spool (tmp + rename: a reader — or the
-    post-mortem — sees the previous snapshot or this one, never a mix).
-    Returns the size written."""
-    tmp = path + ".tmp"
-    # one-shot ``dumps`` runs the C encoder; ``json.dump`` would stream
-    # the document through the pure-Python ``iterencode``
-    text = json.dumps(doc, separators=(",", ":"))
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-    return len(text)   # ASCII (``ensure_ascii``): characters == bytes
+def slot_paths(path) -> tuple[str, str]:
+    """The two slot files of the spool at ``path`` (a ``str`` or a
+    :class:`Spool`): commit ``k`` is written to the ``k % 2``-th."""
+    path = os.fspath(path)
+    return path, path + ".1"
 
 
-def read_spool(path: str) -> Optional[dict]:
-    """Load a spool; None when the worker died before its first commit."""
+class Spool:
+    """The writing end of a spool: its two slot files, opened truncated
+    (nothing of an earlier job at the same path survives) and held open
+    until :meth:`close`, and the sequence number of the last commit.  A
+    path-like object: ``os.fspath`` gives the spool's path."""
+
+    __slots__ = ("path", "_fds", "_sizes", "_seq")
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self._fds: list[int] = []
+        try:
+            for slot in slot_paths(path):
+                self._fds.append(os.open(
+                    slot, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o644))
+        except OSError:
+            self.close()
+            raise
+        self._sizes = [0, 0]
+        self._seq = 0
+
+    def __fspath__(self) -> str:
+        return self.path
+
+    def __enter__(self) -> "Spool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def commit(self, head: bytes, stacks: list[bytes]) -> int:
+        """Overwrite the older slot with the next record; its size."""
+        self._seq += 1
+        header = _HEADER.pack(_MAGIC, self._seq, len(head),
+                              sum(map(len, stacks)))
+        crc = zlib.crc32(head, zlib.crc32(header))
+        for raw in stacks:
+            crc = zlib.crc32(raw, crc)
+        record = memoryview(b"".join(
+            (header, _CRC.pack(crc), head, *stacks)))
+        slot, size = self._seq % 2, len(record)
+        fd, done = self._fds[slot], 0
+        while done < size:
+            done += os.pwrite(fd, record[done:], done)
+        if size < self._sizes[slot]:
+            os.ftruncate(fd, size)   # the file is the record, no tail
+        self._sizes[slot] = size
+        return size
+
+    def close(self) -> None:
+        for fd in self._fds:
+            os.close(fd)
+        self._fds = []
+
+
+def write_spool(spool: Spool, doc: dict) -> int:
+    """Commit ``doc`` to ``spool`` (see module docstring: a reader sees
+    the previous commit or this one, never a mix).  UTS stacks may be hex
+    strings, as :func:`~repro.runtime.codec.to_wire` gives them, or the
+    raw ``bytes`` of ``to_wire(..., raw=True)``, which are stored as they
+    are.  Returns the bytes of the record written."""
+    stacks: list[bytes] = []
+    at = 0
+
+    def stash(raw):
+        nonlocal at
+        if not isinstance(raw, bytes):
+            raise TypeError(f"cannot spool {type(raw).__name__}")
+        stacks.append(raw)
+        at += len(raw)
+        return {"__raw": [at - len(raw), len(raw)]}
+
+    # one-shot ``dumps`` runs the C encoder, which hands each ``bytes``
+    # stack to ``stash`` and writes the reference it returns
+    head = json.dumps(doc, separators=(",", ":"), default=stash)
+    return spool.commit(head.encode("ascii"), stacks)
+
+
+def _read_slot(slot: str) -> Optional[tuple[int, dict]]:
+    """(sequence number, snapshot) of a slot's record; None if the slot
+    is missing, empty, torn or garbled."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError):
+        with open(slot, "rb") as fh:
+            data = fh.read()
+        magic, seq, n_head, n_raw = _HEADER.unpack_from(data)
+        (crc,) = _CRC.unpack_from(data, _HEADER.size)
+    except (OSError, struct.error):
+        return None
+    body = _HEADER.size + _CRC.size
+    if (magic != _MAGIC or len(data) < body + n_head + n_raw
+            or zlib.crc32(data[body:body + n_head + n_raw],
+                          zlib.crc32(data[:_HEADER.size])) != crc):
+        return None
+    raw = memoryview(data)[body + n_head:body + n_head + n_raw]
+
+    def unstash(obj: dict):
+        ref = obj.get("__raw") if len(obj) == 1 else None
+        if ref is None:
+            return obj
+        off, size = ref
+        return raw[off:off + size].hex()
+
+    try:
+        return seq, json.loads(data[body:body + n_head], object_hook=unstash)
+    except ValueError:
         return None
 
 
+def read_spool(path) -> Optional[dict]:
+    """The last complete commit of a spool, as the :func:`to_wire` form
+    of :func:`build_spool_doc` (every UTS stack hex); None when the
+    worker died before its first commit."""
+    best = None
+    for slot in slot_paths(path):
+        rec = _read_slot(slot)
+        if rec is not None and (best is None or rec[0] > best[0]):
+            best = rec
+    return None if best is None else best[1]
+
+
 def build_spool_doc(proc) -> dict:
-    """Snapshot a worker's conservation-relevant state (see module doc)."""
+    """Snapshot a worker's conservation-relevant state (see module doc),
+    in :func:`to_wire` form but with raw UTS stacks, for
+    :func:`write_spool`."""
     ch = proc._reliable
     out_pending = []
     recv_log: dict[str, list[int]] = {}
     if ch is not None:
-        out_pending = [[xf.dst, xf.seq, xf.kind, to_wire(xf.payload)]
+        out_pending = [[xf.dst, xf.seq, xf.kind, to_wire(xf.payload, raw=True)]
                        for xf in ch._pending.values()]
         recv_log = {str(src): sorted(seqs)
                     for src, seqs in ch._seen.items()}
     return {
         "pid": proc.pid,
         "processed": proc.stats.work_units,
-        "pool": to_wire(proc.work),
+        "pool": to_wire(proc.work, raw=True),
         "out_pending": out_pending,
         "recv_log": recv_log,
-        "crash_dropped": [to_wire(p) for p in proc.crash_dropped],
+        "crash_dropped": [to_wire(p, raw=True)
+                          for p in proc.crash_dropped],
     }
 
 
@@ -147,5 +282,5 @@ def conserved_units_live(app: Application, reports: dict[int, dict],
     return total
 
 
-__all__ = ["build_spool_doc", "conserved_units_live", "drain", "read_spool",
-           "spool_path", "write_spool"]
+__all__ = ["Spool", "build_spool_doc", "conserved_units_live", "drain",
+           "read_spool", "slot_paths", "spool_path", "write_spool"]

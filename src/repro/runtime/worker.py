@@ -69,7 +69,7 @@ from ..obs.registry import SIZE_EDGES, MetricsRegistry
 from .codec import WireError, message_from_frame, stats_to_wire, to_wire
 from .env import LiveEnv
 from .mesh import MAX_EARLY_FRAMES, PeerMesh, open_peer_listener
-from .spool import build_spool_doc, spool_path, write_spool
+from .spool import Spool, build_spool_doc, spool_path, write_spool
 from .transport import FramedConnection, InterestTable, connect_endpoint
 
 #: Selector timeout when no timer is pending (keeps the watchdog and
@@ -139,7 +139,7 @@ class Reactor(InterestTable):
         self.seen_epoch = -1               # newest epoch a job frame named
         self.env: Optional[LiveEnv] = None   # set while a job runs
         self.proc = None
-        self.spool: Optional[str] = None   # fault mode: the job's spool
+        self.spool: Optional[Spool] = None   # fault mode: the job's spool
         #: last commit: ((channel revision, crash_dropped count), units
         #: processed, monotonic time); and the job's spool instruments
         self._commit: tuple = (None, 0, 0.0)
@@ -215,7 +215,7 @@ class Reactor(InterestTable):
     def open_spool(self, run_dir: str, metrics: MetricsRegistry) -> None:
         """Fault mode: this job keeps a spool, and publishes what it costs
         into the job's registry."""
-        self.spool = spool_path(run_dir, self.pid)
+        self.spool = Spool(spool_path(run_dir, self.pid))
         self._commit = (None, 0, 0.0)   # the first flush commits
         self._spool_metrics = (
             metrics.counter("spool.commits"),
@@ -435,6 +435,8 @@ class Reactor(InterestTable):
                     raise Exit(0)
                 self.flush()
         finally:
+            if self.spool is not None:
+                self.spool.close()
             self.env = self.proc = self.spool = self.epoch = None
             if tracer is not None:
                 tracer.close()

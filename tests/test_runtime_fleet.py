@@ -26,6 +26,7 @@ import pytest
 import repro
 from repro.runtime.codec import pack_frame
 from repro.runtime.fleet import Fleet, Worker, spawn_worker
+from repro.runtime.spool import read_spool, spool_path
 from repro.runtime.supervisor import LiveConfig, _LiveRun, run_live
 from repro.serve.client import ServeClient
 from repro.serve.daemon import ServeConfig, ServeDaemon
@@ -81,8 +82,8 @@ def _run_one_shot(tmp_path) -> tuple:
     def stranger():
         # worker 0's first spool commit follows its go: by then every
         # pid is registered and the job is running
-        _wait_for(lambda: os.path.exists(
-            os.path.join(run_dir, "spool_0.json")), "the job to start")
+        _wait_for(lambda: read_spool(spool_path(run_dir, 0)) is not None,
+                  "the job to start")
         hung_up.update(_strangers(os.path.join(run_dir, "fleet.sock")))
 
     thread = threading.Thread(target=stranger, daemon=True)

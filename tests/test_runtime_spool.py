@@ -1,8 +1,8 @@
-"""The write-ahead spool's commit rule (``Reactor.flush``).
+"""The write-ahead spool: its commit rule (``Reactor.flush``) and its record.
 
 A fault-mode worker commits its spool only when the state that explains
 outgoing bytes changed since the last commit (docs/runtime.md, "The commit
-rule").  Three angles, and the turn the rule is applied once per:
+rule").  Four angles, and the turn the rule is applied once per:
 
 * the rule itself, turn by turn, on one in-process reactor;
 * the turn rule on the same reactor: one compute slice per turn, after
@@ -11,7 +11,11 @@ rule").  Three angles, and the turn the rule is applied once per:
   on threads, every commit and every flush recorded in order;
 * ``kill -9`` at early / middle / late points of a real fleet run, and
   one that lands after its victim's report: the four-place conservation
-  identity stays exact.
+  identity stays exact;
+* the record itself: a torn or garbled newest slot reads as the commit
+  before it, a reused path never shows an earlier job's slot, every kind
+  of pool and payload reads back as written, and a finished job holds no
+  slot file open.
 """
 
 import os
@@ -19,10 +23,12 @@ import socket
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 import repro.runtime.worker as worker_mod
 from repro.apps.synthetic import SyntheticWork
+from repro.bnb.work import BnBWork
 from repro.experiments.runner import RunConfig, worker_factory
 from repro.obs.registry import MetricsRegistry
 from repro.core.reliable import RMSG
@@ -30,13 +36,15 @@ from repro.runtime.codec import (message_to_frame, pack_frame,
                                  stats_to_wire, to_wire)
 from repro.runtime.env import LiveEnv
 from repro.runtime.fleet import Worker, live_run_config
-from repro.runtime.spool import read_spool, spool_path, write_spool
+from repro.runtime.spool import (Spool, read_spool, slot_paths,
+                                 spool_path, write_spool)
 from repro.runtime.supervisor import LiveConfig, _LiveRun, run_live
 from repro.runtime.transport import FramedConnection, connect_endpoint
 from repro.sim.messages import sized
 from repro.sim.stats import RunStats
 from repro.runtime.worker import Reactor, build_app
 from repro.uts.params import PRESETS
+from repro.uts.work import UTSWork
 
 from test_runtime_reactor import Harness, N
 
@@ -65,6 +73,7 @@ def reactor(tmp_path):
     r.env.attach(r.proc)
     r.open_spool(str(tmp_path), metrics)
     yield r
+    r.spool.close()
     r.conn.close()
     r.mesh.close()
     r.sel.close()
@@ -73,20 +82,22 @@ def reactor(tmp_path):
 
 def flush(r: Reactor) -> int:
     """One flush; returns how many commits it made (0 or 1), checked
-    against the skip counter and the file on disk."""
+    against the skip counter and the record on disk (commit ``k`` of a
+    job is slot ``k % 2``, and a slot file is exactly its record)."""
     commits, skipped, _commit_s, size = r._spool_metrics
     before = (commits.value, skipped.value, size.total)
     r.flush()
     made = commits.value - before[0]
     assert made + (skipped.value - before[1]) == 1
     if made:
-        assert size.total - before[2] == os.path.getsize(r.spool)
+        slot = slot_paths(r.spool)[commits.value % 2]
+        assert size.total - before[2] == os.path.getsize(slot)
     return made
 
 
 def test_commit_rule_turn_by_turn(reactor, monkeypatch):
     r = reactor
-    assert not os.path.exists(r.spool)
+    assert read_spool(r.spool) is None
     assert flush(r) == 1            # first flush of a job: before start()
     assert read_spool(r.spool)["processed"] == 0
     r.proc.start()                  # builds the channel
@@ -329,9 +340,10 @@ def test_a_kill_after_the_victim_reported_counts_its_units_once(tmp_path):
 
         # pid 1 processed 400 units, committed them and reported; then the
         # kill landed: its report and its EOF arrive together
-        write_spool(spool_path(run_dir, 1), {
-            "pid": 1, "processed": 400, "pool": to_wire(SyntheticWork(0)),
-            "out_pending": [], "recv_log": {}, "crash_dropped": []})
+        with Spool(spool_path(run_dir, 1)) as spool:
+            write_spool(spool, {
+                "pid": 1, "processed": 400, "pool": to_wire(SyntheticWork(0)),
+                "out_pending": [], "recv_log": {}, "crash_dropped": []})
         run.killed[1] = 0.0
         far[0].sendall(done(0, units - 400))
         far[1].sendall(done(1, 400))
@@ -364,3 +376,161 @@ def test_sigkill_sweep_conserves_exactly(tmp_path, after_units, n):
     # the victim commits its spool past the threshold, then says so: the
     # kill fired at or after it
     assert live.spools[victim]["processed"] >= after_units
+
+
+# -- (d) the record: torn, stale, round trip, closed -------------------------
+
+def _uts(units: int):
+    """A ``bin_tiny`` pool after ``units`` expansions (0: the root)."""
+    app, _label = build_app({"kind": "uts", "preset": "bin_tiny"})
+    work = app.initial_work()
+    if units:
+        work.process(units)
+    return work
+
+
+def _stack(n: int) -> UTSWork:
+    """A UTS pool of ``n`` made-up entries (states above 2^53)."""
+    return UTSWork(_uts(0).params,
+                   states=(np.arange(n, dtype=np.uint64) << np.uint64(60)),
+                   depths=np.arange(n, dtype=np.int32))
+
+
+def _doc(processed: int, raw: bool = False) -> dict:
+    """A small snapshot whose pool and pending WORK are UTS stacks."""
+    return {"pid": 1, "processed": processed,
+            "pool": to_wire(_stack(processed), raw),
+            "out_pending": [[0, processed, "WORK",
+                             to_wire((_stack(2), ""), raw)]],
+            "recv_log": {"0": list(range(processed))}, "crash_dropped": []}
+
+
+def test_a_torn_or_garbled_newest_slot_reads_as_the_commit_before(tmp_path):
+    """Three commits: slot 1, slot 0, slot 1.  The third is cut short,
+    written over the first's bytes up to some offset, or has one byte
+    flipped, at every offset of its record: the reader sees the second."""
+    path = spool_path(str(tmp_path), 1)
+    docs = [_doc(k) for k in (1, 2, 3)]
+    newest = slot_paths(path)[1]
+    with Spool(path) as spool:
+        write_spool(spool, _doc(1, raw=True))
+        write_spool(spool, _doc(2, raw=True))
+        with open(newest, "rb") as fh:
+            first = fh.read()
+        write_spool(spool, _doc(3, raw=True))
+    with open(newest, "rb") as fh:
+        third = fh.read()
+    assert read_spool(path) == docs[2]
+    assert len(third) < 2000 and third != first
+
+    def reads(data: bytes) -> dict:
+        with open(newest, "wb") as fh:
+            fh.write(data)
+        return read_spool(path)
+
+    for i in range(len(third)):
+        assert reads(third[:i]) == docs[1], ("cut", i)
+        assert reads(third[:i] + first[i:]) == docs[1], ("torn", i)
+        flipped = bytes([third[i] ^ 0xFF])
+        assert reads(third[:i] + flipped + third[i + 1:]) == docs[1], (
+            "garbled", i)
+    assert reads(third) == docs[2]
+
+
+def test_no_valid_slot_reads_as_no_spool(tmp_path):
+    path = spool_path(str(tmp_path), 1)
+    assert read_spool(path) is None            # never opened
+    with Spool(path) as spool:
+        assert read_spool(path) is None        # opened, nothing committed
+        write_spool(spool, _doc(1))
+        write_spool(spool, _doc(2))
+    for slot in slot_paths(path):              # both garbled
+        with open(slot, "r+b") as fh:
+            fh.write(b"SPL2")
+    assert read_spool(path) is None
+
+
+def test_a_reused_spool_path_never_shows_an_earlier_job(tmp_path):
+    """Job 1 commits four times (its last in slot 0, sequence number 4);
+    job 2, on the same run dir and pid, opens the spool and commits once
+    (sequence number 1, slot 1).  From the open on, the reader sees
+    nothing of job 1."""
+    path = spool_path(str(tmp_path), 1)
+    with Spool(path) as spool:
+        for k in range(1, 5):
+            write_spool(spool, _doc(k))
+    assert read_spool(path)["processed"] == 4
+    job2 = {**_doc(0), "pool": to_wire(SyntheticWork(9))}
+    with Spool(path) as spool:
+        assert read_spool(path) is None
+        write_spool(spool, job2)
+        assert read_spool(path) == job2
+
+
+def test_every_pool_and_payload_reads_back_as_written(tmp_path):
+    """The to_wire form goes in and comes out; the raw UTS stacks of
+    ``to_wire(..., raw=True)`` go in and come out as that same form."""
+    bnb = BnBWork.full_tree(6)
+    bnb_piece = bnb.split(0.5)
+    empty = UTSWork.empty(_uts(0).params)
+    pools = {"uts": _uts(40), "uts-root": _uts(0), "uts-empty": empty,
+             "bnb": bnb, "synthetic": SyntheticWork(77)}
+    pending = [[0, 3, "WORK", (_uts(10).split(0.5), "")],
+               [2, 4, "WORK", (bnb_piece, "")],
+               [0, 5, "REQ", (1, frozenset({2, 3}))]]
+    dropped = [_uts(7), SyntheticWork(5), empty]
+    with Spool(spool_path(str(tmp_path), 1)) as spool:
+        for name, pool in pools.items():
+            for raw in (False, True):
+                doc = {"pid": 1, "processed": 123,
+                       "pool": to_wire(pool, raw),
+                       "out_pending": [[d, q, k, to_wire(p, raw)]
+                                       for d, q, k, p in pending],
+                       "recv_log": {"0": [0, 1, 2], "2": [7]},
+                       "crash_dropped": [to_wire(p, raw) for p in dropped]}
+                write_spool(spool, doc)
+                assert read_spool(spool) == {
+                    **doc, "pool": to_wire(pool),
+                    "out_pending": [[d, q, k, to_wire(p)]
+                                    for d, q, k, p in pending],
+                    "crash_dropped": [to_wire(p) for p in dropped]}, (
+                        name, raw)
+
+
+def _open_spool_files(run_dir: str) -> list:
+    spools = {p for pid in range(N)
+              for p in slot_paths(spool_path(run_dir, pid))}
+    found = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:     # closed since the listing
+            continue
+        if target in spools:
+            found.append(target)
+    return found
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd")
+@pytest.mark.parametrize("fault_mode", [False, True], ids=["plain", "fault"])
+def test_a_finished_job_holds_no_spool_file_open(tmp_path, fault_mode):
+    """Two in-process reactors run a UTS job to ``job_end``: once both
+    have left the job, no descriptor of this process points at a slot
+    file; in fault mode the spools are there and were committed."""
+    run_dir = str(tmp_path)
+    h = Harness(run_dir, fault_mode=fault_mode)
+    try:
+        h.go()
+        assert h.run_job(1, {"kind": "uts", "preset": "bin_tiny"}) == (
+            PRESETS["bin_tiny"].nodes)
+        h.pump_until(lambda: all(r.env is None for r in h.reactors))
+        assert _open_spool_files(run_dir) == []
+        for pid in range(N):
+            doc = read_spool(spool_path(run_dir, pid))
+            assert (doc is not None) == fault_mode
+        h.fleet.broadcast({"t": "shutdown"})
+        h.pump_until(lambda: len(h.codes) == N)
+    finally:
+        h.close()
+    assert h.codes == {0: 0, 1: 0}
