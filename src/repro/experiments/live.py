@@ -26,7 +26,7 @@ counts, equal B&B optima).
 
 Protocol frames flow over direct worker<->worker connections (the
 supervisor is control plane only), and membership is elastic:
-``--join 4@1.5s`` spawns worker 4 a second and a half into the run (the
+``--join 4@1.5s`` forks worker 4 a second and a half into the run (the
 supervisor assigns its overlay position and announces it),
 ``--leave 2@1.5s`` orders worker 2 to drain its pool to its parent and
 depart gracefully.  Both compose with ``--kill`` and ``--partition``.
@@ -124,7 +124,7 @@ def add_live_arguments(parser: argparse.ArgumentParser) -> None:
                              "base+PID (0 = ephemeral ports)")
     parser.add_argument("--join", action="append", type=parse_member,
                         default=[], metavar="PID@Ns",
-                        help="spawn a new worker mid-run (pids count up "
+                        help="fork a new worker mid-run (pids count up "
                              "from n): 4@1.5s; implies --fault-tolerance")
     parser.add_argument("--leave", action="append", type=parse_member,
                         default=[], metavar="PID@Ns",
@@ -218,7 +218,7 @@ def live_main(argv: Optional[list] = None) -> int:
         print(text)
         hs, reap = (live.metrics.gauge(f"live.{k}_s").value
                     for k in ("handshake", "reap"))
-        print(f"start-up: handshake {hs:.3f} s (spawn -> last hello), "
+        print(f"start-up: handshake {hs:.3f} s (fork -> last hello), "
               f"reap {reap:.3f} s, of {live.wall_s:.3f} s wall")
     if args.out:
         with open(args.out, "w") as fh:

@@ -18,9 +18,9 @@ connected by length-prefixed sockets:
   framed connections, the only way a protocol frame travels;
 * :mod:`~repro.runtime.worker` — the worker process: one
   :class:`~repro.runtime.worker.Reactor` (selector, epoch filter, job
-  loop, commit-before-flush) behind ``python -m repro.runtime.worker``
-  and, for serve lanes, ``python -m repro.serve.jobhost``;
-* :mod:`~repro.runtime.fleet` — the owner side: one
+  loop, commit-before-flush), run by a fork of its owner — the one-shot
+  supervisor or a serve lane — after the owner preloaded what it runs;
+* :mod:`~repro.runtime.fleet` — the owner side: forking the members, one
   :class:`~repro.runtime.fleet.Fleet` (listener, ``hello``
   identification, control connections, reaping) and the one
   ``assemble()`` that turns worker reports into the

@@ -25,7 +25,7 @@ It owns
   frames in, deaths detected (EOF or child exit) and either repaired
   (``dead`` broadcast) or failing the job, until the job ends with every
   survivor's report or with one failure;
-* **reaping** — SIGTERM, a grace period, SIGKILL, and always ``wait()``.
+* **reaping** — SIGTERM, a grace period, SIGKILL, and always ``join()``.
 
 A one-shot run is one job (epoch 1) on a freshly booted fleet, then
 ``shutdown``; a lane runs job after job on the fleet it booted, with
@@ -41,11 +41,15 @@ would have produced out.
 
 from __future__ import annotations
 
-import json
+import ctypes
+import gc
+import itertools
+import multiprocessing
 import os
-import subprocess
+import signal
 import sys
 import time
+from array import array
 from selectors import EVENT_READ, EVENT_WRITE, DefaultSelector
 from typing import Callable, Optional
 
@@ -58,9 +62,21 @@ from .codec import WireError, stats_from_wire
 from .env import LIVE_QUANTUM, LIVE_SLICE_S
 from .transport import (FramedConnection, InterestTable, open_listener,
                         unlink_quietly)
+from .worker import main as worker_main
 
 #: Wall grace between SIGTERM and SIGKILL while reaping.
 GRACE_S = 2.0
+
+#: Poll period while waiting for a member process to exit.
+EXIT_POLL_S = 0.001
+
+#: ``madvise`` advice (Linux 5.14+): fault a range in writable, which copies
+#: every page still shared copy-on-write.  Resolved here, in the owner: a
+#: fork must not take the dynamic loader's lock an owner thread may hold.
+_MADV_POPULATE_WRITE = 23
+_madvise = ctypes.CDLL(None).madvise
+_madvise.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+_madvise.restype = ctypes.c_int   # -1 before Linux 5.14: nothing copied
 
 #: Owner loop tick: bounds death-detection latency (a one-shot run's fault
 #: schedule wakes the job loop sooner when it is due).
@@ -101,20 +117,68 @@ def log_tail(path: str, limit: int = 4096) -> str:
         return ""
 
 
-def spawn_worker(module: str, doc: dict, log_path: str) -> subprocess.Popen:
-    """Start ``python -m <module> '<json doc>'`` with this checkout on its
-    path; output is appended to ``log_path`` (a slot's history survives
-    its respawns)."""
-    import repro
-    env = os.environ.copy()
-    src_dir = os.path.dirname(os.path.dirname(
-        os.path.abspath(repro.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(
-        part for part in (src_dir, env.get("PYTHONPATH")) if part)
-    with open(log_path, "ab") as log:   # the child holds its own descriptor
-        return subprocess.Popen(
-            [sys.executable, "-m", module, json.dumps(doc)],
-            stdout=log, stderr=subprocess.STDOUT, env=env)
+_FORK = multiprocessing.get_context("fork")
+
+#: A forked child's inherited stdio objects: never flushed or finalised (an
+#: owner thread may hold their locks; their buffers hold the owner's output)
+_INHERITED: list = []
+
+
+def spawn_worker(cfg: dict, log_path: str) -> multiprocessing.Process:
+    """Fork this process into the worker ``cfg`` configures, after the
+    caller preloaded what it runs (:func:`repro.runtime.worker.preload`);
+    output is appended to ``log_path`` (a slot's history survives)."""
+    proc = _FORK.Process(target=_forked, args=(cfg, log_path))
+    proc.start()
+    return proc
+
+
+def _forked(cfg: dict, log_path: str) -> None:
+    """A forked member's first steps: shed what it inherited from its
+    owner, take its own copy of the owner's pages, then run the worker."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)   # the owner coordinates
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))   # orderly exit
+    # an inherited owner socket must never be finalised: by then its
+    # descriptor number may be one of ours
+    gc.freeze()
+    fd = os.open(log_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+    os.dup2(fd, 1)
+    os.dup2(fd, 2)
+    os.close(fd)
+    # fresh objects: an owner thread may have held the old ones' locks
+    _INHERITED.extend((sys.stdout, sys.stderr))
+    sys.stdout = open(1, "w", buffering=1, closefd=False)
+    sys.stderr = open(2, "w", buffering=1, closefd=False)
+    # the owner's listener and selector, the other members' connections
+    os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+    _own_pages()
+    sys.exit(worker_main(cfg))
+
+
+def _own_pages() -> None:
+    """Copy now every resident page of a private writable mapping, which
+    this fork still shares with its owner: the copy-on-write faults then
+    land before ``hello``, not in the run.  A page never faulted in stays
+    out, so the resident set does not grow."""
+    page = os.sysconf("SC_PAGE_SIZE")
+    try:
+        with open("/proc/self/maps") as maps, \
+                open("/proc/self/pagemap", "rb") as pagemap:
+            for line in maps.read().splitlines():
+                span, perms = line.split()[:2]
+                if perms != "rw-p":
+                    continue
+                at, end = (int(bound, 16) for bound in span.split("-"))
+                pagemap.seek(at // page * 8)
+                entries = array("Q", pagemap.read((end - at) // page * 8))
+                for resident, run in itertools.groupby(e >> 63
+                                                       for e in entries):
+                    size = page * sum(1 for _ in run)
+                    if resident:
+                        _madvise(at, size, _MADV_POPULATE_WRITE)
+                    at += size
+    except OSError:   # no /proc: the pages are copied as they are written
+        pass
 
 
 class LiveRuntimeError(SimRuntimeError):
@@ -125,14 +189,27 @@ class Member:
     """One worker process, owner-side; its slot in ``Fleet.members`` is
     its protocol pid."""
 
-    __slots__ = ("pid", "popen", "conn", "ospid", "peer")
+    __slots__ = ("pid", "popen", "conn", "ospid", "peer", "code")
 
-    def __init__(self, pid: int, popen: subprocess.Popen) -> None:
+    def __init__(self, pid: int, popen: multiprocessing.Process) -> None:
         self.pid = pid
         self.popen = popen
         self.conn: Optional[FramedConnection] = None   # set by its hello
         self.ospid: Optional[int] = None
         self.peer: Optional[dict] = None     # data-plane endpoint
+        self.code: Optional[int] = None      # exit code, once reaped
+
+    def poll(self) -> Optional[int]:
+        """The process's exit code; None while it runs."""
+        return self.popen.exitcode if self.code is None else self.code
+
+    def wait(self, timeout: float) -> Optional[int]:
+        """:meth:`poll`, after up to ``timeout`` seconds (the child closed
+        its end of the sentinel pipe: ``Process.join(timeout)`` blocks)."""
+        end = time.monotonic() + timeout
+        while self.poll() is None and time.monotonic() < end:
+            time.sleep(EXIT_POLL_S)
+        return self.poll()
 
 
 class Worker(Member):
@@ -141,7 +218,7 @@ class Worker(Member):
 
     __slots__ = ("log", "state")
 
-    def __init__(self, pid: int, popen: subprocess.Popen,
+    def __init__(self, pid: int, popen: multiprocessing.Process,
                  log: str = "") -> None:
         super().__init__(pid, popen)
         self.log = log
@@ -154,10 +231,7 @@ class Worker(Member):
         connection drops before the process is gone: wait (up to
         :data:`GRACE_S`) for it to finish its traceback, so that the
         message can say what it was."""
-        try:
-            code: Optional[int] = self.popen.wait(timeout=GRACE_S)
-        except subprocess.TimeoutExpired:
-            code = None
+        code = self.wait(GRACE_S)
         last = log_tail(self.log).strip().splitlines() or ["(empty log)"]
         return (f"worker {self.pid} {what} (exit {code}): {last[-1]}; "
                 f"see {self.log}")
@@ -315,7 +389,7 @@ class Fleet(InterestTable):
         deadline = time.monotonic() + timeout_s
         while any(m.conn is None for m in members):
             for m in members:
-                if m.conn is None and m.popen.poll() is not None:
+                if m.conn is None and m.poll() is not None:
                     raise LiveRuntimeError(
                         m.describe_exit("died unexpectedly"))
             if time.monotonic() > deadline:
@@ -355,7 +429,7 @@ class Fleet(InterestTable):
                 wait = TICK_S if due is None else min(TICK_S, due)
                 for m in self.members:
                     if (m.state not in _REPORTED + ("dead",)
-                            and m.popen.poll() is not None):
+                            and m.poll() is not None):
                         if m.conn is not None and not m.conn.closed:
                             self.drain(m)   # what it flushed before exiting
                         self._died(m)
@@ -420,17 +494,18 @@ class Fleet(InterestTable):
         SIGKILL after :data:`GRACE_S`."""
         self.broadcast({"t": "shutdown"})
         self.flush()
-        alive = [m for m in self.members if m.popen.poll() is None]
+        alive = [m for m in self.members if m.poll() is None]
         for m in alive:
             m.popen.terminate()
         end = time.monotonic() + GRACE_S
         for m in alive:
-            try:
-                m.popen.wait(timeout=max(0.0, end - time.monotonic()))
-            except subprocess.TimeoutExpired:
+            if m.wait(max(0.0, end - time.monotonic())) is None:
                 m.popen.kill()
-            m.popen.wait()
         for m in self.members:
+            if m.code is None:   # reap, release the sentinel, keep the code
+                m.popen.join()
+                m.code = m.popen.exitcode
+                m.popen.close()
             self.drop(m)
             if self._unix_path is not None:   # stale data-plane socket
                 unlink_quietly(os.path.join(self.run_dir,

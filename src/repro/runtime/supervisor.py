@@ -62,12 +62,10 @@ from ..sim.rng import RngStream
 from ..sim.stats import RunStats
 from ..sim.trace import CRASH, PARTITION
 from .env import LIVE_QUANTUM, LIVE_SLICE_UNITS
-from .fleet import (TICK_S, Fleet, LiveRuntimeError, Worker, assemble,
-                    live_run_config, spawn_worker)
+from .fleet import (EXIT_POLL_S, TICK_S, Fleet, LiveRuntimeError, Worker,
+                    assemble, live_run_config, spawn_worker)
 from .spool import conserved_units_live, read_spool, spool_path
-
-#: Poll period while the workers, shut down and hung up, finalise.
-_REAP_POLL_S = 0.001
+from .worker import preload
 
 #: Protocols whose overlay supports elastic membership (grafted leaves).
 _TREE_PROTOCOLS = ("TD", "TR", "BTD", "BTR")
@@ -324,7 +322,6 @@ def _worker_doc(cfg: LiveConfig, pid: int, endpoint: dict, run_dir: str,
                 join_parent: Optional[int] = None) -> dict:
     doc = {
         "pid": pid, "endpoint": endpoint,
-        "preload": [cfg.app.get("kind"), cfg.protocol],
         "fault_mode": cfg.fault_tolerance, "run_dir": run_dir,
         "trace": cfg.trace, "timeout_s": cfg.timeout_s,
         "slots": cfg.slots, "transport": cfg.transport, "host": cfg.host,
@@ -344,7 +341,6 @@ def _spawn_one(cfg: LiveConfig, pid: int, endpoint: dict, run_dir: str,
                join_parent: Optional[int] = None) -> Worker:
     log = os.path.join(run_dir, f"worker_{pid}.log")
     return Worker(pid, spawn_worker(
-        "repro.runtime.worker",
         _worker_doc(cfg, pid, endpoint, run_dir, join_parent), log), log)
 
 
@@ -358,6 +354,7 @@ def run_live(cfg: LiveConfig) -> LiveResult:
     t_start = time.monotonic()
     run_dir = cfg.run_dir or tempfile.mkdtemp(prefix="repro-live-")
     os.makedirs(run_dir, exist_ok=True)
+    preload(cfg.app.get("kind"), cfg.protocol)   # the workers are forks
     run = _LiveRun(cfg, run_dir)
     restore: list[tuple] = []
     try:
@@ -534,17 +531,16 @@ class _LiveRun:
                     f"live run exceeded timeout_s={self.cfg.timeout_s}; "
                     f"worker logs in {self.run_dir}")
             if all(w.conn.closed for w in survivors):
-                if all(w.popen.poll() is not None for w in survivors):
+                if all(w.poll() is not None for w in survivors):
                     return
-                # Every survivor has hung up and is finalising its
-                # interpreter (tens of ms) with nothing left to wake the
-                # selector: watch the processes instead of sleeping a
-                # blind tick. (Popen.wait backs off to 50 ms naps.)
-                time.sleep(_REAP_POLL_S)
+                # Every survivor has hung up and is exiting with nothing
+                # left to wake the selector: watch the processes instead
+                # of sleeping a blind tick.
+                time.sleep(EXIT_POLL_S)
                 continue
             fleet.pump(TICK_S)
             for w in survivors:
-                if not w.conn.closed and w.popen.poll() is not None:
+                if not w.conn.closed and w.poll() is not None:
                     fleet.drain(w)   # what it flushed before exiting
                     fleet.drop(w)
 
@@ -552,7 +548,7 @@ class _LiveRun:
         cfg, run_dir = self.cfg, self.run_dir
         workers, reports = self.fleet.members, self.fleet.reports
         for w in workers:
-            if w.pid not in self.killed and w.popen.returncode != 0:
+            if w.pid not in self.killed and w.poll() != 0:
                 raise LiveRuntimeError(w.describe_exit("exited with an error"))
         dead = [w.pid for w in workers if w.state == "dead"]
         # every killed pid's spool, for the post-mortem; but a kill that

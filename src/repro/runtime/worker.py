@@ -1,12 +1,12 @@
-"""Live worker process: ``python -m repro.runtime.worker '<json>'``.
+"""Live worker process: one fork of its owner running :func:`main`.
 
 One OS process = one protocol worker, driven by one :class:`Reactor`.
-The owner (the one-shot supervisor or a serve lane) passes the process
-configuration as a single JSON argument - who the process is and which
-paths (fault / trace / join) it switches on, not the work; ``main``
-preloads what the configuration names, dials the owner and hands the
-connected socket to the reactor, which opens its data-plane listener,
-says ``hello`` (advertising it) and waits for its start frame, ``go``:
+The owner (the one-shot supervisor or a serve lane) preloads what its
+workers run and forks each with its process configuration - who the
+process is and which paths (fault / trace / join) it switches on, not the
+work (:func:`repro.runtime.fleet.spawn_worker`); ``main`` dials the owner
+and hands the connected socket to the reactor, which opens its data-plane
+listener, says ``hello`` (advertising it) and waits for its start frame ``go``:
 the membership snapshot (peers, grafts, dead, left, partitions).  Then
 it takes ``job`` after ``job``, each stamped with an **epoch** that rides
 every protocol frame of the job
@@ -52,9 +52,7 @@ treats SIGTERM or owner EOF as an orderly exit, so no run leaves orphans.
 from __future__ import annotations
 
 import collections
-import json
 import os
-import signal
 import sys
 import time
 import traceback
@@ -93,10 +91,10 @@ _MODULES = {"uts": ("repro.apps.uts_app", "repro.uts.params"),
 
 
 def preload(*names: str) -> None:
-    """Import the applications and protocols named, ahead of ``hello``: the
-    caller's clock starts at the start frame, and an import after it is
-    start-up billed as run time.  A one-shot worker preloads its own job,
-    a persistent host every job it may be sent."""
+    """Import the applications and protocols named, in the owner, before
+    it forks its workers: an import after the start frame is start-up
+    billed as run time, and a fork of a threaded owner must not import at
+    all.  A one-shot run preloads its job, the daemon every job."""
     for name in names:
         for module in _MODULES.get(name, ()):
             import_module(module)
@@ -507,19 +505,8 @@ class Reactor(InterestTable):
                                   for p in self.proc.crash_dropped]}
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
-        print("usage: python -m repro.runtime.worker '<json config>'",
-              file=sys.stderr)
-        return 2
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))
-    cfg = json.loads(argv[0])
-    preload(*cfg.get("preload", ()))   # a one-shot worker's own job
+def main(cfg: dict) -> int:
+    """The worker ``cfg`` configures, in a fork of its owner: dial the
+    owner, run the reactor; returns the exit code."""
     conn = FramedConnection(connect_endpoint(cfg["endpoint"]))
     return Reactor(cfg, conn).run()
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -2,11 +2,11 @@
 
 Where :mod:`repro.runtime` executes **one** run per fleet — spawn workers,
 run, collect, tear down — this package keeps the fleet *warm* and feeds it
-a **stream** of jobs: ``python -m repro.serve`` starts a daemon that owns
-persistent worker processes (:mod:`repro.serve.jobhost`), accepts job
-specs over a small newline-JSON API (:mod:`repro.serve.daemon`), and
-multiplexes the jobs onto the warm fleet (:mod:`repro.serve.fleet`)
-instead of paying interpreter + import + handshake per run.
+a **stream** of jobs: ``python -m repro.serve`` starts a daemon that
+preloads every job's imports and forks persistent worker processes from
+itself (:mod:`repro.serve.fleet`), accepts job specs over a small
+newline-JSON API (:mod:`repro.serve.daemon`), and multiplexes the jobs
+onto the warm fleet instead of paying a fork + handshake per run.
 
 The resilience patterns the service layer implements:
 
@@ -25,7 +25,7 @@ The resilience patterns the service layer implements:
   retrievable via the API;
 * **graceful drain / rolling restart** — ``drain`` stops admission and
   completes every accepted job; ``restart`` recycles the lanes one at a
-  time (SIGTERM-clean worker exits, fresh respawns) while the other
+  time (SIGTERM-clean worker exits, fresh forks) while the other
   lanes keep serving, losing zero accepted jobs.
 
 See ``docs/serve.md`` for the API schema and lifecycle details, and

@@ -43,11 +43,12 @@ from ..experiments.runner import RunConfig
 from ..experiments.specs import AppSpec
 from ..runtime.env import LIVE_QUANTUM
 from ..runtime.fleet import live_run_config
+from ..runtime.worker import preload
 from ..sim.errors import SimConfigError
 from .fleet import Lane
-from .protocol import (BadRequest, SERVE_PROTOCOLS, error_response,
-                       format_address, is_json_int, read_line, validate_run,
-                       validate_seconds, write_line)
+from .protocol import (APP_KINDS, BadRequest, SERVE_PROTOCOLS,
+                       error_response, format_address, is_json_int,
+                       read_line, validate_run, validate_seconds, write_line)
 
 #: Smoothing of the execution-time EWMA behind the queue-ETA estimate.
 _EWMA_ALPHA = 0.3
@@ -163,6 +164,9 @@ class ServeDaemon:
 
     def start(self) -> tuple:
         """Open the API listener and boot the lanes; returns the address."""
+        # before any thread starts: lanes fork their hosts from this image,
+        # and a fork must not inherit a module lock an importer holds
+        preload(*APP_KINDS, *SERVE_PROTOCOLS)
         cfg = self.cfg
         self.run_dir = cfg.run_dir or tempfile.mkdtemp(prefix="repro-serve-")
         os.makedirs(self.run_dir, exist_ok=True)

@@ -1,11 +1,11 @@
 """Lanes: warm worker fleets that execute the daemon's job stream.
 
 A **lane** is the unit of concurrency *and* of failure containment (the
-bulkhead): it owns ``n`` persistent worker processes
-(``python -m repro.serve.jobhost``), runs **at most one job at a time** on
-them, and is recycled — killed and respawned — as a whole when something
-it contains goes wrong.  The daemon starts ``lanes`` of them against one
-shared job queue, so the service executes up to ``lanes`` jobs
+bulkhead): it owns ``n`` persistent worker processes (forks of the
+daemon, which preloaded every job's imports), runs **at most one job at a
+time** on them, and is recycled — killed and forked anew — as a whole when
+something it contains goes wrong.  The daemon starts ``lanes`` of them
+against one shared job queue, so the service executes up to ``lanes`` jobs
 concurrently, and a poisoned spec, worker crash or timeout in one lane
 never perturbs the jobs running in the others.
 
@@ -35,7 +35,7 @@ Failure paths, in order of severity:
   reliable channel that would recover those frames).
 
 A **recycle** stops the fleet (shutdown, SIGTERM, grace, SIGKILL), then
-respawns and re-handshakes the lane's hosts on the surviving listener
+forks and re-handshakes the lane's hosts on the surviving listener
 while other lanes keep serving; the daemon's rolling restart is exactly
 one recycle per lane, serialised, between jobs — which is why it loses
 nothing.
@@ -136,7 +136,7 @@ class Lane:
                 if not ok:
                     return
                 continue
-            if any(h.popen.poll() is not None for h in self._fleet.members):
+            if any(h.poll() is not None for h in self._fleet.members):
                 # a host died while idle — rebuild before taking work
                 if not self._rebuild():
                     return
@@ -170,7 +170,6 @@ class Lane:
             # one log per slot, appended across recycles, keeps the history
             log = os.path.join(self.dir, f"host_{pid}.log")
             hosts.append(Worker(pid, spawn_worker(
-                "repro.serve.jobhost",
                 {"pid": pid, "slots": self.n, "endpoint": fleet.endpoint,
                  "run_dir": self.dir, "transport": scfg.transport,
                  "host": scfg.host}, log), log))
@@ -231,18 +230,18 @@ class Lane:
         fleet = self._fleet
         targets = [h for h in fleet.members
                    if h.state in ("running", "done") and not h.conn.closed
-                   and h.popen.poll() is None]
+                   and h.poll() is None]
         for h in targets:
             h.conn.send_frame({"t": "abort", "epoch": self.epoch})
         fleet.flush()
         grace = time.monotonic() + ABORT_GRACE_S
         while time.monotonic() < grace and any(
-                h.state in ("running", "done") and h.popen.poll() is None
+                h.state in ("running", "done") and h.poll() is None
                 for h in targets):
             fleet.pump(TICK_S)
         self.source.job_dead(job, error, tb)
         if any(h.state not in ("aborted", "errored")
-               or h.popen.poll() is not None for h in fleet.members):
+               or h.poll() is not None for h in fleet.members):
             self.state = "recycling"
             self._recycle()
 

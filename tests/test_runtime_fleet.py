@@ -13,11 +13,23 @@ The same goes for what a registered member says: its connection is for
 control frames.  A ``msg`` on it is dropped by either owner — workers
 exchange those among themselves (``test_runtime_reactor`` has the other
 direction: a reactor passes over a ``msg`` its owner sends).
+
+Members are forks of their owner, so the last tests check what a fork
+must not keep of it: descriptors, children left to reap after a run, and
+the owner's standard streams.
 """
 
+import fcntl
+import json
+import multiprocessing.util as mp_util
 import os
 import shutil
+import signal
 import socket
+import struct
+import subprocess
+import sys
+import termios
 import threading
 import time
 
@@ -25,12 +37,14 @@ import pytest
 
 import repro
 from repro.runtime.codec import pack_frame
-from repro.runtime.fleet import Fleet, Worker, spawn_worker
+from repro.runtime.fleet import (Fleet, Worker, live_run_config, log_tail,
+                                 spawn_worker)
 from repro.runtime.spool import read_spool, spool_path
 from repro.runtime.supervisor import LiveConfig, _LiveRun, run_live
 from repro.serve.client import ServeClient
 from repro.serve.daemon import ServeConfig, ServeDaemon
 from repro.serve.fleet import Lane
+from repro.serve.loadgen import POISON_SPEC
 from repro.uts.params import PRESETS
 from repro.uts.sequential import count_tree
 
@@ -187,23 +201,171 @@ def test_msg_on_a_control_connection_goes_nowhere(owner, tmp_path):
             sock.close()
 
 
-# -- the path a spawned worker starts with -----------------------------------
+# -- what a forked member inherits ------------------------------------------
 
-@pytest.mark.parametrize("inherited", [None, "/some/where/else"],
-                         ids=["unset", "set"])
-def test_spawned_child_path_is_this_checkout_first_and_has_no_empty_entry(
-        inherited, tmp_path, monkeypatch):
-    """An empty ``PYTHONPATH`` entry is the working directory: a child
-    spawned with the variable unset must not get one appended."""
-    (tmp_path / "echo_path.py").write_text(
-        "import os\nprint(os.environ['PYTHONPATH'])\n")
-    monkeypatch.chdir(tmp_path)   # where ``python -m`` finds the module
-    if inherited is None:
-        monkeypatch.delenv("PYTHONPATH", raising=False)
-    else:
-        monkeypatch.setenv("PYTHONPATH", inherited)
-    log = tmp_path / "child.log"
-    assert spawn_worker("echo_path", {}, str(log)).wait(timeout=60) == 0
-    parts = log.read_text().strip().split(os.pathsep)
+def _socket_inodes(pid) -> set:
+    """The inodes of every socket process ``pid`` holds."""
+    inodes = set()
+    fd_dir = f"/proc/{pid}/fd"
+    for fd in os.listdir(fd_dir):
+        try:
+            target = os.readlink(os.path.join(fd_dir, fd))
+        except OSError:   # closed since the listing
+            continue
+        if target.startswith("socket:["):
+            inodes.add(target)
+    return inodes
+
+
+def _fork_member(fleet: Fleet, pid: int, slots: int) -> Worker:
+    log = os.path.join(fleet.run_dir, f"worker_{pid}.log")
+    return Worker(pid, spawn_worker(
+        {"pid": pid, "slots": slots, "endpoint": fleet.endpoint,
+         "run_dir": fleet.run_dir}, log), log)
+
+
+def _pump_until(fleet: Fleet, cond, what: str, timeout: float = 30.0):
+    end = time.monotonic() + timeout
+    while not cond():
+        assert time.monotonic() < end, f"timed out waiting for {what}"
+        fleet.pump(0.02)
+
+
+def test_a_forked_member_holds_none_of_its_owners_descriptors(tmp_path):
+    """Members are forks of the owner: each closes what it inherited - the
+    listener, the selector, the other members' control connections.  The
+    joiner is forked after two members connected, so it inherited their
+    connections too.  Nobody else holding an end, a killed member's
+    connection reads EOF at the owner, and a member whose connection the
+    owner drops reads EOF and exits."""
+    fleet = Fleet(str(tmp_path))
+    try:
+        fleet.boot([_fork_member(fleet, pid, 3) for pid in range(2)], 60.0)
+        joiner = _fork_member(fleet, 2, 3)
+        fleet.members.append(joiner)
+        _pump_until(fleet, lambda: joiner.conn is not None,
+                    "the joiner's hello")
+        owner = _socket_inodes("self")
+        assert len(owner) >= 4     # the listener and three connections
+        for m in fleet.members:
+            assert m.ospid == m.popen.pid
+            assert _socket_inodes(m.ospid) & owner == set(), m.pid
+        first, second = fleet.members[0], fleet.members[1]
+        first.popen.kill()
+        _pump_until(fleet, lambda: first.conn.eof, "EOF of the killed member")
+        fleet.drop(second)
+        assert second.wait(10.0) == 1    # the owner vanished: exit 1
+    finally:
+        fleet.close()
+    assert [m.poll() for m in fleet.members] == [-signal.SIGKILL, 1, 0]
+
+
+#: Back-to-back one-shot runs in one fresh process, the way the benchmark
+#: makes them: after each, no child is left to reap and every descriptor
+#: the run opened is closed again.
+BACK_TO_BACK = """
+import json, os
+from repro.runtime.supervisor import LiveConfig, run_live
+
+def fds():
+    return len(os.listdir("/proc/self/fd"))
+
+def no_children():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+uts = {"kind": "uts", "preset": "bin_large"}
+runs = {
+    "plain": LiveConfig("BTD", n=2, seed=1, app=uts),
+    "ft-kill": LiveConfig("BTD", n=2, seed=2, app=uts, fault_tolerance=True,
+                          kills=({"pid": 1, "after_units": 400},)),
+    "join": LiveConfig("BTD", n=2, seed=3, app=uts, fault_tolerance=True,
+                       joins=({"pid": 2, "after_s": 0.03},)),
+}
+start = fds()
+out = {}
+for name, cfg in runs.items():
+    live = run_live(cfg)
+    out[name] = {"fds": fds() - start, "no_children": no_children(),
+                 "killed": list(live.killed), "joined": list(live.joined),
+                 "units": live.conserved or live.result.total_units}
+print(json.dumps(out))
+"""
+
+
+def test_back_to_back_runs_leave_no_child_and_no_descriptor():
+    """Forked workers carry their caller's command line, so nothing but
+    the caller can tell they outlived a run: it must reap every one and
+    close every sentinel, listener and connection - also after a kill and
+    after a join."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    assert parts == [src] + ([inherited] if inherited else [])
+    out = subprocess.run([sys.executable, "-c", BACK_TO_BACK],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    runs = json.loads(out.stdout.strip().splitlines()[-1])
+    nodes = count_tree(PRESETS["bin_large"].params).nodes
+    for name, run in runs.items():
+        assert run["fds"] == 0, (name, run)
+        assert run["no_children"], (name, run)
+        assert run["units"] == nodes, (name, run)
+    assert runs["ft-kill"]["killed"] == [1]
+    assert runs["join"]["joined"] == [2]
+
+
+def test_a_forked_child_keeps_its_own_stdio(tmp_path, monkeypatch):
+    """Lanes fork from lane threads, so another owner thread may be inside
+    ``sys.stderr`` at that instant - here a writer stuck on a full pipe,
+    holding the stream's lock.  ``multiprocessing`` flushes the owner's
+    streams just before it forks; the writer wedges right after that
+    flush.  A child whose job raises must still write its traceback into
+    its own log, report the error and exit."""
+    r, w = os.pipe()
+    stuck = open(w, "w")
+    monkeypatch.setattr(sys, "stderr", stuck)
+
+    def write():
+        stuck.write("x" * (1 << 20))
+        stuck.flush()
+
+    writer = threading.Thread(target=write, daemon=True)
+    owner = os.getpid()
+    capacity = fcntl.fcntl(r, fcntl.F_GETPIPE_SZ)
+    flush = mp_util._flush_std_streams
+
+    def flush_then_wedge():
+        flush()
+        if os.getpid() == owner and not writer.is_alive():
+            writer.start()
+            end = time.monotonic() + 10.0
+            while (struct.unpack("i", fcntl.ioctl(
+                    r, termios.FIONREAD, b"\0" * 4))[0] < capacity):
+                assert time.monotonic() < end, "the writer never wedged"
+                time.sleep(0.001)
+
+    monkeypatch.setattr(mp_util, "_flush_std_streams", flush_then_wedge)
+    fleet = Fleet(str(tmp_path))
+    try:
+        member = _fork_member(fleet, 0, 1)
+        assert writer.is_alive()           # forked with the lock held
+        fleet.boot([member], 60.0)
+        failure = fleet.run_job(
+            {"t": "job", "id": "poisoned", "epoch": 1, "app": POISON_SPEC,
+             "run": live_run_config(protocol="BTD", n=1).to_wire(),
+             "timeout_s": 30.0})
+    finally:
+        fleet.close()
+        os.set_blocking(r, False)
+        while writer.is_alive():           # unwedge the owner's writer
+            try:
+                os.read(r, 1 << 16)
+            except BlockingIOError:
+                time.sleep(0.001)
+        stuck.close()
+        os.close(r)
+    assert failure is not None and "__poisoned__" in failure[0]
+    assert "Traceback" in log_tail(member.log)
+    assert member.poll() == 0

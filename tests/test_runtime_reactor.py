@@ -1,7 +1,8 @@
 """The worker reactor and the fleet, in one process.
 
 ``Reactor`` takes an already-connected ``FramedConnection`` (only
-``worker.main`` dials, installs signal handlers and exits the process), so
+``worker.main`` dials, in a forked process that installed its signal
+handlers and exits with its return value), so
 two reactors can run on threads against a ``Fleet`` the test pumps itself
 over ``socket.socketpair()`` — no subprocess.  The control plane is those
 socketpairs; the data plane is the reactors' own peer listeners on
@@ -46,8 +47,13 @@ class _Exited:
     """What ``Fleet.stop`` needs from a member whose "process" is a
     thread: it reports itself gone, so nothing is signalled."""
 
-    def poll(self) -> int:
-        return 0
+    exitcode = 0
+
+    def join(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
 
 
 class Harness:

@@ -292,20 +292,20 @@ def test_no_frame_leaves_before_the_commit_that_explains_it(
 
 # -- (c) kill -9 early, in the middle, late, after the report ----------------
 
-class _Popen:
+class _Process:
     """A member "process" the owner never sees exit: only its connection
-    tells."""
+    tells.  It exits cleanly when the owner terminates it."""
 
-    returncode = 0
-
-    def poll(self) -> None:
-        return None
+    exitcode = None
 
     def terminate(self) -> None:
+        self.exitcode = 0
+
+    def join(self) -> None:
         pass
 
-    def wait(self, timeout=None) -> int:
-        return 0
+    def close(self) -> None:
+        pass
 
 
 def test_a_kill_after_the_victim_reported_counts_its_units_once(tmp_path):
@@ -319,7 +319,7 @@ def test_a_kill_after_the_victim_reported_counts_its_units_once(tmp_path):
     run = _LiveRun(LiveConfig(n=2, app=app, fault_tolerance=True,
                               run_dir=run_dir), run_dir)
     fleet = run.fleet
-    fleet.members = [Worker(pid, _Popen()) for pid in range(2)]
+    fleet.members = [Worker(pid, _Process()) for pid in range(2)]
     far = []
     try:
         for pid in range(2):
@@ -352,6 +352,7 @@ def test_a_kill_after_the_victim_reported_counts_its_units_once(tmp_path):
                               "app": app, "timeout_s": 10.0},
                              repair=True) is None
         assert [m.state for m in fleet.members] == ["done", "done"]
+        fleet.stop()   # as run_live does: reap, then assemble
         live = run.result(wall_s=1.0)
         assert live.killed == (1,)
         assert live.spools[1]["processed"] == 400    # the post-mortem
