@@ -24,6 +24,10 @@ _A = 16807
 _B = 127773
 _C = 2836
 
+#: Jobs and machines of the ta021..ta030 matrices: no instance here, and
+#: so no B&B tree a peer may send, is larger.
+TA_SIZE = 20
+
 #: Published time seeds of ta021..ta030 (the 20x20 family, Taillard 1993).
 TA_20x20_SEEDS: tuple[int, ...] = (
     479340445, 268827376, 1945283818, 1791839227, 997355831,
@@ -74,12 +78,12 @@ def scaled_instance(index: int, n_jobs: int = 10,
     """
     if not (1 <= index <= 10):
         raise SimConfigError("index selects Ta21s..Ta30s: needs 1 <= index <= 10")
-    if not (2 <= n_jobs <= 20 and 1 <= n_machines <= 20):
+    if not (2 <= n_jobs <= TA_SIZE and 1 <= n_machines <= TA_SIZE):
         raise SimConfigError("scaled instances must fit inside the 20x20 matrix")
-    full = processing_times(TA_20x20_SEEDS[index - 1], 20, 20)
+    full = processing_times(TA_20x20_SEEDS[index - 1], TA_SIZE, TA_SIZE)
     p = tuple(tuple(row[:n_jobs]) for row in full[:n_machines])
     return FlowshopInstance(name=f"Ta{20 + index}s({n_jobs}x{n_machines})", p=p)
 
 
 __all__ = ["unif", "processing_times", "taillard_instance", "scaled_instance",
-           "TA_20x20_SEEDS"]
+           "TA_20x20_SEEDS", "TA_SIZE"]

@@ -1,4 +1,4 @@
-"""Pickle-free wire encoding: tagged JSON payloads + length-prefix framing.
+"""Pickle-free wire encoding: tagged JSON payloads in one binary record.
 
 Protocol messages cross the socket as JSON — never pickle: a worker must
 not be able to execute code smuggled by a peer, and the format stays
@@ -12,19 +12,24 @@ protocols rely on, so containers are *tagged*:
 * sets/frozensets become ``{"__s"/"__fs": [...]}`` (sorted);
 * dicts become ``{"__d": [[k, v], ...]}`` — also covers non-string keys;
 * work pieces are encoded structurally: :class:`~repro.uts.work.UTSWork`
-  as its generator parameters + (state, depth) stacks, each stack one
-  hex string of the raw little-endian array (``uint64`` states, ``int32``
-  depths: exact above 2^53, and one ``str`` per stack instead of one
-  boxed ``int`` per entry; ``raw=True`` leaves the ``bytes`` unhexed for
-  the spool, which stores them as they are);
+  as its generator parameters + (state, depth) stacks, each stack the
+  ``bytes`` of its raw little-endian array (``uint64`` states, ``int32``
+  depths: exact above 2^53, and one buffer per stack instead of one
+  boxed ``int`` per entry);
   :class:`~repro.bnb.work.BnBWork` as its interval set.  A piece is
   recognised by its ``wire_tag`` and its class imported when the first of
   its kind is decoded: a process loads only the applications it runs.
 
-Frames are ``4-byte big-endian length + UTF-8 JSON``.  Zero-length frames
-are invalid (every frame carries at least ``{}``), and a peer closing
-mid-frame is detectable: :meth:`FrameDecoder.close` raises if buffered
-bytes remain.
+**The record** (:func:`pack` / :func:`unpack`) carries such a document
+on the socket and in the spool alike: a JSON head in which every
+``bytes`` is a ``{"__raw": [offset, length]}`` reference, then the raw
+tail those references tile, in order, from offset 0 to its end.  A frame
+is ``4-byte big-endian length + 4-byte head length + head + tail`` (a
+frame without ``bytes`` has an empty tail); the spool puts its slot
+header and checksum in front of the same head and tail.  Everything read
+is outside input: a record that does not decode raises
+:class:`WireError`, and a peer closing mid-frame is detectable:
+:meth:`FrameDecoder.close` raises if buffered bytes remain.
 """
 
 from __future__ import annotations
@@ -43,7 +48,9 @@ from ..sim.messages import Message, sized
 #: multi-gigabyte allocation.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
+#: A frame's prefix: body length, then the body's head length.
 _LEN = struct.Struct(">I")
+_PREFIX = struct.Struct(">II")
 
 
 class WireError(SimRuntimeError):
@@ -52,9 +59,9 @@ class WireError(SimRuntimeError):
 
 # -- payload encoding --------------------------------------------------------
 
-def to_wire(obj: Any, raw: bool = False) -> Any:
-    """JSON-safe form of a protocol payload (see module docstring); with
-    ``raw``, UTS stacks stay ``bytes``, which only the spool can store."""
+def to_wire(obj: Any) -> Any:
+    """The :func:`pack`-able form of a protocol payload (see module
+    docstring): JSON values, plus ``bytes`` for UTS stacks."""
     if obj is None or isinstance(obj, (bool, str)):
         return obj
     if isinstance(obj, (int, float)):
@@ -64,24 +71,21 @@ def to_wire(obj: Any, raw: bool = False) -> Any:
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, list):
-        return [to_wire(x, raw) for x in obj]
+        return [to_wire(x) for x in obj]
     if isinstance(obj, tuple):
-        return {"__t": [to_wire(x, raw) for x in obj]}
+        return {"__t": [to_wire(x) for x in obj]}
     if isinstance(obj, frozenset):
-        return {"__fs": sorted(to_wire(x, raw) for x in obj)}
+        return {"__fs": sorted(to_wire(x) for x in obj)}
     if isinstance(obj, set):
-        return {"__s": sorted(to_wire(x, raw) for x in obj)}
+        return {"__s": sorted(to_wire(x) for x in obj)}
     if isinstance(obj, dict):
-        return {"__d": [[to_wire(k, raw), to_wire(v, raw)]
-                        for k, v in obj.items()]}
+        return {"__d": [[to_wire(k), to_wire(v)] for k, v in obj.items()]}
     tag = getattr(obj, "wire_tag", None)
     if tag == "__uts":
         states, depths = obj.peek()
-        s = states.astype("<u8", copy=False).tobytes()
-        d = depths.astype("<i4", copy=False).tobytes()
         return {"__uts": {"p": list(dataclasses.astuple(obj.params)),
-                          "s": s if raw else s.hex(),
-                          "d": d if raw else d.hex()}}
+                          "s": states.astype("<u8", copy=False).tobytes(),
+                          "d": depths.astype("<i4", copy=False).tobytes()}}
     if tag == "__bnb":
         return {"__bnb": {"n": obj.n_jobs,
                           "i": [[int(a), int(b)] for a, b in obj.as_tuples()]}}
@@ -120,18 +124,19 @@ def from_wire(obj: Any) -> Any:
                 return _bnb_from_wire(body["n"], body["i"])
             if tag == "__syn":
                 from ..apps.synthetic import SyntheticWork
+                if type(body) is not int or body < 0:
+                    raise WireError(f"bad synthetic unit count {body!r}")
                 return SyntheticWork(body)
         raise WireError(f"unknown wire tag in {sorted(obj)!r}")
     return obj
 
 
-def _unpack_stack(text: Any, dtype: str) -> np.ndarray:
-    """One packed UTS stack (hex of the raw little-endian array)."""
-    try:
-        return np.frombuffer(bytes.fromhex(text), dtype=dtype)
-    except (TypeError, ValueError) as exc:
-        # not a string, odd length, non-hex, or a ragged last entry
-        raise WireError(f"bad packed {dtype} stack: {exc}") from exc
+def _unpack_stack(raw: Any, dtype: str) -> np.ndarray:
+    """One packed UTS stack (the raw little-endian array)."""
+    if not isinstance(raw, bytes) or len(raw) % np.dtype(dtype).itemsize:
+        # not a raw tail piece, or a ragged last entry
+        raise WireError(f"bad packed {dtype} stack: {raw!r:.40}")
+    return np.frombuffer(raw, dtype=dtype)
 
 
 def _bnb_from_wire(n_jobs: int, intervals: list):
@@ -139,11 +144,15 @@ def _bnb_from_wire(n_jobs: int, intervals: list):
 
     ``BnBWork.merge`` appends what it receives, so a pool that absorbed a
     transfer is legitimately not ascending and the validating constructor
-    would refuse it.  The wire is still outside input: range and overlap
-    are checked here, on a sorted copy.
+    would refuse it.  The wire is still outside input: the job count is
+    checked before it sizes anything (``n!`` leaves), then range and
+    overlap, on a sorted copy.
     """
     from ..bnb.interval import tree_leaves
+    from ..bnb.taillard import TA_SIZE
     from ..bnb.work import BnBWork
+    if type(n_jobs) is not int or not 1 <= n_jobs <= TA_SIZE:
+        raise WireError(f"B&B job count {n_jobs!r} outside [1, {TA_SIZE}]")
     work = BnBWork(n_jobs)
     limit = tree_leaves(n_jobs)
     last_end = 0
@@ -211,15 +220,71 @@ def stats_from_wire(doc: dict, pid: int):
     return ps
 
 
+# -- the record: JSON head + raw tail ----------------------------------------
+
+def pack(obj: Any) -> tuple[bytes, list[bytes]]:
+    """The record of ``obj`` (see module docstring): its JSON head and the
+    tail pieces, one per ``bytes`` in ``obj``, in document order."""
+    tail: list[bytes] = []
+    at = 0
+
+    def stash(raw):
+        nonlocal at
+        if not isinstance(raw, bytes):
+            raise WireError(f"cannot pack {type(raw).__name__}: {raw!r:.40}")
+        tail.append(raw)
+        at += len(raw)
+        return {"__raw": [at - len(raw), len(raw)]}
+
+    # one-shot ``dumps`` runs the C encoder, which hands each ``bytes`` to
+    # ``stash`` and writes the reference it returns
+    head = json.dumps(obj, separators=(",", ":"), allow_nan=False,
+                      default=stash)
+    return head.encode("ascii"), tail
+
+
+def unpack(head: bytes, tail) -> Any:
+    """Inverse of :func:`pack`: ``tail`` is the pieces joined.  The
+    references must tile the tail in order, from offset 0 to its end: one
+    out of range, overlapping, out of order or leaving a gap, and tail
+    bytes nothing references, raise :class:`WireError`."""
+    at = 0
+
+    def take(obj: dict):
+        nonlocal at
+        if len(obj) != 1 or "__raw" not in obj:
+            return obj
+        ref = obj["__raw"]
+        if (type(ref) is not list or len(ref) != 2
+                or any(type(v) is not int for v in ref)
+                or ref[0] != at or not 0 <= ref[1] <= len(tail) - at):
+            raise WireError(f"raw reference {ref!r:.40} does not continue "
+                            f"the tail at {at} of {len(tail)} bytes")
+        at += ref[1]
+        return bytes(tail[ref[0]:at])
+
+    try:
+        # a hook costs a decoder per call and a call per object; a head
+        # with no reference (every control frame, most messages) needs
+        # none: ``pack`` spells each reference's key out
+        obj = (json.loads(head, object_hook=take) if b'"__raw"' in head
+               else json.loads(head))
+    except (ValueError, RecursionError) as exc:
+        raise WireError(f"undecodable record head: {exc}") from exc
+    if at != len(tail):
+        raise WireError(f"{len(tail) - at} tail bytes no reference names")
+    return obj
+
+
 # -- framing -----------------------------------------------------------------
 
 def pack_frame(obj: dict) -> bytes:
-    """One length-prefixed frame holding ``obj`` as UTF-8 JSON."""
-    body = json.dumps(obj, separators=(",", ":"),
-                      allow_nan=False).encode("utf-8")
-    if not body or len(body) > MAX_FRAME_BYTES:
-        raise WireError(f"frame body of {len(body)} bytes out of range")
-    return _LEN.pack(len(body)) + body
+    """One length-prefixed frame holding the record of ``obj``."""
+    head, tail = pack(obj)
+    size = _LEN.size + len(head) + sum(map(len, tail))
+    if size > MAX_FRAME_BYTES:
+        raise WireError(f"frame body of {size} bytes out of range")
+    return b"".join((_PREFIX.pack(size, len(head)), head, *tail))
 
 
 class FrameDecoder:
@@ -233,11 +298,6 @@ class FrameDecoder:
     def __init__(self) -> None:
         self._buf = bytearray()
 
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered toward an incomplete frame."""
-        return len(self._buf)
-
     def feed(self, data: bytes) -> Iterator[dict]:
         """Absorb ``data``; yields every frame it completes."""
         self._buf.extend(data)
@@ -245,20 +305,24 @@ class FrameDecoder:
             if len(self._buf) < _LEN.size:
                 return
             (length,) = _LEN.unpack_from(self._buf)
-            if length == 0:
-                raise WireError("zero-length frame on the wire")
+            if length < _LEN.size:
+                raise WireError(f"frame body of {length} bytes has no "
+                                f"head length")
             if length > MAX_FRAME_BYTES:
                 raise WireError(f"frame length {length} exceeds "
                                 f"{MAX_FRAME_BYTES} (corrupt prefix?)")
             end = _LEN.size + length
             if len(self._buf) < end:
                 return
-            body = bytes(self._buf[_LEN.size:end])
+            _, n_head = _PREFIX.unpack_from(self._buf)
+            split = _PREFIX.size + n_head
+            if split > end:
+                raise WireError(f"head of {n_head} bytes past the frame "
+                                f"body of {length}")
+            head = bytes(self._buf[_PREFIX.size:split])
+            tail = bytes(self._buf[split:end])
             del self._buf[:end]
-            try:
-                obj = json.loads(body)
-            except ValueError as exc:
-                raise WireError(f"undecodable frame body: {exc}") from exc
+            obj = unpack(head, tail)
             if not isinstance(obj, dict):
                 raise WireError(f"frame body must be an object, "
                                 f"got {type(obj).__name__}")
@@ -272,4 +336,5 @@ class FrameDecoder:
 
 
 __all__ = ["FrameDecoder", "MAX_FRAME_BYTES", "WireError", "from_wire",
-           "message_from_frame", "message_to_frame", "pack_frame", "to_wire"]
+           "message_from_frame", "message_to_frame", "pack", "pack_frame",
+           "to_wire", "unpack"]

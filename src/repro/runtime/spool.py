@@ -40,11 +40,11 @@ logs partition the work with no gap and no overlap —
 and one beside it with the suffix ``.1`` (slot 1), held open by a
 :class:`Spool` from a job's start to its end (opened truncated: nothing of
 an earlier job survives) and overwritten in place in turn: commit ``k``
-writes slot ``k % 2``.  A slot holds one record: a header (magic,
-sequence number ``k``, lengths, CRC-32 of header and body), then the
-body — the snapshot as a small JSON head in which every UTS stack is a
-``{"__raw": [offset, length]}`` reference, then those stacks as the raw
-little-endian bytes they are in memory.  A commit never
+writes slot ``k % 2``.  A slot holds a header (magic, sequence number
+``k``, lengths, CRC-32 of header and body), then the body: the
+snapshot's record, the JSON head and raw tail of
+:func:`~repro.runtime.codec.pack` that a frame carries too (every UTS
+stack the little-endian bytes it is in memory).  A commit never
 touches the slot holding the previous one, so whatever instant
 ``kill -9`` lands mid-write, the torn slot fails its checksum and a
 reader (:func:`read_spool`: the valid slot with the higher sequence
@@ -58,20 +58,19 @@ no ``fsync`` either way.
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 import zlib
 from typing import Optional
 
 from ..apps.base import Application
-from .codec import from_wire, to_wire
+from .codec import WireError, from_wire, pack, to_wire, unpack
 
 #: Inner message kind whose payload carries a work piece.
 _WORK = "WORK"
 
-#: Record header: magic, sequence number, JSON head bytes, raw stack
-#: bytes; then the CRC-32 of those and of the body.
+#: Slot header: magic, sequence number, head bytes, tail bytes of the
+#: record; then the CRC-32 of those and of the record.
 _HEADER = struct.Struct("<4sQQQ")
 _CRC = struct.Struct("<I")
 _MAGIC = b"SPL1"
@@ -118,16 +117,17 @@ class Spool:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def commit(self, head: bytes, stacks: list[bytes]) -> int:
-        """Overwrite the older slot with the next record; its size."""
+    def commit(self, head: bytes, tail: list[bytes]) -> int:
+        """Overwrite the older slot with the record of
+        :func:`~repro.runtime.codec.pack`; the bytes written."""
         self._seq += 1
         header = _HEADER.pack(_MAGIC, self._seq, len(head),
-                              sum(map(len, stacks)))
+                              sum(map(len, tail)))
         crc = zlib.crc32(head, zlib.crc32(header))
-        for raw in stacks:
+        for raw in tail:
             crc = zlib.crc32(raw, crc)
         record = memoryview(b"".join(
-            (header, _CRC.pack(crc), head, *stacks)))
+            (header, _CRC.pack(crc), head, *tail)))
         slot, size = self._seq % 2, len(record)
         fd, done = self._fds[slot], 0
         while done < size:
@@ -144,26 +144,10 @@ class Spool:
 
 
 def write_spool(spool: Spool, doc: dict) -> int:
-    """Commit ``doc`` to ``spool`` (see module docstring: a reader sees
-    the previous commit or this one, never a mix).  UTS stacks may be hex
-    strings, as :func:`~repro.runtime.codec.to_wire` gives them, or the
-    raw ``bytes`` of ``to_wire(..., raw=True)``, which are stored as they
-    are.  Returns the bytes of the record written."""
-    stacks: list[bytes] = []
-    at = 0
-
-    def stash(raw):
-        nonlocal at
-        if not isinstance(raw, bytes):
-            raise TypeError(f"cannot spool {type(raw).__name__}")
-        stacks.append(raw)
-        at += len(raw)
-        return {"__raw": [at - len(raw), len(raw)]}
-
-    # one-shot ``dumps`` runs the C encoder, which hands each ``bytes``
-    # stack to ``stash`` and writes the reference it returns
-    head = json.dumps(doc, separators=(",", ":"), default=stash)
-    return spool.commit(head.encode("ascii"), stacks)
+    """Commit ``doc``, a :func:`~repro.runtime.codec.to_wire` form, to
+    ``spool`` (see module docstring: a reader sees the previous commit or
+    this one, never a mix).  Returns the bytes of the slot written."""
+    return spool.commit(*pack(doc))
 
 
 def _read_slot(slot: str) -> Optional[tuple[int, dict]]:
@@ -177,29 +161,21 @@ def _read_slot(slot: str) -> Optional[tuple[int, dict]]:
     except (OSError, struct.error):
         return None
     body = _HEADER.size + _CRC.size
-    if (magic != _MAGIC or len(data) < body + n_head + n_raw
-            or zlib.crc32(data[body:body + n_head + n_raw],
+    split, end = body + n_head, body + n_head + n_raw
+    if (magic != _MAGIC or len(data) < end
+            or zlib.crc32(data[body:end],
                           zlib.crc32(data[:_HEADER.size])) != crc):
         return None
-    raw = memoryview(data)[body + n_head:body + n_head + n_raw]
-
-    def unstash(obj: dict):
-        ref = obj.get("__raw") if len(obj) == 1 else None
-        if ref is None:
-            return obj
-        off, size = ref
-        return raw[off:off + size].hex()
-
     try:
-        return seq, json.loads(data[body:body + n_head], object_hook=unstash)
-    except ValueError:
+        return seq, unpack(data[body:split], memoryview(data)[split:end])
+    except WireError:
         return None
 
 
 def read_spool(path) -> Optional[dict]:
     """The last complete commit of a spool, as the :func:`to_wire` form
-    of :func:`build_spool_doc` (every UTS stack hex); None when the
-    worker died before its first commit."""
+    :func:`build_spool_doc` gave; None when the worker died before its
+    first commit."""
     best = None
     for slot in slot_paths(path):
         rec = _read_slot(slot)
@@ -210,24 +186,22 @@ def read_spool(path) -> Optional[dict]:
 
 def build_spool_doc(proc) -> dict:
     """Snapshot a worker's conservation-relevant state (see module doc),
-    in :func:`to_wire` form but with raw UTS stacks, for
-    :func:`write_spool`."""
+    in :func:`to_wire` form, for :func:`write_spool`."""
     ch = proc._reliable
     out_pending = []
     recv_log: dict[str, list[int]] = {}
     if ch is not None:
-        out_pending = [[xf.dst, xf.seq, xf.kind, to_wire(xf.payload, raw=True)]
+        out_pending = [[xf.dst, xf.seq, xf.kind, to_wire(xf.payload)]
                        for xf in ch._pending.values()]
         recv_log = {str(src): sorted(seqs)
                     for src, seqs in ch._seen.items()}
     return {
         "pid": proc.pid,
         "processed": proc.stats.work_units,
-        "pool": to_wire(proc.work, raw=True),
+        "pool": to_wire(proc.work),
         "out_pending": out_pending,
         "recv_log": recv_log,
-        "crash_dropped": [to_wire(p, raw=True)
-                          for p in proc.crash_dropped],
+        "crash_dropped": [to_wire(p) for p in proc.crash_dropped],
     }
 
 

@@ -151,14 +151,25 @@ class LiveConfig:
             raise SimConfigError(
                 "planned kills, partitions, joins and leaves require "
                 "fault_tolerance=True (spools, splice/adopt machinery)")
+        kill_pids: set[int] = set()
         for k in self.kills:
             pid = k.get("pid")
             if not isinstance(pid, int) or not (0 < pid < self.n):
                 raise SimConfigError(
                     f"kill target must be a non-root pid < n, got {k!r}")
+            if pid in kill_pids:
+                raise SimConfigError(f"duplicate kill for pid {pid}")
+            kill_pids.add(pid)
             if ("after_s" in k) == ("after_units" in k):
                 raise SimConfigError(
                     f"kill needs exactly one of after_s/after_units: {k!r}")
+            if "after_s" in k:
+                t = k["after_s"]
+                if not isinstance(t, (int, float)) or t < 0:
+                    raise SimConfigError(f"kill needs after_s >= 0: {k!r}")
+            elif type(k["after_units"]) is not int or k["after_units"] < 0:
+                raise SimConfigError(
+                    f"kill needs an integer after_units >= 0: {k!r}")
         if ((self.joins or self.leaves)
                 and self.protocol not in _TREE_PROTOCOLS):
             raise SimConfigError(
@@ -180,7 +191,6 @@ class LiveConfig:
                     f"join times must not decrease in pid order: pid "
                     f"{j['pid']} joins at {t} s, before pid {j['pid'] - 1}")
             last = t
-        kill_pids = {k["pid"] for k in self.kills}
         seen_leave: set[int] = set()
         for lv in self.leaves:
             pid, t = lv.get("pid"), lv.get("after_s")

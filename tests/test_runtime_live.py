@@ -263,6 +263,19 @@ def test_kill_config_validation():
     with pytest.raises(SimConfigError):          # exactly one trigger
         LiveConfig(n=4, fault_tolerance=True,
                    kills=({"pid": 1, "after_s": 0.1, "after_units": 5},))
+    for kills in (
+            # one victim, two triggers: only one kill could ever land
+            ({"pid": 1, "after_s": 0.1}, {"pid": 1, "after_units": 5}),
+            ({"pid": 1, "after_units": "5"},),   # would fail in the worker
+            ({"pid": 1, "after_units": True},),
+            ({"pid": 1, "after_units": 2.5},),
+            ({"pid": 1, "after_units": -1},),
+            ({"pid": 1, "after_s": -0.1},),
+            ({"pid": 1, "after_s": "0.1"},)):
+        with pytest.raises(SimConfigError):
+            LiveConfig(n=4, fault_tolerance=True, kills=kills)
+    LiveConfig(n=4, fault_tolerance=True,        # both edges of the range
+               kills=({"pid": 1, "after_s": 0}, {"pid": 2, "after_units": 0}))
 
 
 def test_join_times_must_follow_pid_order():

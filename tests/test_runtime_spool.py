@@ -397,12 +397,12 @@ def _stack(n: int) -> UTSWork:
                    depths=np.arange(n, dtype=np.int32))
 
 
-def _doc(processed: int, raw: bool = False) -> dict:
+def _doc(processed: int) -> dict:
     """A small snapshot whose pool and pending WORK are UTS stacks."""
     return {"pid": 1, "processed": processed,
-            "pool": to_wire(_stack(processed), raw),
+            "pool": to_wire(_stack(processed)),
             "out_pending": [[0, processed, "WORK",
-                             to_wire((_stack(2), ""), raw)]],
+                             to_wire((_stack(2), ""))]],
             "recv_log": {"0": list(range(processed))}, "crash_dropped": []}
 
 
@@ -414,11 +414,11 @@ def test_a_torn_or_garbled_newest_slot_reads_as_the_commit_before(tmp_path):
     docs = [_doc(k) for k in (1, 2, 3)]
     newest = slot_paths(path)[1]
     with Spool(path) as spool:
-        write_spool(spool, _doc(1, raw=True))
-        write_spool(spool, _doc(2, raw=True))
+        write_spool(spool, _doc(1))
+        write_spool(spool, _doc(2))
         with open(newest, "rb") as fh:
             first = fh.read()
-        write_spool(spool, _doc(3, raw=True))
+        write_spool(spool, _doc(3))
     with open(newest, "rb") as fh:
         third = fh.read()
     assert read_spool(path) == docs[2]
@@ -469,8 +469,8 @@ def test_a_reused_spool_path_never_shows_an_earlier_job(tmp_path):
 
 
 def test_every_pool_and_payload_reads_back_as_written(tmp_path):
-    """The to_wire form goes in and comes out; the raw UTS stacks of
-    ``to_wire(..., raw=True)`` go in and come out as that same form."""
+    """The to_wire form goes in and comes out, for every pool and
+    payload kind."""
     bnb = BnBWork.full_tree(6)
     bnb_piece = bnb.split(0.5)
     empty = UTSWork.empty(_uts(0).params)
@@ -482,20 +482,14 @@ def test_every_pool_and_payload_reads_back_as_written(tmp_path):
     dropped = [_uts(7), SyntheticWork(5), empty]
     with Spool(spool_path(str(tmp_path), 1)) as spool:
         for name, pool in pools.items():
-            for raw in (False, True):
-                doc = {"pid": 1, "processed": 123,
-                       "pool": to_wire(pool, raw),
-                       "out_pending": [[d, q, k, to_wire(p, raw)]
-                                       for d, q, k, p in pending],
-                       "recv_log": {"0": [0, 1, 2], "2": [7]},
-                       "crash_dropped": [to_wire(p, raw) for p in dropped]}
-                write_spool(spool, doc)
-                assert read_spool(spool) == {
-                    **doc, "pool": to_wire(pool),
-                    "out_pending": [[d, q, k, to_wire(p)]
-                                    for d, q, k, p in pending],
-                    "crash_dropped": [to_wire(p) for p in dropped]}, (
-                        name, raw)
+            doc = {"pid": 1, "processed": 123,
+                   "pool": to_wire(pool),
+                   "out_pending": [[d, q, k, to_wire(p)]
+                                   for d, q, k, p in pending],
+                   "recv_log": {"0": [0, 1, 2], "2": [7]},
+                   "crash_dropped": [to_wire(p) for p in dropped]}
+            write_spool(spool, doc)
+            assert read_spool(spool) == doc, name
 
 
 def _open_spool_files(run_dir: str) -> list:
