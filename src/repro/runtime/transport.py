@@ -171,14 +171,19 @@ def open_listener(transport: str = "tcp", host: str = "127.0.0.1",
 
 
 def connect_endpoint(endpoint: dict, timeout: float = 30.0) -> socket.socket:
-    """Worker side: blocking connect to the supervisor's endpoint."""
-    if endpoint["kind"] == "unix":
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    """Worker side: blocking connect to the supervisor's endpoint - a
+    plain ``connect``, as ``getaddrinfo`` imports the ``idna`` codec in a
+    fresh fork (and listeners are AF_INET)."""
+    unix = endpoint["kind"] == "unix"
+    sock = socket.socket(socket.AF_UNIX if unix else socket.AF_INET,
+                         socket.SOCK_STREAM)
+    try:
         sock.settimeout(timeout)
-        sock.connect(endpoint["path"])
-    else:
-        sock = socket.create_connection(
-            (endpoint["host"], endpoint["port"]), timeout=timeout)
+        sock.connect(endpoint["path"] if unix
+                     else (endpoint["host"], endpoint["port"]))
+    except OSError:
+        sock.close()
+        raise
     sock.settimeout(None)
     return sock
 

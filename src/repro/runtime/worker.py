@@ -106,6 +106,15 @@ def build_app(wire: dict) -> tuple[Application, str]:
     return spec.build(), spec.label
 
 
+def _foreign(payload, proc) -> bool:
+    """Whether a decoded payload carries a UTS piece whose generator
+    parameters are not the job's: they size the receiver's expansions."""
+    if isinstance(payload, tuple):
+        return any(_foreign(x, proc) for x in payload)
+    return (getattr(payload, "wire_tag", None) == "__uts"
+            and payload.params != getattr(proc.work, "params", None))
+
+
 class Exit(Exception):
     """Unwind the reactor (code carried to ``sys.exit``)."""
 
@@ -203,6 +212,8 @@ class Reactor(InterestTable):
         caller not to trust what came with it."""
         try:
             msg = message_from_frame(frame)
+            if _foreign(msg.payload, self.proc):
+                raise WireError("a UTS piece of another tree")
         except WireError:
             for conn in self.mesh.conns_of(frame.get("src")):
                 self.mesh.forget(conn)
@@ -361,6 +372,8 @@ class Reactor(InterestTable):
         # reaps us); doubling its limit makes this the last resort only
         deadline = time.monotonic() + 2.0 * float(job.get("timeout_s", 120.0))
 
+        # a fork's first job reports the pages it copied (fleet._own_pages)
+        copied = cfg.pop("copied", lambda: None)()
         app, app_label = build_app(job["app"])
         rcfg = RunConfig.from_wire(job["run"])
         grafts = tuple((int(a), int(b)) for a, b in start.get("grafts", ()))
@@ -376,15 +389,17 @@ class Reactor(InterestTable):
         links0 = mesh.links_wire()
 
         def report(kind: str) -> dict:
-            rep = {"t": kind, "pid": pid, "t0": t0_epoch,
-                   "stats": stats_to_wire(env.stats.per_process[pid]),
-                   "work_done": env.stats.work_done_time,
-                   "optimum": (app.shared_value(proc.shared)
-                               if proc.shared is not None else None),
-                   "metrics": metrics.snapshot(),
-                   "links": mesh.links_wire(links0),
-                   "part_drops": mesh.part_drops,
-                   "job": job.get("id"), "epoch": epoch}
+            # a fork's first: the pages it copied (and fork.* gauges)
+            rep = {"pages": copied(metrics)} if copied else {}
+            rep.update({"t": kind, "pid": pid, "t0": t0_epoch,
+                        "stats": stats_to_wire(env.stats.per_process[pid]),
+                        "work_done": env.stats.work_done_time,
+                        "optimum": (app.shared_value(proc.shared)
+                                    if proc.shared is not None else None),
+                        "metrics": metrics.snapshot(),
+                        "links": mesh.links_wire(links0),
+                        "part_drops": mesh.part_drops,
+                        "job": job.get("id"), "epoch": epoch})
             if fault_mode:
                 rep.update(self._receipts())
             return rep
@@ -424,6 +439,7 @@ class Reactor(InterestTable):
                     return
                 if proc.terminated and not reported:
                     reported = True
+                    self.flush()   # the TERMs out before a first report
                     conn.send_frame(report("done"))
                 if proc.leaving and not reported and proc.leave_tick():
                     # pool drained, every transfer acked: report, depart

@@ -149,3 +149,41 @@ for spec in {list(SPECS.values())!r}:
         build(spec, protocol)
 """ + STOP + "print(json.dumps(sorted(set(loaded()) - started)))")
     assert added == []
+
+
+def test_a_forked_worker_imports_nothing_after_it_dials():
+    """A fork of a preloaded owner runs its worker - dial the owner over
+    TCP, open the mesh, run a fault-mode job, report ``done`` - without
+    adding a module of any package to ``sys.modules``: ``getaddrinfo``
+    would import the ``idna`` codec (and ``stringprep``,
+    ``unicodedata``), and a fork of a threaded owner must not import."""
+    added = probe("""
+import os, shutil, sys, tempfile
+from repro.runtime import fleet
+from repro.runtime.supervisor import LiveConfig, run_live
+
+run_dir = tempfile.mkdtemp(prefix="import-probe-")
+main = fleet.worker_main
+
+def traced(cfg):
+    before = set(sys.modules)
+    try:
+        return main(cfg)
+    finally:
+        with open(os.path.join(run_dir, f"added_{cfg['pid']}"), "w") as fh:
+            json.dump(sorted(set(sys.modules) - before), fh)
+
+fleet.worker_main = traced
+added = {}
+for ft in (False, True):
+    run_live(LiveConfig(protocol="BTD", n=2, transport="tcp", run_dir=run_dir,
+                        fault_tolerance=ft,
+                        app={"kind": "uts", "preset": "bin_tiny"}))
+    for pid in (0, 1):
+        with open(os.path.join(run_dir, f"added_{pid}")) as fh:
+            added[f"{ft}/{pid}"] = json.load(fh)
+shutil.rmtree(run_dir)
+print(json.dumps(added))
+""")
+    assert added == {f"{ft}/{pid}": [] for ft in (False, True)
+                     for pid in (0, 1)}

@@ -369,3 +369,164 @@ def test_a_forked_child_keeps_its_own_stdio(tmp_path, monkeypatch):
     assert failure is not None and "__poisoned__" in failure[0]
     assert "Traceback" in log_tail(member.log)
     assert member.poll() == 0
+
+
+# -- what a fork copies up front ----------------------------------------------
+
+def _probe(script: str):
+    """Run ``script`` in a fresh interpreter (nothing learned yet); returns
+    the JSON document it printed last."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    out = subprocess.run([sys.executable, "-c", script],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+#: Two back-to-back fault-mode runs in one fresh process: the first fleet
+#: has nothing learned, the second copies what the first reported.
+LEARNING = """
+import json, resource
+from repro.runtime import fleet
+from repro.runtime.supervisor import LiveConfig, run_live
+
+def resident_writable():
+    with open("/proc/self/maps") as maps:
+        spans = [tuple(int(b, 16) // fleet._PAGE
+                       for b in line.split()[0].split("-"))
+                 for line in maps if " rw-p " in line]
+    return int((fleet._pagemap(spans) >= 0x80).sum())
+
+out = []
+for seed in (1, 2):
+    live = run_live(LiveConfig(protocol="BTD", n=2, seed=seed,
+                               fault_tolerance=True,
+                               app={"kind": "uts", "preset": "bin_small"}))
+    out.append({"prefault": live.metrics.get("fork.prefault_pages").value,
+                "faults": live.metrics.get("fork.run_faults").value,
+                "resident": resident_writable(), "units": live.conserved,
+                "rss_kb": resource.getrusage(
+                    resource.RUSAGE_CHILDREN).ru_maxrss})
+print(json.dumps(out))
+"""
+
+
+def test_a_second_fleet_copies_what_the_first_learned():
+    """The first fleet of a process copies nothing up front and learns
+    which pages its workers wrote; the next fleet copies them before
+    ``hello`` - fewer than the owner has resident - and its workers take
+    at most half the first fleet's faults in the run, with no larger
+    resident set (``fork.*`` gauges, the largest of the two workers)."""
+    first, second = _probe(LEARNING)
+    nodes = count_tree(PRESETS["bin_small"].params).nodes
+    assert first["units"] == second["units"] == nodes
+    assert first["prefault"] == 0
+    assert 0 < second["prefault"] < second["resident"]
+    assert second["faults"] <= first["faults"] / 2, (first, second)
+    assert second["rss_kb"] <= first["rss_kb"] * 1.02, (first, second)
+
+
+#: A learned set that names, besides four resident pages of a private
+#: writable mapping (three in a row), four of its pages never faulted in,
+#: a page of a read-only mapping and an address nobody maps.
+STRAYS = """
+import ctypes, json, mmap, os
+import numpy as np
+from repro.obs.registry import MetricsRegistry
+from repro.runtime import fleet
+
+page = fleet._PAGE
+region = mmap.mmap(-1, 8 * page, flags=mmap.MAP_PRIVATE)
+base = ctypes.addressof(ctypes.c_char.from_buffer(region)) // page
+for i in (0, 1, 2, 5):
+    region[i * page] = 1
+with open("/proc/self/maps") as maps:
+    read_only = next(int(line.split("-")[0], 16) // page
+                     for line in maps if " r--p " in line)
+fleet._learn_pages("not bytes")
+fleet._learn_pages(np.sort(np.array(
+    [base + i for i in range(8)] + [read_only, 1 << 40])).tobytes())
+
+def in_a_fork(body):
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.write(w, json.dumps(body()).encode())
+        os._exit(0)
+    os.close(w)
+    with os.fdopen(r) as fh:
+        doc = json.load(fh)
+    os.waitpid(pid, 0)
+    return doc
+
+def copied():
+    report = fleet._own_pages()()
+    flags = fleet._pagemap([(base, base + 8)])
+    metrics = MetricsRegistry()
+    pages = np.frombuffer(report(metrics), "<i8") - base
+    return {"present": (flags >= 0x80).tolist(),
+            "own": (flags & 0x81 == 0x81).tolist(),
+            "prefault": metrics.get("fork.prefault_pages").value,
+            "reported": [int(p) for p in pages if 0 <= p < 8]}
+
+def calls():
+    made = []
+    fleet._madvise = lambda at, size, advice: made.append(
+        [at // page - base, size // page]) or 0
+    fleet._own_pages()
+    return made
+
+print(json.dumps({"copied": in_a_fork(copied), "calls": in_a_fork(calls),
+                  "learned": len(fleet._learned)}))
+"""
+
+
+def test_a_fork_copies_only_learned_pages_its_owner_has_resident():
+    """The pass turns a learned set into ``madvise`` calls over runs of
+    the pages the owner has resident in its private writable mappings:
+    a read-only page, an unmapped address and a page never faulted in are
+    not touched (the resident set does not grow), the rest are copied
+    and reported again, and a report that is not bytes is not kept."""
+    doc = _probe(STRAYS)
+    assert doc["learned"] == 1
+    assert doc["calls"] == [[0, 3], [5, 1]]
+    copied = doc["copied"]
+    resident = [True, True, True, False, False, True, False, False]
+    assert copied["present"] == copied["own"] == resident
+    assert copied["prefault"] == 4
+    assert copied["reported"] == [0, 1, 2, 5]
+
+
+def test_a_lane_recycle_forks_with_the_learned_set(tmp_path, monkeypatch):
+    """Jobhosts learn on their first job only, and a lane's next fleet -
+    a recycle - copies what they learned before its first job."""
+    from collections import deque
+
+    from repro.runtime import fleet as fleet_module
+    monkeypatch.setattr(fleet_module, "_learned", deque(maxlen=8))
+    d = ServeDaemon(ServeConfig(lanes=1, n=2, transport="unix",
+                                run_dir=str(tmp_path / "serve"),
+                                job_timeout_s=90.0))
+    d.start()
+    try:
+        lane = d._lanes[0]
+        _wait_for(lambda: lane.state == "idle", "the lane to boot")
+        with ServeClient(d.address) as c:
+            def run() -> dict:
+                job = c.submit({"kind": "uts", "preset": PRESET})
+                assert c.wait(job["job_id"], timeout=90.0)["state"] == "done"
+                return c.report(job["job_id"])["report"]["metrics"]
+
+            first, again = run(), run()
+            assert lane.request_recycle().wait(60.0)
+            recycled = run()
+        assert lane.restarts == 1
+    finally:
+        d.stop()
+        shutil.rmtree(d.run_dir, ignore_errors=True)
+    assert first["fork.prefault_pages"]["value"] == 0
+    assert "fork.prefault_pages" not in again
+    assert recycled["fork.prefault_pages"]["value"] > 0
+    assert (recycled["fork.run_faults"]["value"]
+            <= first["fork.run_faults"]["value"] / 2)

@@ -292,3 +292,71 @@ def test_undecodable_early_frame_costs_its_connection_not_the_job(tmp_path):
         if peer is not None:
             peer.close()
         h.close()
+
+
+def test_a_uts_piece_of_another_tree_costs_its_connection(tmp_path):
+    """A UTS piece's generator parameters come from the sender, and
+    ``b0`` sizes the receiver's expansion of a depth-0 entry: a one-entry
+    WORK frame whose tree is not the job's (here ``b0 = 10**6``), bare or
+    in a reliable envelope, is a hostile input - the sender's connection
+    goes, the frame is dropped - while a piece of the job's tree is
+    delivered."""
+    import dataclasses
+    from repro.uts.params import get_preset
+    from repro.uts.work import UTSWork
+
+    params = get_preset("bin_small").params
+    hostile = UTSWork.root(dataclasses.replace(params, b0=10**6))
+    ours, theirs = socket.socketpair()
+    reactor = Reactor({"pid": 0, "slots": N, "run_dir": str(tmp_path)},
+                      FramedConnection(theirs))
+    got = []
+
+    class Env:
+        def deliver(self, msg):
+            got.append(msg)
+
+    class Proc:
+        work = UTSWork.empty(params)
+
+    def uts_frame(piece, envelope: bool) -> dict:
+        body = (piece, "")
+        frame = message_to_frame(sized(
+            "RMSG", 1, 0, (1, "WORK", body), 16) if envelope
+            else sized("WORK", 1, 0, body, 16))
+        frame["j"] = 3
+        return frame
+
+    def pump_until(cond):
+        end = time.monotonic() + 5.0
+        while not cond():
+            assert time.monotonic() < end, "reactor stalled"
+            reactor.pump(0.02)
+
+    def shown_the_door(sock):
+        readable, _, _ = select.select([sock], [], [], 0)
+        return bool(readable) and sock.recv(4096) == b""
+
+    reactor.env, reactor.proc, reactor.epoch = Env(), Proc(), 3
+    reactor.mesh.add_member(1, None)
+    peers = []
+    try:
+        for envelope in (False, True):
+            bad = connect_endpoint(reactor.peer_endpoint)
+            peers.append(bad)
+            bad.sendall(pack_frame({"t": "ph", "pid": 1})
+                        + pack_frame(uts_frame(hostile, envelope)))
+            pump_until(lambda: shown_the_door(bad))
+            assert got == [] and reactor.mesh.conns == []
+        good = connect_endpoint(reactor.peer_endpoint)
+        peers.append(good)
+        good.sendall(pack_frame({"t": "ph", "pid": 1})
+                     + pack_frame(uts_frame(UTSWork.root(params), True)))
+        pump_until(lambda: got)
+        assert got[0].payload[2][0].params == params
+    finally:
+        for sock in peers + [ours]:
+            sock.close()
+        reactor.conn.close()
+        reactor.mesh.close()
+        reactor.sel.close()
