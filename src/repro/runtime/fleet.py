@@ -3,36 +3,29 @@
 A :class:`Fleet` is what the one-shot supervisor
 (:func:`repro.runtime.supervisor.run_live`) and a serve lane
 (:class:`repro.serve.fleet.Lane`) both drive: the coordinator of one
-cluster of worker processes, with one start protocol and one job loop.
-It owns
+cluster of worker processes.  It owns the **listener** the workers dial
+back to, the selector, and one **control connection per member**
+(``broadcast``/``flush``/``drop``).  An accepted connection is nobody until
+its first frame is a well-formed ``hello`` for a member slot with no
+connection yet; anything else is closed and forgotten.  Protocol traffic
+never comes this way: workers exchange ``msg`` frames over their own mesh
+(:mod:`repro.runtime.mesh`), and a ``msg`` on a control connection is
+dropped.
 
-* the **listener** the workers dial back to, and the selector;
-* **identification** — an accepted connection is nobody until its first
-  frame is a well-formed ``hello`` naming a member slot that has no
-  connection yet; anything else (garbage, an out-of-range pid, a second
-  ``hello`` for a registered pid) is closed and forgotten, and the first
-  registration stands;
-* one **control connection per member**, ``broadcast``/``flush``/
-  ``drop``.  Protocol traffic never comes this way: workers exchange
-  ``msg`` frames over their own mesh (:mod:`repro.runtime.mesh`), so no
-  node sees all the traffic, and a ``msg`` that does turn up on a control
-  connection is dropped — not forwarded, not handed to the owner;
-* the **boot** (:meth:`Fleet.boot`) — every member's ``hello`` in, then
-  one ``go`` with the peer table: nobody computes before the fleet is
-  routable;
-* the **job loop** (:meth:`Fleet.run_job`) — one epoch-stamped ``job``
-  out, then this epoch's ``done``/``left``/``job_error``/``aborted``
-  frames in, deaths detected (EOF or child exit) and either repaired
-  (``dead`` broadcast) or failing the job, until the job ends with every
-  survivor's report or with one failure;
-* **reaping** — SIGTERM, a grace period, SIGKILL, and always ``join()``.
-
-A one-shot run is one job (epoch 1) on a freshly booted fleet, then
-``shutdown``; a lane runs job after job on the fleet it booted, with
-``job_end`` between them.  What differs between the owners stays with
-them, as hooks: ``on_hello(member)``, ``on_frame(member, frame)`` after
-the fleet's own reading of every control frame, ``on_dead(member)``, and
-the ``turn`` callable :meth:`Fleet.run_job` runs once a turn.
+Its three waits are each a start and a step, the step taken after a
+:meth:`Fleet.pump`: the **boot** (:meth:`~Fleet.start_boot`,
+:meth:`~Fleet.booted`: every ``hello`` in, then one ``go`` with the peer
+table), the **job** (:meth:`~Fleet.start_job`, :meth:`~Fleet.job_ended`:
+one epoch-stamped ``job`` out, this epoch's reports in, deaths repaired or
+failing it) and the **stop** (:meth:`~Fleet.terminate`,
+:meth:`~Fleet.reaped`: SIGTERM, a grace period, SIGKILL, always
+``join()``).  :meth:`Fleet.boot`, :meth:`Fleet.run_job` and
+:meth:`Fleet.stop` loop them for an owner with nothing else to do, as
+``run_live`` is; a lane takes one step per turn of the daemon's loop.
+What differs between the owners stays with them, as hooks:
+``on_hello(member)``, ``on_frame(member, frame)`` after the fleet's own
+reading of every control frame, ``on_dead(member)``, and the ``turn``
+callable :meth:`Fleet.run_job` runs once a turn.
 
 :func:`assemble` is the other shared half: worker reports in, the
 ``(ExperimentResult, RunStats, MetricsRegistry, links)`` a simulated run
@@ -321,6 +314,7 @@ class Fleet(InterestTable):
         # the job in flight (None between jobs) and what it collected
         self.job: Optional[dict] = None
         self.epoch = 0                 # the last job's; 0 = no job yet
+        self.deadline = 0.0            # of the boot, job or stop under way
         self.repair = False
         self.reports: dict[int, dict] = {}
         self.failure: Optional[tuple[str, str]] = None
@@ -439,20 +433,31 @@ class Fleet(InterestTable):
         """Start the spawned ``members``: wait for every ``hello`` (a member
         that exits first, or the deadline, fails the boot), then release
         them with one ``go`` - the peer table and the fields of ``go``."""
+        self.start_boot(members, timeout_s, **go)
+        while not self.booted():
+            self.pump(TICK_S)
+
+    def start_boot(self, members: list, timeout_s: float, **go) -> None:
         self.members = members
-        deadline = time.monotonic() + timeout_s
-        while any(m.conn is None for m in members):
-            for m in members:
+        self.deadline = time.monotonic() + timeout_s
+        self._go = (timeout_s, go)
+
+    def booted(self) -> bool:
+        """True once every member said hello and ``go`` went out; raises
+        if the boot failed."""
+        if any(m.conn is None for m in self.members):
+            for m in self.members:
                 if m.conn is None and m.poll() is not None:
                     raise LiveRuntimeError(
                         m.describe_exit("died unexpectedly"))
-            if time.monotonic() > deadline:
+            if time.monotonic() > self.deadline:
                 raise LiveRuntimeError(
-                    f"fleet handshake timed out after {timeout_s}s; "
+                    f"fleet handshake timed out after {self._go[0]}s; "
                     f"logs in {self.run_dir}")
-            self.pump(TICK_S)
-        self.broadcast({"t": "go",
-                        "peers": {str(m.pid): m.peer for m in members}, **go})
+            return False
+        self.broadcast({"t": "go", "peers": {
+            str(m.pid): m.peer for m in self.members}, **self._go[1]})
+        return True
 
     def run_job(self, job: dict,
                 turn: Callable[[], Optional[float]] = _ignore,
@@ -467,6 +472,16 @@ class Fleet(InterestTable):
         one (None: a :data:`TICK_S` tick will do).  With ``repair`` a
         death is announced for the survivors to splice around; without,
         it fails the job."""
+        self.start_job(job, repair)
+        wait = TICK_S
+        while True:
+            self.pump(wait)
+            due = turn()
+            wait = TICK_S if due is None else min(TICK_S, due)
+            if self.job_ended():
+                return self.failure
+
+    def start_job(self, job: dict, repair: bool = False) -> None:
         self.job, self.epoch, self.repair = job, job["epoch"], repair
         self.reports, self.failure = {}, None
         for m in self.members:
@@ -474,30 +489,26 @@ class Fleet(InterestTable):
                 m.state = "running"
         self.broadcast(job)
         self.flush()
-        deadline = time.monotonic() + float(job["timeout_s"])
-        wait = TICK_S
-        try:
-            while True:
-                self.pump(wait)
-                due = turn()
-                wait = TICK_S if due is None else min(TICK_S, due)
-                for m in self.members:
-                    if (m.state not in _REPORTED + ("dead",)
-                            and m.poll() is not None):
-                        if m.conn is not None and not m.conn.closed:
-                            self.drain(m)   # what it flushed before exiting
-                        self._died(m)
-                if self.failure is not None:
-                    return self.failure
-                if all(m.state in _REPORTED + ("dead",)
-                       for m in self.members):
-                    return None
-                if time.monotonic() > deadline:
-                    return (f"job {job.get('id')} timed out after "
+        self.deadline = time.monotonic() + float(job["timeout_s"])
+
+    def job_ended(self) -> bool:
+        """True once the job ended, with every report in or with
+        :attr:`failure`; :attr:`job` is then None."""
+        job = self.job
+        for m in self.members:
+            if m.state not in _REPORTED + ("dead",) and m.poll() is not None:
+                if m.conn is not None and not m.conn.closed:
+                    self.drain(m)   # what it flushed before exiting
+                self._died(m)
+        if self.failure is None and not all(
+                m.state in _REPORTED + ("dead",) for m in self.members):
+            if time.monotonic() <= self.deadline:
+                return False
+            self.failure = (f"job {job.get('id')} timed out after "
                             f"{job['timeout_s']}s; logs in {self.run_dir}",
                             "")
-        finally:
-            self.job = None
+        self.job = None
+        return True
 
     def _died(self, m: Worker) -> None:
         """``m`` died mid-job: with repair, announce the death (unless
@@ -546,15 +557,28 @@ class Fleet(InterestTable):
         """End every member process and connection; the listener stays
         (a lane boots its next fleet on it).  Always reaps: SIGTERM, then
         SIGKILL after :data:`GRACE_S`."""
+        self.terminate()
+        while not self.reaped():
+            time.sleep(EXIT_POLL_S)
+
+    def terminate(self) -> None:
+        """``shutdown`` and SIGTERM to every member."""
         self.broadcast({"t": "shutdown"})
         self.flush()
+        for m in self.members:
+            if m.poll() is None:
+                m.popen.terminate()
+        self.deadline = time.monotonic() + GRACE_S
+
+    def reaped(self) -> bool:
+        """False while a member runs and the grace lasts; then SIGKILL
+        what still runs, reap every member (keeping its exit code) and
+        close its connection."""
         alive = [m for m in self.members if m.poll() is None]
+        if alive and time.monotonic() < self.deadline:
+            return False
         for m in alive:
-            m.popen.terminate()
-        end = time.monotonic() + GRACE_S
-        for m in alive:
-            if m.wait(max(0.0, end - time.monotonic())) is None:
-                m.popen.kill()
+            m.popen.kill()
         for m in self.members:
             if m.code is None:   # reap, release the sentinel, keep the code
                 m.popen.join()
@@ -567,6 +591,7 @@ class Fleet(InterestTable):
         for conn in self.strays:
             self._close(conn)
         self.strays.clear()
+        return True
 
     def close(self) -> None:
         """:meth:`stop`, then release the listener, the selector and the

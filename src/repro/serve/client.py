@@ -13,7 +13,7 @@ import time
 from typing import Optional, Union
 
 from ..sim.errors import SimRuntimeError
-from .protocol import parse_address, read_line, write_line
+from .protocol import encode_line, parse_address, read_line
 
 
 class ServeClientError(SimRuntimeError):
@@ -21,14 +21,11 @@ class ServeClientError(SimRuntimeError):
 
 
 def connect_address(address: tuple, timeout: float = 10.0) -> socket.socket:
-    if address[0] == "unix":
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(timeout)
-        sock.connect(address[1])
-    else:
-        sock = socket.create_connection((address[1], address[2]),
-                                        timeout=timeout)
+    if address[0] != "unix":
+        return socket.create_connection(address[1:], timeout=timeout)
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     sock.settimeout(timeout)
+    sock.connect(address[1])
     return sock
 
 
@@ -47,7 +44,6 @@ class ServeClient:
         self.timeout = timeout
         self._sock: Optional[socket.socket] = None
         self._rfile = None
-        self._wfile = None
 
     # -- plumbing ------------------------------------------------------------
 
@@ -63,17 +59,16 @@ class ServeClient:
                     raise
                 time.sleep(0.05)
         self._rfile = self._sock.makefile("rb")
-        self._wfile = self._sock.makefile("wb")
         return self
 
     def close(self) -> None:
-        for f in (self._rfile, self._wfile, self._sock):
+        for f in (self._rfile, self._sock):
             if f is not None:
                 try:
                     f.close()
                 except OSError:
                     pass
-        self._sock = self._rfile = self._wfile = None
+        self._sock = self._rfile = None
 
     def __enter__(self) -> "ServeClient":
         if self._sock is None:
@@ -86,10 +81,8 @@ class ServeClient:
     def request(self, op: str, **fields) -> dict:
         if self._sock is None:
             self.connect()
-        req = {"op": op}
-        req.update(fields)
         try:
-            write_line(self._wfile, req)
+            self._sock.sendall(encode_line({"op": op, **fields}))
             resp = read_line(self._rfile)
         except (OSError, ValueError) as exc:
             self.close()
@@ -148,18 +141,23 @@ class ServeClient:
     # -- conveniences --------------------------------------------------------
 
     def wait(self, job_id: str, timeout: float = 120.0,
-             poll: float = 0.02) -> dict:
-        """Poll ``status`` until the job is terminal (done or dead)."""
-        deadline = time.monotonic() + timeout
-        while True:
-            st = self.status(job_id)
-            if not st.get("ok") or st.get("state") in ("done", "dead"):
-                return st
-            if time.monotonic() > deadline:
-                raise ServeClientError(
-                    f"job {job_id} not terminal after {timeout}s "
-                    f"(state {st.get('state')!r})")
-            time.sleep(poll)
+             poll: Optional[float] = None) -> dict:
+        """The job's ``status`` once it is terminal (done or dead): one
+        ``wait`` request, which the daemon answers when the job ends;
+        raises if ``timeout`` passes first.  ``poll`` is ignored."""
+        if self._sock is None:
+            self.connect()
+        self._sock.settimeout(self.timeout + timeout)
+        try:
+            st = self.request("wait", job_id=job_id, timeout_s=timeout)
+        finally:
+            if self._sock is not None:
+                self._sock.settimeout(self.timeout)
+        if st.get("ok") and st.get("state") not in ("done", "dead"):
+            raise ServeClientError(
+                f"job {job_id} not terminal after {timeout}s "
+                f"(state {st.get('state')!r})")
+        return st
 
     def submit_retry(self, app: dict, run: Optional[dict] = None,
                      timeout_s: Optional[float] = None,

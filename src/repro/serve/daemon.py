@@ -1,29 +1,23 @@
 """The serve daemon: bounded queue, admission control, lanes, JSON API.
 
-``python -m repro.serve`` starts one daemon process.  It owns:
+``python -m repro.serve`` starts one daemon process.  It owns the **API
+listener** (TCP loopback or a UNIX socket; newline-JSON requests in,
+responses out in request order, :mod:`repro.serve.protocol`), a bounded
+FIFO **job queue** (a full queue answers ``submit`` with ``busy`` and a
+retry hint, a draining daemon with ``draining``: nothing queues without
+bound), the **lanes** (:class:`~repro.serve.fleet.Lane`, warm worker fleets
+running at most one job each: the bulkheads), a capped **dead-letter
+store** of every job that terminally failed, and the **lifecycle ops**
+``drain``, ``resume``, ``restart`` (a rolling lane recycle, one lane at a
+time, between jobs: no accepted job is lost) and ``shutdown``.  SIGTERM
+and SIGINT drain, then shut down.
 
-* the **API listener** (TCP loopback or a UNIX socket) — one thread per
-  client connection, newline-JSON requests in, newline-JSON responses
-  out (:mod:`repro.serve.protocol`);
-* the **job queue** — a bounded FIFO.  Admission control happens at
-  ``submit`` time: a full queue answers ``busy`` (with depth and a
-  retry hint), a draining daemon answers ``draining``; nothing is ever
-  queued unboundedly, which is what keeps the daemon's latency and
-  memory flat under overload (queue-based load leveling);
-* the **lanes** (:class:`~repro.serve.fleet.Lane`) — warm worker fleets
-  pulling jobs from the queue, at most one job in flight per lane (the
-  in-flight ceiling doubles as the bulkhead count);
-* the **dead-letter store** — every job that terminally failed, with
-  its spec, error and traceback, capped at a configured size;
-* the **lifecycle ops** — ``drain`` (stop admitting, finish everything
-  accepted), ``resume``, ``restart`` (rolling lane recycle: each lane
-  rebuilt between jobs, one at a time, so capacity never drops by more
-  than one lane and no accepted job is lost) and ``shutdown``.
-
-SIGTERM and SIGINT trigger drain-then-exit — the same orderly teardown
-contract the one-shot supervisor honours, extended to a server: stop
-admitting, let every accepted job reach ``done`` or the dead-letter
-store, then reap the lanes and release the sockets.
+All of it runs on one thread: one selector loop (:meth:`ServeDaemon._turn`)
+over the listener, the client connections and every lane's fleet.  A
+request that waits — ``wait``, ``drain``/``shutdown`` with ``wait``,
+``restart`` — is *parked*: its handler is a generator the loop advances
+once a turn until it returns the reply, and the connection's later
+requests queue behind it.
 """
 
 from __future__ import annotations
@@ -32,23 +26,28 @@ import argparse
 import collections
 import os
 import signal
+import sys
 import tempfile
 import threading
 import time
 import traceback
 from dataclasses import dataclass, field, replace
+from selectors import EVENT_READ, EVENT_WRITE, DefaultSelector
+from types import GeneratorType
 from typing import Optional
 
 from ..experiments.runner import RunConfig
 from ..experiments.specs import AppSpec
 from ..runtime.env import LIVE_QUANTUM
-from ..runtime.fleet import live_run_config
+from ..runtime.fleet import TICK_S, live_run_config
+from ..runtime.transport import InterestTable, open_listener, unlink_quietly
 from ..runtime.worker import preload
 from ..sim.errors import SimConfigError
 from .fleet import Lane
-from .protocol import (APP_KINDS, BadRequest, SERVE_PROTOCOLS,
-                       error_response, format_address, is_json_int,
-                       read_line, validate_run, validate_seconds, write_line)
+from .protocol import (APP_KINDS, MAX_LINE, BadRequest, SERVE_PROTOCOLS,
+                       decode_line, encode_line, error_response,
+                       format_address, is_json_int, validate_run,
+                       validate_seconds)
 
 #: Smoothing of the execution-time EWMA behind the queue-ETA estimate.
 _EWMA_ALPHA = 0.3
@@ -122,20 +121,29 @@ class Job:
     t_start: Optional[float] = None
     t_done: Optional[float] = None
     lane: Optional[int] = None
-    epoch: Optional[int] = None
     outcome: Optional[dict] = None
     error: Optional[str] = None
     traceback: Optional[str] = None
 
 
-class ServeDaemon:
+class _Client:
+    """One API connection: its unread bytes, its unsent replies, whether a
+    parked request holds its next ones back, whether it is hung up on."""
+
+    __slots__ = ("sock", "inbuf", "out", "parked", "closing")
+
+    def __init__(self, sock) -> None:
+        self.sock, self.inbuf, self.out = sock, bytearray(), bytearray()
+        self.parked = self.closing = False
+
+
+class ServeDaemon(InterestTable):
     """The long-lived service (see module docstring)."""
 
     def __init__(self, cfg: ServeConfig) -> None:
         self.cfg = cfg
         self._run_config = cfg.run_config()
         self.run_dir: Optional[str] = None
-        self._cond = threading.Condition()
         self._queue: collections.deque[Job] = collections.deque()
         self._jobs: dict[str, Job] = {}
         self._dead_letters: collections.deque[dict] = collections.deque(
@@ -155,38 +163,38 @@ class ServeDaemon:
         self._t0 = time.time()
         self._listener = None
         self._address: Optional[tuple] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        self._clients: list[threading.Thread] = []
-        self._shutdown_ev = threading.Event()
+        self._clients: list[_Client] = []
+        self._parked: list[tuple] = []   # (client, generator)
+        self._thread: Optional[threading.Thread] = None
+        self._shutdown_ev = threading.Event()   # the loop is to end
         self._signals: list[int] = []
 
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> tuple:
-        """Open the API listener and boot the lanes; returns the address."""
-        # before any thread starts: lanes fork their hosts from this image,
-        # and a fork must not inherit a module lock an importer holds
+        """Open the API listener and the lanes' fleets, then start the
+        loop's thread, which forks the hosts; returns the address."""
+        # before the loop's thread starts: lanes fork their hosts from this
+        # image, and a fork must not inherit a module lock an importer holds
         preload(*APP_KINDS, *SERVE_PROTOCOLS)
         cfg = self.cfg
         self.run_dir = cfg.run_dir or tempfile.mkdtemp(prefix="repro-serve-")
         os.makedirs(self.run_dir, exist_ok=True)
-        from ..runtime.transport import open_listener
-        if cfg.transport == "unix":
-            path = cfg.socket_path or os.path.join(self.run_dir, "api.sock")
-            self._listener, ep = open_listener("unix", path=path)
-            self._address = ("unix", ep["path"])
-        else:
-            self._listener, ep = open_listener("tcp", host=cfg.host,
-                                               port=cfg.port)
-            self._address = ("tcp", ep["host"], ep["port"])
-        self._listener.settimeout(0.5)
+        self._listener, ep = open_listener(
+            cfg.transport, host=cfg.host, port=cfg.port,
+            path=cfg.socket_path or os.path.join(self.run_dir, "api.sock"))
+        # ("unix", path) or ("tcp", host, port)
+        self._address = tuple(ep.values())
+        self._listener.setblocking(False)
+        self.sel, self._interest = DefaultSelector(), {}
+        self.set_interest(self._listener, EVENT_READ, None)
         self._lanes = [Lane(i, cfg, self.run_dir, self)
                        for i in range(cfg.lanes)]
         for lane in self._lanes:
-            lane.start()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, daemon=True, name="serve-accept")
-        self._accept_thread.start()
+            self.set_interest(lane.open().sel, EVENT_READ, lane)
+        self._thread = threading.Thread(target=self._loop, daemon=True,
+                                        name="serve-loop")
+        self._thread.start()
         return self._address
 
     @property
@@ -194,88 +202,198 @@ class ServeDaemon:
         return self._address
 
     def serve_forever(self) -> None:
-        """Block until ``shutdown`` (API op or SIGTERM/SIGINT drain)."""
-        while not self._shutdown_ev.is_set():
-            if self._signals:
-                self.drain(wait=True, timeout_s=300.0)
-                break
-            self._shutdown_ev.wait(0.2)
+        """Block until the loop ended: ``shutdown`` (API op, or the drain
+        SIGTERM/SIGINT start)."""
+        while self._thread.is_alive():
+            self._thread.join(0.2)   # signal handlers run in between
         self.stop()
 
     def stop(self) -> None:
-        """Tear everything down (idempotent)."""
-        with self._cond:
-            self._stopping = True
-            self._draining = True
-            self._cond.notify_all()
+        """End the loop, which reaps the lanes and releases the sockets
+        (idempotent)."""
+        self._stopping = self._draining = True
+        if self._thread is not None:
+            self._thread.join()
+
+    # -- the loop ------------------------------------------------------------
+
+    def _loop(self) -> None:
+        try:
+            while not (self._stopping or self._shutdown_ev.is_set()):
+                self._turn()
+        finally:
+            self._teardown()
+
+    def _turn(self) -> None:
+        """Wait for a socket, a fleet or a lane's clock; read and answer
+        requests, step the lanes, start queued jobs on idle ones, advance
+        the parked requests, send the replies."""
+        for c in self._clients:
+            flags = ((0 if c.parked or c.closing else EVENT_READ)
+                     | (EVENT_WRITE if c.out else 0))
+            if flags:
+                self.set_interest(c.sock, flags, c)
+            else:
+                self.forget_sock(c.sock)
+        now = time.monotonic()
+        wait = min([TICK_S, *(lane.due - now for lane in self._lanes)])
+        ready = set()
+        for key, mask in self.sel.select(max(0.0, wait)):
+            who = key.data
+            if who is None:
+                self._accept()
+            elif isinstance(who, Lane):
+                ready.add(who)
+            elif mask & EVENT_READ and who.sock is not None:
+                self._read(who)
+        now = time.monotonic()
         for lane in self._lanes:
-            lane.stop()
+            if lane in ready or lane.due <= now:
+                lane.step()
         for lane in self._lanes:
-            lane.join(timeout=30.0)
-        if self._listener is not None:
+            if (lane.state == "idle" and self._queue
+                    and self._running < self.cfg.max_inflight):
+                job = self._queue.popleft()
+                job.state = "running"
+                self._running += 1
+                lane.run(job)
+        if self._signals:   # SIGTERM/SIGINT: a shutdown nobody reads
+            self._signals.clear()
+            self._send(_Client(None), self._answer(self.op_shutdown,
+                                                   {"timeout_s": 300.0}))
+        for entry in list(self._parked):
+            c, reply = entry[0], self._answer(next, entry[1])
+            if reply is not None:
+                self._parked.remove(entry)
+                c.parked = False
+                self._send(c, reply)
+                self._serve(c)   # the requests queued behind it
+        for c in list(self._clients):
+            if c.out:
+                self._flush(c)
+
+    def _accept(self) -> None:
+        while True:
             try:
-                self._listener.close()
+                sock, _addr = self._listener.accept()
+            except OSError:   # drained (EAGAIN), or the peer already left
+                return
+            sock.setblocking(False)
+            c = _Client(sock)
+            self._clients.append(c)
+            self.set_interest(sock, EVENT_READ, c)
+
+    def _read(self, c: _Client) -> None:
+        try:
+            data = c.sock.recv(1 << 16)
+        except BlockingIOError:
+            return
+        except OSError:
+            data = b""
+        try:
+            if not data:
+                self._close(c)
+                return
+            c.inbuf += data
+            self._serve(c)
+        except Exception:   # a defect must not stop the loop: drop the client
+            traceback.print_exc(file=sys.stderr)
+            self._close(c)
+
+    def _serve(self, c: _Client) -> None:
+        """Answer ``c``'s complete request lines in order, until one parks;
+        a line over :data:`MAX_LINE` bytes is answered, then hung up on."""
+        while not (c.parked or c.closing or c.sock is None):
+            end = c.inbuf.find(b"\n", 0, MAX_LINE + 1)
+            if end < 0:
+                if len(c.inbuf) > MAX_LINE:
+                    self._send(c, error_response(
+                        "bad-request",
+                        detail=f"request line over {MAX_LINE} bytes"))
+                    c.closing = True
+                return
+            line = bytes(c.inbuf[:end])
+            del c.inbuf[:end + 1]
+            try:
+                req = decode_line(line)
+            except (ValueError, BadRequest) as exc:
+                self._send(c, error_response("bad-request", detail=str(exc)))
+                continue
+            self._send(c, self._dispatch(req))
+
+    def _send(self, c: _Client, out) -> None:
+        """Queue the reply ``out``, or park it: a generator, advanced once
+        a turn until it returns the reply."""
+        if isinstance(out, GeneratorType):
+            self._parked.append((c, out))
+            c.parked = True
+        else:
+            c.out += encode_line(out)
+
+    def _flush(self, c: _Client) -> None:
+        try:
+            del c.out[:c.sock.send(c.out)]
+        except BlockingIOError:
+            return
+        except OSError:   # the client vanished mid-exchange
+            c.out.clear()
+            c.closing = True
+        if c.closing and not c.out:
+            self._close(c)
+
+    def _close(self, c: _Client) -> None:
+        if c.sock is not None:
+            self.forget_sock(c.sock)
+            c.sock.close()
+            c.sock = None
+            self._clients.remove(c)
+
+    def _teardown(self) -> None:
+        for lane in self._lanes:
+            lane.close()
+        for c in list(self._clients):
+            try:
+                c.sock.setblocking(True)
+                c.sock.settimeout(1.0)
+                c.sock.sendall(c.out)   # a last reply (``shutdown``'s)
             except OSError:
                 pass
+            self._close(c)
+        if self._listener is not None:
+            self._listener.close()
             self._listener = None
             if self._address and self._address[0] == "unix":
-                from ..runtime.transport import unlink_quietly
                 unlink_quietly(self._address[1])
+        self.sel.close()
         self._shutdown_ev.set()
-
-    def _on_signal(self, signum, _frame) -> None:
-        self._signals.append(signum)
 
     # -- lane source interface ----------------------------------------------
 
-    def _try_pop(self) -> Optional[Job]:
-        if (self._queue and self._running < self.cfg.max_inflight
-                and not self._stopping):
-            job = self._queue.popleft()
-            job.state = "running"
-            self._running += 1
-            return job
-        return None
-
-    def next_job(self, lane: Lane) -> Optional[Job]:
-        with self._cond:
-            job = self._try_pop()
-            if job is None and not self._stopping:
-                self._cond.wait(0.2)
-                job = self._try_pop()
-            return job
-
     def job_finished(self, job: Job, outcome: dict) -> None:
-        with self._cond:
-            job.state = "done"
-            job.t_done = time.time()
-            job.outcome = outcome
-            self._running -= 1
-            self._completed += 1
-            exec_s = job.t_done - job.t_start
-            self._ewma_exec_s = (_EWMA_ALPHA * exec_s
-                                 + (1 - _EWMA_ALPHA) * self._ewma_exec_s)
-            self._cond.notify_all()
+        job.state = "done"
+        job.t_done = time.time()
+        job.outcome = outcome
+        self._running -= 1
+        self._completed += 1
+        exec_s = job.t_done - job.t_start
+        self._ewma_exec_s = (_EWMA_ALPHA * exec_s
+                             + (1 - _EWMA_ALPHA) * self._ewma_exec_s)
 
     def job_dead(self, job: Job, error: str, tb: str) -> None:
-        with self._cond:
-            job.state = "dead"
-            job.t_done = time.time()
-            job.error = error
-            job.traceback = tb
-            self._running -= 1
-            self._dead += 1
-            self._dead_letters.append({
-                "job_id": job.id, "app": job.app, "run": job.run,
-                "lane": job.lane, "error": error, "traceback": tb,
-                "t": job.t_done})
-            self._cond.notify_all()
+        job.state = "dead"
+        job.t_done = time.time()
+        job.error = error
+        job.traceback = tb
+        self._running -= 1
+        self._dead += 1
+        self._dead_letters.append({
+            "job_id": job.id, "app": job.app, "run": job.run,
+            "lane": job.lane, "error": error, "traceback": tb,
+            "t": job.t_done})
 
     def lane_failed(self, lane: Lane, tb: str) -> None:
-        with self._cond:
-            self._lane_failures.append(
-                f"lane {lane.lane_id}: {tb.strip().splitlines()[-1]}")
-            self._cond.notify_all()
+        self._lane_failures.append(
+            f"lane {lane.lane_id}: {tb.strip().splitlines()[-1]}")
 
     # -- API ops -------------------------------------------------------------
 
@@ -300,25 +418,23 @@ class ServeDaemon:
         timeout_s = validate_seconds(req, "timeout_s", self.cfg.job_timeout_s)
         if not (0 < timeout_s <= 3600):
             raise BadRequest("timeout_s out of range (0, 3600]")
-        with self._cond:
-            if self._draining or self._stopping:
-                self._rejected_draining += 1
-                return error_response("draining")
-            if len(self._queue) >= self.cfg.queue_limit:
-                self._rejected_busy += 1
-                return error_response(
-                    "busy", queue_depth=len(self._queue),
-                    queue_limit=self.cfg.queue_limit,
-                    retry_after_s=self._eta_s(0))
-            self._seq += 1
-            job = Job(f"j{self._seq:06d}", app, run, config, timeout_s)
-            position = len(self._queue)
-            self._queue.append(job)
-            self._jobs[job.id] = job
-            self._accepted += 1
-            self._cond.notify_all()
-            return {"ok": True, "job_id": job.id, "position": position,
-                    "eta_s": self._eta_s(position)}
+        if self._draining or self._stopping:
+            self._rejected_draining += 1
+            return error_response("draining")
+        if len(self._queue) >= self.cfg.queue_limit:
+            self._rejected_busy += 1
+            return error_response(
+                "busy", queue_depth=len(self._queue),
+                queue_limit=self.cfg.queue_limit,
+                retry_after_s=self._eta_s(0))
+        self._seq += 1
+        job = Job(f"j{self._seq:06d}", app, run, config, timeout_s)
+        position = len(self._queue)
+        self._queue.append(job)
+        self._jobs[job.id] = job
+        self._accepted += 1
+        return {"ok": True, "job_id": job.id, "position": position,
+                "eta_s": self._eta_s(position)}
 
     def _job_of(self, req: dict) -> Job:
         """The job ``req`` names. A ``job_id`` that is not a string is a
@@ -333,68 +449,61 @@ class ServeDaemon:
         return job
 
     def op_status(self, req: dict) -> dict:
-        with self._cond:
-            job = self._job_of(req)
-            out = {"ok": True, "job_id": job.id, "state": job.state}
-            if job.state == "queued":
-                try:
-                    position = list(self._queue).index(job)
-                except ValueError:     # popped between checks
-                    position = 0
-                out["position"] = position
-                out["eta_s"] = self._eta_s(position)
-            elif job.state == "running":
-                out["lane"] = job.lane
-                out["elapsed_s"] = round(time.time() - job.t_start, 3)
-            elif job.state == "done":
-                oc = job.outcome
-                out.update(makespan=oc["makespan"],
-                           total_units=oc["total_units"],
-                           optimum=oc["optimum"], lane=job.lane,
-                           queue_s=round(job.t_start - job.t_submit, 6),
-                           exec_s=round(job.t_done - job.t_start, 6))
-            else:   # dead
-                out["error"] = job.error
-                out["lane"] = job.lane
-            return out
+        job = self._job_of(req)
+        out = {"ok": True, "job_id": job.id, "state": job.state}
+        if job.state == "queued":
+            position = self._queue.index(job)
+            out["position"] = position
+            out["eta_s"] = self._eta_s(position)
+        elif job.state == "running":
+            out["lane"] = job.lane
+            out["elapsed_s"] = round(time.time() - job.t_start, 3)
+        elif job.state == "done":
+            oc = job.outcome
+            out.update(makespan=oc["makespan"],
+                       total_units=oc["total_units"],
+                       optimum=oc["optimum"], lane=job.lane,
+                       queue_s=round(job.t_start - job.t_submit, 6),
+                       exec_s=round(job.t_done - job.t_start, 6))
+        else:   # dead
+            out["error"] = job.error
+            out["lane"] = job.lane
+        return out
 
     def op_result(self, req: dict) -> dict:
-        with self._cond:
-            job = self._job_of(req)
-            if job.state == "dead":
-                return {"ok": True, "job_id": job.id, "state": "dead",
-                        "error": job.error, "traceback": job.traceback}
-            if job.state != "done":
-                return error_response("not-done", state=job.state)
-            oc = dict(job.outcome)
-            oc.pop("report", None)
-            return {"ok": True, "job_id": job.id, "state": "done", **oc}
+        job = self._job_of(req)
+        if job.state == "dead":
+            return {"ok": True, "job_id": job.id, "state": "dead",
+                    "error": job.error, "traceback": job.traceback}
+        if job.state != "done":
+            return error_response("not-done", state=job.state)
+        oc = dict(job.outcome)
+        oc.pop("report", None)
+        return {"ok": True, "job_id": job.id, "state": "done", **oc}
 
     def op_report(self, req: dict) -> dict:
-        with self._cond:
-            job = self._job_of(req)
-            if job.state != "done":
-                return error_response("not-done", state=job.state)
-            return {"ok": True, "job_id": job.id,
-                    "report": job.outcome["report"]}
+        job = self._job_of(req)
+        if job.state != "done":
+            return error_response("not-done", state=job.state)
+        return {"ok": True, "job_id": job.id,
+                "report": job.outcome["report"]}
 
     def op_stats(self, _req: dict) -> dict:
-        with self._cond:
-            return {"ok": True,
-                    "accepted": self._accepted,
-                    "completed": self._completed,
-                    "dead_lettered": self._dead,
-                    "rejected_busy": self._rejected_busy,
-                    "rejected_draining": self._rejected_draining,
-                    "queue_depth": len(self._queue),
-                    "queue_limit": self.cfg.queue_limit,
-                    "running": self._running,
-                    "max_inflight": self.cfg.max_inflight,
-                    "draining": self._draining,
-                    "ewma_exec_s": round(self._ewma_exec_s, 6),
-                    "uptime_s": round(time.time() - self._t0, 3),
-                    "lane_failures": list(self._lane_failures),
-                    "lanes": [ln.snapshot() for ln in self._lanes]}
+        return {"ok": True,
+                "accepted": self._accepted,
+                "completed": self._completed,
+                "dead_lettered": self._dead,
+                "rejected_busy": self._rejected_busy,
+                "rejected_draining": self._rejected_draining,
+                "queue_depth": len(self._queue),
+                "queue_limit": self.cfg.queue_limit,
+                "running": self._running,
+                "max_inflight": self.cfg.max_inflight,
+                "draining": self._draining,
+                "ewma_exec_s": round(self._ewma_exec_s, 6),
+                "uptime_s": round(time.time() - self._t0, 3),
+                "lane_failures": list(self._lane_failures),
+                "lanes": [ln.snapshot() for ln in self._lanes]}
 
     def op_fleet(self, _req: dict) -> dict:
         return {"ok": True, "n": self.cfg.n,
@@ -405,41 +514,26 @@ class ServeDaemon:
         if not is_json_int(limit) or limit < 0:
             raise BadRequest(f"'limit' must be an integer >= 0, "
                              f"not {limit!r}")
-        with self._cond:
-            records = list(self._dead_letters)[-limit:] if limit else []
+        records = list(self._dead_letters)[-limit:] if limit else []
         return {"ok": True, "count": len(records), "dead_letters": records}
 
-    def drain(self, wait: bool, timeout_s: float = 300.0) -> dict:
-        with self._cond:
-            self._draining = True
-            self._cond.notify_all()
-        drained = self._wait_drained(timeout_s) if wait else False
-        with self._cond:
-            return {"ok": True, "draining": True, "drained": drained,
-                    "queue_depth": len(self._queue),
-                    "running": self._running}
-
-    def _wait_drained(self, timeout_s: float) -> bool:
-        end = time.monotonic() + timeout_s
-        with self._cond:
-            while self._queue or self._running:
-                left = end - time.monotonic()
-                if left <= 0:
-                    return False
-                self._cond.wait(min(0.2, left))
-            return True
-
-    def op_drain(self, req: dict) -> dict:
-        return self.drain(wait=bool(req.get("wait", True)),
-                          timeout_s=validate_seconds(req, "timeout_s", 300.0))
+    def op_drain(self, req: dict):
+        """Stop admitting; with ``wait`` (the default), parked until the
+        accepted jobs ended or ``timeout_s`` passed."""
+        wait = bool(req.get("wait", True))
+        timeout_s = validate_seconds(req, "timeout_s", 300.0)
+        self._draining = True
+        drained = lambda: not (self._queue or self._running)  # noqa: E731
+        yield from _until(lambda: not wait or drained(), timeout_s)
+        return {"ok": True, "draining": True, "drained": wait and drained(),
+                "queue_depth": len(self._queue), "running": self._running}
 
     def op_resume(self, _req: dict) -> dict:
-        with self._cond:
-            if not self._stopping:
-                self._draining = False
-            return {"ok": True, "draining": self._draining}
+        if not self._stopping:
+            self._draining = False
+        return {"ok": True, "draining": self._draining}
 
-    def op_restart(self, _req: dict) -> dict:
+    def op_restart(self, _req: dict):
         """Rolling restart: recycle lanes one at a time, between jobs.
 
         Serialised on purpose — capacity never drops by more than one
@@ -449,21 +543,27 @@ class ServeDaemon:
         per_lane = self.cfg.job_timeout_s + self.cfg.boot_timeout_s + 30.0
         restarted, failed = [], []
         for lane in self._lanes:
-            if lane.state in ("failed", "stopped"):
-                failed.append(lane.lane_id)
-                continue
-            ev = lane.request_recycle()
-            if ev.wait(timeout=per_lane) and lane.state != "failed":
-                restarted.append(lane.lane_id)
-            else:
-                failed.append(lane.lane_id)
+            restarts = lane.restarts
+            if lane.state not in ("failed", "stopped"):
+                lane.request_recycle()
+                yield from _until(lambda: lane.state == "failed"
+                                  or lane.restarts > restarts, per_lane)
+            (restarted if lane.restarts > restarts and lane.state != "failed"
+             else failed).append(lane.lane_id)
         return {"ok": not failed, "restarted": restarted, "failed": failed}
 
-    def op_shutdown(self, req: dict) -> dict:
-        resp = self.drain(wait=bool(req.get("wait", True)),
-                          timeout_s=validate_seconds(req, "timeout_s", 300.0))
+    def op_shutdown(self, req: dict):
+        drained = (yield from self.op_drain(req))["drained"]
         self._shutdown_ev.set()
-        return {"ok": True, "shutdown": True, "drained": resp["drained"]}
+        return {"ok": True, "shutdown": True, "drained": drained}
+
+    def op_wait(self, req: dict):
+        """Parked until the job ends or ``timeout_s`` passes: its
+        ``status`` then, terminal or not."""
+        job = self._job_of(req)
+        timeout_s = validate_seconds(req, "timeout_s", self.cfg.job_timeout_s)
+        yield from _until(lambda: job.state in ("done", "dead"), timeout_s)
+        return self.op_status(req)
 
     def op_ping(self, _req: dict) -> dict:
         return {"ok": True, "pong": True,
@@ -473,61 +573,29 @@ class ServeDaemon:
             "result": op_result, "report": op_report, "stats": op_stats,
             "fleet": op_fleet, "dead_letters": op_dead_letters,
             "drain": op_drain, "resume": op_resume, "restart": op_restart,
-            "shutdown": op_shutdown}
+            "shutdown": op_shutdown, "wait": op_wait}
 
-    # -- API server ----------------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        import socket as socket_mod
-        while not self._shutdown_ev.is_set():
-            try:
-                sock, _addr = self._listener.accept()
-            except socket_mod.timeout:
-                continue
-            except OSError:
-                return
-            t = threading.Thread(target=self._serve_client, args=(sock,),
-                                 daemon=True)
-            t.start()
-            self._clients = [c for c in self._clients if c.is_alive()]
-            self._clients.append(t)
-
-    def _serve_client(self, sock) -> None:
-        rfile = sock.makefile("rb")
-        wfile = sock.makefile("wb")
-        try:
-            while True:
-                try:
-                    req = read_line(rfile)
-                except (ValueError, BadRequest) as exc:
-                    write_line(wfile, error_response("bad-request",
-                                                     detail=str(exc)))
-                    continue
-                if req is None:
-                    return
-                write_line(wfile, self._dispatch(req))
-                if req.get("op") == "shutdown":
-                    return
-        except (OSError, ValueError):
-            pass   # client vanished mid-exchange
-        finally:
-            for f in (rfile, wfile):
-                try:
-                    f.close()
-                except OSError:
-                    pass
-            try:
-                sock.close()
-            except OSError:
-                pass
-
-    def _dispatch(self, req: dict) -> dict:
+    def _dispatch(self, req: dict):
+        """``req``'s reply, or its parked handler (a generator)."""
         handler = self._OPS.get(req.get("op"))
         if handler is None:
             return error_response("unknown-op", op=req.get("op"),
                                   known=sorted(self._OPS))
+        return self._answer(handler, self, req)
+
+    @staticmethod
+    def _answer(step, *args):
+        """``step(*args)``, its errors as error replies.  A generator it
+        returns is advanced once: its reply if it returned one, else the
+        generator, parked; a parked one advanced with ``next`` gives None
+        while it waits."""
         try:
-            return handler(self, req)
+            out = step(*args)
+            if isinstance(out, GeneratorType):
+                next(out)
+            return out
+        except StopIteration as done:
+            return done.value
         except BadRequest as exc:
             return error_response("bad-request", detail=str(exc))
         except UnknownJob as exc:
@@ -536,6 +604,13 @@ class ServeDaemon:
             tb = traceback.format_exc()
             return error_response("internal-error",
                                   detail=tb.strip().splitlines()[-1])
+
+
+def _until(ready, timeout_s: float):
+    """Park: yield once a turn until ``ready()`` or ``timeout_s`` passed."""
+    end = time.monotonic() + timeout_s
+    while not ready() and time.monotonic() < end:
+        yield
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -577,7 +652,7 @@ def serve_main(argv: Optional[list[str]] = None) -> int:
     daemon = ServeDaemon(cfg)
     if threading.current_thread() is threading.main_thread():
         for signum in (signal.SIGINT, signal.SIGTERM):
-            signal.signal(signum, daemon._on_signal)
+            signal.signal(signum, lambda s, _f: daemon._signals.append(s))
     address = daemon.start()
     print(f"repro.serve listening on {format_address(address)} "
           f"(lanes={cfg.lanes} n={cfg.n} protocol={cfg.protocol})",

@@ -4,54 +4,54 @@ A **lane** is the unit of concurrency *and* of failure containment (the
 bulkhead): it owns ``n`` persistent worker processes (forks of the
 daemon, which preloaded every job's imports), runs **at most one job at a
 time** on them, and is recycled — killed and forked anew — as a whole when
-something it contains goes wrong.  The daemon starts ``lanes`` of them
-against one shared job queue, so the service executes up to ``lanes`` jobs
-concurrently, and a poisoned spec, worker crash or timeout in one lane
-never perturbs the jobs running in the others.
+something it contains goes wrong.  The daemon hands queued jobs to idle
+lanes, so up to ``lanes`` jobs run at once, and a poisoned spec, worker
+crash or timeout in one lane never perturbs the jobs in the others.
 
 Underneath, a lane is a :class:`~repro.runtime.fleet.Fleet` — the same
 listener, ``hello`` identification, control connections, boot, job loop
 and reaper a one-shot ``run_live`` drives (docs/runtime.md) — fed ``job``
-after ``job`` where the one-shot run sends a single one.  The hosts build
-their peer mesh once, at ``go``, and every job's protocol frames ride it;
-the lane sees control frames only.  Per job the fleet broadcasts a ``job``
-frame (spec + the job's ``RunConfig.to_wire()`` + a fresh **epoch**) and
-collects one ``done`` report per host (:meth:`Fleet.run_job`); the lane
-sends ``job_end`` and turns the reports through the shared
-:func:`~repro.runtime.fleet.assemble` into the same
-:class:`~repro.obs.report.RunReport` a one-shot live run produces.
+after ``job`` on the one peer mesh its hosts built at ``go``.  Per job the
+fleet broadcasts a ``job`` frame (spec, ``RunConfig.to_wire()``, a fresh
+**epoch**) and collects one ``done`` report per host; the lane sends
+``job_end`` and turns the reports through the shared
+:func:`~repro.runtime.fleet.assemble` into the run report a one-shot live
+run produces.
 
 Failure paths, in order of severity:
 
 * ``job_error`` from any host (poisoned spec / mid-run application
   exception): the job is dead-lettered, the remaining hosts get an
-  ``abort`` and ack with ``aborted`` — the lane stays warm, no process
-  is paid;
+  ``abort`` and ack with ``aborted`` — the lane stays warm;
 * job timeout: same abort path; hosts that do not ack within the grace
   window force a recycle;
 * host process death: the job is dead-lettered and the lane is recycled
-  unconditionally (a half-dead fleet cannot be trusted — the survivors'
-  meshes still route toward the corpse, and serve jobs run without the
-  reliable channel that would recover those frames).
+  unconditionally (the survivors' meshes still route toward the corpse,
+  and serve jobs run without the reliable channel that would recover
+  those frames).
 
 A **recycle** stops the fleet (shutdown, SIGTERM, grace, SIGKILL), then
-forks and re-handshakes the lane's hosts on the surviving listener
-while other lanes keep serving; the daemon's rolling restart is exactly
-one recycle per lane, serialised, between jobs — which is why it loses
-nothing.
+forks and re-handshakes the hosts on the surviving listener; the rolling
+restart is one recycle per lane, serialised, between jobs.
+
+A lane has no thread: it is a state machine the daemon's one loop steps
+(:meth:`Lane.step`) when its fleet's selector is ready or its own clock
+is due.  Every wait — the boot's handshake, a job, an abort's grace, a
+recycle's reap — is a deadline checked at a step, never a sleep, so a
+wedged host holds up its own lane and nothing else.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import time
 import traceback
 from typing import Optional
 
 from ..experiments.specs import AppSpec
 from ..obs.report import build_report
-from ..runtime.fleet import TICK_S, Fleet, Worker, assemble, spawn_worker
+from ..runtime.fleet import (EXIT_POLL_S, TICK_S, Fleet, Worker, assemble,
+                             spawn_worker)
 
 #: Abort-ack grace: hosts unwind at quantum granularity, so acks are
 #: prompt; a host that stays silent this long is wedged and gets recycled.
@@ -59,12 +59,13 @@ ABORT_GRACE_S = 5.0
 
 
 class Lane:
-    """One warm fleet + the thread that feeds it from the job source.
+    """One warm fleet, stepped by the daemon's loop (see module docstring).
 
-    ``source`` is the daemon, duck-typed: ``next_job(lane)`` (blocking
-    poll, returns ``None`` periodically so the lane can service control
-    flags), ``job_finished(job, outcome)``, ``job_dead(job, error,
-    traceback)`` and ``lane_failed(lane, traceback)``.
+    ``state`` is boot | idle | busy | aborting | recycling | failed |
+    stopped.  ``source`` is the daemon, duck-typed: ``job_finished(job,
+    outcome)``, ``job_dead(job, error, traceback)`` and
+    ``lane_failed(lane, traceback)``; the daemon hands an idle lane its
+    next job with :meth:`run`.
     """
 
     def __init__(self, lane_id: int, scfg, run_dir: str, source) -> None:
@@ -73,37 +74,54 @@ class Lane:
         self.n = scfg.n
         self.dir = os.path.join(run_dir, f"lane{lane_id}")
         self.source = source
-        self.state = "boot"          # boot|idle|busy|recycling|failed|stopped
+        self.state = "boot"
+        self.due = 0.0               # monotonic: the next step it is owed
+        self.recycle_due = False     # recycle at the next job boundary
         self.epoch = 0               # last dispatched job epoch
         self.restarts = 0            # completed recycles
         self.jobs_run = 0
         self.boot_s = 0.0            # last boot or recycle: spawn -> go
         self.current_job = None
         self._fleet: Optional[Fleet] = None
-        self._stop = False
-        self._recycle_req: Optional[threading.Event] = None
-        self._thread: Optional[threading.Thread] = None
+        self._reaping = True         # a stop to finish before the next boot
+        self._t_spawn = 0.0
+        self._grace = 0.0            # end of an abort's ack window
 
-    # -- public (daemon-facing) ----------------------------------------------
+    # -- daemon-facing -------------------------------------------------------
 
-    def start(self) -> None:
-        self._thread = threading.Thread(target=self._main, daemon=True,
-                                        name=f"lane{self.lane_id}")
-        self._thread.start()
+    def open(self) -> Fleet:
+        """The lane's fleet: its listener and selector (the hosts are
+        forked at the first step)."""
+        os.makedirs(self.dir, exist_ok=True)
+        self._fleet = Fleet(self.dir, self.scfg.transport, self.scfg.host)
+        return self._fleet
 
-    def stop(self) -> None:
-        self._stop = True
+    def close(self) -> None:
+        if self._fleet is not None:
+            self._fleet.close()
+        self.state = "stopped"
 
-    def join(self, timeout: Optional[float] = None) -> None:
-        if self._thread is not None:
-            self._thread.join(timeout)
+    def request_recycle(self) -> None:
+        """Recycle at the next job boundary: now, if the lane is idle (a
+        recycle under way already is one)."""
+        if self.state != "recycling":
+            self.recycle_due = True
+        if self.state == "idle":
+            self._guard(self._between_jobs)
 
-    def request_recycle(self) -> threading.Event:
-        """Ask for a recycle at the next between-jobs point; the returned
-        event fires when it completed (or the lane failed trying)."""
-        if self._recycle_req is None:
-            self._recycle_req = threading.Event()
-        return self._recycle_req
+    def run(self, job) -> None:
+        """Start ``job`` on the idle lane: its ``job`` frame goes out now."""
+        self.epoch += 1
+        job.t_start, job.lane = time.time(), self.lane_id
+        self.current_job, self.state = job, "busy"
+        self._guard(self._fleet.start_job, {
+            "t": "job", "id": job.id, "epoch": self.epoch, "app": job.app,
+            "run": job.config.to_wire(), "timeout_s": job.timeout_s})
+
+    def step(self) -> None:
+        """One turn of the lane: pump its fleet once, then move on."""
+        self.due = time.monotonic() + TICK_S
+        self._guard(self._turn)
 
     def snapshot(self) -> dict:
         """JSON-able lane state for the ``fleet`` API op."""
@@ -115,56 +133,54 @@ class Lane:
                 "workers": [{"pid": h.pid, "ospid": h.ospid}
                             for h in (fleet.members if fleet else ())]}
 
-    # -- thread main ---------------------------------------------------------
+    # -- the state machine ---------------------------------------------------
 
-    def _main(self) -> None:
+    def _guard(self, step, *args) -> None:
+        """Run ``step``; a defect it raises fails the job in flight and
+        recycles the lane, or, between jobs, fails the lane."""
         try:
-            os.makedirs(self.dir, exist_ok=True)
-            self._fleet = Fleet(self.dir, self.scfg.transport,
-                                self.scfg.host)
-            self._boot()
+            step(*args)
         except Exception:
-            self.state = "failed"
-            self.source.lane_failed(self, traceback.format_exc())
-            self._teardown()
-            return
-        while not self._stop:
-            if self._recycle_req is not None:
-                req, self._recycle_req = self._recycle_req, None
-                ok = self._rebuild()
-                req.set()
-                if not ok:
-                    return
-                continue
-            if any(h.poll() is not None for h in self._fleet.members):
-                # a host died while idle — rebuild before taking work
-                if not self._rebuild():
-                    return
-                continue
-            job = self.source.next_job(self)
-            if job is None:
-                continue
-            self.state = "busy"
-            self.current_job = job
-            try:
-                self._execute(job)
-            except Exception:
-                # lane-level defect: account for the job, then rebuild
-                self.source.job_dead(job, "lane failure",
-                                     traceback.format_exc())
-                if not self._rebuild():
-                    return
-            finally:
-                self.current_job = None
-                if self.state == "busy":
-                    self.state = "idle"
-        self._teardown()
-        self.state = "stopped"
+            tb = traceback.format_exc()
+            job, self.current_job = self.current_job, None
+            if job is not None:
+                self.source.job_dead(job, "lane failure", tb)
+                self._recycle()
+            else:
+                self.state = "failed"
+                self.source.lane_failed(self, tb)
+                self._fleet.terminate()
+                self._reaping = True
 
-    # -- fleet lifecycle -----------------------------------------------------
+    def _turn(self) -> None:
+        fleet = self._fleet
+        fleet.pump(0)
+        if self._reaping:
+            if not fleet.reaped():
+                self.due = time.monotonic() + EXIT_POLL_S
+            elif self.state != "failed":
+                self._reaping = False
+                self._spawn()
+        elif self.state in ("boot", "recycling"):
+            if fleet.booted():
+                self.boot_s = time.monotonic() - self._t_spawn
+                self.restarts += self.state == "recycling"
+                self._between_jobs()
+        elif self.state == "busy":
+            if fleet.job_ended():
+                if fleet.failure is None:
+                    self._finish()
+                else:
+                    self._abort()
+        elif self.state == "aborting":
+            self._aborting()
+        elif self.state == "idle":
+            self._between_jobs()
 
-    def _boot(self) -> None:
-        fleet, scfg, t0 = self._fleet, self.scfg, time.monotonic()
+    def _spawn(self) -> None:
+        """Fork the lane's hosts; :meth:`Fleet.booted` takes it from here."""
+        fleet, scfg = self._fleet, self.scfg
+        self._t_spawn = time.monotonic()
         hosts = []
         for pid in range(self.n):
             # one log per slot, appended across recycles, keeps the history
@@ -173,77 +189,57 @@ class Lane:
                 {"pid": pid, "slots": self.n, "endpoint": fleet.endpoint,
                  "run_dir": self.dir, "transport": scfg.transport,
                  "host": scfg.host}, log), log))
-        fleet.boot(hosts, scfg.boot_timeout_s)
-        self.boot_s = time.monotonic() - t0
-        self.state = "idle"
+        fleet.start_boot(hosts, scfg.boot_timeout_s)
+
+    def _between_jobs(self) -> None:
+        """Recycle if asked to or a host died while idle; else take work."""
+        if self.recycle_due or any(h.poll() is not None
+                                   for h in self._fleet.members):
+            self._recycle()
+        else:
+            self.state = "idle"
 
     def _recycle(self) -> None:
-        """Kill and rebuild the whole fleet (listener survives)."""
-        self._fleet.stop()
-        self._boot()
-        self.restarts += 1
+        """Stop the whole fleet (the listener survives), then boot anew."""
+        self.state, self.recycle_due, self._reaping = "recycling", False, True
+        self._fleet.terminate()
+        self.due = 0.0
 
-    def _rebuild(self) -> bool:
-        """:meth:`_recycle` between jobs; False once the lane failed
-        trying (reported and torn down)."""
-        try:
-            self.state = "recycling"
-            self._recycle()
-            self.state = "idle"
-            return True
-        except Exception:
-            self.state = "failed"
-            self.source.lane_failed(self, traceback.format_exc())
-            self._teardown()
-            return False
-
-    def _teardown(self) -> None:
-        if self._fleet is not None:
-            self._fleet.close()
-
-    # -- one job -------------------------------------------------------------
-
-    def _execute(self, job) -> None:
-        self.epoch += 1
-        job.t_start = time.time()
-        job.lane = self.lane_id
-        job.epoch = self.epoch
-        failure = self._fleet.run_job(
-            {"t": "job", "id": job.id, "epoch": self.epoch, "app": job.app,
-             "run": job.config.to_wire(), "timeout_s": job.timeout_s})
-        if failure is not None:
-            self._fail_job(job, *failure)
-            return
-        self._fleet.broadcast({"t": "job_end", "epoch": self.epoch})
-        self._fleet.flush()
+    def _finish(self) -> None:
+        fleet, job = self._fleet, self.current_job
+        fleet.broadcast({"t": "job_end", "epoch": self.epoch})
+        fleet.flush()
         outcome = self._outcome(job)
         self.jobs_run += 1
+        self.current_job = None
         self.source.job_finished(job, outcome)
+        self._between_jobs()
 
-    def _fail_job(self, job, error: str, tb: str) -> None:
-        """Abort the epoch everywhere, then dead-letter the job.
-
-        Hosts still ``running``/``done`` get an ``abort`` and must ack;
-        a missing ack (a wedged or dying host) or a host that died
-        escalates to a recycle.
-        """
+    def _abort(self) -> None:
+        """The job failed: ``abort`` the epoch on every host still
+        ``running``/``done``, which must ack within :data:`ABORT_GRACE_S`."""
         fleet = self._fleet
-        targets = [h for h in fleet.members
-                   if h.state in ("running", "done") and not h.conn.closed
-                   and h.poll() is None]
-        for h in targets:
-            h.conn.send_frame({"t": "abort", "epoch": self.epoch})
+        for h in fleet.members:
+            if h.state in ("running", "done") and h.poll() is None:
+                h.conn.send_frame({"t": "abort", "epoch": self.epoch})
         fleet.flush()
-        grace = time.monotonic() + ABORT_GRACE_S
-        while time.monotonic() < grace and any(
+        self.state, self._grace = "aborting", time.monotonic() + ABORT_GRACE_S
+        self._aborting()
+
+    def _aborting(self) -> None:
+        """Once every host acked or the grace passed, dead-letter the job;
+        a missing ack (a wedged or dying host) or a death recycles."""
+        fleet = self._fleet
+        if time.monotonic() < self._grace and any(
                 h.state in ("running", "done") and h.poll() is None
-                for h in targets):
-            fleet.pump(TICK_S)
-        self.source.job_dead(job, error, tb)
-        if any(h.state not in ("aborted", "errored")
-               or h.poll() is not None for h in fleet.members):
-            self.state = "recycling"
+                for h in fleet.members):
+            return
+        job, self.current_job = self.current_job, None
+        self.source.job_dead(job, *fleet.failure)
+        if any(h.state not in ("aborted", "errored") for h in fleet.members):
             self._recycle()
+        else:
+            self._between_jobs()
 
     def _outcome(self, job) -> dict:
         """The finished job's result document and full run report."""

@@ -1,26 +1,16 @@
 """Load generator: sustained job streams against one serve daemon.
 
 ``python -m repro.serve.loadgen --connect tcp:127.0.0.1:PORT --jobs 100
---submitters 4`` drives a mixed workload from concurrent submitter
-threads (each with its own connection), retrying ``busy`` rejections
-with backoff, and reports:
-
-* **throughput** — completed jobs per second of wall time;
-* **latency** — p50 / p99 of accept-to-terminal wall time (queue wait
-  *included*: that is the latency a service's caller experiences);
-* **accounting** — every accepted job must end ``done`` or in the
-  dead-letter store; the daemon-side counters are cross-checked so a
-  lost job is an error here, not a footnote.
-
-The mix is a comma-separated list of app spec strings, in the grammar of
-``python -m repro.experiments.compare --app``: ``uts:<preset>``,
-``bnb:<k>[:jobs[:machines]]`` or ``synthetic:<units>``.
-
-Options exercise the failure machinery under load: ``--poison-every K``
-makes every K-th submission a spec that cannot build (it must land in
-the dead-letter store), and ``--restart-at K`` fires a rolling restart
-mid-stream (the run then asserts the zero-loss property).  The
-``benchmarks/record.py serve`` recorder is a thin wrapper over
+--submitters 4`` drives a mixed workload (``--mix``: app spec strings in
+the grammar of ``python -m repro.experiments.compare --app``) from
+concurrent submitter threads, each on its own connection, retrying
+``busy`` rejections with backoff.  It reports throughput (completed jobs
+per wall second), the p50 / p99 latency from submit to terminal (queue
+wait included: what a caller sees), and fails unless every accepted job
+ended ``done`` or dead-lettered, cross-checked against the daemon's
+counters.  ``--poison-every K`` makes every K-th submission a spec that
+cannot build (it must be dead-lettered); ``--restart-at K`` fires a
+rolling restart mid-stream.  ``benchmarks/record.py serve`` wraps
 :func:`run_loadgen`.
 """
 
@@ -68,59 +58,48 @@ def run_loadgen(address, jobs: int = 100, submitters: int = 4,
     """Drive ``jobs`` submissions from ``submitters`` threads; see module
     docstring for what is measured.  Returns the result document."""
     specs = parse_mix(mix)
-    counter_lock = threading.Lock()
-    counter = [0]
+    lock = threading.Lock()
+    tickets = iter(range(jobs))           # drawn under the lock
     latencies: list[float] = []           # accept -> done
     dead_latencies: list[float] = []      # accept -> dead-letter
-    busy_retries = [0]
-    accepted = [0]
     errors: list[str] = []
-    restart_result: list[dict] = []
-
-    def next_index() -> Optional[int]:
-        with counter_lock:
-            if counter[0] >= jobs:
-                return None
-            counter[0] += 1
-            return counter[0] - 1
+    restart: list[dict] = []
+    tally = {"accepted": 0, "busy_retries": 0}
 
     def fire_restart() -> None:
         try:
             with ServeClient(address) as rc:
-                restart_result.append(rc.restart())
+                restart.append(rc.restart())
         except ServeClientError as exc:
-            restart_result.append({"ok": False, "error": str(exc)})
+            restart.append({"ok": False, "error": str(exc)})
 
-    restart_thread: list[threading.Thread] = []
+    restarter = threading.Thread(target=fire_restart, daemon=True)
 
     def submitter() -> None:
         with ServeClient(address) as client:
             while True:
-                k = next_index()
+                with lock:
+                    k = next(tickets, None)
                 if k is None:
                     return
-                if restart_at is not None and k == restart_at:
-                    t = threading.Thread(target=fire_restart, daemon=True)
-                    t.start()
-                    restart_thread.append(t)
+                if k == restart_at:
+                    restarter.start()
                 poisoned = poison_every and (k + 1) % poison_every == 0
                 app = POISON_SPEC if poisoned else specs[k % len(specs)]
                 t_req = time.monotonic()
                 resp, rejections = client.submit_retry(
                     app, timeout_s=job_timeout_s,
                     retry_for_s=wait_timeout_s)
-                with counter_lock:
-                    busy_retries[0] += rejections
-                if not resp.get("ok"):
-                    with counter_lock:
+                st = (client.wait(resp["job_id"], timeout=wait_timeout_s)
+                      if resp.get("ok") else {})
+                dt = time.monotonic() - t_req
+                with lock:
+                    tally["busy_retries"] += rejections
+                    if not resp.get("ok"):
                         errors.append(f"job {k}: submit failed: "
                                       f"{resp.get('error')}")
-                    continue
-                with counter_lock:
-                    accepted[0] += 1
-                st = client.wait(resp["job_id"], timeout=wait_timeout_s)
-                dt = time.monotonic() - t_req
-                with counter_lock:
+                        continue
+                    tally["accepted"] += 1
                     if st.get("state") == "done":
                         latencies.append(dt)
                     elif st.get("state") == "dead":
@@ -140,8 +119,8 @@ def run_loadgen(address, jobs: int = 100, submitters: int = 4,
         t.start()
     for t in threads:
         t.join()
-    for t in restart_thread:
-        t.join(timeout=120.0)
+    if restarter.ident is not None:
+        restarter.join(timeout=120.0)
     wall_s = time.monotonic() - t0
 
     with ServeClient(address) as client:
@@ -151,18 +130,19 @@ def run_loadgen(address, jobs: int = 100, submitters: int = 4,
     done = len(latencies)
     dead = len(dead_latencies)
     lat = sorted(latencies)
-    accounted = (accepted[0] == done + dead
-                 and stats.get("accepted", -1) >= accepted[0]
+    accepted = tally["accepted"]
+    accounted = (accepted == done + dead
+                 and stats.get("accepted", -1) >= accepted
                  and stats.get("completed", 0) + stats.get(
                      "dead_lettered", 0) >= done + dead)
     return {
         "jobs": jobs,
         "submitters": submitters,
         "mix": mix,
-        "accepted": accepted[0],
+        "accepted": accepted,
         "completed": done,
         "dead_lettered": dead,
-        "busy_retries": busy_retries[0],
+        "busy_retries": tally["busy_retries"],
         "wall_s": round(wall_s, 3),
         "jobs_per_s": round(done / wall_s, 3) if wall_s > 0 else 0.0,
         "p50_s": round(percentile(lat, 0.50), 4),
@@ -170,7 +150,7 @@ def run_loadgen(address, jobs: int = 100, submitters: int = 4,
         "mean_s": round(sum(lat) / done, 4) if done else 0.0,
         "poison_every": poison_every,
         "restart_at": restart_at,
-        "restart": restart_result[0] if restart_result else None,
+        "restart": restart[0] if restart else None,
         "all_accounted": accounted,
         "errors": errors,
         "daemon": {k: stats.get(k) for k in

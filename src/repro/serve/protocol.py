@@ -31,6 +31,10 @@ APP_KINDS = tuple(KINDS)
 #: Per-job run-config overrides a submission may carry.
 RUN_OVERRIDES = ("protocol", "quantum", "seed", "dmax", "sharing")
 
+#: The longest request line the daemon reads (a submit is a few hundred
+#: bytes); a longer one is a ``bad-request``, and its connection is closed.
+MAX_LINE = 1 << 20
+
 
 class BadRequest(SimConfigError):
     """A malformed API request (rejected before admission)."""
@@ -95,25 +99,36 @@ def format_address(addr: tuple) -> str:
     return f"tcp:{addr[1]}:{addr[2]}"
 
 
-def write_line(wfile, obj: dict) -> None:
-    """One response/request on a newline-JSON stream."""
-    wfile.write(json.dumps(obj, separators=(",", ":"),
-                           allow_nan=False).encode("utf-8") + b"\n")
-    wfile.flush()
+def encode_line(obj: dict) -> bytes:
+    """One response/request as a newline-JSON line."""
+    return json.dumps(obj, separators=(",", ":"),
+                      allow_nan=False).encode("utf-8") + b"\n"
 
 
-def read_line(rfile) -> Optional[dict]:
-    """Next object from a newline-JSON stream (None at EOF)."""
-    line = rfile.readline()
-    if not line:
-        return None
-    obj = json.loads(line)
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def decode_line(line: bytes) -> dict:
+    """The JSON object of one line (``ValueError`` if it is not strict
+    JSON); a line nested past the interpreter's recursion limit is a bad
+    request, not a crash."""
+    try:
+        obj = json.loads(line, parse_constant=_no_constant)
+    except RecursionError:
+        raise BadRequest("request nested too deeply") from None
     if not isinstance(obj, dict):
         raise BadRequest("request must be a JSON object")
     return obj
 
 
-__all__ = ["APP_KINDS", "BadRequest", "RUN_OVERRIDES", "SERVE_PROTOCOLS",
-           "error_response", "format_address", "is_json_int",
-           "parse_address", "read_line", "validate_run", "validate_seconds",
-           "write_line"]
+def read_line(rfile) -> Optional[dict]:
+    """Next object from a newline-JSON stream (None at EOF)."""
+    line = rfile.readline()
+    return decode_line(line) if line else None
+
+
+__all__ = ["APP_KINDS", "BadRequest", "MAX_LINE", "RUN_OVERRIDES",
+           "SERVE_PROTOCOLS", "decode_line", "encode_line", "error_response",
+           "format_address", "is_json_int", "parse_address", "read_line",
+           "validate_run", "validate_seconds"]

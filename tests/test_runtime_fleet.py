@@ -519,7 +519,7 @@ def test_a_lane_recycle_forks_with_the_learned_set(tmp_path, monkeypatch):
                 return c.report(job["job_id"])["report"]["metrics"]
 
             first, again = run(), run()
-            assert lane.request_recycle().wait(60.0)
+            assert c.restart()["restarted"] == [0]
             recycled = run()
         assert lane.restarts == 1
     finally:
